@@ -1,9 +1,10 @@
 """resonancekit: spectra of a two-level atom coupled to one quantized field mode.
 
-Cross-validated spectral methods on a truncated Fock space: an exact dense
-diagonalization oracle, degeneracy-aware quantum averaging, KAM-type contact
-transformations, isometric resonant transformations with spurious-eigenvalue
-bookkeeping, and closed-form effective spectra, plus a sweep CLI.
+Cross-validated spectral methods on a truncated Fock space: an exact
+diagonalization oracle over the two parity blocks, degeneracy-aware quantum
+averaging, KAM-type contact transformations, isometric resonant
+transformations with spurious-eigenvalue bookkeeping, and closed-form
+effective spectra, plus a sweep CLI.
 """
 
 from .operators import (
@@ -23,7 +24,7 @@ from .spectrum import (
     SpectrumRow,
     SpectrumTable,
     eigh,
-    classify_parity,
+    exact_spectrum,
     sweep_exact,
     validate_truncation,
 )
@@ -88,7 +89,7 @@ __all__ = [
     "SpectrumRow",
     "SpectrumTable",
     "eigh",
-    "classify_parity",
+    "exact_spectrum",
     "sweep_exact",
     "validate_truncation",
     "DegeneracyClusters",

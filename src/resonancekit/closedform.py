@@ -104,7 +104,7 @@ def displacement_element(m: int, n: int, params: ModelParams, sign: int = +1) ->
 
 def require_one_photon_resonance(params: ModelParams) -> None:
     """The dressed-ladder constructions assume omega0 = omega exactly."""
-    if abs(params.omega - params.omega0) > 1e-12 * params.omega:
+    if not abs(params.omega - params.omega0) <= 1e-12 * params.omega:
         raise ValueError(
             "one-photon-resonance methods require omega0 = omega; "
             f"got omega={params.omega}, omega0={params.omega0}"

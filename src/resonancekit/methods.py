@@ -3,9 +3,9 @@
 Every method maps (params, trunc, n_levels) to the same shape of output: the
 lowest physical levels in ascending energy order, spurious kernel zeros
 already filtered, each level carrying a branch tag (closed forms only), a
-parity label, and its energy.  Matrix-path methods label parity from the
-expectation value of the parity operator conjugated through their chain;
-closed forms carry analytic labels.
+parity label, and its energy.  The exact oracle's labels hold by
+construction, matrix chains read theirs off the conjugated parity operator,
+closed forms carry analytic labels.  No matrix path emits guard-band levels.
 
 Truncation policy: matrix chains run at the caller's truncation, except the
 contact-iteration refinements (rt1_kam, rt_full_kam), which rebuild their
@@ -36,16 +36,16 @@ from .operators import (
     ModelParams,
     TruncationConfig,
     TruncatedOperator,
-    build_parity,
     build_rabi,
+    validated_level_count,
 )
 from .spectrum import (
     PARITY_NA,
     PARITY_UNCLASSIFIED,
     PARITY_EVEN,
     PARITY_ODD,
-    classify_parity,
     eigh,
+    exact_spectrum,
 )
 from .transforms import (
     TransformedHamiltonian,
@@ -258,16 +258,19 @@ def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> Transformed
 def _exact_levels(
     params: ModelParams, trunc: TruncationConfig, n_levels: int
 ) -> list[MethodLevel]:
-    h = build_rabi(params, trunc)
-    decomp = classify_parity(eigh(h), build_parity(trunc))
-    if n_levels > decomp.values.size:
-        raise ValueError(f"requested {n_levels} levels from dim {decomp.values.size}")
+    valid = validated_level_count(params, trunc)
+    if n_levels > valid:
+        raise ValueError(
+            f"requested {n_levels} levels from dim {trunc.dim}, of which the "
+            f"guard band validates {valid}"
+        )
+    values, parity = exact_spectrum(params, trunc)
     return [
         MethodLevel(
             level=i,
             branch=BRANCH_UNASSIGNED,
-            parity=decomp.parity[i],
-            energy=float(decomp.values[i]),
+            parity=parity[i],
+            energy=float(values[i]),
         )
         for i in range(n_levels)
     ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ __all__ = [
     "atom_block",
     "build_rabi",
     "build_parity",
+    "ParityBlock",
+    "build_parity_blocks",
     "default_guard",
     "validated_level_count",
 ]
@@ -54,7 +57,7 @@ class ModelParams:
     Attributes
     ----------
     omega : float
-        Field-mode frequency, must be > 0.
+        Field-mode frequency, must be > 0.  All three must be finite.
     omega0 : float
         Atomic splitting, must be >= 0.
     g : float
@@ -66,6 +69,9 @@ class ModelParams:
     g: float
 
     def __post_init__(self):
+        for name in ("omega", "omega0", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.omega0 < 0:
@@ -234,6 +240,33 @@ def build_parity(trunc: TruncationConfig) -> TruncatedOperator:
     """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
     signs_f = np.diag((-1.0) ** np.arange(trunc.n_max + 1)).astype(complex)
     return TruncatedOperator(entries=tensor(signs_f, SIGMA_Z), hermitian=True)
+
+
+class ParityBlock(NamedTuple):
+    """One parity class of H as a real symmetric tridiagonal chain; row j is
+    photon number j, at flat basis index ``indices[j]``."""
+
+    indices: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+
+
+def build_parity_blocks(
+    params: ModelParams, trunc: TruncationConfig
+) -> tuple[ParityBlock, ParityBlock]:
+    """The even and odd parity blocks of :func:`build_rabi`, in that order.
+
+    The even block holds |n,+> for even n and |n,-> for odd n, the odd block
+    the rest: diagonal omega*(n+1/2) +/- (omega0/2)*(-1)^n, off-diagonal g*sqrt(n).
+    """
+    n = np.arange(trunc.n_max + 1)
+    flip = n % 2
+    sign = 1.0 - 2.0 * flip  # sigma_z of the even block's states, (-1)^n
+    ladder = params.omega * (n + 0.5)
+    off = params.g * np.sqrt(n[1:])
+    even = ParityBlock(2 * n + flip, ladder + 0.5 * params.omega0 * sign, off)
+    odd = ParityBlock(2 * n + 1 - flip, ladder - 0.5 * params.omega0 * sign, off)
+    return even, odd
 
 
 def default_guard(params: ModelParams, trunc: TruncationConfig) -> int:

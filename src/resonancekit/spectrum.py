@@ -1,4 +1,5 @@
-"""Exact-diagonalization oracle: eigensystems, parity labels, sweeps, truncation checks."""
+"""Exact oracle from the two parity blocks of H (sweeps, truncation checks)
+and the checked dense Hermitian eigensolver the matrix chains use."""
 
 from __future__ import annotations
 
@@ -9,10 +10,10 @@ import numpy as np
 
 from .operators import (
     ModelParams,
+    ParityBlock,
     TruncationConfig,
     TruncatedOperator,
-    build_parity,
-    build_rabi,
+    build_parity_blocks,
 )
 
 __all__ = [
@@ -20,7 +21,8 @@ __all__ = [
     "SpectrumRow",
     "SpectrumTable",
     "eigh",
-    "classify_parity",
+    "eigh_block",
+    "exact_spectrum",
     "sweep_exact",
     "validate_truncation",
 ]
@@ -34,16 +36,16 @@ PARITY_UNCLASSIFIED = "unclassified"
 
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-12
-_PARITY_MIN_WEIGHT = 0.99
+# Width of a degenerate group, as a fraction of max(1, max|E|).
+_DEGENERACY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (ascending), orthonormal eigenvector columns, parity labels."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
 
     values: np.ndarray
     vectors: np.ndarray
-    parity: tuple[str, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -84,6 +86,20 @@ class SpectrumTable:
         return list(seen)
 
 
+def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix, residual (against max|lambda|, the
+    spectral norm) and orthonormality asserted."""
+    values, vectors = np.linalg.eigh(h)
+    residual = np.abs(h @ vectors - vectors * values).max()
+    norm_h = np.abs(values).max()
+    if norm_h > 0 and residual > _RESIDUAL_RTOL * norm_h:
+        raise ArithmeticError(f"eigensolver residual {residual:.3e} too large")
+    ortho = np.abs(vectors.conj().T @ vectors - np.eye(values.size)).max()
+    if ortho > _ORTHO_TOL:
+        raise ArithmeticError(f"eigenvectors not orthonormal: {ortho:.3e}")
+    return values, vectors
+
+
 def eigh(op: TruncatedOperator) -> EigenDecomposition:
     """Full Hermitian eigendecomposition with ascending eigenvalues.
 
@@ -94,87 +110,37 @@ def eigh(op: TruncatedOperator) -> EigenDecomposition:
     scale = max(np.abs(h).max(), 1.0)
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("eigh requires a Hermitian operator")
-    values, vectors = np.linalg.eigh(h)
-    residual = np.abs(h @ vectors - vectors * values).max()
-    norm_h = np.linalg.norm(h, 2)
-    if norm_h > 0 and residual > _RESIDUAL_RTOL * norm_h:
-        raise ArithmeticError(f"eigensolver residual {residual:.3e} too large")
-    ortho = np.abs(vectors.conj().T @ vectors - np.eye(op.dim)).max()
-    if ortho > _ORTHO_TOL:
-        raise ArithmeticError(f"eigenvectors not orthonormal: {ortho:.3e}")
+    values, vectors = _checked_eigh(h)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def _degenerate_groups(values: np.ndarray, tol: float) -> list[list[int]]:
-    groups = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def eigh_block(block: ParityBlock) -> EigenDecomposition:
+    """Checked eigendecomposition of one parity block, eigenvectors in the
+    block's own basis (row j is the state at ``block.indices[j]``)."""
+    h = np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1)
+    values, vectors = _checked_eigh(h)
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
-def classify_parity(
-    decomp: EigenDecomposition, parity_op: TruncatedOperator | np.ndarray
-) -> EigenDecomposition:
-    """Label each level even/odd by its parity expectation value.
+def exact_spectrum(
+    params: ModelParams, trunc: TruncationConfig
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Every eigenvalue of the truncated Hamiltonian, ascending, with its
+    parity label, from the two parity blocks.
 
-    Inside a degenerate group the eigensolver returns arbitrary mixtures, so
-    vectors are first re-mixed to the parity eigenbasis (2x2-or-larger
-    diagonalization of the projected parity).  Degenerate ties are reordered
-    deterministically: even before odd, then by largest-amplitude basis index.
-    Levels with |<v|P|v>| < 0.99 after re-mixing are labeled "unclassified".
+    Labels hold by construction.  Levels closer than 1e-8*max(1, max|E|) form
+    one degenerate group, inside which even labels come before odd ones while
+    the energies stay ascending.
     """
-    p = parity_op.entries if isinstance(parity_op, TruncatedOperator) else parity_op
-    values = decomp.values.copy()
-    vectors = decomp.vectors.copy()
-    scale = max(1.0, np.abs(values).max())
-    labels: list[str] = [PARITY_UNCLASSIFIED] * decomp.dim
-
-    for group in _degenerate_groups(values, 1e-8 * scale):
-        if len(group) > 1:
-            sub = vectors[:, group]
-            p_sub = sub.conj().T @ p @ sub
-            p_sub = 0.5 * (p_sub + p_sub.conj().T)
-            _, mix = np.linalg.eigh(p_sub)
-            vectors[:, group] = sub @ mix
-        expect = [
-            float(np.real(vectors[:, i].conj() @ p @ vectors[:, i])) for i in group
-        ]
-        for i, e in zip(group, expect):
-            if e >= _PARITY_MIN_WEIGHT:
-                labels[i] = PARITY_EVEN
-            elif e <= -_PARITY_MIN_WEIGHT:
-                labels[i] = PARITY_ODD
-        if len(group) > 1:
-            order = sorted(
-                range(len(group)),
-                key=lambda j: (
-                    labels[group[j]],
-                    int(np.argmax(np.abs(vectors[:, group[j]]))),
-                ),
-            )
-            vectors[:, group] = vectors[:, [group[j] for j in order]]
-            relabeled = [labels[group[j]] for j in order]
-            for i, lab in zip(group, relabeled):
-                labels[i] = lab
-    return EigenDecomposition(values=values, vectors=vectors, parity=tuple(labels))
-
-
-def _match_by_overlap(prev: np.ndarray, cur: np.ndarray) -> list[int]:
-    """Greedy column matching of eigenvector frames by maximal overlap."""
-    n = prev.shape[1]
-    overlaps = np.abs(prev.conj().T @ cur)
-    order: list[int] = [-1] * n
-    used: set[int] = set()
-    for i in range(n):
-        for j in np.argsort(-overlaps[i]):
-            if int(j) not in used:
-                order[i] = int(j)
-                used.add(int(j))
-                break
-    return order
+    even, odd = (eigh_block(b).values for b in build_parity_blocks(params, trunc))
+    values = np.concatenate([even, odd])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    is_odd = (np.arange(values.size) >= even.size)[order]
+    tol = _DEGENERACY_RTOL * max(1.0, np.abs(values).max())
+    group = np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
+    is_odd = is_odd[np.lexsort((is_odd, group))]
+    return values, tuple(PARITY_ODD if o else PARITY_EVEN for o in is_odd)
 
 
 def sweep_exact(
@@ -182,48 +148,37 @@ def sweep_exact(
     g_values,
     trunc: TruncationConfig,
     n_levels: int,
-    match_continuity: bool = False,
 ) -> SpectrumTable:
     """Exact spectrum over a strictly increasing g grid.
 
-    One row per (g, level) for the lowest n_levels levels, parity-labeled.
-    Per-point eigensolver failures are logged and recorded in
-    ``table.failures``; the sweep continues.  With ``match_continuity`` the
-    level indices at adjacent g are linked by maximal eigenvector overlap
-    instead of plain energy order (off by default: parity-resolved sorting is
-    the robust reporting choice across true crossings).
+    One row per (g, level) for the lowest n_levels levels, parity-labeled and
+    in ascending energy order.  Per-point eigensolver failures are logged and
+    recorded in ``table.failures``; the sweep continues.
     """
     g_values = [float(g) for g in g_values]
     if any(b <= a for a, b in zip(g_values, g_values[1:])):
         raise ValueError("g grid must be strictly increasing")
-    parity_op = build_parity(trunc)
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     table = SpectrumTable()
-    prev_vectors: np.ndarray | None = None
     for g in g_values:
-        point = replace(params, g=g)
         try:
-            decomp = classify_parity(eigh(build_rabi(point, trunc)), parity_op)
+            values, parity = exact_spectrum(replace(params, g=g), trunc)
         except Exception as exc:  # point marked failed, sweep continues
             log.warning("exact sweep failed at g=%.6g: %s", g, exc)
             table.failures.append((g, "exact", str(exc)))
             continue
-        order = list(range(n_levels))
-        if match_continuity and prev_vectors is not None:
-            order = _match_by_overlap(prev_vectors, decomp.vectors[:, :n_levels])
-        for level, idx in enumerate(order):
+        for level in range(n_levels):
             table.rows.append(
                 SpectrumRow(
                     g=g,
                     method="exact",
                     level=level,
                     branch="unassigned",
-                    parity=decomp.parity[idx],
-                    energy=float(decomp.values[idx]),
+                    parity=parity[level],
+                    energy=float(values[level]),
                 )
             )
-        prev_vectors = decomp.vectors[:, [order[i] for i in range(n_levels)]]
     return table
 
 
@@ -235,9 +190,8 @@ def validate_truncation(params: ModelParams, trunc: TruncationConfig) -> int:
     of any truncation belong to the cut edge even when, as at g = 0, their
     values happen to agree with the doubled run.
     """
-    small = eigh(build_rabi(params, trunc)).values
-    doubled = TruncationConfig(n_max=2 * trunc.n_max)
-    big = eigh(build_rabi(params, doubled)).values
+    small, _ = exact_spectrum(params, trunc)
+    big, _ = exact_spectrum(params, TruncationConfig(n_max=2 * trunc.n_max))
     tol = 1e-8 * params.omega
     count = 0
     for e_small, e_big in zip(small, big):

@@ -15,6 +15,7 @@ finish.  A failing point is logged and skipped, the run continues.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -70,6 +71,9 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.omega0 < 0:

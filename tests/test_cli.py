@@ -46,6 +46,15 @@ def test_invalid_grid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--omega0", "nan"), ("--g-max", "inf")])
+def test_non_finite_parameter_exits_2(tmp_path, capsys, flag, value):
+    rc = main(["sweep", *_SMALL, flag, value, "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "must be finite" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_method_exits_2(tmp_path, capsys):
     rc = main(["sweep", *_SMALL, "--methods", "exact,bogus",
                "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,7 @@
 """Closed-form ladders, Laguerre helpers, resonance loci."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,10 @@ def test_require_one_photon_resonance():
     require_one_photon_resonance(_params(0.3))  # no raise at resonance
     with pytest.raises(ValueError, match="require omega0 = omega"):
         require_one_photon_resonance(ModelParams(omega=1.0, omega0=1.1, g=0.3))
+    # A NaN splitting compares false with everything; it must not pass.
+    nan_params = SimpleNamespace(omega=1.0, omega0=math.nan, g=0.3)
+    with pytest.raises(ValueError, match="require omega0 = omega"):
+        require_one_photon_resonance(nan_params)
 
 
 # ---------------------------------------------------------------- ladders

@@ -85,6 +85,9 @@ def test_requesting_too_many_levels_fails_loudly():
         compute_levels("rt1", _params(0.2), TruncationConfig(n_max=12), 40)
     with pytest.raises(ValueError, match="requested 10 levels from dim 6"):
         compute_levels("exact", _params(0.2), TruncationConfig(n_max=2), 10)
+    # dim 42, but the guard band at g = 2 validates only the lowest 4.
+    with pytest.raises(ValueError, match="guard band validates 4"):
+        compute_levels("exact", ModelParams(1, 1, 2), TruncationConfig(n_max=20), 40)
 
 
 def test_kam_truncation_adds_guard_rows():
@@ -114,15 +117,18 @@ def test_levels_from_chain_rejects_non_diagonal_reference():
 
 
 def test_exact_method_matches_oracle_head():
-    from resonancekit.operators import build_rabi
+    from resonancekit.operators import build_parity, build_rabi
     from resonancekit.spectrum import eigh
 
     params = _params(0.2)
     trunc = TruncationConfig(n_max=40)
     levels = compute_levels("exact", params, trunc, 10)
     direct = eigh(build_rabi(params, trunc))
-    np.testing.assert_array_equal([lv.energy for lv in levels], direct.values[:10])
-    assert all(lv.parity in ("even", "odd") for lv in levels)
+    np.testing.assert_allclose([lv.energy for lv in levels], direct.values[:10], rtol=1e-12)
+    p = build_parity(trunc).entries
+    expect = np.real(np.einsum("ik,ij,jk->k", direct.vectors.conj(), p, direct.vectors))
+    dense_labels = ["even" if e > 0.99 else "odd" if e < -0.99 else "?" for e in expect]
+    assert [lv.parity for lv in levels] == dense_labels[:10]
 
 
 def test_jc_method_equals_closed_form():

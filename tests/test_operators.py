@@ -17,6 +17,7 @@ from resonancekit.operators import (
     build_boson_ops,
     build_jaynes_cummings,
     build_parity,
+    build_parity_blocks,
     build_rabi,
     default_guard,
     tensor,
@@ -36,6 +37,14 @@ def test_model_params_validation():
         ModelParams(omega=1.0, omega0=1.0, g=-0.1)
     p = ModelParams(omega=1.0, omega0=1.0, g=0.0)
     assert p.g == 0.0
+
+
+@pytest.mark.parametrize("field", ["omega", "omega0", "g"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_model_params_rejects_non_finite(field, bad):
+    kwargs = {"omega": 1.0, "omega0": 1.0, "g": 0.1, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**kwargs)
 
 
 def test_truncation_config_validation():
@@ -238,6 +247,24 @@ def test_parity_is_involutive_and_commutes_exactly():
         # Commutation is exact in floating point, not merely approximate:
         # every nonzero H entry connects equal parity signs.
         assert np.array_equal(p @ h, h @ p)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 0.0, 0.37])
+def test_parity_blocks_reassemble_the_dense_hamiltonian(omega0):
+    params = ModelParams(omega=1.3, omega0=omega0, g=0.45)
+    trunc = TruncationConfig(n_max=9)
+    h = build_rabi(params, trunc).entries
+    p = np.diag(build_parity(trunc).entries).real
+    even, odd = build_parity_blocks(params, trunc)
+    # The blocks partition the basis and hold exactly H's entries.
+    assert sorted(np.concatenate([even.indices, odd.indices])) == list(range(trunc.dim))
+    assembled = np.zeros((trunc.dim, trunc.dim))
+    for sign, block in ((1.0, even), (-1.0, odd)):
+        assert np.all(p[block.indices] == sign)
+        chain = np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1)
+        assembled[np.ix_(block.indices, block.indices)] = chain
+    np.testing.assert_array_equal(assembled, h.real)
+    assert not np.any(h.imag)
 
 
 # ---------------------------------------------------------------- guards

@@ -1,20 +1,25 @@
-"""Exact-diagonalization oracle: eigh, parity labels, sweeps, truncation."""
+"""Exact-diagonalization oracle: eigh, parity blocks, sweeps, truncation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from resonancekit.operators import (
     ModelParams,
     TruncatedOperator,
     TruncationConfig,
     build_parity,
+    build_parity_blocks,
     build_rabi,
 )
 from resonancekit.spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
-    classify_parity,
     eigh,
+    eigh_block,
+    exact_spectrum,
     sweep_exact,
     validate_truncation,
 )
@@ -103,44 +108,96 @@ def test_eigh_is_deterministic():
 # ---------------------------------------------------------------- parity
 
 
-def test_classify_parity_decoupled_ground_and_first_excited():
+def _dense_parity_labels(params, trunc, count):
+    """Parity labels of the lowest ``count`` levels of the dense solve, read
+    off <v|P|v>; valid where those levels are non-degenerate."""
+    vectors = eigh(build_rabi(params, trunc)).vectors[:, :count]
+    p = build_parity(trunc).entries
+    expect = np.real(np.einsum("ik,ij,jk->k", vectors.conj(), p, vectors))
+    assert np.abs(np.abs(expect) - 1.0).max() < 1e-10
+    return [PARITY_EVEN if e > 0 else PARITY_ODD for e in expect]
+
+
+def test_exact_spectrum_decoupled_ground_and_first_excited():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=8)
-    decomp = eigh(build_rabi(params, trunc))
-    labeled = classify_parity(decomp, build_parity(trunc))
+    _, parity = exact_spectrum(params, TruncationConfig(n_max=8))
     # Ground state |0,-> has parity -(+1) = -1: odd.
-    assert labeled.parity[0] == PARITY_ODD
+    assert parity[0] == PARITY_ODD
     # The doubly degenerate level at energy 1 holds |0,+> and |1,->, both even.
-    assert labeled.parity[1] == PARITY_EVEN
-    assert labeled.parity[2] == PARITY_EVEN
+    assert parity[1] == PARITY_EVEN
+    assert parity[2] == PARITY_EVEN
     # Next pair at energy 2 is odd/odd, and so on alternating by pair.
-    assert labeled.parity[3] == PARITY_ODD
-    assert labeled.parity[4] == PARITY_ODD
-    assert labeled.parity[5] == PARITY_EVEN
+    assert parity[3] == PARITY_ODD
+    assert parity[4] == PARITY_ODD
+    assert parity[5] == PARITY_EVEN
 
 
-def test_classify_parity_labels_every_level_with_sharp_expectation():
+def test_exact_spectrum_labels_half_the_levels_each_parity():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.3)
     trunc = TruncationConfig(n_max=20)
-    p = build_parity(trunc)
-    labeled = classify_parity(eigh(build_rabi(params, trunc)), p)
-    assert set(labeled.parity) == {PARITY_EVEN, PARITY_ODD}
-    counts = {lab: labeled.parity.count(lab) for lab in (PARITY_EVEN, PARITY_ODD)}
+    values, parity = exact_spectrum(params, trunc)
+    assert set(parity) == {PARITY_EVEN, PARITY_ODD}
+    counts = {lab: parity.count(lab) for lab in (PARITY_EVEN, PARITY_ODD)}
     assert counts[PARITY_EVEN] == trunc.dim // 2
     assert counts[PARITY_ODD] == trunc.dim // 2
-    expect = np.einsum("ij,jk,ik->k", labeled.vectors.conj(), p.entries, labeled.vectors)
-    assert np.abs(np.abs(expect) - 1.0).max() < 1e-10
+    assert np.all(np.diff(values) >= 0)
+    np.testing.assert_allclose(
+        values, eigh(build_rabi(params, trunc)).values, rtol=1e-12, atol=1e-12
+    )
 
 
-def test_classify_parity_remixes_degenerate_pairs():
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
+@pytest.mark.parametrize("g", [0.0, 0.3])
+def test_parity_block_eigenvectors_are_eigenvectors_of_h_and_p(g):
+    # At g = 0 every level but the ground state is an even-odd or even-even
+    # degenerate pair; block eigenvectors are parity eigenvectors regardless.
+    params = ModelParams(omega=1.0, omega0=1.0, g=g)
     trunc = TruncationConfig(n_max=10)
-    p = build_parity(trunc)
-    labeled = classify_parity(eigh(build_rabi(params, trunc)), p)
-    # After re-mixing, every vector is individually a parity eigenvector.
-    pv = p.entries @ labeled.vectors
-    signs = np.where(np.array(labeled.parity) == PARITY_EVEN, 1.0, -1.0)
-    np.testing.assert_allclose(pv, labeled.vectors * signs, atol=1e-8)
+    h = build_rabi(params, trunc).entries
+    p = build_parity(trunc).entries
+    for sign, block in zip((1.0, -1.0), build_parity_blocks(params, trunc)):
+        decomp = eigh_block(block)
+        embedded = np.zeros((trunc.dim, decomp.dim), dtype=complex)
+        embedded[block.indices] = decomp.vectors
+        np.testing.assert_allclose(p @ embedded, sign * embedded, atol=1e-8)
+        np.testing.assert_allclose(h @ embedded, embedded * decomp.values, atol=1e-10)
+
+
+def test_exact_spectrum_orders_degenerate_ties_even_before_odd():
+    # At omega0 = 0 the two blocks coincide; a tiny splitting puts the odd
+    # partner of some pairs below the even one, by far less than 1e-8.
+    for omega0 in (0.0, 1e-10):
+        values, parity = exact_spectrum(
+            ModelParams(1.0, omega0, 0.4), TruncationConfig(n_max=12)
+        )
+        assert parity == (PARITY_EVEN, PARITY_ODD) * 13
+        assert np.all(np.diff(values) >= 0)
+
+
+_BLOCK_PARAMS = dict(
+    omega=st.floats(0.2, 3.0),
+    omega0=st.floats(0.0, 3.0),
+    g=st.floats(0.0, 2.0),
+    n_max=st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_BLOCK_PARAMS)
+def test_parity_blocks_match_scipy_tridiagonal_solver(omega, omega0, g, n_max):
+    params = ModelParams(omega, omega0, g)
+    for block in build_parity_blocks(params, TruncationConfig(n_max=n_max)):
+        ref = eigvalsh_tridiagonal(block.diag, block.off)
+        got = eigh_block(block).values
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_BLOCK_PARAMS)
+def test_parity_block_trace_equals_eigenvalue_sum(omega, omega0, g, n_max):
+    params = ModelParams(omega, omega0, g)
+    for block in build_parity_blocks(params, TruncationConfig(n_max=n_max)):
+        values = eigh_block(block).values
+        assert abs(values.sum() - block.diag.sum()) <= 1e-12 * np.abs(values).sum()
 
 
 # ---------------------------------------------------------------- sweeps
@@ -162,7 +219,8 @@ def test_sweep_exact_single_point_matches_eigh():
     assert len(table.rows) == 8
     assert not table.failures
     direct = eigh(build_rabi(params, trunc))
-    np.testing.assert_array_equal([r.energy for r in table.rows], direct.values[:8])
+    np.testing.assert_allclose([r.energy for r in table.rows], direct.values[:8], rtol=1e-12)
+    assert [r.parity for r in table.rows] == _dense_parity_labels(params, trunc, 8)
     assert all(r.method == "exact" for r in table.rows)
     assert all(r.branch == "unassigned" for r in table.rows)
     assert [r.level for r in table.rows] == list(range(8))

@@ -62,6 +62,12 @@ def test_config_defaults_and_grid():
         ({"tol_active": -1.0}, "tol_active must be positive"),
         ({"methods": ()}, "methods must be a non-empty set"),
         ({"methods": ("exact", "nope")}, "unknown entries ['nope']"),
+        ({"omega": float("inf")}, "omega must be finite"),
+        ({"omega0": float("nan")}, "omega0 must be finite"),
+        ({"g_min": float("nan")}, "g_min must be finite"),
+        ({"g_max": float("inf")}, "g_max must be finite"),
+        ({"tol_deg": float("nan")}, "tol_deg must be finite"),
+        ({"tol_active": float("inf")}, "tol_active must be finite"),
     ],
 )
 def test_config_validation_messages(kwargs, fragment):
