@@ -3,14 +3,16 @@
 The one-photon transformation dresses the upper atomic state by removing a
 photon; it is an isometry, not a unitary, so it introduces one spurious
 zero eigenvalue attached to its kernel vector |0,+>.  The two-photon step
-stacks a second shift on top (two more spurious zeros).  This script shows
-the bookkeeping the chains carry and compares the resulting level accuracy.
+stacks a second shift on top (two more spurious zeros).  Each shift is kept
+as an index remap: its kernel slots are the columns it maps to nothing, its
+lost slots the top rows nothing maps to.  This script shows the bookkeeping
+the chains carry and compares the resulting level accuracy.
 """
 
 import numpy as np
 
 from resonancekit.methods import compute_levels, rabi_rt1_chain, rabi_rt2_chain
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.operators import ModelParams, TruncationConfig, basis_label
 
 TRUNC = TruncationConfig(n_max=60)
 
@@ -21,12 +23,11 @@ def describe_chain(th, name):
     print(f"  spurious zeros : {[sp.label for sp in th.spurious]}")
     print(f"  loss band      : top {th.loss_band} photon level(s) corrupted")
     for rec in th.records:
-        r = rec.matrix
-        gram = r.conj().T @ r
-        missing = np.where(np.abs(np.diag(gram)) < 0.5)[0]
+        iso = rec.isometry
         print(f"  record: dressing {rec.photon_dressing:+d} photon(s), "
-              f"kernel {rec.kernel_labels}, "
-              f"R^dag R = identity minus slots {missing.tolist()}")
+              f"kernel {rec.kernel_labels}: R^dag R = 1 minus slots "
+              f"{[basis_label(k) for k in iso.kernel_slots]}, "
+              f"R R^dag = 1 minus slots {[basis_label(k) for k in iso.lost_slots]}")
 
 
 def accuracy_row(g, n_levels=10):

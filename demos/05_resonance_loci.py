@@ -33,8 +33,9 @@ def main():
     print("counter-rotating term dresses the ladder and drags the true crossing")
     print("toward smaller coupling.  For n >= 1 the second-order loci follow")
     print("the minima to within about 0.015, near this sweep's 0.01 grid step.")
-    print("The n = 0 pair lies at strong coupling, where neither ladder holds,")
-    print("and its measured minimum sits at the edge of the grid.")
+    print("The n = 0 pair lies at strong coupling, where neither ladder holds;")
+    print("its smallest gap is the last grid point, which the report's note")
+    print("column marks as a minimum at the search-window edge.")
 
 
 if __name__ == "__main__":

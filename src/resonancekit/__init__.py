@@ -12,8 +12,6 @@ from .operators import (
     TruncationConfig,
     TruncatedOperator,
     build_boson_ops,
-    tensor,
-    atom_block,
     build_rabi,
     build_parity,
     default_guard,
@@ -30,7 +28,6 @@ from .spectrum import (
 )
 from .averaging import (
     DegeneracyClusters,
-    AveragingResult,
     cluster_degeneracies,
     project_average,
     solve_cohomological,
@@ -40,6 +37,7 @@ from .averaging import (
 )
 from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate, kam_iterate_full
 from .transforms import (
+    Isometry,
     IsometryRecord,
     SpuriousLevel,
     TransformedHamiltonian,
@@ -80,8 +78,6 @@ __all__ = [
     "TruncationConfig",
     "TruncatedOperator",
     "build_boson_ops",
-    "tensor",
-    "atom_block",
     "build_rabi",
     "build_parity",
     "default_guard",
@@ -94,7 +90,6 @@ __all__ = [
     "sweep_exact",
     "validate_truncation",
     "DegeneracyClusters",
-    "AveragingResult",
     "cluster_degeneracies",
     "project_average",
     "solve_cohomological",
@@ -107,6 +102,7 @@ __all__ = [
     "kam_step",
     "kam_iterate",
     "kam_iterate_full",
+    "Isometry",
     "IsometryRecord",
     "SpuriousLevel",
     "TransformedHamiltonian",

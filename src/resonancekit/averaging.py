@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator
-from .spectrum import EigenDecomposition
+from .operators import TruncatedOperator, _mat
+from .spectrum import EigenDecomposition, eigh
 
 __all__ = [
     "DegeneracyClusters",
-    "AveragingResult",
+    "cluster_levels",
     "cluster_degeneracies",
     "project_average",
     "solve_cohomological",
@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL_DEG = 1e-8
-PHYSICAL_TOL_DEG = 1e-3  # near-resonance clustering during sweeps
 
 
 @dataclass(frozen=True)
@@ -56,39 +55,32 @@ class DegeneracyClusters:
         return cid
 
 
-@dataclass(frozen=True)
-class AveragingResult:
-    """Averaged block-diagonal part D, anti-Hermitian generator W, resonance report."""
-
-    D: TruncatedOperator
-    W: TruncatedOperator
-    resonance_report: tuple[tuple[int, bool, float], ...]
+def _gap_ids(values: np.ndarray, tol_deg: float) -> np.ndarray:
+    """Cluster id of each ascending value: a new cluster starts wherever the
+    gap to the previous value exceeds tol_deg."""
+    return np.concatenate([[0], np.cumsum(np.diff(values) > tol_deg)])
 
 
-def _mat(op) -> np.ndarray:
-    return op.entries if isinstance(op, TruncatedOperator) else np.asarray(op, dtype=complex)
+def cluster_levels(values: np.ndarray, tol_deg: float) -> DegeneracyClusters:
+    """Greedy gap-based clustering of ascending values.
 
-
-def cluster_degeneracies(decomp: EigenDecomposition, tol_deg: float) -> DegeneracyClusters:
-    """Greedy gap-based clustering of ascending eigenvalues.
-
-    A new cluster starts whenever the gap to the previous eigenvalue exceeds
+    A new cluster starts whenever the gap to the previous value exceeds
     tol_deg, so in-cluster pairwise spreads can reach a few tol_deg while
     adjacent-cluster boundary gaps always exceed it.
     """
     if tol_deg <= 0:
         raise ValueError(f"tol_deg must be > 0, got {tol_deg}")
-    values = decomp.values
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= tol_deg:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    means = tuple(float(np.mean(values[c])) for c in clusters)
-    return DegeneracyClusters(
-        clusters=tuple(tuple(c) for c in clusters), means=means, tol_deg=tol_deg
-    )
+    values = np.asarray(values, dtype=float)
+    starts = np.flatnonzero(np.diff(_gap_ids(values, tol_deg), prepend=-1))
+    bounds = np.append(starts, values.size).tolist()
+    clusters = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    means = np.add.reduceat(values, starts) / np.diff(bounds)
+    return DegeneracyClusters(clusters=clusters, means=tuple(means.tolist()), tol_deg=tol_deg)
+
+
+def cluster_degeneracies(decomp: EigenDecomposition, tol_deg: float) -> DegeneracyClusters:
+    """:func:`cluster_levels` over the eigenvalues of a decomposition."""
+    return cluster_levels(decomp.values, tol_deg)
 
 
 def _in_cluster_mask(clusters: DegeneracyClusters) -> np.ndarray:
@@ -189,12 +181,7 @@ def _diag_clusters(diag: np.ndarray, tol_deg: float) -> np.ndarray:
     """Cluster ids over basis indices for a diagonal operator."""
     order = np.argsort(diag, kind="stable")
     cid = np.empty(diag.shape[0], dtype=int)
-    current = 0
-    cid[order[0]] = 0
-    for prev, cur in zip(order, order[1:]):
-        if diag[cur] - diag[prev] > tol_deg:
-            current += 1
-        cid[cur] = current
+    cid[order] = _gap_ids(diag[order], tol_deg)
     return cid
 
 
@@ -205,24 +192,28 @@ def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray
     member, each retained entry taken directly from V (duplicate positions
     kept once).  The union of block supports is only basis-independent when
     all members are diagonal in one common basis, so members of a multi-member
-    family must be diagonal in the working basis; a single general member
-    delegates to :func:`project_average`.
+    family must be diagonal in the working basis: 1-D arrays (the diagonal
+    itself, diagonal by construction) or matrices without off-diagonal
+    entries.  A single general matrix member delegates to
+    :func:`project_average`.
     """
-    from .spectrum import eigh as _eigh  # local import to avoid cycle at import time
-
     v = _mat(V)
-    members = [_mat(h) for h in H0_family]
+    members = list(H0_family)
     if not members:
         raise ValueError("H0_family must not be empty")
     diags = []
-    for h in members:
-        if h.shape != v.shape:
+    for member in members:
+        h = _mat(member)
+        if h.shape not in ((v.shape[0],), v.shape):
             raise ValueError(f"dimension mismatch: member {h.shape}, V {v.shape}")
+        if h.ndim == 1:
+            diags.append(np.real(h))
+            continue
         scale = max(np.abs(h).max(), 1.0)
         off = h - np.diag(np.diag(h))
         if np.abs(off).max() > 1e-12 * scale:
             if len(members) == 1:
-                decomp = _eigh(TruncatedOperator(entries=0.5 * (h + h.conj().T), hermitian=True))
+                decomp = eigh(TruncatedOperator(entries=0.5 * (h + h.conj().T), hermitian=True))
                 tol = tol_deg if tol_deg is not None else DEFAULT_TOL_DEG * scale
                 return project_average(v, decomp, cluster_degeneracies(decomp, tol))
             raise ValueError(

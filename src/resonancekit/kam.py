@@ -12,7 +12,7 @@ from .averaging import (
     project_average,
     solve_cohomological,
 )
-from .operators import TruncatedOperator
+from .operators import TruncatedOperator, _mat
 from .spectrum import EigenDecomposition, eigh
 
 __all__ = [
@@ -58,10 +58,6 @@ class KamChain:
     diverged: bool
 
 
-def _mat(op) -> np.ndarray:
-    return op.entries if isinstance(op, TruncatedOperator) else np.asarray(op, dtype=complex)
-
-
 def unitary_exp(W) -> np.ndarray:
     """exp(W) for anti-Hermitian W, exactly unitary via eigenphases of iW."""
     w = _mat(W)
@@ -88,14 +84,15 @@ def kam_step(
     V,
     decomp: EigenDecomposition,
     clusters,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, KamStepReport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, KamStepReport]:
     """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W).
 
-    Returns (H_new, D, V_new, report) with D the averaged part of V and
+    Returns (H_new, D, V_new, U, report) with D the averaged part of V,
     V_new = H_new - H0 - D the new perturbation, of quadratic order away from
-    resonances.  Conjugation is a numerically exact triple product with the
-    spectrally built unitary, not a truncated series.  Divergence (residual
-    growth, or ||W|| beyond the blow-up threshold) is reported, not raised.
+    resonances, and U = exp(W) the unitary of the step.  Conjugation is a
+    numerically exact triple product with the spectrally built unitary, not a
+    truncated series.  Divergence (residual growth, or ||W|| beyond the
+    blow-up threshold) is reported, not raised.
     """
     h0 = _mat(H0)
     v = _mat(V)
@@ -124,7 +121,7 @@ def kam_step(
         epsilon=before / h0_scale,
         w_norm=w_norm,
     )
-    return h_new, d, v_new, report
+    return h_new, d, v_new, u, report
 
 
 def kam_iterate_full(
@@ -158,9 +155,7 @@ def kam_iterate_full(
         residual = _offblock_residual(v, decomp, clusters)
         if residual <= stop_tol * max(float(np.linalg.norm(h0, 2)), np.finfo(float).tiny):
             break
-        w = solve_cohomological(v, decomp, clusters)
-        u = unitary_exp(w)
-        h_new, d, v_new, report = kam_step(h0, v, decomp, clusters)
+        _, d, v_new, u, report = kam_step(h0, v, decomp, clusters)
         reports.append(KamStepReport(**{**report.__dict__, "step": step}))
         u_total = u_total @ u
         h0 = h0 + d

@@ -170,14 +170,10 @@ def _extract_levels(
     overlap, drop levels living in the corrupted top photon band, sort, rank."""
     values = np.asarray(values, dtype=float)
     _, kept, _ = spurious_filter(values, vectors, tuple(spurious))
-    photon_cap = n_max - loss_band
-    usable = []
-    for k in kept:
-        photon = int(np.argmax(np.abs(vectors[:, k]))) // 2
-        if photon > photon_cap:
-            continue
-        usable.append(k)
-    usable.sort(key=lambda k: values[k])
+    photon = np.argmax(np.abs(vectors), axis=0) // 2
+    usable = np.asarray(kept, dtype=int)
+    usable = usable[photon[usable] <= n_max - loss_band]
+    usable = usable[np.argsort(values[usable], kind="stable")]
     if len(usable) < n_levels:
         raise ValueError(
             f"requested {n_levels} levels but only {len(usable)} survive the "

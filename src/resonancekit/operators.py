@@ -6,8 +6,11 @@ number and s the atomic state ("+" or "-").  The flat basis index is
     k = 2*n + s,    s = 0 for "+", 1 for "-",
 
 so atomic 2x2 blocks sit inside each photon level and photon-shift operators
-are clean block-row shifts.  Matrices are dense complex; dimensions stay in
-the low hundreds, where dense eigensolvers dominate the cost anyway.
+are clean block-row shifts.  The Hamiltonian is held as its two real
+tridiagonal parity blocks (:func:`build_parity_blocks`); the dense complex
+matrices of :func:`build_rabi` and :func:`build_parity` are scattered from
+those blocks and the parity sign vector, never assembled from Kronecker
+products.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ __all__ = [
     "basis_index",
     "basis_label",
     "build_boson_ops",
-    "tensor",
-    "atom_block",
     "build_rabi",
     "build_parity",
+    "parity_signs",
     "ParityBlock",
     "build_parity_blocks",
     "default_guard",
@@ -177,47 +179,20 @@ def build_boson_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np
     return a, a.conj().T, n_op
 
 
-def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
-    """Kronecker product field_op (x) atom_op in the k = 2n+s convention."""
-    field_op = np.asarray(field_op, dtype=complex)
-    atom_op = np.asarray(atom_op, dtype=complex)
-    if atom_op.shape != (2, 2):
-        raise ValueError(f"atom factor must be 2x2, got {atom_op.shape}")
-    if field_op.ndim != 2 or field_op.shape[0] != field_op.shape[1]:
-        raise ValueError(f"field factor must be square, got {field_op.shape}")
-    return np.kron(field_op, atom_op)
-
-
-def atom_block(
-    f_pp: np.ndarray, f_pm: np.ndarray, f_mp: np.ndarray, f_mm: np.ndarray
-) -> np.ndarray:
-    """Assemble a 2x2 operator-valued block matrix [[f_pp, f_pm], [f_mp, f_mm]].
-
-    Each argument is an operator on the field factor; the result acts on the
-    full space with the "+"/"-" atomic blocks filled accordingly.  This is the
-    transcription helper for block expressions written per atomic state.
-    """
-    e_pp = np.array([[1, 0], [0, 0]], dtype=complex)
-    e_pm = np.array([[0, 1], [0, 0]], dtype=complex)
-    e_mp = np.array([[0, 0], [1, 0]], dtype=complex)
-    e_mm = np.array([[0, 0], [0, 1]], dtype=complex)
-    return (
-        tensor(f_pp, e_pp)
-        + tensor(f_pm, e_pm)
-        + tensor(f_mp, e_mp)
-        + tensor(f_mm, e_mm)
-    )
+def _mat(op) -> np.ndarray:
+    """Entries of a TruncatedOperator, or any array-like as a complex array."""
+    return op.entries if isinstance(op, TruncatedOperator) else np.asarray(op, dtype=complex)
 
 
 def build_rabi(params: ModelParams, trunc: TruncationConfig) -> TruncatedOperator:
-    """Full Hamiltonian omega*(N+1/2) (x) 1 + (omega0/2) 1 (x) sigma_z + g*(a+a^H) (x) sigma_x."""
-    a, a_dag, n_op = build_boson_ops(trunc)
-    eye_f = np.eye(trunc.n_max + 1, dtype=complex)
-    h = (
-        params.omega * tensor(n_op + 0.5 * eye_f, np.eye(2))
-        + 0.5 * params.omega0 * tensor(eye_f, SIGMA_Z)
-        + params.g * tensor(a + a_dag, SIGMA_X)
-    )
+    """Full Hamiltonian omega*(N+1/2) (x) 1 + (omega0/2) 1 (x) sigma_z + g*(a+a^H) (x) sigma_x,
+    scattered from its two parity blocks."""
+    h = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for block in build_parity_blocks(params, trunc):
+        idx = block.indices
+        h[idx, idx] = block.diag
+        h[idx[:-1], idx[1:]] = block.off
+        h[idx[1:], idx[:-1]] = block.off
     return TruncatedOperator(entries=h, hermitian=True)
 
 
@@ -225,21 +200,27 @@ def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> Trunc
     """Rotating-wave Hamiltonian: the coupling keeps only the co-rotating
     terms g*(a (x) sigma_+ + a^H (x) sigma_-), which exchange one photon with
     one atomic flip and couple the degenerate pairs |n,+> <-> |n+1,->."""
-    a, a_dag, n_op = build_boson_ops(trunc)
-    eye_f = np.eye(trunc.n_max + 1, dtype=complex)
-    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    h = (
-        params.omega * tensor(n_op + 0.5 * eye_f, np.eye(2))
-        + 0.5 * params.omega0 * tensor(eye_f, SIGMA_Z)
-        + params.g * (tensor(a, sigma_plus) + tensor(a_dag, sigma_plus.conj().T))
-    )
+    n = np.arange(trunc.n_max + 1)
+    ladder = params.omega * (n + 0.5)
+    h = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    plus, minus = 2 * n, 2 * n + 1
+    h[plus, plus] = ladder + 0.5 * params.omega0
+    h[minus, minus] = ladder - 0.5 * params.omega0
+    h[plus[:-1], minus[1:]] = params.g * np.sqrt(n[1:])
+    h[minus[1:], plus[:-1]] = params.g * np.sqrt(n[1:])
     return TruncatedOperator(entries=h, hermitian=True)
+
+
+def parity_signs(trunc: TruncationConfig) -> np.ndarray:
+    """Diagonal of the parity operator: (-1)^n for |n,+>, -(-1)^n for |n,->."""
+    signs = np.repeat((-1.0) ** np.arange(trunc.n_max + 1), 2)
+    signs[1::2] *= -1.0
+    return signs
 
 
 def build_parity(trunc: TruncationConfig) -> TruncatedOperator:
     """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
-    signs_f = np.diag((-1.0) ** np.arange(trunc.n_max + 1)).astype(complex)
-    return TruncatedOperator(entries=tensor(signs_f, SIGMA_Z), hermitian=True)
+    return TruncatedOperator(entries=np.diag(parity_signs(trunc)).astype(complex), hermitian=True)
 
 
 class ParityBlock(NamedTuple):

@@ -408,6 +408,7 @@ def resonance_report(
         parity_label = PARITY_EVEN if locus.n % 2 == 1 else PARITY_ODD
         best_g: float | None = None
         best_gap: float | None = None
+        searched: list[float] = []
         for g in sorted(exact_by_g):
             if abs(g - locus.g) > half_width:
                 continue
@@ -417,9 +418,18 @@ def resonance_report(
             if max(e_up, e_down) > max(r.energy for r in rows) - 0.5 * config.omega:
                 continue  # crossing pair not resolved by the retained levels
             gap = _crossing_gap(rows, parity_label, e_up, e_down)
-            if gap is not None and (best_gap is None or gap < best_gap):
+            if gap is None:
+                continue
+            searched.append(g)
+            if best_gap is None or gap < best_gap:
                 best_gap, best_g = gap, g
-        note = "" if best_gap is not None else "crossing levels above n_levels window"
+        if best_gap is None:
+            note = "crossing levels above n_levels window"
+        elif best_g in (searched[0], searched[-1]):
+            # the gap may keep falling beyond the window or the grid
+            note = "minimum at search-window edge"
+        else:
+            note = ""
         reports.append(
             LocusReport(
                 kind="active",

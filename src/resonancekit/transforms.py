@@ -1,13 +1,17 @@
 """Isometric/unitary transformation chains with spurious-eigenvalue bookkeeping.
 
-Index-shifting isometries are built directly as 0/1 (or 0/sqrt) entry
-matrices, never via operator square roots.  Each photon shift invalidates the
-top 1-2 photon rows at truncation, so a chain accumulates a loss band that is
-added to the guard band of validity claims.  A non-unitary (isometric)
-transformation R with R^H R = 1 - sum of kernel projectors adds one exact
-zero eigenvalue per kernel vector; those vectors are carried along the chain
-so the extra zeros can be matched and filtered by eigenvector overlap rather
-than by energy (physical zero eigenvalues exist too).
+Every step of a chain is an :class:`Isometry` ``S = R B``: ``R`` is an index
+remap (a photon shift, a permutation, or the identity) and ``B`` a set of
+small unitary blocks on disjoint index groups (atomic rotations, the
+two-photon reflection, in-cluster rotations, displacements).  Conjugation
+``S^H X S`` is a fancy-indexed gather followed by batched block updates; no
+dense ``S`` is ever formed.  Each photon shift invalidates the top 1-2 photon
+rows at truncation, so a chain accumulates a loss band that is added to the
+guard band of validity claims.  A non-unitary (isometric) transformation with
+``S^H S = 1 - sum of kernel projectors`` adds one exact zero eigenvalue per
+kernel vector; those vectors are carried along the chain so the extra zeros
+can be matched and filtered by eigenvector overlap rather than by energy
+(physical zero eigenvalues exist too).
 """
 
 from __future__ import annotations
@@ -17,32 +21,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import combined_projector
+from .averaging import cluster_levels, combined_projector
 from .closedform import require_one_photon_resonance, rt2_mixing_angle
 from .kam import unitary_exp
 from .operators import (
     ModelParams,
     TruncationConfig,
-    TruncatedOperator,
-    atom_block,
+    _mat,
     basis_index,
     basis_label,
-    build_parity,
-    tensor,
+    build_boson_ops,
+    parity_signs,
 )
-from .spectrum import eigh as _eigh
-from .averaging import cluster_degeneracies
 
 __all__ = [
     "SpuriousLevel",
+    "Isometry",
     "IsometryRecord",
     "TransformedHamiltonian",
     "atom_rotation_t",
-    "shift_down",
-    "op_A",
-    "op_A_perp0",
     "rt_one_photon",
     "rt_two_photon",
+    "atom_rotate",
     "generic_numeric_rt",
     "strong_chain",
     "rt_zero_field",
@@ -60,10 +60,109 @@ class SpuriousLevel:
 
 
 @dataclass(frozen=True)
-class IsometryRecord:
-    """One isometric reduction step: matrix, kernel, dressing, truncation loss."""
+class Isometry:
+    """Structured isometry ``S = R B`` on the flat basis.
 
-    matrix: np.ndarray
+    remap: column j of ``R`` is the unit vector at row ``remap[j]``, or zero
+    (a kernel column) where ``remap[j] == -1``; None means ``R = 1``.
+    blocks: groups of equal-size unitary blocks, each ``(idx, q)`` with idx of
+    shape (m, k) and q of shape (m, k, k): ``B`` restricted to the indices
+    ``idx[b]`` is ``q[b]``.  All blocks act on disjoint indices; ``B`` is the
+    identity elsewhere.
+    """
+
+    remap: np.ndarray | None = None
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    @property
+    def kernel_slots(self) -> np.ndarray:
+        """Columns j with ``S e_j = 0``."""
+        if self.remap is None:
+            return np.zeros(0, dtype=int)
+        return np.flatnonzero(self.remap < 0)
+
+    @property
+    def lost_slots(self) -> np.ndarray:
+        """Rows outside the range of ``S``: basis states no column maps to."""
+        if self.remap is None:
+            return np.zeros(0, dtype=int)
+        return np.setdiff1d(np.arange(self.remap.size), self.remap[self.remap >= 0])
+
+    def _gather(self, x: np.ndarray, axes: int) -> np.ndarray:
+        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2), as a fresh complex array."""
+        x = np.asarray(x, dtype=complex)
+        if self.remap is None:
+            return x.copy()
+        kernel = self.remap < 0
+        safe = np.where(kernel, 0, self.remap)
+        if axes == 1:
+            y = x[safe]
+            y[kernel] = 0.0
+            return y
+        y = x[np.ix_(safe, safe)]
+        y[kernel, :] = 0.0
+        y[:, kernel] = 0.0
+        return y
+
+    def rotate(self, y: np.ndarray) -> np.ndarray:
+        """``B^H y B`` in place for the complex matrix y."""
+        for idx, q in self.blocks:
+            if idx.shape[1] == 2:
+                _rotate_pairs(y, idx, q)
+                continue
+            y[:, idx] = np.matmul(y[:, idx].transpose(1, 0, 2), q).transpose(1, 0, 2)
+            y[idx, :] = np.matmul(q.conj().transpose(0, 2, 1), y[idx, :])
+        return y
+
+    def conjugate(self, x: np.ndarray) -> np.ndarray:
+        """``S^H x S``."""
+        return self.rotate(self._gather(x, 2))
+
+    def conjugate_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """``S^H diag(d) S``: the remap keeps it diagonal, and each block q
+        turns its slice e of the diagonal into the block ``q^H diag(e) q``."""
+        e = self._gather(d, 1)
+        y = np.diag(e)
+        for idx, q in self.blocks:
+            y[idx[:, :, None], idx[:, None, :]] = np.einsum("mkl,mk,mkn->mln", q.conj(), e[idx], q)
+        return y
+
+    def pull(self, v: np.ndarray) -> np.ndarray:
+        """``S^H v`` for a vector v."""
+        w = self._gather(v, 1)
+        for idx, q in self.blocks:
+            w[idx] = np.matmul(q.conj().transpose(0, 2, 1), w[idx][..., None])[..., 0]
+        return w
+
+
+def _rotate_pairs(y: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
+    """``B^H y B`` in place for 2x2 blocks: column j of ``y B`` is
+    ``y[:, j] B[j, j] + y[:, p] B[p, j]`` with p the other slot of j's block
+    (p = j, B[j, j] = 1 and no partner term outside every block).  Works on
+    whole rows and columns with a single temporary."""
+    partner = np.arange(y.shape[0])
+    diag = np.ones(y.shape[0], dtype=complex)
+    off = np.zeros(y.shape[0], dtype=complex)
+    for l in (0, 1):
+        partner[idx[:, l]] = idx[:, 1 - l]
+        diag[idx[:, l]] = q[:, l, l]
+        off[idx[:, l]] = q[:, 1 - l, l]
+    tmp = np.take(y, partner, axis=1)
+    tmp *= off
+    y *= diag
+    y += tmp
+    np.take(y, partner, axis=0, out=tmp)
+    tmp *= off.conj()[:, None]
+    y *= diag.conj()[:, None]
+    y += tmp
+
+
+@dataclass(frozen=True)
+class IsometryRecord:
+    """One isometric reduction step: its remap (plus any fixed unitary block,
+    such as the two-photon reflection), kernel, dressing, truncation loss."""
+
+    isometry: Isometry
     kernel_labels: tuple[str, ...]
     photon_dressing: int
     loss_rows: int
@@ -97,51 +196,65 @@ class TransformedHamiltonian:
         return self.operator.shape[0]
 
 
-def _mat(op) -> np.ndarray:
-    return op.entries if isinstance(op, TruncatedOperator) else np.asarray(op, dtype=complex)
-
-
 def atom_rotation_t() -> np.ndarray:
     """pi/2 rotation about the atomic y-axis: T^H sigma_x T = sigma_z."""
     return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-def shift_down(fock_dim: int) -> np.ndarray:
-    """Normalized lowering shift sum_n |n><n+1| on the field factor."""
-    return np.eye(fock_dim, k=1, dtype=complex)
+def _doublets(first: int, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block group applying T on the atomic doublets of photon levels
+    first..fock_dim-1."""
+    idx = np.arange(2 * first, 2 * fock_dim).reshape(-1, 2)
+    return idx, np.broadcast_to(atom_rotation_t(), (idx.shape[0], 2, 2))
 
 
-def op_A(fock_dim: int) -> np.ndarray:
-    """Two-photon shift A = sum_n sqrt(n+1) |n><n+2|."""
-    a = np.zeros((fock_dim, fock_dim), dtype=complex)
-    for n in range(fock_dim - 2):
-        a[n, n + 2] = math.sqrt(n + 1)
-    return a
+def _shift_remap(fock_dim: int, atom: int, photons: int, first: int = 0) -> np.ndarray:
+    """Remap lowering the photon number by ``photons`` on one atomic block,
+    from photon level ``first`` up: column (n, atom) takes row
+    (n - photons, atom) for n >= first + photons, the columns in between are
+    the kernel, and every other column keeps its own row."""
+    remap = np.arange(2 * fock_dim)
+    cols = remap[atom::2]
+    cols[first + photons:] = cols[first:-photons].copy()
+    cols[first:first + photons] = -1
+    return remap
 
 
-def op_A_perp0(fock_dim: int) -> np.ndarray:
-    """A restricted off the vacuum: sum_{n>=1} sqrt(n+1) |n><n+2|."""
-    a = op_A(fock_dim)
-    a[0, :] = 0.0
-    return a
-
-
-def _conjugate(th: TransformedHamiltonian, s: np.ndarray, tag: str, **updates) -> dict:
-    """Shared bookkeeping for conjugating a chain by a (possibly isometric) s."""
-    out = dict(
-        operator=s.conj().T @ th.operator @ s,
-        parity=None if th.parity is None else s.conj().T @ th.parity @ s,
-        spurious=tuple(
-            replace(sp, vector=s.conj().T @ sp.vector) for sp in th.spurious
-        ),
+def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
+    """Shared bookkeeping for conjugating a chain by successive isometries."""
+    operator, parity = th.operator, th.parity
+    spurious = th.spurious
+    for iso in isometries:
+        operator = iso.conjugate(operator)
+        if parity is not None:
+            # A 1-D parity is the diagonal of the starting basis's parity.
+            parity = iso.conjugate_diagonal(parity) if parity.ndim == 1 else iso.conjugate(parity)
+        spurious = tuple(replace(sp, vector=iso.pull(sp.vector)) for sp in spurious)
+    return dict(
+        operator=operator,
+        parity=parity,
+        spurious=spurious,
         provenance=th.provenance + (tag,),
         loss_band=th.loss_band,
         params=th.params,
         trunc=th.trunc,
         records=th.records,
     )
-    out.update(updates)
-    return out
+
+
+def _unit(dim: int, k: int) -> np.ndarray:
+    vec = np.zeros(dim, dtype=complex)
+    vec[k] = 1.0
+    return vec
+
+
+def _ladder(omega: float, g: float, fock_dim: int) -> np.ndarray:
+    """Diagonal of the dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z."""
+    ns = np.arange(fock_dim)
+    diag = np.empty(2 * fock_dim)
+    diag[0::2] = omega * ns + g * np.sqrt(ns)
+    diag[1::2] = omega * ns - g * np.sqrt(ns)
+    return diag
 
 
 def rt_one_photon(
@@ -160,76 +273,41 @@ def rt_one_photon(
     fock_dim = trunc.n_max + 1
     if h.shape[0] != 2 * fock_dim:
         raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {2 * fock_dim}")
-    eye_f = np.eye(fock_dim, dtype=complex)
-    r1 = atom_block(shift_down(fock_dim), np.zeros_like(eye_f), np.zeros_like(eye_f), eye_f)
-    p0 = np.zeros_like(eye_f)
-    p0[0, 0] = 1.0
-    t1 = tensor(p0, np.eye(2)) + tensor(eye_f - p0, atom_rotation_t())
-    s = r1 @ t1
-
-    ns = np.arange(fock_dim)
-    ref_diag = np.empty(2 * fock_dim)
-    ref_diag[0::2] = params.omega * ns + params.g * np.sqrt(ns)
-    ref_diag[1::2] = params.omega * ns - params.g * np.sqrt(ns)
-
-    parity = build_parity(trunc).entries
-    kernel = np.zeros(2 * fock_dim, dtype=complex)
-    kernel[basis_index(0, 0)] = 1.0
+    shift = _shift_remap(fock_dim, 0, 1)
+    reference = np.diag(_ladder(params.omega, params.g, fock_dim)).astype(complex)
     base = TransformedHamiltonian(
         operator=h,
-        reference=np.diag(ref_diag).astype(complex),
-        parity=parity,
+        reference=reference,
+        parity=parity_signs(trunc),
         spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
         trunc=trunc,
     )
-    fields = _conjugate(base, s, "rt_one_photon")
-    fields["reference"] = np.diag(ref_diag).astype(complex)
-    fields["spurious"] = (SpuriousLevel(label=basis_label(0), vector=kernel),)
+    fields = _conjugate(base, (Isometry(shift, (_doublets(1, fock_dim),)),), "rt_one_photon")
+    fields["reference"] = reference
+    fields["spurious"] = (SpuriousLevel(label=basis_label(0), vector=_unit(2 * fock_dim, 0)),)
     fields["loss_band"] = 1
     fields["records"] = (
         IsometryRecord(
-            matrix=r1, kernel_labels=(basis_label(0),), photon_dressing=-1, loss_rows=1
+            isometry=Isometry(shift),
+            kernel_labels=(basis_label(0),),
+            photon_dressing=-1,
+            loss_rows=1,
         ),
     )
     return TransformedHamiltonian(**fields)
 
 
 def _rt2_family(params: ModelParams, fock_dim: int) -> list[np.ndarray]:
-    """Dressed references at every active locus g_n with n+2 inside truncation."""
+    """Diagonals of the dressed references at every active locus g_n with n+2
+    inside truncation."""
     w = params.omega
-    ns = np.arange(fock_dim)
-    family = []
-    for n in range(fock_dim - 2):
-        g_n = 2.0 * w / (math.sqrt(n) + math.sqrt(n + 2))
-        diag = np.empty(2 * fock_dim)
-        diag[0::2] = w * ns + g_n * np.sqrt(ns)
-        diag[1::2] = w * ns - g_n * np.sqrt(ns)
-        family.append(np.diag(diag).astype(complex))
-    return family
-
-
-def build_r2(omega: float, g: float, fock_dim: int) -> np.ndarray:
-    """Combined two-photon reduction: two-photon shift on the "+" block away
-    from the vacuum, a reflection by the mixing angle on the (0,-)/(2,-)
-    pair, identity on (0,+)."""
-    dim = 2 * fock_dim
-    r2 = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, fock_dim - 2):
-        r2[basis_index(n, 0), basis_index(n + 2, 0)] = 1.0
-    for n in range(1, fock_dim):
-        if n != 2:
-            r2[basis_index(n, 1), basis_index(n, 1)] = 1.0
-    r2[basis_index(0, 0), basis_index(0, 0)] = 1.0
-    theta = rt2_mixing_angle(omega, g)
-    i0, i2 = basis_index(0, 1), basis_index(2, 1)
-    r2[i0, i0] = -math.cos(theta)
-    r2[i0, i2] = -math.sin(theta)
-    r2[i2, i0] = -math.sin(theta)
-    r2[i2, i2] = math.cos(theta)
-    return r2
+    return [
+        _ladder(w, 2.0 * w / (math.sqrt(n) + math.sqrt(n + 2)), fock_dim)
+        for n in range(fock_dim - 2)
+    ]
 
 
 def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> TransformedHamiltonian:
@@ -254,18 +332,28 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
     resonant = combined_projector(v1, _rt2_family(params, fock_dim), tol_deg=1e-8 * w)
     h1_eff = H1.reference + resonant
 
-    r2 = build_r2(w, g, fock_dim)
-    m = r2.conj().T @ h1_eff @ r2
-    rot = np.eye(dim, dtype=complex)
-    for n in range(3, fock_dim):
-        i, j = basis_index(n, 0), basis_index(n, 1)
-        block = np.array([[m[i, i], m[i, j]], [m[j, i], m[j, j]]])
-        block = 0.5 * (block + block.conj().T)
-        _, q = np.linalg.eigh(block)
-        rot[np.ix_([i, j], [i, j])] = q
-    s = r2 @ rot
+    # Two-photon shift on the "+" block away from the vacuum, identity on
+    # (0,+) and on the "-" block, then the reflection by the mixing angle on
+    # the (0,-)/(2,-) pair.
+    shift = _shift_remap(fock_dim, 0, 2, first=1)
+    theta = rt2_mixing_angle(w, g)
+    c, s = math.cos(theta), math.sin(theta)
+    reflection_idx = np.array([[basis_index(0, 1), basis_index(2, 1)]])
+    reflection_q = np.array([[[-c, -s], [-s, c]]], dtype=complex)
 
-    ref_new = s.conj().T @ h1_eff @ s
+    # Per-photon rotation diagonalizing the commuting 2x2 blocks n >= 3.
+    m = Isometry(shift).conjugate(h1_eff)
+    pairs = np.arange(6, dim).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    block = np.stack([np.stack([m[i, i], m[i, j]], -1), np.stack([m[j, i], m[j, j]], -1)], -2)
+    block = 0.5 * (block + block.conj().transpose(0, 2, 1))
+    _, q = np.linalg.eigh(block)
+    rotation = Isometry(
+        None,
+        ((np.concatenate([reflection_idx, pairs]), np.concatenate([reflection_q, q])),),
+    )
+
+    ref_new = rotation.rotate(m)
     scale = max(np.abs(ref_new).max(), 1.0)
     off = ref_new - np.diag(np.diag(ref_new))
     if np.abs(off).max() > 1e-10 * scale:
@@ -275,19 +363,17 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
         )
     ref_new = np.diag(np.real(np.diag(ref_new))).astype(complex)
 
-    kernels = []
-    for n in (1, 2):
-        vec = np.zeros(dim, dtype=complex)
-        vec[basis_index(n, 0)] = 1.0
-        kernels.append(SpuriousLevel(label=basis_label(basis_index(n, 0)), vector=vec))
-
-    fields = _conjugate(H1, s, "rt_two_photon")
+    kernels = tuple(
+        SpuriousLevel(label=basis_label(basis_index(n, 0)), vector=_unit(dim, basis_index(n, 0)))
+        for n in (1, 2)
+    )
+    fields = _conjugate(H1, (Isometry(shift, rotation.blocks),), "rt_two_photon")
     fields["reference"] = ref_new
-    fields["spurious"] = fields["spurious"] + tuple(kernels)
+    fields["spurious"] = fields["spurious"] + kernels
     fields["loss_band"] = H1.loss_band + 2
     fields["records"] = H1.records + (
         IsometryRecord(
-            matrix=r2,
+            isometry=Isometry(shift, ((reflection_idx, reflection_q),)),
             kernel_labels=tuple(k.label for k in kernels),
             photon_dressing=-2,
             loss_rows=2,
@@ -303,12 +389,11 @@ def atom_rotate(th: TransformedHamiltonian) -> TransformedHamiltonian:
     the averaged remainder onto the atomic z-axis.  The reference must be
     scalar on each atomic doublet (invariant under the rotation); asserted.
     """
-    fock_dim = th.dim // 2
-    s = tensor(np.eye(fock_dim, dtype=complex), atom_rotation_t())
-    rotated = s.conj().T @ th.reference @ s
+    rotation = Isometry(None, (_doublets(0, th.dim // 2),))
+    rotated = rotation.conjugate(th.reference)
     if not np.allclose(rotated, th.reference, atol=1e-12 * max(1.0, np.abs(th.reference).max())):
         raise ValueError("atom_rotate needs a reference invariant under the atomic rotation")
-    fields = _conjugate(th, s, "atom_rotate")
+    fields = _conjugate(th, (rotation,), "atom_rotate")
     fields["reference"] = th.reference
     return TransformedHamiltonian(**fields)
 
@@ -321,11 +406,13 @@ def generic_numeric_rt(
 ) -> TransformedHamiltonian:
     """Numeric resonant transformation without hand-built isometries.
 
-    Diagonalizes the effective operator H0 + (averaged V) by rotating inside
-    the degeneracy-cluster blocks of the reference and conjugates the full
-    operator by that block rotation.  Unitary: no spurious levels, no new
-    truncation loss.  Accepts either a TransformedHamiltonian (chains) or a
-    bare operator plus reference.
+    The reference must be diagonal: its eigenbasis is the stable ascending
+    sort of its diagonal (a permutation).  Diagonalizes the effective operator
+    H0 + (averaged V) by rotating inside the degeneracy clusters of the sorted
+    reference and conjugates the full operator by permutation plus cluster
+    rotations; singleton clusters just shift by the diagonal of V.  Unitary:
+    no spurious levels, no new truncation loss.  Accepts either a
+    TransformedHamiltonian (chains) or a bare operator plus reference.
     """
     if isinstance(H, TransformedHamiltonian):
         th = H
@@ -340,27 +427,35 @@ def generic_numeric_rt(
             provenance=(),
             loss_band=0,
         )
+    ref_diag = np.diag(th.reference)
+    if np.count_nonzero(th.reference - np.diag(ref_diag)):
+        raise ValueError("generic_numeric_rt needs a diagonal reference")
     if tol_deg is None:
-        omega = th.params.omega if th.params is not None else max(np.abs(th.reference).max(), 1.0)
+        omega = th.params.omega if th.params is not None else max(np.abs(ref_diag).max(), 1.0)
         tol_deg = 1e-3 * omega
 
-    ref = 0.5 * (th.reference + th.reference.conj().T)
-    decomp = _eigh(TruncatedOperator(entries=ref, hermitian=True))
+    values = np.real(ref_diag)
+    order = np.argsort(values, kind="stable")
+    energies = values[order]
     if clusters is None:
-        clusters = cluster_degeneracies(decomp, tol_deg)
-    u = decomp.vectors
-    v_eig = u.conj().T @ (th.operator - ref) @ u
-    q = np.eye(th.dim, dtype=complex)
-    new_e = decomp.values.copy()
+        clusters = cluster_levels(energies, tol_deg)
+    # Singletons: E + Re V_ii; V = operator - reference in the sorted basis.
+    new_e = energies + np.real(np.diag(th.operator) - values)[order]
+    groups: dict[int, tuple[list, list]] = {}
     for cluster in clusters.clusters:
+        if len(cluster) < 2:
+            continue
         idx = list(cluster)
-        block = np.diag(decomp.values[idx]) + v_eig[np.ix_(idx, idx)]
+        rows = order[idx]
+        block = np.diag(energies[idx]) + (th.operator[np.ix_(rows, rows)] - np.diag(values[rows]))
         block = 0.5 * (block + block.conj().T)
         vals, vecs = np.linalg.eigh(block)
-        q[np.ix_(idx, idx)] = vecs
         new_e[idx] = vals
-    s = u @ q
-    fields = _conjugate(th, s, "generic_numeric_rt")
+        members = groups.setdefault(len(idx), ([], []))
+        members[0].append(idx)
+        members[1].append(vecs)
+    blocks = tuple((np.array(idx), np.array(q)) for idx, q in groups.values())
+    fields = _conjugate(th, (Isometry(order, blocks),), "generic_numeric_rt")
     fields["reference"] = np.diag(new_e).astype(complex)
     return TransformedHamiltonian(**fields)
 
@@ -380,30 +475,31 @@ def strong_chain(
     if h.shape[0] != 2 * fock_dim:
         raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {2 * fock_dim}")
     w, g = params.omega, params.g
-    a = np.zeros((fock_dim, fock_dim), dtype=complex)
-    for n in range(fock_dim - 1):
-        a[n, n + 1] = math.sqrt(n + 1)
-    gen = (g / w) * (a.conj().T - a)
-    zeros = np.zeros_like(a)
-    u = atom_block(unitary_exp(-gen), zeros, zeros, unitary_exp(gen))
-    s = tensor(np.eye(fock_dim), atom_rotation_t()) @ u
+    a, a_dag, _ = build_boson_ops(trunc)
+    gen = (g / w) * (a_dag - a)
+    displacement = Isometry(
+        None,
+        ((np.arange(2 * fock_dim).reshape(-1, 2).T, np.stack([unitary_exp(-gen), unitary_exp(gen)])),),
+    )
 
     ns = np.arange(fock_dim)
-    ref_diag = np.repeat(w * (ns + 0.5) - g * g / w, 2)
+    reference = np.diag(np.repeat(w * (ns + 0.5) - g * g / w, 2)).astype(complex)
     band = min(math.ceil(8.0 * g * g / (w * w)) + 10, trunc.n_max)
 
     base = TransformedHamiltonian(
         operator=h,
-        reference=np.diag(ref_diag).astype(complex),
-        parity=build_parity(trunc).entries,
+        reference=reference,
+        parity=parity_signs(trunc),
         spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
         trunc=trunc,
     )
-    fields = _conjugate(base, s, "strong_chain")
-    fields["reference"] = np.diag(ref_diag).astype(complex)
+    fields = _conjugate(
+        base, (Isometry(None, (_doublets(0, fock_dim),)), displacement), "strong_chain"
+    )
+    fields["reference"] = reference
     fields["loss_band"] = band
     return TransformedHamiltonian(**fields)
 
@@ -416,25 +512,21 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
     if params is None or H2.trunc is None:
         raise ValueError("rt_zero_field needs the params/trunc carried by the chain")
     fock_dim = H2.trunc.n_max + 1
-    eye_f = np.eye(fock_dim, dtype=complex)
-    zeros = np.zeros_like(eye_f)
-    r1 = atom_block(eye_f, zeros, zeros, shift_down(fock_dim))
-
+    shift = Isometry(_shift_remap(fock_dim, 1, 1))
     ns = np.arange(fock_dim)
     ref_diag = np.repeat(params.omega * ns.astype(float), 2)
-    vec = np.zeros(2 * fock_dim, dtype=complex)
-    vec[basis_index(0, 1)] = 1.0
+    vac_minus = basis_index(0, 1)
 
-    fields = _conjugate(H2, r1, "rt_zero_field")
+    fields = _conjugate(H2, (shift,), "rt_zero_field")
     fields["reference"] = np.diag(ref_diag).astype(complex)
     fields["spurious"] = fields["spurious"] + (
-        SpuriousLevel(label=basis_label(basis_index(0, 1)), vector=vec),
+        SpuriousLevel(label=basis_label(vac_minus), vector=_unit(2 * fock_dim, vac_minus)),
     )
     fields["loss_band"] = H2.loss_band + 1
     fields["records"] = H2.records + (
         IsometryRecord(
-            matrix=r1,
-            kernel_labels=(basis_label(basis_index(0, 1)),),
+            isometry=shift,
+            kernel_labels=(basis_label(vac_minus),),
             photon_dressing=-1,
             loss_rows=1,
         ),

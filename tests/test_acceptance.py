@@ -53,6 +53,8 @@ from resonancekit.sweep import (
 )
 from resonancekit.transforms import atom_rotate, rt_zero_field, strong_chain
 
+from dense_oracles import isometry_matrix
+
 # Frozen regression ceilings (one-time oracle calibration; regenerate with
 # demos/calibrate_thresholds.py).  Measured maxima in the comments.
 JC_MAX_WEAK = 8.0e-2      # measured 5.659e-2 on g in [0, 0.25], lowest 10
@@ -357,7 +359,7 @@ def test_criterion_7_isometry_parity_structure():
     )
 
     th1 = rabi_rt1_chain(params, trunc)
-    r1 = th1.records[0].matrix
+    r1 = isometry_matrix(th1.records[0].isometry, dim)
     rt1_exact = np.array_equal(
         r1 @ r1.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_PLUS))
     ) and np.array_equal(
@@ -365,7 +367,7 @@ def test_criterion_7_isometry_parity_structure():
     )
 
     th2 = rabi_rt2_chain(params, trunc)
-    r2 = th2.records[1].matrix
+    r2 = isometry_matrix(th2.records[1].isometry, dim)
     rt2_defect = max(
         np.abs(
             r2.conj().T @ r2
@@ -382,7 +384,7 @@ def test_criterion_7_isometry_parity_structure():
     thz = rt_zero_field(
         atom_rotate(strong_chain(build_rabi(params, trunc).entries, params, trunc))
     )
-    rz = thz.records[-1].matrix
+    rz = isometry_matrix(thz.records[-1].isometry, dim)
     rtz_exact = np.array_equal(
         rz @ rz.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_MINUS))
     ) and np.array_equal(

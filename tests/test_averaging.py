@@ -8,6 +8,7 @@ from resonancekit.averaging import (
     build_effective,
     classify_resonances,
     cluster_degeneracies,
+    cluster_levels,
     combined_projector,
     project_average,
     solve_cohomological,
@@ -256,3 +257,29 @@ def test_combined_projector_validates_family(rng, make_hermitian):
     rot = make_hermitian(rng, 4)
     with pytest.raises(ValueError, match="diagonal in the working basis"):
         combined_projector(v, [np.diag([0.0, 1.0, 2.0, 3.0]), rot])
+
+
+def test_combined_projector_vector_members_match_diagonal_matrices(rng, make_hermitian):
+    v = make_hermitian(rng, 10)
+    diags = [rng.integers(0, 4, size=10).astype(float) for _ in range(3)]
+    as_vectors = combined_projector(v, diags, tol_deg=1e-9)
+    as_matrices = combined_projector(v, [np.diag(d) for d in diags], tol_deg=1e-9)
+    np.testing.assert_array_equal(as_vectors, as_matrices)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        combined_projector(v, [np.zeros(9)])
+
+
+def test_cluster_levels_matches_sequential_gap_rule(rng):
+    values = np.sort(np.round(rng.uniform(0.0, 3.0, size=40), 1))
+    values[5] += 1e-11
+    tol = 1e-9
+    expect = [[0]]
+    for i in range(1, values.size):
+        if values[i] - values[i - 1] <= tol:
+            expect[-1].append(i)
+        else:
+            expect.append([i])
+    clusters = cluster_levels(values, tol)
+    assert clusters.clusters == tuple(tuple(c) for c in expect)
+    np.testing.assert_allclose(clusters.means, [values[c].mean() for c in expect], rtol=1e-15)
+    assert cluster_degeneracies(_diag_decomp(values), tol) == clusters

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from resonancekit.averaging import cluster_degeneracies
+from resonancekit.averaging import DEFAULT_TOL_DEG, cluster_degeneracies, solve_cohomological
 from resonancekit.kam import (
     W_NORM_DIVERGENCE,
+    KamChain,
+    KamStepReport,
+    _offblock_residual,
     conjugate_by_series,
     kam_iterate,
     kam_iterate_full,
@@ -54,7 +57,7 @@ def test_kam_step_zero_perturbation_is_identity():
     h0 = np.diag([0.0, 1.0, 2.5])
     decomp = _diag_decomp(np.diag(h0))
     clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
-    h_new, d, v_new, report = kam_step(h0, np.zeros((3, 3)), decomp, clusters)
+    h_new, d, v_new, _, report = kam_step(h0, np.zeros((3, 3)), decomp, clusters)
     np.testing.assert_allclose(h_new, h0, atol=1e-14)
     np.testing.assert_array_equal(d, np.zeros((3, 3)))
     np.testing.assert_allclose(v_new, np.zeros((3, 3)), atol=1e-14)
@@ -69,7 +72,7 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     v = make_hermitian(rng, 12, scale=0.05)
     decomp = _diag_decomp(np.diag(h0))
     clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
-    h_new, d, v_new, report = kam_step(h0, v, decomp, clusters)
+    h_new, d, v_new, _, report = kam_step(h0, v, decomp, clusters)
     assert np.abs(h_new - h_new.conj().T).max() <= 1e-13
     np.testing.assert_allclose(
         np.linalg.eigvalsh(h_new), np.linalg.eigvalsh(h0 + v), atol=1e-10
@@ -182,6 +185,52 @@ def test_report_divergence_flag_is_consistent(rng, make_hermitian):
             report.residual_after > report.residual_before
             or report.w_norm > W_NORM_DIVERGENCE
         )
+
+
+def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None):
+    """kam_iterate_full as it was before kam_step handed back its unitary:
+    every step solved for the generator and exponentiated it a second time."""
+    h0 = np.asarray(H0, dtype=complex).copy()
+    v = np.asarray(V, dtype=complex).copy()
+    u_total = np.eye(h0.shape[0], dtype=complex)
+    reports = []
+    diverged = False
+    if tol_deg is None:
+        tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
+    for step in range(1, max_steps + 1):
+        decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+        clusters = cluster_degeneracies(decomp, tol_deg)
+        residual = _offblock_residual(v, decomp, clusters)
+        if residual <= stop_tol * max(float(np.linalg.norm(h0, 2)), np.finfo(float).tiny):
+            break
+        w = solve_cohomological(v, decomp, clusters)
+        u = unitary_exp(w)
+        _, d, v_new, _, report = kam_step(h0, v, decomp, clusters)
+        reports.append(KamStepReport(**{**report.__dict__, "step": step}))
+        u_total = u_total @ u
+        h0 = h0 + d
+        h0 = 0.5 * (h0 + h0.conj().T)
+        v = v_new
+        if report.diverged:
+            diverged = True
+            break
+    ref_decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    basis = ref_decomp.vectors
+    operator = h0 + v
+    estimate = np.real(np.diag(basis.conj().T @ operator @ basis))
+    return KamChain(estimate, tuple(reports), h0, operator, u_total @ basis, diverged)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.15, 0.3])
+def test_kam_iterate_full_reuses_step_unitary_bit_for_bit(g):
+    th = rabi_rt1_chain(ModelParams(omega=1.0, omega0=1.0, g=g), kam_truncation(10))
+    v = th.operator - th.reference
+    got = kam_iterate_full(th.reference, v, max_steps=3, tol_deg=1e-3)
+    want = _kam_iterate_full_recomputing(th.reference, v, max_steps=3, tol_deg=1e-3)
+    for name in ("estimate", "reference", "operator", "vectors"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.reports == want.reports
+    assert got.diverged == want.diverged
 
 
 # ---------------------------------------------------------------- series

@@ -1,5 +1,8 @@
 """Uniform method facade: every estimator through one entry point."""
 
+import gzip
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,36 @@ def test_iterated_two_photon_chain_is_deterministic():
     np.testing.assert_array_equal(a, b)
     c = _energies("rt2_iter_3", 0.4, 8)
     assert c.shape == (8,)
+
+
+# ---------------------------------------------------------------- golden
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "chains_gate.csv.gz"
+
+
+def _golden_points():
+    """{g: {method: [(parity, energy), ...]}} of the recorded chain levels
+    (n_max = 120, 12 levels, omega = omega0 = 1)."""
+    lines = gzip.decompress(GOLDEN.read_bytes()).decode("utf-8").splitlines()
+    assert lines[0] == "g,method,level,branch,parity,energy,spurious"
+    points: dict = {}
+    for line in lines[1:]:
+        g, method, level, _, parity, energy, _ = line.split(",")
+        rows = points.setdefault(float(g), {}).setdefault(method, [])
+        assert int(level) == len(rows)
+        rows.append((parity, float(energy)))
+    return points
+
+
+@pytest.mark.parametrize("index", [0, 17, 35, 52, 70, 87])
+def test_chain_methods_match_recorded_values(index):
+    points = _golden_points()
+    g = sorted(points)[index]
+    for method in ("rt1", "rt1_kam", "rt_full_kam"):
+        levels = compute_levels(method, _params(g), TruncationConfig(n_max=120), 12)
+        recorded = points[g][method]
+        assert [lv.parity for lv in levels] == [p for p, _ in recorded], (g, method)
+        got = np.array([lv.energy for lv in levels])
+        want = np.array([e for _, e in recorded])
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 1e-12, (g, method, err.max())

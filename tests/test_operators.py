@@ -11,7 +11,6 @@ from resonancekit.operators import (
     ModelParams,
     TruncatedOperator,
     TruncationConfig,
-    atom_block,
     basis_index,
     basis_label,
     build_boson_ops,
@@ -20,9 +19,10 @@ from resonancekit.operators import (
     build_parity_blocks,
     build_rabi,
     default_guard,
-    tensor,
     validated_level_count,
 )
+
+from dense_oracles import atom_block, tensor
 
 
 # ---------------------------------------------------------------- configs
@@ -188,6 +188,25 @@ def test_rabi_matrix_elements():
     assert h.entries[basis_index(0, ATOM_PLUS), basis_index(1, ATOM_MINUS)] == pytest.approx(0.1)
     # Counter-rotating element is present in the full model.
     assert h.entries[basis_index(0, ATOM_MINUS), basis_index(1, ATOM_PLUS)] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 0.0, 0.37])
+@pytest.mark.parametrize("g", [0.0, 0.45])
+def test_dense_builders_match_kronecker_products(omega0, g):
+    params = ModelParams(omega=1.3, omega0=omega0, g=g)
+    trunc = TruncationConfig(n_max=9)
+    a, a_dag, n_op = build_boson_ops(trunc)
+    eye_f = np.eye(trunc.n_max + 1)
+    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]])
+    free = params.omega * tensor(n_op + 0.5 * eye_f, np.eye(2)) + 0.5 * params.omega0 * tensor(
+        eye_f, SIGMA_Z
+    )
+    rabi = free + params.g * tensor(a + a_dag, SIGMA_X)
+    jc = free + params.g * (tensor(a, sigma_plus) + tensor(a_dag, sigma_plus.T))
+    parity = tensor(np.diag((-1.0) ** np.arange(trunc.n_max + 1)), SIGMA_Z)
+    np.testing.assert_array_equal(build_rabi(params, trunc).entries, rabi)
+    np.testing.assert_array_equal(build_jaynes_cummings(params, trunc).entries, jc)
+    np.testing.assert_array_equal(build_parity(trunc).entries, parity)
 
 
 def test_rabi_decoupled_spectrum_is_doubled_ladder():

@@ -336,3 +336,21 @@ def test_resonance_report_reuses_supplied_table():
     csv_a, _ = resonance_report(config, table=table)
     csv_b, _ = resonance_report(config)
     assert csv_a == csv_b
+
+
+def test_resonance_report_flags_minimum_at_window_edge():
+    config = SweepConfig(output_path="")
+    csv_text, reports = resonance_report(config)
+    assert csv_text.splitlines()[0] == LOCUS_CSV_HEADER
+    by_key = {(r.kind, r.n): r for r in reports}
+    # The n = 0 pair's window [g_0 - 0.1, g_0 + 0.1] runs past g_max = 1.5:
+    # its smallest gap is the last grid point, not an avoided crossing.
+    edge = by_key[("active", 0)]
+    assert edge.min_gap_g == config.g_max
+    assert edge.note == "minimum at search-window edge"
+    # Interior minima keep an empty note.
+    for n in (1, 2, 3, 4):
+        rep = by_key[("active", n)]
+        assert rep.min_gap is not None
+        assert rep.note == ""
+        assert abs(rep.min_gap_g - rep.g_locus) < 0.1 * config.omega

@@ -15,25 +15,37 @@ from resonancekit.operators import (
     TruncationConfig,
     basis_index,
     build_jaynes_cummings,
+    build_parity,
     build_rabi,
-    tensor,
 )
 from resonancekit.spectrum import eigh
 from resonancekit.transforms import (
+    Isometry,
     SpuriousLevel,
     TransformedHamiltonian,
     atom_rotate,
     atom_rotation_t,
-    build_r2,
     generic_numeric_rt,
-    op_A,
-    op_A_perp0,
     rt_one_photon,
     rt_two_photon,
     rt_zero_field,
-    shift_down,
     spurious_filter,
     strong_chain,
+)
+
+from dense_oracles import (
+    build_r2,
+    isometry_matrix,
+    op_A,
+    op_A_perp0,
+    s_atom_rotate,
+    s_generic_numeric_rt,
+    s_rt_one_photon,
+    s_rt_two_photon,
+    s_rt_zero_field,
+    s_strong_chain,
+    shift_down,
+    tensor,
 )
 
 
@@ -176,9 +188,21 @@ def test_rt_one_photon_record_identities_exact():
     assert rec.kernel_labels == ("|0,+>",)
     assert rec.photon_dressing == -1
     assert rec.loss_rows == 1
-    r = rec.matrix
     top_plus = basis_index(trunc.n_max, ATOM_PLUS)
     vac_plus = basis_index(0, ATOM_PLUS)
+    # The remap sends each column to its own row, except the "+" shift by
+    # one photon: |0,+> is the kernel and |n_max,+> is never reached.
+    remap = rec.isometry.remap
+    assert remap[vac_plus] == -1
+    for n in range(1, trunc.n_max + 1):
+        assert remap[basis_index(n, ATOM_PLUS)] == basis_index(n - 1, ATOM_PLUS)
+        assert remap[basis_index(n, ATOM_MINUS)] == basis_index(n, ATOM_MINUS)
+    assert rec.isometry.kernel_slots.tolist() == [vac_plus]
+    assert rec.isometry.lost_slots.tolist() == [top_plus]
+    assert rec.isometry.blocks == ()
+    r = isometry_matrix(rec.isometry, dim)
+    np.testing.assert_array_equal(r, tensor(shift_down(trunc.n_max + 1), np.diag([1, 0]))
+                                  + tensor(np.eye(trunc.n_max + 1), np.diag([0, 1])))
     np.testing.assert_array_equal(
         r @ r.conj().T, np.eye(dim) - _projector(dim, top_plus)
     )
@@ -258,9 +282,21 @@ def test_rt_two_photon_bookkeeping():
 def test_build_r2_partial_isometry_identities():
     fock = 12
     dim = 2 * fock
-    r2 = build_r2(1.0, 0.4, fock)
+    th2 = rabi_rt2_chain(_params(0.4), TruncationConfig(n_max=fock - 1))
+    iso = th2.records[1].isometry
     kernel = [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
     lost = [basis_index(fock - 2, ATOM_PLUS), basis_index(fock - 1, ATOM_PLUS)]
+    assert iso.kernel_slots.tolist() == kernel
+    assert iso.lost_slots.tolist() == lost
+    # Two-photon "+" shift away from the vacuum; every other slot stays.
+    for n in range(3, fock):
+        assert iso.remap[basis_index(n, ATOM_PLUS)] == basis_index(n - 2, ATOM_PLUS)
+    keep = [k for k in range(dim) if k % 2 == ATOM_MINUS or k == basis_index(0, ATOM_PLUS)]
+    np.testing.assert_array_equal(iso.remap[keep], keep)
+    # The record's only block is the (0,-)/(2,-) reflection; remap plus
+    # reflection is the dense r2 entry for entry.
+    r2 = isometry_matrix(iso, dim)
+    np.testing.assert_array_equal(r2, build_r2(1.0, 0.4, fock))
     np.testing.assert_allclose(
         r2.conj().T @ r2, np.eye(dim) - _projector(dim, *kernel), atol=1e-14
     )
@@ -440,12 +476,129 @@ def test_rt_zero_field_reference_and_records():
     assert rec.kernel_labels == ("|0,->",)
     top_minus = basis_index(trunc.n_max, ATOM_MINUS)
     vac_minus = basis_index(0, ATOM_MINUS)
+    assert rec.isometry.kernel_slots.tolist() == [vac_minus]
+    assert rec.isometry.lost_slots.tolist() == [top_minus]
+    r = isometry_matrix(rec.isometry, dim)
     np.testing.assert_array_equal(
-        rec.matrix @ rec.matrix.conj().T, np.eye(dim) - _projector(dim, top_minus)
+        r @ r.conj().T, np.eye(dim) - _projector(dim, top_minus)
     )
     np.testing.assert_array_equal(
-        rec.matrix.conj().T @ rec.matrix, np.eye(dim) - _projector(dim, vac_minus)
+        r.conj().T @ r, np.eye(dim) - _projector(dim, vac_minus)
     )
+
+
+# ------------------------------------------- structured vs dense products
+
+
+def _step_case(step, params, trunc):
+    """(input chain, the step applied to it, dense S of that step, kernel
+    slots the step adds)."""
+    fock = trunc.n_max + 1
+    h = build_rabi(params, trunc).entries
+    bare = TransformedHamiltonian(
+        operator=h, reference=h, parity=build_parity(trunc).entries,
+        spurious=(), provenance=(), loss_band=0, params=params, trunc=trunc,
+    )
+    strong = strong_chain(h, params, trunc)
+    zero_field = rt_zero_field(atom_rotate(strong))
+    rt1 = rt_one_photon(h, params, trunc)
+    if step == "rt_one_photon":
+        return bare, lambda th: rt_one_photon(th.operator, params, trunc), \
+            s_rt_one_photon(fock), [basis_index(0, ATOM_PLUS)]
+    if step == "rt_two_photon":
+        return rt1, rt_two_photon, s_rt_two_photon(rt1), \
+            [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
+    if step == "atom_rotate":
+        return strong, atom_rotate, s_atom_rotate(fock), []
+    if step == "rt_zero_field":
+        chain = atom_rotate(strong)
+        return chain, rt_zero_field, s_rt_zero_field(fock), [basis_index(0, ATOM_MINUS)]
+    if step == "strong_chain":
+        return bare, lambda th: strong_chain(th.operator, params, trunc), \
+            s_strong_chain(params, fock), []
+    if step == "generic_numeric_rt/zero_field":
+        return zero_field, lambda th: generic_numeric_rt(th, tol_deg=1e-8), \
+            s_generic_numeric_rt(zero_field, 1e-8), []
+    if step == "generic_numeric_rt/rt2":
+        chain = rt_two_photon(rt1)
+        return chain, lambda th: generic_numeric_rt(th, tol_deg=1e-3), \
+            s_generic_numeric_rt(chain, 1e-3), []
+    raise AssertionError(step)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.15, 0.3, 0.6])
+@pytest.mark.parametrize("n_max", [12, 24])
+@pytest.mark.parametrize(
+    "step",
+    [
+        "rt_one_photon",
+        "rt_two_photon",
+        "atom_rotate",
+        "rt_zero_field",
+        "strong_chain",
+        "generic_numeric_rt/zero_field",
+        "generic_numeric_rt/rt2",
+    ],
+)
+def test_structured_step_matches_dense_conjugation(step, n_max, g):
+    trunc = TruncationConfig(n_max=n_max)
+    th_in, apply, s, new_kernels = _step_case(step, _params(g), trunc)
+    th_out = apply(th_in)
+    scale = max(np.abs(th_in.operator).max(), 1.0)
+    np.testing.assert_allclose(
+        th_out.operator, s.conj().T @ th_in.operator @ s, rtol=0, atol=1e-13 * scale
+    )
+    np.testing.assert_allclose(
+        th_out.parity, s.conj().T @ th_in.parity @ s, rtol=0, atol=1e-13
+    )
+    expect = [s.conj().T @ sp.vector for sp in th_in.spurious]
+    expect += [np.eye(trunc.dim)[k] for k in new_kernels]
+    assert len(th_out.spurious) == len(expect)
+    for sp, vec in zip(th_out.spurious, expect):
+        np.testing.assert_allclose(sp.vector, vec, rtol=0, atol=1e-13)
+
+
+def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
+    # Remap with two kernel columns, complex 2x2 and 3x3 unitary blocks.
+    dim = 11
+    remap = rng.permutation(dim)
+    remap[[2, 7]] = -1
+    idx2 = np.array([[0, 5], [3, 9]])
+    idx3 = np.array([[1, 4, 10]])
+
+    def unitaries(m, k):
+        z = rng.standard_normal((m, k, k)) + 1j * rng.standard_normal((m, k, k))
+        return np.linalg.qr(z)[0]
+
+    iso = Isometry(remap, ((idx2, unitaries(2, 2)), (idx3, unitaries(1, 3))))
+    s = isometry_matrix(iso, dim)
+    x = make_hermitian(rng, dim)
+    d = rng.standard_normal(dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
+    np.testing.assert_allclose(iso.conjugate_diagonal(d), s.conj().T @ np.diag(d) @ s, atol=1e-14)
+    np.testing.assert_allclose(iso.pull(v), s.conj().T @ v, atol=1e-14)
+    assert iso.kernel_slots.tolist() == [2, 7]
+    assert iso.lost_slots.tolist() == sorted(set(range(dim)) - set(remap[remap >= 0]))
+
+
+def test_generic_numeric_rt_rejects_non_diagonal_reference(rng, make_hermitian):
+    ref = make_hermitian(rng, 6)
+    with pytest.raises(ValueError, match="diagonal reference"):
+        generic_numeric_rt(ref, reference=ref)
+
+
+def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
+    # Unsorted diagonal with a degenerate pair: the stable ascending sort
+    # is the permutation, the pair is rotated by the eigenvectors of its
+    # effective block, singletons just shift by the diagonal of V.
+    ref = np.diag([3.0, 1.0, 2.0, 1.0]).astype(complex)
+    v = np.zeros((4, 4), dtype=complex)
+    v[1, 3] = v[3, 1] = 0.5
+    v[0, 0], v[2, 2] = 0.25, -0.125
+    th = generic_numeric_rt(ref + v, reference=ref, tol_deg=1e-6)
+    np.testing.assert_allclose(np.real(np.diag(th.reference)), [0.5, 1.5, 1.875, 3.25])
+    np.testing.assert_allclose(th.operator, np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
 
 
 # ---------------------------------------------------------------- filter
