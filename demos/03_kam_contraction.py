@@ -17,8 +17,9 @@ from resonancekit.operators import ModelParams
 def run_chain(g, max_steps=3):
     params = ModelParams(omega=1.0, omega0=1.0, g=g)
     th = rabi_rt1_chain(params, kam_truncation(10))
+    h0 = np.diag(th.levels)
     chain = kam_iterate_full(
-        th.reference, th.operator - th.reference, max_steps=max_steps,
+        h0, th.operator - h0, max_steps=max_steps,
         tol_deg=1e-3,
     )
     print(f"\ng = {g}  (diverged: {chain.diverged})")

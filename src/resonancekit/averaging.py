@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TruncatedOperator, _mat
-from .spectrum import EigenDecomposition, eigh
+from .spectrum import EigenDecomposition, _gap_ids
 
 __all__ = [
     "DegeneracyClusters",
@@ -53,12 +53,6 @@ class DegeneracyClusters:
             for i in cluster:
                 cid[i] = k
         return cid
-
-
-def _gap_ids(values: np.ndarray, tol_deg: float) -> np.ndarray:
-    """Cluster id of each ascending value: a new cluster starts wherever the
-    gap to the previous value exceeds tol_deg."""
-    return np.concatenate([[0], np.cumsum(np.diff(values) > tol_deg)])
 
 
 def cluster_levels(values: np.ndarray, tol_deg: float) -> DegeneracyClusters:
@@ -188,41 +182,20 @@ def _diag_clusters(diag: np.ndarray, tol_deg: float) -> np.ndarray:
 def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray:
     """Union-of-supports averaging over a family of reference operators.
 
-    Keeps every matrix position that is in-cluster for at least one family
-    member, each retained entry taken directly from V (duplicate positions
-    kept once).  The union of block supports is only basis-independent when
-    all members are diagonal in one common basis, so members of a multi-member
-    family must be diagonal in the working basis: 1-D arrays (the diagonal
-    itself, diagonal by construction) or matrices without off-diagonal
-    entries.  A single general matrix member delegates to
-    :func:`project_average`.
+    A union of block supports is only basis-independent when every member is
+    diagonal in one common basis, so each member is given in the working
+    basis as its real diagonal: a 1-D array of length dim.  Keeps every
+    matrix position that is in-cluster for at least one member, each retained
+    entry taken directly from V (duplicate positions kept once).
     """
     v = _mat(V)
-    members = list(H0_family)
-    if not members:
+    diags = [np.asarray(member, dtype=float) for member in H0_family]
+    if not diags:
         raise ValueError("H0_family must not be empty")
-    diags = []
-    for member in members:
-        h = _mat(member)
-        if h.shape not in ((v.shape[0],), v.shape):
-            raise ValueError(f"dimension mismatch: member {h.shape}, V {v.shape}")
-        if h.ndim == 1:
-            diags.append(np.real(h))
-            continue
-        scale = max(np.abs(h).max(), 1.0)
-        off = h - np.diag(np.diag(h))
-        if np.abs(off).max() > 1e-12 * scale:
-            if len(members) == 1:
-                decomp = eigh(TruncatedOperator(entries=0.5 * (h + h.conj().T), hermitian=True))
-                tol = tol_deg if tol_deg is not None else DEFAULT_TOL_DEG * scale
-                return project_average(v, decomp, cluster_degeneracies(decomp, tol))
-            raise ValueError(
-                "combined_projector needs every member of a multi-member family "
-                "diagonal in the working basis"
-            )
-        diags.append(np.real(np.diag(h)))
     mask = np.zeros(v.shape, dtype=bool)
     for diag in diags:
+        if diag.shape != (v.shape[0],):
+            raise ValueError(f"dimension mismatch: member {diag.shape}, V {v.shape}")
         tol = tol_deg if tol_deg is not None else DEFAULT_TOL_DEG * max(np.abs(diag).max(), 1.0)
         cid = _diag_clusters(diag, tol)
         mask |= cid[:, None] == cid[None, :]

@@ -31,9 +31,7 @@ __all__ = [
 ]
 
 from .operators import ModelParams
-
-PARITY_EVEN = "even"
-PARITY_ODD = "odd"
+from .spectrum import PARITY_EVEN, PARITY_ODD
 
 
 @dataclass(frozen=True)

@@ -80,18 +80,13 @@ METHOD_ORDER = (
     "rt1",
     "rt1_kam",
     "rt2",
-    "rt2_iter_2",
-    "rt2_iter_3",
-    "rt2_iter_4",
     "rt_full_kam",
     "strong_avg",
     "strong_rt",
 )
 
 # Methods built on the one-photon-resonance chains; they require omega0 = omega.
-WEAK_METHODS = frozenset(
-    {"jc", "rt1", "rt1_kam", "rt2", "rt2_iter_2", "rt2_iter_3", "rt2_iter_4", "rt_full_kam"}
-)
+WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 
@@ -100,6 +95,9 @@ BRANCH_UNASSIGNED = "unassigned"
 # Cluster tolerance for physically near-degenerate reference levels, as a
 # fraction of omega (avoided crossings swept through by the coupling grid).
 PHYSICAL_CLUSTER_FRACTION = 1e-3
+
+# Numeric transformations after the two-photon reduction in rt_full_kam.
+NUMERIC_RT_STEPS = 3
 
 _OVERLAP_MIN = 0.99
 
@@ -193,17 +191,12 @@ def _extract_levels(
 
 
 def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
-    """Read levels off a chain whose reference is diagonal: slot energies are
-    the level estimates, slot vectors the (current-basis) eigenvectors."""
-    ref = th.reference
-    off = np.abs(ref - np.diag(np.diag(ref))).max()
-    if off > 1e-10 * max(1.0, np.abs(ref).max()):
-        raise ValueError("chain reference is not diagonal; no level estimate to read")
-    values = np.real(np.diag(ref))
+    """Read levels off a chain: slot energies are the level estimates, slot
+    vectors the (current-basis) eigenvectors."""
     vectors = np.eye(th.dim, dtype=complex)
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
     return _extract_levels(
-        values, vectors, th.parity, th.spurious, th.loss_band, n_max, n_levels
+        th.levels, vectors, th.parity, th.spurious, th.loss_band, n_max, n_levels
     )
 
 
@@ -215,16 +208,12 @@ def rabi_rt2_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedH
     return rt_two_photon(rabi_rt1_chain(params, trunc))
 
 
-def rt2_iterated_chain(
-    params: ModelParams, trunc: TruncationConfig, iterations: int
-) -> TransformedHamiltonian:
-    """One-photon + two-photon reductions followed by ``iterations - 1``
+def rt2_iterated_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
+    """One-photon + two-photon reductions followed by NUMERIC_RT_STEPS
     numeric transformations of the residual near-degeneracies."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     th = rabi_rt2_chain(params, trunc)
     tol = PHYSICAL_CLUSTER_FRACTION * params.omega
-    for _ in range(iterations - 1):
+    for _ in range(NUMERIC_RT_STEPS):
         th = generic_numeric_rt(th, tol_deg=tol)
     return th
 
@@ -234,10 +223,10 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     doubly degenerate displaced ladder, diagonalization of the effective
     operator.  Returns (decomposition, chain)."""
     th = strong_chain(build_rabi(params, trunc), params, trunc)
-    ref_op = TruncatedOperator(entries=th.reference, hermitian=True)
-    decomp = eigh(ref_op)
+    reference = np.diag(th.levels)
+    decomp = eigh(TruncatedOperator(entries=reference, hermitian=True))
     clusters = cluster_degeneracies(decomp, 1e-8 * params.omega)
-    heff = build_effective(th.reference, th.operator - th.reference, decomp, clusters)
+    heff = build_effective(reference, th.operator - reference, decomp, clusters)
     return eigh(heff), th
 
 
@@ -275,9 +264,10 @@ def _exact_levels(
 def _kam_levels(
     th: TransformedHamiltonian, params: ModelParams, n_levels: int
 ) -> list[MethodLevel]:
+    reference = np.diag(th.levels)
     chain = kam_iterate_full(
-        th.reference,
-        th.operator - th.reference,
+        reference,
+        th.operator - reference,
         max_steps=1,
         tol_deg=PHYSICAL_CLUSTER_FRACTION * params.omega,
     )
@@ -330,10 +320,7 @@ def compute_levels(
     if method == "rt1_kam":
         small = kam_truncation(n_levels)
         return _kam_levels(rabi_rt1_chain(params, small), params, n_levels)
-    if method.startswith("rt2_iter_"):
-        iterations = int(method.rsplit("_", 1)[1])
-        return levels_from_chain(rt2_iterated_chain(params, trunc, iterations), n_levels)
     if method == "rt_full_kam":
         small = kam_truncation(n_levels)
-        return _kam_levels(rt2_iterated_chain(params, small, 4), params, n_levels)
+        return _kam_levels(rt2_iterated_chain(params, small), params, n_levels)
     raise AssertionError(f"unhandled method {method!r}")

@@ -38,6 +38,7 @@ __all__ = [
     "parity_signs",
     "ParityBlock",
     "build_parity_blocks",
+    "displacement_band",
     "default_guard",
     "validated_level_count",
 ]
@@ -250,18 +251,23 @@ def build_parity_blocks(
     return even, odd
 
 
-def default_guard(params: ModelParams, trunc: TruncationConfig) -> int:
-    """Guard band: top photon levels excluded from validity claims.
+def displacement_band(params: ModelParams) -> int:
+    """Top photon levels a truncated box loses to the coupling, uncapped.
 
     The strong-coupling displacement shifts photon occupation by
-    O((2g/omega)^2), so validity must exclude a g-dependent top band;
-    ceil(8 g^2/omega^2) + 10 is calibrated by the truncation-doubling test.
-    Capped at n_max - 1 so at least one photon level stays validated.
+    O((2g/omega)^2); ceil(8 g^2/omega^2) + 10 is calibrated by the
+    truncation-doubling test.
     """
+    return math.ceil(8.0 * params.g**2 / params.omega**2) + 10
+
+
+def default_guard(params: ModelParams, trunc: TruncationConfig) -> int:
+    """Guard band: top photon levels excluded from validity claims, the
+    :func:`displacement_band` capped at n_max - 1 so at least one photon
+    level stays validated."""
     if trunc.guard is not None:
         return trunc.guard
-    band = math.ceil(8.0 * params.g**2 / params.omega**2) + 10
-    return min(band, trunc.n_max - 1)
+    return min(displacement_band(params), trunc.n_max - 1)
 
 
 def validated_level_count(params: ModelParams, trunc: TruncationConfig) -> int:

@@ -86,6 +86,12 @@ class SpectrumTable:
         return list(seen)
 
 
+def _gap_ids(values: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster id of each ascending value: a new cluster starts wherever the
+    gap to the previous value exceeds tol."""
+    return np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
+
+
 def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix, residual (against max|lambda|, the
     spectral norm) and orthonormality asserted."""
@@ -138,8 +144,7 @@ def exact_spectrum(
     values = values[order]
     is_odd = (np.arange(values.size) >= even.size)[order]
     tol = _DEGENERACY_RTOL * max(1.0, np.abs(values).max())
-    group = np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
-    is_odd = is_odd[np.lexsort((is_odd, group))]
+    is_odd = is_odd[np.lexsort((is_odd, _gap_ids(values, tol)))]
     return values, tuple(PARITY_ODD if o else PARITY_EVEN for o in is_odd)
 
 

@@ -12,6 +12,10 @@ guard band of validity claims.  A non-unitary (isometric) transformation with
 kernel vector; those vectors are carried along the chain so the extra zeros
 can be matched and filtered by eigenvector overlap rather than by energy
 (physical zero eigenvalues exist too).
+
+Every step leaves a renormalized reference that is diagonal in the current
+basis, so a chain carries only its diagonal: the real level vector whose
+entries are the chain's level estimates.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .operators import (
     basis_index,
     basis_label,
     build_boson_ops,
+    displacement_band,
     parity_signs,
 )
 
@@ -173,8 +178,9 @@ class TransformedHamiltonian:
     """A Hamiltonian conjugated through a chain of transformations.
 
     operator: the conjugated full Hamiltonian in the current basis.
-    reference: the renormalized reference whose spectrum is the chain's
-    level estimate (diagonal for the explicit chains).
+    levels: the renormalized reference, which is diagonal in the current
+    basis, held as its real diagonal of length dim; its entries are the
+    chain's level estimates.
     parity: the parity operator conjugated through the same chain (None when
     the chain was started from a bare matrix without parity bookkeeping).
     spurious: kernel levels accumulated so far, vectors in the current basis.
@@ -182,7 +188,7 @@ class TransformedHamiltonian:
     """
 
     operator: np.ndarray
-    reference: np.ndarray
+    levels: np.ndarray
     parity: np.ndarray | None
     spurious: tuple[SpuriousLevel, ...]
     provenance: tuple[str, ...]
@@ -190,6 +196,10 @@ class TransformedHamiltonian:
     params: ModelParams | None = None
     trunc: TruncationConfig | None = None
     records: tuple[IsometryRecord, ...] = ()
+
+    def __post_init__(self):
+        if np.shape(self.levels) != (self.dim,):
+            raise ValueError(f"levels must have shape ({self.dim},), got {np.shape(self.levels)}")
 
     @property
     def dim(self) -> int:
@@ -274,10 +284,10 @@ def rt_one_photon(
     if h.shape[0] != 2 * fock_dim:
         raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {2 * fock_dim}")
     shift = _shift_remap(fock_dim, 0, 1)
-    reference = np.diag(_ladder(params.omega, params.g, fock_dim)).astype(complex)
+    levels = _ladder(params.omega, params.g, fock_dim)
     base = TransformedHamiltonian(
         operator=h,
-        reference=reference,
+        levels=levels,
         parity=parity_signs(trunc),
         spurious=(),
         provenance=(),
@@ -286,7 +296,7 @@ def rt_one_photon(
         trunc=trunc,
     )
     fields = _conjugate(base, (Isometry(shift, (_doublets(1, fock_dim),)),), "rt_one_photon")
-    fields["reference"] = reference
+    fields["levels"] = levels
     fields["spurious"] = (SpuriousLevel(label=basis_label(0), vector=_unit(2 * fock_dim, 0)),)
     fields["loss_band"] = 1
     fields["records"] = (
@@ -313,11 +323,11 @@ def _rt2_family(params: ModelParams, fock_dim: int) -> list[np.ndarray]:
 def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> TransformedHamiltonian:
     """Two-photon resonant transformation on a one-photon-transformed chain.
 
-    Extracts the resonant part of the remainder with the combined projector
-    over the whole active-locus family, reduces it with the two-photon shift
-    isometry plus the (0,2,-) reflection, and finishes with the per-photon
-    2x2 rotation on the commuting blocks.  Adds two spurious zeros at the
-    kernel slots |1,+> and |2,+>.
+    Extracts the resonant part of the chain's operator with the combined
+    projector over the whole active-locus family, reduces it with the
+    two-photon shift isometry plus the (0,2,-) reflection, and finishes with
+    the per-photon 2x2 rotation on the commuting blocks.  Adds two spurious
+    zeros at the kernel slots |1,+> and |2,+>.
     """
     params = H1.params
     if params is None or H1.trunc is None:
@@ -328,9 +338,9 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
     fock_dim = H1.trunc.n_max + 1
     dim = 2 * fock_dim
 
-    v1 = H1.operator - H1.reference
-    resonant = combined_projector(v1, _rt2_family(params, fock_dim), tol_deg=1e-8 * w)
-    h1_eff = H1.reference + resonant
+    # Every family member keeps the whole diagonal, so projecting the
+    # operator is the reference plus the projected remainder.
+    h1_eff = combined_projector(H1.operator, _rt2_family(params, fock_dim), tol_deg=1e-8 * w)
 
     # Two-photon shift on the "+" block away from the vacuum, identity on
     # (0,+) and on the "-" block, then the reflection by the mixing angle on
@@ -353,22 +363,21 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
         ((np.concatenate([reflection_idx, pairs]), np.concatenate([reflection_q, q])),),
     )
 
-    ref_new = rotation.rotate(m)
-    scale = max(np.abs(ref_new).max(), 1.0)
-    off = ref_new - np.diag(np.diag(ref_new))
-    if np.abs(off).max() > 1e-10 * scale:
+    reduced = rotation.rotate(m)
+    diag = np.diag(reduced)
+    off = np.abs(reduced - np.diag(diag)).max()
+    if off > 1e-10 * max(np.abs(reduced).max(), 1.0):
         raise ArithmeticError(
             f"two-photon reduction failed to diagonalize the effective part "
-            f"(off-diagonal {np.abs(off).max():.3e})"
+            f"(off-diagonal {off:.3e})"
         )
-    ref_new = np.diag(np.real(np.diag(ref_new))).astype(complex)
 
     kernels = tuple(
         SpuriousLevel(label=basis_label(basis_index(n, 0)), vector=_unit(dim, basis_index(n, 0)))
         for n in (1, 2)
     )
     fields = _conjugate(H1, (Isometry(shift, rotation.blocks),), "rt_two_photon")
-    fields["reference"] = ref_new
+    fields["levels"] = np.real(diag)
     fields["spurious"] = fields["spurious"] + kernels
     fields["loss_band"] = H1.loss_band + 2
     fields["records"] = H1.records + (
@@ -386,33 +395,33 @@ def atom_rotate(th: TransformedHamiltonian) -> TransformedHamiltonian:
     """Conjugate a chain by the global atomic rotation 1 (x) T.
 
     Used between the displacement chain and the zero-field reduction to move
-    the averaged remainder onto the atomic z-axis.  The reference must be
-    scalar on each atomic doublet (invariant under the rotation); asserted.
+    the averaged remainder onto the atomic z-axis.  The levels must be
+    degenerate on each atomic doublet, so that the reference is invariant
+    under the rotation; asserted.
     """
-    rotation = Isometry(None, (_doublets(0, th.dim // 2),))
-    rotated = rotation.conjugate(th.reference)
-    if not np.allclose(rotated, th.reference, atol=1e-12 * max(1.0, np.abs(th.reference).max())):
+    levels = th.levels
+    if np.abs(levels[0::2] - levels[1::2]).max() > 1e-12 * max(1.0, np.abs(levels).max()):
         raise ValueError("atom_rotate needs a reference invariant under the atomic rotation")
-    fields = _conjugate(th, (rotation,), "atom_rotate")
-    fields["reference"] = th.reference
+    fields = _conjugate(th, (Isometry(None, (_doublets(0, th.dim // 2),)),), "atom_rotate")
+    fields["levels"] = levels
     return TransformedHamiltonian(**fields)
 
 
 def generic_numeric_rt(
     H,
     reference=None,
-    clusters=None,
     tol_deg: float | None = None,
 ) -> TransformedHamiltonian:
     """Numeric resonant transformation without hand-built isometries.
 
-    The reference must be diagonal: its eigenbasis is the stable ascending
-    sort of its diagonal (a permutation).  Diagonalizes the effective operator
+    The reference is diagonal, so its eigenbasis is the stable ascending sort
+    of its levels (a permutation).  Diagonalizes the effective operator
     H0 + (averaged V) by rotating inside the degeneracy clusters of the sorted
-    reference and conjugates the full operator by permutation plus cluster
+    levels and conjugates the full operator by permutation plus cluster
     rotations; singleton clusters just shift by the diagonal of V.  Unitary:
     no spurious levels, no new truncation loss.  Accepts either a
-    TransformedHamiltonian (chains) or a bare operator plus reference.
+    TransformedHamiltonian (chains) or a bare operator plus the reference's
+    level vector.
     """
     if isinstance(H, TransformedHamiltonian):
         th = H
@@ -421,28 +430,23 @@ def generic_numeric_rt(
             raise ValueError("generic_numeric_rt on a bare operator needs a reference")
         th = TransformedHamiltonian(
             operator=_mat(H),
-            reference=_mat(reference),
+            levels=np.asarray(reference, dtype=float),
             parity=None,
             spurious=(),
             provenance=(),
             loss_band=0,
         )
-    ref_diag = np.diag(th.reference)
-    if np.count_nonzero(th.reference - np.diag(ref_diag)):
-        raise ValueError("generic_numeric_rt needs a diagonal reference")
+    values = th.levels
     if tol_deg is None:
-        omega = th.params.omega if th.params is not None else max(np.abs(ref_diag).max(), 1.0)
+        omega = th.params.omega if th.params is not None else max(np.abs(values).max(), 1.0)
         tol_deg = 1e-3 * omega
 
-    values = np.real(ref_diag)
     order = np.argsort(values, kind="stable")
     energies = values[order]
-    if clusters is None:
-        clusters = cluster_levels(energies, tol_deg)
     # Singletons: E + Re V_ii; V = operator - reference in the sorted basis.
     new_e = energies + np.real(np.diag(th.operator) - values)[order]
     groups: dict[int, tuple[list, list]] = {}
-    for cluster in clusters.clusters:
+    for cluster in cluster_levels(energies, tol_deg).clusters:
         if len(cluster) < 2:
             continue
         idx = list(cluster)
@@ -456,7 +460,7 @@ def generic_numeric_rt(
         members[1].append(vecs)
     blocks = tuple((np.array(idx), np.array(q)) for idx, q in groups.values())
     fields = _conjugate(th, (Isometry(order, blocks),), "generic_numeric_rt")
-    fields["reference"] = np.diag(new_e).astype(complex)
+    fields["levels"] = new_e
     return TransformedHamiltonian(**fields)
 
 
@@ -483,12 +487,11 @@ def strong_chain(
     )
 
     ns = np.arange(fock_dim)
-    reference = np.diag(np.repeat(w * (ns + 0.5) - g * g / w, 2)).astype(complex)
-    band = min(math.ceil(8.0 * g * g / (w * w)) + 10, trunc.n_max)
+    levels = np.repeat(w * (ns + 0.5) - g * g / w, 2)
 
     base = TransformedHamiltonian(
         operator=h,
-        reference=reference,
+        levels=levels,
         parity=parity_signs(trunc),
         spurious=(),
         provenance=(),
@@ -499,8 +502,8 @@ def strong_chain(
     fields = _conjugate(
         base, (Isometry(None, (_doublets(0, fock_dim),)), displacement), "strong_chain"
     )
-    fields["reference"] = reference
-    fields["loss_band"] = band
+    fields["levels"] = levels
+    fields["loss_band"] = min(displacement_band(params), trunc.n_max)
     return TransformedHamiltonian(**fields)
 
 
@@ -514,11 +517,10 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
     fock_dim = H2.trunc.n_max + 1
     shift = Isometry(_shift_remap(fock_dim, 1, 1))
     ns = np.arange(fock_dim)
-    ref_diag = np.repeat(params.omega * ns.astype(float), 2)
     vac_minus = basis_index(0, 1)
 
     fields = _conjugate(H2, (shift,), "rt_zero_field")
-    fields["reference"] = np.diag(ref_diag).astype(complex)
+    fields["levels"] = np.repeat(params.omega * ns.astype(float), 2)
     fields["spurious"] = fields["spurious"] + (
         SpuriousLevel(label=basis_label(vac_minus), vector=_unit(2 * fock_dim, vac_minus)),
     )

@@ -115,8 +115,9 @@ def s_rt_two_photon(h1) -> np.ndarray:
         diag = np.empty(2 * fock_dim)
         diag[0::2] = w * ns + g_n * np.sqrt(ns)
         diag[1::2] = w * ns - g_n * np.sqrt(ns)
-        family.append(np.diag(diag).astype(complex))
-    h1_eff = h1.reference + combined_projector(h1.operator - h1.reference, family, tol_deg=1e-8 * w)
+        family.append(diag)
+    reference = np.diag(h1.levels)
+    h1_eff = reference + combined_projector(h1.operator - reference, family, tol_deg=1e-8 * w)
     r2 = build_r2(w, params.g, fock_dim)
     m = r2.conj().T @ h1_eff @ r2
     rot = np.eye(2 * fock_dim, dtype=complex)
@@ -149,7 +150,7 @@ def s_strong_chain(params, fock_dim: int) -> np.ndarray:
 def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
     """Dense eigendecomposition of the reference times the in-cluster
     rotations of the effective operator."""
-    ref = 0.5 * (th.reference + th.reference.conj().T)
+    ref = np.diag(th.levels).astype(complex)
     decomp = eigh(TruncatedOperator(entries=ref, hermitian=True))
     u = decomp.vectors
     v_eig = u.conj().T @ (th.operator - ref) @ u

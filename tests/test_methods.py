@@ -12,12 +12,9 @@ from resonancekit.methods import (
     WEAK_METHODS,
     compute_levels,
     kam_truncation,
-    levels_from_chain,
-    rt2_iterated_chain,
 )
 from resonancekit.closedform import jc_spectrum
 from resonancekit.operators import ModelParams, TruncationConfig
-from resonancekit.transforms import TransformedHamiltonian
 
 
 def _params(g, omega0=None):
@@ -45,9 +42,6 @@ def test_method_order_is_stable():
         "rt1",
         "rt1_kam",
         "rt2",
-        "rt2_iter_2",
-        "rt2_iter_3",
-        "rt2_iter_4",
         "rt_full_kam",
         "strong_avg",
         "strong_rt",
@@ -96,24 +90,6 @@ def test_requesting_too_many_levels_fails_loudly():
 def test_kam_truncation_adds_guard_rows():
     assert kam_truncation(10).n_max == 12
     assert kam_truncation(4).n_max == 6
-
-
-def test_rt2_iterated_chain_validates_iterations():
-    with pytest.raises(ValueError, match="iterations must be >= 1"):
-        rt2_iterated_chain(_params(0.2), TruncationConfig(n_max=20), 0)
-
-
-def test_levels_from_chain_rejects_non_diagonal_reference():
-    rough = TransformedHamiltonian(
-        operator=np.eye(4, dtype=complex),
-        reference=np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex),
-        parity=None,
-        spurious=(),
-        provenance=(),
-        loss_band=0,
-    )
-    with pytest.raises(ValueError, match="chain reference is not diagonal"):
-        levels_from_chain(rough, 2)
 
 
 # ---------------------------------------------------------------- agreement
@@ -174,11 +150,10 @@ def test_strong_methods_hold_at_large_coupling():
 
 
 def test_iterated_two_photon_chain_is_deterministic():
-    a = _energies("rt2_iter_2", 0.4, 8)
-    b = _energies("rt2_iter_2", 0.4, 8)
+    a = _energies("rt_full_kam", 0.4, 8)
+    b = _energies("rt_full_kam", 0.4, 8)
     np.testing.assert_array_equal(a, b)
-    c = _energies("rt2_iter_3", 0.4, 8)
-    assert c.shape == (8,)
+    assert a.shape == (8,)
 
 
 # ---------------------------------------------------------------- golden

@@ -1,5 +1,7 @@
 """Resonant transformations: shift isometries, rotations, chains."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,15 +119,11 @@ def test_rt_one_photon_diagonalizes_co_rotating_model():
     scale = np.abs(th.operator).max()
     off = th.operator - np.diag(np.diag(th.operator))
     assert np.abs(off).max() <= 1e-12 * scale
-    np.testing.assert_allclose(th.operator, th.reference, atol=1e-12 * scale)
-    # Reference: omega*n +/- g*sqrt(n) interleaved by slot.
+    np.testing.assert_allclose(th.operator, np.diag(th.levels), atol=1e-12 * scale)
+    # Levels: omega*n +/- g*sqrt(n) interleaved by slot.
     ns = np.arange(trunc.n_max + 1)
-    assert np.array_equal(
-        np.real(np.diag(th.reference))[0::2], ns + 0.35 * np.sqrt(ns)
-    )
-    assert np.array_equal(
-        np.real(np.diag(th.reference))[1::2], ns - 0.35 * np.sqrt(ns)
-    )
+    assert np.array_equal(th.levels[0::2], ns + 0.35 * np.sqrt(ns))
+    assert np.array_equal(th.levels[1::2], ns - 0.35 * np.sqrt(ns))
 
 
 def test_rt_one_photon_trades_top_level_for_spurious_zero():
@@ -162,9 +160,9 @@ def test_rt_one_photon_decoupled_case_is_preserved():
     trunc = TruncationConfig(n_max=10)
     h = build_jaynes_cummings(params, trunc)
     th = rt_one_photon(h.entries, params, trunc)
-    np.testing.assert_allclose(th.operator, th.reference, atol=1e-12)
+    np.testing.assert_allclose(th.operator, np.diag(th.levels), atol=1e-12)
     ns = np.arange(trunc.n_max + 1, dtype=float)
-    np.testing.assert_array_equal(np.real(np.diag(th.reference)), np.repeat(ns, 2))
+    np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
 
 
 def test_rt_one_photon_validates_input():
@@ -239,7 +237,7 @@ def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
     th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
-    v1 = th.operator - th.reference
+    v1 = th.operator - np.diag(th.levels)
     scale = max(np.abs(v1).max(), 1e-300)
     support = set()
     fock = trunc.n_max + 1
@@ -257,7 +255,7 @@ def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
 def test_rt_two_photon_needs_chain_metadata():
     bare = TransformedHamiltonian(
         operator=np.eye(4, dtype=complex),
-        reference=np.eye(4, dtype=complex),
+        levels=np.ones(4),
         parity=None,
         spurious=(),
         provenance=(),
@@ -347,6 +345,12 @@ def test_atom_rotate_requires_invariant_reference():
     th1 = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
     with pytest.raises(ValueError, match="invariant under the atomic rotation"):
         atom_rotate(th1)
+    # One doublet of the displaced ladder split far below the level spacing.
+    th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
+    split = th.levels.copy()
+    split[7] += 1e-9
+    with pytest.raises(ValueError, match="invariant under the atomic rotation"):
+        atom_rotate(replace(th, levels=split))
 
 
 def test_atom_rotate_on_doublet_scalar_reference():
@@ -355,7 +359,7 @@ def test_atom_rotate_on_doublet_scalar_reference():
     th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
     rotated = atom_rotate(th)
     assert rotated.provenance == ("strong_chain", "atom_rotate")
-    np.testing.assert_array_equal(rotated.reference, th.reference)
+    np.testing.assert_array_equal(rotated.levels, th.levels)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(rotated.operator), np.linalg.eigvalsh(th.operator), atol=1e-10
     )
@@ -370,15 +374,15 @@ def test_generic_numeric_rt_needs_reference_for_bare_input():
 
 
 def test_generic_numeric_rt_identity_when_nothing_resonates(rng):
-    ref = np.diag(np.arange(6, dtype=complex))
+    ref = np.arange(6, dtype=float)
     v = rng.standard_normal((6, 6)) * 0.01
     v = v + v.T
     np.fill_diagonal(v, 0.0)
-    th = generic_numeric_rt(ref + v, reference=ref, tol_deg=1e-6)
+    th = generic_numeric_rt(np.diag(ref) + v, reference=ref, tol_deg=1e-6)
     # Ascending nondegenerate diagonal reference and no averaged coupling:
     # the transformation is the exact identity, bit for bit.
-    assert np.array_equal(th.operator, ref + v)
-    assert np.array_equal(th.reference, ref)
+    assert np.array_equal(th.operator, np.diag(ref) + v)
+    assert np.array_equal(th.levels, ref)
     assert th.provenance == ("generic_numeric_rt",)
     assert th.spurious == ()
     assert th.loss_band == 0
@@ -389,8 +393,8 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
     trunc = TruncationConfig(n_max=16)
     h_jc = build_jaynes_cummings(params, trunc)
     free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
-    th = generic_numeric_rt(h_jc.entries, reference=free.entries, tol_deg=1e-3)
-    got = np.sort(np.real(np.diag(th.reference)))
+    th = generic_numeric_rt(h_jc.entries, reference=np.real(np.diag(free.entries)), tol_deg=1e-3)
+    got = np.sort(th.levels)
     exact = np.linalg.eigvalsh(h_jc.entries)
     np.testing.assert_allclose(got, exact, atol=1e-10)
 
@@ -404,7 +408,7 @@ def test_strong_chain_reference_is_displaced_doubled_ladder():
     th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
     ns = np.arange(trunc.n_max + 1)
     expect = np.repeat(ns + 0.5 - 0.8**2, 2)
-    np.testing.assert_allclose(np.real(np.diag(th.reference)), expect, atol=1e-14)
+    np.testing.assert_allclose(th.levels, expect, atol=1e-14)
     assert th.loss_band == int(np.ceil(8 * 0.8**2)) + 10
 
 
@@ -435,7 +439,7 @@ def test_strong_chain_remainder_is_displacement_kernel():
     params = _params(0.5)
     trunc = TruncationConfig(n_max=40)
     th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
-    v1 = th.operator - th.reference
+    v1 = th.operator - np.diag(th.levels)
     # Off-block (+,-) entries reproduce the closed-form displaced overlaps
     # well below the corrupted top band.
     for m in range(20):
@@ -452,7 +456,7 @@ def test_strong_chain_remainder_is_displacement_kernel():
 def test_rt_zero_field_needs_chain_metadata():
     bare = TransformedHamiltonian(
         operator=np.eye(4, dtype=complex),
-        reference=np.eye(4, dtype=complex),
+        levels=np.ones(4),
         parity=None,
         spurious=(),
         provenance=(),
@@ -469,7 +473,7 @@ def test_rt_zero_field_reference_and_records():
     chain = atom_rotate(strong_chain(build_rabi(params, trunc).entries, params, trunc))
     th = rt_zero_field(chain)
     ns = np.arange(trunc.n_max + 1, dtype=float)
-    np.testing.assert_array_equal(np.real(np.diag(th.reference)), np.repeat(ns, 2))
+    np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
     assert th.spurious[-1].label == "|0,->"
     assert th.loss_band == chain.loss_band + 1
     rec = th.records[-1]
@@ -496,7 +500,7 @@ def _step_case(step, params, trunc):
     fock = trunc.n_max + 1
     h = build_rabi(params, trunc).entries
     bare = TransformedHamiltonian(
-        operator=h, reference=h, parity=build_parity(trunc).entries,
+        operator=h, levels=np.real(np.diag(h)), parity=build_parity(trunc).entries,
         spurious=(), provenance=(), loss_band=0, params=params, trunc=trunc,
     )
     strong = strong_chain(h, params, trunc)
@@ -582,22 +586,35 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     assert iso.lost_slots.tolist() == sorted(set(range(dim)) - set(remap[remap >= 0]))
 
 
-def test_generic_numeric_rt_rejects_non_diagonal_reference(rng, make_hermitian):
-    ref = make_hermitian(rng, 6)
-    with pytest.raises(ValueError, match="diagonal reference"):
+def test_generic_numeric_rt_rejects_matrix_reference():
+    ref = np.diag(np.arange(6.0))
+    with pytest.raises(ValueError, match=r"levels must have shape \(6,\)"):
         generic_numeric_rt(ref, reference=ref)
+
+
+@pytest.mark.parametrize("levels", [np.zeros((4, 4)), np.zeros(3), np.zeros(5), np.zeros((4, 1))])
+def test_transformed_hamiltonian_rejects_misshapen_levels(levels):
+    with pytest.raises(ValueError, match=r"levels must have shape \(4,\)"):
+        TransformedHamiltonian(
+            operator=np.eye(4, dtype=complex),
+            levels=levels,
+            parity=None,
+            spurious=(),
+            provenance=(),
+            loss_band=0,
+        )
 
 
 def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
     # Unsorted diagonal with a degenerate pair: the stable ascending sort
     # is the permutation, the pair is rotated by the eigenvectors of its
     # effective block, singletons just shift by the diagonal of V.
-    ref = np.diag([3.0, 1.0, 2.0, 1.0]).astype(complex)
+    ref = np.array([3.0, 1.0, 2.0, 1.0])
     v = np.zeros((4, 4), dtype=complex)
     v[1, 3] = v[3, 1] = 0.5
     v[0, 0], v[2, 2] = 0.25, -0.125
-    th = generic_numeric_rt(ref + v, reference=ref, tol_deg=1e-6)
-    np.testing.assert_allclose(np.real(np.diag(th.reference)), [0.5, 1.5, 1.875, 3.25])
+    th = generic_numeric_rt(np.diag(ref) + v, reference=ref, tol_deg=1e-6)
+    np.testing.assert_allclose(th.levels, [0.5, 1.5, 1.875, 3.25])
     np.testing.assert_allclose(th.operator, np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
 
 
