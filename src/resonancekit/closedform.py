@@ -7,6 +7,16 @@ average carries E = omega*(n+1/2) - g^2/omega -/+ (omega0/2)*f_n, i.e. the
 conjugating the parity operator through the corresponding transformation
 chain; for every method except strong_avg a level with photon-like index n
 has parity (-1)^(n+1).
+
+Each closed form is written once, as an array program over a grid of
+couplings (``closed_form_table``); the per-coupling ``*_spectrum`` functions
+evaluate it on a one-element grid.  Sums, products, quotients and square
+roots are correctly rounded in numpy as in Python, so the arrays agree bit
+for bit with a scalar evaluation in the same operation order.  ``exp``,
+``hypot`` and ``** 2`` are not: numpy's versions differ from libm's
+``math.exp``, ``math.hypot`` and Python's float power by one ulp on some
+arguments, so those three are applied element by element through the
+Python functions.
 """
 
 from __future__ import annotations
@@ -14,11 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ClosedFormLevel",
+    "ClosedFormTable",
     "ResonanceLocus",
     "laguerre",
+    "laguerre_table",
     "f_laguerre",
+    "closed_form_table",
     "jc_spectrum",
     "rt2_spectrum",
     "strong_avg_spectrum",
@@ -44,6 +59,22 @@ class ClosedFormLevel:
     method: str  # "jc", "rt2", "strong_avg", "strong_rt"
     parity: str
     spurious: bool = False
+
+
+@dataclass(frozen=True)
+class ClosedFormTable:
+    """One closed form over a coupling grid.
+
+    Slot s has the static labels ``n[s]``, ``branch[s]``, ``parity[s]`` and
+    ``spurious[s]``, in the order the per-coupling spectrum lists its levels;
+    ``energies[i, s]`` is its energy at the i-th coupling.
+    """
+
+    n: np.ndarray
+    branch: tuple[str, ...]
+    parity: tuple[str, ...]
+    spurious: np.ndarray
+    energies: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,6 +107,28 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     return cur
 
 
+def laguerre_table(n: int, alpha, x) -> np.ndarray:
+    """L_0^(alpha)(x), ..., L_n^(alpha)(x) stacked on a new leading axis.
+
+    ``alpha`` (non-negative integers) and ``x`` are arrays that broadcast
+    together.  One pass of ``laguerre``'s recurrence in the same operation
+    order, so entry k equals ``laguerre(k, alpha, x)`` bit for bit.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    alpha = np.asarray(alpha)
+    if np.any(alpha < 0):
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + np.broadcast_shapes(alpha.shape, x.shape))
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = 1.0 + alpha - x
+    for k in range(1, n):
+        out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
+    return out
+
+
 def f_laguerre(n: int, params: ModelParams) -> float:
     """Diagonal displacement element f_n = exp(-2g^2/w^2) L_n(4g^2/w^2)."""
     r = 2.0 * params.g / params.omega
@@ -101,18 +154,146 @@ def displacement_element(m: int, n: int, params: ModelParams, sign: int = +1) ->
     return (1.0 if sign > 0 else (-1.0) ** k) * math.exp(log_amp) * laguerre(n, k, r * r)
 
 
-def require_one_photon_resonance(params: ModelParams) -> None:
-    """The dressed-ladder constructions assume omega0 = omega exactly."""
-    if not abs(params.omega - params.omega0) <= 1e-12 * params.omega:
+def _require_resonance(omega: float, omega0: float) -> None:
+    if not abs(omega - omega0) <= 1e-12 * omega:
         raise ValueError(
             "one-photon-resonance methods require omega0 = omega; "
-            f"got omega={params.omega}, omega0={params.omega0}"
+            f"got omega={omega}, omega0={omega0}"
         )
+
+
+def require_one_photon_resonance(params: ModelParams) -> None:
+    """The dressed-ladder constructions assume omega0 = omega exactly."""
+    _require_resonance(params.omega, params.omega0)
 
 
 def _ladder_parity(n: int) -> str:
     # conjugated parity of a dressed level with photon-like index n
     return PARITY_EVEN if n % 2 == 1 else PARITY_ODD
+
+
+def _libm(fn, *arrays) -> np.ndarray:
+    """``fn`` of Python floats applied element by element (see module docstring)."""
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    args = (np.broadcast_to(a, shape).ravel().tolist() for a in arrays)
+    return np.array(list(map(fn, *args)), dtype=float).reshape(shape)
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _table(head, head_energies, ladder_n, upper, lower, lower_parity) -> ClosedFormTable:
+    """Slots ``head`` (n, branch, parity, spurious), then a (n,+), (n,-) pair
+    for each n of ``ladder_n``; the energy columns follow the same order."""
+    slots = list(head)
+    for k in ladder_n:
+        slots.append((k, "+", _ladder_parity(k), False))
+        slots.append((k, "-", lower_parity(k), False))
+    energies = np.empty((upper.shape[0], len(slots)))
+    for s, column in enumerate(head_energies):
+        energies[:, s] = column
+    energies[:, len(head)::2] = upper
+    energies[:, len(head) + 1::2] = lower
+    n, branch, parity, spurious = zip(*slots)
+    return ClosedFormTable(
+        n=np.array(n, dtype=int),
+        branch=branch,
+        parity=parity,
+        spurious=np.array(spurious, dtype=bool),
+        energies=energies,
+    )
+
+
+def _jc_table(w, w0, g, n_levels) -> ClosedFormTable:
+    _require_resonance(w, w0)
+    n = np.arange(1, n_levels + 1)
+    root = g[:, None] * np.sqrt(n)
+    head = ((0, "+", _ladder_parity(0), True), (0, "-", _ladder_parity(0), False))
+    return _table(head, (0.0, 0.0), n.tolist(), w * n + root, w * n - root, _ladder_parity)
+
+
+def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
+    _require_resonance(w, w0)
+    half_split = 0.5 * np.sqrt(_libm(_square, 2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
+    center = w - g / math.sqrt(2.0)
+    head = (
+        (0, "+", _ladder_parity(0), True),
+        (1, "+", _ladder_parity(1), True),
+        (2, "+", _ladder_parity(2), True),
+        (0, "-", PARITY_ODD, False),
+        (2, "-", PARITY_ODD, False),
+        (1, "-", _ladder_parity(1), False),
+    )
+    head_energies = (0.0, 0.0, 0.0, center - half_split, center + half_split, w - g)
+    n = np.arange(3, n_levels + 1)
+    gc = g[:, None]
+    mid = w * (n - 1) + 0.5 * gc * (np.sqrt(n - 2) - np.sqrt(n))
+    half = 0.5 * np.sqrt(
+        _libm(_square, -2.0 * w + gc * (np.sqrt(n - 2) + np.sqrt(n))) + gc * gc * (n - 1)
+    )
+    return _table(head, head_energies, n.tolist(), mid + half, mid - half, _ladder_parity)
+
+
+def _strong_avg_table(w, w0, g, n_levels) -> ClosedFormTable:
+    r = 2.0 * g / w
+    damp = _libm(math.exp, -0.5 * r * r)[:, None]
+    f = damp * laguerre_table(n_levels, 0, r * r).T
+    n = np.arange(n_levels + 1)
+    gc = g[:, None]
+    base = w * (n + 0.5) - gc * gc / w
+    split = 0.5 * w0 * f
+    return _table(
+        (), (), n.tolist(), base - split, base + split,
+        lambda k: PARITY_EVEN if k % 2 == 0 else PARITY_ODD,
+    )
+
+
+def _strong_rt_table(w, w0, g, n_levels) -> ClosedFormTable:
+    x = 4.0 * g * g / (w * w)
+    damp = _libm(math.exp, -0.5 * x)
+    lag = laguerre_table(n_levels, np.array([[0], [1]]), x)
+    l0, l1 = lag[:, 0].T, lag[:, 1].T
+    head = ((0, "-", _ladder_parity(0), True), (0, "+", _ladder_parity(0), False))
+    head_energies = (0.0, 0.5 * w - g * g / w - 0.5 * w0 * damp)
+    n = np.arange(1, n_levels + 1)
+    gc, damp = g[:, None], damp[:, None]
+    l_n, l_nm1, l1_nm1 = l0[:, 1:], l0[:, :-1], l1[:, :-1]
+    mid = n * w - gc * gc / w - 0.25 * w0 * damp * (l_n - l_nm1)
+    h = w - 0.5 * w0 * damp * (l_n + l_nm1)
+    c = (w0 / w) * (2.0 * gc / np.sqrt(n)) * damp * l1_nm1
+    half = 0.5 * _libm(math.hypot, h, c)
+    return _table(head, head_energies, n.tolist(), mid + half, mid - half, _ladder_parity)
+
+
+_TABLES = {
+    "jc": _jc_table,
+    "rt2": _rt2_table,
+    "strong_avg": _strong_avg_table,
+    "strong_rt": _strong_rt_table,
+}
+
+
+def closed_form_table(
+    method: str, omega: float, omega0: float, g, n_levels: int
+) -> ClosedFormTable:
+    """Every slot of the named closed form for photon-like index n = 0..n_levels
+    at each coupling of the 1-D grid ``g``; the formulas are those of the
+    per-coupling ``*_spectrum`` functions."""
+    if method not in _TABLES:
+        raise ValueError(f"unknown closed form {method!r}; known: {', '.join(_TABLES)}")
+    return _TABLES[method](omega, omega0, np.asarray(g, dtype=float), n_levels)
+
+
+def _spectrum(method: str, params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
+    table = closed_form_table(method, params.omega, params.omega0, [params.g], n_levels)
+    return [
+        ClosedFormLevel(n, branch, energy, method, parity, spurious=spurious)
+        for n, branch, energy, parity, spurious in zip(
+            table.n.tolist(), table.branch, table.energies[0].tolist(),
+            table.parity, table.spurious.tolist(),
+        )
+    ]
 
 
 def jc_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
@@ -121,17 +302,7 @@ def jc_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
     The n = 0 "+" slot is the spurious zero introduced by the photon-shift
     isometry; the physical n = 0 level sits in the "-" slot.
     """
-    require_one_photon_resonance(params)
-    w, g = params.omega, params.g
-    out = [
-        ClosedFormLevel(0, "+", 0.0, "jc", _ladder_parity(0), spurious=True),
-        ClosedFormLevel(0, "-", 0.0, "jc", _ladder_parity(0)),
-    ]
-    for n in range(1, n_levels + 1):
-        root = g * math.sqrt(n)
-        out.append(ClosedFormLevel(n, "+", w * n + root, "jc", _ladder_parity(n)))
-        out.append(ClosedFormLevel(n, "-", w * n - root, "jc", _ladder_parity(n)))
-    return out
+    return _spectrum("jc", params, n_levels)
 
 
 def rt2_mixing_angle(omega: float, g: float) -> float:
@@ -149,26 +320,7 @@ def rt2_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
     E = w(n-1) + (g/2)(sqrt(n-2) - sqrt(n))
         +/- (1/2)sqrt((-2w + g(sqrt(n-2)+sqrt(n)))^2 + g^2 (n-1)).
     """
-    require_one_photon_resonance(params)
-    w, g = params.omega, params.g
-    half_split = 0.5 * math.sqrt((2.0 * w - g * math.sqrt(2.0)) ** 2 + 2.0 * g * g)
-    center = w - g / math.sqrt(2.0)
-    out = [
-        ClosedFormLevel(0, "+", 0.0, "rt2", _ladder_parity(0), spurious=True),
-        ClosedFormLevel(1, "+", 0.0, "rt2", _ladder_parity(1), spurious=True),
-        ClosedFormLevel(2, "+", 0.0, "rt2", _ladder_parity(2), spurious=True),
-        ClosedFormLevel(0, "-", center - half_split, "rt2", PARITY_ODD),
-        ClosedFormLevel(2, "-", center + half_split, "rt2", PARITY_ODD),
-        ClosedFormLevel(1, "-", w - g, "rt2", _ladder_parity(1)),
-    ]
-    for n in range(3, n_levels + 1):
-        mid = w * (n - 1) + 0.5 * g * (math.sqrt(n - 2) - math.sqrt(n))
-        half = 0.5 * math.sqrt(
-            (-2.0 * w + g * (math.sqrt(n - 2) + math.sqrt(n))) ** 2 + g * g * (n - 1)
-        )
-        out.append(ClosedFormLevel(n, "+", mid + half, "rt2", _ladder_parity(n)))
-        out.append(ClosedFormLevel(n, "-", mid - half, "rt2", _ladder_parity(n)))
-    return out
+    return _spectrum("rt2", params, n_levels)
 
 
 def strong_avg_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
@@ -177,21 +329,7 @@ def strong_avg_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLe
     The "+" branch takes the minus sign.  Valid for any omega0.  Parity:
     the "+" slot carries (-1)^(n+1), the "-" slot (-1)^n.
     """
-    w, w0, g = params.omega, params.omega0, params.g
-    out = []
-    for n in range(n_levels + 1):
-        base = w * (n + 0.5) - g * g / w
-        split = 0.5 * w0 * f_laguerre(n, params)
-        out.append(
-            ClosedFormLevel(n, "+", base - split, "strong_avg", _ladder_parity(n))
-        )
-        out.append(
-            ClosedFormLevel(
-                n, "-", base + split, "strong_avg",
-                PARITY_EVEN if n % 2 == 0 else PARITY_ODD,
-            )
-        )
-    return out
+    return _spectrum("strong_avg", params, n_levels)
 
 
 def strong_rt_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
@@ -210,26 +348,7 @@ def strong_rt_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLev
     the doubly degenerate ladder {n w, n w} (at resonance), exact because the
     zero-field resonance has been treated non-perturbatively.
     """
-    w, w0, g = params.omega, params.omega0, params.g
-    x = 4.0 * g * g / (w * w)
-    damp = math.exp(-0.5 * x)
-    out = [
-        ClosedFormLevel(0, "-", 0.0, "strong_rt", _ladder_parity(0), spurious=True),
-        ClosedFormLevel(
-            0, "+", 0.5 * w - g * g / w - 0.5 * w0 * damp, "strong_rt", _ladder_parity(0)
-        ),
-    ]
-    for n in range(1, n_levels + 1):
-        l_n = laguerre(n, 0, x)
-        l_nm1 = laguerre(n - 1, 0, x)
-        l1_nm1 = laguerre(n - 1, 1, x)
-        mid = n * w - g * g / w - 0.25 * w0 * damp * (l_n - l_nm1)
-        h = w - 0.5 * w0 * damp * (l_n + l_nm1)
-        c = (w0 / w) * (2.0 * g / math.sqrt(n)) * damp * l1_nm1
-        half = 0.5 * math.hypot(h, c)
-        out.append(ClosedFormLevel(n, "+", mid + half, "strong_rt", _ladder_parity(n)))
-        out.append(ClosedFormLevel(n, "-", mid - half, "strong_rt", _ladder_parity(n)))
-    return out
+    return _spectrum("strong_rt", params, n_levels)
 
 
 def resonance_loci(n_range, omega: float) -> list[ResonanceLocus]:

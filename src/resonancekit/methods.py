@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import build_effective, cluster_degeneracies
-from .closedform import (
-    ClosedFormLevel,
-    jc_spectrum,
-    require_one_photon_resonance,
-    rt2_spectrum,
-    strong_avg_spectrum,
-    strong_rt_spectrum,
-)
+from .closedform import closed_form_table, require_one_photon_resonance
 from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
@@ -64,6 +57,7 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "MethodLevel",
+    "closed_form_sweep",
     "compute_levels",
     "kam_truncation",
     "rabi_rt1_chain",
@@ -101,6 +95,10 @@ NUMERIC_RT_STEPS = 3
 
 _OVERLAP_MIN = 0.99
 
+# (coupling, slot) entries per closed-form evaluation block; bounds memory
+# on grids whose largest coupling needs a long photon range.
+_CLOSED_FORM_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class MethodLevel:
@@ -119,29 +117,60 @@ def kam_truncation(n_levels: int) -> TruncationConfig:
     return TruncationConfig(n_max=n_levels + 2)
 
 
-def _closed_form_count(params: ModelParams, n_levels: int) -> int:
+def _closed_form_count(g: float, omega: float, n_levels: int) -> int:
     """Photon range that provably contains the lowest ``n_levels`` closed-form
     energies: beyond g^2/(4 omega^2) every branch is increasing in n."""
-    ratio = params.g / params.omega
+    ratio = g / omega
     return n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
 
 
-def _levels_from_closed_form(
-    levels: list[ClosedFormLevel], n_levels: int
-) -> list[MethodLevel]:
-    physical = sorted(
-        (lv for lv in levels if not lv.spurious), key=lambda lv: (lv.energy, lv.n)
-    )
-    if len(physical) < n_levels:
-        raise ValueError(
-            f"requested {n_levels} levels but only {len(physical)} are available"
+def _select_closed_form(method, omega, omega0, grid, counts, n_levels) -> list:
+    """Lowest ``n_levels`` physical slots at each coupling of one block, in
+    (energy, n) order with ties kept in slot order."""
+    table = closed_form_table(method, omega, omega0, grid, max(counts))
+    usable = ~table.spurious & (table.n <= np.array(counts)[:, None])
+    energies = np.where(usable, table.energies, np.inf)
+    order = np.lexsort((np.broadcast_to(table.n, energies.shape), energies), axis=-1)
+    order = order[:, :n_levels]
+    energies = np.take_along_axis(energies, order, axis=1)
+    labels = tuple(zip(table.branch, table.parity))
+    out = []
+    for available, slots, row in zip(
+        usable.sum(axis=1).tolist(), order.tolist(), energies.tolist()
+    ):
+        if available < n_levels:
+            out.append(
+                ValueError(f"requested {n_levels} levels but only {available} are available")
+            )
+        else:
+            out.append([(*labels[s], e) for s, e in zip(slots, row)])
+    return out
+
+
+def closed_form_sweep(
+    method: str, omega: float, omega0: float, grid, n_levels: int
+) -> list:
+    """The lowest ``n_levels`` physical levels of a closed form at every
+    coupling of ``grid``, from one array evaluation per block of couplings.
+
+    Entry i is a list of (branch, parity, energy) in ascending energy order,
+    or the ValueError that coupling i raises on its own.  An error that holds
+    for the whole grid (off one-photon resonance) is raised.
+    """
+    if method not in CLOSED_FORM_METHODS:
+        raise ValueError(f"{method!r} is not a closed form")
+    grid = np.asarray(grid, dtype=float)
+    counts = [_closed_form_count(g, omega, n_levels) for g in grid.tolist()]
+    # at most 2 * (count + 1) slots per coupling
+    rows = max(1, _CLOSED_FORM_BLOCK // (2 * max(counts, default=0) + 2))
+    out = []
+    for lo in range(0, len(counts), rows):
+        out.extend(
+            _select_closed_form(
+                method, omega, omega0, grid[lo:lo + rows], counts[lo:lo + rows], n_levels
+            )
         )
-    return [
-        MethodLevel(
-            level=i, branch=lv.branch, parity=lv.parity, energy=float(lv.energy)
-        )
-        for i, lv in enumerate(physical[:n_levels])
-    ]
+    return out
 
 
 def _parity_label(vector: np.ndarray, parity_mat: np.ndarray | None) -> str:
@@ -299,22 +328,16 @@ def compute_levels(
 
     if method == "exact":
         return _exact_levels(params, trunc, n_levels)
-    if method == "jc":
-        return _levels_from_closed_form(
-            jc_spectrum(params, _closed_form_count(params, n_levels)), n_levels
+    if method in CLOSED_FORM_METHODS:
+        (levels,) = closed_form_sweep(
+            method, params.omega, params.omega0, [params.g], n_levels
         )
-    if method == "rt2":
-        return _levels_from_closed_form(
-            rt2_spectrum(params, _closed_form_count(params, n_levels)), n_levels
-        )
-    if method == "strong_avg":
-        return _levels_from_closed_form(
-            strong_avg_spectrum(params, _closed_form_count(params, n_levels)), n_levels
-        )
-    if method == "strong_rt":
-        return _levels_from_closed_form(
-            strong_rt_spectrum(params, _closed_form_count(params, n_levels)), n_levels
-        )
+        if isinstance(levels, Exception):
+            raise levels
+        return [
+            MethodLevel(level=i, branch=branch, parity=parity, energy=energy)
+            for i, (branch, parity, energy) in enumerate(levels)
+        ]
     if method == "rt1":
         return levels_from_chain(rabi_rt1_chain(params, trunc), n_levels)
     if method == "rt1_kam":

@@ -53,6 +53,19 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _HERM_RTOL = 1e-14
 
 
+def _hermitian_defect(entries: np.ndarray) -> tuple[float, float]:
+    """max |A - A^H| and max |A| from one complex and one real temporary,
+    each reused in place.  Working a block of rows at a time would allocate
+    less, but its many short GIL-releasing numpy calls queue behind the
+    other sweep thread."""
+    diff = entries.conj().T
+    np.subtract(entries, diff, out=diff)
+    magnitude = np.abs(diff)
+    defect = float(magnitude.max())
+    np.abs(entries, out=magnitude)
+    return defect, float(magnitude.max())
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters (hbar = 1).
@@ -142,8 +155,8 @@ class TruncatedOperator:
                 f"dim {self.dim} does not match entries shape {entries.shape}"
             )
         if self.hermitian:
-            scale = max(np.abs(entries).max(), 1.0)
-            if np.abs(entries - entries.conj().T).max() > _HERM_RTOL * scale:
+            defect, size = _hermitian_defect(entries)
+            if defect > _HERM_RTOL * max(size, 1.0):
                 raise ValueError("hermitian flag set on a non-Hermitian matrix")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)

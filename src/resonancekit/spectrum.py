@@ -52,7 +52,7 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumRow:
     """One record of a coupling sweep."""
 

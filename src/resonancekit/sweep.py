@@ -7,9 +7,10 @@ registry order, so identical configurations produce byte-identical files.
 Spurious kernel zeros are filtered before emission; the column is kept so
 the schema states the invariant explicitly.
 
-g-points are evaluated concurrently (``RESONANCEKIT_THREADS`` caps the
-worker count); rows are assembled in deterministic order after all points
-finish.  A failing point is logged and skipped, the run continues.
+Closed forms are evaluated once per sweep, as arrays over the whole g-grid.
+Matrix methods run point by point, concurrently (``RESONANCEKIT_THREADS``
+caps the worker count); rows are assembled in deterministic order after all
+points finish.  A failing point is logged and skipped, the run continues.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closedform import resonance_loci
-from .methods import METHOD_ORDER, compute_levels
+from .methods import CLOSED_FORM_METHODS, METHOD_ORDER, closed_form_sweep, compute_levels
 from .operators import ModelParams, TruncationConfig
 from .spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow, SpectrumTable
 
@@ -172,31 +173,60 @@ def worker_count() -> int:
     return n
 
 
-def _point_rows(config: SweepConfig, g: float):
-    """All rows and failures for one coupling value."""
-    params = ModelParams(omega=config.omega, omega0=config.omega0, g=float(g))
+def _point_levels(config: SweepConfig, methods, g: float) -> list:
+    """Per matrix method at one coupling: its levels as (branch, parity,
+    energy), or the exception it raised."""
+    params = ModelParams(omega=config.omega, omega0=config.omega0, g=g)
     trunc = TruncationConfig(n_max=config.n_max)
-    rows: list[SpectrumRow] = []
-    failures: list[tuple[float, str, str]] = []
-    for method in config.methods:
+    out = []
+    for method in methods:
         try:
             levels = compute_levels(method, params, trunc, config.n_levels)
         except Exception as exc:  # log and continue with the other points
-            failures.append((float(g), method, f"{type(exc).__name__}: {exc}"))
+            out.append(exc)
             continue
-        for lv in levels:
-            rows.append(
-                SpectrumRow(
-                    g=float(g),
-                    method=method,
-                    level=lv.level,
-                    branch=lv.branch,
-                    parity=lv.parity,
-                    energy=lv.energy,
-                    spurious=False,
-                )
+        out.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
+    return out
+
+
+def _sweep_table(config: SweepConfig) -> SpectrumTable:
+    """Rows and failures of every configured method over the g-grid: closed
+    forms in one evaluation each, matrix methods point by point."""
+    grid = config.g_grid()
+    g_values = grid.tolist()
+    closed = [m for m in config.methods if m in CLOSED_FORM_METHODS]
+    matrix = [m for m in config.methods if m not in CLOSED_FORM_METHODS]
+    per_method = {}
+    for method in closed:
+        try:
+            per_method[method] = closed_form_sweep(
+                method, config.omega, config.omega0, grid, config.n_levels
             )
-    return rows, failures
+        except Exception as exc:  # e.g. off resonance: every point fails alike
+            per_method[method] = [exc] * len(g_values)
+    if matrix:
+        workers = min(worker_count(), len(g_values))
+        if workers <= 1:
+            points = [_point_levels(config, matrix, g) for g in g_values]
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                points = list(pool.map(lambda g: _point_levels(config, matrix, g), g_values))
+        for k, method in enumerate(matrix):
+            per_method[method] = [point[k] for point in points]
+
+    rows: list[SpectrumRow] = []
+    failures: list[tuple[float, str, str]] = []
+    for i, g in enumerate(g_values):
+        for method in config.methods:
+            levels = per_method[method][i]
+            if isinstance(levels, Exception):
+                failures.append((g, method, f"{type(levels).__name__}: {levels}"))
+                continue
+            rows.extend(
+                SpectrumRow(g, method, level, branch, parity, energy, False)
+                for level, (branch, parity, energy) in enumerate(levels)
+            )
+    return SpectrumTable(rows=tuple(rows), failures=tuple(failures))
 
 
 def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable:
@@ -205,19 +235,7 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable
     Returns the in-memory table; per-point failures are recorded on it
     rather than aborting the run.
     """
-    grid = config.g_grid()
-    rows: list[SpectrumRow] = []
-    failures: list[tuple[float, str, str]] = []
-    workers = min(worker_count(), len(grid))
-    if workers <= 1:
-        results = [_point_rows(config, g) for g in grid]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda g: _point_rows(config, g), grid))
-    for point_rows, point_failures in results:
-        rows.extend(point_rows)
-        failures.extend(point_failures)
-    table = SpectrumTable(rows=tuple(rows), failures=tuple(failures))
+    table = _sweep_table(config)
     path = config.output_path if out_path is None else out_path
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -227,9 +245,12 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable
 
 def table_to_csv(table: SpectrumTable) -> str:
     lines = [CSV_HEADER]
+    g, g_text = None, ""
     for row in table.rows:
+        if row.g is not g:  # a sweep's rows at one coupling share one float
+            g, g_text = row.g, _fmt(row.g)
         lines.append(
-            f"{_fmt(row.g)},{row.method},{row.level},{row.branch},"
+            f"{g_text},{row.method},{row.level},{row.branch},"
             f"{row.parity},{_fmt(row.energy)},{row.spurious}"
         )
     return "\n".join(lines) + "\n"

@@ -1,0 +1,93 @@
+"""Scalar test oracles: the four closed forms written one coupling at a time
+in plain Python floats, and the per-coupling level selection.
+
+``resonancekit.closedform`` evaluates the same formulas as array programs
+over a coupling grid; these transcriptions fix the operation order whose
+results the arrays must reproduce bit for bit.
+"""
+
+import math
+
+from resonancekit.closedform import f_laguerre, laguerre
+from resonancekit.operators import ModelParams
+from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
+
+
+def _ladder_parity(n):
+    return PARITY_EVEN if n % 2 == 1 else PARITY_ODD
+
+
+def jc(w, w0, g, top):
+    out = [(0, "+", 0.0, _ladder_parity(0), True), (0, "-", 0.0, _ladder_parity(0), False)]
+    for n in range(1, top + 1):
+        root = g * math.sqrt(n)
+        out.append((n, "+", w * n + root, _ladder_parity(n), False))
+        out.append((n, "-", w * n - root, _ladder_parity(n), False))
+    return out
+
+
+def rt2(w, w0, g, top):
+    half_split = 0.5 * math.sqrt((2.0 * w - g * math.sqrt(2.0)) ** 2 + 2.0 * g * g)
+    center = w - g / math.sqrt(2.0)
+    out = [
+        (0, "+", 0.0, _ladder_parity(0), True),
+        (1, "+", 0.0, _ladder_parity(1), True),
+        (2, "+", 0.0, _ladder_parity(2), True),
+        (0, "-", center - half_split, PARITY_ODD, False),
+        (2, "-", center + half_split, PARITY_ODD, False),
+        (1, "-", w - g, _ladder_parity(1), False),
+    ]
+    for n in range(3, top + 1):
+        mid = w * (n - 1) + 0.5 * g * (math.sqrt(n - 2) - math.sqrt(n))
+        half = 0.5 * math.sqrt(
+            (-2.0 * w + g * (math.sqrt(n - 2) + math.sqrt(n))) ** 2 + g * g * (n - 1)
+        )
+        out.append((n, "+", mid + half, _ladder_parity(n), False))
+        out.append((n, "-", mid - half, _ladder_parity(n), False))
+    return out
+
+
+def strong_avg(w, w0, g, top):
+    params = ModelParams(omega=w, omega0=w0, g=g)
+    out = []
+    for n in range(top + 1):
+        base = w * (n + 0.5) - g * g / w
+        split = 0.5 * w0 * f_laguerre(n, params)
+        out.append((n, "+", base - split, _ladder_parity(n), False))
+        out.append((n, "-", base + split, PARITY_EVEN if n % 2 == 0 else PARITY_ODD, False))
+    return out
+
+
+def strong_rt(w, w0, g, top):
+    x = 4.0 * g * g / (w * w)
+    damp = math.exp(-0.5 * x)
+    out = [
+        (0, "-", 0.0, _ladder_parity(0), True),
+        (0, "+", 0.5 * w - g * g / w - 0.5 * w0 * damp, _ladder_parity(0), False),
+    ]
+    for n in range(1, top + 1):
+        l_n = laguerre(n, 0, x)
+        l_nm1 = laguerre(n - 1, 0, x)
+        l1_nm1 = laguerre(n - 1, 1, x)
+        mid = n * w - g * g / w - 0.25 * w0 * damp * (l_n - l_nm1)
+        h = w - 0.5 * w0 * damp * (l_n + l_nm1)
+        c = (w0 / w) * (2.0 * g / math.sqrt(n)) * damp * l1_nm1
+        half = 0.5 * math.hypot(h, c)
+        out.append((n, "+", mid + half, _ladder_parity(n), False))
+        out.append((n, "-", mid - half, _ladder_parity(n), False))
+    return out
+
+
+SPECTRA = {"jc": jc, "rt2": rt2, "strong_avg": strong_avg, "strong_rt": strong_rt}
+
+
+def selected_levels(method, w, w0, g, n_levels):
+    """Lowest n_levels physical levels as (branch, parity, energy), sorted by
+    (energy, n) over the photon range n_levels + ceil(r^2 + 4r) + 8, r = g/w."""
+    ratio = g / w
+    top = n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
+    physical = sorted(
+        (slot for slot in SPECTRA[method](w, w0, g, top) if not slot[4]),
+        key=lambda slot: (slot[2], slot[0]),
+    )
+    return [(branch, parity, energy) for _, branch, energy, parity, _ in physical[:n_levels]]

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import genlaguerre
 
 from resonancekit.closedform import (
+    closed_form_table,
     displacement_element,
     f_laguerre,
     jc_spectrum,
     laguerre,
+    laguerre_table,
     require_one_photon_resonance,
     resonance_loci,
     rt2_spectrum,
@@ -22,12 +24,15 @@ from resonancekit.closedform import (
     strong_avg_spectrum,
     strong_rt_spectrum,
 )
+from resonancekit.methods import closed_form_sweep, compute_levels
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
     build_jaynes_cummings,
 )
 from resonancekit.spectrum import eigh, exact_spectrum
+
+import scalar_closed_forms
 
 
 def _params(g, omega0=None):
@@ -65,6 +70,24 @@ def test_laguerre_matches_scipy(n, alpha, x):
     mine = laguerre(n, alpha, x)
     oracle = float(genlaguerre(n, alpha)(x))
     assert abs(mine - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+def test_laguerre_table_rows_equal_scalar_recurrence_bitwise():
+    g = np.concatenate([np.linspace(0.0, 3.0, 61), [1e-9, 0.43301, 7.5]])
+    x = 4.0 * g * g
+    table = laguerre_table(80, np.array([[0], [1]]), x)
+    assert table.shape == (81, 2, x.size)
+    for alpha in (0, 1):
+        for k in range(81):
+            assert table[k, alpha].tolist() == [laguerre(k, alpha, xi) for xi in x.tolist()]
+    assert laguerre_table(0, 1, x).tolist() == [[1.0] * x.size]
+
+
+def test_laguerre_table_validates_arguments():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        laguerre_table(-1, 0, [1.0])
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        laguerre_table(2, [0, -1], [1.0])
 
 
 def test_f_laguerre_vacuum_is_pure_damping():
@@ -208,6 +231,56 @@ def test_strong_variants_coincide_at_large_coupling():
         diffs.append(max(abs(a - b) for a, b in zip(avg, rt)))
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-2
+
+
+# ---------------------------------------------------------------- arrays
+
+_GRID = [0.0, 1e-9, 0.1, 0.43301, 0.5, 0.61, 1.0, 1.5, 2.2, 3.0]
+_CASES = [("jc", 1.0), ("rt2", 1.0)] + [
+    (method, w0) for method in ("strong_avg", "strong_rt") for w0 in (0.0, 0.37, 1.0, 2.5)
+]
+
+
+@pytest.mark.parametrize("method,omega0", _CASES)
+def test_closed_form_table_equals_scalar_formulas(method, omega0):
+    table = closed_form_table(method, 1.0, omega0, _GRID, 20)
+    for i, g in enumerate(_GRID):
+        slots = list(zip(
+            table.n.tolist(), table.branch, table.energies[i].tolist(),
+            table.parity, table.spurious.tolist(),
+        ))
+        assert slots == scalar_closed_forms.SPECTRA[method](1.0, omega0, g, 20)
+
+
+@pytest.mark.parametrize("method,omega0", _CASES)
+def test_closed_form_sweep_equals_per_point_path(method, omega0):
+    n_levels = 12
+    swept = closed_form_sweep(method, 1.0, omega0, _GRID, n_levels)
+    assert len(swept) == len(_GRID)
+    for g, levels in zip(_GRID, swept):
+        assert levels == scalar_closed_forms.selected_levels(method, 1.0, omega0, g, n_levels)
+        point = compute_levels(
+            method, ModelParams(1.0, omega0, g), TruncationConfig(n_max=20), n_levels
+        )
+        assert [(lv.branch, lv.parity, lv.energy) for lv in point] == levels
+
+
+@pytest.mark.parametrize("method", ["strong_avg", "strong_rt"])
+@pytest.mark.parametrize("omega", [1.0, 1.3])
+def test_strong_forms_at_zero_splitting_are_the_displaced_oscillator(method, omega):
+    # omega0 = 0: every level is doubly degenerate at omega (k + 1/2) - g^2/omega.
+    n_levels = 12
+    for g in (0.0, 0.5, 1.7, 3.0):
+        levels = compute_levels(
+            method, ModelParams(omega, 0.0, g), TruncationConfig(n_max=20), n_levels
+        )
+        expect = [omega * (k // 2 + 0.5) - g * g / omega for k in range(n_levels)]
+        np.testing.assert_allclose([lv.energy for lv in levels], expect, rtol=1e-12, atol=0)
+
+
+def test_closed_form_table_rejects_unknown_form():
+    with pytest.raises(ValueError, match="unknown closed form"):
+        closed_form_table("exact", 1.0, 1.0, [0.1], 4)
 
 
 # ---------------------------------------------------------------- loci

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resonancekit import methods
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
     WEAK_METHODS,
+    closed_form_sweep,
     compute_levels,
     kam_truncation,
 )
@@ -85,6 +87,31 @@ def test_requesting_too_many_levels_fails_loudly():
     # dim 42, but the guard band at g = 2 validates only the lowest 4.
     with pytest.raises(ValueError, match="guard band validates 4"):
         compute_levels("exact", ModelParams(1, 1, 2), TruncationConfig(n_max=20), 40)
+
+
+def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
+    grid = np.linspace(0.0, 3.0, 31)
+    whole = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
+    monkeypatch.setattr(methods, "_CLOSED_FORM_BLOCK", 200)  # a few couplings per block
+    assert closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10) == whole
+
+
+def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch):
+    # Couplings above 1 get a photon range too short for the request.
+    monkeypatch.setattr(
+        methods, "_closed_form_count", lambda g, omega, n_levels: 2 if g > 1.0 else n_levels
+    )
+    swept = closed_form_sweep("jc", 1.0, 1.0, [0.5, 1.5], 8)
+    assert len(swept[0]) == 8
+    assert isinstance(swept[1], ValueError)
+    assert str(swept[1]) == "requested 8 levels but only 5 are available"
+    with pytest.raises(ValueError, match="only 5 are available"):
+        compute_levels("jc", _params(1.5), TruncationConfig(n_max=12), 8)
+
+
+def test_closed_form_sweep_rejects_matrix_methods():
+    with pytest.raises(ValueError, match="not a closed form"):
+        closed_form_sweep("rt1", 1.0, 1.0, [0.1], 4)
 
 
 def test_kam_truncation_adds_guard_rows():

@@ -71,6 +71,25 @@ def test_truncated_operator_validation():
     assert op.n_max == 1
 
 
+@pytest.mark.parametrize("dim", [4, 242])
+def test_hermiticity_check_tolerance_boundary(dim):
+    # The bound is _HERM_RTOL * max(|A|, 1), here with max |A| = 3, and the
+    # defect sits in one off-diagonal entry of the last rows.
+    rng = np.random.default_rng(dim)
+    base = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    base = 0.5 * (base + base.conj().T)
+    base[0, 0] = 3.0
+    base[dim - 1, dim - 2] = base[dim - 2, dim - 1] = 0.0
+    bound = 1e-14 * 3.0
+    inside = base.copy()
+    inside[dim - 1, dim - 2] = 0.9 * bound
+    assert TruncatedOperator(entries=inside, hermitian=True).hermitian
+    outside = base.copy()
+    outside[dim - 1, dim - 2] = 1.1j * bound
+    with pytest.raises(ValueError, match="hermitian flag set on a non-Hermitian matrix"):
+        TruncatedOperator(entries=outside, hermitian=True)
+
+
 def test_truncated_operator_entries_are_read_only():
     op = TruncatedOperator(entries=np.eye(4))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Sweep configuration, CSV round trips, error tables, resonance reports."""
 
+import concurrent.futures
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from resonancekit.methods import METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
-from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
+from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow
 from resonancekit.sweep import (
     CSV_HEADER,
     DEFAULT_METHODS,
@@ -186,6 +187,38 @@ def test_run_sweep_matches_direct_method_calls(small_table):
         swept = [r for r in table.rows if r.method == method and r.g == g]
         assert [r.energy for r in swept] == [lv.energy for lv in direct]
         assert [r.branch for r in swept] == [lv.branch for lv in direct]
+
+
+def test_run_sweep_interleaves_closed_forms_with_matrix_points():
+    config = SweepConfig(g_max=0.6, g_steps=7, n_max=30, n_levels=6,
+                         methods=("exact", "jc", "rt1", "strong_rt"), output_path="")
+    table = run_sweep(config, out_path="")
+    trunc = TruncationConfig(n_max=config.n_max)
+    expected = [
+        SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
+        for g in config.g_grid().tolist()
+        for method in config.methods
+        for lv in compute_levels(
+            method, ModelParams(config.omega, config.omega0, g), trunc, config.n_levels
+        )
+    ]
+    assert list(table.rows) == expected
+
+
+def test_closed_forms_only_start_no_worker_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a closed-form sweep must not start a thread pool")
+
+    monkeypatch.setenv("RESONANCEKIT_THREADS", "4")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    config = SweepConfig(g_max=1.0, g_steps=5, n_levels=4,
+                         methods=("jc", "strong_rt"), output_path="")
+    assert len(run_sweep(config, out_path="").rows) == 5 * 2 * 4
+
+
+def test_spectrum_rows_have_slots():
+    row = SpectrumRow(0.1, "jc", 0, "+", PARITY_EVEN, 1.0, False)
+    assert not hasattr(row, "__dict__")
 
 
 def test_run_sweep_writes_csv(tmp_path):
