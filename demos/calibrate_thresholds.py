@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 from resonancekit.closedform import resonance_loci, second_order_locus
-from resonancekit.operators import ModelParams, TruncationConfig
-from resonancekit.spectrum import eigh, sweep_exact
-from resonancekit.operators import build_rabi
+from resonancekit.methods import compute_levels
+from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
+from resonancekit.spectrum import eigh
 from resonancekit.sweep import SweepConfig, compare_methods, resonance_report, run_sweep
 
 
@@ -106,8 +106,8 @@ def spectrum_regression_constants():
 
     params = ModelParams(omega=1.0, omega0=1.0, g=0.2)
     for n_max in (60, 120):
-        table = sweep_exact(params, [0.2], TruncationConfig(n_max=n_max), 12)
-        energies = [r.energy for r in table.rows]
+        levels = compute_levels("exact", params, TruncationConfig(n_max=n_max), 12)
+        energies = [lv.energy for lv in levels]
         print(f"  lowest 12 at g=0.2, n_max={n_max}:")
         print("   ", ", ".join(f"{e:.15f}" for e in energies[:6]))
         print("   ", ", ".join(f"{e:.15f}" for e in energies[6:]))

@@ -23,7 +23,6 @@ from .spectrum import (
     SpectrumTable,
     eigh,
     exact_spectrum,
-    sweep_exact,
     validate_truncation,
 )
 from .averaging import (
@@ -35,7 +34,7 @@ from .averaging import (
     build_effective,
     combined_projector,
 )
-from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate, kam_iterate_full
+from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate_full
 from .transforms import (
     Isometry,
     IsometryRecord,
@@ -51,12 +50,8 @@ from .transforms import (
 )
 from .methods import METHOD_ORDER, MethodLevel, compute_levels
 from .closedform import (
-    ClosedFormLevel,
+    closed_form_table,
     laguerre,
-    jc_spectrum,
-    rt2_spectrum,
-    strong_avg_spectrum,
-    strong_rt_spectrum,
     displacement_element,
     resonance_loci,
     second_order_locus,
@@ -87,7 +82,6 @@ __all__ = [
     "SpectrumTable",
     "eigh",
     "exact_spectrum",
-    "sweep_exact",
     "validate_truncation",
     "DegeneracyClusters",
     "cluster_degeneracies",
@@ -100,7 +94,6 @@ __all__ = [
     "KamStepReport",
     "unitary_exp",
     "kam_step",
-    "kam_iterate",
     "kam_iterate_full",
     "Isometry",
     "IsometryRecord",
@@ -116,12 +109,8 @@ __all__ = [
     "METHOD_ORDER",
     "MethodLevel",
     "compute_levels",
-    "ClosedFormLevel",
+    "closed_form_table",
     "laguerre",
-    "jc_spectrum",
-    "rt2_spectrum",
-    "strong_avg_spectrum",
-    "strong_rt_spectrum",
     "displacement_element",
     "resonance_loci",
     "second_order_locus",

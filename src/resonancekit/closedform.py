@@ -9,14 +9,13 @@ chain; for every method except strong_avg a level with photon-like index n
 has parity (-1)^(n+1).
 
 Each closed form is written once, as an array program over a grid of
-couplings (``closed_form_table``); the per-coupling ``*_spectrum`` functions
-evaluate it on a one-element grid.  Sums, products, quotients and square
-roots are correctly rounded in numpy as in Python, so the arrays agree bit
-for bit with a scalar evaluation in the same operation order.  ``exp``,
-``hypot`` and ``** 2`` are not: numpy's versions differ from libm's
-``math.exp``, ``math.hypot`` and Python's float power by one ulp on some
-arguments, so those three are applied element by element through the
-Python functions.
+couplings (``closed_form_table``); a single coupling is a one-element grid.
+Sums, products, quotients and square roots are correctly rounded in numpy as
+in Python, so the arrays agree bit for bit with a scalar evaluation in the
+same operation order.  ``exp``, ``hypot`` and ``** 2`` are not: numpy's
+versions differ from libm's ``math.exp``, ``math.hypot`` and Python's float
+power by one ulp on some arguments, so those three are applied element by
+element through the Python functions.
 """
 
 from __future__ import annotations
@@ -27,17 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ClosedFormLevel",
     "ClosedFormTable",
     "ResonanceLocus",
     "laguerre",
     "laguerre_table",
     "f_laguerre",
     "closed_form_table",
-    "jc_spectrum",
-    "rt2_spectrum",
-    "strong_avg_spectrum",
-    "strong_rt_spectrum",
     "displacement_element",
     "resonance_loci",
     "second_order_locus",
@@ -50,24 +44,11 @@ from .spectrum import PARITY_EVEN, PARITY_ODD
 
 
 @dataclass(frozen=True)
-class ClosedFormLevel:
-    """One analytic level: photon-like index, branch, energy, parity label."""
-
-    n: int
-    branch: str  # "+", "-"
-    energy: float
-    method: str  # "jc", "rt2", "strong_avg", "strong_rt"
-    parity: str
-    spurious: bool = False
-
-
-@dataclass(frozen=True)
 class ClosedFormTable:
     """One closed form over a coupling grid.
 
     Slot s has the static labels ``n[s]``, ``branch[s]``, ``parity[s]`` and
-    ``spurious[s]``, in the order the per-coupling spectrum lists its levels;
-    ``energies[i, s]`` is its energy at the i-th coupling.
+    ``spurious[s]``; ``energies[i, s]`` is its energy at the i-th coupling.
     """
 
     n: np.ndarray
@@ -206,6 +187,11 @@ def _table(head, head_energies, ladder_n, upper, lower, lower_parity) -> ClosedF
 
 
 def _jc_table(w, w0, g, n_levels) -> ClosedFormTable:
+    """Dressed one-photon ladder E = omega*n +/- g*sqrt(n) for n = 0..n_levels.
+
+    The n = 0 "+" slot is the spurious zero introduced by the photon-shift
+    isometry; the physical n = 0 level sits in the "-" slot.
+    """
     _require_resonance(w, w0)
     n = np.arange(1, n_levels + 1)
     root = g[:, None] * np.sqrt(n)
@@ -214,6 +200,14 @@ def _jc_table(w, w0, g, n_levels) -> ClosedFormTable:
 
 
 def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
+    """Ladder after the combined two-photon transformation.
+
+    Special sectors: the mixed (0,2,-) pair E = w - g/sqrt(2) -/+
+    (1/2)sqrt((2w - g sqrt(2))^2 + 2 g^2); the lone (1,-) level E = w - g; and
+    three spurious zeros at the (0,+), (1,+), (2,+) kernel slots.  For n >= 3,
+    E = w(n-1) + (g/2)(sqrt(n-2) - sqrt(n))
+        +/- (1/2)sqrt((-2w + g(sqrt(n-2)+sqrt(n)))^2 + g^2 (n-1)).
+    """
     _require_resonance(w, w0)
     half_split = 0.5 * np.sqrt(_libm(_square, 2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
     center = w - g / math.sqrt(2.0)
@@ -236,6 +230,11 @@ def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
 
 
 def _strong_avg_table(w, w0, g, n_levels) -> ClosedFormTable:
+    """Displaced-oscillator average: E = w(n+1/2) - g^2/w -/+ (w0/2) f_n.
+
+    The "+" branch takes the minus sign.  Valid for any omega0.  Parity:
+    the "+" slot carries (-1)^(n+1), the "-" slot (-1)^n.
+    """
     r = 2.0 * g / w
     damp = _libm(math.exp, -0.5 * r * r)[:, None]
     f = damp * laguerre_table(n_levels, 0, r * r).T
@@ -250,6 +249,21 @@ def _strong_avg_table(w, w0, g, n_levels) -> ClosedFormTable:
 
 
 def _strong_rt_table(w, w0, g, n_levels) -> ClosedFormTable:
+    """Displaced ladder after the zero-field resonance transformation.
+
+    E_(0,+) = w/2 - g^2/w - (w0/2) exp(-2g^2/w^2); the (0,-) slot is the
+    spurious zero.  For n >= 1 the two branches come from the 2x2 block
+    mixing the n-th displaced pair:
+
+        E_(n,+/-) = n w - g^2/w - (w0/4) e^(-2g^2/w^2) (L_n - L_{n-1})
+                    +/- (1/2) sqrt(h^2 + c^2),
+        h = w - (w0/2) e^(-2g^2/w^2) (L_n + L_{n-1}),
+        c = (w0/w) (2g/sqrt(n)) e^(-2g^2/w^2) L^(1)_{n-1},
+
+    all Laguerre polynomials evaluated at 4g^2/w^2.  At g = 0 this reduces to
+    the doubly degenerate ladder {n w, n w} (at resonance), exact because the
+    zero-field resonance has been treated non-perturbatively.
+    """
     x = 4.0 * g * g / (w * w)
     damp = _libm(math.exp, -0.5 * x)
     lag = laguerre_table(n_levels, np.array([[0], [1]]), x)
@@ -277,78 +291,19 @@ _TABLES = {
 def closed_form_table(
     method: str, omega: float, omega0: float, g, n_levels: int
 ) -> ClosedFormTable:
-    """Every slot of the named closed form for photon-like index n = 0..n_levels
-    at each coupling of the 1-D grid ``g``; the formulas are those of the
-    per-coupling ``*_spectrum`` functions."""
+    """Every slot of the named closed form ("jc", "rt2", "strong_avg" or
+    "strong_rt") for photon-like index n = 0..n_levels at each coupling of the
+    1-D grid ``g``; the formulas are in the docstrings of the ``_*_table``
+    functions."""
     if method not in _TABLES:
         raise ValueError(f"unknown closed form {method!r}; known: {', '.join(_TABLES)}")
     return _TABLES[method](omega, omega0, np.asarray(g, dtype=float), n_levels)
-
-
-def _spectrum(method: str, params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
-    table = closed_form_table(method, params.omega, params.omega0, [params.g], n_levels)
-    return [
-        ClosedFormLevel(n, branch, energy, method, parity, spurious=spurious)
-        for n, branch, energy, parity, spurious in zip(
-            table.n.tolist(), table.branch, table.energies[0].tolist(),
-            table.parity, table.spurious.tolist(),
-        )
-    ]
-
-
-def jc_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
-    """Dressed one-photon ladder E = omega*n +/- g*sqrt(n) for n = 0..n_levels.
-
-    The n = 0 "+" slot is the spurious zero introduced by the photon-shift
-    isometry; the physical n = 0 level sits in the "-" slot.
-    """
-    return _spectrum("jc", params, n_levels)
 
 
 def rt2_mixing_angle(omega: float, g: float) -> float:
     """Angle of the (0,2,-) sector reflection: tan(2 theta) = g*sqrt(2)/(2w - g*sqrt(2)),
     with 0 <= theta < pi/2."""
     return 0.5 * math.atan2(g * math.sqrt(2.0), 2.0 * omega - g * math.sqrt(2.0))
-
-
-def rt2_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
-    """Ladder after the combined two-photon transformation.
-
-    Special sectors: the mixed (0,2,-) pair E = w - g/sqrt(2) -/+
-    (1/2)sqrt((2w - g sqrt(2))^2 + 2 g^2); the lone (1,-) level E = w - g; and
-    three spurious zeros at the (0,+), (1,+), (2,+) kernel slots.  For n >= 3,
-    E = w(n-1) + (g/2)(sqrt(n-2) - sqrt(n))
-        +/- (1/2)sqrt((-2w + g(sqrt(n-2)+sqrt(n)))^2 + g^2 (n-1)).
-    """
-    return _spectrum("rt2", params, n_levels)
-
-
-def strong_avg_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
-    """Displaced-oscillator average: E = w(n+1/2) - g^2/w -/+ (w0/2) f_n.
-
-    The "+" branch takes the minus sign.  Valid for any omega0.  Parity:
-    the "+" slot carries (-1)^(n+1), the "-" slot (-1)^n.
-    """
-    return _spectrum("strong_avg", params, n_levels)
-
-
-def strong_rt_spectrum(params: ModelParams, n_levels: int) -> list[ClosedFormLevel]:
-    """Displaced ladder after the zero-field resonance transformation.
-
-    E_(0,+) = w/2 - g^2/w - (w0/2) exp(-2g^2/w^2); the (0,-) slot is the
-    spurious zero.  For n >= 1 the two branches come from the 2x2 block
-    mixing the n-th displaced pair:
-
-        E_(n,+/-) = n w - g^2/w - (w0/4) e^(-2g^2/w^2) (L_n - L_{n-1})
-                    +/- (1/2) sqrt(h^2 + c^2),
-        h = w - (w0/2) e^(-2g^2/w^2) (L_n + L_{n-1}),
-        c = (w0/w) (2g/sqrt(n)) e^(-2g^2/w^2) L^(1)_{n-1},
-
-    all Laguerre polynomials evaluated at 4g^2/w^2.  At g = 0 this reduces to
-    the doubly degenerate ladder {n w, n w} (at resonance), exact because the
-    zero-field resonance has been treated non-perturbatively.
-    """
-    return _spectrum("strong_rt", params, n_levels)
 
 
 def resonance_loci(n_range, omega: float) -> list[ResonanceLocus]:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .averaging import (
     DEFAULT_TOL_DEG,
+    DegeneracyClusters,
     cluster_degeneracies,
     project_average,
     solve_cohomological,
@@ -20,9 +21,7 @@ __all__ = [
     "KamChain",
     "unitary_exp",
     "kam_step",
-    "kam_iterate",
     "kam_iterate_full",
-    "conjugate_by_series",
 ]
 
 W_NORM_DIVERGENCE = 10.0
@@ -74,9 +73,14 @@ def unitary_exp(W) -> np.ndarray:
     return u
 
 
+def _spectral_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(h)).max())
+
+
 def _offblock_residual(V, decomp, clusters) -> float:
     v = _mat(V)
-    return float(np.linalg.norm(v - project_average(v, decomp, clusters), 2))
+    return _spectral_norm(v - project_average(v, decomp, clusters))
 
 
 def kam_step(
@@ -84,20 +88,25 @@ def kam_step(
     V,
     decomp: EigenDecomposition,
     clusters,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, KamStepReport]:
+) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+    EigenDecomposition, DegeneracyClusters, KamStepReport,
+]:
     """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W).
 
-    Returns (H_new, D, V_new, U, report) with D the averaged part of V,
-    V_new = H_new - H0 - D the new perturbation, of quadratic order away from
-    resonances, and U = exp(W) the unitary of the step.  Conjugation is a
-    numerically exact triple product with the spectrally built unitary, not a
-    truncated series.  Divergence (residual growth, or ||W|| beyond the
-    blow-up threshold) is reported, not raised.
+    Returns (H_new, D, V_new, U, decomp_new, clusters_new, report) with D the
+    averaged part of V, V_new = H_new - H0 - D the new perturbation, of
+    quadratic order away from resonances, U = exp(W) the unitary of the step,
+    and decomp_new, clusters_new the decomposition and clusters of the new
+    reference H0 + D that the report's residual_after is measured in.
+    Conjugation is a numerically exact triple product with the spectrally
+    built unitary, not a truncated series.  Divergence (residual growth, or
+    ||W|| beyond the blow-up threshold) is reported, not raised.
     """
     h0 = _mat(H0)
     v = _mat(V)
     w = solve_cohomological(v, decomp, clusters)
-    w_norm = float(np.linalg.norm(w, 2))
+    w_norm = _spectral_norm(1j * w)
     u = unitary_exp(w)
     h_new = u.conj().T @ (h0 + v) @ u
     h_new = 0.5 * (h_new + h_new.conj().T)
@@ -110,7 +119,7 @@ def kam_step(
     clusters_new = cluster_degeneracies(decomp_new, clusters.tol_deg)
     after = _offblock_residual(v_new, decomp_new, clusters_new)
 
-    h0_scale = max(float(np.linalg.norm(h0, 2)), np.finfo(float).tiny)
+    h0_scale = max(_spectral_norm(h0), np.finfo(float).tiny)
     ratio = after / before if before > 0 else 0.0
     report = KamStepReport(
         step=0,
@@ -121,7 +130,7 @@ def kam_step(
         epsilon=before / h0_scale,
         w_norm=w_norm,
     )
-    return h_new, d, v_new, u, report
+    return h_new, d, v_new, u, decomp_new, clusters_new, report
 
 
 def kam_iterate_full(
@@ -149,24 +158,26 @@ def kam_iterate_full(
     if tol_deg is None:
         tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
 
+    decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    clusters = cluster_degeneracies(decomp, tol_deg)
+    residual = _offblock_residual(v, decomp, clusters)
     for step in range(1, max_steps + 1):
-        decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-        clusters = cluster_degeneracies(decomp, tol_deg)
-        residual = _offblock_residual(v, decomp, clusters)
-        if residual <= stop_tol * max(float(np.linalg.norm(h0, 2)), np.finfo(float).tiny):
+        # decomp is the eigendecomposition of the current h0
+        h0_norm = float(np.abs(decomp.values).max())
+        if residual <= stop_tol * max(h0_norm, np.finfo(float).tiny):
             break
-        _, d, v_new, u, report = kam_step(h0, v, decomp, clusters)
+        # decomp, clusters and residual_after belong to the updated h0 below
+        _, d, v, u, decomp, clusters, report = kam_step(h0, v, decomp, clusters)
         reports.append(KamStepReport(**{**report.__dict__, "step": step}))
+        residual = report.residual_after
         u_total = u_total @ u
         h0 = h0 + d
         h0 = 0.5 * (h0 + h0.conj().T)
-        v = v_new
         if report.diverged:
             diverged = True
             break
 
-    ref_decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    basis = ref_decomp.vectors
+    basis = decomp.vectors
     operator = h0 + v
     estimate = np.real(np.diag(basis.conj().T @ operator @ basis))
     return KamChain(
@@ -177,31 +188,3 @@ def kam_iterate_full(
         vectors=u_total @ basis,
         diverged=diverged,
     )
-
-
-def kam_iterate(
-    H0,
-    V,
-    max_steps: int,
-    stop_tol: float = 1e-12,
-    tol_deg: float | None = None,
-) -> tuple[np.ndarray, tuple[KamStepReport, ...]]:
-    """Diagonal spectrum estimate plus per-step reports (see kam_iterate_full)."""
-    chain = kam_iterate_full(H0, V, max_steps, stop_tol, tol_deg)
-    return chain.estimate, chain.reports
-
-
-def conjugate_by_series(H, W, m_max: int = 12) -> np.ndarray:
-    """Series form of exp(-W) H exp(W), commutator expansion cut at order m_max.
-
-    Cross-check mode only: the iteration itself always conjugates exactly.
-    Accurate to roughly ||W||^(m_max+1)/(m_max+1)! relative.
-    """
-    h = _mat(H)
-    w = _mat(W)
-    term = h.copy()
-    acc = h.copy()
-    for m in range(1, m_max + 1):
-        term = (term @ w - w @ term) / m
-        acc = acc + term
-    return acc

@@ -1,10 +1,11 @@
-"""Exact oracle from the two parity blocks of H (sweeps, truncation checks)
-and the checked dense Hermitian eigensolver the matrix chains use."""
+"""Exact oracle from the two parity blocks of H (truncation checks), the
+checked dense Hermitian eigensolver the matrix chains use, and the row and
+table records of a coupling sweep.  Sweeps themselves, the exact oracle's
+included, run through ``sweep.run_sweep``, which enforces the guard band."""
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +24,8 @@ __all__ = [
     "eigh",
     "eigh_block",
     "exact_spectrum",
-    "sweep_exact",
     "validate_truncation",
 ]
-
-log = logging.getLogger(__name__)
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -69,21 +67,8 @@ class SpectrumRow:
 class SpectrumTable:
     """Per-(g, method, level) eigenvalue records over a coupling sweep."""
 
-    rows: list[SpectrumRow] = field(default_factory=list)
-    failures: list[tuple[float, str, str]] = field(default_factory=list)
-
-    def energies(self, g: float, method: str) -> np.ndarray:
-        sel = [r.energy for r in self.rows if r.g == g and r.method == method]
-        return np.array(sel)
-
-    def select(self, method: str) -> list[SpectrumRow]:
-        return [r for r in self.rows if r.method == method]
-
-    def g_values(self) -> list[float]:
-        seen: dict[float, None] = {}
-        for r in self.rows:
-            seen.setdefault(r.g, None)
-        return list(seen)
+    rows: tuple[SpectrumRow, ...] = ()
+    failures: tuple[tuple[float, str, str], ...] = ()
 
 
 def _gap_ids(values: np.ndarray, tol: float) -> np.ndarray:
@@ -146,45 +131,6 @@ def exact_spectrum(
     tol = _DEGENERACY_RTOL * max(1.0, np.abs(values).max())
     is_odd = is_odd[np.lexsort((is_odd, _gap_ids(values, tol)))]
     return values, tuple(PARITY_ODD if o else PARITY_EVEN for o in is_odd)
-
-
-def sweep_exact(
-    params: ModelParams,
-    g_values,
-    trunc: TruncationConfig,
-    n_levels: int,
-) -> SpectrumTable:
-    """Exact spectrum over a strictly increasing g grid.
-
-    One row per (g, level) for the lowest n_levels levels, parity-labeled and
-    in ascending energy order.  Per-point eigensolver failures are logged and
-    recorded in ``table.failures``; the sweep continues.
-    """
-    g_values = [float(g) for g in g_values]
-    if any(b <= a for a, b in zip(g_values, g_values[1:])):
-        raise ValueError("g grid must be strictly increasing")
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    table = SpectrumTable()
-    for g in g_values:
-        try:
-            values, parity = exact_spectrum(replace(params, g=g), trunc)
-        except Exception as exc:  # point marked failed, sweep continues
-            log.warning("exact sweep failed at g=%.6g: %s", g, exc)
-            table.failures.append((g, "exact", str(exc)))
-            continue
-        for level in range(n_levels):
-            table.rows.append(
-                SpectrumRow(
-                    g=g,
-                    method="exact",
-                    level=level,
-                    branch="unassigned",
-                    parity=parity[level],
-                    energy=float(values[level]),
-                )
-            )
-    return table
 
 
 def validate_truncation(params: ModelParams, trunc: TruncationConfig) -> int:

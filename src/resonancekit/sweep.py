@@ -46,7 +46,7 @@ LOCUS_CSV_HEADER = "kind,n,g_locus,nearest_grid_g,min_gap_g,min_gap,note"
 
 DEFAULT_METHODS = ("exact", "jc", "strong_rt")
 
-_FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max", "tol_deg", "tol_active")
+_FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max")
 _INT_KEYS = ("g_steps", "n_max", "n_levels")
 
 
@@ -56,8 +56,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep parameters.  ``tol_deg`` and ``tol_active`` are
-    relative tolerances (fractions of omega and of the perturbation norm)."""
+    """Validated sweep parameters."""
 
     omega: float = 1.0
     omega0: float = 1.0
@@ -67,8 +66,6 @@ class SweepConfig:
     n_max: int = 60
     n_levels: int = 12
     methods: tuple[str, ...] = DEFAULT_METHODS
-    tol_deg: float = 1e-8
-    tol_active: float = 1e-10
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
@@ -99,10 +96,6 @@ class SweepConfig:
             )
         ordered = tuple(m for m in METHOD_ORDER if m in set(self.methods))
         object.__setattr__(self, "methods", ordered)
-        if self.tol_deg <= 0:
-            raise ValueError(f"tol_deg must be positive, got {self.tol_deg}")
-        if self.tol_active <= 0:
-            raise ValueError(f"tol_active must be positive, got {self.tol_active}")
 
     def g_grid(self) -> np.ndarray:
         return np.linspace(self.g_min, self.g_max, self.g_steps)

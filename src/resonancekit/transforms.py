@@ -320,7 +320,7 @@ def _rt2_family(params: ModelParams, fock_dim: int) -> list[np.ndarray]:
     ]
 
 
-def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> TransformedHamiltonian:
+def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     """Two-photon resonant transformation on a one-photon-transformed chain.
 
     Extracts the resonant part of the chain's operator with the combined
@@ -332,8 +332,6 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
     params = H1.params
     if params is None or H1.trunc is None:
         raise ValueError("rt_two_photon needs the params/trunc carried by rt_one_photon")
-    if g is None:
-        g = params.g
     w = params.omega
     fock_dim = H1.trunc.n_max + 1
     dim = 2 * fock_dim
@@ -346,7 +344,7 @@ def rt_two_photon(H1: TransformedHamiltonian, g: float | None = None) -> Transfo
     # (0,+) and on the "-" block, then the reflection by the mixing angle on
     # the (0,-)/(2,-) pair.
     shift = _shift_remap(fock_dim, 0, 2, first=1)
-    theta = rt2_mixing_angle(w, g)
+    theta = rt2_mixing_angle(w, params.g)
     c, s = math.cos(theta), math.sin(theta)
     reflection_idx = np.array([[basis_index(0, 1), basis_index(2, 1)]])
     reflection_q = np.array([[[-c, -s], [-s, c]]], dtype=complex)
@@ -540,7 +538,6 @@ def spurious_filter(
     values: np.ndarray,
     vectors: np.ndarray,
     spurious: tuple[SpuriousLevel, ...],
-    zero_tol: float | None = None,
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Remove exactly one zero level per kernel vector.
 
@@ -551,8 +548,7 @@ def spurious_filter(
     Returns (cleaned values, kept indices, removed indices).
     """
     values = np.asarray(values, dtype=float)
-    if zero_tol is None:
-        zero_tol = 1e-8 * max(1.0, np.abs(values).max())
+    zero_tol = 1e-8 * max(1.0, np.abs(values).max())
     removed: list[int] = []
     for sp in spurious:
         w = sp.vector / max(np.linalg.norm(sp.vector), np.finfo(float).tiny)

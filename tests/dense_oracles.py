@@ -3,7 +3,9 @@ every chain step, for checking the structured conjugations of
 ``resonancekit.transforms`` against plain ``S^H X S`` products.
 
 The runtime never forms these matrices; they exist only so the tests can
-compare the index-remap implementation with the textbook one.
+compare the index-remap implementation with the textbook one.  The
+commutator-series conjugation plays the same role for ``resonancekit.kam``,
+which conjugates by an exactly unitary exp(W).
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from resonancekit.averaging import cluster_degeneracies, combined_projector
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
-from resonancekit.operators import TruncatedOperator, basis_index
+from resonancekit.operators import TruncatedOperator, _mat, basis_index
 from resonancekit.spectrum import eigh
 from resonancekit.transforms import atom_rotation_t
 
@@ -161,3 +163,18 @@ def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
         _, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
         q[np.ix_(idx, idx)] = vecs
     return u @ q
+
+
+def conjugate_by_series(H, W, m_max: int = 12) -> np.ndarray:
+    """Series form of exp(-W) H exp(W), commutator expansion cut at order m_max.
+
+    Accurate to roughly ||W||^(m_max+1)/(m_max+1)! relative.
+    """
+    h = _mat(H)
+    w = _mat(W)
+    term = h.copy()
+    acc = h.copy()
+    for m in range(1, m_max + 1):
+        term = (term @ w - w @ term) / m
+        acc = acc + term
+    return acc

@@ -120,6 +120,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert max(r.g for r in table.rows) == 0.3  # flag beats the file value
 
 
+@pytest.mark.parametrize("key", ["tol_deg", "tol_active"])
+def test_config_file_unknown_key_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"g_steps=4\n{key}=1e-3\n")
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"unknown key '{key}'" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "absent.cfg"),
                "--out", str(tmp_path / "x.csv")])

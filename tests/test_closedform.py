@@ -1,6 +1,7 @@
 """Closed-form ladders, Laguerre helpers, resonance loci."""
 
 import math
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,15 +15,11 @@ from resonancekit.closedform import (
     closed_form_table,
     displacement_element,
     f_laguerre,
-    jc_spectrum,
     laguerre,
     laguerre_table,
     require_one_photon_resonance,
     resonance_loci,
-    rt2_spectrum,
     second_order_locus,
-    strong_avg_spectrum,
-    strong_rt_spectrum,
 )
 from resonancekit.methods import closed_form_sweep, compute_levels
 from resonancekit.operators import (
@@ -37,6 +34,21 @@ import scalar_closed_forms
 
 def _params(g, omega0=None):
     return ModelParams(omega=1.0, omega0=1.0 if omega0 is None else omega0, g=g)
+
+
+_Slot = namedtuple("_Slot", "n branch energy parity spurious")
+
+
+def _slots(method, params, n_levels):
+    """Every slot of a closed form at the coupling of ``params``."""
+    table = closed_form_table(method, params.omega, params.omega0, [params.g], n_levels)
+    return [
+        _Slot(*slot)
+        for slot in zip(
+            table.n.tolist(), table.branch, table.energies[0].tolist(),
+            table.parity, table.spurious.tolist(),
+        )
+    ]
 
 
 def _physical(levels):
@@ -153,7 +165,7 @@ def test_require_one_photon_resonance():
 
 
 def test_jc_spectrum_decoupled_ladder():
-    levels = jc_spectrum(_params(0.0), 4)
+    levels = _slots("jc", _params(0.0), 4)
     assert _physical(levels) == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
     spurious = [lv for lv in levels if lv.spurious]
     assert len(spurious) == 1
@@ -162,21 +174,21 @@ def test_jc_spectrum_decoupled_ladder():
 
 def test_jc_spectrum_matches_exact_pair_diagonalization():
     params = _params(0.35)
-    closed = _physical(jc_spectrum(params, 12))[:10]
+    closed = _physical(_slots("jc", params, 12))[:10]
     exact = eigh(build_jaynes_cummings(params, TruncationConfig(n_max=40)))
     np.testing.assert_allclose(closed, exact.values[:10], atol=1e-12)
 
 
 def test_jc_spectrum_branch_values():
     params = _params(0.2)
-    by_key = {(lv.n, lv.branch): lv.energy for lv in jc_spectrum(params, 5)}
+    by_key = {(lv.n, lv.branch): lv.energy for lv in _slots("jc", params, 5)}
     for n in range(1, 6):
         assert by_key[(n, "+")] == pytest.approx(n + 0.2 * math.sqrt(n), rel=1e-15)
         assert by_key[(n, "-")] == pytest.approx(n - 0.2 * math.sqrt(n), rel=1e-15)
 
 
 def test_rt2_spectrum_decoupled_reduces_to_free_ladder():
-    levels = rt2_spectrum(_params(0.0), 6)
+    levels = _slots("rt2", _params(0.0), 6)
     pairs = [[n - 2.0, float(n)] for n in range(3, 7)]
     assert _physical(levels) == sorted([0.0, 1.0, 2.0] + sum(pairs, []))
     assert sum(lv.spurious for lv in levels) == 3
@@ -186,29 +198,29 @@ def test_rt2_spectrum_keeps_gap_open_at_first_active_locus():
     # At g_1 = 2w/(1 + sqrt(3)) the one-photon ladder has an exact crossing;
     # the two-photon treatment replaces it with a gap ~ g*sqrt(n+... ).
     g1 = 2.0 / (1.0 + math.sqrt(3.0))
-    by_key = {(lv.n, lv.branch): lv.energy for lv in rt2_spectrum(_params(g1), 6)}
+    by_key = {(lv.n, lv.branch): lv.energy for lv in _slots("rt2", _params(g1), 6)}
     gap = by_key[(3, "+")] - by_key[(3, "-")]
     assert gap == pytest.approx(g1 * math.sqrt(2.0), rel=1e-10)
 
 
 def test_strong_avg_spectrum_decoupled_ladder():
-    levels = strong_avg_spectrum(_params(0.0), 5)
+    levels = _slots("strong_avg", _params(0.0), 5)
     assert _physical(levels)[:8] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
 
 
 def test_strong_avg_branches_cross_where_f1_vanishes():
-    by_key = {(lv.n, lv.branch): lv.energy for lv in strong_avg_spectrum(_params(0.5), 3)}
+    by_key = {(lv.n, lv.branch): lv.energy for lv in _slots("strong_avg", _params(0.5), 3)}
     assert by_key[(1, "+")] == by_key[(1, "-")]
 
 
 def test_strong_rt_spectrum_decoupled_is_exact():
-    levels = strong_rt_spectrum(_params(0.0), 4)
+    levels = _slots("strong_rt", _params(0.0), 4)
     assert _physical(levels) == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
 
 
 def test_strong_rt_ground_level_formula():
     params = _params(0.8)
-    by_key = {(lv.n, lv.branch): lv for lv in strong_rt_spectrum(params, 2)}
+    by_key = {(lv.n, lv.branch): lv for lv in _slots("strong_rt", params, 2)}
     expect = 0.5 - 0.8**2 - 0.5 * math.exp(-2 * 0.8**2)
     assert by_key[(0, "+")].energy == pytest.approx(expect, rel=1e-14)
     assert by_key[(0, "-")].spurious
@@ -217,7 +229,7 @@ def test_strong_rt_ground_level_formula():
 
 def test_strong_rt_spurious_zero_at_any_coupling():
     for g in (0.0, 1.0, 2.5):
-        levels = strong_rt_spectrum(_params(g), 3)
+        levels = _slots("strong_rt", _params(g), 3)
         spurious = [lv for lv in levels if lv.spurious]
         assert len(spurious) == 1
         assert (spurious[0].n, spurious[0].branch, spurious[0].energy) == (0, "-", 0.0)
@@ -226,8 +238,8 @@ def test_strong_rt_spurious_zero_at_any_coupling():
 def test_strong_variants_coincide_at_large_coupling():
     diffs = []
     for g in (2.5, 3.0, 3.5, 4.0):
-        avg = _physical(strong_avg_spectrum(_params(g), 12))[:8]
-        rt = _physical(strong_rt_spectrum(_params(g), 12))[:8]
+        avg = _physical(_slots("strong_avg", _params(g), 12))[:8]
+        rt = _physical(_slots("strong_rt", _params(g), 12))[:8]
         diffs.append(max(abs(a - b) for a, b in zip(avg, rt)))
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-2
@@ -357,7 +369,7 @@ def test_second_order_ladder_error_is_third_order():
             [_second_order_pair(0, g)[0]]
             + [e for n in range(1, 5) for e in _second_order_pair(n, g)]
         )
-        first = _physical(jc_spectrum(_params(g), 4))
+        first = _physical(_slots("jc", _params(g), 4))
         return (np.abs(np.asarray(second) - exact).max(),
                 np.abs(np.asarray(first) - exact).max())
 

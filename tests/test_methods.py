@@ -15,7 +15,7 @@ from resonancekit.methods import (
     compute_levels,
     kam_truncation,
 )
-from resonancekit.closedform import jc_spectrum
+from resonancekit.closedform import closed_form_table
 from resonancekit.operators import ModelParams, TruncationConfig
 
 
@@ -138,9 +138,9 @@ def test_exact_method_matches_oracle_head():
 
 
 def test_jc_method_equals_closed_form():
-    params = _params(0.3)
     got = _energies("jc", 0.3, 10)
-    closed = sorted(lv.energy for lv in jc_spectrum(params, 14) if not lv.spurious)
+    table = closed_form_table("jc", 1.0, 1.0, [0.3], 14)
+    closed = np.sort(table.energies[0][~table.spurious])
     np.testing.assert_allclose(got, closed[:10], atol=1e-12)
 
 

@@ -20,9 +20,9 @@ from resonancekit.spectrum import (
     eigh,
     eigh_block,
     exact_spectrum,
-    sweep_exact,
     validate_truncation,
 )
+from resonancekit.sweep import SweepConfig, run_sweep
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
 # n_max=60 (agreement below 2e-14).  omega = omega0 = 1, g = 0.2.
@@ -203,21 +203,22 @@ def test_parity_block_trace_equals_eigenvalue_sum(omega, omega0, g, n_max):
 # ---------------------------------------------------------------- sweeps
 
 
-def test_sweep_exact_validates_input():
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=10)
-    with pytest.raises(ValueError, match="g grid must be strictly increasing"):
-        sweep_exact(params, [0.2, 0.1], trunc, 4)
-    with pytest.raises(ValueError, match="n_levels must be >= 1"):
-        sweep_exact(params, [0.1], trunc, 0)
+def _exact_sweep(g_min, g_max, g_steps, n_max, n_levels):
+    """Exact rows of a sweep over linspace(g_min, g_max, g_steps)."""
+    config = SweepConfig(
+        g_min=g_min, g_max=g_max, g_steps=g_steps, n_max=n_max,
+        n_levels=n_levels, methods=("exact",), output_path="",
+    )
+    table = run_sweep(config)
+    assert not table.failures
+    return table
 
 
 def test_sweep_exact_single_point_matches_eigh():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.45)
     trunc = TruncationConfig(n_max=24)
-    table = sweep_exact(params, [0.45], trunc, 8)
+    table = _exact_sweep(0.45, 0.45, 1, trunc.n_max, 8)
     assert len(table.rows) == 8
-    assert not table.failures
     direct = eigh(build_rabi(params, trunc))
     np.testing.assert_allclose([r.energy for r in table.rows], direct.values[:8], rtol=1e-12)
     assert [r.parity for r in table.rows] == _dense_parity_labels(params, trunc, 8)
@@ -227,10 +228,8 @@ def test_sweep_exact_single_point_matches_eigh():
 
 
 def test_sweep_exact_rows_grouped_and_ascending():
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=20)
     grid = [0.0, 0.2, 0.4]
-    table = sweep_exact(params, grid, trunc, 6)
+    table = _exact_sweep(0.0, 0.4, 3, 20, 6)
     assert len(table.rows) == 18
     for i, g in enumerate(grid):
         chunk = table.rows[6 * i : 6 * (i + 1)]
@@ -240,9 +239,7 @@ def test_sweep_exact_rows_grouped_and_ascending():
 
 
 def test_small_coupling_displaces_low_levels_weakly():
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=40)
-    table = sweep_exact(params, [0.0, 0.1], trunc, 3)
+    table = _exact_sweep(0.0, 0.1, 2, 40, 3)
     e0 = np.array([r.energy for r in table.rows if r.g == 0.0])
     e1 = np.array([r.energy for r in table.rows if r.g == 0.1])
     assert np.abs(e1 - e0).max() <= 0.12
@@ -251,10 +248,8 @@ def test_small_coupling_displaces_low_levels_weakly():
 def test_parity_class_continuity_across_sweep():
     # Within one parity class, sorted energies move smoothly: the largest
     # grid-adjacent change stays below 5x the median grid-adjacent change.
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=40)
     grid = np.linspace(0.4, 0.9, 51)
-    table = sweep_exact(params, grid, trunc, 10)
+    table = _exact_sweep(0.4, 0.9, 51, 40, 10)
     for parity in (PARITY_EVEN, PARITY_ODD):
         per_g = []
         for g in grid:
@@ -269,10 +264,8 @@ def test_parity_class_continuity_across_sweep():
 def test_same_parity_minimum_gap_sits_near_first_even_locus():
     # The lowest pair of odd levels reaches its minimum gap close to
     # g = sqrt(2), where the two-photon mixing is strongest.
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
-    trunc = TruncationConfig(n_max=60)
     grid = np.linspace(1.2, 1.9, 71)
-    table = sweep_exact(params, grid, trunc, 10)
+    table = _exact_sweep(1.2, 1.9, 71, 60, 10)
     gaps = []
     for g in grid:
         odd = sorted(r.energy for r in table.rows if r.g == g and r.parity == PARITY_ODD)

@@ -59,16 +59,14 @@ def test_config_defaults_and_grid():
         ({"g_steps": 0}, "g_steps must be >= 1"),
         ({"n_max": 0}, "n_max must be >= 1"),
         ({"n_levels": 0}, "n_levels must be >= 1"),
-        ({"tol_deg": 0.0}, "tol_deg must be positive"),
-        ({"tol_active": -1.0}, "tol_active must be positive"),
+        ({"omega": -2.0}, "omega must be positive"),
+        ({"g_min": 1.0, "g_max": 0.5}, "g_min must not exceed g_max"),
         ({"methods": ()}, "methods must be a non-empty set"),
         ({"methods": ("exact", "nope")}, "unknown entries ['nope']"),
         ({"omega": float("inf")}, "omega must be finite"),
         ({"omega0": float("nan")}, "omega0 must be finite"),
         ({"g_min": float("nan")}, "g_min must be finite"),
         ({"g_max": float("inf")}, "g_max must be finite"),
-        ({"tol_deg": float("nan")}, "tol_deg must be finite"),
-        ({"tol_active": float("inf")}, "tol_active must be finite"),
     ],
 )
 def test_config_validation_messages(kwargs, fragment):

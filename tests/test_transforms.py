@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resonancekit.closedform import displacement_element, rt2_mixing_angle
+from resonancekit.closedform import closed_form_table, displacement_element, rt2_mixing_angle
 from resonancekit.methods import levels_from_chain, rabi_rt2_chain
 from resonancekit.operators import (
     ATOM_MINUS,
@@ -324,15 +324,12 @@ def test_rt_two_photon_decoupled_levels_form_shifted_ladder():
 
 
 def test_rt_two_photon_matches_closed_form():
-    from resonancekit.closedform import rt2_spectrum
-
     params = _params(0.3)
     trunc = TruncationConfig(n_max=40)
     th2 = rabi_rt2_chain(params, trunc)
     chain_levels = [lv.energy for lv in levels_from_chain(th2, 10)]
-    closed = sorted(
-        lv.energy for lv in rt2_spectrum(params, 14) if not lv.spurious
-    )[:10]
+    table = closed_form_table("rt2", params.omega, params.omega0, [params.g], 14)
+    closed = np.sort(table.energies[0][~table.spurious])[:10]
     np.testing.assert_allclose(chain_levels, closed, atol=1e-8)
 
 
