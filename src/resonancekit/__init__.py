@@ -27,7 +27,6 @@ from .spectrum import (
 )
 from .averaging import (
     DegeneracyClusters,
-    cluster_degeneracies,
     project_average,
     solve_cohomological,
     classify_resonances,
@@ -40,7 +39,6 @@ from .transforms import (
     IsometryRecord,
     SpuriousLevel,
     TransformedHamiltonian,
-    atom_rotate,
     rt_one_photon,
     rt_two_photon,
     generic_numeric_rt,
@@ -84,7 +82,6 @@ __all__ = [
     "exact_spectrum",
     "validate_truncation",
     "DegeneracyClusters",
-    "cluster_degeneracies",
     "project_average",
     "solve_cohomological",
     "classify_resonances",
@@ -99,7 +96,6 @@ __all__ = [
     "IsometryRecord",
     "SpuriousLevel",
     "TransformedHamiltonian",
-    "atom_rotate",
     "rt_one_photon",
     "rt_two_photon",
     "generic_numeric_rt",

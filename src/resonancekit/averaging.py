@@ -17,7 +17,6 @@ from .spectrum import EigenDecomposition, _gap_ids
 __all__ = [
     "DegeneracyClusters",
     "cluster_levels",
-    "cluster_degeneracies",
     "project_average",
     "solve_cohomological",
     "classify_resonances",
@@ -70,11 +69,6 @@ def cluster_levels(values: np.ndarray, tol_deg: float) -> DegeneracyClusters:
     clusters = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
     means = np.add.reduceat(values, starts) / np.diff(bounds)
     return DegeneracyClusters(clusters=clusters, means=tuple(means.tolist()), tol_deg=tol_deg)
-
-
-def cluster_degeneracies(decomp: EigenDecomposition, tol_deg: float) -> DegeneracyClusters:
-    """:func:`cluster_levels` over the eigenvalues of a decomposition."""
-    return cluster_levels(decomp.values, tol_deg)
 
 
 def _in_cluster_mask(clusters: DegeneracyClusters) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from .averaging import (
     DEFAULT_TOL_DEG,
     DegeneracyClusters,
-    cluster_degeneracies,
+    cluster_levels,
     project_average,
     solve_cohomological,
 )
@@ -116,7 +116,7 @@ def kam_step(
 
     ref_new = 0.5 * ((h0 + d) + (h0 + d).conj().T)
     decomp_new = eigh(TruncatedOperator(entries=ref_new, hermitian=True))
-    clusters_new = cluster_degeneracies(decomp_new, clusters.tol_deg)
+    clusters_new = cluster_levels(decomp_new.values, clusters.tol_deg)
     after = _offblock_residual(v_new, decomp_new, clusters_new)
 
     h0_scale = max(_spectral_norm(h0), np.finfo(float).tiny)
@@ -159,7 +159,7 @@ def kam_iterate_full(
         tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
 
     decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    clusters = cluster_degeneracies(decomp, tol_deg)
+    clusters = cluster_levels(decomp.values, tol_deg)
     residual = _offblock_residual(v, decomp, clusters)
     for step in range(1, max_steps + 1):
         # decomp is the eigendecomposition of the current h0

@@ -4,8 +4,10 @@ Every method maps (params, trunc, n_levels) to the same shape of output: the
 lowest physical levels in ascending energy order, spurious kernel zeros
 already filtered, each level carrying a branch tag (closed forms only), a
 parity label, and its energy.  The exact oracle's labels hold by
-construction, matrix chains read theirs off the conjugated parity operator,
-closed forms carry analytic labels.  No matrix path emits guard-band levels.
+construction, matrix chains read theirs off the parity sign vector each
+chain carries (slot k of a chain is one level; the contact-iteration
+refinements weight the signs by their eigenvectors), closed forms carry
+analytic labels.  No matrix path emits guard-band levels.
 
 Truncation policy: matrix chains run at the caller's truncation, except the
 contact-iteration refinements (rt1_kam, rt_full_kam), which rebuild their
@@ -18,11 +20,11 @@ of a large Fock box violates that long before the levels of interest do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import build_effective, cluster_degeneracies
+from .averaging import build_effective, cluster_levels
 from .closedform import closed_form_table, require_one_photon_resonance
 from .kam import kam_iterate_full
 from .operators import (
@@ -42,7 +44,6 @@ from .spectrum import (
 )
 from .transforms import (
     TransformedHamiltonian,
-    atom_rotate,
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
@@ -173,31 +174,21 @@ def closed_form_sweep(
     return out
 
 
-def _parity_label(vector: np.ndarray, parity_mat: np.ndarray | None) -> str:
-    if parity_mat is None:
-        return PARITY_NA
-    expectation = float(np.real(vector.conj() @ parity_mat @ vector))
-    if expectation >= _OVERLAP_MIN:
-        return PARITY_EVEN
-    if expectation <= -_OVERLAP_MIN:
-        return PARITY_ODD
-    return PARITY_UNCLASSIFIED
-
-
 def _extract_levels(
     values: np.ndarray,
-    vectors: np.ndarray,
-    parity_mat: np.ndarray | None,
+    photon: np.ndarray,
+    parity: np.ndarray | None,
     spurious,
     loss_band: int,
     n_max: int,
     n_levels: int,
 ) -> list[MethodLevel]:
-    """Shared tail of every matrix path: drop kernel zeros by eigenvector
-    overlap, drop levels living in the corrupted top photon band, sort, rank."""
+    """Shared tail of every matrix path, on per-level data: energies, photon
+    numbers, parity expectations (None: no parity bookkeeping) and kernel
+    vectors in the basis of the levels.  Drops kernel zeros by overlap, drops
+    levels living in the corrupted top photon band, sorts, ranks."""
     values = np.asarray(values, dtype=float)
-    _, kept, _ = spurious_filter(values, vectors, tuple(spurious))
-    photon = np.argmax(np.abs(vectors), axis=0) // 2
+    _, kept, _ = spurious_filter(values, tuple(spurious))
     usable = np.asarray(kept, dtype=int)
     usable = usable[photon[usable] <= n_max - loss_band]
     usable = usable[np.argsort(values[usable], kind="stable")]
@@ -206,26 +197,23 @@ def _extract_levels(
             f"requested {n_levels} levels but only {len(usable)} survive the "
             f"guard band (loss_band={loss_band}, n_max={n_max})"
         )
-    out = []
-    for rank, k in enumerate(usable[:n_levels]):
-        out.append(
-            MethodLevel(
-                level=rank,
-                branch=BRANCH_UNASSIGNED,
-                parity=_parity_label(vectors[:, k], parity_mat),
-                energy=float(values[k]),
-            )
-        )
-    return out
+    labels = np.full(values.size, PARITY_NA if parity is None else PARITY_UNCLASSIFIED, object)
+    if parity is not None:
+        labels[parity >= _OVERLAP_MIN] = PARITY_EVEN
+        labels[parity <= -_OVERLAP_MIN] = PARITY_ODD
+    return [
+        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
+        for rank, k in enumerate(usable[:n_levels])
+    ]
 
 
 def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
-    """Read levels off a chain: slot energies are the level estimates, slot
-    vectors the (current-basis) eigenvectors."""
-    vectors = np.eye(th.dim, dtype=complex)
+    """Read levels off a chain: slot k is a level with energy ``levels[k]``,
+    photon number k // 2 and parity ``parity[k]``; a kernel vector's
+    component k is its overlap with slot k."""
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
     return _extract_levels(
-        th.levels, vectors, th.parity, th.spurious, th.loss_band, n_max, n_levels
+        th.levels, np.arange(th.dim) // 2, th.parity, th.spurious, th.loss_band, n_max, n_levels
     )
 
 
@@ -254,17 +242,16 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     th = strong_chain(build_rabi(params, trunc), params, trunc)
     reference = np.diag(th.levels)
     decomp = eigh(TruncatedOperator(entries=reference, hermitian=True))
-    clusters = cluster_degeneracies(decomp, 1e-8 * params.omega)
+    clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
     heff = build_effective(reference, th.operator - reference, decomp, clusters)
     return eigh(heff), th
 
 
 def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
-    """Matrix path behind strong_rt: displaced chain, atomic rotation,
-    zero-field photon-shift reduction, numeric diagonalization of the
-    doublet blocks of the averaged operator."""
+    """Matrix path behind strong_rt: displaced chain, zero-field photon-shift
+    reduction, numeric diagonalization of the doublet blocks of the averaged
+    operator."""
     th = strong_chain(build_rabi(params, trunc), params, trunc)
-    th = atom_rotate(th)
     th = rt_zero_field(th)
     return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
 
@@ -301,14 +288,15 @@ def _kam_levels(
         tol_deg=PHYSICAL_CLUSTER_FRACTION * params.omega,
     )
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
+    # Each eigenvector v of the refined reference maps to the data of one
+    # level: photon number of its largest slot, |v|^2-weighted parity, and
+    # the kernel vectors' overlaps v^H w.
+    v = chain.vectors
+    parity = None if th.parity is None else (np.abs(v) ** 2).T @ th.parity
+    spurious = tuple(replace(sp, vector=v.conj().T @ sp.vector) for sp in th.spurious)
     return _extract_levels(
-        chain.estimate,
-        chain.vectors,
-        th.parity,
-        th.spurious,
-        th.loss_band,
-        n_max,
-        n_levels,
+        chain.estimate, np.argmax(np.abs(v), axis=0) // 2, parity, spurious,
+        th.loss_band, n_max, n_levels,
     )
 
 

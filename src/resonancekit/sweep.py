@@ -82,6 +82,11 @@ class SweepConfig:
             raise ValueError(f"g_min must not exceed g_max, got {self.g_min} > {self.g_max}")
         if self.g_steps < 1:
             raise ValueError(f"g_steps must be >= 1, got {self.g_steps}")
+        if (np.diff(self.g_grid()) <= 0).any():
+            raise ValueError(
+                f"the g grid must be strictly increasing: {self.g_steps} steps "
+                f"from g_min {self.g_min} to g_max {self.g_max}"
+            )
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_levels < 1:

@@ -15,7 +15,9 @@ can be matched and filtered by eigenvector overlap rather than by energy
 
 Every step leaves a renormalized reference that is diagonal in the current
 basis, so a chain carries only its diagonal: the real level vector whose
-entries are the chain's level estimates.
+entries are the chain's level estimates.  Every step also keeps the parity
+(-1)^N (x) sigma_z diagonal, so a chain carries it as a sign vector: the
+remap gathers it, and a block that would mix two parity classes raises.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from .operators import (
     parity_signs,
 )
 
+# Largest |q|^2 weight a block column may draw from outside its parity class:
+# rounding only, about 1e-12 in the dropped off-diagonal of S^H P S.
+_STRAY_PARITY_WEIGHT = 1e-24
+
 __all__ = [
     "SpuriousLevel",
     "Isometry",
@@ -47,7 +53,6 @@ __all__ = [
     "atom_rotation_t",
     "rt_one_photon",
     "rt_two_photon",
-    "atom_rotate",
     "generic_numeric_rt",
     "strong_chain",
     "rt_zero_field",
@@ -123,14 +128,27 @@ class Isometry:
         """``S^H x S``."""
         return self.rotate(self._gather(x, 2))
 
-    def conjugate_diagonal(self, d: np.ndarray) -> np.ndarray:
-        """``S^H diag(d) S``: the remap keeps it diagonal, and each block q
-        turns its slice e of the diagonal into the block ``q^H diag(e) q``."""
-        e = self._gather(d, 1)
-        y = np.diag(e)
+    def conjugate_parity(self, p: np.ndarray) -> np.ndarray:
+        """Diagonal of ``S^H diag(p) S`` for a parity sign vector p (+1, -1,
+        and 0 on kernel slots) that S keeps diagonal.  The remap gathers p,
+        with 0 on kernel columns; each block column q[:, l] then carries the
+        one class its weight ``|q[:, l]|^2`` lies in.  A column drawing weight
+        from two classes (kernel slots are a class of their own) would leave
+        ``S^H diag(p) S`` off-diagonal, and raises ArithmeticError."""
+        e = np.array(p, dtype=float)
+        if self.remap is not None:
+            e = np.where(self.remap < 0, 0.0, e[self.remap])
         for idx, q in self.blocks:
-            y[idx[:, :, None], idx[:, None, :]] = np.einsum("mkl,mk,mkn->mln", q.conj(), e[idx], q)
-        return y
+            weight = np.abs(q) ** 2
+            classes = e[idx]
+            own = np.take_along_axis(classes, weight.argmax(axis=1), axis=1)
+            stray = np.einsum("mkl,mkl->ml", weight, classes[:, :, None] != own[:, None, :])
+            if stray.max(initial=0.0) > _STRAY_PARITY_WEIGHT:
+                raise ArithmeticError(
+                    f"block mixes parity classes (stray weight {stray.max():.3e})"
+                )
+            e[idx] = own
+        return e
 
     def pull(self, v: np.ndarray) -> np.ndarray:
         """``S^H v`` for a vector v."""
@@ -181,8 +199,10 @@ class TransformedHamiltonian:
     levels: the renormalized reference, which is diagonal in the current
     basis, held as its real diagonal of length dim; its entries are the
     chain's level estimates.
-    parity: the parity operator conjugated through the same chain (None when
-    the chain was started from a bare matrix without parity bookkeeping).
+    parity: the parity operator conjugated through the same chain, which
+    keeps it diagonal, held as its real diagonal of length dim: +1 on even
+    slots, -1 on odd ones, 0 on kernel slots (None without parity
+    bookkeeping).
     spurious: kernel levels accumulated so far, vectors in the current basis.
     loss_band: top photon levels invalidated by index shifting / displacement.
     """
@@ -200,6 +220,10 @@ class TransformedHamiltonian:
     def __post_init__(self):
         if np.shape(self.levels) != (self.dim,):
             raise ValueError(f"levels must have shape ({self.dim},), got {np.shape(self.levels)}")
+        if self.parity is not None and (
+            np.shape(self.parity) != (self.dim,) or not np.isin(self.parity, (-1.0, 0.0, 1.0)).all()
+        ):
+            raise ValueError(f"parity must be None or a sign vector of length {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -237,8 +261,7 @@ def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
     for iso in isometries:
         operator = iso.conjugate(operator)
         if parity is not None:
-            # A 1-D parity is the diagonal of the starting basis's parity.
-            parity = iso.conjugate_diagonal(parity) if parity.ndim == 1 else iso.conjugate(parity)
+            parity = iso.conjugate_parity(parity)
         spurious = tuple(replace(sp, vector=iso.pull(sp.vector)) for sp in spurious)
     return dict(
         operator=operator,
@@ -389,56 +412,17 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     return TransformedHamiltonian(**fields)
 
 
-def atom_rotate(th: TransformedHamiltonian) -> TransformedHamiltonian:
-    """Conjugate a chain by the global atomic rotation 1 (x) T.
-
-    Used between the displacement chain and the zero-field reduction to move
-    the averaged remainder onto the atomic z-axis.  The levels must be
-    degenerate on each atomic doublet, so that the reference is invariant
-    under the rotation; asserted.
-    """
-    levels = th.levels
-    if np.abs(levels[0::2] - levels[1::2]).max() > 1e-12 * max(1.0, np.abs(levels).max()):
-        raise ValueError("atom_rotate needs a reference invariant under the atomic rotation")
-    fields = _conjugate(th, (Isometry(None, (_doublets(0, th.dim // 2),)),), "atom_rotate")
-    fields["levels"] = levels
-    return TransformedHamiltonian(**fields)
-
-
-def generic_numeric_rt(
-    H,
-    reference=None,
-    tol_deg: float | None = None,
-) -> TransformedHamiltonian:
+def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> TransformedHamiltonian:
     """Numeric resonant transformation without hand-built isometries.
 
     The reference is diagonal, so its eigenbasis is the stable ascending sort
     of its levels (a permutation).  Diagonalizes the effective operator
-    H0 + (averaged V) by rotating inside the degeneracy clusters of the sorted
-    levels and conjugates the full operator by permutation plus cluster
-    rotations; singleton clusters just shift by the diagonal of V.  Unitary:
-    no spurious levels, no new truncation loss.  Accepts either a
-    TransformedHamiltonian (chains) or a bare operator plus the reference's
-    level vector.
+    H0 + (averaged V) by rotating inside the degeneracy clusters (gap
+    tol_deg) of the sorted levels and conjugates the full operator by
+    permutation plus cluster rotations; singleton clusters just shift by the
+    diagonal of V.  Unitary: no spurious levels, no new truncation loss.
     """
-    if isinstance(H, TransformedHamiltonian):
-        th = H
-    else:
-        if reference is None:
-            raise ValueError("generic_numeric_rt on a bare operator needs a reference")
-        th = TransformedHamiltonian(
-            operator=_mat(H),
-            levels=np.asarray(reference, dtype=float),
-            parity=None,
-            spurious=(),
-            provenance=(),
-            loss_band=0,
-        )
     values = th.levels
-    if tol_deg is None:
-        omega = th.params.omega if th.params is not None else max(np.abs(values).max(), 1.0)
-        tol_deg = 1e-3 * omega
-
     order = np.argsort(values, kind="stable")
     energies = values[order]
     # Singletons: E + Re V_ii; V = operator - reference in the sorted basis.
@@ -465,12 +449,15 @@ def generic_numeric_rt(
 def strong_chain(
     H, params: ModelParams, trunc: TruncationConfig
 ) -> TransformedHamiltonian:
-    """Atomic rotation followed by the opposite displacements of the two
-    atomic blocks: the unbounded part of the Hamiltonian becomes the exactly
-    diagonal displaced ladder (omega*(N+1/2) - g^2/omega) (x) 1 (the
-    reference); the bounded remainder carries the displacement matrix
-    elements.  Unitary for any g (the truncated a^H - a is anti-Hermitian),
-    but the displacement corrupts a g-dependent top band.
+    """Atomic rotation, the opposite displacements of the two atomic blocks,
+    and the atomic rotation again: the unbounded part of the Hamiltonian
+    becomes the exactly diagonal displaced ladder
+    (omega*(N+1/2) - g^2/omega) (x) 1 (the reference); the bounded remainder
+    carries the displacement matrix elements, with the decoupled splitting
+    on sigma_z.  This is the parity-adapted displaced basis of the
+    generalized rotating-wave approximation (Irish, PRL 99, 173601 (2007)):
+    the parity is diagonal in it.  Unitary for any g (the truncated a^H - a
+    is anti-Hermitian), but the displacement corrupts a g-dependent top band.
     """
     h = _mat(H)
     fock_dim = trunc.n_max + 1
@@ -490,17 +477,21 @@ def strong_chain(
     base = TransformedHamiltonian(
         operator=h,
         levels=levels,
-        parity=parity_signs(trunc),
+        parity=None,
         spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
         trunc=trunc,
     )
-    fields = _conjugate(
-        base, (Isometry(None, (_doublets(0, fock_dim),)), displacement), "strong_chain"
-    )
+    rotation = Isometry(None, (_doublets(0, fock_dim),))
+    fields = _conjugate(base, (rotation, displacement, rotation), "strong_chain")
     fields["levels"] = levels
+    # After the first rotation the parity is the atomic flip, not diagonal,
+    # so the sign vector is set rather than mapped: T^H sigma_z T = -sigma_x,
+    # T^H sigma_x T = sigma_z and Pi D(a) Pi = D(-a), which holds in the
+    # truncated box, give S^H P S = -P.
+    fields["parity"] = -parity_signs(trunc)
     fields["loss_band"] = min(displacement_band(params), trunc.n_max)
     return TransformedHamiltonian(**fields)
 
@@ -535,15 +526,15 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
 
 
 def spurious_filter(
-    values: np.ndarray,
-    vectors: np.ndarray,
-    spurious: tuple[SpuriousLevel, ...],
+    values: np.ndarray, spurious: tuple[SpuriousLevel, ...]
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Remove exactly one zero level per kernel vector.
 
-    Matching is by eigenvector concentration on the kernel vector (overlap
-    >= 0.99), not by energy alone — physical zero eigenvalues exist.  A kernel
-    without a matching zero level indicates a transformation bug and raises.
+    Each kernel vector is given in the basis of the levels, so its component
+    k is its overlap with level k.  Matching is by concentration on one level
+    (overlap >= 0.99), not by energy alone — physical zero eigenvalues exist.
+    A kernel without a matching zero level indicates a transformation bug and
+    raises.
 
     Returns (cleaned values, kept indices, removed indices).
     """
@@ -552,7 +543,7 @@ def spurious_filter(
     removed: list[int] = []
     for sp in spurious:
         w = sp.vector / max(np.linalg.norm(sp.vector), np.finfo(float).tiny)
-        overlaps = np.abs(w.conj() @ vectors)
+        overlaps = np.abs(w)
         order = np.argsort(-overlaps)
         match = -1
         for idx in order:

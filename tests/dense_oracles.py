@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from resonancekit.averaging import cluster_degeneracies, combined_projector
+from resonancekit.averaging import cluster_levels, combined_projector
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
 from resonancekit.operators import TruncatedOperator, _mat, basis_index
@@ -131,10 +131,6 @@ def s_rt_two_photon(h1) -> np.ndarray:
     return r2 @ rot
 
 
-def s_atom_rotate(fock_dim: int) -> np.ndarray:
-    return tensor(np.eye(fock_dim), atom_rotation_t())
-
-
 def s_rt_zero_field(fock_dim: int) -> np.ndarray:
     eye_f = np.eye(fock_dim, dtype=complex)
     zero = np.zeros_like(eye_f)
@@ -146,7 +142,8 @@ def s_strong_chain(params, fock_dim: int) -> np.ndarray:
     gen = (params.g / params.omega) * (a.conj().T - a)
     zero = np.zeros_like(a)
     u = atom_block(unitary_exp(-gen), zero, zero, unitary_exp(gen))
-    return s_atom_rotate(fock_dim) @ u
+    t = tensor(np.eye(fock_dim), atom_rotation_t())
+    return t @ u @ t
 
 
 def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
@@ -157,7 +154,7 @@ def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
     u = decomp.vectors
     v_eig = u.conj().T @ (th.operator - ref) @ u
     q = np.eye(th.dim, dtype=complex)
-    for cluster in cluster_degeneracies(decomp, tol_deg).clusters:
+    for cluster in cluster_levels(decomp.values, tol_deg).clusters:
         idx = list(cluster)
         block = np.diag(decomp.values[idx]) + v_eig[np.ix_(idx, idx)]
         _, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from resonancekit.averaging import (
-    cluster_degeneracies,
+    cluster_levels,
     project_average,
     solve_cohomological,
 )
@@ -51,7 +51,7 @@ from resonancekit.sweep import (
     run_sweep,
     table_to_csv,
 )
-from resonancekit.transforms import atom_rotate, rt_zero_field, strong_chain
+from resonancekit.transforms import rt_zero_field, strong_chain
 
 from dense_oracles import isometry_matrix
 
@@ -84,7 +84,7 @@ def test_criterion_1_projector_cohomology_suite(
         assert dim <= 64
         h0, _ = make_degenerate_reference(rng, sizes, spacing=1.0)
         decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-        clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+        clusters = cluster_levels(decomp.values, tol_deg=1e-8)
         v = make_hermitian(rng, dim)
         v_norm = np.linalg.norm(v, 2)
         pv = project_average(v, decomp, clusters)
@@ -125,7 +125,7 @@ def test_criterion_2_kam_quadratic_contraction():
     v_unit = th.operator - h0
     v_unit = v_unit / np.linalg.norm(v_unit, 2)
     decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-3)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-3)
     afters = {}
     for eps in (1e-1, 1e-2):
         *_, report = kam_step(h0, eps * v_unit, decomp, clusters)
@@ -162,32 +162,35 @@ def test_criterion_3_closed_form_matrix_equivalence():
     trunc = TruncationConfig(n_max=80)
     n_levels = 12
     worst: dict[str, float] = {}
+    label_mismatches = []
     for g in (0.1, 0.4, 1.0, 2.0):
         params = ModelParams(omega=1.0, omega0=1.0, g=g)
-        matrix_energies = {
-            "jc": [lv.energy for lv in levels_from_chain(
-                rabi_rt1_chain(params, trunc), n_levels)],
-            "rt2": [lv.energy for lv in levels_from_chain(
-                rabi_rt2_chain(params, trunc), n_levels)],
-            "strong_avg": strong_avg_decomposition(params, trunc)[0]
-            .values[:n_levels],
-            "strong_rt": [lv.energy for lv in levels_from_chain(
-                strong_rt_chain(params, trunc), n_levels)],
+        matrix_levels = {
+            "jc": levels_from_chain(rabi_rt1_chain(params, trunc), n_levels),
+            "rt2": levels_from_chain(rabi_rt2_chain(params, trunc), n_levels),
+            "strong_avg": None,
+            "strong_rt": levels_from_chain(strong_rt_chain(params, trunc), n_levels),
         }
-        for method, matrix in matrix_energies.items():
-            closed = [
-                lv.energy for lv in compute_levels(method, params, trunc, n_levels)
-            ]
-            diff = float(np.abs(np.asarray(closed) - np.asarray(matrix)).max())
+        for method, levels in matrix_levels.items():
+            closed = compute_levels(method, params, trunc, n_levels)
+            if levels is None:
+                matrix = strong_avg_decomposition(params, trunc)[0].values[:n_levels]
+            else:
+                matrix = [lv.energy for lv in levels]
+                if [lv.parity for lv in levels] != [lv.parity for lv in closed]:
+                    label_mismatches.append((method, g))
+            diff = float(np.abs(np.asarray([lv.energy for lv in closed]) - matrix).max())
             worst[method] = max(worst.get(method, 0.0), diff)
     elapsed = time.perf_counter() - start
-    ok = all(d <= 1e-8 for d in worst.values()) and elapsed < 60.0
+    ok = all(d <= 1e-8 for d in worst.values()) and not label_mismatches and elapsed < 60.0
     line = _verdict(
         3,
         ok,
         "max |closed - matrix| over g in {0.1, 0.4, 1.0, 2.0}: "
         + ", ".join(f"{m} {d:.1e}" for m, d in worst.items())
-        + f" (tol 1e-8), {elapsed:.1f}s",
+        + f" (tol 1e-8); jc, rt2, strong_rt chain parity labels equal the "
+        f"closed forms': {not label_mismatches} (differing: {label_mismatches}), "
+        f"{elapsed:.1f}s",
     )
     assert ok, line
 
@@ -382,9 +385,7 @@ def test_criterion_7_isometry_parity_structure():
         ).max(),
     )
 
-    thz = rt_zero_field(
-        atom_rotate(strong_chain(build_rabi(params, trunc).entries, params, trunc))
-    )
+    thz = rt_zero_field(strong_chain(build_rabi(params, trunc).entries, params, trunc))
     rz = isometry_matrix(thz.records[-1].isometry, dim)
     rtz_exact = np.array_equal(
         rz @ rz.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_MINUS))

@@ -7,7 +7,6 @@ from resonancekit.averaging import (
     DegeneracyClusters,
     build_effective,
     classify_resonances,
-    cluster_degeneracies,
     cluster_levels,
     combined_projector,
     project_average,
@@ -32,8 +31,7 @@ def _diag_decomp(values):
 
 
 def test_cluster_degeneracies_groups_adjacent_values():
-    decomp = _diag_decomp([0.0, 1.0, 1.0 + 1e-12, 2.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(np.array([0.0, 1.0, 1.0 + 1e-12, 2.0]), tol_deg=1e-9)
     assert clusters.clusters == ((0,), (1, 2), (3,))
     np.testing.assert_allclose(clusters.means, [0.0, 1.0, 2.0], atol=1e-9)
     assert clusters.tol_deg == 1e-9
@@ -42,14 +40,13 @@ def test_cluster_degeneracies_groups_adjacent_values():
 def test_cluster_degeneracies_chains_through_small_gaps():
     # Chaining is deliberate: consecutive gaps below tol merge transitively
     # even when the cluster ends up wider than tol.
-    decomp = _diag_decomp([0.0, 5e-10, 1e-9, 1.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(np.array([0.0, 5e-10, 1e-9, 1.0]), tol_deg=1e-9)
     assert clusters.clusters == ((0, 1, 2), (3,))
 
 
 def test_cluster_degeneracies_requires_positive_tol():
     with pytest.raises(ValueError, match="tol_deg must be > 0"):
-        cluster_degeneracies(_diag_decomp([0.0, 1.0]), tol_deg=0.0)
+        cluster_levels(np.array([0.0, 1.0]), tol_deg=0.0)
 
 
 def test_co_rotating_level_crossing_forms_cluster():
@@ -58,7 +55,7 @@ def test_co_rotating_level_crossing_forms_cluster():
     g1 = 2.0 / (1.0 + np.sqrt(3.0))
     params = ModelParams(omega=1.0, omega0=1.0, g=g1)
     decomp = eigh(build_jaynes_cummings(params, TruncationConfig(n_max=12)))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     sizes = [len(c) for c in clusters.clusters]
     assert max(sizes) == 2
     pair = clusters.clusters[sizes.index(2)]
@@ -72,7 +69,7 @@ def test_co_rotating_level_crossing_forms_cluster():
 def test_project_average_nondegenerate_keeps_diagonal(rng, make_hermitian):
     values = np.arange(6.0)
     decomp = _diag_decomp(values)
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     v = make_hermitian(rng, 6)
     pv = project_average(v, decomp, clusters)
     np.testing.assert_allclose(pv, np.diag(np.diag(v)), atol=1e-12)
@@ -80,7 +77,7 @@ def test_project_average_nondegenerate_keeps_diagonal(rng, make_hermitian):
 
 def test_project_average_single_cluster_returns_v(rng, make_hermitian):
     decomp = _diag_decomp(np.zeros(5))
-    clusters = cluster_degeneracies(decomp, tol_deg=1.0)
+    clusters = cluster_levels(decomp.values, tol_deg=1.0)
     assert clusters.clusters == ((0, 1, 2, 3, 4),)
     v = make_hermitian(rng, 5)
     np.testing.assert_allclose(project_average(v, decomp, clusters), v, atol=1e-13)
@@ -91,7 +88,7 @@ def test_project_average_idempotent_hermitian_commutant(
 ):
     h0, _ = make_degenerate_reference(rng, (3, 2, 1, 4), spacing=1.0)
     decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     assert tuple(len(c) for c in clusters.clusters) == (3, 2, 1, 4)
     v = make_hermitian(rng, 10)
     pv = project_average(v, decomp, clusters)
@@ -110,7 +107,7 @@ def test_project_average_invariant_under_degenerate_remixing(
     # arbitrary eigenvector basis the solver picked inside them.
     h0, _ = make_degenerate_reference(rng, (3, 2, 2), spacing=1.0)
     decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     v = make_hermitian(rng, 7)
     pv = project_average(v, decomp, clusters)
 
@@ -127,7 +124,7 @@ def test_project_average_invariant_under_degenerate_remixing(
 
 def test_solve_cohomological_two_level():
     decomp = _diag_decomp([0.0, 1.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     w = solve_cohomological(v, decomp, clusters)
     np.testing.assert_allclose(w, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
@@ -138,7 +135,7 @@ def test_solve_cohomological_two_level():
 
 def test_solve_cohomological_fully_degenerate_gives_zero(rng, make_hermitian):
     decomp = _diag_decomp(np.zeros(4))
-    clusters = cluster_degeneracies(decomp, tol_deg=1.0)
+    clusters = cluster_levels(decomp.values, tol_deg=1.0)
     v = make_hermitian(rng, 4)
     w = solve_cohomological(v, decomp, clusters)
     np.testing.assert_array_equal(w, np.zeros((4, 4)))
@@ -148,7 +145,7 @@ def test_solve_cohomological_fully_degenerate_gives_zero(rng, make_hermitian):
 def test_solve_cohomological_random_residual(rng, make_hermitian, make_degenerate_reference):
     h0, _ = make_degenerate_reference(rng, (4, 4, 4, 4), spacing=0.7)
     decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     v = make_hermitian(rng, 16, scale=0.3)
     w = solve_cohomological(v, decomp, clusters)
     assert np.abs(w + w.conj().T).max() <= 1e-12
@@ -179,7 +176,7 @@ def test_solve_cohomological_rejects_inconsistent_clustering():
 
 def test_classify_resonances_flags_coupled_clusters():
     decomp = _diag_decomp([0.0, 0.0, 1.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     assert clusters.clusters == ((0, 1), (2,))
     v = np.array(
         [[0.0, 0.5, 0.1], [0.5, 0.0, 0.0], [0.1, 0.0, 0.3]], dtype=complex
@@ -191,14 +188,14 @@ def test_classify_resonances_flags_coupled_clusters():
 
 def test_classify_resonances_zero_coupling_is_passive():
     decomp = _diag_decomp([0.0, 0.0, 1.0, 1.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     flagged = classify_resonances(np.zeros((4, 4)), decomp, clusters)
     assert flagged.active == (False, False)
 
 
 def test_classify_resonances_honors_explicit_threshold():
     decomp = _diag_decomp([0.0, 0.0])
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     v = np.array([[0.0, 1e-3], [1e-3, 0.0]], dtype=complex)
     assert classify_resonances(v, decomp, clusters).active == (True,)
     assert classify_resonances(v, decomp, clusters, tol_active=1e-2).active == (False,)
@@ -215,7 +212,7 @@ def test_build_effective_reproduces_co_rotating_model():
     h_free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
     v = build_rabi(params, trunc).entries - h_free.entries
     decomp = eigh(h_free)
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-8)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     h_eff = build_effective(h_free.entries, v, decomp, clusters)
     h_jc = build_jaynes_cummings(params, trunc)
     assert h_eff.hermitian
@@ -273,4 +270,3 @@ def test_cluster_levels_matches_sequential_gap_rule(rng):
     clusters = cluster_levels(values, tol)
     assert clusters.clusters == tuple(tuple(c) for c in expect)
     np.testing.assert_allclose(clusters.means, [values[c].mean() for c in expect], rtol=1e-15)
-    assert cluster_degeneracies(_diag_decomp(values), tol) == clusters

@@ -48,6 +48,27 @@ def test_invalid_grid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare", "resonances"])
+def test_repeated_coupling_grid_exits_2(tmp_path, capsys, command):
+    # Three steps from 0.5 to 0.5 would emit every row three times.
+    out = tmp_path / "x.csv"
+    rc = main([command, "--g-min", "0.5", "--g-max", "0.5", "--g-steps", "3",
+               "--n-max", "12", "--levels", "2", "--methods", "exact,jc", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "strictly increasing" in captured.err
+    assert not out.exists()
+
+
+def test_single_point_grid_is_valid(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["compare", "--g-min", "0.5", "--g-max", "0.5", "--g-steps", "1",
+               "--n-max", "12", "--levels", "2", "--methods", "exact,jc", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.splitlines()[0] == "exact: max |dE| = 0, mean |dE| = 0 over 2 pairs"
+
+
 @pytest.mark.parametrize("flag, value", [("--omega0", "nan"), ("--g-max", "inf")])
 def test_non_finite_parameter_exits_2(tmp_path, capsys, flag, value):
     rc = main(["sweep", *_SMALL, flag, value, "--out", str(tmp_path / "x.csv")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from resonancekit.averaging import DEFAULT_TOL_DEG, cluster_degeneracies, solve_cohomological
+from resonancekit.averaging import DEFAULT_TOL_DEG, cluster_levels, solve_cohomological
 from resonancekit.kam import (
     W_NORM_DIVERGENCE,
     KamChain,
@@ -56,7 +56,7 @@ def test_unitary_exp_matches_expm_and_is_unitary(rng):
 def test_kam_step_zero_perturbation_is_identity():
     h0 = np.diag([0.0, 1.0, 2.5])
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     h_new, d, v_new, *_, report = kam_step(h0, np.zeros((3, 3)), decomp, clusters)
     np.testing.assert_allclose(h_new, h0, atol=1e-14)
     np.testing.assert_array_equal(d, np.zeros((3, 3)))
@@ -71,7 +71,7 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     h0 = np.diag(np.arange(12.0))
     v = make_hermitian(rng, 12, scale=0.05)
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     h_new, d, v_new, _, decomp_new, clusters_new, report = kam_step(h0, v, decomp, clusters)
     assert np.abs(h_new - h_new.conj().T).max() <= 1e-13
     np.testing.assert_allclose(
@@ -81,7 +81,7 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     np.testing.assert_allclose(h_new, h0 + d + v_new, atol=1e-13)
     # The returned decomposition and clusters are those of the new reference.
     np.testing.assert_allclose(decomp_new.values, np.linalg.eigvalsh(h0 + d), atol=1e-13)
-    assert clusters_new == cluster_degeneracies(decomp_new, 1e-9)
+    assert clusters_new == cluster_levels(decomp_new.values, 1e-9)
     assert report.residual_after == _offblock_residual(v_new, decomp_new, clusters_new)
     assert not report.diverged
     assert report.residual_after < report.residual_before
@@ -91,7 +91,7 @@ def test_kam_step_residual_scales_quadratically(rng, make_hermitian):
     h0 = np.diag(np.arange(8.0))
     v0 = make_hermitian(rng, 8)
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_degeneracies(decomp, tol_deg=1e-9)
+    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
     afters = {}
     for eps in (1e-1, 1e-2):
         *_, report = kam_step(h0, eps * v0, decomp, clusters)
@@ -105,7 +105,7 @@ def test_kam_step_generator_norm_tracks_inverse_gap():
     for delta in (1.0, 1e-1, 1e-2, 1e-3):
         h0 = np.diag([0.0, delta])
         decomp = _diag_decomp([0.0, delta])
-        clusters = cluster_degeneracies(decomp, tol_deg=1e-12)
+        clusters = cluster_levels(decomp.values, tol_deg=1e-12)
         *_, report = kam_step(h0, v, decomp, clusters)
         assert report.w_norm * delta == pytest.approx(1.0, rel=1e-12)
         assert report.diverged == (
@@ -195,7 +195,7 @@ def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None
         tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
     for step in range(1, max_steps + 1):
         decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
-        clusters = cluster_degeneracies(decomp, tol_deg)
+        clusters = cluster_levels(decomp.values, tol_deg)
         residual = _offblock_residual(v, decomp, clusters)
         if residual <= stop_tol * max(float(np.linalg.norm(h0, 2)), np.finfo(float).tiny):
             break

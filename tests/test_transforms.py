@@ -17,15 +17,14 @@ from resonancekit.operators import (
     TruncationConfig,
     basis_index,
     build_jaynes_cummings,
-    build_parity,
     build_rabi,
+    parity_signs,
 )
 from resonancekit.spectrum import eigh
 from resonancekit.transforms import (
     Isometry,
     SpuriousLevel,
     TransformedHamiltonian,
-    atom_rotate,
     atom_rotation_t,
     generic_numeric_rt,
     rt_one_photon,
@@ -40,7 +39,6 @@ from dense_oracles import (
     isometry_matrix,
     op_A,
     op_A_perp0,
-    s_atom_rotate,
     s_generic_numeric_rt,
     s_rt_one_photon,
     s_rt_two_photon,
@@ -49,6 +47,14 @@ from dense_oracles import (
     shift_down,
     tensor,
 )
+
+
+def _bare(operator, levels):
+    """A chain holding just an operator and its reference levels."""
+    return TransformedHamiltonian(
+        operator=np.asarray(operator, dtype=complex), levels=np.asarray(levels, dtype=float),
+        parity=None, spurious=(), provenance=(), loss_band=0,
+    )
 
 
 def _projector(dim, *indices):
@@ -149,7 +155,8 @@ def test_rt_one_photon_keeps_low_spectrum_of_full_model():
     th = rt_one_photon(h.entries, params, trunc)
     sym = 0.5 * (th.operator + th.operator.conj().T)
     decomp = eigh(TruncatedOperator(entries=sym, hermitian=True))
-    cleaned, kept, removed = spurious_filter(decomp.values, decomp.vectors, th.spurious)
+    kernels = tuple(replace(sp, vector=decomp.vectors.conj().T @ sp.vector) for sp in th.spurious)
+    cleaned, kept, removed = spurious_filter(decomp.values, kernels)
     assert len(removed) == 1
     exact = eigh(h)
     np.testing.assert_allclose(cleaned[:12], exact.values[:12], atol=1e-9)
@@ -224,13 +231,13 @@ def test_rt_one_photon_parity_still_commutes():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
     th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
-    scale = np.abs(th.operator).max()
-    comm = th.parity @ th.operator - th.operator @ th.parity
-    assert np.abs(comm).max() <= 1e-12 * scale
+    p = th.parity
+    comm = p[:, None] * th.operator - th.operator * p[None, :]
+    assert np.abs(comm).max() == 0.0
     # The carried parity is S^H P S for an isometry S with a rank-one
-    # kernel, so its involution defect is exactly rank one.
-    defect = np.eye(trunc.dim) - th.parity @ th.parity
-    assert np.linalg.matrix_rank(defect, tol=1e-10) == 1
+    # kernel: a sign on every slot but the kernel slot |0,+>.
+    assert np.flatnonzero(p == 0).tolist() == [basis_index(0, ATOM_PLUS)]
+    assert set(np.abs(p[1:]).tolist()) == {1.0}
 
 
 def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
@@ -333,41 +340,7 @@ def test_rt_two_photon_matches_closed_form():
     np.testing.assert_allclose(chain_levels, closed, atol=1e-8)
 
 
-# ---------------------------------------------------------------- rotation
-
-
-def test_atom_rotate_requires_invariant_reference():
-    params = _params(0.3)
-    trunc = TruncationConfig(n_max=12)
-    th1 = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
-    with pytest.raises(ValueError, match="invariant under the atomic rotation"):
-        atom_rotate(th1)
-    # One doublet of the displaced ladder split far below the level spacing.
-    th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
-    split = th.levels.copy()
-    split[7] += 1e-9
-    with pytest.raises(ValueError, match="invariant under the atomic rotation"):
-        atom_rotate(replace(th, levels=split))
-
-
-def test_atom_rotate_on_doublet_scalar_reference():
-    params = _params(0.6)
-    trunc = TruncationConfig(n_max=20)
-    th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
-    rotated = atom_rotate(th)
-    assert rotated.provenance == ("strong_chain", "atom_rotate")
-    np.testing.assert_array_equal(rotated.levels, th.levels)
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(rotated.operator), np.linalg.eigvalsh(th.operator), atol=1e-10
-    )
-
-
 # ---------------------------------------------------------------- generic
-
-
-def test_generic_numeric_rt_needs_reference_for_bare_input():
-    with pytest.raises(ValueError, match="needs a reference"):
-        generic_numeric_rt(np.eye(4))
 
 
 def test_generic_numeric_rt_identity_when_nothing_resonates(rng):
@@ -375,7 +348,7 @@ def test_generic_numeric_rt_identity_when_nothing_resonates(rng):
     v = rng.standard_normal((6, 6)) * 0.01
     v = v + v.T
     np.fill_diagonal(v, 0.0)
-    th = generic_numeric_rt(np.diag(ref) + v, reference=ref, tol_deg=1e-6)
+    th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
     # Ascending nondegenerate diagonal reference and no averaged coupling:
     # the transformation is the exact identity, bit for bit.
     assert np.array_equal(th.operator, np.diag(ref) + v)
@@ -390,7 +363,7 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
     trunc = TruncationConfig(n_max=16)
     h_jc = build_jaynes_cummings(params, trunc)
     free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
-    th = generic_numeric_rt(h_jc.entries, reference=np.real(np.diag(free.entries)), tol_deg=1e-3)
+    th = generic_numeric_rt(_bare(h_jc.entries, np.real(np.diag(free.entries))), tol_deg=1e-3)
     got = np.sort(th.levels)
     exact = np.linalg.eigvalsh(h_jc.entries)
     np.testing.assert_allclose(got, exact, atol=1e-10)
@@ -419,7 +392,8 @@ def test_strong_chain_is_unitary():
     )
 
 
-def test_strong_chain_decoupled_moves_splitting_to_x_axis():
+def test_strong_chain_decoupled_keeps_splitting_on_z_axis():
+    # T, then the identity displacement, then T: sigma_z -> -sigma_x -> -sigma_z.
     params = ModelParams(omega=1.0, omega0=0.9, g=0.0)
     trunc = TruncationConfig(n_max=8)
     h = build_rabi(params, trunc)
@@ -427,9 +401,10 @@ def test_strong_chain_decoupled_moves_splitting_to_x_axis():
     fock = trunc.n_max + 1
     n_diag = np.diag(np.arange(fock, dtype=float))
     expect = tensor(n_diag + 0.5 * np.eye(fock), np.eye(2)) - 0.45 * tensor(
-        np.eye(fock), SIGMA_X
+        np.eye(fock), SIGMA_Z
     )
     np.testing.assert_allclose(th.operator, expect, atol=1e-13)
+    np.testing.assert_array_equal(th.parity, -parity_signs(trunc))
 
 
 def test_strong_chain_remainder_is_displacement_kernel():
@@ -437,14 +412,20 @@ def test_strong_chain_remainder_is_displacement_kernel():
     trunc = TruncationConfig(n_max=40)
     th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
     v1 = th.operator - np.diag(th.levels)
-    # Off-block (+,-) entries reproduce the closed-form displaced overlaps
-    # well below the corrupted top band.
+    # V = -(omega0/2) (sigma_z (x) D_even + i sigma_y (x) D_odd), D_mn the
+    # closed-form displaced overlap split by the parity of m + n, well below
+    # the corrupted top band: (+,+) and (-,-) entries carry the even part,
+    # (+,-) and (-,+) the odd part.
     for m in range(20):
         for n in range(20):
-            got = v1[basis_index(m, ATOM_PLUS), basis_index(n, ATOM_MINUS)]
             want = -0.5 * params.omega0 * displacement_element(m, n, params, sign=+1)
-            assert got.real == pytest.approx(want, abs=1e-10)
-            assert abs(got.imag) < 1e-12
+            same = (m + n) % 2 == 0
+            for s, s2, sign in ((ATOM_PLUS, ATOM_PLUS, 1), (ATOM_MINUS, ATOM_MINUS, -1),
+                                (ATOM_PLUS, ATOM_MINUS, 1), (ATOM_MINUS, ATOM_PLUS, -1)):
+                got = v1[basis_index(m, s), basis_index(n, s2)]
+                expect = sign * want if same == (s == s2) else 0.0
+                assert got.real == pytest.approx(expect, abs=1e-10)
+                assert abs(got.imag) < 1e-12
 
 
 # ---------------------------------------------------------------- zero-field
@@ -467,7 +448,7 @@ def test_rt_zero_field_reference_and_records():
     params = _params(0.7)
     trunc = TruncationConfig(n_max=20)
     dim = trunc.dim
-    chain = atom_rotate(strong_chain(build_rabi(params, trunc).entries, params, trunc))
+    chain = strong_chain(build_rabi(params, trunc).entries, params, trunc)
     th = rt_zero_field(chain)
     ns = np.arange(trunc.n_max + 1, dtype=float)
     np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
@@ -497,11 +478,11 @@ def _step_case(step, params, trunc):
     fock = trunc.n_max + 1
     h = build_rabi(params, trunc).entries
     bare = TransformedHamiltonian(
-        operator=h, levels=np.real(np.diag(h)), parity=build_parity(trunc).entries,
+        operator=h, levels=np.real(np.diag(h)), parity=parity_signs(trunc),
         spurious=(), provenance=(), loss_band=0, params=params, trunc=trunc,
     )
     strong = strong_chain(h, params, trunc)
-    zero_field = rt_zero_field(atom_rotate(strong))
+    zero_field = rt_zero_field(strong)
     rt1 = rt_one_photon(h, params, trunc)
     if step == "rt_one_photon":
         return bare, lambda th: rt_one_photon(th.operator, params, trunc), \
@@ -509,11 +490,8 @@ def _step_case(step, params, trunc):
     if step == "rt_two_photon":
         return rt1, rt_two_photon, s_rt_two_photon(rt1), \
             [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
-    if step == "atom_rotate":
-        return strong, atom_rotate, s_atom_rotate(fock), []
     if step == "rt_zero_field":
-        chain = atom_rotate(strong)
-        return chain, rt_zero_field, s_rt_zero_field(fock), [basis_index(0, ATOM_MINUS)]
+        return strong, rt_zero_field, s_rt_zero_field(fock), [basis_index(0, ATOM_MINUS)]
     if step == "strong_chain":
         return bare, lambda th: strong_chain(th.operator, params, trunc), \
             s_strong_chain(params, fock), []
@@ -534,7 +512,6 @@ def _step_case(step, params, trunc):
     [
         "rt_one_photon",
         "rt_two_photon",
-        "atom_rotate",
         "rt_zero_field",
         "strong_chain",
         "generic_numeric_rt/zero_field",
@@ -549,9 +526,10 @@ def test_structured_step_matches_dense_conjugation(step, n_max, g):
     np.testing.assert_allclose(
         th_out.operator, s.conj().T @ th_in.operator @ s, rtol=0, atol=1e-13 * scale
     )
-    np.testing.assert_allclose(
-        th_out.parity, s.conj().T @ th_in.parity @ s, rtol=0, atol=1e-13
-    )
+    # Every step keeps the parity diagonal, so the sign vector is all of it.
+    parity = s.conj().T @ np.diag(th_in.parity) @ s
+    np.testing.assert_allclose(th_out.parity, np.real(np.diag(parity)), rtol=0, atol=1e-13)
+    assert np.abs(parity - np.diag(np.diag(parity))).max() <= 1e-13
     expect = [s.conj().T @ sp.vector for sp in th_in.spurious]
     expect += [np.eye(trunc.dim)[k] for k in new_kernels]
     assert len(th_out.spurious) == len(expect)
@@ -574,32 +552,44 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     iso = Isometry(remap, ((idx2, unitaries(2, 2)), (idx3, unitaries(1, 3))))
     s = isometry_matrix(iso, dim)
     x = make_hermitian(rng, dim)
-    d = rng.standard_normal(dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
-    np.testing.assert_allclose(iso.conjugate_diagonal(d), s.conj().T @ np.diag(d) @ s, atol=1e-14)
     np.testing.assert_allclose(iso.pull(v), s.conj().T @ v, atol=1e-14)
+    # A sign vector whose gathered classes are constant on every block stays
+    # diagonal; kernel columns read 0.
+    gathered = rng.choice([-1.0, 1.0], size=dim)
+    gathered[idx2[0]], gathered[idx2[1]], gathered[idx3[0]] = 1.0, -1.0, -1.0
+    p = np.empty(dim)
+    p[remap[remap >= 0]] = gathered[remap >= 0]
+    p[np.setdiff1d(np.arange(dim), remap)] = 1.0
+    conjugated = s.conj().T @ np.diag(p) @ s
+    np.testing.assert_allclose(iso.conjugate_parity(p), np.real(np.diag(conjugated)), atol=1e-14)
+    np.testing.assert_allclose(conjugated, np.diag(np.diag(conjugated)), atol=1e-14)
+    assert iso.conjugate_parity(p)[[2, 7]].tolist() == [0.0, 0.0]
     assert iso.kernel_slots.tolist() == [2, 7]
     assert iso.lost_slots.tolist() == sorted(set(range(dim)) - set(remap[remap >= 0]))
 
 
-def test_generic_numeric_rt_rejects_matrix_reference():
-    ref = np.diag(np.arange(6.0))
-    with pytest.raises(ValueError, match=r"levels must have shape \(6,\)"):
-        generic_numeric_rt(ref, reference=ref)
-
-
-@pytest.mark.parametrize("levels", [np.zeros((4, 4)), np.zeros(3), np.zeros(5), np.zeros((4, 1))])
-def test_transformed_hamiltonian_rejects_misshapen_levels(levels):
-    with pytest.raises(ValueError, match=r"levels must have shape \(4,\)"):
-        TransformedHamiltonian(
-            operator=np.eye(4, dtype=complex),
-            levels=levels,
-            parity=None,
-            spurious=(),
-            provenance=(),
-            loss_band=0,
-        )
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("levels", np.zeros((4, 4))),
+        ("levels", np.zeros(3)),
+        ("levels", np.zeros(5)),
+        ("levels", np.zeros((4, 1))),
+        ("parity", np.eye(4)),
+        ("parity", np.full(4, 0.5)),
+    ],
+    ids=["levels0", "levels1", "levels2", "levels3", "parity_matrix", "parity_not_signs"],
+)
+def test_transformed_hamiltonian_rejects_misshapen_levels(field, value):
+    fields = dict(
+        operator=np.eye(4, dtype=complex), levels=np.zeros(4), parity=None,
+        spurious=(), provenance=(), loss_band=0,
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match=rf"{field} must .*\b4\b"):
+        TransformedHamiltonian(**fields)
 
 
 def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
@@ -610,9 +600,21 @@ def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
     v = np.zeros((4, 4), dtype=complex)
     v[1, 3] = v[3, 1] = 0.5
     v[0, 0], v[2, 2] = 0.25, -0.125
-    th = generic_numeric_rt(np.diag(ref) + v, reference=ref, tol_deg=1e-6)
+    th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
     np.testing.assert_allclose(th.levels, [0.5, 1.5, 1.875, 3.25])
     np.testing.assert_allclose(th.operator, np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
+
+
+def test_parity_map_rejects_a_block_mixing_parity_classes():
+    t = atom_rotation_t()[None]
+    mixing = Isometry(None, ((np.array([[0, 1]]), t),))
+    with pytest.raises(ArithmeticError, match="mixes parity classes"):
+        mixing.conjugate_parity(np.array([1.0, -1.0, 1.0]))
+    # A kernel slot is a class of its own.
+    with pytest.raises(ArithmeticError, match="mixes parity classes"):
+        mixing.conjugate_parity(np.array([1.0, 0.0, 1.0]))
+    # Inside one class the block is harmless.
+    np.testing.assert_array_equal(mixing.conjugate_parity(np.array([-1.0, -1.0, 1.0])), [-1, -1, 1])
 
 
 # ---------------------------------------------------------------- filter
@@ -622,7 +624,7 @@ def test_spurious_filter_removes_kernel_zero():
     values = np.array([0.0, 1.0, 2.0])
     vectors = np.eye(3, dtype=complex)
     kernel = SpuriousLevel(label="|0,+>", vector=vectors[:, 0])
-    cleaned, kept, removed = spurious_filter(values, vectors, (kernel,))
+    cleaned, kept, removed = spurious_filter(values, (kernel,))
     np.testing.assert_array_equal(cleaned, [1.0, 2.0])
     assert kept == [1, 2]
     assert removed == [0]
@@ -632,14 +634,14 @@ def test_spurious_filter_disambiguates_multiple_zeros():
     values = np.array([0.0, 1e-13, 2.0])
     vectors = np.eye(3, dtype=complex)
     kernel = SpuriousLevel(label="|0,->", vector=vectors[:, 1])
-    cleaned, kept, removed = spurious_filter(values, vectors, (kernel,))
+    cleaned, kept, removed = spurious_filter(values, (kernel,))
     assert removed == [1]
     np.testing.assert_array_equal(cleaned, [0.0, 2.0])
 
 
 def test_spurious_filter_no_spurious_is_noop():
     values = np.array([0.5, 1.5])
-    cleaned, kept, removed = spurious_filter(values, np.eye(2, dtype=complex), ())
+    cleaned, kept, removed = spurious_filter(values, ())
     np.testing.assert_array_equal(cleaned, values)
     assert removed == []
 
@@ -649,4 +651,4 @@ def test_spurious_filter_rejects_unmatched_kernel():
     vectors = np.eye(3, dtype=complex)
     kernel = SpuriousLevel(label="|2,->", vector=vectors[:, 2])
     with pytest.raises(ValueError, match="no zero level matches kernel"):
-        spurious_filter(values, vectors, (kernel,))
+        spurious_filter(values, (kernel,))
