@@ -58,7 +58,8 @@ class KamChain:
 
 
 def unitary_exp(W) -> np.ndarray:
-    """exp(W) for anti-Hermitian W, exactly unitary via eigenphases of iW."""
+    """exp(W) for anti-Hermitian W, exactly unitary via eigenphases of iW;
+    real orthogonal for a real (antisymmetric) W."""
     w = _mat(W)
     scale = max(np.abs(w).max(), 1.0)
     if np.abs(w + w.conj().T).max() > 1e-10 * scale:
@@ -67,6 +68,7 @@ def unitary_exp(W) -> np.ndarray:
     herm = 0.5 * (herm + herm.conj().T)
     phases, vecs = np.linalg.eigh(herm)
     u = (vecs * np.exp(-1j * phases)) @ vecs.conj().T
+    u = u if np.iscomplexobj(w) else u.real.copy()
     defect = np.abs(u.conj().T @ u - np.eye(w.shape[0])).max()
     if defect > 1e-12:
         raise ArithmeticError(f"unitary defect {defect:.3e}")
@@ -152,7 +154,7 @@ def kam_iterate_full(
     h0 = _mat(H0).copy()
     v = _mat(V).copy()
     dim = h0.shape[0]
-    u_total = np.eye(dim, dtype=complex)
+    u_total = np.eye(dim, dtype=np.result_type(h0, v))
     reports: list[KamStepReport] = []
     diverged = False
     if tol_deg is None:

@@ -7,7 +7,7 @@ number and s the atomic state ("+" or "-").  The flat basis index is
 
 so atomic 2x2 blocks sit inside each photon level and photon-shift operators
 are clean block-row shifts.  The Hamiltonian is held as its two real
-tridiagonal parity blocks (:func:`build_parity_blocks`); the dense complex
+tridiagonal parity blocks (:func:`build_parity_blocks`); the dense real
 matrices of :func:`build_rabi` and :func:`build_parity` are scattered from
 those blocks and the parity sign vector, never assembled from Kronecker
 products.
@@ -16,7 +16,7 @@ products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "ATOM_PLUS",
     "ATOM_MINUS",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "ModelParams",
     "TruncationConfig",
@@ -46,19 +45,18 @@ __all__ = [
 ATOM_PLUS = 0
 ATOM_MINUS = 1
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _HERM_RTOL = 1e-14
 
 
 def _hermitian_defect(entries: np.ndarray) -> tuple[float, float]:
-    """max |A - A^H| and max |A| from one complex and one real temporary,
-    each reused in place.  Working a block of rows at a time would allocate
-    less, but its many short GIL-releasing numpy calls queue behind the
-    other sweep thread."""
-    diff = entries.conj().T
+    """max |A - A^H| and max |A| from two temporaries, each reused in place.
+    Working a block of rows at a time would allocate less, but its many short
+    GIL-releasing numpy calls queue behind the other sweep thread."""
+    # A fresh buffer: for a real array ndarray.conj() is the array itself.
+    diff = np.conjugate(entries.T)
     np.subtract(entries, diff, out=diff)
     magnitude = np.abs(diff)
     defect = float(magnitude.max())
@@ -127,39 +125,36 @@ class TruncationConfig:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense complex matrix on the truncated atom (x) field space.
+    """Dense matrix on the truncated atom (x) field space.
 
     Attributes
     ----------
     entries : numpy.ndarray
-        dim x dim complex matrix in the k = 2n+s basis.
-    dim : int
-        Matrix dimension, 2*(n_max+1).
+        dim x dim matrix in the k = 2n+s basis, a read-only copy of the given
+        array in its dtype (float64 for integer input, see :func:`_mat`).
     hermitian : bool
         When set, entries were verified equal to their conjugate transpose
         to 1e-14 relative at construction.
     """
 
     entries: np.ndarray
-    dim: int = field(default=-1)
     hermitian: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(_mat(self.entries))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        if self.dim == -1:
-            object.__setattr__(self, "dim", entries.shape[0])
-        elif self.dim != entries.shape[0]:
-            raise ValueError(
-                f"dim {self.dim} does not match entries shape {entries.shape}"
-            )
         if self.hermitian:
             defect, size = _hermitian_defect(entries)
             if defect > _HERM_RTOL * max(size, 1.0):
                 raise ValueError("hermitian flag set on a non-Hermitian matrix")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def dim(self) -> int:
+        """Matrix dimension, 2*(n_max+1)."""
+        return self.entries.shape[0]
 
     @property
     def n_max(self) -> int:
@@ -182,26 +177,29 @@ def build_boson_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np
 
     Returns
     -------
-    (a, a_dag, N) : tuple of (n_max+1) x (n_max+1) complex arrays
-        a[n, n+1] = sqrt(n+1); a_dag = a^H; N = diag(0..n_max).
+    (a, a_dag, N) : tuple of (n_max+1) x (n_max+1) real arrays
+        a[n, n+1] = sqrt(n+1); a_dag = a^T; N = diag(0..n_max).
     """
     if trunc.n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {trunc.n_max}")
     d = trunc.n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-    n_op = np.diag(np.arange(d)).astype(complex)
-    return a, a.conj().T, n_op
+    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
+    return a, a.T.copy(), np.diag(np.arange(d, dtype=float))
 
 
 def _mat(op) -> np.ndarray:
-    """Entries of a TruncatedOperator, or any array-like as a complex array."""
-    return op.entries if isinstance(op, TruncatedOperator) else np.asarray(op, dtype=complex)
+    """Entries of a TruncatedOperator, or any array-like in its own dtype:
+    real stays real, complex stays complex, integer input becomes float64."""
+    if isinstance(op, TruncatedOperator):
+        return op.entries
+    x = np.asarray(op)
+    return x.astype(np.result_type(x.dtype, float), copy=False)
 
 
 def build_rabi(params: ModelParams, trunc: TruncationConfig) -> TruncatedOperator:
     """Full Hamiltonian omega*(N+1/2) (x) 1 + (omega0/2) 1 (x) sigma_z + g*(a+a^H) (x) sigma_x,
     scattered from its two parity blocks."""
-    h = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    h = np.zeros((trunc.dim, trunc.dim))
     for block in build_parity_blocks(params, trunc):
         idx = block.indices
         h[idx, idx] = block.diag
@@ -216,7 +214,7 @@ def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> Trunc
     one atomic flip and couple the degenerate pairs |n,+> <-> |n+1,->."""
     n = np.arange(trunc.n_max + 1)
     ladder = params.omega * (n + 0.5)
-    h = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    h = np.zeros((trunc.dim, trunc.dim))
     plus, minus = 2 * n, 2 * n + 1
     h[plus, plus] = ladder + 0.5 * params.omega0
     h[minus, minus] = ladder - 0.5 * params.omega0
@@ -234,7 +232,7 @@ def parity_signs(trunc: TruncationConfig) -> np.ndarray:
 
 def build_parity(trunc: TruncationConfig) -> TruncatedOperator:
     """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
-    return TruncatedOperator(entries=np.diag(parity_signs(trunc)).astype(complex), hermitian=True)
+    return TruncatedOperator(entries=np.diag(parity_signs(trunc)), hermitian=True)
 
 
 class ParityBlock(NamedTuple):

@@ -66,7 +66,6 @@ class SpuriousLevel:
 
     label: str
     vector: np.ndarray
-    energy: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,9 @@ class Isometry:
         return np.setdiff1d(np.arange(self.remap.size), self.remap[self.remap >= 0])
 
     def _gather(self, x: np.ndarray, axes: int) -> np.ndarray:
-        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2), as a fresh complex array."""
-        x = np.asarray(x, dtype=complex)
+        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2), fresh, in x's and the blocks' dtype."""
+        x = _mat(x)
+        x = x.astype(np.result_type(x, *(q for _, q in self.blocks)), copy=False)
         if self.remap is None:
             return x.copy()
         kernel = self.remap < 0
@@ -115,7 +115,7 @@ class Isometry:
         return y
 
     def rotate(self, y: np.ndarray) -> np.ndarray:
-        """``B^H y B`` in place for the complex matrix y."""
+        """``B^H y B`` in place for the matrix y."""
         for idx, q in self.blocks:
             if idx.shape[1] == 2:
                 _rotate_pairs(y, idx, q)
@@ -164,8 +164,8 @@ def _rotate_pairs(y: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
     (p = j, B[j, j] = 1 and no partner term outside every block).  Works on
     whole rows and columns with a single temporary."""
     partner = np.arange(y.shape[0])
-    diag = np.ones(y.shape[0], dtype=complex)
-    off = np.zeros(y.shape[0], dtype=complex)
+    diag = np.ones(y.shape[0], dtype=q.dtype)
+    off = np.zeros(y.shape[0], dtype=q.dtype)
     for l in (0, 1):
         partner[idx[:, l]] = idx[:, 1 - l]
         diag[idx[:, l]] = q[:, l, l]
@@ -232,7 +232,7 @@ class TransformedHamiltonian:
 
 def atom_rotation_t() -> np.ndarray:
     """pi/2 rotation about the atomic y-axis: T^H sigma_x T = sigma_z."""
-    return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
+    return np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 
 
 def _doublets(first: int, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +276,7 @@ def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
 
 
 def _unit(dim: int, k: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
+    vec = np.zeros(dim)
     vec[k] = 1.0
     return vec
 
@@ -370,7 +370,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     theta = rt2_mixing_angle(w, params.g)
     c, s = math.cos(theta), math.sin(theta)
     reflection_idx = np.array([[basis_index(0, 1), basis_index(2, 1)]])
-    reflection_q = np.array([[[-c, -s], [-s, c]]], dtype=complex)
+    reflection_q = np.array([[[-c, -s], [-s, c]]])
 
     # Per-photon rotation diagonalizing the commuting 2x2 blocks n >= 3.
     m = Isometry(shift).conjugate(h1_eff)

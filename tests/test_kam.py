@@ -50,6 +50,15 @@ def test_unitary_exp_matches_expm_and_is_unitary(rng):
     assert np.abs(u.conj().T @ u - np.eye(64)).max() <= 1e-12
 
 
+def test_unitary_exp_of_real_generator_is_real_orthogonal(rng):
+    m = rng.standard_normal((32, 32))
+    w = 0.35 * (m - m.T)
+    u = unitary_exp(w)
+    assert u.dtype == np.float64
+    np.testing.assert_allclose(u, scipy.linalg.expm(w), atol=1e-12)
+    assert np.abs(u.T @ u - np.eye(32)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------- kam_step
 
 
@@ -186,9 +195,9 @@ def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None
     """kam_iterate_full without reusing what kam_step computed: every step
     solves for the generator and exponentiates it a second time, recomputes
     the off-block residual, and the final reference is decomposed again."""
-    h0 = np.asarray(H0, dtype=complex).copy()
-    v = np.asarray(V, dtype=complex).copy()
-    u_total = np.eye(h0.shape[0], dtype=complex)
+    h0 = np.array(H0)
+    v = np.array(V)
+    u_total = np.eye(h0.shape[0], dtype=np.result_type(h0, v))
     reports = []
     diverged = False
     if tol_deg is None:
@@ -220,14 +229,16 @@ def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None
 @pytest.mark.parametrize("g", [0.0, 0.15, 0.3])
 def test_kam_iterate_full_reuses_step_unitary_bit_for_bit(g):
     th = rabi_rt1_chain(ModelParams(omega=1.0, omega0=1.0, g=g), kam_truncation(10))
-    h0 = np.diag(th.levels)
-    v = th.operator - h0
-    got = kam_iterate_full(h0, v, max_steps=3, tol_deg=1e-3)
-    want = _kam_iterate_full_recomputing(h0, v, max_steps=3, tol_deg=1e-3)
-    for name in ("estimate", "reference", "operator", "vectors"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.reports == want.reports
-    assert got.diverged == want.diverged
+    for dtype in (float, complex):
+        h0 = np.diag(th.levels).astype(dtype)
+        v = (th.operator - h0).astype(dtype)
+        got = kam_iterate_full(h0, v, max_steps=3, tol_deg=1e-3)
+        want = _kam_iterate_full_recomputing(h0, v, max_steps=3, tol_deg=1e-3)
+        for name in ("estimate", "reference", "operator", "vectors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (dtype, name)
+        assert got.vectors.dtype == got.operator.dtype == dtype
+        assert got.reports == want.reports
+        assert got.diverged == want.diverged
 
 
 # ---------------------------------------------------------------- series

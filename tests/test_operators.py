@@ -61,14 +61,13 @@ def test_truncation_config_validation():
 def test_truncated_operator_validation():
     with pytest.raises(ValueError, match="entries must be square"):
         TruncatedOperator(entries=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        TruncatedOperator(entries=np.zeros((4, 4)), dim=6)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="hermitian flag"):
         TruncatedOperator(entries=bad, hermitian=True)
-    op = TruncatedOperator(entries=np.eye(4), hermitian=True)
+    op = TruncatedOperator(entries=np.eye(4, dtype=int), hermitian=True)
     assert op.dim == 4
     assert op.n_max == 1
+    assert op.entries.dtype == np.float64
 
 
 @pytest.mark.parametrize("dim", [4, 242])
@@ -94,6 +93,15 @@ def test_truncated_operator_entries_are_read_only():
     op = TruncatedOperator(entries=np.eye(4))
     with pytest.raises(ValueError):
         op.entries[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_truncated_operator_leaves_the_callers_array_writable(dtype):
+    m = np.eye(2, dtype=dtype)
+    op = TruncatedOperator(entries=m, hermitian=True)
+    m[0, 0] = 2.0
+    assert op.entries[0, 0] == 1.0
+    assert op.entries.dtype == dtype
 
 
 # ---------------------------------------------------------------- basis
@@ -195,6 +203,7 @@ def test_rabi_matrix_elements():
     trunc = TruncationConfig(n_max=6)
     h = build_rabi(params, trunc)
     assert h.hermitian
+    assert h.entries.dtype == np.float64
     # Diagonal: omega*(n + 1/2) +/- omega0/2.
     for n in range(trunc.n_max + 1):
         assert h.entries[basis_index(n, ATOM_PLUS), basis_index(n, ATOM_PLUS)] == pytest.approx(

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from resonancekit.closedform import closed_form_table, displacement_element, rt2_mixing_angle
-from resonancekit.methods import levels_from_chain, rabi_rt2_chain
+from resonancekit.methods import (
+    levels_from_chain,
+    rabi_rt1_chain,
+    rabi_rt2_chain,
+    rt2_iterated_chain,
+)
 from resonancekit.operators import (
     ATOM_MINUS,
     ATOM_PLUS,
@@ -224,7 +229,7 @@ def test_rt_one_photon_spurious_bookkeeping():
     assert th.provenance == ("rt_one_photon",)
     assert len(th.spurious) == 1
     assert th.spurious[0].label == "|0,+>"
-    assert th.spurious[0].energy == 0.0
+    np.testing.assert_array_equal(th.spurious[0].vector, np.eye(trunc.dim)[0])
 
 
 def test_rt_one_photon_parity_still_commutes():
@@ -380,6 +385,21 @@ def test_strong_chain_reference_is_displaced_doubled_ladder():
     expect = np.repeat(ns + 0.5 - 0.8**2, 2)
     np.testing.assert_allclose(th.levels, expect, atol=1e-14)
     assert th.loss_band == int(np.ceil(8 * 0.8**2)) + 10
+
+
+def test_chain_operators_are_float64():
+    params = _params(0.4)
+    trunc = TruncationConfig(n_max=20)
+    strong = strong_chain(build_rabi(params, trunc), params, trunc)
+    chains = (
+        rabi_rt1_chain(params, trunc),
+        rt2_iterated_chain(params, trunc),
+        strong,
+        rt_zero_field(strong),
+    )
+    for th in chains:
+        assert th.operator.dtype == np.float64, th.provenance
+        assert all(sp.vector.dtype == np.float64 for sp in th.spurious), th.provenance
 
 
 def test_strong_chain_is_unitary():
@@ -553,8 +573,9 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     s = isometry_matrix(iso, dim)
     x = make_hermitian(rng, dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
-    np.testing.assert_allclose(iso.pull(v), s.conj().T @ v, atol=1e-14)
+    for x, v in ((x, v), (x.real, v.real)):  # real input takes the blocks' dtype
+        np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
+        np.testing.assert_allclose(iso.pull(v), s.conj().T @ v, atol=1e-14)
     # A sign vector whose gathered classes are constant on every block stays
     # diagonal; kernel columns read 0.
     gathered = rng.choice([-1.0, 1.0], size=dim)
