@@ -10,7 +10,6 @@ effective spectra, plus a sweep CLI.
 from .operators import (
     ModelParams,
     TruncationConfig,
-    TruncatedOperator,
     build_boson_ops,
     build_rabi,
     build_parity,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams",
     "TruncationConfig",
-    "TruncatedOperator",
     "build_boson_ops",
     "build_rabi",
     "build_parity",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, _mat
+from .operators import _mat
 from .spectrum import EigenDecomposition, _gap_ids
 
 __all__ = [
@@ -158,11 +158,10 @@ def classify_resonances(
 
 def build_effective(
     H0, V, decomp: EigenDecomposition, clusters: DegeneracyClusters
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Effective operator H0 + (averaged V); Hermitian by construction."""
     h_eff = _mat(H0) + project_average(V, decomp, clusters)
-    h_eff = 0.5 * (h_eff + h_eff.conj().T)  # scrub rotation round-off
-    return TruncatedOperator(entries=h_eff, hermitian=True)
+    return 0.5 * (h_eff + h_eff.conj().T)  # scrub rotation round-off
 
 
 def _diag_clusters(diag: np.ndarray, tol_deg: float) -> np.ndarray:

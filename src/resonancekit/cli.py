@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .sweep import SweepConfig, compare_methods, parse_config, resonance_report, run_sweep
+from .sweep import _read_config_file
 
 _FLAG_TO_KEY = {
     "omega": "omega",
@@ -55,13 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> SweepConfig:
-    overrides = {
-        key: getattr(args, attr)
+def _config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, bool]:
+    """The configuration (flags over file over defaults), and whether the
+    file or a flag names an output path."""
+    values = _read_config_file(args.config) if args.config is not None else {}
+    values.update(
+        (key, getattr(args, attr))
         for attr, key in _FLAG_TO_KEY.items()
         if getattr(args, attr) is not None
-    }
-    return parse_config(args.config, overrides)
+    )
+    return parse_config(None, values), "output_path" in values
 
 
 def _report_failures(table) -> None:
@@ -72,7 +76,7 @@ def _report_failures(table) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config, output_named = _config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -100,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "resonances":
         text, _ = resonance_report(config)
-        if config.output_path and config.output_path != "sweep.csv":
+        if output_named and config.output_path:
             with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         print(text, end="")

@@ -13,7 +13,7 @@ from .averaging import (
     project_average,
     solve_cohomological,
 )
-from .operators import TruncatedOperator, _mat
+from .operators import _mat
 from .spectrum import EigenDecomposition, eigh
 
 __all__ = [
@@ -51,7 +51,6 @@ class KamChain:
 
     estimate: np.ndarray
     reports: tuple[KamStepReport, ...]
-    reference: np.ndarray
     operator: np.ndarray
     vectors: np.ndarray
     diverged: bool
@@ -117,7 +116,7 @@ def kam_step(
     before = _offblock_residual(v, decomp, clusters)
 
     ref_new = 0.5 * ((h0 + d) + (h0 + d).conj().T)
-    decomp_new = eigh(TruncatedOperator(entries=ref_new, hermitian=True))
+    decomp_new = eigh(ref_new)
     clusters_new = cluster_levels(decomp_new.values, clusters.tol_deg)
     after = _offblock_residual(v_new, decomp_new, clusters_new)
 
@@ -160,7 +159,7 @@ def kam_iterate_full(
     if tol_deg is None:
         tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
 
-    decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    decomp = eigh(h0)
     clusters = cluster_levels(decomp.values, tol_deg)
     residual = _offblock_residual(v, decomp, clusters)
     for step in range(1, max_steps + 1):
@@ -185,7 +184,6 @@ def kam_iterate_full(
     return KamChain(
         estimate=estimate,
         reports=tuple(reports),
-        reference=h0,
         operator=operator,
         vectors=u_total @ basis,
         diverged=diverged,

@@ -30,7 +30,6 @@ from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
     TruncationConfig,
-    TruncatedOperator,
     build_rabi,
     validated_level_count,
 )
@@ -241,7 +240,7 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     operator.  Returns (decomposition, chain)."""
     th = strong_chain(build_rabi(params, trunc), params, trunc)
     reference = np.diag(th.levels)
-    decomp = eigh(TruncatedOperator(entries=reference, hermitian=True))
+    decomp = eigh(reference)
     clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
     heff = build_effective(reference, th.operator - reference, decomp, clusters)
     return eigh(heff), th

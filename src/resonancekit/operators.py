@@ -7,10 +7,10 @@ number and s the atomic state ("+" or "-").  The flat basis index is
 
 so atomic 2x2 blocks sit inside each photon level and photon-shift operators
 are clean block-row shifts.  The Hamiltonian is held as its two real
-tridiagonal parity blocks (:func:`build_parity_blocks`); the dense real
-matrices of :func:`build_rabi` and :func:`build_parity` are scattered from
-those blocks and the parity sign vector, never assembled from Kronecker
-products.
+tridiagonal parity blocks (:func:`build_parity_blocks`); the dense matrices
+of :func:`build_rabi` and :func:`build_parity` are plain float64 arrays,
+exactly symmetric, scattered from those blocks and the parity sign vector,
+never assembled from Kronecker products.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "SIGMA_Z",
     "ModelParams",
     "TruncationConfig",
-    "TruncatedOperator",
     "basis_index",
     "basis_label",
     "build_boson_ops",
@@ -47,22 +46,6 @@ ATOM_MINUS = 1
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-_HERM_RTOL = 1e-14
-
-
-def _hermitian_defect(entries: np.ndarray) -> tuple[float, float]:
-    """max |A - A^H| and max |A| from two temporaries, each reused in place.
-    Working a block of rows at a time would allocate less, but its many short
-    GIL-releasing numpy calls queue behind the other sweep thread."""
-    # A fresh buffer: for a real array ndarray.conj() is the array itself.
-    diff = np.conjugate(entries.T)
-    np.subtract(entries, diff, out=diff)
-    magnitude = np.abs(diff)
-    defect = float(magnitude.max())
-    np.abs(entries, out=magnitude)
-    return defect, float(magnitude.max())
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -123,44 +106,6 @@ class TruncationConfig:
         return 2 * (self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense matrix on the truncated atom (x) field space.
-
-    Attributes
-    ----------
-    entries : numpy.ndarray
-        dim x dim matrix in the k = 2n+s basis, a read-only copy of the given
-        array in its dtype (float64 for integer input, see :func:`_mat`).
-    hermitian : bool
-        When set, entries were verified equal to their conjugate transpose
-        to 1e-14 relative at construction.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        entries = np.array(_mat(self.entries))
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"entries must be square, got shape {entries.shape}")
-        if self.hermitian:
-            defect, size = _hermitian_defect(entries)
-            if defect > _HERM_RTOL * max(size, 1.0):
-                raise ValueError("hermitian flag set on a non-Hermitian matrix")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        """Matrix dimension, 2*(n_max+1)."""
-        return self.entries.shape[0]
-
-    @property
-    def n_max(self) -> int:
-        return self.dim // 2 - 1
-
-
 def basis_index(n: int, s: int) -> int:
     """Flat index of |n, s> (s = 0 for atom "+", 1 for atom "-")."""
     return 2 * n + s
@@ -188,15 +133,13 @@ def build_boson_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _mat(op) -> np.ndarray:
-    """Entries of a TruncatedOperator, or any array-like in its own dtype:
-    real stays real, complex stays complex, integer input becomes float64."""
-    if isinstance(op, TruncatedOperator):
-        return op.entries
+    """Any array-like as an array in its own dtype: real stays real, complex
+    stays complex, integer input becomes float64."""
     x = np.asarray(op)
     return x.astype(np.result_type(x.dtype, float), copy=False)
 
 
-def build_rabi(params: ModelParams, trunc: TruncationConfig) -> TruncatedOperator:
+def build_rabi(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     """Full Hamiltonian omega*(N+1/2) (x) 1 + (omega0/2) 1 (x) sigma_z + g*(a+a^H) (x) sigma_x,
     scattered from its two parity blocks."""
     h = np.zeros((trunc.dim, trunc.dim))
@@ -205,10 +148,10 @@ def build_rabi(params: ModelParams, trunc: TruncationConfig) -> TruncatedOperato
         h[idx, idx] = block.diag
         h[idx[:-1], idx[1:]] = block.off
         h[idx[1:], idx[:-1]] = block.off
-    return TruncatedOperator(entries=h, hermitian=True)
+    return h
 
 
-def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> TruncatedOperator:
+def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     """Rotating-wave Hamiltonian: the coupling keeps only the co-rotating
     terms g*(a (x) sigma_+ + a^H (x) sigma_-), which exchange one photon with
     one atomic flip and couple the degenerate pairs |n,+> <-> |n+1,->."""
@@ -220,7 +163,7 @@ def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> Trunc
     h[minus, minus] = ladder - 0.5 * params.omega0
     h[plus[:-1], minus[1:]] = params.g * np.sqrt(n[1:])
     h[minus[1:], plus[:-1]] = params.g * np.sqrt(n[1:])
-    return TruncatedOperator(entries=h, hermitian=True)
+    return h
 
 
 def parity_signs(trunc: TruncationConfig) -> np.ndarray:
@@ -230,9 +173,9 @@ def parity_signs(trunc: TruncationConfig) -> np.ndarray:
     return signs
 
 
-def build_parity(trunc: TruncationConfig) -> TruncatedOperator:
+def build_parity(trunc: TruncationConfig) -> np.ndarray:
     """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
-    return TruncatedOperator(entries=np.diag(parity_signs(trunc)), hermitian=True)
+    return np.diag(parity_signs(trunc))
 
 
 class ParityBlock(NamedTuple):

@@ -13,7 +13,7 @@ from .operators import (
     ModelParams,
     ParityBlock,
     TruncationConfig,
-    TruncatedOperator,
+    _mat,
     build_parity_blocks,
 )
 
@@ -32,6 +32,8 @@ PARITY_ODD = "odd"
 PARITY_NA = "n/a"
 PARITY_UNCLASSIFIED = "unclassified"
 
+# Hermiticity bound of eigh's input, as a fraction of max(max|A|, 1).
+_HERM_RTOL = 1e-14
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-12
 # Width of a degenerate group, as a fraction of max(1, max|E|).
@@ -91,15 +93,20 @@ def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eigh(op: TruncatedOperator) -> EigenDecomposition:
-    """Full Hermitian eigendecomposition with ascending eigenvalues.
+def eigh(op) -> EigenDecomposition:
+    """Full Hermitian eigendecomposition of a matrix, ascending eigenvalues.
 
-    Raises on non-Hermitian input; asserts the residual and orthonormality
-    bounds that every downstream consumer relies on.
+    The one check of an operator before it is solved: raises ValueError on a
+    non-square input, and on one that differs from its conjugate transpose by
+    more than 1e-14*max(max|A|, 1).  Integer input is solved as float64 (see
+    ``operators._mat``).  Asserts the residual and orthonormality bounds that
+    every downstream consumer relies on.
     """
-    h = op.entries
+    h = _mat(op)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"eigh requires a square matrix, got shape {h.shape}")
     scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
+    if np.abs(h - h.conj().T).max() > _HERM_RTOL * scale:
         raise ValueError("eigh requires a Hermitian operator")
     values, vectors = _checked_eigh(h)
     return EigenDecomposition(values=values, vectors=vectors)

@@ -122,6 +122,22 @@ def _parse_value(key: str, raw: str):
     raise ValueError(f"unknown key {key!r}")
 
 
+def _read_config_file(path: str) -> dict:
+    """The parsed key=value pairs of a flat config file, in file order."""
+    values: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            values[key] = _parse_value(key, raw)
+    return values
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SweepConfig:
     """Build a SweepConfig from an optional flat key=value file plus overrides.
 
@@ -129,20 +145,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     defaults.  Unknown keys, unparsable values, and violated invariants all
     raise ValueError naming the offending key.
     """
-    values: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key=value, got {stripped!r}"
-                    )
-                key, _, raw = stripped.partition("=")
-                key = key.strip()
-                values[key] = _parse_value(key, raw)
+    values = _read_config_file(path) if path is not None else {}
     if overrides:
         for key, value in overrides.items():
             if value is None:

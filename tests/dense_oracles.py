@@ -15,7 +15,7 @@ import numpy as np
 from resonancekit.averaging import cluster_levels, combined_projector
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
-from resonancekit.operators import TruncatedOperator, _mat, basis_index
+from resonancekit.operators import _mat, basis_index
 from resonancekit.spectrum import eigh
 from resonancekit.transforms import atom_rotation_t
 
@@ -150,7 +150,7 @@ def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
     """Dense eigendecomposition of the reference times the in-cluster
     rotations of the effective operator."""
     ref = np.diag(th.levels).astype(complex)
-    decomp = eigh(TruncatedOperator(entries=ref, hermitian=True))
+    decomp = eigh(ref)
     u = decomp.vectors
     v_eig = u.conj().T @ (th.operator - ref) @ u
     q = np.eye(th.dim, dtype=complex)

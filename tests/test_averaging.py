@@ -14,7 +14,6 @@ from resonancekit.averaging import (
 )
 from resonancekit.operators import (
     ModelParams,
-    TruncatedOperator,
     TruncationConfig,
     build_jaynes_cummings,
     build_rabi,
@@ -87,7 +86,7 @@ def test_project_average_idempotent_hermitian_commutant(
     rng, make_hermitian, make_degenerate_reference
 ):
     h0, _ = make_degenerate_reference(rng, (3, 2, 1, 4), spacing=1.0)
-    decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    decomp = eigh(h0)
     clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     assert tuple(len(c) for c in clusters.clusters) == (3, 2, 1, 4)
     v = make_hermitian(rng, 10)
@@ -106,7 +105,7 @@ def test_project_average_invariant_under_degenerate_remixing(
     # The projector depends only on the degenerate subspaces, not on the
     # arbitrary eigenvector basis the solver picked inside them.
     h0, _ = make_degenerate_reference(rng, (3, 2, 2), spacing=1.0)
-    decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    decomp = eigh(h0)
     clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     v = make_hermitian(rng, 7)
     pv = project_average(v, decomp, clusters)
@@ -144,7 +143,7 @@ def test_solve_cohomological_fully_degenerate_gives_zero(rng, make_hermitian):
 
 def test_solve_cohomological_random_residual(rng, make_hermitian, make_degenerate_reference):
     h0, _ = make_degenerate_reference(rng, (4, 4, 4, 4), spacing=0.7)
-    decomp = eigh(TruncatedOperator(entries=h0, hermitian=True))
+    decomp = eigh(h0)
     clusters = cluster_levels(decomp.values, tol_deg=1e-8)
     v = make_hermitian(rng, 16, scale=0.3)
     w = solve_cohomological(v, decomp, clusters)
@@ -210,13 +209,13 @@ def test_build_effective_reproduces_co_rotating_model():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.3)
     trunc = TruncationConfig(n_max=12)
     h_free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
-    v = build_rabi(params, trunc).entries - h_free.entries
+    v = build_rabi(params, trunc) - h_free
     decomp = eigh(h_free)
     clusters = cluster_levels(decomp.values, tol_deg=1e-8)
-    h_eff = build_effective(h_free.entries, v, decomp, clusters)
+    h_eff = build_effective(h_free, v, decomp, clusters)
     h_jc = build_jaynes_cummings(params, trunc)
-    assert h_eff.hermitian
-    np.testing.assert_allclose(h_eff.entries, h_jc.entries, atol=1e-12)
+    assert np.array_equal(h_eff, h_eff.conj().T)
+    np.testing.assert_allclose(h_eff, h_jc, atol=1e-12)
 
 
 # ---------------------------------------------------------------- combined

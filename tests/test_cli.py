@@ -109,14 +109,27 @@ def test_compare_without_exact_exits_2(tmp_path, capsys):
     assert "needs the exact baseline" in captured.err
 
 
-def test_resonances_prints_and_writes(tmp_path, capsys):
-    out = tmp_path / "loci.csv"
-    rc = main(["resonances", "--g-max", "0.4", "--g-steps", "21",
-               "--n-max", "20", "--levels", "6", "--out", str(out)])
+def test_resonances_prints_and_writes(tmp_path, capsys, monkeypatch):
+    # "sweep.csv" equals the default output path; naming it still writes it.
+    monkeypatch.chdir(tmp_path)
+    for name in ("loci.csv", "sweep.csv"):
+        rc = main(["resonances", "--g-max", "0.4", "--g-steps", "21",
+                   "--n-max", "20", "--levels", "6", "--out", name])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out.splitlines()[0] == LOCUS_CSV_HEADER
+        assert (tmp_path / name).read_text(encoding="utf-8") == captured.out
+
+
+@pytest.mark.parametrize("name", ["loci.csv", "sweep.csv"])
+def test_resonances_writes_the_config_files_output_path(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"g_max=0.4\ng_steps=21\nn_max=20\nn_levels=6\noutput_path={name}\n")
+    rc = main(["resonances", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.out.splitlines()[0] == LOCUS_CSV_HEADER
-    assert out.read_text(encoding="utf-8") == captured.out
+    assert (tmp_path / name).read_text(encoding="utf-8") == captured.out
 
 
 def test_resonances_default_is_stdout_only(tmp_path, capsys, monkeypatch):

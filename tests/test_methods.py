@@ -131,7 +131,7 @@ def test_exact_method_matches_oracle_head():
     levels = compute_levels("exact", params, trunc, 10)
     direct = eigh(build_rabi(params, trunc))
     np.testing.assert_allclose([lv.energy for lv in levels], direct.values[:10], rtol=1e-12)
-    p = build_parity(trunc).entries
+    p = build_parity(trunc)
     expect = np.real(np.einsum("ik,ij,jk->k", direct.vectors.conj(), p, direct.vectors))
     dense_labels = ["even" if e > 0.99 else "odd" if e < -0.99 else "?" for e in expect]
     assert [lv.parity for lv in levels] == dense_labels[:10]

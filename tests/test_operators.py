@@ -9,7 +9,6 @@ from resonancekit.operators import (
     SIGMA_X,
     SIGMA_Z,
     ModelParams,
-    TruncatedOperator,
     TruncationConfig,
     basis_index,
     basis_label,
@@ -56,52 +55,6 @@ def test_truncation_config_validation():
         TruncationConfig(n_max=5, guard=-1)
     assert TruncationConfig(n_max=5).dim == 12
     assert TruncationConfig(n_max=5, guard=2).guard == 2
-
-
-def test_truncated_operator_validation():
-    with pytest.raises(ValueError, match="entries must be square"):
-        TruncatedOperator(entries=np.zeros((2, 3)))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="hermitian flag"):
-        TruncatedOperator(entries=bad, hermitian=True)
-    op = TruncatedOperator(entries=np.eye(4, dtype=int), hermitian=True)
-    assert op.dim == 4
-    assert op.n_max == 1
-    assert op.entries.dtype == np.float64
-
-
-@pytest.mark.parametrize("dim", [4, 242])
-def test_hermiticity_check_tolerance_boundary(dim):
-    # The bound is _HERM_RTOL * max(|A|, 1), here with max |A| = 3, and the
-    # defect sits in one off-diagonal entry of the last rows.
-    rng = np.random.default_rng(dim)
-    base = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
-    base = 0.5 * (base + base.conj().T)
-    base[0, 0] = 3.0
-    base[dim - 1, dim - 2] = base[dim - 2, dim - 1] = 0.0
-    bound = 1e-14 * 3.0
-    inside = base.copy()
-    inside[dim - 1, dim - 2] = 0.9 * bound
-    assert TruncatedOperator(entries=inside, hermitian=True).hermitian
-    outside = base.copy()
-    outside[dim - 1, dim - 2] = 1.1j * bound
-    with pytest.raises(ValueError, match="hermitian flag set on a non-Hermitian matrix"):
-        TruncatedOperator(entries=outside, hermitian=True)
-
-
-def test_truncated_operator_entries_are_read_only():
-    op = TruncatedOperator(entries=np.eye(4))
-    with pytest.raises(ValueError):
-        op.entries[0, 0] = 7.0
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_truncated_operator_leaves_the_callers_array_writable(dtype):
-    m = np.eye(2, dtype=dtype)
-    op = TruncatedOperator(entries=m, hermitian=True)
-    m[0, 0] = 2.0
-    assert op.entries[0, 0] == 1.0
-    assert op.entries.dtype == dtype
 
 
 # ---------------------------------------------------------------- basis
@@ -202,20 +155,38 @@ def test_rabi_matrix_elements():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.1)
     trunc = TruncationConfig(n_max=6)
     h = build_rabi(params, trunc)
-    assert h.hermitian
-    assert h.entries.dtype == np.float64
+    assert np.array_equal(h, h.conj().T)
+    assert h.dtype == np.float64
     # Diagonal: omega*(n + 1/2) +/- omega0/2.
     for n in range(trunc.n_max + 1):
-        assert h.entries[basis_index(n, ATOM_PLUS), basis_index(n, ATOM_PLUS)] == pytest.approx(
+        assert h[basis_index(n, ATOM_PLUS), basis_index(n, ATOM_PLUS)] == pytest.approx(
             n + 1.0
         )
-        assert h.entries[basis_index(n, ATOM_MINUS), basis_index(n, ATOM_MINUS)] == pytest.approx(
+        assert h[basis_index(n, ATOM_MINUS), basis_index(n, ATOM_MINUS)] == pytest.approx(
             float(n)
         )
     # Coupling between the vacuum and the one-photon flipped state.
-    assert h.entries[basis_index(0, ATOM_PLUS), basis_index(1, ATOM_MINUS)] == pytest.approx(0.1)
+    assert h[basis_index(0, ATOM_PLUS), basis_index(1, ATOM_MINUS)] == pytest.approx(0.1)
     # Counter-rotating element is present in the full model.
-    assert h.entries[basis_index(0, ATOM_MINUS), basis_index(1, ATOM_PLUS)] == pytest.approx(0.1)
+    assert h[basis_index(0, ATOM_MINUS), basis_index(1, ATOM_PLUS)] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("omega0", [0.0, 0.37, 1.0, 2.5])
+@pytest.mark.parametrize("g", [0.0, 0.5, 3.0])
+def test_dense_builders_are_float64_and_exactly_symmetric(omega0, g):
+    # eigh is the only runtime Hermiticity check, so the builders' symmetry
+    # is pinned here, bit for bit.
+    params = ModelParams(omega=1.0, omega0=omega0, g=g)
+    for n_max in (1, 5, 120):
+        trunc = TruncationConfig(n_max=n_max)
+        for h in (
+            build_rabi(params, trunc),
+            build_jaynes_cummings(params, trunc),
+            build_parity(trunc),
+        ):
+            assert h.dtype == np.float64
+            assert h.shape == (trunc.dim, trunc.dim)
+            assert np.array_equal(h, h.T)
 
 
 @pytest.mark.parametrize("omega0", [1.0, 0.0, 0.37])
@@ -232,23 +203,23 @@ def test_dense_builders_match_kronecker_products(omega0, g):
     rabi = free + params.g * tensor(a + a_dag, SIGMA_X)
     jc = free + params.g * (tensor(a, sigma_plus) + tensor(a_dag, sigma_plus.T))
     parity = tensor(np.diag((-1.0) ** np.arange(trunc.n_max + 1)), SIGMA_Z)
-    np.testing.assert_array_equal(build_rabi(params, trunc).entries, rabi)
-    np.testing.assert_array_equal(build_jaynes_cummings(params, trunc).entries, jc)
-    np.testing.assert_array_equal(build_parity(trunc).entries, parity)
+    np.testing.assert_array_equal(build_rabi(params, trunc), rabi)
+    np.testing.assert_array_equal(build_jaynes_cummings(params, trunc), jc)
+    np.testing.assert_array_equal(build_parity(trunc), parity)
 
 
 def test_rabi_decoupled_spectrum_is_doubled_ladder():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
     trunc = TruncationConfig(n_max=4)
-    values = np.linalg.eigvalsh(build_rabi(params, trunc).entries)
+    values = np.linalg.eigvalsh(build_rabi(params, trunc))
     np.testing.assert_allclose(values, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5], atol=1e-12)
 
 
 def test_jaynes_cummings_keeps_only_co_rotating_coupling():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.3)
     trunc = TruncationConfig(n_max=5)
-    h_full = build_rabi(params, trunc).entries
-    h_jc = build_jaynes_cummings(params, trunc).entries
+    h_full = build_rabi(params, trunc)
+    h_jc = build_jaynes_cummings(params, trunc)
     np.testing.assert_array_equal(np.diag(h_jc), np.diag(h_full))
     # (n,+) <-> (n+1,-) survives with amplitude g*sqrt(n+1).
     for n in range(trunc.n_max):
@@ -262,7 +233,7 @@ def test_jaynes_cummings_keeps_only_co_rotating_coupling():
 def test_jaynes_cummings_pair_blocks_close():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.25)
     trunc = TruncationConfig(n_max=8)
-    values = np.linalg.eigvalsh(build_jaynes_cummings(params, trunc).entries)
+    values = np.linalg.eigvalsh(build_jaynes_cummings(params, trunc))
     expected = [0.0]
     for n in range(1, trunc.n_max + 1):
         expected.extend([n - 0.25 * np.sqrt(n), n + 0.25 * np.sqrt(n)])
@@ -275,7 +246,7 @@ def test_jaynes_cummings_pair_blocks_close():
 
 def test_parity_diagonal_pattern():
     trunc = TruncationConfig(n_max=3)
-    p = build_parity(trunc).entries
+    p = build_parity(trunc)
     assert np.array_equal(p, np.diag(np.diag(p)))
     # P|0,+> = +|0,+>; sign alternates with photon number and atom state.
     expect = []
@@ -287,10 +258,10 @@ def test_parity_diagonal_pattern():
 def test_parity_is_involutive_and_commutes_exactly():
     params = ModelParams(omega=1.0, omega0=0.7, g=0.4)
     trunc = TruncationConfig(n_max=12)
-    p = build_parity(trunc).entries
+    p = build_parity(trunc)
     np.testing.assert_array_equal(p @ p, np.eye(trunc.dim))
     for build in (build_rabi, build_jaynes_cummings):
-        h = build(params, trunc).entries
+        h = build(params, trunc)
         # Commutation is exact in floating point, not merely approximate:
         # every nonzero H entry connects equal parity signs.
         assert np.array_equal(p @ h, h @ p)
@@ -300,8 +271,8 @@ def test_parity_is_involutive_and_commutes_exactly():
 def test_parity_blocks_reassemble_the_dense_hamiltonian(omega0):
     params = ModelParams(omega=1.3, omega0=omega0, g=0.45)
     trunc = TruncationConfig(n_max=9)
-    h = build_rabi(params, trunc).entries
-    p = np.diag(build_parity(trunc).entries).real
+    h = build_rabi(params, trunc)
+    p = np.diag(build_parity(trunc)).real
     even, odd = build_parity_blocks(params, trunc)
     # The blocks partition the basis and hold exactly H's entries.
     assert sorted(np.concatenate([even.indices, odd.indices])) == list(range(trunc.dim))

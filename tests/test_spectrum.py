@@ -8,7 +8,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from resonancekit.operators import (
     ModelParams,
-    TruncatedOperator,
     TruncationConfig,
     build_parity,
     build_parity_blocks,
@@ -50,23 +49,51 @@ E0_G05 = -0.1332942354616252
 
 
 def test_eigh_sorts_ascending():
-    op = TruncatedOperator(entries=np.diag([3.0, 1.0, 2.0]), hermitian=True)
-    decomp = eigh(op)
+    h = np.diag([3.0, 1.0, 2.0])
+    decomp = eigh(h)
     np.testing.assert_array_equal(decomp.values, [1.0, 2.0, 3.0])
     # Columns are the matching permutation vectors.
-    h = op.entries
     np.testing.assert_allclose(h @ decomp.vectors, decomp.vectors * decomp.values, atol=1e-14)
 
 
 def test_eigh_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="eigh requires a Hermitian operator"):
-        eigh(TruncatedOperator(entries=bad))
+        eigh(bad)
+
+
+def test_eigh_input_validation():
+    for shape in [(2, 3), (4,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match=r"eigh requires a square matrix, got shape"):
+            eigh(np.zeros(shape))
+    decomp = eigh(np.array([[2, 1], [1, 2]]))
+    assert decomp.values.dtype == np.float64
+    assert decomp.vectors.dtype == np.float64
+    np.testing.assert_allclose(decomp.values, [1.0, 3.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [4, 242])
+def test_eigh_hermiticity_tolerance_boundary(dim):
+    # The bound is 1e-14 * max(max|A|, 1), here with max|A| = 3, and the
+    # defect sits in one off-diagonal entry of the last rows.
+    rng = np.random.default_rng(dim)
+    base = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    base = 0.5 * (base + base.conj().T)
+    base[0, 0] = 3.0
+    base[dim - 1, dim - 2] = base[dim - 2, dim - 1] = 0.0
+    bound = 1e-14 * 3.0
+    inside = base.copy()
+    inside[dim - 1, dim - 2] = 0.9 * bound
+    assert eigh(inside).dim == dim
+    outside = base.copy()
+    outside[dim - 1, dim - 2] = 1.1j * bound
+    with pytest.raises(ValueError, match="eigh requires a Hermitian operator"):
+        eigh(outside)
 
 
 def test_eigh_residual_and_orthonormality(rng, make_hermitian):
     h = make_hermitian(rng, 64, scale=3.0)
-    decomp = eigh(TruncatedOperator(entries=h))
+    decomp = eigh(h)
     assert np.all(np.diff(decomp.values) >= 0)
     residual = np.abs(h @ decomp.vectors - decomp.vectors * decomp.values).max()
     assert residual <= 1e-10 * np.linalg.norm(h, 2)
@@ -112,7 +139,7 @@ def _dense_parity_labels(params, trunc, count):
     """Parity labels of the lowest ``count`` levels of the dense solve, read
     off <v|P|v>; valid where those levels are non-degenerate."""
     vectors = eigh(build_rabi(params, trunc)).vectors[:, :count]
-    p = build_parity(trunc).entries
+    p = build_parity(trunc)
     expect = np.real(np.einsum("ik,ij,jk->k", vectors.conj(), p, vectors))
     assert np.abs(np.abs(expect) - 1.0).max() < 1e-10
     return [PARITY_EVEN if e > 0 else PARITY_ODD for e in expect]
@@ -152,8 +179,8 @@ def test_parity_block_eigenvectors_are_eigenvectors_of_h_and_p(g):
     # degenerate pair; block eigenvectors are parity eigenvectors regardless.
     params = ModelParams(omega=1.0, omega0=1.0, g=g)
     trunc = TruncationConfig(n_max=10)
-    h = build_rabi(params, trunc).entries
-    p = build_parity(trunc).entries
+    h = build_rabi(params, trunc)
+    p = build_parity(trunc)
     for sign, block in zip((1.0, -1.0), build_parity_blocks(params, trunc)):
         decomp = eigh_block(block)
         embedded = np.zeros((trunc.dim, decomp.dim), dtype=complex)

@@ -18,7 +18,6 @@ from resonancekit.operators import (
     SIGMA_X,
     SIGMA_Z,
     ModelParams,
-    TruncatedOperator,
     TruncationConfig,
     basis_index,
     build_jaynes_cummings,
@@ -126,7 +125,7 @@ def test_rt_one_photon_diagonalizes_co_rotating_model():
     params = _params(0.35)
     trunc = TruncationConfig(n_max=20)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h.entries, params, trunc)
+    th = rt_one_photon(h, params, trunc)
     scale = np.abs(th.operator).max()
     off = th.operator - np.diag(np.diag(th.operator))
     assert np.abs(off).max() <= 1e-12 * scale
@@ -141,9 +140,9 @@ def test_rt_one_photon_trades_top_level_for_spurious_zero():
     params = _params(0.4)
     trunc = TruncationConfig(n_max=15)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h.entries, params, trunc)
+    th = rt_one_photon(h, params, trunc)
     got = np.sort(np.linalg.eigvalsh(th.operator))
-    exact = np.sort(np.linalg.eigvalsh(h.entries))
+    exact = np.sort(np.linalg.eigvalsh(h))
     # The unpaired bare level omega*(n_max + 1) is lost to the shift; a
     # spurious zero appears in its stead.  (It is not the largest
     # eigenvalue: the top dressed pair reaches higher.)
@@ -157,9 +156,9 @@ def test_rt_one_photon_keeps_low_spectrum_of_full_model():
     params = _params(0.1)
     trunc = TruncationConfig(n_max=30)
     h = build_rabi(params, trunc)
-    th = rt_one_photon(h.entries, params, trunc)
+    th = rt_one_photon(h, params, trunc)
     sym = 0.5 * (th.operator + th.operator.conj().T)
-    decomp = eigh(TruncatedOperator(entries=sym, hermitian=True))
+    decomp = eigh(sym)
     kernels = tuple(replace(sp, vector=decomp.vectors.conj().T @ sp.vector) for sp in th.spurious)
     cleaned, kept, removed = spurious_filter(decomp.values, kernels)
     assert len(removed) == 1
@@ -171,7 +170,7 @@ def test_rt_one_photon_decoupled_case_is_preserved():
     params = _params(0.0)
     trunc = TruncationConfig(n_max=10)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h.entries, params, trunc)
+    th = rt_one_photon(h, params, trunc)
     np.testing.assert_allclose(th.operator, np.diag(th.levels), atol=1e-12)
     ns = np.arange(trunc.n_max + 1, dtype=float)
     np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
@@ -182,17 +181,17 @@ def test_rt_one_photon_validates_input():
     trunc = TruncationConfig(n_max=10)
     h = build_jaynes_cummings(params, trunc)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        rt_one_photon(h.entries[:-2, :-2], params, trunc)
+        rt_one_photon(h[:-2, :-2], params, trunc)
     detuned = ModelParams(omega=1.0, omega0=0.8, g=0.2)
     with pytest.raises(ValueError, match="require omega0 = omega"):
-        rt_one_photon(h.entries, detuned, trunc)
+        rt_one_photon(h, detuned, trunc)
 
 
 def test_rt_one_photon_record_identities_exact():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=12)
     dim = trunc.dim
-    th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     assert len(th.records) == 1
     rec = th.records[0]
     assert rec.kernel_labels == ("|0,+>",)
@@ -224,7 +223,7 @@ def test_rt_one_photon_record_identities_exact():
 def test_rt_one_photon_spurious_bookkeeping():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=12)
-    th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     assert th.loss_band == 1
     assert th.provenance == ("rt_one_photon",)
     assert len(th.spurious) == 1
@@ -235,7 +234,7 @@ def test_rt_one_photon_spurious_bookkeeping():
 def test_rt_one_photon_parity_still_commutes():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
-    th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     p = th.parity
     comm = p[:, None] * th.operator - th.operator * p[None, :]
     assert np.abs(comm).max() == 0.0
@@ -248,7 +247,7 @@ def test_rt_one_photon_parity_still_commutes():
 def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
-    th = rt_one_photon(build_rabi(params, trunc).entries, params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     v1 = th.operator - np.diag(th.levels)
     scale = max(np.abs(v1).max(), 1e-300)
     support = set()
@@ -368,9 +367,9 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
     trunc = TruncationConfig(n_max=16)
     h_jc = build_jaynes_cummings(params, trunc)
     free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
-    th = generic_numeric_rt(_bare(h_jc.entries, np.real(np.diag(free.entries))), tol_deg=1e-3)
+    th = generic_numeric_rt(_bare(h_jc, np.real(np.diag(free))), tol_deg=1e-3)
     got = np.sort(th.levels)
-    exact = np.linalg.eigvalsh(h_jc.entries)
+    exact = np.linalg.eigvalsh(h_jc)
     np.testing.assert_allclose(got, exact, atol=1e-10)
 
 
@@ -380,7 +379,7 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
 def test_strong_chain_reference_is_displaced_doubled_ladder():
     params = _params(0.8)
     trunc = TruncationConfig(n_max=30)
-    th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
+    th = strong_chain(build_rabi(params, trunc), params, trunc)
     ns = np.arange(trunc.n_max + 1)
     expect = np.repeat(ns + 0.5 - 0.8**2, 2)
     np.testing.assert_allclose(th.levels, expect, atol=1e-14)
@@ -406,7 +405,7 @@ def test_strong_chain_is_unitary():
     params = _params(1.2)
     trunc = TruncationConfig(n_max=40)
     h = build_rabi(params, trunc)
-    th = strong_chain(h.entries, params, trunc)
+    th = strong_chain(h, params, trunc)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(th.operator), eigh(h).values, atol=1e-10
     )
@@ -417,7 +416,7 @@ def test_strong_chain_decoupled_keeps_splitting_on_z_axis():
     params = ModelParams(omega=1.0, omega0=0.9, g=0.0)
     trunc = TruncationConfig(n_max=8)
     h = build_rabi(params, trunc)
-    th = strong_chain(h.entries, params, trunc)
+    th = strong_chain(h, params, trunc)
     fock = trunc.n_max + 1
     n_diag = np.diag(np.arange(fock, dtype=float))
     expect = tensor(n_diag + 0.5 * np.eye(fock), np.eye(2)) - 0.45 * tensor(
@@ -430,7 +429,7 @@ def test_strong_chain_decoupled_keeps_splitting_on_z_axis():
 def test_strong_chain_remainder_is_displacement_kernel():
     params = _params(0.5)
     trunc = TruncationConfig(n_max=40)
-    th = strong_chain(build_rabi(params, trunc).entries, params, trunc)
+    th = strong_chain(build_rabi(params, trunc), params, trunc)
     v1 = th.operator - np.diag(th.levels)
     # V = -(omega0/2) (sigma_z (x) D_even + i sigma_y (x) D_odd), D_mn the
     # closed-form displaced overlap split by the parity of m + n, well below
@@ -468,7 +467,7 @@ def test_rt_zero_field_reference_and_records():
     params = _params(0.7)
     trunc = TruncationConfig(n_max=20)
     dim = trunc.dim
-    chain = strong_chain(build_rabi(params, trunc).entries, params, trunc)
+    chain = strong_chain(build_rabi(params, trunc), params, trunc)
     th = rt_zero_field(chain)
     ns = np.arange(trunc.n_max + 1, dtype=float)
     np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
@@ -496,7 +495,7 @@ def _step_case(step, params, trunc):
     """(input chain, the step applied to it, dense S of that step, kernel
     slots the step adds)."""
     fock = trunc.n_max + 1
-    h = build_rabi(params, trunc).entries
+    h = build_rabi(params, trunc)
     bare = TransformedHamiltonian(
         operator=h, levels=np.real(np.diag(h)), parity=parity_signs(trunc),
         spurious=(), provenance=(), loss_band=0, params=params, trunc=trunc,
