@@ -39,7 +39,7 @@ from .spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
     eigh,
-    exact_spectrum,
+    exact_spectra,
 )
 from .transforms import (
     TransformedHamiltonian,
@@ -57,7 +57,10 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "MethodLevel",
+    "GRID_METHODS",
     "closed_form_sweep",
+    "exact_sweep",
+    "grid_sweep",
     "compute_levels",
     "kam_truncation",
     "rabi_rt1_chain",
@@ -83,6 +86,9 @@ METHOD_ORDER = (
 WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
+
+# Methods evaluated once per sweep, as array programs over the whole g grid.
+GRID_METHODS = CLOSED_FORM_METHODS | {"exact"}
 
 BRANCH_UNASSIGNED = "unassigned"
 
@@ -255,25 +261,47 @@ def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> Transformed
     return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
 
 
-def _exact_levels(
-    params: ModelParams, trunc: TruncationConfig, n_levels: int
-) -> list[MethodLevel]:
-    valid = validated_level_count(params, trunc)
-    if n_levels > valid:
-        raise ValueError(
-            f"requested {n_levels} levels from dim {trunc.dim}, of which the "
-            f"guard band validates {valid}"
+def exact_sweep(
+    omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
+) -> list:
+    """The lowest ``n_levels`` exact levels at every coupling of ``grid``,
+    from one stacked solve of the parity blocks (:func:`spectrum.exact_spectra`).
+
+    Entry i is a list of (branch, parity, energy) in ascending energy order,
+    or the ValueError coupling i raises on its own: asking for more levels
+    than the guard band validates there.
+    """
+    grid = np.asarray(grid, dtype=float)
+    out: list = []
+    for g in grid.tolist():
+        valid = validated_level_count(ModelParams(omega, omega0, g), trunc)
+        out.append(
+            None if n_levels <= valid else ValueError(
+                f"requested {n_levels} levels from dim {trunc.dim}, of which the "
+                f"guard band validates {valid}"
+            )
         )
-    values, parity = exact_spectrum(params, trunc)
-    return [
-        MethodLevel(
-            level=i,
-            branch=BRANCH_UNASSIGNED,
-            parity=parity[i],
-            energy=float(values[i]),
-        )
-        for i in range(n_levels)
-    ]
+    solved = [i for i, levels in enumerate(out) if levels is None]
+    values, odd = exact_spectra(omega, omega0, grid[solved], trunc.n_max)
+    for i, energies, labels in zip(
+        solved, values[:, :n_levels].tolist(), odd[:, :n_levels].tolist()
+    ):
+        out[i] = [
+            (BRANCH_UNASSIGNED, PARITY_ODD if o else PARITY_EVEN, e)
+            for e, o in zip(energies, labels)
+        ]
+    return out
+
+
+def grid_sweep(
+    method: str, omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
+) -> list:
+    """:func:`exact_sweep` or :func:`closed_form_sweep` of a method in
+    GRID_METHODS: per coupling of ``grid``, its levels as (branch, parity,
+    energy) or the ValueError that coupling raises on its own."""
+    if method == "exact":
+        return exact_sweep(omega, omega0, grid, trunc, n_levels)
+    return closed_form_sweep(method, omega, omega0, grid, n_levels)
 
 
 def _kam_levels(
@@ -313,11 +341,9 @@ def compute_levels(
     if method in WEAK_METHODS:
         require_one_photon_resonance(params)
 
-    if method == "exact":
-        return _exact_levels(params, trunc, n_levels)
-    if method in CLOSED_FORM_METHODS:
-        (levels,) = closed_form_sweep(
-            method, params.omega, params.omega0, [params.g], n_levels
+    if method in GRID_METHODS:
+        (levels,) = grid_sweep(
+            method, params.omega, params.omega0, [params.g], trunc, n_levels
         )
         if isinstance(levels, Exception):
             raise levels

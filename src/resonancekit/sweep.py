@@ -7,10 +7,11 @@ registry order, so identical configurations produce byte-identical files.
 Spurious kernel zeros are filtered before emission; the column is kept so
 the schema states the invariant explicitly.
 
-Closed forms are evaluated once per sweep, as arrays over the whole g-grid.
-Matrix methods run point by point, concurrently (``RESONANCEKIT_THREADS``
-caps the worker count); rows are assembled in deterministic order after all
-points finish.  A failing point is logged and skipped, the run continues.
+The exact oracle and the closed forms are evaluated once per sweep, as
+arrays over the whole g-grid.  The matrix chains run point by point,
+concurrently (``RESONANCEKIT_THREADS`` caps the worker count); rows are
+assembled in deterministic order after all points finish.  A failing point
+is logged and skipped, the run continues.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closedform import resonance_loci
-from .methods import CLOSED_FORM_METHODS, METHOD_ORDER, closed_form_sweep, compute_levels
+from .methods import GRID_METHODS, METHOD_ORDER, compute_levels, grid_sweep
 from .operators import ModelParams, TruncationConfig
 from .spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow, SpectrumTable
 
@@ -175,7 +176,7 @@ def worker_count() -> int:
 
 
 def _point_levels(config: SweepConfig, methods, g: float) -> list:
-    """Per matrix method at one coupling: its levels as (branch, parity,
+    """Per matrix chain at one coupling: its levels as (branch, parity,
     energy), or the exception it raised."""
     params = ModelParams(omega=config.omega, omega0=config.omega0, g=g)
     trunc = TruncationConfig(n_max=config.n_max)
@@ -191,28 +192,30 @@ def _point_levels(config: SweepConfig, methods, g: float) -> list:
 
 
 def _sweep_table(config: SweepConfig) -> SpectrumTable:
-    """Rows and failures of every configured method over the g-grid: closed
-    forms in one evaluation each, matrix methods point by point."""
+    """Rows and failures of every configured method over the g-grid: the
+    exact oracle and the closed forms in one evaluation each, the matrix
+    chains point by point."""
     grid = config.g_grid()
     g_values = grid.tolist()
-    closed = [m for m in config.methods if m in CLOSED_FORM_METHODS]
-    matrix = [m for m in config.methods if m not in CLOSED_FORM_METHODS]
+    trunc = TruncationConfig(n_max=config.n_max)
+    per_grid = [m for m in config.methods if m in GRID_METHODS]
+    chains = [m for m in config.methods if m not in GRID_METHODS]
     per_method = {}
-    for method in closed:
+    for method in per_grid:
         try:
-            per_method[method] = closed_form_sweep(
-                method, config.omega, config.omega0, grid, config.n_levels
+            per_method[method] = grid_sweep(
+                method, config.omega, config.omega0, grid, trunc, config.n_levels
             )
         except Exception as exc:  # e.g. off resonance: every point fails alike
             per_method[method] = [exc] * len(g_values)
-    if matrix:
+    if chains:
         workers = min(worker_count(), len(g_values))
         if workers <= 1:
-            points = [_point_levels(config, matrix, g) for g in g_values]
+            points = [_point_levels(config, chains, g) for g in g_values]
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(lambda g: _point_levels(config, matrix, g), g_values))
-        for k, method in enumerate(matrix):
+                points = list(pool.map(lambda g: _point_levels(config, chains, g), g_values))
+        for k, method in enumerate(chains):
             per_method[method] = [point[k] for point in points]
 
     rows: list[SpectrumRow] = []

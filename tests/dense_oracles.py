@@ -5,7 +5,9 @@ every chain step, for checking the structured conjugations of
 The runtime never forms these matrices; they exist only so the tests can
 compare the index-remap implementation with the textbook one.  The
 commutator-series conjugation plays the same role for ``resonancekit.kam``,
-which conjugates by an exactly unitary exp(W).
+which conjugates by an exactly unitary exp(W).  The dense solve of one
+parity block is the eigenvector-carrying counterpart of the exact oracle,
+which solves the blocks for eigenvalues only.
 """
 
 import math
@@ -16,7 +18,7 @@ from resonancekit.averaging import cluster_levels, combined_projector
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
 from resonancekit.operators import _mat, basis_index
-from resonancekit.spectrum import eigh
+from resonancekit.spectrum import EigenDecomposition, eigh
 from resonancekit.transforms import atom_rotation_t
 
 
@@ -175,3 +177,9 @@ def conjugate_by_series(H, W, m_max: int = 12) -> np.ndarray:
         term = (term @ w - w @ term) / m
         acc = acc + term
     return acc
+
+
+def eigh_block(block) -> EigenDecomposition:
+    """Checked dense eigendecomposition of one parity block, eigenvectors in
+    the block's own basis (row j is the state at ``block.indices[j]``)."""
+    return eigh(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))

@@ -1,4 +1,5 @@
-"""Exact-diagonalization oracle: eigh, parity blocks, sweeps, truncation."""
+"""Exact-diagonalization oracle: eigh, parity blocks, the Sturm-count
+certificate, sweeps, truncation."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from resonancekit import spectrum
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
@@ -17,11 +19,13 @@ from resonancekit.spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
     eigh,
-    eigh_block,
+    exact_spectra,
     exact_spectrum,
     validate_truncation,
 )
 from resonancekit.sweep import SweepConfig, run_sweep
+
+from dense_oracles import eigh_block
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
 # n_max=60 (agreement below 2e-14).  omega = omega0 = 1, g = 0.2.
@@ -200,31 +204,77 @@ def test_exact_spectrum_orders_degenerate_ties_even_before_odd():
         assert np.all(np.diff(values) >= 0)
 
 
-_BLOCK_PARAMS = dict(
+_GRID_PARAMS = dict(
     omega=st.floats(0.2, 3.0),
     omega0=st.floats(0.0, 3.0),
-    g=st.floats(0.0, 2.0),
     n_max=st.integers(1, 40),
+    grid=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_BLOCK_PARAMS)
-def test_parity_blocks_match_scipy_tridiagonal_solver(omega, omega0, g, n_max):
-    params = ModelParams(omega, omega0, g)
-    for block in build_parity_blocks(params, TruncationConfig(n_max=n_max)):
-        ref = eigvalsh_tridiagonal(block.diag, block.off)
-        got = eigh_block(block).values
-        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+@given(**_GRID_PARAMS)
+def test_parity_blocks_match_scipy_tridiagonal_solver(omega, omega0, n_max, grid):
+    values, odd = exact_spectra(omega, omega0, grid, n_max)
+    trunc = TruncationConfig(n_max=n_max)
+    for g, row, row_odd in zip(grid, values, odd):
+        even_block, odd_block = build_parity_blocks(ModelParams(omega, omega0, g), trunc)
+        ref_even = eigvalsh_tridiagonal(even_block.diag, even_block.off)
+        ref_odd = eigvalsh_tridiagonal(odd_block.diag, odd_block.off)
+        ref = np.sort(np.concatenate([ref_even, ref_odd]))
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(np.abs(ref), omega))
+        assert row_odd.sum() == n_max + 1
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_BLOCK_PARAMS)
-def test_parity_block_trace_equals_eigenvalue_sum(omega, omega0, g, n_max):
-    params = ModelParams(omega, omega0, g)
-    for block in build_parity_blocks(params, TruncationConfig(n_max=n_max)):
-        values = eigh_block(block).values
-        assert abs(values.sum() - block.diag.sum()) <= 1e-12 * np.abs(values).sum()
+@given(**_GRID_PARAMS)
+def test_parity_block_trace_equals_eigenvalue_sum(omega, omega0, n_max, grid):
+    values, _ = exact_spectra(omega, omega0, grid, n_max)
+    trunc = TruncationConfig(n_max=n_max)
+    for g, row in zip(grid, values):
+        blocks = build_parity_blocks(ModelParams(omega, omega0, g), trunc)
+        trace = sum(block.diag.sum() for block in blocks)
+        assert abs(row.sum() - trace) <= 1e-12 * np.abs(row).sum()
+
+
+# ---------------------------------------------------------------- certificate
+
+
+def test_certificate_rejects_a_shifted_level(monkeypatch):
+    solve = np.linalg.eigvalsh
+
+    def shifted(h):
+        values = solve(h)
+        values[1, -1, 3] += 1e-6  # odd block, last coupling, level 3
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(ArithmeticError, match="eigenvalue 3 of the odd block at g = 0.5"):
+        exact_spectra(1.0, 1.0, [0.0, 0.25, 0.5], 20)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega0", [0.0, 1e-10, 1.0])
+def test_certificate_passes_exact_degeneracies_without_warnings(omega0):
+    # At g = 0 the blocks decouple into the bare ladder, and at omega0 = 0
+    # the two blocks are one matrix: every level is exactly degenerate.
+    values, _ = exact_spectra(1.0, omega0, [0.0, 0.4], 12)
+    n = np.arange(13)
+    ladder = np.sort(np.concatenate([n + 0.5 + 0.5 * omega0, n + 0.5 - 0.5 * omega0]))
+    np.testing.assert_allclose(values[0], ladder, rtol=0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sturm_count_replaces_a_zero_pivot():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1; at x = 0 the first pivot is
+    # exactly zero, where a plain LDL^T recurrence divides by zero.
+    diag = np.zeros(2)
+    off2 = np.array([0.0, 1.0])
+    x = np.array([-2.0, -1.0 + 1e-9, 0.0, 1.0 - 1e-9, 2.0])
+    np.testing.assert_array_equal(spectrum._sturm_count(diag, off2, x), [0, 1, 1, 1, 2])
+    # A huge off-diagonal against a zero pivot stays finite.
+    off2 = np.array([0.0, 1e300])
+    assert spectrum._sturm_count(diag, off2, np.zeros(1)).tolist() == [1]
 
 
 # ---------------------------------------------------------------- sweeps

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from resonancekit import spectrum
 from resonancekit.methods import METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow
@@ -212,6 +213,54 @@ def test_closed_forms_only_start_no_worker_pool(monkeypatch):
     config = SweepConfig(g_max=1.0, g_steps=5, n_levels=4,
                          methods=("jc", "strong_rt"), output_path="")
     assert len(run_sweep(config, out_path="").rows) == 5 * 2 * 4
+
+
+def test_exact_and_closed_forms_start_no_worker_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an exact or closed-form sweep must not start a thread pool")
+
+    monkeypatch.setenv("RESONANCEKIT_THREADS", "4")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    config = SweepConfig(g_max=1.0, g_steps=5, n_max=20, n_levels=4,
+                         methods=("exact",), output_path="")
+    assert len(run_sweep(config, out_path="").rows) == 5 * 4
+    config = SweepConfig(g_max=1.0, g_steps=5, n_max=20, n_levels=4, output_path="")
+    assert config.methods == DEFAULT_METHODS
+    assert compare_methods(config, out_path="")["exact"] == (0.0, 0.0, 5 * 4)
+
+
+@pytest.mark.parametrize("omega0", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize(
+    "n_max, n_levels, g_max, g_steps, block",
+    [
+        (20, 10, 1.0, 41, 3 * 2 * 21 * 21),  # three couplings per stacked solve
+        (60, 12, 3.0, 81, spectrum._EXACT_BLOCK),  # 35 couplings per solve
+    ],
+)
+def test_exact_sweep_matches_per_point_levels_and_failures(
+    monkeypatch, omega0, n_max, n_levels, g_max, g_steps, block
+):
+    # Both grids cross the coupling beyond which the guard band validates
+    # fewer than n_levels levels, and span several stacked solves.
+    monkeypatch.setattr(spectrum, "_EXACT_BLOCK", block)
+    config = SweepConfig(omega0=omega0, g_max=g_max, g_steps=g_steps, n_max=n_max,
+                         n_levels=n_levels, methods=("exact",), output_path="")
+    table = run_sweep(config, out_path="")
+    trunc = TruncationConfig(n_max=n_max)
+    rows, failures = [], []
+    for g in config.g_grid().tolist():
+        try:
+            levels = compute_levels("exact", ModelParams(1.0, omega0, g), trunc, n_levels)
+        except ValueError as exc:
+            failures.append((g, "exact", f"ValueError: {exc}"))
+            continue
+        rows.extend(
+            SpectrumRow(g, "exact", lv.level, lv.branch, lv.parity, lv.energy, False)
+            for lv in levels
+        )
+    assert rows and failures
+    assert list(table.rows) == rows
+    assert list(table.failures) == failures
 
 
 def test_spectrum_rows_have_slots():
