@@ -296,12 +296,29 @@ def exact_sweep(
 def grid_sweep(
     method: str, omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
 ) -> list:
-    """:func:`exact_sweep` or :func:`closed_form_sweep` of a method in
-    GRID_METHODS: per coupling of ``grid``, its levels as (branch, parity,
-    energy) or the ValueError that coupling raises on its own."""
+    """Any registered method over the whole ``grid``: per coupling, its levels
+    as (branch, parity, energy) in ascending energy order, or the exception
+    that coupling raises on its own.
+
+    The methods in GRID_METHODS answer the grid in one array program
+    (:func:`exact_sweep`, :func:`closed_form_sweep`); a matrix chain calls
+    :func:`compute_levels` once per coupling.
+    """
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
-    return closed_form_sweep(method, omega, omega0, grid, n_levels)
+    if method in CLOSED_FORM_METHODS:
+        return closed_form_sweep(method, omega, omega0, grid, n_levels)
+    if method not in METHOD_ORDER:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
+    out: list = []
+    for g in np.asarray(grid, dtype=float).tolist():
+        try:
+            levels = compute_levels(method, ModelParams(omega, omega0, g), trunc, n_levels)
+        except Exception as exc:  # recorded for this coupling; the others still run
+            out.append(exc)
+            continue
+        out.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
+    return out
 
 
 def _kam_levels(

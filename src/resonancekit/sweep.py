@@ -7,32 +7,28 @@ registry order, so identical configurations produce byte-identical files.
 Spurious kernel zeros are filtered before emission; the column is kept so
 the schema states the invariant explicitly.
 
-The exact oracle and the closed forms are evaluated once per sweep, as
-arrays over the whole g-grid.  The matrix chains run point by point,
-concurrently (``RESONANCEKIT_THREADS`` caps the worker count); rows are
-assembled in deterministic order after all points finish.  A failing point
-is logged and skipped, the run continues.
+Every method is evaluated over the whole g-grid on one thread, by one
+:func:`methods.grid_sweep` call: the exact oracle and the closed forms as
+array programs, the matrix chains point by point.  A failing point is
+recorded and skipped, the run continues.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closedform import resonance_loci
-from .methods import GRID_METHODS, METHOD_ORDER, compute_levels, grid_sweep
-from .operators import ModelParams, TruncationConfig
+from .methods import METHOD_ORDER, grid_sweep
+from .operators import TruncationConfig
 from .spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow, SpectrumTable
 
 __all__ = [
     "SweepConfig",
     "DEFAULT_METHODS",
     "parse_config",
-    "worker_count",
     "run_sweep",
     "table_to_csv",
     "csv_to_table",
@@ -161,62 +157,26 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
         raise ValueError(f"unknown key {unknown[0]!r}") from None
 
 
+# Kept only for perfbench/run.py, which records it with the environment.
 def worker_count() -> int:
-    """Thread count: RESONANCEKIT_THREADS if set, else a small default."""
-    raw = os.environ.get("RESONANCEKIT_THREADS")
-    if raw is None:
-        return max(1, min(8, os.cpu_count() or 1))
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"RESONANCEKIT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"RESONANCEKIT_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _point_levels(config: SweepConfig, methods, g: float) -> list:
-    """Per matrix chain at one coupling: its levels as (branch, parity,
-    energy), or the exception it raised."""
-    params = ModelParams(omega=config.omega, omega0=config.omega0, g=g)
-    trunc = TruncationConfig(n_max=config.n_max)
-    out = []
-    for method in methods:
-        try:
-            levels = compute_levels(method, params, trunc, config.n_levels)
-        except Exception as exc:  # log and continue with the other points
-            out.append(exc)
-            continue
-        out.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
-    return out
+    """Sweeps run on one thread."""
+    return 1
 
 
 def _sweep_table(config: SweepConfig) -> SpectrumTable:
-    """Rows and failures of every configured method over the g-grid: the
-    exact oracle and the closed forms in one evaluation each, the matrix
-    chains point by point."""
+    """Rows and failures of every configured method over the g-grid, from
+    one :func:`grid_sweep` per method."""
     grid = config.g_grid()
     g_values = grid.tolist()
     trunc = TruncationConfig(n_max=config.n_max)
-    per_grid = [m for m in config.methods if m in GRID_METHODS]
-    chains = [m for m in config.methods if m not in GRID_METHODS]
     per_method = {}
-    for method in per_grid:
+    for method in config.methods:
         try:
             per_method[method] = grid_sweep(
                 method, config.omega, config.omega0, grid, trunc, config.n_levels
             )
         except Exception as exc:  # e.g. off resonance: every point fails alike
             per_method[method] = [exc] * len(g_values)
-    if chains:
-        workers = min(worker_count(), len(g_values))
-        if workers <= 1:
-            points = [_point_levels(config, chains, g) for g in g_values]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(lambda g: _point_levels(config, chains, g), g_values))
-        for k, method in enumerate(chains):
-            per_method[method] = [point[k] for point in points]
 
     rows: list[SpectrumRow] = []
     failures: list[tuple[float, str, str]] = []
@@ -317,7 +277,7 @@ def compare_methods(
     Runs the sweep if no table is supplied.  Returns
     {method: (max_abs_error, mean_abs_error, pairs)} and writes the error CSV
     next to the sweep output (suffix ``_errors.csv``) unless out_path says
-    otherwise.  The baseline itself appears in the output with all-zero
+    otherwise; as in :func:`run_sweep`, an empty path writes nothing.  The baseline itself appears in the output with all-zero
     errors, which doubles as a self-check of the pairing.
     """
     if "exact" not in config.methods:
@@ -344,10 +304,9 @@ def compare_methods(
             result[method] = (float(max(errors)), float(np.mean(errors)), len(errors))
         else:
             result[method] = (float("nan"), float("nan"), 0)
-    if out_path is None:
-        base = config.output_path or "sweep.csv"
-        root, dot, _ = base.rpartition(".")
-        out_path = (root if dot else base) + "_errors.csv"
+    if out_path is None and config.output_path:
+        root, dot, _ = config.output_path.rpartition(".")
+        out_path = (root if dot else config.output_path) + "_errors.csv"
     if out_path:
         lines = [ERROR_CSV_HEADER]
         for method, (mx, mean, count) in result.items():

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from resonancekit.cli import main
-from resonancekit.sweep import ERROR_CSV_HEADER, LOCUS_CSV_HEADER, csv_to_table
+from resonancekit.sweep import (
+    ERROR_CSV_HEADER,
+    LOCUS_CSV_HEADER,
+    SweepConfig,
+    compare_methods,
+    csv_to_table,
+)
 
 _SMALL = ["--g-max", "0.2", "--g-steps", "3", "--n-max", "12", "--levels", "4"]
 
@@ -107,6 +113,33 @@ def test_compare_without_exact_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "needs the exact baseline" in captured.err
+
+
+def test_compare_with_empty_output_path_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = SweepConfig(g_max=0.2, g_steps=3, n_max=12, n_levels=4, output_path="")
+    assert compare_methods(config)["exact"] == (0.0, 0.0, 3 * 4)
+    rc = main(["compare", *_SMALL, "--out", ""])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("exact: max |dE| = 0, mean |dE| = 0 over 12 pairs\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_variable_has_no_effect(tmp_path, capsys, monkeypatch):
+    outputs = []
+    for value in (None, "abc"):
+        if value is None:
+            monkeypatch.delenv("RESONANCEKIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RESONANCEKIT_THREADS", value)
+        out = tmp_path / f"{value}.csv"
+        rc = main(["sweep", *_SMALL, "--methods", "rt1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_resonances_prints_and_writes(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,17 @@
-"""Every public name a module lists in ``__all__`` is defined."""
+"""Every public name a module lists in ``__all__``, and every name the
+benchmark imports, is defined."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import resonancekit
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MODULES = ["resonancekit"] + [
     f"resonancekit.{info.name}" for info in pkgutil.iter_modules(resonancekit.__path__)
@@ -31,3 +37,40 @@ def test_test_oracles_stay_out_of_the_package():
     for name in MODULES:
         module = importlib.import_module(name)
         assert oracles.isdisjoint(getattr(module, "__all__", ())), name
+
+
+def _resonancekit_imports(tree):
+    """(module, name) of every import of the package in ``tree``, including
+    the code of string constants that child interpreters run; name is None
+    for a plain ``import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if "resonancekit" in node.value:
+                try:
+                    yield from _resonancekit_imports(ast.parse(node.value))
+                except SyntaxError:
+                    pass
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("resonancekit"):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("resonancekit"):
+                    yield alias.name, None
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # perfbench/ is tested outside the tier-1 suite; a name deleted here would
+    # still break every benchmark run.  The scripts are parsed, not imported.
+    imports = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        imports.update(_resonancekit_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    assert ("resonancekit.sweep", "worker_count") in imports
+    assert ("resonancekit.sweep", "parse_config") in imports  # from the set-up probe
+    missing = []
+    for module_name, name in sorted(imports, key=str):
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            if importlib.util.find_spec(f"{module_name}.{name}") is None:
+                missing.append(f"{module_name}.{name}")
+    assert missing == []

@@ -1,7 +1,6 @@
 """Sweep configuration, CSV round trips, error tables, resonance reports."""
 
-import concurrent.futures
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -146,19 +145,6 @@ def test_parse_config_rejects_unknown_override():
         parse_config(overrides={"bogus": 1})
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("RESONANCEKIT_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("RESONANCEKIT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("RESONANCEKIT_THREADS", "abc")
-    with pytest.raises(ValueError, match="must be an integer"):
-        worker_count()
-    monkeypatch.setenv("RESONANCEKIT_THREADS", "0")
-    with pytest.raises(ValueError, match="must be >= 1"):
-        worker_count()
-
-
 def test_run_sweep_row_grid(small_table):
     config, table = small_table
     grid = config.g_grid()
@@ -204,29 +190,23 @@ def test_run_sweep_interleaves_closed_forms_with_matrix_points():
     assert list(table.rows) == expected
 
 
-def test_closed_forms_only_start_no_worker_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a closed-form sweep must not start a thread pool")
+@pytest.mark.parametrize(
+    "methods",
+    [("jc", "strong_rt"), ("exact",), DEFAULT_METHODS, ("rt1", "rt1_kam", "rt_full_kam")],
+    ids=["closed_forms", "exact", "default", "chains"],
+)
+def test_no_sweep_starts_a_thread(monkeypatch, methods):
+    def no_thread(self):
+        raise AssertionError("a sweep must run on the calling thread")
 
     monkeypatch.setenv("RESONANCEKIT_THREADS", "4")
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    config = SweepConfig(g_max=1.0, g_steps=5, n_levels=4,
-                         methods=("jc", "strong_rt"), output_path="")
-    assert len(run_sweep(config, out_path="").rows) == 5 * 2 * 4
-
-
-def test_exact_and_closed_forms_start_no_worker_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an exact or closed-form sweep must not start a thread pool")
-
-    monkeypatch.setenv("RESONANCEKIT_THREADS", "4")
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     config = SweepConfig(g_max=1.0, g_steps=5, n_max=20, n_levels=4,
-                         methods=("exact",), output_path="")
-    assert len(run_sweep(config, out_path="").rows) == 5 * 4
-    config = SweepConfig(g_max=1.0, g_steps=5, n_max=20, n_levels=4, output_path="")
-    assert config.methods == DEFAULT_METHODS
-    assert compare_methods(config, out_path="")["exact"] == (0.0, 0.0, 5 * 4)
+                         methods=methods, output_path="")
+    table = run_sweep(config, out_path="")
+    assert not table.failures
+    assert len(table.rows) == 5 * len(methods) * 4
+    assert worker_count() == 1
 
 
 @pytest.mark.parametrize("omega0", [0.0, 0.37, 1.0])
@@ -304,6 +284,36 @@ def test_run_sweep_records_failures_and_continues():
         assert method == "jc"
         assert message.startswith("ValueError: one-photon-resonance")
     assert [f[0] for f in table.failures] == list(config.g_grid())
+
+    # The matrix chains fail point by point through the same sweep path.
+    methods = ("exact", "rt1", "rt1_kam", "rt_full_kam")
+    for overrides, failing in (
+        ({"omega0": 0.5, "n_max": 16, "n_levels": 4}, {"rt1", "rt1_kam", "rt_full_kam"}),
+        # the contact-iteration refinements rebuild their chain in their own box
+        ({"n_max": 4, "n_levels": 40}, {"exact", "rt1"}),
+    ):
+        config = SweepConfig(g_max=0.2, g_steps=3, methods=methods, output_path="",
+                             **overrides)
+        table = run_sweep(config, out_path="")
+        trunc = TruncationConfig(n_max=config.n_max)
+        rows, failures = [], []
+        for g in config.g_grid().tolist():
+            params = ModelParams(config.omega, config.omega0, g)
+            for method in methods:
+                try:
+                    levels = compute_levels(method, params, trunc, config.n_levels)
+                except ValueError as exc:
+                    failures.append((g, method, f"ValueError: {exc}"))
+                    continue
+                rows.extend(
+                    SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
+                    for lv in levels
+                )
+        assert list(table.rows) == rows
+        assert list(table.failures) == failures
+        assert {(g, m) for g, m, _ in failures} == {
+            (g, m) for g in config.g_grid().tolist() for m in failing
+        }
 
 
 def test_csv_round_trip_is_exact(small_table):
