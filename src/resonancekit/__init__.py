@@ -22,7 +22,6 @@ from .spectrum import (
     SpectrumTable,
     eigh,
     exact_spectrum,
-    validate_truncation,
 )
 from .averaging import (
     DegeneracyClusters,
@@ -49,7 +48,6 @@ from .methods import METHOD_ORDER, MethodLevel, compute_levels
 from .closedform import (
     closed_form_table,
     laguerre,
-    displacement_element,
     resonance_loci,
     second_order_locus,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "SpectrumTable",
     "eigh",
     "exact_spectrum",
-    "validate_truncation",
     "DegeneracyClusters",
     "project_average",
     "solve_cohomological",
@@ -105,7 +102,6 @@ __all__ = [
     "compute_levels",
     "closed_form_table",
     "laguerre",
-    "displacement_element",
     "resonance_loci",
     "second_order_locus",
     "SweepConfig",

@@ -84,10 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         table = run_sweep(config)
         _report_failures(table)
-        print(
-            f"wrote {config.output_path}: {len(table.rows)} rows, "
-            f"{len(table.failures)} failed points"
-        )
+        written = f"wrote {config.output_path}" if config.output_path else "wrote no file"
+        print(f"{written}: {table.row_count} rows, {len(table.failures)} failed points")
         return 1 if table.failures else 0
 
     if args.command == "compare":

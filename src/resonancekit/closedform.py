@@ -32,7 +32,6 @@ __all__ = [
     "laguerre_table",
     "f_laguerre",
     "closed_form_table",
-    "displacement_element",
     "resonance_loci",
     "second_order_locus",
     "rt2_mixing_angle",
@@ -114,25 +113,6 @@ def f_laguerre(n: int, params: ModelParams) -> float:
     """Diagonal displacement element f_n = exp(-2g^2/w^2) L_n(4g^2/w^2)."""
     r = 2.0 * params.g / params.omega
     return math.exp(-0.5 * r * r) * laguerre(n, 0, r * r)
-
-
-def displacement_element(m: int, n: int, params: ModelParams, sign: int = +1) -> float:
-    """<m| exp(sign * (2g/omega)(a^dag - a)) |n>.
-
-    For m >= n this is sqrt(n!/m!) (sign*2g/omega)^(m-n) exp(-2g^2/omega^2)
-    L_n^(m-n)(4g^2/omega^2); for m < n the adjoint symmetry flips the sign.
-    Factorial ratios go through log-gamma so large m, n cannot overflow.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    if m < n:
-        return displacement_element(n, m, params, -sign)
-    r = 2.0 * params.g / params.omega
-    if r == 0.0:
-        return 1.0 if m == n else 0.0
-    k = m - n
-    log_amp = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + k * math.log(r) - 0.5 * r * r
-    return (1.0 if sign > 0 else (-1.0) ** k) * math.exp(log_amp) * laguerre(n, k, r * r)
 
 
 def _require_resonance(omega: float, omega0: float) -> None:

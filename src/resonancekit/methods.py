@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import build_effective, cluster_levels
 from .closedform import closed_form_table, require_one_photon_resonance
 from .kam import kam_iterate_full
 from .operators import (
@@ -38,7 +37,7 @@ from .spectrum import (
     PARITY_UNCLASSIFIED,
     PARITY_EVEN,
     PARITY_ODD,
-    eigh,
+    MethodSweep,
     exact_spectra,
 )
 from .transforms import (
@@ -46,9 +45,7 @@ from .transforms import (
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
-    rt_zero_field,
     spurious_filter,
-    strong_chain,
 )
 
 __all__ = [
@@ -66,8 +63,6 @@ __all__ = [
     "rabi_rt1_chain",
     "rabi_rt2_chain",
     "rt2_iterated_chain",
-    "strong_avg_decomposition",
-    "strong_rt_chain",
     "levels_from_chain",
 ]
 
@@ -91,6 +86,9 @@ CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 GRID_METHODS = CLOSED_FORM_METHODS | {"exact"}
 
 BRANCH_UNASSIGNED = "unassigned"
+
+# Label codes of the exact oracle: 1 marks the odd block.
+_EXACT_LABELS = ((BRANCH_UNASSIGNED, PARITY_EVEN), (BRANCH_UNASSIGNED, PARITY_ODD))
 
 # Cluster tolerance for physically near-degenerate reference levels, as a
 # fraction of omega (avoided crossings swept through by the coupling grid).
@@ -130,38 +128,15 @@ def _closed_form_count(g: float, omega: float, n_levels: int) -> int:
     return n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
 
 
-def _select_closed_form(method, omega, omega0, grid, counts, n_levels) -> list:
-    """Lowest ``n_levels`` physical slots at each coupling of one block, in
-    (energy, n) order with ties kept in slot order."""
-    table = closed_form_table(method, omega, omega0, grid, max(counts))
-    usable = ~table.spurious & (table.n <= np.array(counts)[:, None])
-    energies = np.where(usable, table.energies, np.inf)
-    order = np.lexsort((np.broadcast_to(table.n, energies.shape), energies), axis=-1)
-    order = order[:, :n_levels]
-    energies = np.take_along_axis(energies, order, axis=1)
-    labels = tuple(zip(table.branch, table.parity))
-    out = []
-    for available, slots, row in zip(
-        usable.sum(axis=1).tolist(), order.tolist(), energies.tolist()
-    ):
-        if available < n_levels:
-            out.append(
-                ValueError(f"requested {n_levels} levels but only {available} are available")
-            )
-        else:
-            out.append([(*labels[s], e) for s, e in zip(slots, row)])
-    return out
-
-
 def closed_form_sweep(
     method: str, omega: float, omega0: float, grid, n_levels: int
-) -> list:
+) -> MethodSweep:
     """The lowest ``n_levels`` physical levels of a closed form at every
     coupling of ``grid``, from one array evaluation per block of couplings.
 
-    Entry i is a list of (branch, parity, energy) in ascending energy order,
-    or the ValueError that coupling i raises on its own.  An error that holds
-    for the whole grid (off one-photon resonance) is raised.
+    A coupling whose photon range holds too few levels records its
+    ValueError; an error that holds for the whole grid (off one-photon
+    resonance) is raised.
     """
     if method not in CLOSED_FORM_METHODS:
         raise ValueError(f"{method!r} is not a closed form")
@@ -169,14 +144,28 @@ def closed_form_sweep(
     counts = [_closed_form_count(g, omega, n_levels) for g in grid.tolist()]
     # at most 2 * (count + 1) slots per coupling
     rows = max(1, _CLOSED_FORM_BLOCK // (2 * max(counts, default=0) + 2))
-    out = []
-    for lo in range(0, len(counts), rows):
-        out.extend(
-            _select_closed_form(
-                method, omega, omega0, grid[lo:lo + rows], counts[lo:lo + rows], n_levels
+    energies = np.full((grid.size, n_levels), np.inf)
+    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
+    labels: dict[tuple[str, str], int] = {}
+    errors: list = []
+    for lo in range(0, grid.size, rows):
+        block = slice(lo, lo + rows)
+        table = closed_form_table(method, omega, omega0, grid[block], max(counts[block]))
+        usable = ~table.spurious & (table.n <= np.array(counts[block])[:, None])
+        values = np.where(usable, table.energies, np.inf)
+        # (energy, n) order, ties kept in slot order
+        order = np.lexsort((np.broadcast_to(table.n, values.shape), values), axis=-1)[:, :n_levels]
+        pairs = zip(table.branch, table.parity)
+        slot_codes = np.array([labels.setdefault(pair, len(labels)) for pair in pairs])
+        energies[block, :order.shape[1]] = np.take_along_axis(values, order, axis=1)
+        codes[block, :order.shape[1]] = slot_codes[order]
+        errors.extend(
+            None if available >= n_levels else ValueError(
+                f"requested {n_levels} levels but only {available} are available"
             )
+            for available in usable.sum(axis=1).tolist()
         )
-    return out
+    return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
 
 
 def _extract_levels(
@@ -240,65 +229,39 @@ def rt2_iterated_chain(params: ModelParams, trunc: TruncationConfig) -> Transfor
     return th
 
 
-def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
-    """Matrix path behind strong_avg: displaced chain, averaging over the
-    doubly degenerate displaced ladder, diagonalization of the effective
-    operator.  Returns (decomposition, chain)."""
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
-    reference = np.diag(th.levels)
-    decomp = eigh(reference)
-    clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
-    heff = build_effective(reference, th.operator - reference, decomp, clusters)
-    return eigh(heff), th
-
-
-def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
-    """Matrix path behind strong_rt: displaced chain, zero-field photon-shift
-    reduction, numeric diagonalization of the doublet blocks of the averaged
-    operator."""
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
-    th = rt_zero_field(th)
-    return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
-
-
 def exact_sweep(
     omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
-) -> list:
+) -> MethodSweep:
     """The lowest ``n_levels`` exact levels at every coupling of ``grid``,
     from one stacked solve of the parity blocks (:func:`spectrum.exact_spectra`).
 
-    Entry i is a list of (branch, parity, energy) in ascending energy order,
-    or the ValueError coupling i raises on its own: asking for more levels
-    than the guard band validates there.
+    A coupling records a ValueError where more levels are asked for than
+    the guard band validates there.
     """
     grid = np.asarray(grid, dtype=float)
-    out: list = []
+    errors = []
     for g in grid.tolist():
         valid = validated_level_count(ModelParams(omega, omega0, g), trunc)
-        out.append(
+        errors.append(
             None if n_levels <= valid else ValueError(
                 f"requested {n_levels} levels from dim {trunc.dim}, of which the "
                 f"guard band validates {valid}"
             )
         )
-    solved = [i for i, levels in enumerate(out) if levels is None]
-    values, odd = exact_spectra(omega, omega0, grid[solved], trunc.n_max)
-    for i, energies, labels in zip(
-        solved, values[:, :n_levels].tolist(), odd[:, :n_levels].tolist()
-    ):
-        out[i] = [
-            (BRANCH_UNASSIGNED, PARITY_ODD if o else PARITY_EVEN, e)
-            for e, o in zip(energies, labels)
-        ]
-    return out
+    energies = np.full((grid.size, n_levels), np.nan)
+    odd = np.zeros((grid.size, n_levels), dtype=np.intp)
+    solved = np.array([exc is None for exc in errors], dtype=bool)
+    if solved.any():
+        values, is_odd = exact_spectra(omega, omega0, grid[solved], trunc.n_max)
+        energies[solved], odd[solved] = values[:, :n_levels], is_odd[:, :n_levels]
+    return MethodSweep("exact", energies, _EXACT_LABELS, odd, tuple(errors))
 
 
 def grid_sweep(
     method: str, omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
-) -> list:
-    """Any registered method over the whole ``grid``: per coupling, its levels
-    as (branch, parity, energy) in ascending energy order, or the exception
-    that coupling raises on its own.
+) -> MethodSweep:
+    """Any registered method over the whole ``grid``, with the exception each
+    coupling raises on its own recorded in its slot.
 
     The methods in GRID_METHODS answer the grid in one array program
     (:func:`exact_sweep`, :func:`closed_form_sweep`); a matrix chain calls
@@ -310,15 +273,15 @@ def grid_sweep(
         return closed_form_sweep(method, omega, omega0, grid, n_levels)
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
-    out: list = []
+    points: list = []
     for g in np.asarray(grid, dtype=float).tolist():
         try:
             levels = compute_levels(method, ModelParams(omega, omega0, g), trunc, n_levels)
         except Exception as exc:  # recorded for this coupling; the others still run
-            out.append(exc)
+            points.append(exc)
             continue
-        out.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
-    return out
+        points.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
+    return MethodSweep.from_points(method, points, n_levels)
 
 
 def _kam_levels(
@@ -359,15 +322,12 @@ def compute_levels(
         require_one_photon_resonance(params)
 
     if method in GRID_METHODS:
-        (levels,) = grid_sweep(
+        levels = grid_sweep(
             method, params.omega, params.omega0, [params.g], trunc, n_levels
-        )
+        ).point(0)
         if isinstance(levels, Exception):
             raise levels
-        return [
-            MethodLevel(level=i, branch=branch, parity=parity, energy=energy)
-            for i, (branch, parity, energy) in enumerate(levels)
-        ]
+        return [MethodLevel(i, *level) for i, level in enumerate(levels)]
     if method == "rt1":
         return levels_from_chain(rabi_rt1_chain(params, trunc), n_levels)
     if method == "rt1_kam":

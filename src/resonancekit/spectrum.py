@@ -1,12 +1,16 @@
 """Exact oracle from the two parity blocks of H, solved once per g grid as
 stacked eigenvalue problems and certified by a Sturm count; the checked
-dense Hermitian eigensolver the matrix chains use; the row and table
-records of a coupling sweep.  Sweeps themselves, the exact oracle's
-included, run through ``sweep.run_sweep``, which enforces the guard band."""
+dense Hermitian eigensolver the matrix chains use; the records of a coupling
+sweep.  A sweep is held as arrays, one :class:`MethodSweep` per method on
+the table's g grid; its per-level :class:`SpectrumRow` records are built
+only when ``SpectrumTable.rows`` is read.  Sweeps themselves, the exact
+oracle's included, run through ``sweep.run_sweep``, which enforces the guard
+band."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,12 +18,12 @@ from .operators import ModelParams, TruncationConfig, _mat, build_parity_blocks
 
 __all__ = [
     "EigenDecomposition",
+    "MethodSweep",
     "SpectrumRow",
     "SpectrumTable",
     "eigh",
     "exact_spectra",
     "exact_spectrum",
-    "validate_truncation",
 ]
 
 PARITY_EVEN = "even"
@@ -59,17 +63,96 @@ class SpectrumRow:
     method: str
     level: int
     branch: str  # "+", "-" or "unassigned"
-    parity: str  # "even", "odd" or "n/a"
+    parity: str  # "even", "odd", "n/a" or "unclassified"
     energy: float
     spurious: bool = False
 
 
-@dataclass
-class SpectrumTable:
-    """Per-(g, method, level) eigenvalue records over a coupling sweep."""
+@dataclass(frozen=True, eq=False)
+class MethodSweep:
+    """One method's levels over a coupling grid, as arrays.
 
-    rows: tuple[SpectrumRow, ...] = ()
-    failures: tuple[tuple[float, str, str], ...] = ()
+    At coupling i, level k has the energy ``energies[i, k]`` and the
+    (branch, parity) label ``labels[label_index[i, k]]``; energies ascend
+    along k.  ``errors[i]`` is the exception coupling i raised on its own, or
+    None; where it is set, row i of the arrays is not read.
+    """
+
+    method: str
+    energies: np.ndarray
+    labels: tuple[tuple[str, str], ...]
+    label_index: np.ndarray
+    errors: tuple[Exception | None, ...]
+
+    @classmethod
+    def from_points(cls, method: str, points, n_levels: int) -> MethodSweep:
+        """Inverse of :meth:`point`: coupling i has the ``n_levels`` levels,
+        or the exception, ``points[i]``."""
+        energies = np.full((len(points), n_levels), np.nan)
+        codes = np.zeros((len(points), n_levels), dtype=np.intp)
+        labels: dict[tuple[str, str], int] = {}
+        for i, levels in enumerate(points):
+            if not isinstance(levels, Exception):
+                energies[i] = [energy for _, _, energy in levels]
+                codes[i] = [labels.setdefault((b, p), len(labels)) for b, p, _ in levels]
+        errors = tuple(exc if isinstance(exc, Exception) else None for exc in points)
+        return cls(method, energies, tuple(labels), codes, errors)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([exc is None for exc in self.errors], dtype=bool)
+
+    def parities(self, rows) -> np.ndarray:
+        """The parity label of every level at the successful couplings that
+        ``rows`` (an index or mask over the grid) selects."""
+        parity = np.array([label[1] for label in self.labels], dtype=object)
+        return parity[self.label_index[rows]]
+
+    def point(self, i: int):
+        """Coupling i's levels as (branch, parity, energy) in ascending energy
+        order, or the exception it raised."""
+        if self.errors[i] is not None:
+            return self.errors[i]
+        codes, energies = self.label_index[i].tolist(), self.energies[i].tolist()
+        return [(*self.labels[c], e) for c, e in zip(codes, energies)]
+
+
+@dataclass(eq=False)
+class SpectrumTable:
+    """Every method's :class:`MethodSweep` over one coupling grid.
+
+    ``rows`` and ``failures`` list it record by record in (g, method, level)
+    order, methods in ``sweeps`` order; the rows are built on first read.
+    """
+
+    grid: np.ndarray
+    sweeps: tuple[MethodSweep, ...] = ()
+
+    def sweep(self, method: str) -> MethodSweep | None:
+        return next((s for s in self.sweeps if s.method == method), None)
+
+    @property
+    def row_count(self) -> int:
+        return sum(int(s.ok.sum()) * s.energies.shape[1] for s in self.sweeps)
+
+    @cached_property
+    def rows(self) -> tuple[SpectrumRow, ...]:
+        return tuple(
+            SpectrumRow(g, s.method, level, branch, parity, energy, False)
+            for i, g in enumerate(self.grid.tolist())
+            for s in self.sweeps
+            if s.errors[i] is None
+            for level, (branch, parity, energy) in enumerate(s.point(i))
+        )
+
+    @property
+    def failures(self) -> tuple[tuple[float, str, str], ...]:
+        return tuple(
+            (g, s.method, f"{type(s.errors[i]).__name__}: {s.errors[i]}")
+            for i, g in enumerate(self.grid.tolist())
+            for s in self.sweeps
+            if s.errors[i] is not None
+        )
 
 
 def _gap_ids(values: np.ndarray, tol) -> np.ndarray:
@@ -198,22 +281,3 @@ def exact_spectrum(
     parity label: :func:`exact_spectra` at the one coupling ``params.g``."""
     values, odd = exact_spectra(params.omega, params.omega0, [params.g], trunc.n_max)
     return values[0], tuple(PARITY_ODD if o else PARITY_EVEN for o in odd[0].tolist())
-
-
-def validate_truncation(params: ModelParams, trunc: TruncationConfig) -> int:
-    """Largest L such that the lowest L eigenvalues at n_max and 2*n_max agree.
-
-    Agreement threshold is 1e-8*omega.  L = 0 signals an unusable truncation.
-    The boundary pair is never certified (L <= dim - 2): the top two levels
-    of any truncation belong to the cut edge even when, as at g = 0, their
-    values happen to agree with the doubled run.
-    """
-    small, _ = exact_spectrum(params, trunc)
-    big, _ = exact_spectrum(params, TruncationConfig(n_max=2 * trunc.n_max))
-    tol = 1e-8 * params.omega
-    count = 0
-    for e_small, e_big in zip(small, big):
-        if abs(e_small - e_big) > tol:
-            break
-        count += 1
-    return min(count, small.shape[0] - 2)

@@ -8,9 +8,12 @@ Spurious kernel zeros are filtered before emission; the column is kept so
 the schema states the invariant explicitly.
 
 Every method is evaluated over the whole g-grid on one thread, by one
-:func:`methods.grid_sweep` call: the exact oracle and the closed forms as
-array programs, the matrix chains point by point.  A failing point is
-recorded and skipped, the run continues.
+:func:`methods.grid_sweep` call that returns its levels as arrays (a
+:class:`spectrum.MethodSweep`): the exact oracle and the closed forms fill
+them from array programs, the matrix chains point by point.  A failing point
+is recorded in its slot and skipped, the run continues.  The CSV, the error
+table and the resonance report are computed from those arrays; no per-level
+record is built on the way.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .closedform import resonance_loci
 from .methods import METHOD_ORDER, grid_sweep
 from .operators import TruncationConfig
-from .spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow, SpectrumTable
+from .spectrum import PARITY_EVEN, PARITY_ODD, MethodSweep, SpectrumRow, SpectrumTable
 
 __all__ = [
     "SweepConfig",
@@ -47,8 +50,8 @@ _FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max")
 _INT_KEYS = ("g_steps", "n_max", "n_levels")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: float | None) -> str:
+    return "" if x is None else format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -164,33 +167,19 @@ def worker_count() -> int:
 
 
 def _sweep_table(config: SweepConfig) -> SpectrumTable:
-    """Rows and failures of every configured method over the g-grid, from
-    one :func:`grid_sweep` per method."""
+    """Every configured method over the g-grid, from one :func:`grid_sweep`
+    per method."""
     grid = config.g_grid()
-    g_values = grid.tolist()
     trunc = TruncationConfig(n_max=config.n_max)
-    per_method = {}
+    sweeps = []
     for method in config.methods:
         try:
-            per_method[method] = grid_sweep(
-                method, config.omega, config.omega0, grid, trunc, config.n_levels
+            sweeps.append(
+                grid_sweep(method, config.omega, config.omega0, grid, trunc, config.n_levels)
             )
         except Exception as exc:  # e.g. off resonance: every point fails alike
-            per_method[method] = [exc] * len(g_values)
-
-    rows: list[SpectrumRow] = []
-    failures: list[tuple[float, str, str]] = []
-    for i, g in enumerate(g_values):
-        for method in config.methods:
-            levels = per_method[method][i]
-            if isinstance(levels, Exception):
-                failures.append((g, method, f"{type(levels).__name__}: {levels}"))
-                continue
-            rows.extend(
-                SpectrumRow(g, method, level, branch, parity, energy, False)
-                for level, (branch, parity, energy) in enumerate(levels)
-            )
-    return SpectrumTable(rows=tuple(rows), failures=tuple(failures))
+            sweeps.append(MethodSweep.from_points(method, [exc] * grid.size, 0))
+    return SpectrumTable(grid, tuple(sweeps))
 
 
 def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable:
@@ -208,24 +197,45 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable
 
 
 def table_to_csv(table: SpectrumTable) -> str:
-    lines = [CSV_HEADER]
-    g, g_text = None, ""
-    for row in table.rows:
-        if row.g is not g:  # a sweep's rows at one coupling share one float
-            g, g_text = row.g, _fmt(row.g)
-        lines.append(
-            f"{g_text},{row.method},{row.level},{row.branch},"
-            f"{row.parity},{_fmt(row.energy)},{row.spurious}"
-        )
-    return "\n".join(lines) + "\n"
+    """The sweep CSV of ``table``, written from its arrays: each row's text
+    up to the energy is precomputed per (g, method) and per (level, label),
+    and every energy goes through one "%.17g" format."""
+    g_text = ["%.17g" % g for g in table.grid.tolist()]
+    parts = [([], [], [], [])]  # per method: grid index, head, tail and energy of each row
+    for sweep in table.sweeps:
+        rows = np.flatnonzero(sweep.ok)
+        n_levels = sweep.energies.shape[1]
+        tails = np.array(
+            [[f"{level},{b},{p}," for b, p in sweep.labels] for level in range(n_levels)], object
+        ).reshape(n_levels, len(sweep.labels))
+        heads = np.array([f"{g_text[i]},{sweep.method}," for i in rows.tolist()], object)
+        parts.append((
+            np.repeat(rows, n_levels),
+            np.repeat(heads, n_levels),
+            tails[np.arange(n_levels), sweep.label_index[rows]].ravel(),
+            sweep.energies[rows].ravel(),
+        ))
+    index, heads, tails, energies = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(index, kind="stable")  # (g, method, level) order
+    items = np.empty((order.size, 3), dtype=object)
+    items[:, 0], items[:, 1], items[:, 2] = heads[order], tails[order], energies[order]
+    lines = ("%s%s%.17g,False\n" * order.size) % tuple(items.ravel().tolist())
+    return f"{CSV_HEADER}\n{lines}"
 
 
 def csv_to_table(text: str) -> SpectrumTable:
-    """Inverse of table_to_csv; the round trip is exact."""
+    """Inverse of table_to_csv; the round trip is exact.
+
+    The grid is every coupling the CSV has rows for.  A (g, method) point
+    without rows, one that failed, records a LookupError.  Raises ValueError
+    on rows that table_to_csv does not write: out of (g, method, level)
+    order, a level count that varies within a method, spurious rows.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad CSV header: {lines[0] if lines else '<empty>'!r}")
     rows = []
+    points: dict[str, dict[str, list]] = {}  # g text -> method -> (branch, parity, energy)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -233,38 +243,48 @@ def csv_to_table(text: str) -> SpectrumTable:
         if len(parts) != 7:
             raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         g, method, level, branch, parity, energy, spurious = parts
-        rows.append(
-            SpectrumRow(
-                g=float(g),
-                method=method,
-                level=int(level),
-                branch=branch,
-                parity=parity,
-                energy=float(energy),
-                spurious=spurious == "True",
-            )
-        )
-    return SpectrumTable(rows=tuple(rows), failures=())
+        energy = float(energy)
+        spurious = spurious == "True"
+        rows.append(SpectrumRow(float(g), method, int(level), branch, parity, energy, spurious))
+        points.setdefault(g, {}).setdefault(method, []).append((branch, parity, energy))
+    named = {method for by_method in points.values() for method in by_method}
+    if not named <= set(METHOD_ORDER):
+        raise ValueError(f"unknown methods {sorted(named - set(METHOD_ORDER))}")
+    sweeps = []
+    for method in (m for m in METHOD_ORDER if m in named):
+        levels = [by.get(method, LookupError("no rows in the CSV")) for by in points.values()]
+        width = len(next(lv for lv in levels if isinstance(lv, list)))
+        sweeps.append(MethodSweep.from_points(method, levels, width))
+    table = SpectrumTable(np.array([float(g) for g in points]), tuple(sweeps))
+    if table.rows != tuple(rows):
+        raise ValueError("the rows are not a sweep table in (g, method, level) order")
+    return table
 
 
-def _rank_pairs(exact_rows, method_rows):
-    """Parity-resolved rank matching: within each parity class, levels pair
-    up in ascending-energy order; levels without a usable parity label pool
-    into a final rank-matched remainder."""
-    pairs = []
-    used_e: set[int] = set()
-    used_m: set[int] = set()
-    for label in (PARITY_EVEN, PARITY_ODD):
-        e_idx = [i for i, r in enumerate(exact_rows) if r.parity == label]
-        m_idx = [i for i, r in enumerate(method_rows) if r.parity == label]
-        for i, j in zip(e_idx, m_idx):
-            pairs.append((exact_rows[i], method_rows[j]))
-            used_e.add(i)
-            used_m.add(j)
-    rest_e = [r for i, r in enumerate(exact_rows) if i not in used_e]
-    rest_m = [r for j, r in enumerate(method_rows) if j not in used_m]
-    pairs.extend(zip(rest_e, rest_m))
-    return pairs
+def _pair_errors(exact: MethodSweep, other: MethodSweep) -> np.ndarray:
+    """|E_other - E_exact| over parity-resolved rank pairs, at every coupling
+    where both succeed, in (g, class, rank) order.
+
+    Within each parity class, and then among the levels left unpaired (no
+    usable parity label, or beyond the other side's count in their class),
+    levels pair up in ascending-energy order: one rank mask per class.
+    """
+    ok = exact.ok & other.ok
+    e_energy, m_energy = exact.energies[ok], other.energies[ok]
+    e_parity, m_parity = exact.parities(ok), other.parities(ok)
+    e_free, m_free = np.ones(e_energy.shape, bool), np.ones(m_energy.shape, bool)
+    errors, rows = [], []
+    for label in (PARITY_EVEN, PARITY_ODD, None):
+        e_want = e_free if label is None else e_parity == label
+        m_want = m_free if label is None else m_parity == label
+        count = np.minimum(e_want.sum(axis=1), m_want.sum(axis=1))[:, None]
+        e_take = e_want & (np.cumsum(e_want, axis=1) <= count)
+        m_take = m_want & (np.cumsum(m_want, axis=1) <= count)
+        e_free &= ~e_take
+        m_free &= ~m_take
+        errors.append(np.abs(m_energy[m_take] - e_energy[e_take]))
+        rows.append(np.nonzero(e_take)[0])
+    return np.concatenate(errors)[np.argsort(np.concatenate(rows), kind="stable")]
 
 
 def compare_methods(
@@ -275,33 +295,23 @@ def compare_methods(
     """Per-method max/mean absolute deviation from the exact baseline.
 
     Runs the sweep if no table is supplied.  Returns
-    {method: (max_abs_error, mean_abs_error, pairs)} and writes the error CSV
+    {method: (max_abs_error, mean_abs_error, pairs)}.  Writes the error CSV
     next to the sweep output (suffix ``_errors.csv``) unless out_path says
-    otherwise; as in :func:`run_sweep`, an empty path writes nothing.  The baseline itself appears in the output with all-zero
-    errors, which doubles as a self-check of the pairing.
+    otherwise; as in :func:`run_sweep`, an empty path writes nothing.  The
+    baseline itself appears in the output with all-zero errors, which
+    doubles as a self-check of the pairing.
     """
     if "exact" not in config.methods:
         raise ValueError("compare_methods needs the exact baseline in methods")
     if table is None:
         table = run_sweep(config)
     result: dict[str, tuple[float, float, int]] = {}
-    by_point: dict[tuple[float, str], list[SpectrumRow]] = {}
-    for row in table.rows:
-        if not row.spurious:
-            by_point.setdefault((row.g, row.method), []).append(row)
-    for rows in by_point.values():
-        rows.sort(key=lambda r: r.level)
+    exact = table.sweep("exact")
     for method in config.methods:
-        errors: list[float] = []
-        for g in sorted({key[0] for key in by_point}):
-            exact_rows = by_point.get((g, "exact"))
-            method_rows = by_point.get((g, method))
-            if not exact_rows or not method_rows:
-                continue
-            for e_row, m_row in _rank_pairs(exact_rows, method_rows):
-                errors.append(abs(m_row.energy - e_row.energy))
-        if errors:
-            result[method] = (float(max(errors)), float(np.mean(errors)), len(errors))
+        other = table.sweep(method)
+        errors = [] if exact is None or other is None else _pair_errors(exact, other)
+        if len(errors):
+            result[method] = (float(np.max(errors)), float(np.mean(errors)), len(errors))
         else:
             result[method] = (float("nan"), float("nan"), 0)
     if out_path is None and config.output_path:
@@ -329,17 +339,16 @@ class LocusReport:
     note: str = ""
 
 
-def _crossing_gap(rows, parity_label: str, e_up: float, e_down: float) -> float | None:
+def _crossing_gap(energies: np.ndarray, e_up: float, e_down: float) -> float | None:
     """Gap between the two same-parity exact levels tracking a dressed pair.
 
     The dressed ladder puts the crossing pair near energies ``e_up`` and
-    ``e_down``; the corresponding exact levels are the same-parity levels
-    nearest those estimates (distinct ones), and their distance is the
-    avoided-crossing gap."""
-    energies = sorted(r.energy for r in rows if r.parity == parity_label)
-    if len(energies) < 2:
+    ``e_down``; the corresponding exact levels are the levels of
+    ``energies`` (one coupling, one parity class) nearest those estimates
+    (distinct ones), and their distance is the avoided-crossing gap."""
+    if energies.size < 2:
         return None
-    arr = np.asarray(energies)
+    arr = np.sort(energies)
     first = int(np.argmin(np.abs(arr - e_up)))
     rest = np.delete(arr, first)
     second = float(rest[int(np.argmin(np.abs(rest - e_down)))])
@@ -358,15 +367,14 @@ def resonance_report(
     outside the g-grid are kept as rows with an explanatory note.
     """
     grid = config.g_grid()
-    if table is None or not any(r.method == "exact" for r in table.rows):
+    exact = None if table is None else table.sweep("exact")
+    if exact is None or not exact.ok.any():
         exact_config = replace(config, methods=("exact",), output_path="")
         table = run_sweep(exact_config, out_path="")
-    exact_by_g: dict[float, list[SpectrumRow]] = {}
-    for row in table.rows:
-        if row.method == "exact" and not row.spurious:
-            exact_by_g.setdefault(row.g, []).append(row)
-
-    top_energy = max((r.energy for rows in exact_by_g.values() for r in rows), default=0.0)
+        exact = table.sweep("exact")
+    ok = exact.ok
+    exact_g, energies, parities = table.grid[ok].tolist(), exact.energies[ok], exact.parities(ok)
+    top_energy = float(energies.max()) if energies.size else 0.0
     loci = resonance_loci(range(0, config.n_max), config.omega)
     reports: list[LocusReport] = []
     for locus in loci:
@@ -393,15 +401,14 @@ def resonance_report(
         best_g: float | None = None
         best_gap: float | None = None
         searched: list[float] = []
-        for g in sorted(exact_by_g):
+        for i, g in enumerate(exact_g):
             if abs(g - locus.g) > half_width:
                 continue
-            rows = exact_by_g[g]
             e_up = config.omega * locus.n + g * np.sqrt(locus.n)
             e_down = config.omega * (locus.n + 2) - g * np.sqrt(locus.n + 2)
-            if max(e_up, e_down) > max(r.energy for r in rows) - 0.5 * config.omega:
+            if max(e_up, e_down) > energies[i].max() - 0.5 * config.omega:
                 continue  # crossing pair not resolved by the retained levels
-            gap = _crossing_gap(rows, parity_label, e_up, e_down)
+            gap = _crossing_gap(energies[i][parities[i] == parity_label], e_up, e_down)
             if gap is None:
                 continue
             searched.append(g)
@@ -414,31 +421,10 @@ def resonance_report(
             note = "minimum at search-window edge"
         else:
             note = ""
-        reports.append(
-            LocusReport(
-                kind="active",
-                n=locus.n,
-                g_locus=locus.g,
-                nearest_grid_g=nearest,
-                min_gap_g=best_g,
-                min_gap=best_gap,
-                note=note,
-            )
-        )
+        reports.append(LocusReport("active", locus.n, locus.g, nearest, best_g, best_gap, note))
 
     lines = [LOCUS_CSV_HEADER]
     for rep in sorted(reports, key=lambda r: (-r.g_locus, r.kind)):
-        lines.append(
-            ",".join(
-                [
-                    rep.kind,
-                    str(rep.n),
-                    _fmt(rep.g_locus),
-                    "" if rep.nearest_grid_g is None else _fmt(rep.nearest_grid_g),
-                    "" if rep.min_gap_g is None else _fmt(rep.min_gap_g),
-                    "" if rep.min_gap is None else _fmt(rep.min_gap),
-                    rep.note,
-                ]
-            )
-        )
+        values = (rep.g_locus, rep.nearest_grid_g, rep.min_gap_g, rep.min_gap)
+        lines.append(",".join([rep.kind, str(rep.n), *map(_fmt, values), rep.note]))
     return "\n".join(lines) + "\n", reports

@@ -7,19 +7,28 @@ compare the index-remap implementation with the textbook one.  The
 commutator-series conjugation plays the same role for ``resonancekit.kam``,
 which conjugates by an exactly unitary exp(W).  The dense solve of one
 parity block is the eigenvector-carrying counterpart of the exact oracle,
-which solves the blocks for eigenvalues only.
+which solves the blocks for eigenvalues only.  The matrix paths behind
+strong_avg and strong_rt are the matrix side of the closed forms'
+acceptance check, and the doubled-truncation comparison is the check the
+guard band is tested against.
 """
 
 import math
 
 import numpy as np
 
-from resonancekit.averaging import cluster_levels, combined_projector
+from resonancekit.averaging import build_effective, cluster_levels, combined_projector
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
-from resonancekit.operators import _mat, basis_index
-from resonancekit.spectrum import EigenDecomposition, eigh
-from resonancekit.transforms import atom_rotation_t
+from resonancekit.operators import ModelParams, TruncationConfig, _mat, basis_index, build_rabi
+from resonancekit.spectrum import EigenDecomposition, eigh, exact_spectrum
+from resonancekit.transforms import (
+    TransformedHamiltonian,
+    atom_rotation_t,
+    generic_numeric_rt,
+    rt_zero_field,
+    strong_chain,
+)
 
 
 def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
@@ -183,3 +192,43 @@ def eigh_block(block) -> EigenDecomposition:
     """Checked dense eigendecomposition of one parity block, eigenvectors in
     the block's own basis (row j is the state at ``block.indices[j]``)."""
     return eigh(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
+
+
+def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
+    """Matrix path behind strong_avg: displaced chain, averaging over the
+    doubly degenerate displaced ladder, diagonalization of the effective
+    operator.  Returns (decomposition, chain)."""
+    th = strong_chain(build_rabi(params, trunc), params, trunc)
+    reference = np.diag(th.levels)
+    decomp = eigh(reference)
+    clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
+    heff = build_effective(reference, th.operator - reference, decomp, clusters)
+    return eigh(heff), th
+
+
+def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
+    """Matrix path behind strong_rt: displaced chain, zero-field photon-shift
+    reduction, numeric diagonalization of the doublet blocks of the averaged
+    operator."""
+    th = strong_chain(build_rabi(params, trunc), params, trunc)
+    th = rt_zero_field(th)
+    return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
+
+
+def validate_truncation(params: ModelParams, trunc: TruncationConfig) -> int:
+    """Largest L such that the lowest L eigenvalues at n_max and 2*n_max agree.
+
+    Agreement threshold is 1e-8*omega.  L = 0 signals an unusable truncation.
+    The boundary pair is never certified (L <= dim - 2): the top two levels
+    of any truncation belong to the cut edge even when, as at g = 0, their
+    values happen to agree with the doubled run.
+    """
+    small, _ = exact_spectrum(params, trunc)
+    big, _ = exact_spectrum(params, TruncationConfig(n_max=2 * trunc.n_max))
+    tol = 1e-8 * params.omega
+    count = 0
+    for e_small, e_big in zip(small, big):
+        if abs(e_small - e_big) > tol:
+            break
+        count += 1
+    return min(count, small.shape[0] - 2)

@@ -1,5 +1,6 @@
 """Scalar test oracles: the four closed forms written one coupling at a time
-in plain Python floats, and the per-coupling level selection.
+in plain Python floats, the per-coupling level selection, and the matrix
+elements of the displacement operator.
 
 ``resonancekit.closedform`` evaluates the same formulas as array programs
 over a coupling grid; these transcriptions fix the operation order whose
@@ -91,3 +92,22 @@ def selected_levels(method, w, w0, g, n_levels):
         key=lambda slot: (slot[2], slot[0]),
     )
     return [(branch, parity, energy) for _, branch, energy, parity, _ in physical[:n_levels]]
+
+
+def displacement_element(m: int, n: int, params: ModelParams, sign: int = +1) -> float:
+    """<m| exp(sign * (2g/omega)(a^dag - a)) |n>.
+
+    For m >= n this is sqrt(n!/m!) (sign*2g/omega)^(m-n) exp(-2g^2/omega^2)
+    L_n^(m-n)(4g^2/omega^2); for m < n the adjoint symmetry flips the sign.
+    Factorial ratios go through log-gamma so large m, n cannot overflow.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
+    if m < n:
+        return displacement_element(n, m, params, -sign)
+    r = 2.0 * params.g / params.omega
+    if r == 0.0:
+        return 1.0 if m == n else 0.0
+    k = m - n
+    log_amp = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + k * math.log(r) - 0.5 * r * r
+    return (1.0 if sign > 0 else (-1.0) ** k) * math.exp(log_amp) * laguerre(n, k, r * r)

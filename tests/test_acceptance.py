@@ -28,8 +28,6 @@ from resonancekit.methods import (
     levels_from_chain,
     rabi_rt1_chain,
     rabi_rt2_chain,
-    strong_avg_decomposition,
-    strong_rt_chain,
 )
 from resonancekit.operators import (
     ATOM_MINUS,
@@ -52,7 +50,7 @@ from resonancekit.sweep import (
 )
 from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import isometry_matrix
+from dense_oracles import isometry_matrix, strong_avg_decomposition, strong_rt_chain
 
 # Frozen regression ceilings (one-time oracle calibration; regenerate with
 # demos/calibrate_thresholds.py).  Measured maxima in the comments.

@@ -32,6 +32,19 @@ def test_sweep_writes_csv_and_reports_row_count(tmp_path, capsys):
     assert {r.method for r in table.rows} == {"exact", "jc"}
 
 
+def test_sweep_with_empty_output_path_says_no_file_was_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["sweep", *_SMALL, "--methods", "jc", "--out", ""])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "wrote no file: 12 rows, 0 failed points\n"
+    assert list(tmp_path.iterdir()) == []
+    # failures are still counted
+    assert main(["sweep", *_SMALL, "--omega0", "0.5", "--methods", "exact,jc", "--out", ""]) == 1
+    assert capsys.readouterr().out == "wrote no file: 12 rows, 3 failed points\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_failed_points_exit_1(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", *_SMALL, "--omega0", "0.5",

@@ -13,7 +13,6 @@ from scipy.special import genlaguerre
 
 from resonancekit.closedform import (
     closed_form_table,
-    displacement_element,
     f_laguerre,
     laguerre,
     laguerre_table,
@@ -30,6 +29,7 @@ from resonancekit.operators import (
 from resonancekit.spectrum import eigh, exact_spectrum
 
 import scalar_closed_forms
+from scalar_closed_forms import displacement_element
 
 
 def _params(g, omega0=None):
@@ -268,8 +268,9 @@ def test_closed_form_table_equals_scalar_formulas(method, omega0):
 def test_closed_form_sweep_equals_per_point_path(method, omega0):
     n_levels = 12
     swept = closed_form_sweep(method, 1.0, omega0, _GRID, n_levels)
-    assert len(swept) == len(_GRID)
-    for g, levels in zip(_GRID, swept):
+    assert len(swept.errors) == len(_GRID)
+    for i, g in enumerate(_GRID):
+        levels = swept.point(i)
         assert levels == scalar_closed_forms.selected_levels(method, 1.0, omega0, g, n_levels)
         point = compute_levels(
             method, ModelParams(1.0, omega0, g), TruncationConfig(n_max=20), n_levels

@@ -93,7 +93,10 @@ def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
     grid = np.linspace(0.0, 3.0, 31)
     whole = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
     monkeypatch.setattr(methods, "_CLOSED_FORM_BLOCK", 200)  # a few couplings per block
-    assert closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10) == whole
+    blocked = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
+    assert [blocked.point(i) for i in range(grid.size)] == [
+        whole.point(i) for i in range(grid.size)
+    ]
 
 
 def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch):
@@ -102,9 +105,9 @@ def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch)
         methods, "_closed_form_count", lambda g, omega, n_levels: 2 if g > 1.0 else n_levels
     )
     swept = closed_form_sweep("jc", 1.0, 1.0, [0.5, 1.5], 8)
-    assert len(swept[0]) == 8
-    assert isinstance(swept[1], ValueError)
-    assert str(swept[1]) == "requested 8 levels but only 5 are available"
+    assert len(swept.point(0)) == 8
+    assert isinstance(swept.point(1), ValueError)
+    assert str(swept.point(1)) == "requested 8 levels but only 5 are available"
     with pytest.raises(ValueError, match="only 5 are available"):
         compute_levels("jc", _params(1.5), TruncationConfig(n_max=12), 8)
 

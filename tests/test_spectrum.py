@@ -21,11 +21,10 @@ from resonancekit.spectrum import (
     eigh,
     exact_spectra,
     exact_spectrum,
-    validate_truncation,
 )
 from resonancekit.sweep import SweepConfig, run_sweep
 
-from dense_oracles import eigh_block
+from dense_oracles import eigh_block, validate_truncation
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
 # n_max=60 (agreement below 2e-14).  omega = omega0 = 1, g = 0.2.

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resonancekit.closedform import closed_form_table, displacement_element, rt2_mixing_angle
+from resonancekit.closedform import closed_form_table, rt2_mixing_angle
 from resonancekit.methods import (
     levels_from_chain,
     rabi_rt1_chain,
@@ -51,6 +51,7 @@ from dense_oracles import (
     shift_down,
     tensor,
 )
+from scalar_closed_forms import displacement_element
 
 
 def _bare(operator, levels):
