@@ -8,9 +8,11 @@ transformation (strong_rt) fixes the small-g limit without losing the
 large-g collapse.
 """
 
+import math
+
 import numpy as np
 
-from resonancekit.closedform import f_laguerre
+from resonancekit.closedform import laguerre_table
 from resonancekit.methods import compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
 
@@ -38,8 +40,8 @@ def splitting_collapse():
     print("\nLaguerre-damped splitting factor f_n(g) = exp(-2g^2) L_n(4g^2):")
     print(f"  {'g':>5} " + " ".join(f"{f'f_{n}':>10}" for n in range(4)))
     for g in (0.1, 0.3, 0.5, 1.0, 2.0):
-        params = ModelParams(omega=1.0, omega0=1.0, g=g)
-        values = [f_laguerre(n, params) for n in range(4)]
+        r = 2.0 * g  # 2g/omega
+        values = math.exp(-0.5 * r * r) * laguerre_table(3, 0, r * r)
         print(f"  {g:>5} " + " ".join(f"{v:>10.4f}" for v in values))
     print("f_1 vanishes exactly at g = omega/2 (the n = 1 averaged doublet")
     print("crosses there); the exp(-2g^2) envelope eventually wins for every")

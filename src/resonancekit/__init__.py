@@ -28,7 +28,6 @@ from .averaging import (
     project_average,
     solve_cohomological,
     classify_resonances,
-    build_effective,
     combined_projector,
 )
 from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate_full
@@ -47,7 +46,6 @@ from .transforms import (
 from .methods import METHOD_ORDER, MethodLevel, compute_levels
 from .closedform import (
     closed_form_table,
-    laguerre,
     resonance_loci,
     second_order_locus,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "project_average",
     "solve_cohomological",
     "classify_resonances",
-    "build_effective",
     "combined_projector",
     "KamChain",
     "KamStepReport",
@@ -101,7 +98,6 @@ __all__ = [
     "MethodLevel",
     "compute_levels",
     "closed_form_table",
-    "laguerre",
     "resonance_loci",
     "second_order_locus",
     "SweepConfig",

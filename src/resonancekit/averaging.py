@@ -20,7 +20,6 @@ __all__ = [
     "project_average",
     "solve_cohomological",
     "classify_resonances",
-    "build_effective",
     "combined_projector",
 ]
 
@@ -154,14 +153,6 @@ def classify_resonances(
         active=tuple(flags),
         tol_active=float(tol_active),
     )
-
-
-def build_effective(
-    H0, V, decomp: EigenDecomposition, clusters: DegeneracyClusters
-) -> np.ndarray:
-    """Effective operator H0 + (averaged V); Hermitian by construction."""
-    h_eff = _mat(H0) + project_average(V, decomp, clusters)
-    return 0.5 * (h_eff + h_eff.conj().T)  # scrub rotation round-off
 
 
 def _diag_clusters(diag: np.ndarray, tol_deg: float) -> np.ndarray:

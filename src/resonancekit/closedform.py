@@ -28,9 +28,7 @@ import numpy as np
 __all__ = [
     "ClosedFormTable",
     "ResonanceLocus",
-    "laguerre",
     "laguerre_table",
-    "f_laguerre",
     "closed_form_table",
     "resonance_loci",
     "second_order_locus",
@@ -71,28 +69,12 @@ class ResonanceLocus:
     kind: str  # "active" | "mute"
 
 
-def laguerre(n: int, alpha: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(alpha)(x) by the stable three-term
-    recurrence (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
 def laguerre_table(n: int, alpha, x) -> np.ndarray:
     """L_0^(alpha)(x), ..., L_n^(alpha)(x) stacked on a new leading axis.
 
     ``alpha`` (non-negative integers) and ``x`` are arrays that broadcast
-    together.  One pass of ``laguerre``'s recurrence in the same operation
-    order, so entry k equals ``laguerre(k, alpha, x)`` bit for bit.
+    together, by the stable three-term recurrence
+    (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -107,12 +89,6 @@ def laguerre_table(n: int, alpha, x) -> np.ndarray:
     for k in range(1, n):
         out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
     return out
-
-
-def f_laguerre(n: int, params: ModelParams) -> float:
-    """Diagonal displacement element f_n = exp(-2g^2/w^2) L_n(4g^2/w^2)."""
-    r = 2.0 * params.g / params.omega
-    return math.exp(-0.5 * r * r) * laguerre(n, 0, r * r)
 
 
 def _require_resonance(omega: float, omega0: float) -> None:

@@ -4,17 +4,20 @@ Every method maps (params, trunc, n_levels) to the same shape of output: the
 lowest physical levels in ascending energy order, spurious kernel zeros
 already filtered, each level carrying a branch tag (closed forms only), a
 parity label, and its energy.  The exact oracle's labels hold by
-construction, matrix chains read theirs off the parity sign vector each
-chain carries (slot k of a chain is one level; the contact-iteration
-refinements weight the signs by their eigenvectors), closed forms carry
-analytic labels.  No matrix path emits guard-band levels.
+construction, the contact-iteration chains read theirs off the parity sign
+vector each chain carries, weighted by their eigenvectors, closed forms
+carry analytic labels.  No method emits guard-band levels.
 
-Truncation policy: matrix chains run at the caller's truncation, except the
-contact-iteration refinements (rt1_kam, rt_full_kam), which rebuild their
-chain at a small truncation tied to the requested level count — the
-small-denominator correction is only contractive while every retained pair
-of reference levels keeps a gap well above its coupling, and the dense top
-of a large Fock box violates that long before the levels of interest do.
+Truncation policy: no matrix chain runs at the caller's truncation.  The
+caller's ``n_max`` bounds the exact oracle's box and rt1's photon range:
+rt1 is the one-photon chain's renormalized reference, jc's dressed ladder
+slot for slot, read off the jc table up to ``n_max - 1`` photons (the
+chain's loss band of 1).  The contact-iteration refinements (rt1_kam,
+rt_full_kam) build their chain at a small truncation tied to the requested
+level count — the small-denominator correction is only contractive while
+every retained pair of reference levels keeps a gap well above its
+coupling, and the dense top of a large Fock box violates that long before
+the levels of interest do.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .operators import (
     validated_level_count,
 )
 from .spectrum import (
-    PARITY_NA,
     PARITY_UNCLASSIFIED,
     PARITY_EVEN,
     PARITY_ODD,
@@ -63,7 +65,6 @@ __all__ = [
     "rabi_rt1_chain",
     "rabi_rt2_chain",
     "rt2_iterated_chain",
-    "levels_from_chain",
 ]
 
 METHOD_ORDER = (
@@ -83,7 +84,7 @@ WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 
 # Methods evaluated once per sweep, as array programs over the whole g grid.
-GRID_METHODS = CLOSED_FORM_METHODS | {"exact"}
+GRID_METHODS = CLOSED_FORM_METHODS | {"exact", "rt1"}
 
 BRANCH_UNASSIGNED = "unassigned"
 
@@ -140,75 +141,47 @@ def closed_form_sweep(
     """
     if method not in CLOSED_FORM_METHODS:
         raise ValueError(f"{method!r} is not a closed form")
+    return _table_sweep(method, method, omega, omega0, grid, n_levels)
+
+
+def _table_sweep(
+    method: str, form: str, omega: float, omega0: float, grid, n_levels: int,
+    n_max: int | None = None,
+) -> MethodSweep:
+    """``method``'s levels read off the closed form ``form``.  With ``n_max``
+    (rt1 on the jc ladder) only photon numbers up to ``n_max - 1`` count and
+    every branch is unassigned."""
     grid = np.asarray(grid, dtype=float)
-    counts = [_closed_form_count(g, omega, n_levels) for g in grid.tolist()]
+    top = math.inf if n_max is None else n_max - 1
+    counts = [min(_closed_form_count(g, omega, n_levels), top) for g in grid.tolist()]
     # at most 2 * (count + 1) slots per coupling
     rows = max(1, _CLOSED_FORM_BLOCK // (2 * max(counts, default=0) + 2))
     energies = np.full((grid.size, n_levels), np.inf)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     labels: dict[tuple[str, str], int] = {}
     errors: list = []
+    too_few = "are available" if n_max is None else (
+        f"survive the guard band (loss_band=1, n_max={n_max})"
+    )
     for lo in range(0, grid.size, rows):
         block = slice(lo, lo + rows)
-        table = closed_form_table(method, omega, omega0, grid[block], max(counts[block]))
+        table = closed_form_table(form, omega, omega0, grid[block], max(counts[block]))
         usable = ~table.spurious & (table.n <= np.array(counts[block])[:, None])
         values = np.where(usable, table.energies, np.inf)
         # (energy, n) order, ties kept in slot order
         order = np.lexsort((np.broadcast_to(table.n, values.shape), values), axis=-1)[:, :n_levels]
-        pairs = zip(table.branch, table.parity)
+        branches = table.branch if n_max is None else (BRANCH_UNASSIGNED,) * len(table.branch)
+        pairs = zip(branches, table.parity)
         slot_codes = np.array([labels.setdefault(pair, len(labels)) for pair in pairs])
         energies[block, :order.shape[1]] = np.take_along_axis(values, order, axis=1)
         codes[block, :order.shape[1]] = slot_codes[order]
         errors.extend(
             None if available >= n_levels else ValueError(
-                f"requested {n_levels} levels but only {available} are available"
+                f"requested {n_levels} levels but only {available} {too_few}"
             )
             for available in usable.sum(axis=1).tolist()
         )
     return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
-
-
-def _extract_levels(
-    values: np.ndarray,
-    photon: np.ndarray,
-    parity: np.ndarray | None,
-    spurious,
-    loss_band: int,
-    n_max: int,
-    n_levels: int,
-) -> list[MethodLevel]:
-    """Shared tail of every matrix path, on per-level data: energies, photon
-    numbers, parity expectations (None: no parity bookkeeping) and kernel
-    vectors in the basis of the levels.  Drops kernel zeros by overlap, drops
-    levels living in the corrupted top photon band, sorts, ranks."""
-    values = np.asarray(values, dtype=float)
-    _, kept, _ = spurious_filter(values, tuple(spurious))
-    usable = np.asarray(kept, dtype=int)
-    usable = usable[photon[usable] <= n_max - loss_band]
-    usable = usable[np.argsort(values[usable], kind="stable")]
-    if len(usable) < n_levels:
-        raise ValueError(
-            f"requested {n_levels} levels but only {len(usable)} survive the "
-            f"guard band (loss_band={loss_band}, n_max={n_max})"
-        )
-    labels = np.full(values.size, PARITY_NA if parity is None else PARITY_UNCLASSIFIED, object)
-    if parity is not None:
-        labels[parity >= _OVERLAP_MIN] = PARITY_EVEN
-        labels[parity <= -_OVERLAP_MIN] = PARITY_ODD
-    return [
-        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
-        for rank, k in enumerate(usable[:n_levels])
-    ]
-
-
-def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
-    """Read levels off a chain: slot k is a level with energy ``levels[k]``,
-    photon number k // 2 and parity ``parity[k]``; a kernel vector's
-    component k is its overlap with slot k."""
-    n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
-    return _extract_levels(
-        th.levels, np.arange(th.dim) // 2, th.parity, th.spurious, th.loss_band, n_max, n_levels
-    )
 
 
 def rabi_rt1_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
@@ -264,13 +237,15 @@ def grid_sweep(
     coupling raises on its own recorded in its slot.
 
     The methods in GRID_METHODS answer the grid in one array program
-    (:func:`exact_sweep`, :func:`closed_form_sweep`); a matrix chain calls
-    :func:`compute_levels` once per coupling.
+    (:func:`exact_sweep`, :func:`closed_form_sweep`, rt1 from the jc table);
+    a contact-iteration chain calls :func:`compute_levels` once per coupling.
     """
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
     if method in CLOSED_FORM_METHODS:
         return closed_form_sweep(method, omega, omega0, grid, n_levels)
+    if method == "rt1":
+        return _table_sweep("rt1", "jc", omega, omega0, grid, n_levels, trunc.n_max)
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
     points: list = []
@@ -287,24 +262,36 @@ def grid_sweep(
 def _kam_levels(
     th: TransformedHamiltonian, params: ModelParams, n_levels: int
 ) -> list[MethodLevel]:
+    """The chain's levels after one contact-iteration step.  Each eigenvector
+    v of the refined reference is one level: photon number of its largest
+    slot, |v|^2-weighted parity, and the kernel vectors' overlaps v^H w, by
+    which kernel zeros are dropped; so are levels in the top ``loss_band``
+    photon rows."""
     reference = np.diag(th.levels)
     chain = kam_iterate_full(
-        reference,
-        th.operator - reference,
-        max_steps=1,
+        reference, th.operator - reference, max_steps=1,
         tol_deg=PHYSICAL_CLUSTER_FRACTION * params.omega,
     )
-    n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
-    # Each eigenvector v of the refined reference maps to the data of one
-    # level: photon number of its largest slot, |v|^2-weighted parity, and
-    # the kernel vectors' overlaps v^H w.
-    v = chain.vectors
-    parity = None if th.parity is None else (np.abs(v) ** 2).T @ th.parity
+    v, values = chain.vectors, chain.estimate
     spurious = tuple(replace(sp, vector=v.conj().T @ sp.vector) for sp in th.spurious)
-    return _extract_levels(
-        chain.estimate, np.argmax(np.abs(v), axis=0) // 2, parity, spurious,
-        th.loss_band, n_max, n_levels,
-    )
+    _, kept, _ = spurious_filter(values, spurious)
+    usable = np.asarray(kept, dtype=int)
+    photon = np.argmax(np.abs(v), axis=0) // 2
+    usable = usable[photon[usable] <= th.trunc.n_max - th.loss_band]
+    usable = usable[np.argsort(values[usable], kind="stable")]
+    if len(usable) < n_levels:
+        raise ValueError(
+            f"requested {n_levels} levels but only {len(usable)} survive the "
+            f"guard band (loss_band={th.loss_band}, n_max={th.trunc.n_max})"
+        )
+    parity = (np.abs(v) ** 2).T @ th.parity
+    labels = np.full(values.size, PARITY_UNCLASSIFIED, object)
+    labels[parity >= _OVERLAP_MIN] = PARITY_EVEN
+    labels[parity <= -_OVERLAP_MIN] = PARITY_ODD
+    return [
+        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
+        for rank, k in enumerate(usable[:n_levels])
+    ]
 
 
 def compute_levels(
@@ -328,12 +315,5 @@ def compute_levels(
         if isinstance(levels, Exception):
             raise levels
         return [MethodLevel(i, *level) for i, level in enumerate(levels)]
-    if method == "rt1":
-        return levels_from_chain(rabi_rt1_chain(params, trunc), n_levels)
-    if method == "rt1_kam":
-        small = kam_truncation(n_levels)
-        return _kam_levels(rabi_rt1_chain(params, small), params, n_levels)
-    if method == "rt_full_kam":
-        small = kam_truncation(n_levels)
-        return _kam_levels(rt2_iterated_chain(params, small), params, n_levels)
-    raise AssertionError(f"unhandled method {method!r}")
+    chain = {"rt1_kam": rabi_rt1_chain, "rt_full_kam": rt2_iterated_chain}[method]
+    return _kam_levels(chain(params, kam_truncation(n_levels)), params, n_levels)

@@ -151,21 +151,6 @@ def build_rabi(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     return h
 
 
-def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
-    """Rotating-wave Hamiltonian: the coupling keeps only the co-rotating
-    terms g*(a (x) sigma_+ + a^H (x) sigma_-), which exchange one photon with
-    one atomic flip and couple the degenerate pairs |n,+> <-> |n+1,->."""
-    n = np.arange(trunc.n_max + 1)
-    ladder = params.omega * (n + 0.5)
-    h = np.zeros((trunc.dim, trunc.dim))
-    plus, minus = 2 * n, 2 * n + 1
-    h[plus, plus] = ladder + 0.5 * params.omega0
-    h[minus, minus] = ladder - 0.5 * params.omega0
-    h[plus[:-1], minus[1:]] = params.g * np.sqrt(n[1:])
-    h[minus[1:], plus[:-1]] = params.g * np.sqrt(n[1:])
-    return h
-
-
 def parity_signs(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal of the parity operator: (-1)^n for |n,+>, -(-1)^n for |n,->."""
     signs = np.repeat((-1.0) ** np.arange(trunc.n_max + 1), 2)

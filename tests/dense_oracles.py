@@ -9,24 +9,41 @@ which conjugates by an exactly unitary exp(W).  The dense solve of one
 parity block is the eigenvector-carrying counterpart of the exact oracle,
 which solves the blocks for eigenvalues only.  The matrix paths behind
 strong_avg and strong_rt are the matrix side of the closed forms'
-acceptance check, and the doubled-truncation comparison is the check the
-guard band is tested against.
+acceptance check, and reading levels off a chain slot by slot is the matrix
+side of rt1 and of jc.  The rotating-wave Hamiltonian is the dense model the
+averaging of the counter-rotating term reproduces, and the doubled-truncation
+comparison is the check the guard band is tested against.
 """
 
 import math
 
 import numpy as np
 
-from resonancekit.averaging import build_effective, cluster_levels, combined_projector
+from resonancekit.averaging import (
+    DegeneracyClusters,
+    cluster_levels,
+    combined_projector,
+    project_average,
+)
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
+from resonancekit.methods import BRANCH_UNASSIGNED, MethodLevel
 from resonancekit.operators import ModelParams, TruncationConfig, _mat, basis_index, build_rabi
-from resonancekit.spectrum import EigenDecomposition, eigh, exact_spectrum
+from resonancekit.spectrum import (
+    PARITY_EVEN,
+    PARITY_NA,
+    PARITY_ODD,
+    PARITY_UNCLASSIFIED,
+    EigenDecomposition,
+    eigh,
+    exact_spectrum,
+)
 from resonancekit.transforms import (
     TransformedHamiltonian,
     atom_rotation_t,
     generic_numeric_rt,
     rt_zero_field,
+    spurious_filter,
     strong_chain,
 )
 
@@ -40,6 +57,21 @@ def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
     if field_op.ndim != 2 or field_op.shape[0] != field_op.shape[1]:
         raise ValueError(f"field factor must be square, got {field_op.shape}")
     return np.kron(field_op, atom_op)
+
+
+def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
+    """Rotating-wave Hamiltonian: the coupling keeps only the co-rotating
+    terms g*(a (x) sigma_+ + a^H (x) sigma_-), which exchange one photon with
+    one atomic flip and couple the degenerate pairs |n,+> <-> |n+1,->."""
+    n = np.arange(trunc.n_max + 1)
+    ladder = params.omega * (n + 0.5)
+    h = np.zeros((trunc.dim, trunc.dim))
+    plus, minus = 2 * n, 2 * n + 1
+    h[plus, plus] = ladder + 0.5 * params.omega0
+    h[minus, minus] = ladder - 0.5 * params.omega0
+    h[plus[:-1], minus[1:]] = params.g * np.sqrt(n[1:])
+    h[minus[1:], plus[:-1]] = params.g * np.sqrt(n[1:])
+    return h
 
 
 def atom_block(f_pp, f_pm, f_mp, f_mm) -> np.ndarray:
@@ -192,6 +224,40 @@ def eigh_block(block) -> EigenDecomposition:
     """Checked dense eigendecomposition of one parity block, eigenvectors in
     the block's own basis (row j is the state at ``block.indices[j]``)."""
     return eigh(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
+
+
+def build_effective(
+    H0, V, decomp: EigenDecomposition, clusters: DegeneracyClusters
+) -> np.ndarray:
+    """Effective operator H0 + (averaged V); Hermitian by construction."""
+    h_eff = _mat(H0) + project_average(V, decomp, clusters)
+    return 0.5 * (h_eff + h_eff.conj().T)  # scrub rotation round-off
+
+
+def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
+    """Read levels off a chain: slot k is a level with energy ``levels[k]``,
+    photon number k // 2 and parity ``parity[k]``; a kernel vector's
+    component k is its overlap with slot k.  Drops kernel zeros by overlap
+    and levels in the top ``loss_band`` photon rows, sorts stably, ranks."""
+    n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
+    values = np.asarray(th.levels, dtype=float)
+    _, kept, _ = spurious_filter(values, th.spurious)
+    usable = np.asarray(kept, dtype=int)
+    usable = usable[usable // 2 <= n_max - th.loss_band]
+    usable = usable[np.argsort(values[usable], kind="stable")]
+    if len(usable) < n_levels:
+        raise ValueError(
+            f"requested {n_levels} levels but only {len(usable)} survive the "
+            f"guard band (loss_band={th.loss_band}, n_max={n_max})"
+        )
+    labels = np.full(values.size, PARITY_NA if th.parity is None else PARITY_UNCLASSIFIED, object)
+    if th.parity is not None:
+        labels[th.parity > 0] = PARITY_EVEN
+        labels[th.parity < 0] = PARITY_ODD
+    return [
+        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
+        for rank, k in enumerate(usable[:n_levels])
+    ]
 
 
 def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):

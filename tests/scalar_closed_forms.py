@@ -1,6 +1,6 @@
 """Scalar test oracles: the four closed forms written one coupling at a time
-in plain Python floats, the per-coupling level selection, and the matrix
-elements of the displacement operator.
+in plain Python floats, the per-coupling level selection, the scalar
+Laguerre recurrence, and the matrix elements of the displacement operator.
 
 ``resonancekit.closedform`` evaluates the same formulas as array programs
 over a coupling grid; these transcriptions fix the operation order whose
@@ -9,9 +9,30 @@ results the arrays must reproduce bit for bit.
 
 import math
 
-from resonancekit.closedform import f_laguerre, laguerre
 from resonancekit.operators import ModelParams
 from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
+
+
+def laguerre(n: int, alpha: int, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^(alpha)(x) by the stable three-term
+    recurrence (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    cur = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+def f_laguerre(n: int, params: ModelParams) -> float:
+    """Diagonal displacement element f_n = exp(-2g^2/w^2) L_n(4g^2/w^2)."""
+    r = 2.0 * params.g / params.omega
+    return math.exp(-0.5 * r * r) * laguerre(n, 0, r * r)
 
 
 def _ladder_parity(n):

@@ -25,7 +25,6 @@ from resonancekit.kam import W_NORM_DIVERGENCE, kam_iterate_full, kam_step
 from resonancekit.methods import (
     compute_levels,
     kam_truncation,
-    levels_from_chain,
     rabi_rt1_chain,
     rabi_rt2_chain,
 )
@@ -50,7 +49,12 @@ from resonancekit.sweep import (
 )
 from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import isometry_matrix, strong_avg_decomposition, strong_rt_chain
+from dense_oracles import (
+    isometry_matrix,
+    levels_from_chain,
+    strong_avg_decomposition,
+    strong_rt_chain,
+)
 
 # Frozen regression ceilings (one-time oracle calibration; regenerate with
 # demos/calibrate_thresholds.py).  Measured maxima in the comments.

@@ -5,7 +5,6 @@ import pytest
 
 from resonancekit.averaging import (
     DegeneracyClusters,
-    build_effective,
     classify_resonances,
     cluster_levels,
     combined_projector,
@@ -15,10 +14,11 @@ from resonancekit.averaging import (
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
-    build_jaynes_cummings,
     build_rabi,
 )
 from resonancekit.spectrum import EigenDecomposition, eigh
+
+from dense_oracles import build_effective, build_jaynes_cummings
 
 
 def _diag_decomp(values):

@@ -13,23 +13,18 @@ from scipy.special import genlaguerre
 
 from resonancekit.closedform import (
     closed_form_table,
-    f_laguerre,
-    laguerre,
     laguerre_table,
     require_one_photon_resonance,
     resonance_loci,
     second_order_locus,
 )
 from resonancekit.methods import closed_form_sweep, compute_levels
-from resonancekit.operators import (
-    ModelParams,
-    TruncationConfig,
-    build_jaynes_cummings,
-)
+from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import eigh, exact_spectrum
 
 import scalar_closed_forms
-from scalar_closed_forms import displacement_element
+from dense_oracles import build_jaynes_cummings
+from scalar_closed_forms import displacement_element, f_laguerre, laguerre
 
 
 def _params(g, omega0=None):

@@ -6,17 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonancekit import methods
+from resonancekit import methods, operators
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
     WEAK_METHODS,
     closed_form_sweep,
     compute_levels,
+    grid_sweep,
     kam_truncation,
+    rabi_rt1_chain,
 )
 from resonancekit.closedform import closed_form_table
 from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
+
+from dense_oracles import levels_from_chain
 
 
 def _params(g, omega0=None):
@@ -148,9 +153,69 @@ def test_jc_method_equals_closed_form():
 
 
 def test_rt1_matrix_path_reproduces_dressed_ladder():
+    chain = levels_from_chain(rabi_rt1_chain(_params(0.25), TruncationConfig(n_max=60)), 10)
     np.testing.assert_allclose(
-        _energies("rt1", 0.25, 10), _energies("jc", 0.25, 10), atol=1e-9
+        [lv.energy for lv in chain], _energies("jc", 0.25, 10), atol=1e-9
     )
+
+
+def _point_text(point):
+    """A point's levels as (branch, parity, exact energy bits), or its error."""
+    if isinstance(point, Exception):
+        return f"{type(point).__name__}: {point}"
+    return [(branch, parity, energy.hex()) for branch, parity, energy in point]
+
+
+def _levels_or_error(compute):
+    try:
+        levels = compute()
+    except ValueError as exc:
+        return exc
+    assert [lv.level for lv in levels] == list(range(len(levels)))
+    return [(lv.branch, lv.parity, lv.energy) for lv in levels]
+
+
+@pytest.mark.parametrize(
+    "n_max, g_max, g_steps, n_levels",
+    [
+        (4, 3.0, 61, 6),  # the photon cap n <= n_max - 1 binds at large g
+        (4, 3.0, 61, 7),
+        (12, 1.5, 16, 40),  # too few levels at every coupling
+        (1, 3.0, 16, 1),
+        (1, 3.0, 4, 2),
+        (120, 0.3, 81, 12),  # the benchmark's chains_gate grid
+    ],
+)
+def test_rt1_equals_its_one_photon_chain_bit_for_bit(n_max, g_max, g_steps, n_levels):
+    # rt1 is read off the jc table; the matrix chain it stands for must give
+    # the same energies, labels, order and error text at every coupling.
+    trunc = TruncationConfig(n_max=n_max)
+    grid = np.linspace(0.0, g_max, g_steps)
+    swept = grid_sweep("rt1", 1.0, 1.0, grid, trunc, n_levels)
+    for i, g in enumerate(grid.tolist()):
+        chain = _levels_or_error(
+            lambda: levels_from_chain(rabi_rt1_chain(_params(g), trunc), n_levels)
+        )
+        point = _levels_or_error(lambda: compute_levels("rt1", _params(g), trunc, n_levels))
+        assert _point_text(point) == _point_text(chain), g
+        assert _point_text(swept.point(i)) == _point_text(chain), g
+
+
+def test_rt1_sweep_builds_no_matrix(monkeypatch):
+    config = SweepConfig(g_max=3.0, g_steps=13, n_max=8, n_levels=10,
+                         methods=("rt1",), output_path="")
+    expected = table_to_csv(run_sweep(config, out_path=""))
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("rt1 built a matrix")
+
+    for module, name in ((methods, "rabi_rt1_chain"), (methods, "build_rabi"),
+                         (operators, "build_rabi"), (methods, "rt_one_photon")):
+        monkeypatch.setattr(module, name, no_matrix)
+    table = run_sweep(config, out_path="")
+    assert table.failures == ()
+    assert table.row_count == 13 * 10
+    assert table_to_csv(table) == expected
 
 
 def test_jc_parity_sequence_matches_exact():

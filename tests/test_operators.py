@@ -13,7 +13,6 @@ from resonancekit.operators import (
     basis_index,
     basis_label,
     build_boson_ops,
-    build_jaynes_cummings,
     build_parity,
     build_parity_blocks,
     build_rabi,
@@ -21,7 +20,7 @@ from resonancekit.operators import (
     validated_level_count,
 )
 
-from dense_oracles import atom_block, tensor
+from dense_oracles import atom_block, build_jaynes_cummings, tensor
 
 
 # ---------------------------------------------------------------- configs

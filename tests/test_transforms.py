@@ -7,7 +7,6 @@ import pytest
 
 from resonancekit.closedform import closed_form_table, rt2_mixing_angle
 from resonancekit.methods import (
-    levels_from_chain,
     rabi_rt1_chain,
     rabi_rt2_chain,
     rt2_iterated_chain,
@@ -20,7 +19,6 @@ from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
     basis_index,
-    build_jaynes_cummings,
     build_rabi,
     parity_signs,
 )
@@ -39,8 +37,10 @@ from resonancekit.transforms import (
 )
 
 from dense_oracles import (
+    build_jaynes_cummings,
     build_r2,
     isometry_matrix,
+    levels_from_chain,
     op_A,
     op_A_perp0,
     s_generic_numeric_rt,
