@@ -21,7 +21,6 @@ from .spectrum import (
     SpectrumRow,
     SpectrumTable,
     eigh,
-    exact_spectrum,
 )
 from .averaging import (
     DegeneracyClusters,
@@ -73,7 +72,6 @@ __all__ = [
     "SpectrumRow",
     "SpectrumTable",
     "eigh",
-    "exact_spectrum",
     "DegeneracyClusters",
     "project_average",
     "solve_cohomological",

@@ -7,12 +7,12 @@ the effective operator is the job of the resonant transformations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import _mat
-from .spectrum import EigenDecomposition, _gap_ids
+from .operators import _adjoint, _mat
+from .spectrum import EigenDecomposition, _gap_ids, check_rows
 
 __all__ = [
     "DegeneracyClusters",
@@ -26,96 +26,101 @@ __all__ = [
 DEFAULT_TOL_DEG = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyClusters:
-    """Partition of eigenvalue indices into near-degenerate groups.
+    """Partition of ascending levels into near-degenerate groups, for one
+    set of levels or for each row of a stack of them.
 
-    clusters[k] holds sorted level indices; means[k] the cluster mean energy;
-    active[k] (when classified) whether the perturbation couples states inside
-    the cluster.
+    ids[..., i] is the cluster of level i, numbered upward from 0; tol_deg
+    is the gap tolerance, a number or one per stack row.  For one set of
+    levels, clusters[k] holds the level indices of cluster k and means[k]
+    its mean energy; active[k] (when classified) whether the perturbation
+    couples states inside the cluster.
     """
 
-    clusters: tuple[tuple[int, ...], ...]
-    means: tuple[float, ...]
-    tol_deg: float
+    values: np.ndarray
+    ids: np.ndarray
+    tol_deg: float | np.ndarray
     active: tuple[bool, ...] | None = None
     tol_active: float | None = None
 
     @property
-    def n_levels(self) -> int:
-        return sum(len(c) for c in self.clusters)
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        bounds = np.flatnonzero(np.diff(self.ids, append=-1)) + 1
+        return tuple(tuple(range(lo, hi)) for lo, hi in zip([0, *bounds[:-1]], bounds))
 
-    def cluster_ids(self) -> np.ndarray:
-        cid = np.empty(self.n_levels, dtype=int)
-        for k, cluster in enumerate(self.clusters):
-            for i in cluster:
-                cid[i] = k
-        return cid
+    @property
+    def means(self) -> tuple[float, ...]:
+        return tuple(np.mean(self.values[list(c)]) for c in self.clusters)
 
 
-def cluster_levels(values: np.ndarray, tol_deg: float) -> DegeneracyClusters:
-    """Greedy gap-based clustering of ascending values.
+def cluster_levels(values: np.ndarray, tol_deg) -> DegeneracyClusters:
+    """Greedy gap-based clustering of ascending values along the last axis.
 
     A new cluster starts whenever the gap to the previous value exceeds
-    tol_deg, so in-cluster pairwise spreads can reach a few tol_deg while
-    adjacent-cluster boundary gaps always exceed it.
+    tol_deg (a number, or one per stack row), so in-cluster pairwise spreads
+    can reach a few tol_deg while adjacent-cluster boundary gaps always
+    exceed it.
     """
-    if tol_deg <= 0:
+    if np.any(np.asarray(tol_deg) <= 0):
         raise ValueError(f"tol_deg must be > 0, got {tol_deg}")
     values = np.asarray(values, dtype=float)
-    starts = np.flatnonzero(np.diff(_gap_ids(values, tol_deg), prepend=-1))
-    bounds = np.append(starts, values.size).tolist()
-    clusters = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
-    means = np.add.reduceat(values, starts) / np.diff(bounds)
-    return DegeneracyClusters(clusters=clusters, means=tuple(means.tolist()), tol_deg=tol_deg)
+    return DegeneracyClusters(values, _gap_ids(values, np.asarray(tol_deg)[..., None]), tol_deg)
 
 
 def _in_cluster_mask(clusters: DegeneracyClusters) -> np.ndarray:
-    cid = clusters.cluster_ids()
-    return cid[:, None] == cid[None, :]
+    return clusters.ids[..., :, None] == clusters.ids[..., None, :]
 
 
 def project_average(V, decomp: EigenDecomposition, clusters: DegeneracyClusters) -> np.ndarray:
-    """Averaging projector: keep exactly the in-cluster blocks of V.
+    """Averaging projector: keep exactly the in-cluster blocks of V (of each
+    matrix of a stack, with its own clusters).
 
     Computed in the reference eigenbasis and rotated back to the original
     basis.  Idempotent; preserves Hermiticity; commutes with the reference up
     to the cluster tolerance.
     """
     v = _mat(V)
-    if v.shape[0] != decomp.dim:
+    if v.shape[-1] != decomp.dim:
         raise ValueError(f"dimension mismatch: V is {v.shape}, decomp dim {decomp.dim}")
     u = decomp.vectors
-    v_eig = u.conj().T @ v @ u
-    d_eig = np.where(_in_cluster_mask(clusters), v_eig, 0.0)
-    return u @ d_eig @ u.conj().T
+    d_eig = _adjoint(u) @ v @ u
+    d_eig[~_in_cluster_mask(clusters)] = 0.0
+    return u @ d_eig @ _adjoint(u)
 
 
 def solve_cohomological(V, decomp: EigenDecomposition, clusters: DegeneracyClusters) -> np.ndarray:
-    """Generator W with [H0, W] + V = D: W_ij = -V_ij/(E_i - E_j) off-cluster.
+    """Generator W with [H0, W] + V = D: W_ij = -V_ij/(E_i - E_j) off-cluster
+    (of each matrix of a stack, with its own clusters).
 
     W is anti-Hermitian with zero blocks inside clusters.  An inter-cluster
     pair closer than tol_deg means the clustering is inconsistent with the
     decomposition and is a hard error (the denominator would be resonant).
     """
     v = _mat(V)
-    if v.shape[0] != decomp.dim:
+    if v.shape[-1] != decomp.dim:
         raise ValueError(f"dimension mismatch: V is {v.shape}, decomp dim {decomp.dim}")
     u = decomp.vectors
     energies = decomp.values
     mask = _in_cluster_mask(clusters)
-    diff = energies[:, None] - energies[None, :]
-    tight = (np.abs(diff) <= clusters.tol_deg) & ~mask
-    if tight.any():
-        i, j = np.argwhere(tight)[0]
-        raise ValueError(
+    diff = energies[..., :, None] - energies[..., None, :]
+    tol = np.broadcast_to(clusters.tol_deg, energies.shape[:-1])
+    tight = (np.abs(diff) <= tol[..., None, None]) & ~mask
+
+    def inconsistency(r):
+        i, j = np.argwhere(tight[r])[0]
+        return ValueError(
             "clustering inconsistency: inter-cluster gap "
-            f"|E_{i} - E_{j}| = {abs(diff[i, j]):.3e} <= tol_deg {clusters.tol_deg:.3e}"
+            f"|E_{i} - E_{j}| = {abs(diff[r][i, j]):.3e} <= tol_deg {tol[r]:.3e}"
         )
-    v_eig = u.conj().T @ v @ u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_eig = np.where(mask, 0.0, -v_eig / np.where(mask, 1.0, diff))
-    return u @ w_eig @ u.conj().T
+
+    check_rows(tight.any(axis=(-2, -1)), inconsistency)
+    diff[mask] = 1.0
+    w_eig = _adjoint(u) @ v @ u
+    w_eig /= diff
+    np.negative(w_eig, out=w_eig)
+    w_eig[mask] = 0.0
+    return u @ w_eig @ _adjoint(u)
 
 
 def classify_resonances(
@@ -146,21 +151,7 @@ def classify_resonances(
                     best = max(best, abs(v_eig[a, b]))
         flags.append(best > tol_active)
         report.append(best)
-    return DegeneracyClusters(
-        clusters=clusters.clusters,
-        means=clusters.means,
-        tol_deg=clusters.tol_deg,
-        active=tuple(flags),
-        tol_active=float(tol_active),
-    )
-
-
-def _diag_clusters(diag: np.ndarray, tol_deg: float) -> np.ndarray:
-    """Cluster ids over basis indices for a diagonal operator."""
-    order = np.argsort(diag, kind="stable")
-    cid = np.empty(diag.shape[0], dtype=int)
-    cid[order] = _gap_ids(diag[order], tol_deg)
-    return cid
+    return replace(clusters, active=tuple(flags), tol_active=float(tol_active))
 
 
 def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray:
@@ -168,19 +159,26 @@ def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray
 
     A union of block supports is only basis-independent when every member is
     diagonal in one common basis, so each member is given in the working
-    basis as its real diagonal: a 1-D array of length dim.  Keeps every
-    matrix position that is in-cluster for at least one member, each retained
-    entry taken directly from V (duplicate positions kept once).
+    basis as its real diagonal: a 1-D array of length dim (the family may
+    be one (members, dim) array).  Keeps every matrix position that is
+    in-cluster for at least one member, each retained entry taken directly
+    from V (duplicate positions kept once); a stack of matrices V shares
+    the one mask.
     """
     v = _mat(V)
     diags = [np.asarray(member, dtype=float) for member in H0_family]
     if not diags:
         raise ValueError("H0_family must not be empty")
-    mask = np.zeros(v.shape, dtype=bool)
     for diag in diags:
-        if diag.shape != (v.shape[0],):
+        if diag.shape != v.shape[-1:]:
             raise ValueError(f"dimension mismatch: member {diag.shape}, V {v.shape}")
-        tol = tol_deg if tol_deg is not None else DEFAULT_TOL_DEG * max(np.abs(diag).max(), 1.0)
-        cid = _diag_clusters(diag, tol)
-        mask |= cid[:, None] == cid[None, :]
+    diags = np.array(diags)
+    if tol_deg is None:
+        tol_deg = DEFAULT_TOL_DEG * np.maximum(np.abs(diags).max(axis=-1), 1.0)
+    # cluster ids over basis indices, per member: the gap rule on its sorted diagonal
+    order = np.argsort(diags, axis=-1, kind="stable")
+    sorted_ids = _gap_ids(np.take_along_axis(diags, order, -1), np.asarray(tol_deg)[..., None])
+    ids = np.empty_like(order)
+    np.put_along_axis(ids, order, sorted_ids, -1)
+    mask = (ids[:, :, None] == ids[:, None, :]).any(axis=0)
     return np.where(mask, v, 0.0)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -13,8 +13,8 @@ from .averaging import (
     project_average,
     solve_cohomological,
 )
-from .operators import _mat
-from .spectrum import EigenDecomposition, eigh
+from .operators import _adjoint, _mat, _symmetrized
+from .spectrum import CouplingErrors, EigenDecomposition, check_rows, eigh
 
 __all__ = [
     "KamStepReport",
@@ -29,7 +29,8 @@ W_NORM_DIVERGENCE = 10.0
 
 @dataclass(frozen=True)
 class KamStepReport:
-    """Contraction bookkeeping for a single contact-transformation step."""
+    """Contraction bookkeeping for a single contact-transformation step; a
+    step on a stack of matrices reports one value per matrix in each field."""
 
     step: int
     residual_before: float
@@ -42,44 +43,47 @@ class KamStepReport:
 
 @dataclass(frozen=True)
 class KamChain:
-    """Full output of an iterated KAM run.
+    """Full output of an iterated KAM run, on one matrix or on each matrix
+    of a stack (leading axis).
 
     estimate: diagonal of the conjugated operator in the eigenbasis of the
     final renormalized reference, ordered by ascending reference energy.
     vectors: those eigenbasis columns expressed in the starting basis.
+    reports, diverged: the steps taken and whether one diverged; for a
+    stack, a tuple of reports and a flag per matrix.
     """
 
     estimate: np.ndarray
-    reports: tuple[KamStepReport, ...]
+    reports: tuple
     operator: np.ndarray
     vectors: np.ndarray
-    diverged: bool
+    diverged: bool | np.ndarray
 
 
 def unitary_exp(W) -> np.ndarray:
-    """exp(W) for anti-Hermitian W, exactly unitary via eigenphases of iW;
-    real orthogonal for a real (antisymmetric) W."""
+    """exp(W) for anti-Hermitian W (or each matrix of a stack), exactly
+    unitary via eigenphases of iW; real orthogonal for a real
+    (antisymmetric) W."""
     w = _mat(W)
-    scale = max(np.abs(w).max(), 1.0)
-    if np.abs(w + w.conj().T).max() > 1e-10 * scale:
-        raise ValueError("unitary_exp requires an anti-Hermitian generator")
-    herm = 1j * w
-    herm = 0.5 * (herm + herm.conj().T)
-    phases, vecs = np.linalg.eigh(herm)
-    u = (vecs * np.exp(-1j * phases)) @ vecs.conj().T
+    scale = np.maximum(np.abs(w).max(axis=(-2, -1)), 1.0)
+    check_rows(np.abs(w + _adjoint(w)).max(axis=(-2, -1)) > 1e-10 * scale,
+               lambda i: ValueError("unitary_exp requires an anti-Hermitian generator"))
+    phases, vecs = np.linalg.eigh(_symmetrized(1j * w))
+    rotated = vecs * np.exp(-1j * phases)[..., None, :]
+    u = rotated @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
     u = u if np.iscomplexobj(w) else u.real.copy()
-    defect = np.abs(u.conj().T @ u - np.eye(w.shape[0])).max()
-    if defect > 1e-12:
-        raise ArithmeticError(f"unitary defect {defect:.3e}")
+    defect = np.abs(_adjoint(u) @ u - np.eye(w.shape[-1])).max(axis=(-2, -1))
+    check_rows(defect > 1e-12, lambda i: ArithmeticError(f"unitary defect {defect[i]:.3e}"))
     return u
 
 
-def _spectral_norm(h: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, its largest |eigenvalue|."""
-    return float(np.abs(np.linalg.eigvalsh(h)).max())
+def _spectral_norm(h: np.ndarray) -> np.ndarray:
+    """Spectral norm of a Hermitian matrix (of each of a stack), its largest
+    |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
 
 
-def _offblock_residual(V, decomp, clusters) -> float:
+def _offblock_residual(V, decomp, clusters) -> np.ndarray:
     v = _mat(V)
     return _spectral_norm(v - project_average(v, decomp, clusters))
 
@@ -88,18 +92,22 @@ def kam_step(
     H0,
     V,
     decomp: EigenDecomposition,
-    clusters,
+    clusters: DegeneracyClusters,
+    residual=None,
 ) -> tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     EigenDecomposition, DegeneracyClusters, KamStepReport,
 ]:
-    """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W).
+    """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W), of one
+    matrix or of each matrix of a stack.
 
     Returns (H_new, D, V_new, U, decomp_new, clusters_new, report) with D the
     averaged part of V, V_new = H_new - H0 - D the new perturbation, of
     quadratic order away from resonances, U = exp(W) the unitary of the step,
     and decomp_new, clusters_new the decomposition and clusters of the new
     reference H0 + D that the report's residual_after is measured in.
+    ``residual`` is V's off-block residual in ``decomp`` and ``clusters``
+    when the caller already holds it (computed here otherwise).
     Conjugation is a numerically exact triple product with the spectrally
     built unitary, not a truncated series.  Divergence (residual growth, or
     ||W|| beyond the blow-up threshold) is reported, not raised.
@@ -109,27 +117,26 @@ def kam_step(
     w = solve_cohomological(v, decomp, clusters)
     w_norm = _spectral_norm(1j * w)
     u = unitary_exp(w)
-    h_new = u.conj().T @ (h0 + v) @ u
-    h_new = 0.5 * (h_new + h_new.conj().T)
+    h_new = _symmetrized(_adjoint(u) @ (h0 + v) @ u)
     d = project_average(v, decomp, clusters)
     v_new = h_new - h0 - d
-    before = _offblock_residual(v, decomp, clusters)
+    before = _offblock_residual(v, decomp, clusters) if residual is None else residual
 
-    ref_new = 0.5 * ((h0 + d) + (h0 + d).conj().T)
-    decomp_new = eigh(ref_new)
+    decomp_new = eigh(_symmetrized(h0 + d))
     clusters_new = cluster_levels(decomp_new.values, clusters.tol_deg)
     after = _offblock_residual(v_new, decomp_new, clusters_new)
 
-    h0_scale = max(_spectral_norm(h0), np.finfo(float).tiny)
-    ratio = after / before if before > 0 else 0.0
+    h0_scale = np.maximum(_spectral_norm(h0), np.finfo(float).tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(before > 0, after / before, 0.0)
     report = KamStepReport(
         step=0,
-        residual_before=before,
-        residual_after=after,
-        contraction_ratio=ratio,
-        diverged=(after > before) or (w_norm > W_NORM_DIVERGENCE),
-        epsilon=before / h0_scale,
-        w_norm=w_norm,
+        residual_before=before[()],
+        residual_after=after[()],
+        contraction_ratio=ratio[()],
+        diverged=((after > before) | (w_norm > W_NORM_DIVERGENCE))[()],
+        epsilon=(before / h0_scale)[()],
+        w_norm=w_norm[()],
     )
     return h_new, d, v_new, u, decomp_new, clusters_new, report
 
@@ -141,50 +148,78 @@ def kam_iterate_full(
     stop_tol: float = 1e-12,
     tol_deg: float | None = None,
 ) -> KamChain:
-    """Iterate kam_step, re-clustering on the updated reference each time.
+    """Iterate kam_step, re-clustering on the updated reference each time,
+    on one matrix or on each matrix of a stack.
 
-    Stops when the off-block residual drops to stop_tol*||H0|| (possibly
-    before the first step) or when a step diverges.  The reported estimate is
-    the diagonal of the conjugated operator in the final reference eigenbasis
-    — essentially second-order perturbation theory after one step.
+    A matrix stops when its off-block residual drops to stop_tol*||H0||
+    (possibly before the first step) or when a step diverges; the others go
+    on.  The reported estimate is the diagonal of the conjugated operator in
+    the final reference eigenbasis — essentially second-order perturbation
+    theory after one step.  tol_deg defaults to DEFAULT_TOL_DEG*max(max|H0|, 1)
+    per matrix.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    h0 = _mat(H0).copy()
-    v = _mat(V).copy()
-    dim = h0.shape[0]
-    u_total = np.eye(dim, dtype=np.result_type(h0, v))
-    reports: list[KamStepReport] = []
-    diverged = False
+    single = np.ndim(H0) == 2
+    h0, v = (_mat(x).reshape(-1, *np.shape(x)[-2:]) for x in (H0, V))
+    count = h0.shape[0]
     if tol_deg is None:
-        tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
-
-    decomp = eigh(h0)
-    clusters = cluster_levels(decomp.values, tol_deg)
-    residual = _offblock_residual(v, decomp, clusters)
-    for step in range(1, max_steps + 1):
-        # decomp is the eigendecomposition of the current h0
-        h0_norm = float(np.abs(decomp.values).max())
-        if residual <= stop_tol * max(h0_norm, np.finfo(float).tiny):
-            break
-        # decomp, clusters and residual_after belong to the updated h0 below
-        _, d, v, u, decomp, clusters, report = kam_step(h0, v, decomp, clusters)
-        reports.append(KamStepReport(**{**report.__dict__, "step": step}))
-        residual = report.residual_after
-        u_total = u_total @ u
-        h0 = h0 + d
-        h0 = 0.5 * (h0 + h0.conj().T)
-        if report.diverged:
-            diverged = True
-            break
-
-    basis = decomp.vectors
+        tol_deg = DEFAULT_TOL_DEG * np.maximum(np.abs(h0).max(axis=(-2, -1)), 1.0)
+    tol_deg = np.broadcast_to(np.asarray(tol_deg, dtype=float), (count,))
+    u_total = np.broadcast_to(np.eye(h0.shape[-1], dtype=np.result_type(h0, v)), h0.shape)
+    reports: list[list[KamStepReport]] = [[] for _ in range(count)]
+    diverged = np.zeros(count, dtype=bool)
+    live = np.ones(count, dtype=bool)
+    try:
+        decomp = eigh(h0)
+        clusters = cluster_levels(decomp.values, tol_deg)
+        residual = _offblock_residual(v, decomp, clusters)
+        values, vectors, ids = decomp.values, decomp.vectors, clusters.ids
+        for step in range(1, max_steps + 1):
+            # values, vectors and ids decompose and cluster the current h0
+            h0_norm = np.abs(values).max(axis=-1)
+            live &= ~(residual <= stop_tol * np.maximum(h0_norm, np.finfo(float).tiny))
+            index = np.flatnonzero(live)
+            if index.size == 0:
+                break
+            rows = slice(None) if index.size == count else index  # views of every row
+            try:
+                _, d, v_new, u, decomp_new, clusters_new, report = kam_step(
+                    h0[rows], v[rows], EigenDecomposition(values[rows], vectors[rows]),
+                    DegeneracyClusters(values[rows], ids[rows], tol_deg[rows]), residual[rows],
+                )
+            except CouplingErrors as exc:
+                raise CouplingErrors({int(index[i]): e for i, e in exc.errors.items()}) from None
+            fields = [np.asarray(f).tolist() for f in astuple(report)[1:]]
+            for j, row in enumerate(index.tolist()):
+                reports[row].append(KamStepReport(step, *(f[j] for f in fields)))
+            v = _assign(v, rows, v_new)
+            u_total = _assign(u_total, rows, u_total[rows] @ u)
+            h0 = _assign(h0, rows, _symmetrized(h0[rows] + d))
+            vectors = _assign(vectors, rows, decomp_new.vectors)
+            values[rows], ids[rows] = decomp_new.values, clusters_new.ids
+            residual[rows] = report.residual_after
+            diverged[rows] |= report.diverged
+            live &= ~diverged
+    except CouplingErrors as exc:
+        if single:
+            raise exc.errors[0] from None
+        raise
     operator = h0 + v
-    estimate = np.real(np.diag(basis.conj().T @ operator @ basis))
-    return KamChain(
-        estimate=estimate,
-        reports=tuple(reports),
-        operator=operator,
-        vectors=u_total @ basis,
-        diverged=diverged,
-    )
+    estimate = np.real(np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1))
+    chain = KamChain(estimate, tuple(map(tuple, reports)), operator, u_total @ vectors, diverged)
+    if single:
+        return KamChain(estimate[0], chain.reports[0], operator[0], chain.vectors[0],
+                        bool(diverged[0]))
+    return chain
+
+
+def _assign(target: np.ndarray, rows, value: np.ndarray) -> np.ndarray:
+    """A copy of ``target`` with ``target[rows] = value`` (the value itself
+    for every row), complex when the value is (a real reference meeting a
+    complex perturbation)."""
+    if isinstance(rows, slice):
+        return value
+    target = target.astype(np.result_type(target, value))
+    target[rows] = value
+    return target

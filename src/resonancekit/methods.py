@@ -8,6 +8,12 @@ construction, the contact-iteration chains read theirs off the parity sign
 vector each chain carries, weighted by their eigenvectors, closed forms
 carry analytic labels.  No method emits guard-band levels.
 
+Every method answers a whole coupling grid as one array program
+(:func:`grid_sweep`): the closed forms and rt1 from one table evaluation,
+the exact oracle from one stacked solve, and the contact-iteration chains
+from one stack of chain operators per block of couplings.  A coupling that
+fails records its own exception; the others go on.
+
 Truncation policy: no matrix chain runs at the caller's truncation.  The
 caller's ``n_max`` bounds the exact oracle's box and rt1's photon range:
 rt1 is the one-photon chain's renormalized reference, jc's dressed ladder
@@ -27,11 +33,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import closed_form_table, require_one_photon_resonance
+from .closedform import closed_form_table
 from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
     TruncationConfig,
+    _adjoint,
     build_rabi,
     validated_level_count,
 )
@@ -39,11 +46,13 @@ from .spectrum import (
     PARITY_UNCLASSIFIED,
     PARITY_EVEN,
     PARITY_ODD,
+    CouplingErrors,
     MethodSweep,
     exact_spectra,
 )
 from .transforms import (
     TransformedHamiltonian,
+    _couplings,
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
@@ -56,8 +65,8 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "MethodLevel",
-    "GRID_METHODS",
     "closed_form_sweep",
+    "chain_sweep",
     "exact_sweep",
     "grid_sweep",
     "compute_levels",
@@ -83,13 +92,12 @@ WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 
-# Methods evaluated once per sweep, as array programs over the whole g grid.
-GRID_METHODS = CLOSED_FORM_METHODS | {"exact", "rt1"}
-
 BRANCH_UNASSIGNED = "unassigned"
 
 # Label codes of the exact oracle: 1 marks the odd block.
 _EXACT_LABELS = ((BRANCH_UNASSIGNED, PARITY_EVEN), (BRANCH_UNASSIGNED, PARITY_ODD))
+# Label codes of the contact-iteration chains.
+_KAM_LABELS = _EXACT_LABELS + ((BRANCH_UNASSIGNED, PARITY_UNCLASSIFIED),)
 
 # Cluster tolerance for physically near-degenerate reference levels, as a
 # fraction of omega (avoided crossings swept through by the coupling grid).
@@ -103,6 +111,11 @@ _OVERLAP_MIN = 0.99
 # (coupling, slot) entries per closed-form evaluation block; bounds memory
 # on grids whose largest coupling needs a long photon range.
 _CLOSED_FORM_BLOCK = 1 << 20
+
+# Matrix entries per stack of contact-iteration chain operators.  A KAM step
+# keeps about 17 such stacks alive at once, so this bounds the working set to
+# under 1 MB (6 couplings at the default 12 levels, dim 30).
+_CHAIN_BLOCK = 6000
 
 
 @dataclass(frozen=True)
@@ -184,19 +197,28 @@ def _table_sweep(
     return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
 
 
-def rabi_rt1_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
-    return rt_one_photon(build_rabi(params, trunc), params, trunc)
+def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
+    """The one-photon chain of one ModelParams, or the stack of chains of a
+    sequence of them sharing omega and omega0.  Stacked, H(g) = H(0) +
+    g*(H(1) - H(0)) equals :func:`build_rabi` bit for bit: g enters H only
+    as g*sqrt(n)."""
+    if isinstance(params, ModelParams):
+        return rt_one_photon(build_rabi(params, trunc), params, trunc)
+    first, g = _couplings(params)
+    free = build_rabi(replace(first, g=0.0), trunc)
+    coupling = build_rabi(replace(first, g=1.0), trunc) - free
+    return rt_one_photon(free + g[:, None, None] * coupling, params, trunc)
 
 
-def rabi_rt2_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
+def rabi_rt2_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     return rt_two_photon(rabi_rt1_chain(params, trunc))
 
 
-def rt2_iterated_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
+def rt2_iterated_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     """One-photon + two-photon reductions followed by NUMERIC_RT_STEPS
     numeric transformations of the residual near-degeneracies."""
     th = rabi_rt2_chain(params, trunc)
-    tol = PHYSICAL_CLUSTER_FRACTION * params.omega
+    tol = PHYSICAL_CLUSTER_FRACTION * _couplings(params)[0].omega
     for _ in range(NUMERIC_RT_STEPS):
         th = generic_numeric_rt(th, tol_deg=tol)
     return th
@@ -233,65 +255,112 @@ def exact_sweep(
 def grid_sweep(
     method: str, omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
 ) -> MethodSweep:
-    """Any registered method over the whole ``grid``, with the exception each
-    coupling raises on its own recorded in its slot.
+    """Any registered method over the whole ``grid``, as one array program,
+    with the exception each coupling raises on its own recorded in its slot.
 
-    The methods in GRID_METHODS answer the grid in one array program
-    (:func:`exact_sweep`, :func:`closed_form_sweep`, rt1 from the jc table);
-    a contact-iteration chain calls :func:`compute_levels` once per coupling.
+    The exact oracle is one stacked solve (:func:`exact_sweep`), the closed
+    forms and rt1 one table evaluation (:func:`closed_form_sweep`, rt1 from
+    the jc table), and the contact-iteration chains one stack of chain
+    operators per block of couplings (:func:`chain_sweep`).  An error that
+    holds for the whole grid (an unknown method, ``n_levels < 1``, a closed
+    form off one-photon resonance) is raised.
     """
+    if method not in METHOD_ORDER:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
     if method in CLOSED_FORM_METHODS:
         return closed_form_sweep(method, omega, omega0, grid, n_levels)
     if method == "rt1":
         return _table_sweep("rt1", "jc", omega, omega0, grid, n_levels, trunc.n_max)
-    if method not in METHOD_ORDER:
-        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
-    points: list = []
-    for g in np.asarray(grid, dtype=float).tolist():
+    return chain_sweep(method, omega, omega0, grid, n_levels)
+
+
+_CHAINS = {"rt1_kam": rabi_rt1_chain, "rt_full_kam": rt2_iterated_chain}
+
+
+def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -> MethodSweep:
+    """The lowest ``n_levels`` levels of a contact-iteration chain (rt1_kam
+    or rt_full_kam) at every coupling of ``grid``.
+
+    The couplings of a block are one stack of chain operators, reduced and
+    refined by one array program.  A coupling that fails a check records
+    that exception and leaves the stack, and the rest of the block is
+    computed again; no coupling's values depend on the stack it is in.  An
+    error that the whole stack raises (off one-photon resonance) is recorded
+    at each of its couplings.
+    """
+    grid = np.asarray(grid, dtype=float)
+    trunc = kam_truncation(n_levels)
+    energies = np.full((grid.size, n_levels), np.nan)
+    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
+    errors: list = [None] * grid.size
+    params = {}
+    for i, g in enumerate(grid.tolist()):
         try:
-            levels = compute_levels(method, ModelParams(omega, omega0, g), trunc, n_levels)
-        except Exception as exc:  # recorded for this coupling; the others still run
-            points.append(exc)
-            continue
-        points.append([(lv.branch, lv.parity, lv.energy) for lv in levels])
-    return MethodSweep.from_points(method, points, n_levels)
+            params[i] = ModelParams(omega, omega0, g)
+        except ValueError as exc:
+            errors[i] = exc
+    valid = list(params)
+    step = max(1, _CHAIN_BLOCK // trunc.dim**2)
+    for live in (valid[lo:lo + step] for lo in range(0, len(valid), step)):
+        while live:
+            retry = False
+            try:
+                th = _CHAINS[method](tuple(params[i] for i in live), trunc)
+                energies[live], codes[live], failed = _kam_levels(th, omega, n_levels)
+            except CouplingErrors as exc:
+                failed, retry = exc.errors, True
+            except Exception as exc:  # raised by the whole stack
+                failed = dict.fromkeys(range(len(live)), exc)
+            for row, exc in failed.items():
+                errors[live[row]] = exc
+            live = [i for row, i in enumerate(live) if row not in failed] if retry else []
+    return MethodSweep(method, energies, _KAM_LABELS, codes, tuple(errors))
 
 
 def _kam_levels(
-    th: TransformedHamiltonian, params: ModelParams, n_levels: int
-) -> list[MethodLevel]:
-    """The chain's levels after one contact-iteration step.  Each eigenvector
-    v of the refined reference is one level: photon number of its largest
-    slot, |v|^2-weighted parity, and the kernel vectors' overlaps v^H w, by
-    which kernel zeros are dropped; so are levels in the top ``loss_band``
-    photon rows."""
-    reference = np.diag(th.levels)
+    th: TransformedHamiltonian, omega: float, n_levels: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """The levels of a stack of chains after one contact-iteration step.
+    Each eigenvector v of a refined reference is one level: photon number of
+    its largest slot, |v|^2-weighted parity, and the kernel vectors' overlaps
+    v^H w, by which kernel zeros are dropped; so are levels in the top
+    ``loss_band`` photon rows.
+
+    Returns the lowest ``n_levels`` energies and their label codes into
+    ``_KAM_LABELS`` per coupling, and the ValueError of each coupling (by
+    stack row) where fewer levels survive.
+    """
+    reference = np.zeros_like(th.operator)
+    span = np.arange(th.dim)
+    reference[..., span, span] = th.levels
     chain = kam_iterate_full(
         reference, th.operator - reference, max_steps=1,
-        tol_deg=PHYSICAL_CLUSTER_FRACTION * params.omega,
+        tol_deg=PHYSICAL_CLUSTER_FRACTION * omega,
     )
     v, values = chain.vectors, chain.estimate
-    spurious = tuple(replace(sp, vector=v.conj().T @ sp.vector) for sp in th.spurious)
-    _, kept, _ = spurious_filter(values, spurious)
-    usable = np.asarray(kept, dtype=int)
-    photon = np.argmax(np.abs(v), axis=0) // 2
-    usable = usable[photon[usable] <= th.trunc.n_max - th.loss_band]
-    usable = usable[np.argsort(values[usable], kind="stable")]
-    if len(usable) < n_levels:
-        raise ValueError(
-            f"requested {n_levels} levels but only {len(usable)} survive the "
+    kernels = tuple(replace(sp, vector=(_adjoint(v) @ sp.vector[..., None])[..., 0])
+                    for sp in th.spurious)
+    _, kept, _ = spurious_filter(values, kernels)
+    usable = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(usable, kept, True, -1)
+    photon = np.argmax(np.abs(v), axis=-2) // 2
+    usable &= photon <= th.trunc.n_max - th.loss_band
+    order = np.argsort(np.where(usable, values, np.inf), axis=-1, kind="stable")[..., :n_levels]
+    available = usable.sum(axis=-1)
+    short = {
+        row: ValueError(
+            f"requested {n_levels} levels but only {available[row]} survive the "
             f"guard band (loss_band={th.loss_band}, n_max={th.trunc.n_max})"
         )
-    parity = (np.abs(v) ** 2).T @ th.parity
-    labels = np.full(values.size, PARITY_UNCLASSIFIED, object)
-    labels[parity >= _OVERLAP_MIN] = PARITY_EVEN
-    labels[parity <= -_OVERLAP_MIN] = PARITY_ODD
-    return [
-        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
-        for rank, k in enumerate(usable[:n_levels])
-    ]
+        for row in np.flatnonzero(available < n_levels).tolist()
+    }
+    parity = (np.abs(_adjoint(v)) ** 2 @ th.parity[..., None])[..., 0]
+    labels = np.where(parity >= _OVERLAP_MIN, 0, np.where(parity <= -_OVERLAP_MIN, 1, 2))
+    return np.take_along_axis(values, order, -1), np.take_along_axis(labels, order, -1), short
 
 
 def compute_levels(
@@ -300,20 +369,9 @@ def compute_levels(
     trunc: TruncationConfig,
     n_levels: int,
 ) -> list[MethodLevel]:
-    """Compute the lowest ``n_levels`` physical levels by the named method."""
-    if method not in METHOD_ORDER:
-        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    if method in WEAK_METHODS:
-        require_one_photon_resonance(params)
-
-    if method in GRID_METHODS:
-        levels = grid_sweep(
-            method, params.omega, params.omega0, [params.g], trunc, n_levels
-        ).point(0)
-        if isinstance(levels, Exception):
-            raise levels
-        return [MethodLevel(i, *level) for i, level in enumerate(levels)]
-    chain = {"rt1_kam": rabi_rt1_chain, "rt_full_kam": rt2_iterated_chain}[method]
-    return _kam_levels(chain(params, kam_truncation(n_levels)), params, n_levels)
+    """Compute the lowest ``n_levels`` physical levels by the named method:
+    a one-point :func:`grid_sweep`, whose recorded error is raised."""
+    levels = grid_sweep(method, params.omega, params.omega0, [params.g], trunc, n_levels).point(0)
+    if isinstance(levels, Exception):
+        raise levels
+    return [MethodLevel(i, *level) for i, level in enumerate(levels)]

@@ -139,6 +139,15 @@ def _mat(op) -> np.ndarray:
     return x.astype(np.result_type(x.dtype, float), copy=False)
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _symmetrized(h: np.ndarray) -> np.ndarray:
+    return 0.5 * (h + _adjoint(h))
+
+
 def build_rabi(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     """Full Hamiltonian omega*(N+1/2) (x) 1 + (omega0/2) 1 (x) sigma_z + g*(a+a^H) (x) sigma_x,
     scattered from its two parity blocks."""

@@ -1,11 +1,11 @@
 """Exact oracle from the two parity blocks of H, solved once per g grid as
 stacked eigenvalue problems and certified by a Sturm count; the checked
-dense Hermitian eigensolver the matrix chains use; the records of a coupling
-sweep.  A sweep is held as arrays, one :class:`MethodSweep` per method on
-the table's g grid; its per-level :class:`SpectrumRow` records are built
-only when ``SpectrumTable.rows`` is read.  Sweeps themselves, the exact
-oracle's included, run through ``sweep.run_sweep``, which enforces the guard
-band."""
+dense Hermitian eigensolver the matrix chains use, on one matrix or a stack
+of them; the records of a coupling sweep.  A sweep is held as arrays, one
+:class:`MethodSweep` per method on the table's g grid; its per-level
+:class:`SpectrumRow` records are built only when ``SpectrumTable.rows`` is
+read.  Sweeps themselves, the exact oracle's included, run through
+``sweep.run_sweep``, which enforces the guard band."""
 
 from __future__ import annotations
 
@@ -14,21 +14,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import ModelParams, TruncationConfig, _mat, build_parity_blocks
+from .operators import ModelParams, TruncationConfig, _adjoint, _mat, build_parity_blocks
 
 __all__ = [
+    "CouplingErrors",
     "EigenDecomposition",
     "MethodSweep",
     "SpectrumRow",
     "SpectrumTable",
+    "check_rows",
     "eigh",
     "exact_spectra",
-    "exact_spectrum",
 ]
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
-PARITY_NA = "n/a"
 PARITY_UNCLASSIFIED = "unclassified"
 
 # Hermiticity bound of eigh's input, as a fraction of max(max|A|, 1).
@@ -45,14 +45,35 @@ _EXACT_BLOCK = 1 << 18
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, of one
+    matrix or of each of a stack."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
+
+
+class CouplingErrors(Exception):
+    """The exceptions of some matrices of a stack, by stack row, each the one
+    that matrix raises on its own; the other rows passed every check so far."""
+
+    def __init__(self, errors: dict[int, Exception]):
+        super().__init__(f"{len(errors)} stacked couplings failed")
+        self.errors = errors
+
+
+def check_rows(bad, error) -> None:
+    """Raise ``error(i)`` for each failing matrix i: ``bad`` flags each row of
+    a stack (raises :class:`CouplingErrors`) or, 0-d, one matrix (i = (),
+    raises the error itself)."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0 and bad:
+        raise error(())
+    if bad.ndim and bad.any():
+        raise CouplingErrors({i: error(i) for i in np.flatnonzero(bad).tolist()})
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,29 +184,31 @@ def _gap_ids(values: np.ndarray, tol) -> np.ndarray:
 
 
 def eigh(op) -> EigenDecomposition:
-    """Full Hermitian eigendecomposition of a matrix, ascending eigenvalues.
+    """Full Hermitian eigendecomposition of a matrix, or of each of a (G, n, n)
+    stack, ascending eigenvalues.
 
     The one check of an operator before it is solved: raises ValueError on a
     non-square input, and on one that differs from its conjugate transpose by
     more than 1e-14*max(max|A|, 1).  Integer input is solved as float64 (see
     ``operators._mat``).  Asserts the residual (against max|lambda|, the
     spectral norm) and orthonormality bounds that every downstream consumer
-    relies on.
+    relies on.  Each check holds per matrix (see :func:`check_rows`).
     """
     h = _mat(op)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"eigh requires a square matrix, got shape {h.shape}")
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > _HERM_RTOL * scale:
-        raise ValueError("eigh requires a Hermitian operator")
+    scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
+    asymmetry = np.abs(h - _adjoint(h)).max(axis=(-2, -1))
+    check_rows(asymmetry > _HERM_RTOL * scale,
+               lambda i: ValueError("eigh requires a Hermitian operator"))
     values, vectors = np.linalg.eigh(h)
-    residual = np.abs(h @ vectors - vectors * values).max()
-    norm_h = np.abs(values).max()
-    if norm_h > 0 and residual > _RESIDUAL_RTOL * norm_h:
-        raise ArithmeticError(f"eigensolver residual {residual:.3e} too large")
-    ortho = np.abs(vectors.conj().T @ vectors - np.eye(values.size)).max()
-    if ortho > _ORTHO_TOL:
-        raise ArithmeticError(f"eigenvectors not orthonormal: {ortho:.3e}")
+    residual = np.abs(h @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1))
+    norm_h = np.abs(values).max(axis=-1)
+    check_rows((norm_h > 0) & (residual > _RESIDUAL_RTOL * norm_h),
+               lambda i: ArithmeticError(f"eigensolver residual {residual[i]:.3e} too large"))
+    ortho = np.abs(_adjoint(vectors) @ vectors - np.eye(values.shape[-1])).max(axis=(-2, -1))
+    check_rows(ortho > _ORTHO_TOL,
+               lambda i: ArithmeticError(f"eigenvectors not orthonormal: {ortho[i]:.3e}"))
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -272,12 +295,3 @@ def exact_spectra(
     groups = _gap_ids(values, tol[:, None])
     is_odd = np.take_along_axis(is_odd, np.lexsort((is_odd, groups), axis=-1), -1)
     return values, is_odd
-
-
-def exact_spectrum(
-    params: ModelParams, trunc: TruncationConfig
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Every eigenvalue of the truncated Hamiltonian, ascending, with its
-    parity label: :func:`exact_spectra` at the one coupling ``params.g``."""
-    values, odd = exact_spectra(params.omega, params.omega0, [params.g], trunc.n_max)
-    return values[0], tuple(PARITY_ODD if o else PARITY_EVEN for o in odd[0].tolist())

@@ -18,6 +18,12 @@ basis, so a chain carries only its diagonal: the real level vector whose
 entries are the chain's level estimates.  Every step also keeps the parity
 (-1)^N (x) sigma_z diagonal, so a chain carries it as a sign vector: the
 remap gathers it, and a block that would mix two parity classes raises.
+
+A chain runs on one coupling or on a stack of them: the operator is then a
+(G, dim, dim) stack and the levels, parity and kernel vectors are (G, dim),
+one row per coupling.  Each step is one array program over the stack, and a
+coupling that fails a check raises :class:`spectrum.CouplingErrors` for its
+row (a single coupling raises the error itself).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .operators import (
     displacement_band,
     parity_signs,
 )
+from .spectrum import check_rows
 
 # Largest |q|^2 weight a block column may draw from outside its parity class:
 # rounding only, about 1e-12 in the dropped off-diagonal of S^H P S.
@@ -70,14 +77,18 @@ class SpuriousLevel:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Structured isometry ``S = R B`` on the flat basis.
+    """Structured isometry ``S = R B`` on the flat basis, of one matrix or of
+    each matrix of a stack.
 
-    remap: column j of ``R`` is the unit vector at row ``remap[j]``, or zero
-    (a kernel column) where ``remap[j] == -1``; None means ``R = 1``.
+    remap: column j of ``R`` is the unit vector at row ``remap[..., j]``, or
+    zero (a kernel column) where that is -1; of shape (dim,) for every matrix
+    alike or (G, dim) for each of a stack of G.  None means ``R = 1``.
     blocks: groups of equal-size unitary blocks, each ``(idx, q)`` with idx of
     shape (m, k) and q of shape (m, k, k): ``B`` restricted to the indices
-    ``idx[b]`` is ``q[b]``.  All blocks act on disjoint indices; ``B`` is the
-    identity elsewhere.
+    ``idx[b]`` is ``q[b]``.  On a stack, index ``r*dim + i`` is slot i of
+    matrix r, so one group holds blocks of any of its matrices.  The blocks
+    of one matrix act on disjoint indices; ``B`` is the identity elsewhere.
+    The groups are applied in order.
     """
 
     remap: np.ndarray | None = None
@@ -85,7 +96,7 @@ class Isometry:
 
     @property
     def kernel_slots(self) -> np.ndarray:
-        """Columns j with ``S e_j = 0``."""
+        """Columns j with ``S e_j = 0`` (of a remap shared by every matrix)."""
         if self.remap is None:
             return np.zeros(0, dtype=int)
         return np.flatnonzero(self.remap < 0)
@@ -97,31 +108,45 @@ class Isometry:
             return np.zeros(0, dtype=int)
         return np.setdiff1d(np.arange(self.remap.size), self.remap[self.remap >= 0])
 
-    def _gather(self, x: np.ndarray, axes: int) -> np.ndarray:
-        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2), fresh, in x's and the blocks' dtype."""
-        x = _mat(x)
-        x = x.astype(np.result_type(x, *(q for _, q in self.blocks)), copy=False)
+    def _take(self, x: np.ndarray, axes: int) -> np.ndarray:
+        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2) of a vector or matrix, or
+        of each of a stack, fresh."""
         if self.remap is None:
             return x.copy()
         kernel = self.remap < 0
         safe = np.where(kernel, 0, self.remap)
-        if axes == 1:
-            y = x[safe]
-            y[kernel] = 0.0
-            return y
-        y = x[np.ix_(safe, safe)]
-        y[kernel, :] = 0.0
-        y[:, kernel] = 0.0
+        if safe.ndim == 1:
+            y = x[..., safe] if axes == 1 else x[..., safe[:, None], safe]
+        else:  # one remap per matrix of the stack
+            each = np.arange(len(safe))[:, None, None]
+            x = np.broadcast_to(x, safe.shape[:1] + x.shape[x.ndim - axes:])
+            y = x[each[:, 0], safe] if axes == 1 else x[each, safe[:, :, None], safe[:, None, :]]
+        lines = np.broadcast_to(kernel, y.shape[:y.ndim - axes + 1])
+        y[lines] = 0.0
+        if axes == 2:
+            y.swapaxes(-1, -2)[lines] = 0.0
         return y
 
+    def _gather(self, x: np.ndarray, axes: int) -> np.ndarray:
+        """:meth:`_take` in x's and the blocks' dtype."""
+        x = _mat(x)
+        dtype = np.result_type(x, *(q for _, q in self.blocks))
+        return self._take(x.astype(dtype, copy=False), axes)
+
     def rotate(self, y: np.ndarray) -> np.ndarray:
-        """``B^H y B`` in place for the matrix y."""
+        """``B^H y B`` in place for a C-contiguous matrix y, or stack of them."""
+        dim = y.shape[-1]
+        stack = y.reshape(-1, dim, dim)
+        span = np.arange(dim)
         for idx, q in self.blocks:
             if idx.shape[1] == 2:
-                _rotate_pairs(y, idx, q)
+                _rotate_pairs(stack, idx, q)
                 continue
-            y[:, idx] = np.matmul(y[:, idx].transpose(1, 0, 2), q).transpose(1, 0, 2)
-            y[idx, :] = np.matmul(q.conj().transpose(0, 2, 1), y[idx, :])
+            mat, slot = np.divmod(idx, dim)
+            cols = (mat[:, None, :], span[:, None], slot[:, None, :])
+            stack[cols] = np.matmul(stack[cols], q)
+            rows = (mat[:, :, None], slot[:, :, None], span)
+            stack[rows] = np.matmul(q.conj().transpose(0, 2, 1), stack[rows])
         return y
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
@@ -130,54 +155,72 @@ class Isometry:
 
     def conjugate_parity(self, p: np.ndarray) -> np.ndarray:
         """Diagonal of ``S^H diag(p) S`` for a parity sign vector p (+1, -1,
-        and 0 on kernel slots) that S keeps diagonal.  The remap gathers p,
-        with 0 on kernel columns; each block column q[:, l] then carries the
-        one class its weight ``|q[:, l]|^2`` lies in.  A column drawing weight
-        from two classes (kernel slots are a class of their own) would leave
-        ``S^H diag(p) S`` off-diagonal, and raises ArithmeticError."""
-        e = np.array(p, dtype=float)
-        if self.remap is not None:
-            e = np.where(self.remap < 0, 0.0, e[self.remap])
+        and 0 on kernel slots), or a stack of them, that S keeps diagonal.
+        The remap gathers p, with 0 on kernel columns; each block column
+        q[:, l] then carries the one class its weight ``|q[:, l]|^2`` lies
+        in.  A column drawing weight from two classes (kernel slots are a
+        class of their own) would leave ``S^H diag(p) S`` off-diagonal, and
+        raises ArithmeticError for its matrix."""
+        e = self._take(np.asarray(p, dtype=float), 1)
+        flat = e.reshape(-1)
         for idx, q in self.blocks:
             weight = np.abs(q) ** 2
-            classes = e[idx]
+            classes = flat[idx]
             own = np.take_along_axis(classes, weight.argmax(axis=1), axis=1)
             stray = np.einsum("mkl,mkl->ml", weight, classes[:, :, None] != own[:, None, :])
-            if stray.max(initial=0.0) > _STRAY_PARITY_WEIGHT:
-                raise ArithmeticError(
-                    f"block mixes parity classes (stray weight {stray.max():.3e})"
-                )
-            e[idx] = own
+            worst = np.zeros(e.shape[:-1])
+            np.maximum.at(worst.reshape(-1), idx[:, 0] // e.shape[-1], stray.max(axis=1, initial=0))
+            check_rows(worst > _STRAY_PARITY_WEIGHT, lambda i: ArithmeticError(
+                f"block mixes parity classes (stray weight {worst[i]:.3e})"))
+            flat[idx] = own
         return e
 
     def pull(self, v: np.ndarray) -> np.ndarray:
-        """``S^H v`` for a vector v."""
+        """``S^H v`` for a vector v, or a stack of them."""
         w = self._gather(v, 1)
+        flat = w.reshape(-1)
         for idx, q in self.blocks:
-            w[idx] = np.matmul(q.conj().transpose(0, 2, 1), w[idx][..., None])[..., 0]
+            flat[idx] = np.matmul(q.conj().transpose(0, 2, 1), flat[idx][..., None])[..., 0]
         return w
 
 
-def _rotate_pairs(y: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
-    """``B^H y B`` in place for 2x2 blocks: column j of ``y B`` is
+def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
+    """``B^H y B`` in place on each matrix y of ``stack`` (G, dim, dim) that
+    one of the 2x2 blocks acts on: column j of ``y B`` is
     ``y[:, j] B[j, j] + y[:, p] B[p, j]`` with p the other slot of j's block
     (p = j, B[j, j] = 1 and no partner term outside every block).  Works on
     whole rows and columns with a single temporary."""
-    partner = np.arange(y.shape[0])
-    diag = np.ones(y.shape[0], dtype=q.dtype)
-    off = np.zeros(y.shape[0], dtype=q.dtype)
+    count, dim = stack.shape[0], stack.shape[-1]
+    partner = np.arange(count * dim)
+    diag = np.ones(count * dim, dtype=q.dtype)
+    off = np.zeros(count * dim, dtype=q.dtype)
     for l in (0, 1):
         partner[idx[:, l]] = idx[:, 1 - l]
         diag[idx[:, l]] = q[:, l, l]
         off[idx[:, l]] = q[:, 1 - l, l]
-    tmp = np.take(y, partner, axis=1)
-    tmp *= off
-    y *= diag
+    mats = np.flatnonzero(np.bincount(idx[:, 0] // dim, minlength=count))
+    partner, diag, off = (a.reshape(count, dim)[mats] for a in (partner % dim, diag, off))
+    y = stack[mats]
+    each, span = np.arange(mats.size)[:, None, None], np.arange(dim)
+    tmp = y[each, span[:, None], partner[:, None, :]]
+    tmp *= off[:, None, :]
+    y *= diag[:, None, :]
     y += tmp
-    np.take(y, partner, axis=0, out=tmp)
-    tmp *= off.conj()[:, None]
-    y *= diag.conj()[:, None]
+    tmp = y[each, partner[:, :, None], span]
+    tmp *= off.conj()[:, :, None]
+    y *= diag.conj()[:, :, None]
     y += tmp
+    stack[mats] = y
+
+
+def _stacked_blocks(idx: np.ndarray, q: np.ndarray, stack: tuple, dim: int):
+    """One block group acting alike on every matrix of a stack of shape
+    ``stack`` (() for one matrix): idx (m, k) per matrix, q (m, k, k) shared
+    or (*stack, m, k, k), as flat indices and one block per (matrix, block)."""
+    k = idx.shape[1]
+    offsets = np.arange(math.prod(stack))[:, None, None] * dim
+    q = np.broadcast_to(q, (*stack, *q.shape[-3:]))
+    return (offsets + idx).reshape(-1, k), q.reshape(-1, k, k)
 
 
 @dataclass(frozen=True)
@@ -195,16 +238,19 @@ class IsometryRecord:
 class TransformedHamiltonian:
     """A Hamiltonian conjugated through a chain of transformations.
 
-    operator: the conjugated full Hamiltonian in the current basis.
+    operator: the conjugated full Hamiltonian in the current basis, or a
+    (G, dim, dim) stack of them, one per coupling.
     levels: the renormalized reference, which is diagonal in the current
-    basis, held as its real diagonal of length dim; its entries are the
-    chain's level estimates.
+    basis, held as its real diagonal of length dim (per coupling); its
+    entries are the chain's level estimates.
     parity: the parity operator conjugated through the same chain, which
-    keeps it diagonal, held as its real diagonal of length dim: +1 on even
+    keeps it diagonal, held as its real diagonal like the levels: +1 on even
     slots, -1 on odd ones, 0 on kernel slots (None without parity
     bookkeeping).
-    spurious: kernel levels accumulated so far, vectors in the current basis.
+    spurious: kernel levels accumulated so far, vectors in the current basis
+    shaped like the levels.
     loss_band: top photon levels invalidated by index shifting / displacement.
+    params: the model, or one ModelParams per coupling of a stack.
     """
 
     operator: np.ndarray
@@ -213,21 +259,23 @@ class TransformedHamiltonian:
     spurious: tuple[SpuriousLevel, ...]
     provenance: tuple[str, ...]
     loss_band: int
-    params: ModelParams | None = None
+    params: ModelParams | tuple[ModelParams, ...] | None = None
     trunc: TruncationConfig | None = None
     records: tuple[IsometryRecord, ...] = ()
 
     def __post_init__(self):
-        if np.shape(self.levels) != (self.dim,):
-            raise ValueError(f"levels must have shape ({self.dim},), got {np.shape(self.levels)}")
+        shape = self.operator.shape[:-1]
+        if np.shape(self.levels) != shape:
+            raise ValueError(f"levels must have shape {shape}, got {np.shape(self.levels)}")
         if self.parity is not None and (
-            np.shape(self.parity) != (self.dim,) or not np.isin(self.parity, (-1.0, 0.0, 1.0)).all()
+            np.shape(self.parity) != shape
+            or not ((self.parity == 0.0) | (np.abs(self.parity) == 1.0)).all()
         ):
-            raise ValueError(f"parity must be None or a sign vector of length {self.dim}")
+            raise ValueError(f"parity must be None or a sign vector of shape {shape}")
 
     @property
     def dim(self) -> int:
-        return self.operator.shape[0]
+        return self.operator.shape[-1]
 
 
 def atom_rotation_t() -> np.ndarray:
@@ -281,17 +329,27 @@ def _unit(dim: int, k: int) -> np.ndarray:
     return vec
 
 
-def _ladder(omega: float, g: float, fock_dim: int) -> np.ndarray:
-    """Diagonal of the dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z."""
+def _couplings(params) -> tuple[ModelParams, float | np.ndarray]:
+    """One ModelParams and its coupling, or the first of a sequence of them
+    (one per stack row, sharing omega and omega0) and their couplings."""
+    if isinstance(params, ModelParams):
+        return params, params.g
+    return params[0], np.array([p.g for p in params])
+
+
+def _ladder(omega: float, g, fock_dim: int) -> np.ndarray:
+    """Diagonal of the dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z,
+    one row per coupling for an array ``g``."""
     ns = np.arange(fock_dim)
-    diag = np.empty(2 * fock_dim)
-    diag[0::2] = omega * ns + g * np.sqrt(ns)
-    diag[1::2] = omega * ns - g * np.sqrt(ns)
+    split = np.multiply.outer(g, np.sqrt(ns))
+    diag = np.empty(split.shape[:-1] + (2 * fock_dim,))
+    diag[..., 0::2] = omega * ns + split
+    diag[..., 1::2] = omega * ns - split
     return diag
 
 
 def rt_one_photon(
-    H, params: ModelParams, trunc: TruncationConfig
+    H, params, trunc: TruncationConfig
 ) -> TransformedHamiltonian:
     """One-photon resonant transformation: photon-shift isometry on the "+"
     atomic block followed by the atomic rotation on the n >= 1 subspace.
@@ -299,28 +357,34 @@ def rt_one_photon(
     The result of applying it to the full Hamiltonian splits into the exactly
     diagonal dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z (the
     reference) plus a two-photon-coupling remainder.  The kernel |0,+> turns
-    into an exact spurious zero level.
+    into an exact spurious zero level.  ``H`` may be a stack of Hamiltonians,
+    one per ModelParams of the sequence ``params``.
     """
-    require_one_photon_resonance(params)
+    first, g = _couplings(params)
+    require_one_photon_resonance(first)
     h = _mat(H)
     fock_dim = trunc.n_max + 1
-    if h.shape[0] != 2 * fock_dim:
-        raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {2 * fock_dim}")
+    dim = 2 * fock_dim
+    if h.shape != np.shape(g) + (dim, dim):
+        raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {dim}")
     shift = _shift_remap(fock_dim, 0, 1)
-    levels = _ladder(params.omega, params.g, fock_dim)
+    levels = _ladder(first.omega, g, fock_dim)
     base = TransformedHamiltonian(
         operator=h,
         levels=levels,
-        parity=parity_signs(trunc),
+        parity=np.broadcast_to(parity_signs(trunc), levels.shape),
         spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
         trunc=trunc,
     )
-    fields = _conjugate(base, (Isometry(shift, (_doublets(1, fock_dim),)),), "rt_one_photon")
+    rotation = _stacked_blocks(*_doublets(1, fock_dim), np.shape(g), dim)
+    fields = _conjugate(base, (Isometry(shift, (rotation,)),), "rt_one_photon")
     fields["levels"] = levels
-    fields["spurious"] = (SpuriousLevel(label=basis_label(0), vector=_unit(2 * fock_dim, 0)),)
+    fields["spurious"] = (
+        SpuriousLevel(label=basis_label(0), vector=np.broadcast_to(_unit(dim, 0), levels.shape)),
+    )
     fields["loss_band"] = 1
     fields["records"] = (
         IsometryRecord(
@@ -333,14 +397,11 @@ def rt_one_photon(
     return TransformedHamiltonian(**fields)
 
 
-def _rt2_family(params: ModelParams, fock_dim: int) -> list[np.ndarray]:
+def _rt2_family(omega: float, fock_dim: int) -> np.ndarray:
     """Diagonals of the dressed references at every active locus g_n with n+2
-    inside truncation."""
-    w = params.omega
-    return [
-        _ladder(w, 2.0 * w / (math.sqrt(n) + math.sqrt(n + 2)), fock_dim)
-        for n in range(fock_dim - 2)
-    ]
+    inside truncation, one row per locus."""
+    n = np.arange(fock_dim - 2)
+    return _ladder(omega, 2.0 * omega / (np.sqrt(n) + np.sqrt(n + 2)), fock_dim)
 
 
 def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
@@ -355,47 +416,49 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     params = H1.params
     if params is None or H1.trunc is None:
         raise ValueError("rt_two_photon needs the params/trunc carried by rt_one_photon")
-    w = params.omega
+    first, g = _couplings(params)
+    w = first.omega
     fock_dim = H1.trunc.n_max + 1
     dim = 2 * fock_dim
+    stack = np.shape(g)
 
     # Every family member keeps the whole diagonal, so projecting the
     # operator is the reference plus the projected remainder.
-    h1_eff = combined_projector(H1.operator, _rt2_family(params, fock_dim), tol_deg=1e-8 * w)
+    h1_eff = combined_projector(H1.operator, _rt2_family(w, fock_dim), tol_deg=1e-8 * w)
 
     # Two-photon shift on the "+" block away from the vacuum, identity on
     # (0,+) and on the "-" block, then the reflection by the mixing angle on
     # the (0,-)/(2,-) pair.
     shift = _shift_remap(fock_dim, 0, 2, first=1)
-    theta = rt2_mixing_angle(w, params.g)
-    c, s = math.cos(theta), math.sin(theta)
+    theta = rt2_mixing_angle(w, g)
+    c, s = np.cos(theta), np.sin(theta)
     reflection_idx = np.array([[basis_index(0, 1), basis_index(2, 1)]])
-    reflection_q = np.array([[[-c, -s], [-s, c]]])
+    reflection_q = np.stack([np.stack([-c, -s], -1), np.stack([-s, c], -1)], -2)[..., None, :, :]
 
     # Per-photon rotation diagonalizing the commuting 2x2 blocks n >= 3.
     m = Isometry(shift).conjugate(h1_eff)
     pairs = np.arange(6, dim).reshape(-1, 2)
     i, j = pairs[:, 0], pairs[:, 1]
-    block = np.stack([np.stack([m[i, i], m[i, j]], -1), np.stack([m[j, i], m[j, j]], -1)], -2)
-    block = 0.5 * (block + block.conj().transpose(0, 2, 1))
-    _, q = np.linalg.eigh(block)
-    rotation = Isometry(
-        None,
-        ((np.concatenate([reflection_idx, pairs]), np.concatenate([reflection_q, q])),),
+    block = np.stack(
+        [np.stack([m[..., i, i], m[..., i, j]], -1), np.stack([m[..., j, i], m[..., j, j]], -1)], -2
     )
+    block = 0.5 * (block + block.conj().swapaxes(-1, -2))
+    _, q = np.linalg.eigh(block)
+    rotation = Isometry(None, (_stacked_blocks(
+        np.concatenate([reflection_idx, pairs]), np.concatenate([reflection_q, q], -3), stack, dim
+    ),))
 
     reduced = rotation.rotate(m)
-    diag = np.diag(reduced)
-    off = np.abs(reduced - np.diag(diag)).max()
-    if off > 1e-10 * max(np.abs(reduced).max(), 1.0):
-        raise ArithmeticError(
-            f"two-photon reduction failed to diagonalize the effective part "
-            f"(off-diagonal {off:.3e})"
-        )
+    diag = np.diagonal(reduced, axis1=-2, axis2=-1).copy()
+    off = np.abs(reduced - diag[..., None] * np.eye(dim)).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(reduced).max(axis=(-2, -1)), 1.0)
+    check_rows(off > 1e-10 * scale, lambda r: ArithmeticError(
+        "two-photon reduction failed to diagonalize the effective part "
+        f"(off-diagonal {off[r]:.3e})"))
 
     kernels = tuple(
-        SpuriousLevel(label=basis_label(basis_index(n, 0)), vector=_unit(dim, basis_index(n, 0)))
-        for n in (1, 2)
+        SpuriousLevel(label=basis_label(k), vector=np.broadcast_to(_unit(dim, k), diag.shape))
+        for k in (basis_index(1, 0), basis_index(2, 0))
     )
     fields = _conjugate(H1, (Isometry(shift, rotation.blocks),), "rt_two_photon")
     fields["levels"] = np.real(diag)
@@ -403,7 +466,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     fields["loss_band"] = H1.loss_band + 2
     fields["records"] = H1.records + (
         IsometryRecord(
-            isometry=Isometry(shift, ((reflection_idx, reflection_q),)),
+            isometry=Isometry(shift, (_stacked_blocks(reflection_idx, reflection_q, stack, dim),)),
             kernel_labels=tuple(k.label for k in kernels),
             photon_dressing=-2,
             loss_rows=2,
@@ -421,26 +484,53 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     tol_deg) of the sorted levels and conjugates the full operator by
     permutation plus cluster rotations; singleton clusters just shift by the
     diagonal of V.  Unitary: no spurious levels, no new truncation loss.
+
+    On a stack, the equal-size clusters of every coupling are diagonalized
+    as one stack of blocks.  Each coupling's rotations are applied by size
+    in the order its clusters first reach that size, as for one coupling.
     """
     values = th.levels
-    order = np.argsort(values, kind="stable")
-    energies = values[order]
+    dim = th.dim
+    order = np.argsort(values, axis=-1, kind="stable")
+    energies = np.take_along_axis(values, order, -1)
     # Singletons: E + Re V_ii; V = operator - reference in the sorted basis.
-    new_e = energies + np.real(np.diag(th.operator) - values)[order]
-    groups: dict[int, tuple[list, list]] = {}
-    for cluster in cluster_levels(energies, tol_deg).clusters:
-        if len(cluster) < 2:
-            continue
-        idx = list(cluster)
-        rows = order[idx]
-        block = np.diag(energies[idx]) + (th.operator[np.ix_(rows, rows)] - np.diag(values[rows]))
-        block = 0.5 * (block + block.conj().T)
+    diagonal = np.diagonal(th.operator, axis1=-2, axis2=-1)
+    new_e = energies + np.take_along_axis(np.real(diagonal - values), order, -1)
+
+    # Clusters over the stack: flat start index r*dim + i and size.
+    ids = cluster_levels(energies, tol_deg).ids.reshape(-1, dim)
+    starts = np.flatnonzero(np.diff(ids, axis=-1, prepend=-1))
+    sizes = np.diff(np.append(starts, ids.size))
+    operator = th.operator.reshape(-1, dim, dim)
+    flat_values, flat_order, flat_e = values.reshape(-1), order.reshape(-1), new_e.reshape(-1)
+    flat_energies = energies.reshape(-1)
+    groups = []  # (matrix of each block, its flat indices, its rotation) per size
+    firsts = []  # per size, the flat start of each matrix's first cluster of it
+    for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+        at = starts[sizes == k]
+        idx = at[:, None] + np.arange(k)
+        mat = at // dim
+        rows = flat_order[idx]
+        span = np.arange(k)
+        ref = np.zeros((at.size, k, k))
+        ref[:, span, span] = flat_energies[idx]
+        own = np.zeros((at.size, k, k))
+        own[:, span, span] = flat_values[mat[:, None] * dim + rows]
+        block = ref + (operator[mat[:, None, None], rows[:, :, None], rows[:, None, :]] - own)
+        block = 0.5 * (block + block.conj().swapaxes(-1, -2))
         vals, vecs = np.linalg.eigh(block)
-        new_e[idx] = vals
-        members = groups.setdefault(len(idx), ([], []))
-        members[0].append(idx)
-        members[1].append(vecs)
-    blocks = tuple((np.array(idx), np.array(q)) for idx, q in groups.values())
+        flat_e[idx] = vals
+        groups.append((mat, idx, vecs))
+        firsts.append(np.full(ids.shape[0], np.inf))
+        np.minimum.at(firsts[-1], mat, at)
+    # Round r holds each matrix's r-th size in order of first appearance.
+    rank = np.argsort(np.argsort(firsts, axis=0, kind="stable"), axis=0, kind="stable")
+    blocks = tuple(
+        (idx[sel], vecs[sel])
+        for r in range(len(groups))
+        for n, (mat, idx, vecs) in enumerate(groups)
+        if (sel := rank[n, mat] == r).any()
+    )
     fields = _conjugate(th, (Isometry(order, blocks),), "generic_numeric_rt")
     fields["levels"] = new_e
     return TransformedHamiltonian(**fields)
@@ -527,38 +617,34 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
 
 def spurious_filter(
     values: np.ndarray, spurious: tuple[SpuriousLevel, ...]
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Remove exactly one zero level per kernel vector.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Remove exactly one zero level per kernel vector, from one set of
+    levels or from each row of a stack of them.
 
     Each kernel vector is given in the basis of the levels, so its component
     k is its overlap with level k.  Matching is by concentration on one level
-    (overlap >= 0.99), not by energy alone — physical zero eigenvalues exist.
-    A kernel without a matching zero level indicates a transformation bug and
-    raises.
+    (overlap >= 0.99, which at most one component of a unit vector reaches),
+    not by energy alone — physical zero eigenvalues exist.  A kernel without
+    a matching zero level indicates a transformation bug and raises.
 
-    Returns (cleaned values, kept indices, removed indices).
+    Returns (cleaned values, kept indices, removed indices in kernel order),
+    with a leading stack axis on a stack.
     """
     values = np.asarray(values, dtype=float)
-    zero_tol = 1e-8 * max(1.0, np.abs(values).max())
-    removed: list[int] = []
+    zero_tol = 1e-8 * np.maximum(1.0, np.abs(values).max(axis=-1))
+    removed = np.zeros(values.shape, dtype=bool)
+    matches = []
     for sp in spurious:
-        w = sp.vector / max(np.linalg.norm(sp.vector), np.finfo(float).tiny)
-        overlaps = np.abs(w)
-        order = np.argsort(-overlaps)
-        match = -1
-        for idx in order:
-            if overlaps[idx] < 0.99:
-                break
-            if idx in removed:
-                continue
-            if abs(values[idx]) <= zero_tol:
-                match = int(idx)
-                break
-        if match < 0:
-            raise ValueError(
-                f"no zero level matches kernel {sp.label} "
-                f"(best overlap {overlaps[order[0]]:.3f})"
-            )
-        removed.append(match)
-    kept = [i for i in range(len(values)) if i not in removed]
-    return values[kept], kept, removed
+        norm = np.maximum(np.linalg.norm(sp.vector, axis=-1), np.finfo(float).tiny)
+        overlaps = np.abs(sp.vector / norm[..., None])
+        best = overlaps.argmax(axis=-1)[..., None]
+        peak = np.take_along_axis(overlaps, best, -1)[..., 0]
+        zero = np.abs(np.take_along_axis(values, best, -1)[..., 0]) <= zero_tol
+        free = ~np.take_along_axis(removed, best, -1)[..., 0]
+        check_rows(~((peak >= 0.99) & free & zero), lambda i: ValueError(
+            f"no zero level matches kernel {sp.label} (best overlap {peak[i]:.3f})"))
+        np.put_along_axis(removed, best, True, -1)
+        matches.append(best[..., 0])
+    kept = np.argsort(removed, axis=-1, kind="stable")[..., : values.shape[-1] - len(spurious)]
+    removed_idx = np.stack(matches, -1) if matches else np.zeros(values.shape[:-1] + (0,), int)
+    return np.take_along_axis(values, kept, -1), kept, removed_idx

@@ -1,7 +1,11 @@
-"""Shared fixtures: seeded RNG and random Hermitian factories."""
+"""Shared fixtures: seeded RNG, random Hermitian factories, and a failure
+injected into the contact-iteration chains at chosen couplings."""
 
 import numpy as np
 import pytest
+
+from resonancekit import methods, transforms
+from resonancekit.operators import ModelParams
 
 
 @pytest.fixture
@@ -40,3 +44,36 @@ def make_degenerate_reference():
         return 0.5 * (h0 + h0.conj().T), values
 
     return build
+
+
+@pytest.fixture
+def fail_chain_at(monkeypatch):
+    """Make a contact-iteration chain fail one of its checks at the given
+    couplings only, on a stack and on one coupling alike.
+
+    rt_full_kam gets a reflection angle 0.3 off at those couplings, which
+    the two-photon reduction's off-diagonal check rejects (ArithmeticError);
+    rt1_kam gets a Hamiltonian with one entry off symmetric there, which
+    makes the KAM generator fail unitary_exp's anti-Hermitian check
+    (ValueError).
+    """
+
+    def inject(method, couplings):
+        bad = list(couplings)
+        if method == "rt_full_kam":
+            angle = transforms.rt2_mixing_angle
+            monkeypatch.setattr(
+                transforms, "rt2_mixing_angle", lambda w, g: angle(w, g) + 0.3 * np.isin(g, bad)
+            )
+            return
+        one_photon = methods.rt_one_photon
+
+        def tilted(H, params, trunc):
+            g = [params.g] if isinstance(params, ModelParams) else [p.g for p in params]
+            h = np.array(H)
+            h.reshape(-1, *h.shape[-2:])[:, 4, 1] += 0.1 * np.isin(g, bad)
+            return one_photon(h, params, trunc)
+
+        monkeypatch.setattr(methods, "rt_one_photon", tilted)
+
+    return inject

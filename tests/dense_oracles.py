@@ -31,12 +31,11 @@ from resonancekit.methods import BRANCH_UNASSIGNED, MethodLevel
 from resonancekit.operators import ModelParams, TruncationConfig, _mat, basis_index, build_rabi
 from resonancekit.spectrum import (
     PARITY_EVEN,
-    PARITY_NA,
     PARITY_ODD,
     PARITY_UNCLASSIFIED,
     EigenDecomposition,
     eigh,
-    exact_spectrum,
+    exact_spectra,
 )
 from resonancekit.transforms import (
     TransformedHamiltonian,
@@ -46,6 +45,20 @@ from resonancekit.transforms import (
     spurious_filter,
     strong_chain,
 )
+
+
+# Parity label of a level that has none: the chains without parity bookkeeping.
+PARITY_NA = "n/a"
+
+
+def exact_spectrum(
+    params: ModelParams, trunc: TruncationConfig
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Every eigenvalue of the truncated Hamiltonian, ascending, with its
+    parity label: :func:`resonancekit.spectrum.exact_spectra` at the one
+    coupling ``params.g``."""
+    values, odd = exact_spectra(params.omega, params.omega0, [params.g], trunc.n_max)
+    return values[0], tuple(PARITY_ODD if o else PARITY_EVEN for o in odd[0].tolist())
 
 
 def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:

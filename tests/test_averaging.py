@@ -161,8 +161,8 @@ def test_solve_cohomological_random_residual(rng, make_hermitian, make_degenerat
 def test_solve_cohomological_rejects_inconsistent_clustering():
     decomp = _diag_decomp([0.0, 1e-12, 1.0])
     bad = DegeneracyClusters(
-        clusters=((0,), (1,), (2,)),
-        means=(0.0, 1e-12, 1.0),
+        values=decomp.values,
+        ids=np.array([0, 1, 2]),
         tol_deg=1e-9,
     )
     v = np.ones((3, 3), dtype=complex)

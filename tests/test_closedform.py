@@ -20,10 +20,10 @@ from resonancekit.closedform import (
 )
 from resonancekit.methods import closed_form_sweep, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
-from resonancekit.spectrum import eigh, exact_spectrum
+from resonancekit.spectrum import eigh
 
 import scalar_closed_forms
-from dense_oracles import build_jaynes_cummings
+from dense_oracles import build_jaynes_cummings, exact_spectrum
 from scalar_closed_forms import displacement_element, f_laguerre, laguerre
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from resonancekit import methods, operators
+from resonancekit.kam import kam_iterate_full
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
@@ -16,6 +17,7 @@ from resonancekit.methods import (
     grid_sweep,
     kam_truncation,
     rabi_rt1_chain,
+    rt2_iterated_chain,
 )
 from resonancekit.closedform import closed_form_table
 from resonancekit.operators import ModelParams, TruncationConfig
@@ -120,6 +122,15 @@ def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch)
 def test_closed_form_sweep_rejects_matrix_methods():
     with pytest.raises(ValueError, match="not a closed form"):
         closed_form_sweep("rt1", 1.0, 1.0, [0.1], 4)
+
+
+@pytest.mark.parametrize("method", METHOD_ORDER)
+def test_n_levels_below_one_fails_the_same_way_for_every_method(method):
+    for n_levels in (0, -1):
+        with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
+            grid_sweep(method, 1.0, 1.0, [0.1, 0.2], TruncationConfig(n_max=10), n_levels)
+        with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
+            compute_levels(method, _params(0.1), TruncationConfig(n_max=10), n_levels)
 
 
 def test_kam_truncation_adds_guard_rows():
@@ -282,3 +293,89 @@ def test_chain_methods_match_recorded_values(index):
         want = np.array([e for _, e in recorded])
         err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert err.max() <= 1e-12, (g, method, err.max())
+
+
+def test_chain_sweeps_match_the_whole_golden_lattice():
+    # One sweep per chain method over every coupling the benchmark records.
+    points = _golden_points()
+    grid = np.array(sorted(points))
+    for method in ("rt1", "rt1_kam", "rt_full_kam"):
+        swept = grid_sweep(method, 1.0, 1.0, grid, TruncationConfig(n_max=120), 12)
+        assert swept.ok.all(), method
+        for i, g in enumerate(grid.tolist()):
+            recorded = points[g][method]
+            assert [p for _, p, _ in swept.point(i)] == [p for p, _ in recorded], (g, method)
+            want = np.array([e for _, e in recorded])
+            err = np.abs(swept.energies[i] - want) / np.maximum(np.abs(want), 1.0)
+            assert err.max() <= 1e-12, (g, method, err.max())
+
+
+# ---------------------------------------------------------------- stacked chains
+
+CHAIN_METHODS = ("rt1_kam", "rt_full_kam")
+
+
+def _one_coupling_error(method, g, n_levels):
+    """The exception the one-coupling (2-D) chain and KAM step raise at g."""
+    th = methods._CHAINS[method](_params(g), kam_truncation(n_levels))
+    reference = np.diag(th.levels)
+    kam_iterate_full(reference, th.operator - reference, max_steps=1, tol_deg=1e-3)
+
+
+@pytest.mark.parametrize("method", CHAIN_METHODS)
+def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
+    grid = np.linspace(0.0, 0.3, 25)
+    bad = grid[[3, 4, 17]].tolist()  # two in one stack, one in another
+    trunc = TruncationConfig(n_max=20)
+    clean = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    assert clean.ok.all()
+    fail_chain_at(method, bad)
+    swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    for i, g in enumerate(grid.tolist()):
+        if g in bad:
+            with pytest.raises((ValueError, ArithmeticError)) as info:
+                _one_coupling_error(method, g, 8)
+            assert _point_text(swept.point(i)) == _point_text(info.value), g
+        else:
+            assert _point_text(swept.point(i)) == _point_text(clean.point(i)), g
+    assert (~swept.ok).sum() == len(bad)
+
+
+@pytest.mark.parametrize("method", CHAIN_METHODS)
+def test_a_coupling_does_not_depend_on_its_stack(monkeypatch, method):
+    grid = np.linspace(0.0, 0.3, 81)
+    trunc = TruncationConfig(n_max=120)
+    blocked = grid_sweep(method, 1.0, 1.0, grid, trunc, 12)
+    assert blocked.ok.all()
+    monkeypatch.setattr(methods, "_CHAIN_BLOCK", 1 << 30)  # the whole grid in one stack
+    whole = grid_sweep(method, 1.0, 1.0, grid, trunc, 12)
+    assert [_point_text(whole.point(i)) for i in range(grid.size)] == [
+        _point_text(blocked.point(i)) for i in range(grid.size)
+    ]
+    for i in (0, 1, 40, 79, 80):
+        alone = grid_sweep(method, 1.0, 1.0, grid[i:i + 1], trunc, 12)
+        assert _point_text(alone.point(0)) == _point_text(whole.point(i)), i
+
+
+def test_a_chain_stack_is_solved_per_stack_not_per_coupling(monkeypatch):
+    # An rt_full_kam sweep of 80 couplings in one stack makes as many
+    # eigensolver calls as one of 8: no step loops over the couplings.
+    monkeypatch.setattr(methods, "_CHAIN_BLOCK", 1 << 30)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, _solve=solve, **kwargs):
+            calls.append(_solve)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for size in (8, 80):
+        calls.clear()
+        swept = grid_sweep(
+            "rt_full_kam", 1.0, 1.0, np.linspace(0.0, 0.3, size), TruncationConfig(n_max=120), 12
+        )
+        assert swept.ok.all()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -20,11 +20,10 @@ from resonancekit.spectrum import (
     PARITY_ODD,
     eigh,
     exact_spectra,
-    exact_spectrum,
 )
 from resonancekit.sweep import SweepConfig, run_sweep
 
-from dense_oracles import eigh_block, validate_truncation
+from dense_oracles import eigh_block, exact_spectrum, validate_truncation
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
 # n_max=60 (agreement below 2e-14).  omega = omega0 = 1, g = 0.2.
@@ -66,7 +65,7 @@ def test_eigh_rejects_non_hermitian():
 
 
 def test_eigh_input_validation():
-    for shape in [(2, 3), (4,), (2, 2, 2)]:
+    for shape in [(2, 3), (4,), (2, 2, 3), (2, 2, 2, 2)]:
         with pytest.raises(ValueError, match=r"eigh requires a square matrix, got shape"):
             eigh(np.zeros(shape))
     decomp = eigh(np.array([[2, 1], [1, 2]]))

@@ -12,7 +12,6 @@ from resonancekit.methods import BRANCH_UNASSIGNED, METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import (
     PARITY_EVEN,
-    PARITY_NA,
     PARITY_ODD,
     PARITY_UNCLASSIFIED,
     MethodSweep,
@@ -28,6 +27,7 @@ from resonancekit.sweep import (
     table_to_csv,
 )
 
+from dense_oracles import PARITY_NA
 from row_reference import rows_compare, rows_to_csv
 
 BRANCHES = ("+", "-", BRANCH_UNASSIGNED)
@@ -129,10 +129,11 @@ def test_rank_pair_masks_equal_the_per_row_pairing(table):
     assert repr(stats) == repr(rows_compare(table.rows, config.methods))
 
 
-@pytest.mark.parametrize("method", ["exact", "jc", "rt1"])
-def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, method):
+@pytest.mark.parametrize("method", ["exact", "jc", "rt1", "rt1_kam", "rt_full_kam"])
+def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, fail_chain_at, method):
     # Failed couplings interleave with good ones: the guard band for exact,
-    # a short photon range for jc and for rt1, which reads the jc table.
+    # a short photon range for jc and for rt1, which reads the jc table, and
+    # a failed check at chosen couplings for the contact-iteration chains.
     config = SweepConfig(g_max=3.0, g_steps=13, n_max=20, n_levels=10,
                          methods=(method,), output_path="")
     grid = config.g_grid().tolist()
@@ -140,6 +141,7 @@ def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, method):
         methods, "_closed_form_count",
         lambda g, omega, n_levels: 3 if g in grid[3::4] else n_levels + 20,
     )
+    fail_chain_at(method, grid[3::4])
     table = run_sweep(config, out_path="")
     trunc = TruncationConfig(n_max=config.n_max)
     rows, failures = [], []

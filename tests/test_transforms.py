@@ -647,8 +647,8 @@ def test_spurious_filter_removes_kernel_zero():
     kernel = SpuriousLevel(label="|0,+>", vector=vectors[:, 0])
     cleaned, kept, removed = spurious_filter(values, (kernel,))
     np.testing.assert_array_equal(cleaned, [1.0, 2.0])
-    assert kept == [1, 2]
-    assert removed == [0]
+    assert kept.tolist() == [1, 2]
+    assert removed.tolist() == [0]
 
 
 def test_spurious_filter_disambiguates_multiple_zeros():
@@ -656,7 +656,7 @@ def test_spurious_filter_disambiguates_multiple_zeros():
     vectors = np.eye(3, dtype=complex)
     kernel = SpuriousLevel(label="|0,->", vector=vectors[:, 1])
     cleaned, kept, removed = spurious_filter(values, (kernel,))
-    assert removed == [1]
+    assert removed.tolist() == [1]
     np.testing.assert_array_equal(cleaned, [0.0, 2.0])
 
 
@@ -664,7 +664,7 @@ def test_spurious_filter_no_spurious_is_noop():
     values = np.array([0.5, 1.5])
     cleaned, kept, removed = spurious_filter(values, ())
     np.testing.assert_array_equal(cleaned, values)
-    assert removed == []
+    assert removed.tolist() == []
 
 
 def test_spurious_filter_rejects_unmatched_kernel():
