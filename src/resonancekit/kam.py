@@ -160,7 +160,7 @@ def kam_iterate_full(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    single = np.ndim(H0) == 2
+    single = np.ndim(H0) == 2  # one matrix runs as a stack of one
     h0, v = (_mat(x).reshape(-1, *np.shape(x)[-2:]) for x in (H0, V))
     count = h0.shape[0]
     if tol_deg is None:
@@ -169,7 +169,6 @@ def kam_iterate_full(
     u_total = np.broadcast_to(np.eye(h0.shape[-1], dtype=np.result_type(h0, v)), h0.shape)
     reports: list[list[KamStepReport]] = [[] for _ in range(count)]
     diverged = np.zeros(count, dtype=bool)
-    live = np.ones(count, dtype=bool)
     try:
         decomp = eigh(h0)
         clusters = cluster_levels(decomp.values, tol_deg)
@@ -177,21 +176,19 @@ def kam_iterate_full(
         values, vectors, ids = decomp.values, decomp.vectors, clusters.ids
         for step in range(1, max_steps + 1):
             # values, vectors and ids decompose and cluster the current h0
-            h0_norm = np.abs(values).max(axis=-1)
-            live &= ~(residual <= stop_tol * np.maximum(h0_norm, np.finfo(float).tiny))
-            index = np.flatnonzero(live)
-            if index.size == 0:
+            h0_norm = np.maximum(np.abs(values).max(axis=-1), np.finfo(float).tiny)
+            rows = np.flatnonzero(~diverged & ~(residual <= stop_tol * h0_norm))
+            if rows.size == 0:
                 break
-            rows = slice(None) if index.size == count else index  # views of every row
             try:
                 _, d, v_new, u, decomp_new, clusters_new, report = kam_step(
                     h0[rows], v[rows], EigenDecomposition(values[rows], vectors[rows]),
                     DegeneracyClusters(values[rows], ids[rows], tol_deg[rows]), residual[rows],
                 )
             except CouplingErrors as exc:
-                raise CouplingErrors({int(index[i]): e for i, e in exc.errors.items()}) from None
+                raise CouplingErrors({int(rows[i]): e for i, e in exc.errors.items()}) from None
             fields = [np.asarray(f).tolist() for f in astuple(report)[1:]]
-            for j, row in enumerate(index.tolist()):
+            for j, row in enumerate(rows.tolist()):
                 reports[row].append(KamStepReport(step, *(f[j] for f in fields)))
             v = _assign(v, rows, v_new)
             u_total = _assign(u_total, rows, u_total[rows] @ u)
@@ -200,26 +197,19 @@ def kam_iterate_full(
             values[rows], ids[rows] = decomp_new.values, clusters_new.ids
             residual[rows] = report.residual_after
             diverged[rows] |= report.diverged
-            live &= ~diverged
     except CouplingErrors as exc:
-        if single:
-            raise exc.errors[0] from None
-        raise
+        raise exc.errors[0] if single else exc from None
     operator = h0 + v
     estimate = np.real(np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1))
-    chain = KamChain(estimate, tuple(map(tuple, reports)), operator, u_total @ vectors, diverged)
     if single:
-        return KamChain(estimate[0], chain.reports[0], operator[0], chain.vectors[0],
+        return KamChain(estimate[0], tuple(reports[0]), operator[0], (u_total @ vectors)[0],
                         bool(diverged[0]))
-    return chain
+    return KamChain(estimate, tuple(map(tuple, reports)), operator, u_total @ vectors, diverged)
 
 
 def _assign(target: np.ndarray, rows, value: np.ndarray) -> np.ndarray:
-    """A copy of ``target`` with ``target[rows] = value`` (the value itself
-    for every row), complex when the value is (a real reference meeting a
-    complex perturbation)."""
-    if isinstance(rows, slice):
-        return value
+    """A copy of ``target`` with ``target[rows] = value``, complex when the
+    value is (a real reference meeting a complex perturbation)."""
     target = target.astype(np.result_type(target, value))
     target[rows] = value
     return target

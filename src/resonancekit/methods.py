@@ -61,7 +61,6 @@ from .transforms import (
 
 __all__ = [
     "METHOD_ORDER",
-    "WEAK_METHODS",
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "MethodLevel",
@@ -87,9 +86,6 @@ METHOD_ORDER = (
     "strong_rt",
 )
 
-# Methods built on the one-photon-resonance chains; they require omega0 = omega.
-WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
-
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 
 BRANCH_UNASSIGNED = "unassigned"
@@ -114,7 +110,8 @@ _CLOSED_FORM_BLOCK = 1 << 20
 
 # Matrix entries per stack of contact-iteration chain operators.  A KAM step
 # keeps about 17 such stacks alive at once, so this bounds the working set to
-# under 1 MB (6 couplings at the default 12 levels, dim 30).
+# under 1 MB: 6 couplings at the default 12 levels (dim 30), and a single
+# coupling from 36 levels up (dim 78).
 _CHAIN_BLOCK = 6000
 
 
@@ -199,15 +196,12 @@ def _table_sweep(
 
 def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     """The one-photon chain of one ModelParams, or the stack of chains of a
-    sequence of them sharing omega and omega0.  Stacked, H(g) = H(0) +
-    g*(H(1) - H(0)) equals :func:`build_rabi` bit for bit: g enters H only
-    as g*sqrt(n)."""
-    if isinstance(params, ModelParams):
-        return rt_one_photon(build_rabi(params, trunc), params, trunc)
+    sequence of them sharing omega and omega0.  H(g) = H(0) + g*(H(1) - H(0))
+    equals :func:`build_rabi` bit for bit: g enters H only as g*sqrt(n)."""
     first, g = _couplings(params)
     free = build_rabi(replace(first, g=0.0), trunc)
     coupling = build_rabi(replace(first, g=1.0), trunc) - free
-    return rt_one_photon(free + g[:, None, None] * coupling, params, trunc)
+    return rt_one_photon(free + np.multiply.outer(g, coupling), params, trunc)
 
 
 def rabi_rt2_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
@@ -288,9 +282,10 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     The couplings of a block are one stack of chain operators, reduced and
     refined by one array program.  A coupling that fails a check records
     that exception and leaves the stack, and the rest of the block is
-    computed again; no coupling's values depend on the stack it is in.  An
-    error that the whole stack raises (off one-photon resonance) is recorded
-    at each of its couplings.
+    computed again; no coupling's values depend on the stack it is in.  Any
+    other exception of a stack (one LAPACK call fails for all of it) sends
+    each of its couplings through the chain on its own, so that it is
+    recorded only where it is raised.
     """
     grid = np.asarray(grid, dtype=float)
     trunc = kam_truncation(n_levels)
@@ -305,19 +300,23 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
             errors[i] = exc
     valid = list(params)
     step = max(1, _CHAIN_BLOCK // trunc.dim**2)
-    for live in (valid[lo:lo + step] for lo in range(0, len(valid), step)):
-        while live:
-            retry = False
-            try:
-                th = _CHAINS[method](tuple(params[i] for i in live), trunc)
-                energies[live], codes[live], failed = _kam_levels(th, omega, n_levels)
-            except CouplingErrors as exc:
-                failed, retry = exc.errors, True
-            except Exception as exc:  # raised by the whole stack
-                failed = dict.fromkeys(range(len(live)), exc)
-            for row, exc in failed.items():
-                errors[live[row]] = exc
-            live = [i for row, i in enumerate(live) if row not in failed] if retry else []
+    pending = [valid[lo:lo + step] for lo in range(0, len(valid), step)]
+    while pending:
+        live = pending.pop()
+        try:
+            th = _CHAINS[method](tuple(params[i] for i in live), trunc)
+            energies[live], codes[live], failed = _kam_levels(th, omega, n_levels)
+        except CouplingErrors as exc:
+            failed = exc.errors
+            if len(failed) < len(live):
+                pending.append([i for row, i in enumerate(live) if row not in failed])
+        except Exception as exc:
+            if len(live) > 1:
+                pending.extend([i] for i in live)
+                continue
+            failed = {0: exc}
+        for row, exc in failed.items():
+            errors[live[row]] = exc
     return MethodSweep(method, energies, _KAM_LABELS, codes, tuple(errors))
 
 

@@ -10,10 +10,10 @@ the schema states the invariant explicitly.
 Every method is evaluated over the whole g-grid on one thread, by one
 :func:`methods.grid_sweep` call that returns its levels as arrays (a
 :class:`spectrum.MethodSweep`): the exact oracle, the closed forms and rt1
-fill them from array programs, the contact-iteration chains point by point.
-A failing point is recorded in its slot and skipped, the run continues.  The CSV, the error
-table and the resonance report are computed from those arrays; no per-level
-record is built on the way.
+fill them from array programs, the contact-iteration chains from stacks of
+chain operators.  A failing point is recorded in its slot and skipped, the
+run continues.  The CSV, the error table and the resonance report are
+computed from those arrays; no per-level record is built on the way.
 """
 
 from __future__ import annotations

@@ -114,13 +114,12 @@ class Isometry:
         if self.remap is None:
             return x.copy()
         kernel = self.remap < 0
-        safe = np.where(kernel, 0, self.remap)
-        if safe.ndim == 1:
-            y = x[..., safe] if axes == 1 else x[..., safe[:, None], safe]
-        else:  # one remap per matrix of the stack
-            each = np.arange(len(safe))[:, None, None]
-            x = np.broadcast_to(x, safe.shape[:1] + x.shape[x.ndim - axes:])
-            y = x[each[:, 0], safe] if axes == 1 else x[each, safe[:, :, None], safe[:, None, :]]
+        # the remap with x's stack axes: one shared, or one per matrix
+        safe = np.where(kernel, 0, self.remap)[(None,) * (x.ndim - axes + 1 - self.remap.ndim)]
+        if axes == 1:
+            y = np.take_along_axis(x, safe, -1)
+        else:
+            y = np.take_along_axis(np.take_along_axis(x, safe[..., None], -2), safe[..., None, :], -1)
         lines = np.broadcast_to(kernel, y.shape[:y.ndim - axes + 1])
         y[lines] = 0.0
         if axes == 2:

@@ -90,7 +90,12 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     np.testing.assert_allclose(h_new, h0 + d + v_new, atol=1e-13)
     # The returned decomposition and clusters are those of the new reference.
     np.testing.assert_allclose(decomp_new.values, np.linalg.eigvalsh(h0 + d), atol=1e-13)
-    assert clusters_new.clusters == cluster_levels(decomp_new.values, 1e-9).clusters
+    expected = cluster_levels(decomp_new.values, 1e-9)
+    assert clusters_new.clusters == expected.clusters
+    assert clusters_new.means == expected.means
+    assert clusters_new.tol_deg == 1e-9
+    np.testing.assert_array_equal(clusters_new.ids, expected.ids)
+    np.testing.assert_array_equal(clusters_new.values, expected.values)
     assert report.residual_after == _offblock_residual(v_new, decomp_new, clusters_new)
     assert not report.diverged
     assert report.residual_after < report.residual_before

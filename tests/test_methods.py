@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonancekit import methods, operators
+from resonancekit import methods, operators, transforms
 from resonancekit.kam import kam_iterate_full
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
-    WEAK_METHODS,
     closed_form_sweep,
     compute_levels,
     grid_sweep,
@@ -24,6 +23,9 @@ from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
 
 from dense_oracles import levels_from_chain
+
+# Methods built on the one-photon-resonance chains; they require omega0 = omega.
+WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 
 
 def _params(g, omega0=None):
@@ -339,6 +341,30 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
         else:
             assert _point_text(swept.point(i)) == _point_text(clean.point(i)), g
     assert (~swept.ok).sum() == len(bad)
+
+
+@pytest.mark.parametrize("method", CHAIN_METHODS)
+def test_an_exception_of_the_whole_stack_is_recorded_at_its_coupling(monkeypatch, method):
+    # One coupling makes a stacked call raise for its whole stack, as a LAPACK
+    # LinAlgError does: only that coupling records it, the others are clean.
+    grid = np.linspace(0.0, 0.3, 25)
+    trunc = TruncationConfig(n_max=20)
+    clean = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    one_photon = methods.rt_one_photon
+
+    def failing(H, params, trunc):
+        if np.any(transforms._couplings(params)[1] == grid[5]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return one_photon(H, params, trunc)
+
+    monkeypatch.setattr(methods, "rt_one_photon", failing)
+    swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    failed = swept.point(5)
+    assert type(failed) is np.linalg.LinAlgError
+    assert str(failed) == "Eigenvalues did not converge"
+    for i in range(grid.size):
+        if i != 5:
+            assert _point_text(swept.point(i)) == _point_text(clean.point(i)), i
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)
