@@ -283,28 +283,22 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     refined by one array program.  A coupling that fails a check records
     that exception and leaves the stack, and the rest of the block is
     computed again; no coupling's values depend on the stack it is in.  Any
-    other exception of a stack (one LAPACK call fails for all of it) sends
-    each of its couplings through the chain on its own, so that it is
-    recorded only where it is raised.
+    other exception of a stack (an invalid coupling, or one LAPACK call
+    that fails for all of it) sends each of its couplings through the chain
+    on its own, so that it is recorded only where it is raised.
     """
     grid = np.asarray(grid, dtype=float)
     trunc = kam_truncation(n_levels)
     energies = np.full((grid.size, n_levels), np.nan)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     errors: list = [None] * grid.size
-    params = {}
-    for i, g in enumerate(grid.tolist()):
-        try:
-            params[i] = ModelParams(omega, omega0, g)
-        except ValueError as exc:
-            errors[i] = exc
-    valid = list(params)
     step = max(1, _CHAIN_BLOCK // trunc.dim**2)
-    pending = [valid[lo:lo + step] for lo in range(0, len(valid), step)]
+    pending = [list(range(lo, min(lo + step, grid.size))) for lo in range(0, grid.size, step)]
     while pending:
         live = pending.pop()
         try:
-            th = _CHAINS[method](tuple(params[i] for i in live), trunc)
+            params = tuple(ModelParams(omega, omega0, g) for g in grid[live].tolist())
+            th = _CHAINS[method](params, trunc)
             energies[live], codes[live], failed = _kam_levels(th, omega, n_levels)
         except CouplingErrors as exc:
             failed = exc.errors

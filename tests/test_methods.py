@@ -365,6 +365,15 @@ def test_an_exception_of_the_whole_stack_is_recorded_at_its_coupling(monkeypatch
     for i in range(grid.size):
         if i != 5:
             assert _point_text(swept.point(i)) == _point_text(clean.point(i)), i
+    # An invalid coupling in a stack is recorded the same way.
+    monkeypatch.undo()
+    mixed = grid_sweep(method, 1.0, 1.0, [grid[1], -0.1, grid[2], np.nan], trunc, 8)
+    assert [_point_text(mixed.point(i)) for i in range(4)] == [
+        _point_text(clean.point(1)),
+        "ValueError: g must be >= 0, got -0.1",
+        _point_text(clean.point(2)),
+        "ValueError: g must be finite, got nan",
+    ]
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)
