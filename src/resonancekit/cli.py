@@ -90,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "compare":
         try:
+            if "exact" not in config.methods:  # before the sweep writes its CSV
+                raise ValueError("compare needs the exact baseline in methods")
             table = run_sweep(config)
             stats = compare_methods(config, table)
         except ValueError as exc:

@@ -256,16 +256,11 @@ def closed_form_table(
     return _TABLES[method](omega, omega0, np.asarray(g, dtype=float), n_levels)
 
 
-# math.atan2 elementwise: numpy's arctan2 differs from it in the last bit on
-# about one argument pair in ten, which would move every rt_full_kam level.
-_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
-
-
 def rt2_mixing_angle(omega: float, g):
     """Angle of the (0,2,-) sector reflection: tan(2 theta) = g*sqrt(2)/(2w - g*sqrt(2)),
     with 0 <= theta < pi/2; one angle per coupling for an array ``g``."""
     root = np.multiply(g, math.sqrt(2.0))
-    return 0.5 * np.asarray(_ATAN2(root, 2.0 * omega - root), dtype=float)[()]
+    return 0.5 * np.arctan2(root, 2.0 * omega - root)
 
 
 def resonance_loci(n_range, omega: float) -> list[ResonanceLocus]:

@@ -3,9 +3,8 @@
 Every method maps (params, trunc, n_levels) to the same shape of output: the
 lowest physical levels in ascending energy order, spurious kernel zeros
 already filtered, each level carrying a branch tag (closed forms only), a
-parity label, and its energy.  The exact oracle's labels hold by
-construction, the contact-iteration chains read theirs off the parity sign
-vector each chain carries, weighted by their eigenvectors, closed forms
+parity label, and its energy.  The exact oracle and the contact-iteration
+chains label a level by the parity block it was solved in; closed forms
 carry analytic labels.  No method emits guard-band levels.
 
 Every method answers a whole coupling grid as one array program
@@ -38,16 +37,15 @@ from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
     TruncationConfig,
-    _adjoint,
     build_rabi,
     validated_level_count,
 )
 from .spectrum import (
-    PARITY_UNCLASSIFIED,
     PARITY_EVEN,
     PARITY_ODD,
     CouplingErrors,
     MethodSweep,
+    check_rows,
     exact_spectra,
 )
 from .transforms import (
@@ -56,7 +54,6 @@ from .transforms import (
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
-    spurious_filter,
 )
 
 __all__ = [
@@ -90,10 +87,8 @@ CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
 
 BRANCH_UNASSIGNED = "unassigned"
 
-# Label codes of the exact oracle: 1 marks the odd block.
+# Label codes of the exact oracle and the chains: 1 marks the odd block.
 _EXACT_LABELS = ((BRANCH_UNASSIGNED, PARITY_EVEN), (BRANCH_UNASSIGNED, PARITY_ODD))
-# Label codes of the contact-iteration chains.
-_KAM_LABELS = _EXACT_LABELS + ((BRANCH_UNASSIGNED, PARITY_UNCLASSIFIED),)
 
 # Cluster tolerance for physically near-degenerate reference levels, as a
 # fraction of omega (avoided crossings swept through by the coupling grid).
@@ -102,16 +97,14 @@ PHYSICAL_CLUSTER_FRACTION = 1e-3
 # Numeric transformations after the two-photon reduction in rt_full_kam.
 NUMERIC_RT_STEPS = 3
 
-_OVERLAP_MIN = 0.99
-
 # (coupling, slot) entries per closed-form evaluation block; bounds memory
 # on grids whose largest coupling needs a long photon range.
 _CLOSED_FORM_BLOCK = 1 << 20
 
-# Matrix entries per stack of contact-iteration chain operators.  A KAM step
-# keeps about 17 such stacks alive at once, so this bounds the working set to
-# under 1 MB: 6 couplings at the default 12 levels (dim 30), and a single
-# coupling from 36 levels up (dim 78).
+# Matrix entries per stack of contact-iteration chain operators.  With the KAM
+# step on the parity blocks (a quarter of a stack each), a sweep keeps about 8
+# stacks alive at its peak, under 0.5 MB: 6 couplings at the default 12 levels
+# (dim 30), and a single coupling from 36 levels up (dim 78).
 _CHAIN_BLOCK = 6000
 
 
@@ -311,38 +304,45 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
             failed = {0: exc}
         for row, exc in failed.items():
             errors[live[row]] = exc
-    return MethodSweep(method, energies, _KAM_LABELS, codes, tuple(errors))
+    return MethodSweep(method, energies, _EXACT_LABELS, codes, tuple(errors))
 
 
 def _kam_levels(
     th: TransformedHamiltonian, omega: float, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """The levels of a stack of chains after one contact-iteration step.
-    Each eigenvector v of a refined reference is one level: photon number of
-    its largest slot, |v|^2-weighted parity, and the kernel vectors' overlaps
-    v^H w, by which kernel zeros are dropped; so are levels in the top
-    ``loss_band`` photon rows.
+
+    A chain operator is parity block-diagonal: its slots of sign +1 and of
+    sign -1 (``th.parity``) are two blocks, and its sign-0 slots are its
+    kernel slots.  Each block is refined on its own, and its levels carry its
+    label.  A level whose largest eigenvector slot lies in the top
+    ``loss_band`` photon rows is dropped.  A coupling whose operator has a
+    nonzero entry outside the two blocks raises ArithmeticError.
 
     Returns the lowest ``n_levels`` energies and their label codes into
-    ``_KAM_LABELS`` per coupling, and the ValueError of each coupling (by
-    stack row) where fewer levels survive.
+    ``_EXACT_LABELS`` per coupling (even before odd on exact ties), and the
+    ValueError of each coupling (by stack row) where fewer levels survive.
     """
-    reference = np.zeros_like(th.operator)
-    span = np.arange(th.dim)
-    reference[..., span, span] = th.levels
-    chain = kam_iterate_full(
-        reference, th.operator - reference, max_steps=1,
-        tol_deg=PHYSICAL_CLUSTER_FRACTION * omega,
-    )
-    v, values = chain.vectors, chain.estimate
-    kernels = tuple(replace(sp, vector=(_adjoint(v) @ sp.vector[..., None])[..., 0])
-                    for sp in th.spurious)
-    _, kept, _ = spurious_filter(values, kernels)
-    usable = np.zeros(values.shape, dtype=bool)
-    np.put_along_axis(usable, kept, True, -1)
-    photon = np.argmax(np.abs(v), axis=-2) // 2
-    usable &= photon <= th.trunc.n_max - th.loss_band
-    order = np.argsort(np.where(usable, values, np.inf), axis=-1, kind="stable")[..., :n_levels]
+    same = th.parity[:, :, None] * th.parity[:, None, :] == 1.0
+    dropped = np.abs(np.where(same, 0.0, th.operator)).max(axis=(-2, -1))
+    check_rows(dropped != 0.0, lambda r: ArithmeticError(
+        f"chain operator couples parity blocks (largest dropped entry {dropped[r]:.3e})"))
+    each = np.arange(th.operator.shape[0])[:, None]
+    values, usable = [], []
+    for sign in (1.0, -1.0):
+        slots = np.nonzero(th.parity == sign)[1].reshape(each.size, -1)
+        block = th.operator[each[:, :, None], slots[:, :, None], slots[:, None, :]]
+        reference = np.zeros_like(block)
+        span = np.arange(slots.shape[1])
+        reference[:, span, span] = th.levels[each, slots]
+        chain = kam_iterate_full(reference, block - reference, max_steps=1,
+                                 tol_deg=PHYSICAL_CLUSTER_FRACTION * omega)
+        photon = slots[each, np.argmax(np.abs(chain.vectors), axis=1)] // 2
+        values.append(chain.estimate)
+        usable.append(photon <= th.trunc.n_max - th.loss_band)
+    odd = values[0].shape[1]  # the first odd slot of [even | odd]
+    values, usable = np.concatenate(values, 1), np.concatenate(usable, 1)
+    order = np.argsort(np.where(usable, values, np.inf), axis=-1, kind="stable")[:, :n_levels]
     available = usable.sum(axis=-1)
     short = {
         row: ValueError(
@@ -351,9 +351,7 @@ def _kam_levels(
         )
         for row in np.flatnonzero(available < n_levels).tolist()
     }
-    parity = (np.abs(_adjoint(v)) ** 2 @ th.parity[..., None])[..., 0]
-    labels = np.where(parity >= _OVERLAP_MIN, 0, np.where(parity <= -_OVERLAP_MIN, 1, 2))
-    return np.take_along_axis(values, order, -1), np.take_along_axis(labels, order, -1), short
+    return np.take_along_axis(values, order, -1), (order >= odd).astype(np.intp), short
 
 
 def compute_levels(

@@ -19,6 +19,7 @@ computed from those arrays; no per-level record is built on the way.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,8 +316,7 @@ def compare_methods(
         else:
             result[method] = (float("nan"), float("nan"), 0)
     if out_path is None and config.output_path:
-        root, dot, _ = config.output_path.rpartition(".")
-        out_path = (root if dot else config.output_path) + "_errors.csv"
+        out_path = os.path.splitext(config.output_path)[0] + "_errors.csv"
     if out_path:
         lines = [ERROR_CSV_HEADER]
         for method, (mx, mean, count) in result.items():

@@ -485,8 +485,7 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     diagonal of V.  Unitary: no spurious levels, no new truncation loss.
 
     On a stack, the equal-size clusters of every coupling are diagonalized
-    as one stack of blocks.  Each coupling's rotations are applied by size
-    in the order its clusters first reach that size, as for one coupling.
+    as one stack of blocks, and the rotations are applied by cluster size.
     """
     values = th.levels
     dim = th.dim
@@ -503,8 +502,7 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     operator = th.operator.reshape(-1, dim, dim)
     flat_values, flat_order, flat_e = values.reshape(-1), order.reshape(-1), new_e.reshape(-1)
     flat_energies = energies.reshape(-1)
-    groups = []  # (matrix of each block, its flat indices, its rotation) per size
-    firsts = []  # per size, the flat start of each matrix's first cluster of it
+    blocks = []  # (flat indices, rotation) of the clusters, one group per size
     for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
         at = starts[sizes == k]
         idx = at[:, None] + np.arange(k)
@@ -519,18 +517,8 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
         block = 0.5 * (block + block.conj().swapaxes(-1, -2))
         vals, vecs = np.linalg.eigh(block)
         flat_e[idx] = vals
-        groups.append((mat, idx, vecs))
-        firsts.append(np.full(ids.shape[0], np.inf))
-        np.minimum.at(firsts[-1], mat, at)
-    # Round r holds each matrix's r-th size in order of first appearance.
-    rank = np.argsort(np.argsort(firsts, axis=0, kind="stable"), axis=0, kind="stable")
-    blocks = tuple(
-        (idx[sel], vecs[sel])
-        for r in range(len(groups))
-        for n, (mat, idx, vecs) in enumerate(groups)
-        if (sel := rank[n, mat] == r).any()
-    )
-    fields = _conjugate(th, (Isometry(order, blocks),), "generic_numeric_rt")
+        blocks.append((idx, vecs))
+    fields = _conjugate(th, (Isometry(order, tuple(blocks)),), "generic_numeric_rt")
     fields["levels"] = new_e
     return TransformedHamiltonian(**fields)
 

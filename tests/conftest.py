@@ -53,9 +53,9 @@ def fail_chain_at(monkeypatch):
 
     rt_full_kam gets a reflection angle 0.3 off at those couplings, which
     the two-photon reduction's off-diagonal check rejects (ArithmeticError);
-    rt1_kam gets a Hamiltonian with one entry off symmetric there, which
-    makes the KAM generator fail unitary_exp's anti-Hermitian check
-    (ValueError).
+    rt1_kam gets a Hamiltonian with one entry off symmetric there, between
+    two odd slots so that it stays inside a parity block, which makes the
+    KAM generator fail unitary_exp's anti-Hermitian check (ValueError).
     """
 
     def inject(method, couplings):
@@ -71,7 +71,7 @@ def fail_chain_at(monkeypatch):
         def tilted(H, params, trunc):
             g = [params.g] if isinstance(params, ModelParams) else [p.g for p in params]
             h = np.array(H)
-            h.reshape(-1, *h.shape[-2:])[:, 4, 1] += 0.1 * np.isin(g, bad)
+            h.reshape(-1, *h.shape[-2:])[:, 5, 1] += 0.1 * np.isin(g, bad)
             return one_photon(h, params, trunc)
 
         monkeypatch.setattr(methods, "rt_one_photon", tilted)

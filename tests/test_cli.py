@@ -126,6 +126,24 @@ def test_compare_without_exact_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "needs the exact baseline" in captured.err
+    assert not (tmp_path / "run.csv").exists()  # rejected before the sweep
+
+
+@pytest.mark.parametrize(
+    "out, errors",
+    [("run.csv", "run_errors.csv"), ("run", "run_errors.csv"),
+     ("res.d/run", "res.d/run_errors.csv"), ("res.d/run.csv", "res.d/run_errors.csv")],
+)
+def test_compare_writes_errors_next_to_the_output(tmp_path, capsys, monkeypatch, out, errors):
+    # The suffix is replaced only in the file name, never at a dot of a directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.d").mkdir()
+    assert main(["compare", *_SMALL, "--out", out]) == 0
+    capsys.readouterr()
+    assert (tmp_path / out).exists()
+    assert (tmp_path / errors).read_text(encoding="utf-8").splitlines()[0] == ERROR_CSV_HEADER
+    files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted([out, errors])
 
 
 def test_compare_with_empty_output_path_writes_nothing(tmp_path, capsys, monkeypatch):

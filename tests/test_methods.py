@@ -1,6 +1,7 @@
 """Uniform method facade: every estimator through one entry point."""
 
 import gzip
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -318,10 +319,14 @@ CHAIN_METHODS = ("rt1_kam", "rt_full_kam")
 
 
 def _one_coupling_error(method, g, n_levels):
-    """The exception the one-coupling (2-D) chain and KAM step raise at g."""
+    """The exception the one-coupling (2-D) chain and the KAM step on each of
+    its parity blocks raise at g."""
     th = methods._CHAINS[method](_params(g), kam_truncation(n_levels))
-    reference = np.diag(th.levels)
-    kam_iterate_full(reference, th.operator - reference, max_steps=1, tol_deg=1e-3)
+    for sign in (1.0, -1.0):
+        slots = np.flatnonzero(th.parity == sign)
+        reference = np.diag(th.levels[slots])
+        block = th.operator[np.ix_(slots, slots)]
+        kam_iterate_full(reference, block - reference, max_steps=1, tol_deg=1e-3)
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)
@@ -341,6 +346,86 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
         else:
             assert _point_text(swept.point(i)) == _point_text(clean.point(i)), g
     assert (~swept.ok).sum() == len(bad)
+
+
+# g = 0 and underflowing or tiny couplings, the first active locus g_1, and a
+# coupling far beyond the chains' range.
+EDGE_COUPLINGS = (0.0, 1e-300, 1e-8, 2.0 / (1.0 + np.sqrt(3.0)), 6.0)
+
+
+@pytest.mark.parametrize("n_levels", [2, 12, 40])
+@pytest.mark.parametrize("method", CHAIN_METHODS)
+def test_chain_operators_split_exactly_into_parity_blocks(method, n_levels):
+    # What the chains' read-out rests on: every entry between an even and an
+    # odd slot, or on a sign-0 slot, is exactly 0, and the sign-0 slots are
+    # the kernel slots, as many at every coupling as the chain has kernels.
+    grid = np.concatenate([np.linspace(0.0, 3.0, 31), EDGE_COUPLINGS])
+    th = methods._CHAINS[method](tuple(_params(g) for g in grid), kam_truncation(n_levels))
+    same = th.parity[:, :, None] * th.parity[:, None, :] == 1.0
+    assert (th.operator[~same] == 0.0).all()
+    kernel = th.parity == 0.0
+    assert (kernel.sum(axis=1) == len(th.spurious)).all()
+    assert th.spurious
+    for sp in th.spurious:
+        assert (sp.vector[~kernel] == 0.0).all(), sp.label
+
+
+def _misplaced_entry(monkeypatch, method, couplings, kind):
+    """Put 0.1 into every chain operator of ``method`` at ``couplings``,
+    between its first even and first odd slot ("cross") or on its first
+    sign-0 slot ("kernel")."""
+    chain = methods._CHAINS[method]
+
+    def spoiled(params, trunc):
+        th = chain(params, trunc)
+        operator = th.operator.copy()
+        for row, p in enumerate(params):
+            if p.g in couplings:
+                first = {sign: np.flatnonzero(th.parity[row] == sign)[0] for sign in (1, -1, 0)}
+                i, j = (first[1], first[-1]) if kind == "cross" else (first[0], first[0])
+                operator[row, i, j] = operator[row, j, i] = 0.1
+        return replace(th, operator=operator)
+
+    monkeypatch.setitem(methods._CHAINS, method, spoiled)
+
+
+@pytest.mark.parametrize("kind", ["cross", "kernel"])
+@pytest.mark.parametrize("method", CHAIN_METHODS)
+def test_an_entry_off_the_parity_blocks_fails_only_its_coupling(monkeypatch, method, kind):
+    grid = np.linspace(0.0, 0.3, 25)
+    bad = grid[[3, 4, 17]].tolist()  # two in one stack, one in another
+    trunc = TruncationConfig(n_max=20)
+    clean = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    _misplaced_entry(monkeypatch, method, bad, kind)
+    swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    for i, g in enumerate(grid.tolist()):
+        if g in bad:
+            assert _point_text(swept.point(i)) == (
+                "ArithmeticError: chain operator couples parity blocks "
+                "(largest dropped entry 1.000e-01)"
+            ), g
+        else:
+            assert _point_text(swept.point(i)) == _point_text(clean.point(i)), g
+
+
+def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
+    # Every operator handed to the KAM step is one parity block of the chain,
+    # never the whole kam_truncation box.
+    trunc = kam_truncation(12)
+    th = rt2_iterated_chain(_params(0.1), trunc)
+    blocks = {int((th.parity == sign).sum()) for sign in (1.0, -1.0)}
+    sizes = []
+    step = methods.kam_iterate_full
+
+    def recorded(H0, V, *args, **kwargs):
+        sizes.extend({np.shape(H0)[-1], np.shape(V)[-1]})
+        return step(H0, V, *args, **kwargs)
+
+    monkeypatch.setattr(methods, "kam_iterate_full", recorded)
+    monkeypatch.setattr(methods, "_CHAIN_BLOCK", 1 << 30)  # one stack: one call per block
+    swept = grid_sweep("rt_full_kam", 1.0, 1.0, np.linspace(0.0, 1.5, 31), trunc, 12)
+    assert swept.ok.all()
+    assert sorted(sizes) == sorted(blocks) and max(blocks) < trunc.dim
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)
