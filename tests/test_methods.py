@@ -413,7 +413,7 @@ def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
     # never the whole kam_truncation box.
     trunc = kam_truncation(12)
     th = rt2_iterated_chain(_params(0.1), trunc)
-    blocks = {int((th.parity == sign).sum()) for sign in (1.0, -1.0)}
+    blocks = [int((th.parity == sign).sum()) for sign in (1.0, -1.0)]
     sizes = []
     step = methods.kam_iterate_full
 
