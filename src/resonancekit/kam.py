@@ -126,7 +126,8 @@ def kam_step(
     clusters_new = cluster_levels(decomp_new.values, clusters.tol_deg)
     after = _offblock_residual(v_new, decomp_new, clusters_new)
 
-    h0_scale = np.maximum(_spectral_norm(h0), np.finfo(float).tiny)
+    # H0 is Hermitian, so its spectral norm is its largest |eigenvalue|
+    h0_scale = np.maximum(np.abs(decomp.values).max(axis=-1), np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(before > 0, after / before, 0.0)
     report = KamStepReport(
@@ -174,25 +175,29 @@ def kam_iterate_full(
         clusters = cluster_levels(decomp.values, tol_deg)
         residual = _offblock_residual(v, decomp, clusters)
         values, vectors, ids = decomp.values, decomp.vectors, clusters.ids
+        del decomp, clusters
         for step in range(1, max_steps + 1):
             # values, vectors and ids decompose and cluster the current h0
             h0_norm = np.maximum(np.abs(values).max(axis=-1), np.finfo(float).tiny)
             rows = np.flatnonzero(~diverged & ~(residual <= stop_tol * h0_norm))
             if rows.size == 0:
                 break
+            # a view, not a copy, when the rows that step are one run
+            live = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < rows.size else rows
             try:
-                _, d, v_new, u, decomp_new, clusters_new, report = kam_step(
-                    h0[rows], v[rows], EigenDecomposition(values[rows], vectors[rows]),
-                    DegeneracyClusters(values[rows], ids[rows], tol_deg[rows]), residual[rows],
-                )
+                d, v_new, u, decomp_new, clusters_new, report = kam_step(
+                    h0[live], v[live], EigenDecomposition(values[live], vectors[live]),
+                    DegeneracyClusters(values[live], ids[live], tol_deg[live]), residual[rows],
+                )[1:]
             except CouplingErrors as exc:
                 raise CouplingErrors({int(rows[i]): e for i, e in exc.errors.items()}) from None
             fields = [np.asarray(f).tolist() for f in astuple(report)[1:]]
             for j, row in enumerate(rows.tolist()):
                 reports[row].append(KamStepReport(step, *(f[j] for f in fields)))
             v = _assign(v, rows, v_new)
-            u_total = _assign(u_total, rows, u_total[rows] @ u)
-            h0 = _assign(h0, rows, _symmetrized(h0[rows] + d))
+            # u_total is the identity before the first step
+            u_total = _assign(u_total, rows, u if step == 1 else u_total[live] @ u)
+            h0 = _assign(h0, rows, _symmetrized(h0[live] + d))
             vectors = _assign(vectors, rows, decomp_new.vectors)
             values[rows], ids[rows] = decomp_new.values, clusters_new.ids
             residual[rows] = report.residual_after
@@ -200,7 +205,7 @@ def kam_iterate_full(
     except CouplingErrors as exc:
         raise exc.errors[0] if single else exc from None
     operator = h0 + v
-    estimate = np.real(np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1))
+    estimate = np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1).real.copy()
     if single:
         return KamChain(estimate[0], tuple(reports[0]), operator[0], (u_total @ vectors)[0],
                         bool(diverged[0]))
@@ -208,8 +213,12 @@ def kam_iterate_full(
 
 
 def _assign(target: np.ndarray, rows, value: np.ndarray) -> np.ndarray:
-    """A copy of ``target`` with ``target[rows] = value``, complex when the
-    value is (a real reference meeting a complex perturbation)."""
-    target = target.astype(np.result_type(target, value))
+    """``target`` with ``target[rows] = value``, complex when the value is (a
+    real reference meeting a complex perturbation): ``value`` itself when it
+    replaces every row, a copy of ``target`` otherwise."""
+    dtype = np.result_type(target, value)
+    if value.shape == target.shape and value.dtype == dtype:
+        return value
+    target = target.astype(dtype)
     target[rows] = value
     return target

@@ -10,7 +10,7 @@ carry analytic labels.  No method emits guard-band levels.
 Every method answers a whole coupling grid as one array program
 (:func:`grid_sweep`): the closed forms and rt1 from one table evaluation,
 the exact oracle from one stacked solve, and the contact-iteration chains
-from one stack of chain operators per block of couplings.  A coupling that
+from stacks of chain operators sized by a byte budget.  A coupling that
 fails records its own exception; the others go on.
 
 Truncation policy: no matrix chain runs at the caller's truncation.  The
@@ -101,11 +101,13 @@ NUMERIC_RT_STEPS = 3
 # on grids whose largest coupling needs a long photon range.
 _CLOSED_FORM_BLOCK = 1 << 20
 
-# Matrix entries per stack of contact-iteration chain operators.  With the KAM
-# step on the parity blocks (a quarter of a stack each), a sweep keeps about 8
-# stacks alive at its peak, under 0.5 MB: 6 couplings at the default 12 levels
-# (dim 30), and a single coupling from 36 levels up (dim 78).
-_CHAIN_BLOCK = 6000
+# Traced peak of a stack of chain operators per coupling, in (dim, dim)
+# float64 matrices (tracemalloc: at most 3.5 at 12 and 40 levels, in the
+# chain build's pair rotation and the KAM step on a parity block), and the
+# bytes a stack may reach at it: 36 couplings at 12 levels (dim 30), keeping
+# a CLI run's peak RSS where stacks of 6 had it, and 4 at 40 levels (dim 86).
+_CHAIN_PEAK = 4
+_CHAIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,9 @@ def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     first, g = _couplings(params)
     free = build_rabi(replace(first, g=0.0), trunc)
     coupling = build_rabi(replace(first, g=1.0), trunc) - free
-    return rt_one_photon(free + np.multiply.outer(g, coupling), params, trunc)
+    h = np.multiply.outer(g, coupling)
+    h += free  # built in place: the same bits as free + g*coupling
+    return rt_one_photon(h, params, trunc)
 
 
 def rabi_rt2_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
@@ -248,7 +252,8 @@ def grid_sweep(
     The exact oracle is one stacked solve (:func:`exact_sweep`), the closed
     forms and rt1 one table evaluation (:func:`closed_form_sweep`, rt1 from
     the jc table), and the contact-iteration chains one stack of chain
-    operators per block of couplings (:func:`chain_sweep`).  An error that
+    operators per run of couplings that fits their byte budget
+    (:func:`chain_sweep`).  An error that
     holds for the whole grid (an unknown method, ``n_levels < 1``, a closed
     form off one-photon resonance) is raised.
     """
@@ -272,9 +277,10 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     """The lowest ``n_levels`` levels of a contact-iteration chain (rt1_kam
     or rt_full_kam) at every coupling of ``grid``.
 
-    The couplings of a block are one stack of chain operators, reduced and
-    refined by one array program.  A coupling that fails a check records
-    that exception and leaves the stack, and the rest of the block is
+    Each run of as many couplings as ``_CHAIN_BYTES`` holds at
+    ``_CHAIN_PEAK`` matrices per coupling is one stack of chain operators,
+    reduced and refined by one array program.  A coupling that fails a check
+    records that exception and leaves the stack, and the rest of the run is
     computed again; no coupling's values depend on the stack it is in.  Any
     other exception of a stack (an invalid coupling, or one LAPACK call
     that fails for all of it) sends each of its couplings through the chain
@@ -285,14 +291,15 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     energies = np.full((grid.size, n_levels), np.nan)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     errors: list = [None] * grid.size
-    step = max(1, _CHAIN_BLOCK // trunc.dim**2)
+    build = _CHAINS[method]
+    step = max(1, _CHAIN_BYTES // (_CHAIN_PEAK * 8 * trunc.dim**2))
     pending = [list(range(lo, min(lo + step, grid.size))) for lo in range(0, grid.size, step)]
     while pending:
         live = pending.pop()
         try:
             params = tuple(ModelParams(omega, omega0, g) for g in grid[live].tolist())
-            th = _CHAINS[method](params, trunc)
-            energies[live], codes[live], failed = _kam_levels(th, omega, n_levels)
+            # no reference to the chain is kept here, so _kam_levels frees its operator
+            energies[live], codes[live], failed = _kam_levels(build(params, trunc), omega, n_levels)
         except CouplingErrors as exc:
             failed = exc.errors
             if len(failed) < len(live):
@@ -328,18 +335,23 @@ def _kam_levels(
     check_rows(dropped != 0.0, lambda r: ArithmeticError(
         f"chain operator couples parity blocks (largest dropped entry {dropped[r]:.3e})"))
     each = np.arange(th.operator.shape[0])[:, None]
+    slots = [np.nonzero(th.parity == sign)[1].reshape(each.size, -1) for sign in (1.0, -1.0)]
+    blocks = [th.operator[each[:, :, None], s[:, :, None], s[:, None, :]] for s in slots]
+    levels, loss_band, n_max = th.levels, th.loss_band, th.trunc.n_max
+    del th, same  # the blocks are all that is kept of the chain operator
     values, usable = [], []
-    for sign in (1.0, -1.0):
-        slots = np.nonzero(th.parity == sign)[1].reshape(each.size, -1)
-        block = th.operator[each[:, :, None], slots[:, :, None], slots[:, None, :]]
+    for s in slots:
+        block = blocks.pop(0)  # freed once refined; the perturbation, in place
+        span = np.arange(s.shape[1])
         reference = np.zeros_like(block)
-        span = np.arange(slots.shape[1])
-        reference[:, span, span] = th.levels[each, slots]
-        chain = kam_iterate_full(reference, block - reference, max_steps=1,
+        reference[:, span, span] = levels[each, s]
+        block[:, span, span] -= levels[each, s]
+        chain = kam_iterate_full(reference, block, max_steps=1,
                                  tol_deg=PHYSICAL_CLUSTER_FRACTION * omega)
-        photon = slots[each, np.argmax(np.abs(chain.vectors), axis=1)] // 2
+        photon = s[each, np.argmax(np.abs(chain.vectors), axis=1)] // 2
         values.append(chain.estimate)
-        usable.append(photon <= th.trunc.n_max - th.loss_band)
+        usable.append(photon <= n_max - loss_band)
+        del chain
     odd = values[0].shape[1]  # the first odd slot of [even | odd]
     values, usable = np.concatenate(values, 1), np.concatenate(usable, 1)
     order = np.argsort(np.where(usable, values, np.inf), axis=-1, kind="stable")[:, :n_levels]
@@ -347,7 +359,7 @@ def _kam_levels(
     short = {
         row: ValueError(
             f"requested {n_levels} levels but only {available[row]} survive the "
-            f"guard band (loss_band={th.loss_band}, n_max={th.trunc.n_max})"
+            f"guard band (loss_band={loss_band}, n_max={n_max})"
         )
         for row in np.flatnonzero(available < n_levels).tolist()
     }

@@ -118,8 +118,9 @@ class Isometry:
         safe = np.where(kernel, 0, self.remap)[(None,) * (x.ndim - axes + 1 - self.remap.ndim)]
         if axes == 1:
             y = np.take_along_axis(x, safe, -1)
-        else:
-            y = np.take_along_axis(np.take_along_axis(x, safe[..., None], -2), safe[..., None, :], -1)
+        else:  # one gather, with every index array leading so that y is C-contiguous
+            lead = tuple(i[..., None, None] for i in np.indices(x.shape[:-2], sparse=True))
+            y = x[(*lead, safe[..., :, None], safe[..., None, :])]
         lines = np.broadcast_to(kernel, y.shape[:y.ndim - axes + 1])
         y[lines] = 0.0
         if axes == 2:
@@ -184,11 +185,11 @@ class Isometry:
 
 
 def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
-    """``B^H y B`` in place on each matrix y of ``stack`` (G, dim, dim) that
-    one of the 2x2 blocks acts on: column j of ``y B`` is
-    ``y[:, j] B[j, j] + y[:, p] B[p, j]`` with p the other slot of j's block
-    (p = j, B[j, j] = 1 and no partner term outside every block).  Works on
-    whole rows and columns with a single temporary."""
+    """``B^H y B`` in place on each matrix y of ``stack`` (G, dim, dim): column
+    j of ``y B`` is ``y[:, j] B[j, j] + y[:, p] B[p, j]`` with p the other
+    slot of j's block (p = j, B[j, j] = 1 and a zero partner term outside
+    every block, which leave finite entries as they are).  Works on whole
+    rows and columns with a single temporary."""
     count, dim = stack.shape[0], stack.shape[-1]
     partner = np.arange(count * dim)
     diag = np.ones(count * dim, dtype=q.dtype)
@@ -197,19 +198,17 @@ def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
         partner[idx[:, l]] = idx[:, 1 - l]
         diag[idx[:, l]] = q[:, l, l]
         off[idx[:, l]] = q[:, 1 - l, l]
-    mats = np.flatnonzero(np.bincount(idx[:, 0] // dim, minlength=count))
-    partner, diag, off = (a.reshape(count, dim)[mats] for a in (partner % dim, diag, off))
-    y = stack[mats]
-    each, span = np.arange(mats.size)[:, None, None], np.arange(dim)
-    tmp = y[each, span[:, None], partner[:, None, :]]
+    partner, diag, off = (a.reshape(count, dim) for a in (partner % dim, diag, off))
+    each, span = np.arange(count)[:, None, None], np.arange(dim)
+    tmp = stack[each, span[:, None], partner[:, None, :]]
     tmp *= off[:, None, :]
-    y *= diag[:, None, :]
-    y += tmp
-    tmp = y[each, partner[:, :, None], span]
+    stack *= diag[:, None, :]
+    stack += tmp
+    del tmp  # before the row gather, which takes its place
+    tmp = stack[each, partner[:, :, None], span]
     tmp *= off.conj()[:, :, None]
-    y *= diag.conj()[:, :, None]
-    y += tmp
-    stack[mats] = y
+    stack *= diag.conj()[:, :, None]
+    stack += tmp
 
 
 def _stacked_blocks(idx: np.ndarray, q: np.ndarray, stack: tuple, dim: int):
@@ -436,6 +435,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
 
     # Per-photon rotation diagonalizing the commuting 2x2 blocks n >= 3.
     m = Isometry(shift).conjugate(h1_eff)
+    del h1_eff
     pairs = np.arange(6, dim).reshape(-1, 2)
     i, j = pairs[:, 0], pairs[:, 1]
     block = np.stack(
@@ -449,8 +449,10 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
 
     reduced = rotation.rotate(m)
     diag = np.diagonal(reduced, axis1=-2, axis2=-1).copy()
-    off = np.abs(reduced - diag[..., None] * np.eye(dim)).max(axis=(-2, -1))
-    scale = np.maximum(np.abs(reduced).max(axis=(-2, -1)), 1.0)
+    reduced.reshape(*stack, dim * dim)[..., :: dim + 1] = 0.0  # only diag outlives the check
+    off = np.abs(reduced, out=reduced).real.max(axis=(-2, -1))
+    del m, reduced
+    scale = np.maximum(np.maximum(off, np.abs(diag).max(axis=-1)), 1.0)
     check_rows(off > 1e-10 * scale, lambda r: ArithmeticError(
         "two-photon reduction failed to diagonalize the effective part "
         f"(off-diagonal {off[r]:.3e})"))
