@@ -18,7 +18,6 @@ from .operators import (
 )
 from .spectrum import (
     EigenDecomposition,
-    SpectrumRow,
     SpectrumTable,
     eigh,
 )
@@ -53,7 +52,6 @@ from .sweep import (
     parse_config,
     run_sweep,
     table_to_csv,
-    csv_to_table,
     compare_methods,
     resonance_report,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "default_guard",
     "validated_level_count",
     "EigenDecomposition",
-    "SpectrumRow",
     "SpectrumTable",
     "eigh",
     "DegeneracyClusters",
@@ -102,7 +99,6 @@ __all__ = [
     "parse_config",
     "run_sweep",
     "table_to_csv",
-    "csv_to_table",
     "compare_methods",
     "resonance_report",
     "__version__",

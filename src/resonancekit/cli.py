@@ -2,7 +2,8 @@
 reports.
 
 Exit status: 0 on success, 1 if any (g, method) point failed (the sweep
-still writes every successful row), 2 on configuration errors.
+still writes every successful row), 2 on configuration errors, an output
+file that cannot be opened included, found before any method runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .sweep import SweepConfig, compare_methods, parse_config, resonance_report, run_sweep
-from .sweep import _read_config_file
+from .sweep import _errors_path, _read_config_file
 
 _FLAG_TO_KEY = {
     "omega": "omega",
@@ -77,6 +78,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config, output_named = _config_from_args(args)
+        if args.command == "compare" and "exact" not in config.methods:
+            raise ValueError("compare needs the exact baseline in methods")
+        if config.output_path and (output_named or args.command != "resonances"):
+            paths = [config.output_path]
+            if args.command == "compare":
+                paths.insert(0, _errors_path(config.output_path))
+            for path in paths:
+                open(path, "ab").close()  # fails here, before any method runs
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -89,14 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if table.failures else 0
 
     if args.command == "compare":
-        try:
-            if "exact" not in config.methods:  # before the sweep writes its CSV
-                raise ValueError("compare needs the exact baseline in methods")
-            table = run_sweep(config)
-            stats = compare_methods(config, table)
-        except ValueError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
+        table = run_sweep(config)
+        stats = compare_methods(config, table)
         _report_failures(table)
         for method, (mx, mean, pairs) in stats.items():
             print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")

@@ -97,9 +97,12 @@ PHYSICAL_CLUSTER_FRACTION = 1e-3
 # Numeric transformations after the two-photon reduction in rt_full_kam.
 NUMERIC_RT_STEPS = 3
 
-# (coupling, slot) entries per closed-form evaluation block; bounds memory
-# on grids whose largest coupling needs a long photon range.
-_CLOSED_FORM_BLOCK = 1 << 20
+# Traced peak of a closed-form block per (coupling, slot) entry, in float64
+# values (tracemalloc at 40 levels: 4.3 to 5.6, and 9.2 for strong_rt), and
+# the bytes a block may reach at it: 112 couplings at 40 levels and g <= 1.5,
+# so a sweep's memory no longer grows with its grid.
+_CLOSED_FORM_PEAK = 10
+_CLOSED_FORM_BYTES = 1 << 20
 
 # Traced peak of a stack of chain operators per coupling, in (dim, dim)
 # float64 matrices (tracemalloc: at most 3.5 at 12 and 40 levels, in the
@@ -160,7 +163,8 @@ def _table_sweep(
     top = math.inf if n_max is None else n_max - 1
     counts = [min(_closed_form_count(g, omega, n_levels), top) for g in grid.tolist()]
     # at most 2 * (count + 1) slots per coupling
-    rows = max(1, _CLOSED_FORM_BLOCK // (2 * max(counts, default=0) + 2))
+    slots = 2 * max(counts, default=0) + 2
+    rows = max(1, _CLOSED_FORM_BYTES // (_CLOSED_FORM_PEAK * 8 * slots))
     energies = np.full((grid.size, n_levels), np.inf)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     labels: dict[tuple[str, str], int] = {}

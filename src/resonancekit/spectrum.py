@@ -2,15 +2,13 @@
 stacked eigenvalue problems and certified by a Sturm count; the checked
 dense Hermitian eigensolver the matrix chains use, on one matrix or a stack
 of them; the records of a coupling sweep.  A sweep is held as arrays, one
-:class:`MethodSweep` per method on the table's g grid; its per-level
-:class:`SpectrumRow` records are built only when ``SpectrumTable.rows`` is
-read.  Sweeps themselves, the exact oracle's included, run through
-``sweep.run_sweep``, which enforces the guard band."""
+:class:`MethodSweep` per method on the table's g grid, and its CSV is
+written from them.  Sweeps themselves, the exact oracle's included, run
+through ``sweep.run_sweep``, which enforces the guard band."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +18,6 @@ __all__ = [
     "CouplingErrors",
     "EigenDecomposition",
     "MethodSweep",
-    "SpectrumRow",
     "SpectrumTable",
     "check_rows",
     "eigh",
@@ -76,19 +73,6 @@ def check_rows(bad, error) -> None:
         raise CouplingErrors({i: error(i) for i in np.flatnonzero(bad).tolist()})
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumRow:
-    """One record of a coupling sweep."""
-
-    g: float
-    method: str
-    level: int
-    branch: str  # "+", "-" or "unassigned"
-    parity: str  # "even", "odd", "n/a" or "unclassified"
-    energy: float
-    spurious: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class MethodSweep:
     """One method's levels over a coupling grid, as arrays.
@@ -142,8 +126,8 @@ class MethodSweep:
 class SpectrumTable:
     """Every method's :class:`MethodSweep` over one coupling grid.
 
-    ``rows`` and ``failures`` list it record by record in (g, method, level)
-    order, methods in ``sweeps`` order; the rows are built on first read.
+    ``failures`` lists its failed points in (g, method) order, methods in
+    ``sweeps`` order.
     """
 
     grid: np.ndarray
@@ -155,16 +139,6 @@ class SpectrumTable:
     @property
     def row_count(self) -> int:
         return sum(int(s.ok.sum()) * s.energies.shape[1] for s in self.sweeps)
-
-    @cached_property
-    def rows(self) -> tuple[SpectrumRow, ...]:
-        return tuple(
-            SpectrumRow(g, s.method, level, branch, parity, energy, False)
-            for i, g in enumerate(self.grid.tolist())
-            for s in self.sweeps
-            if s.errors[i] is None
-            for level, (branch, parity, energy) in enumerate(s.point(i))
-        )
 
     @property
     def failures(self) -> tuple[tuple[float, str, str], ...]:

@@ -13,21 +13,25 @@ Every method is evaluated over the whole g-grid on one thread, by one
 fill them from array programs, the contact-iteration chains from stacks of
 chain operators.  A failing point is recorded in its slot and skipped, the
 run continues.  The CSV, the error table and the resonance report are
-computed from those arrays; no per-level record is built on the way.
+computed from those arrays; no per-level record is built on the way.  The
+CSV is formatted and written one block of couplings at a time, so beyond the
+arrays (16 bytes a row) a sweep's memory does not grow with its output.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
 from .closedform import resonance_loci
 from .methods import METHOD_ORDER, grid_sweep
 from .operators import TruncationConfig
-from .spectrum import PARITY_EVEN, PARITY_ODD, MethodSweep, SpectrumRow, SpectrumTable
+from .spectrum import PARITY_EVEN, PARITY_ODD, MethodSweep, SpectrumTable
 
 __all__ = [
     "SweepConfig",
@@ -35,7 +39,6 @@ __all__ = [
     "parse_config",
     "run_sweep",
     "table_to_csv",
-    "csv_to_table",
     "compare_methods",
     "LocusReport",
     "resonance_report",
@@ -46,6 +49,10 @@ ERROR_CSV_HEADER = "method,max_abs_error,mean_abs_error,pairs"
 LOCUS_CSV_HEADER = "kind,n,g_locus,nearest_grid_g,min_gap_g,min_gap,note"
 
 DEFAULT_METHODS = ("exact", "jc", "strong_rt")
+
+# Rows per block of the CSV writer.  A block's text and temporaries take
+# about 250 bytes a row (tracemalloc), so about 2 MB at 8,192 rows.
+_CSV_BLOCK_ROWS = 1 << 13
 
 _FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max")
 _INT_KEYS = ("g_steps", "n_max", "n_levels")
@@ -193,73 +200,49 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable
     path = config.output_path if out_path is None else out_path
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(table_to_csv(table))
+            table_to_csv(table, fh)
     return table
 
 
-def table_to_csv(table: SpectrumTable) -> str:
-    """The sweep CSV of ``table``, written from its arrays: each row's text
-    up to the energy is precomputed per (g, method) and per (level, label),
-    and every energy goes through one "%.17g" format."""
-    g_text = ["%.17g" % g for g in table.grid.tolist()]
-    parts = [([], [], [], [])]  # per method: grid index, head, tail and energy of each row
+def table_to_csv(table: SpectrumTable, out: TextIO | None = None) -> str | None:
+    """The sweep CSV of ``table``: written to the text file ``out``, or
+    returned as a string without one.
+
+    The rows are formatted from the table's arrays one block of couplings
+    (``_CSV_BLOCK_ROWS`` rows or fewer) at a time, so the writer's memory
+    does not grow with the grid.  Each row's text up to the energy is
+    precomputed per (g, method) and per (level, label), and every energy
+    goes through one "%.17g" format."""
+    fh = io.StringIO() if out is None else out
+    fh.write(f"{CSV_HEADER}\n")
+    columns = []  # per method: the sweep, its successful couplings, its row tails
     for sweep in table.sweeps:
-        rows = np.flatnonzero(sweep.ok)
         n_levels = sweep.energies.shape[1]
-        tails = np.array(
+        level_tails = np.array(
             [[f"{level},{b},{p}," for b, p in sweep.labels] for level in range(n_levels)], object
         ).reshape(n_levels, len(sweep.labels))
-        heads = np.array([f"{g_text[i]},{sweep.method}," for i in rows.tolist()], object)
-        parts.append((
-            np.repeat(rows, n_levels),
-            np.repeat(heads, n_levels),
-            tails[np.arange(n_levels), sweep.label_index[rows]].ravel(),
-            sweep.energies[rows].ravel(),
-        ))
-    index, heads, tails, energies = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(index, kind="stable")  # (g, method, level) order
-    items = np.empty((order.size, 3), dtype=object)
-    items[:, 0], items[:, 1], items[:, 2] = heads[order], tails[order], energies[order]
-    lines = ("%s%s%.17g,False\n" * order.size) % tuple(items.ravel().tolist())
-    return f"{CSV_HEADER}\n{lines}"
-
-
-def csv_to_table(text: str) -> SpectrumTable:
-    """Inverse of table_to_csv; the round trip is exact.
-
-    The grid is every coupling the CSV has rows for.  A (g, method) point
-    without rows, one that failed, records a LookupError.  Raises ValueError
-    on rows that table_to_csv does not write: out of (g, method, level)
-    order, a level count that varies within a method, spurious rows.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"bad CSV header: {lines[0] if lines else '<empty>'!r}")
-    rows = []
-    points: dict[str, dict[str, list]] = {}  # g text -> method -> (branch, parity, energy)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-        g, method, level, branch, parity, energy, spurious = parts
-        energy = float(energy)
-        spurious = spurious == "True"
-        rows.append(SpectrumRow(float(g), method, int(level), branch, parity, energy, spurious))
-        points.setdefault(g, {}).setdefault(method, []).append((branch, parity, energy))
-    named = {method for by_method in points.values() for method in by_method}
-    if not named <= set(METHOD_ORDER):
-        raise ValueError(f"unknown methods {sorted(named - set(METHOD_ORDER))}")
-    sweeps = []
-    for method in (m for m in METHOD_ORDER if m in named):
-        levels = [by.get(method, LookupError("no rows in the CSV")) for by in points.values()]
-        width = len(next(lv for lv in levels if isinstance(lv, list)))
-        sweeps.append(MethodSweep.from_points(method, levels, width))
-    table = SpectrumTable(np.array([float(g) for g in points]), tuple(sweeps))
-    if table.rows != tuple(rows):
-        raise ValueError("the rows are not a sweep table in (g, method, level) order")
-    return table
+        columns.append((sweep, sweep.ok, level_tails))
+    width = max(1, sum(level_tails.shape[0] for _, _, level_tails in columns))
+    step = max(1, _CSV_BLOCK_ROWS // width)
+    for lo in range(0, table.grid.size, step):
+        g_text = ["%.17g" % g for g in table.grid[lo:lo + step].tolist()]
+        parts = [([], [], [], [])]  # per method: coupling, head, tail and energy of each row
+        for sweep, ok, level_tails in columns:
+            rows = np.flatnonzero(ok[lo:lo + step])
+            n_levels = level_tails.shape[0]
+            heads = np.array([f"{g_text[i]},{sweep.method}," for i in rows.tolist()], object)
+            parts.append((
+                np.repeat(rows, n_levels),
+                np.repeat(heads, n_levels),
+                level_tails[np.arange(n_levels), sweep.label_index[rows + lo]].ravel(),
+                sweep.energies[rows + lo].ravel(),
+            ))
+        index, heads, tails, energies = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(index, kind="stable")  # (g, method, level) order
+        items = np.empty((order.size, 3), dtype=object)
+        items[:, 0], items[:, 1], items[:, 2] = heads[order], tails[order], energies[order]
+        fh.write(("%s%s%.17g,False\n" * order.size) % tuple(items.ravel().tolist()))
+    return fh.getvalue() if out is None else None
 
 
 def _pair_errors(exact: MethodSweep, other: MethodSweep) -> np.ndarray:
@@ -286,6 +269,12 @@ def _pair_errors(exact: MethodSweep, other: MethodSweep) -> np.ndarray:
         errors.append(np.abs(m_energy[m_take] - e_energy[e_take]))
         rows.append(np.nonzero(e_take)[0])
     return np.concatenate(errors)[np.argsort(np.concatenate(rows), kind="stable")]
+
+
+def _errors_path(output_path: str) -> str:
+    """The error table's path next to the sweep CSV ``output_path``: its file
+    extension replaced by ``_errors.csv``."""
+    return os.path.splitext(output_path)[0] + "_errors.csv"
 
 
 def compare_methods(
@@ -316,7 +305,7 @@ def compare_methods(
         else:
             result[method] = (float("nan"), float("nan"), 0)
     if out_path is None and config.output_path:
-        out_path = os.path.splitext(config.output_path)[0] + "_errors.csv"
+        out_path = _errors_path(config.output_path)
     if out_path:
         lines = [ERROR_CSV_HEADER]
         for method, (mx, mean, count) in result.items():

@@ -1,14 +1,45 @@
-"""Per-row references for the array sweep code: the sweep-CSV writer and
-the parity-resolved error pairing, written one ``SpectrumRow`` at a time.
+"""Per-row references for the array sweep code: a table's levels as
+``SpectrumRow`` records, the sweep-CSV writer and the parity-resolved error
+pairing written one record at a time, and the CSV reader that inverts the
+writer.
 
-``resonancekit.sweep`` computes both from a table's arrays; these loops fix
-the bytes and the summation order the array code must reproduce.
+``resonancekit.sweep`` computes the CSV and the pairing from a table's
+arrays; these loops fix the bytes and the summation order the array code
+must reproduce.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
+from resonancekit.methods import METHOD_ORDER
+from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD, MethodSweep, SpectrumTable
 from resonancekit.sweep import CSV_HEADER
+
+
+@dataclass(frozen=True, slots=True)
+class SpectrumRow:
+    """One record of a coupling sweep: one line of its CSV."""
+
+    g: float
+    method: str
+    level: int
+    branch: str  # "+", "-" or "unassigned"
+    parity: str  # "even", "odd", "n/a" or "unclassified"
+    energy: float
+    spurious: bool = False
+
+
+def table_rows(table: SpectrumTable) -> tuple[SpectrumRow, ...]:
+    """Every level of ``table`` in (g, method, level) order, methods in
+    ``table.sweeps`` order; a failed point has no records."""
+    return tuple(
+        SpectrumRow(g, s.method, level, branch, parity, energy, False)
+        for i, g in enumerate(table.grid.tolist())
+        for s in table.sweeps
+        if s.errors[i] is None
+        for level, (branch, parity, energy) in enumerate(s.point(i))
+    )
 
 
 def _fmt(x: float) -> str:
@@ -67,3 +98,41 @@ def rows_compare(rows, methods) -> dict[str, tuple[float, float, int]]:
             else (float("nan"), float("nan"), 0)
         )
     return result
+
+
+def csv_to_table(text: str) -> SpectrumTable:
+    """Inverse of ``sweep.table_to_csv``; the round trip is exact.
+
+    The grid is every coupling the CSV has rows for.  A (g, method) point
+    without rows, one that failed, records a LookupError.  Raises ValueError
+    on rows that the writer does not write: out of (g, method, level)
+    order, a level count that varies within a method, spurious rows.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"bad CSV header: {lines[0] if lines else '<empty>'!r}")
+    rows = []
+    points: dict[str, dict[str, list]] = {}  # g text -> method -> (branch, parity, energy)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+        g, method, level, branch, parity, energy, spurious = parts
+        energy = float(energy)
+        spurious = spurious == "True"
+        rows.append(SpectrumRow(float(g), method, int(level), branch, parity, energy, spurious))
+        points.setdefault(g, {}).setdefault(method, []).append((branch, parity, energy))
+    named = {method for by_method in points.values() for method in by_method}
+    if not named <= set(METHOD_ORDER):
+        raise ValueError(f"unknown methods {sorted(named - set(METHOD_ORDER))}")
+    sweeps = []
+    for method in (m for m in METHOD_ORDER if m in named):
+        levels = [by.get(method, LookupError("no rows in the CSV")) for by in points.values()]
+        width = len(next(lv for lv in levels if isinstance(lv, list)))
+        sweeps.append(MethodSweep.from_points(method, levels, width))
+    table = SpectrumTable(np.array([float(g) for g in points]), tuple(sweeps))
+    if table_rows(table) != tuple(rows):
+        raise ValueError("the rows are not a sweep table in (g, method, level) order")
+    return table

@@ -42,7 +42,6 @@ from resonancekit.sweep import (
     CSV_HEADER,
     SweepConfig,
     compare_methods,
-    csv_to_table,
     resonance_report,
     run_sweep,
     table_to_csv,
@@ -55,6 +54,7 @@ from dense_oracles import (
     strong_avg_decomposition,
     strong_rt_chain,
 )
+from row_reference import csv_to_table, table_rows
 
 # Frozen regression ceilings (one-time oracle calibration; regenerate with
 # demos/calibrate_thresholds.py).  Measured maxima in the comments.
@@ -251,7 +251,7 @@ def test_criterion_5_strong_coupling_accuracy():
     # per-point strict ordering below g = 0.5 (both methods are exact at
     # g = 0, so the strict comparison runs over the nonzero grid points)
     by_point: dict[tuple[float, str], list[float]] = {}
-    for row in table.rows:
+    for row in table_rows(table):
         by_point.setdefault((row.g, row.method), []).append(row.energy)
     ordering = True
     checked = 0
@@ -429,9 +429,9 @@ def test_criterion_8_cli_default_sweep(tmp_path):
     expected_rows = config.g_steps * len(config.methods) * config.n_levels
     schema_ok = (
         texts[0].splitlines()[0] == CSV_HEADER
-        and len(table.rows) == expected_rows
+        and len(table_rows(table)) == expected_rows
         and table_to_csv(table) == texts[0]
-        and not any(r.spurious for r in table.rows)
+        and not any(r.spurious for r in table_rows(table))
     )
     ok = (
         codes == [0, 0]

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from resonancekit import sweep
 from resonancekit.cli import main
 from resonancekit.sweep import (
     ERROR_CSV_HEADER,
     LOCUS_CSV_HEADER,
     SweepConfig,
     compare_methods,
-    csv_to_table,
 )
+
+from row_reference import csv_to_table, table_rows
 
 _SMALL = ["--g-max", "0.2", "--g-steps", "3", "--n-max", "12", "--levels", "4"]
 
@@ -28,8 +30,8 @@ def test_sweep_writes_csv_and_reports_row_count(tmp_path, capsys):
     assert captured.out == f"wrote {out}: 24 rows, 0 failed points\n"
     assert captured.err == ""
     table = csv_to_table(out.read_text(encoding="utf-8"))
-    assert len(table.rows) == 24
-    assert {r.method for r in table.rows} == {"exact", "jc"}
+    assert len(table_rows(table)) == 24
+    assert {r.method for r in table_rows(table)} == {"exact", "jc"}
 
 
 def test_sweep_with_empty_output_path_says_no_file_was_written(tmp_path, capsys, monkeypatch):
@@ -55,7 +57,7 @@ def test_sweep_failed_points_exit_1(tmp_path, capsys):
     assert "method=jc" in captured.err
     # successful rows are still written
     table = csv_to_table(out.read_text(encoding="utf-8"))
-    assert {r.method for r in table.rows} == {"exact"}
+    assert {r.method for r in table_rows(table)} == {"exact"}
 
 
 def test_invalid_grid_exits_2(tmp_path, capsys):
@@ -127,6 +129,39 @@ def test_compare_without_exact_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "needs the exact baseline" in captured.err
     assert not (tmp_path / "run.csv").exists()  # rejected before the sweep
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare", "resonances"])
+def test_output_path_that_cannot_be_opened_exits_2_before_any_method_runs(
+    tmp_path, capsys, monkeypatch, command
+):
+    calls = []
+    monkeypatch.setattr(sweep, "grid_sweep", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    rc = main([command, *_SMALL, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("configuration error: ")
+    assert str(out.parent) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_error_table_that_cannot_be_opened_exits_2_before_any_method_runs(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(sweep, "grid_sweep", lambda *args: calls.append(args))
+    (tmp_path / "run_errors.csv").mkdir()
+    rc = main(["compare", *_SMALL, "--out", str(tmp_path / "run.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("configuration error: ")
+    assert "run_errors.csv" in captured.err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run_errors.csv"]
 
 
 @pytest.mark.parametrize(
@@ -215,7 +250,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     assert captured.out == f"wrote {out}: 16 rows, 0 failed points\n"
     table = csv_to_table(out.read_text(encoding="utf-8"))
-    assert max(r.g for r in table.rows) == 0.3  # flag beats the file value
+    assert max(r.g for r in table_rows(table)) == 0.3  # flag beats the file value
 
 
 @pytest.mark.parametrize("key", ["tol_deg", "tol_active"])

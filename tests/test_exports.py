@@ -26,17 +26,19 @@ def test_all_names_are_defined(name):
 
 
 def test_test_oracles_stay_out_of_the_package():
-    # The dense oracles in tests/ check the package; none of them is public.
-    import dense_oracles
-
-    oracles = {
-        name for name, value in vars(dense_oracles).items()
-        if callable(value) and getattr(value, "__module__", None) == "dense_oracles"
-    }
-    assert "eigh_block" in oracles
-    for name in MODULES:
-        module = importlib.import_module(name)
-        assert oracles.isdisjoint(getattr(module, "__all__", ())), name
+    # The dense oracles and the per-row references in tests/ check the
+    # package; none of them is public, and the package defines none of them.
+    for reference, known in (("dense_oracles", {"eigh_block"}),
+                             ("row_reference", {"SpectrumRow", "table_rows", "csv_to_table"})):
+        oracles = {
+            name for name, value in vars(importlib.import_module(reference)).items()
+            if callable(value) and getattr(value, "__module__", None) == reference
+        }
+        assert known <= oracles
+        for name in MODULES:
+            module = importlib.import_module(name)
+            assert oracles.isdisjoint(getattr(module, "__all__", ())), name
+            assert not any(hasattr(module, oracle) for oracle in known), name
 
 
 def _resonancekit_imports(tree):

@@ -103,7 +103,7 @@ def test_requesting_too_many_levels_fails_loudly():
 def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
     grid = np.linspace(0.0, 3.0, 31)
     whole = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
-    monkeypatch.setattr(methods, "_CLOSED_FORM_BLOCK", 200)  # a few couplings per block
+    monkeypatch.setattr(methods, "_CLOSED_FORM_BYTES", 16000)  # two couplings per block
     blocked = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
     assert [blocked.point(i) for i in range(grid.size)] == [
         whole.point(i) for i in range(grid.size)

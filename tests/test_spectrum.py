@@ -24,6 +24,7 @@ from resonancekit.spectrum import (
 from resonancekit.sweep import SweepConfig, run_sweep
 
 from dense_oracles import eigh_block, exact_spectrum, validate_truncation
+from row_reference import table_rows
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
 # n_max=60 (agreement below 2e-14).  omega = omega0 = 1, g = 0.2.
@@ -292,22 +293,22 @@ def _exact_sweep(g_min, g_max, g_steps, n_max, n_levels):
 def test_sweep_exact_single_point_matches_eigh():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.45)
     trunc = TruncationConfig(n_max=24)
-    table = _exact_sweep(0.45, 0.45, 1, trunc.n_max, 8)
-    assert len(table.rows) == 8
+    rows = table_rows(_exact_sweep(0.45, 0.45, 1, trunc.n_max, 8))
+    assert len(rows) == 8
     direct = eigh(build_rabi(params, trunc))
-    np.testing.assert_allclose([r.energy for r in table.rows], direct.values[:8], rtol=1e-12)
-    assert [r.parity for r in table.rows] == _dense_parity_labels(params, trunc, 8)
-    assert all(r.method == "exact" for r in table.rows)
-    assert all(r.branch == "unassigned" for r in table.rows)
-    assert [r.level for r in table.rows] == list(range(8))
+    np.testing.assert_allclose([r.energy for r in rows], direct.values[:8], rtol=1e-12)
+    assert [r.parity for r in rows] == _dense_parity_labels(params, trunc, 8)
+    assert all(r.method == "exact" for r in rows)
+    assert all(r.branch == "unassigned" for r in rows)
+    assert [r.level for r in rows] == list(range(8))
 
 
 def test_sweep_exact_rows_grouped_and_ascending():
     grid = [0.0, 0.2, 0.4]
-    table = _exact_sweep(0.0, 0.4, 3, 20, 6)
-    assert len(table.rows) == 18
+    rows = table_rows(_exact_sweep(0.0, 0.4, 3, 20, 6))
+    assert len(rows) == 18
     for i, g in enumerate(grid):
-        chunk = table.rows[6 * i : 6 * (i + 1)]
+        chunk = rows[6 * i : 6 * (i + 1)]
         assert all(r.g == g for r in chunk)
         energies = [r.energy for r in chunk]
         assert energies == sorted(energies)
@@ -315,8 +316,8 @@ def test_sweep_exact_rows_grouped_and_ascending():
 
 def test_small_coupling_displaces_low_levels_weakly():
     table = _exact_sweep(0.0, 0.1, 2, 40, 3)
-    e0 = np.array([r.energy for r in table.rows if r.g == 0.0])
-    e1 = np.array([r.energy for r in table.rows if r.g == 0.1])
+    e0 = np.array([r.energy for r in table_rows(table) if r.g == 0.0])
+    e1 = np.array([r.energy for r in table_rows(table) if r.g == 0.1])
     assert np.abs(e1 - e0).max() <= 0.12
 
 
@@ -328,7 +329,7 @@ def test_parity_class_continuity_across_sweep():
     for parity in (PARITY_EVEN, PARITY_ODD):
         per_g = []
         for g in grid:
-            e = sorted(r.energy for r in table.rows if r.g == g and r.parity == parity)
+            e = sorted(r.energy for r in table_rows(table) if r.g == g and r.parity == parity)
             per_g.append(np.array(e))
         depth = min(len(e) for e in per_g)
         block = np.array([e[:depth] for e in per_g])
@@ -343,7 +344,7 @@ def test_same_parity_minimum_gap_sits_near_first_even_locus():
     table = _exact_sweep(1.2, 1.9, 71, 60, 10)
     gaps = []
     for g in grid:
-        odd = sorted(r.energy for r in table.rows if r.g == g and r.parity == PARITY_ODD)
+        odd = sorted(r.energy for r in table_rows(table) if r.g == g and r.parity == PARITY_ODD)
         gaps.append(odd[2] - odd[1])
     gaps = np.array(gaps)
     k = int(np.argmin(gaps))

@@ -8,7 +8,7 @@ import pytest
 from resonancekit import spectrum
 from resonancekit.methods import METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
-from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD, SpectrumRow
+from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
 from resonancekit.sweep import (
     CSV_HEADER,
     DEFAULT_METHODS,
@@ -16,13 +16,14 @@ from resonancekit.sweep import (
     LOCUS_CSV_HEADER,
     SweepConfig,
     compare_methods,
-    csv_to_table,
     parse_config,
     resonance_report,
     run_sweep,
     table_to_csv,
     worker_count,
 )
+
+from row_reference import SpectrumRow, csv_to_table, table_rows
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,8 @@ def test_run_sweep_row_grid(small_table):
     config, table = small_table
     grid = config.g_grid()
     assert not table.failures
-    assert len(table.rows) == len(grid) * len(config.methods) * config.n_levels
+    rows = table_rows(table)
+    assert len(rows) == len(grid) * len(config.methods) * config.n_levels
     # row order is (g ascending, registry method order, level ascending)
     expected_keys = [
         (g, method, level)
@@ -157,9 +159,9 @@ def test_run_sweep_row_grid(small_table):
         for method in config.methods
         for level in range(config.n_levels)
     ]
-    assert [(r.g, r.method, r.level) for r in table.rows] == expected_keys
-    assert all(r.parity in (PARITY_EVEN, PARITY_ODD) for r in table.rows)
-    assert not any(r.spurious for r in table.rows)
+    assert [(r.g, r.method, r.level) for r in rows] == expected_keys
+    assert all(r.parity in (PARITY_EVEN, PARITY_ODD) for r in rows)
+    assert not any(r.spurious for r in rows)
 
 
 def test_run_sweep_matches_direct_method_calls(small_table):
@@ -169,7 +171,7 @@ def test_run_sweep_matches_direct_method_calls(small_table):
     trunc = TruncationConfig(n_max=config.n_max)
     for method in config.methods:
         direct = compute_levels(method, params, trunc, config.n_levels)
-        swept = [r for r in table.rows if r.method == method and r.g == g]
+        swept = [r for r in table_rows(table) if r.method == method and r.g == g]
         assert [r.energy for r in swept] == [lv.energy for lv in direct]
         assert [r.branch for r in swept] == [lv.branch for lv in direct]
 
@@ -187,7 +189,7 @@ def test_run_sweep_interleaves_closed_forms_with_matrix_points():
             method, ModelParams(config.omega, config.omega0, g), trunc, config.n_levels
         )
     ]
-    assert list(table.rows) == expected
+    assert list(table_rows(table)) == expected
 
 
 @pytest.mark.parametrize(
@@ -205,7 +207,7 @@ def test_no_sweep_starts_a_thread(monkeypatch, methods):
                          methods=methods, output_path="")
     table = run_sweep(config, out_path="")
     assert not table.failures
-    assert len(table.rows) == 5 * len(methods) * 4
+    assert len(table_rows(table)) == 5 * len(methods) * 4
     assert worker_count() == 1
 
 
@@ -239,7 +241,7 @@ def test_exact_sweep_matches_per_point_levels_and_failures(
             for lv in levels
         )
     assert rows and failures
-    assert list(table.rows) == rows
+    assert list(table_rows(table)) == rows
     assert list(table.failures) == failures
 
 
@@ -256,7 +258,7 @@ def test_run_sweep_writes_csv(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert text == table_to_csv(table)
     assert text.splitlines()[0] == CSV_HEADER
-    assert len(text.splitlines()) == 1 + len(table.rows)
+    assert len(text.splitlines()) == 1 + len(table_rows(table))
 
 
 def test_run_sweep_output_path_selection(tmp_path):
@@ -277,8 +279,8 @@ def test_run_sweep_records_failures_and_continues():
                          n_levels=4, methods=("exact", "jc"), output_path="")
     table = run_sweep(config, out_path="")
     # jc needs the resonant atom; exact does not, so its rows survive
-    assert sorted({r.method for r in table.rows}) == ["exact"]
-    assert len(table.rows) == 3 * config.n_levels
+    assert sorted({r.method for r in table_rows(table)}) == ["exact"]
+    assert len(table_rows(table)) == 3 * config.n_levels
     assert len(table.failures) == 3
     for g, method, message in table.failures:
         assert method == "jc"
@@ -309,7 +311,7 @@ def test_run_sweep_records_failures_and_continues():
                     SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
                     for lv in levels
                 )
-        assert list(table.rows) == rows
+        assert list(table_rows(table)) == rows
         assert list(table.failures) == failures
         assert {(g, m) for g, m, _ in failures} == {
             (g, m) for g in config.g_grid().tolist() for m in failing
@@ -320,7 +322,7 @@ def test_csv_round_trip_is_exact(small_table):
     _, table = small_table
     text = table_to_csv(table)
     back = csv_to_table(text)
-    assert back.rows == table.rows
+    assert table_rows(back) == table_rows(table)
     assert back.failures == ()
     # a second conversion is byte-identical
     assert table_to_csv(back) == text

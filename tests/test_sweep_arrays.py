@@ -1,13 +1,17 @@
-"""Sweep results as arrays: the array CSV writer against the per-row
-reference writer, the on-demand rows against per-point method calls, and the
-comparison and resonance report on array-backed and CSV-read tables."""
+"""Sweep results as arrays: the block CSV writer against the per-row
+reference writer and its memory bound, a table's rows against per-point
+method calls, and the comparison and resonance report on array-backed and
+CSV-read tables."""
+
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resonancekit import methods
+from resonancekit import methods, sweep
 from resonancekit.methods import BRANCH_UNASSIGNED, METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import (
@@ -15,20 +19,19 @@ from resonancekit.spectrum import (
     PARITY_ODD,
     PARITY_UNCLASSIFIED,
     MethodSweep,
-    SpectrumRow,
     SpectrumTable,
 )
 from resonancekit.sweep import (
+    CSV_HEADER,
     SweepConfig,
     compare_methods,
-    csv_to_table,
     resonance_report,
     run_sweep,
     table_to_csv,
 )
 
 from dense_oracles import PARITY_NA
-from row_reference import rows_compare, rows_to_csv
+from row_reference import SpectrumRow, csv_to_table, rows_compare, rows_to_csv, table_rows
 
 BRANCHES = ("+", "-", BRANCH_UNASSIGNED)
 PARITIES = (PARITY_EVEN, PARITY_ODD, PARITY_NA, PARITY_UNCLASSIFIED)
@@ -78,9 +81,62 @@ def _tables(draw, increasing: bool = False, with_exact: bool = False) -> Spectru
 
 
 @settings(max_examples=80, deadline=None)
-@given(_tables())
-def test_array_writer_is_byte_identical_to_the_row_writer(table):
-    assert table_to_csv(table) == rows_to_csv(table.rows)
+@given(_tables(), st.integers(1, 12) | st.just(sweep._CSV_BLOCK_ROWS))
+def test_array_writer_is_byte_identical_to_the_row_writer(table, block_rows):
+    # Blocks of one coupling up to the whole grid, into a file and as text.
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_CSV_BLOCK_ROWS", block_rows)
+        table_to_csv(table, out)
+        text = table_to_csv(table)
+    assert out.getvalue() == text == rows_to_csv(table_rows(table))
+
+
+@pytest.mark.parametrize("block_rows", [1, 54, 1 << 13])
+@pytest.mark.parametrize("case", ["blocks", "zero_levels"])
+def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, case, block_rows):
+    # "blocks": 18 rows a coupling (exact, strong_avg and strong_rt at 6
+    # levels; jc fails everywhere off resonance and has 0 levels), so 54 rows
+    # make blocks of 3 couplings, and the closed forms fail at couplings 2
+    # and 3, either side of the first block edge, and at 12, alone in the
+    # last block.  "zero_levels": the one method fails everywhere.
+    methods_ = ("exact", "jc", "strong_avg", "strong_rt") if case == "blocks" else ("jc",)
+    config = SweepConfig(omega0=0.5, g_max=1.2, g_steps=13, n_max=40, n_levels=6,
+                         methods=methods_, output_path=str(tmp_path / "sweep.csv"))
+    grid = config.g_grid().tolist()
+    short = [grid[2], grid[3], grid[12]]
+    monkeypatch.setattr(
+        methods, "_closed_form_count", lambda g, omega, n_levels: 1 if g in short else n_levels + 8
+    )
+    monkeypatch.setattr(sweep, "_CSV_BLOCK_ROWS", block_rows)
+    table = run_sweep(config)
+    text = (tmp_path / "sweep.csv").read_bytes().decode("utf-8")
+    assert text == table_to_csv(table) == rows_to_csv(table_rows(table))
+    jc = table.sweep("jc")
+    assert jc.energies.shape == (13, 0) and not jc.ok.any()
+    if case == "zero_levels":
+        assert text == CSV_HEADER + "\n"
+        return
+    failed = {(g, m) for g, m, _ in table.failures if m != "jc"}
+    assert failed == {(g, m) for g in short for m in ("strong_avg", "strong_rt")}
+    assert table.row_count == 13 * 6 + 2 * 10 * 6
+
+
+def test_sweep_csv_memory_does_not_grow_with_the_output(tmp_path):
+    # tracemalloc peak of a 4-closed-form, 40-level sweep written to a file:
+    # about 42 bytes a row at 501 couplings, 253 when the whole CSV was built
+    # in memory before it was written.  The table's own arrays take 16.
+    config = SweepConfig(g_max=1.5, g_steps=501, n_levels=40,
+                         methods=("jc", "rt2", "strong_avg", "strong_rt"),
+                         output_path=str(tmp_path / "sweep.csv"))
+    tracemalloc.start()
+    try:
+        table = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.row_count == 501 * 4 * 40
+    assert peak / table.row_count < 100
 
 
 def test_array_writer_covers_zero_couplings_and_every_label():
@@ -97,7 +153,7 @@ def test_array_writer_covers_zero_couplings_and_every_label():
         ),
     )
     text = table_to_csv(table)
-    assert text == rows_to_csv(table.rows)
+    assert text == rows_to_csv(table_rows(table))
     lines = text.splitlines()
     assert lines[1] == "0,exact,0,+,even,1e-300,False"
     assert lines[4] == "-0,exact,0,+,unclassified,-0,False"
@@ -105,7 +161,7 @@ def test_array_writer_covers_zero_couplings_and_every_label():
     assert len(lines) == 1 + 3 * 3 + 3 * 2
     assert {line.split(",")[3] for line in lines[1:]} == set(BRANCHES)
     assert {line.split(",")[4] for line in lines[1:]} == set(PARITIES)
-    assert table.row_count == len(table.rows) == 15
+    assert table.row_count == len(table_rows(table)) == 15
     assert table.failures == (
         (0.0, "jc", "ValueError: requested 3 levels"),
         (0.5, "exact", "ValueError: requested 3 levels"),
@@ -117,7 +173,7 @@ def test_array_writer_covers_zero_couplings_and_every_label():
 def test_csv_round_trip_of_random_tables_is_exact(table):
     text = table_to_csv(table)
     back = csv_to_table(text)
-    assert back.rows == table.rows
+    assert table_rows(back) == table_rows(table)
     assert table_to_csv(back) == text
 
 
@@ -126,7 +182,7 @@ def test_csv_round_trip_of_random_tables_is_exact(table):
 def test_rank_pair_masks_equal_the_per_row_pairing(table):
     config = SweepConfig(methods=tuple(s.method for s in table.sweeps), output_path="")
     stats = compare_methods(config, table, out_path="")
-    assert repr(stats) == repr(rows_compare(table.rows, config.methods))
+    assert repr(stats) == repr(rows_compare(table_rows(table), config.methods))
 
 
 @pytest.mark.parametrize("method", ["exact", "jc", "rt1", "rt1_kam", "rt_full_kam"])
@@ -156,8 +212,8 @@ def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, fail_chain_at, 
             for lv in levels
         )
     assert rows and failures
-    assert table.rows == tuple(rows)
-    assert [(r.energy, r.parity) for r in table.rows] == [(r.energy, r.parity) for r in rows]
+    assert table_rows(table) == tuple(rows)
+    assert [(r.energy, r.parity) for r in table_rows(table)] == [(r.energy, r.parity) for r in rows]
     assert table.failures == tuple(failures)
     assert table.row_count == len(rows)
 
@@ -177,7 +233,7 @@ def test_csv_round_trip_keeps_rows_and_marks_failed_points(mixed_table):
     assert table.failures
     text = table_to_csv(table)
     back = csv_to_table(text)
-    assert back.rows == table.rows
+    assert table_rows(back) == table_rows(table)
     assert table_to_csv(back) == text
     # a point without rows in the CSV is the one that failed
     assert [(g, m) for g, m, _ in back.failures] == [(g, m) for g, m, _ in table.failures]
@@ -189,7 +245,7 @@ def test_compare_and_report_agree_on_array_and_csv_tables(mixed_table, tmp_path)
     back = csv_to_table(table_to_csv(table))
     paths = [tmp_path / "arrays_errors.csv", tmp_path / "csv_errors.csv"]
     stats = [compare_methods(config, t, out_path=str(p)) for t, p in zip((table, back), paths)]
-    assert repr(stats[0]) == repr(stats[1]) == repr(rows_compare(table.rows, config.methods))
+    assert repr(stats[0]) == repr(stats[1]) == repr(rows_compare(table_rows(table), config.methods))
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert stats[0]["exact"] == (0.0, 0.0, 9 * 10)
 
