@@ -2,11 +2,13 @@
 
 The one-photon transformation dresses the upper atomic state by removing a
 photon; it is an isometry, not a unitary, so it introduces one spurious
-zero eigenvalue attached to its kernel vector |0,+>.  The two-photon step
-stacks a second shift on top (two more spurious zeros).  Each shift is kept
-as an index remap: its kernel slots are the columns it maps to nothing, its
-lost slots the top rows nothing maps to.  This script shows the bookkeeping
-the chains carry and compares the resulting level accuracy.
+zero eigenvalue on its kernel slot |0,+>.  The two-photon step stacks a
+second shift on top (two more spurious zeros).  Each shift is kept as an
+index remap: its kernel slots are the columns it maps to nothing (it shifts
+as many photons), its lost slots the top rows nothing maps to.  A chain
+records its kernel once, as the slots where its carried parity is 0; their
+rows and columns are exactly 0.  This script shows the bookkeeping the
+chains carry and compares the resulting level accuracy.
 """
 
 import numpy as np
@@ -20,13 +22,12 @@ TRUNC = TruncationConfig(n_max=60)
 def describe_chain(th, name):
     print(f"\n{name}:")
     print(f"  provenance     : {' -> '.join(th.provenance)}")
-    print(f"  spurious zeros : {[sp.label for sp in th.spurious]}")
+    print(f"  spurious zeros : {[basis_label(k) for k in np.flatnonzero(th.parity == 0)]}")
     print(f"  loss band      : top {th.loss_band} photon level(s) corrupted")
-    for rec in th.records:
-        iso = rec.isometry
-        print(f"  record: dressing {rec.photon_dressing:+d} photon(s), "
-              f"kernel {rec.kernel_labels}: R^dag R = 1 minus slots "
-              f"{[basis_label(k) for k in iso.kernel_slots]}, "
+    for iso in th.records:
+        kernel = tuple(basis_label(k) for k in iso.kernel_slots)
+        print(f"  record: dressing {-len(kernel):+d} photon(s), "
+              f"kernel {kernel}: R^dag R = 1 minus slots {list(kernel)}, "
               f"R R^dag = 1 minus slots {[basis_label(k) for k in iso.lost_slots]}")
 
 

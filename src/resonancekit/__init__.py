@@ -3,8 +3,8 @@
 Cross-validated spectral methods on a truncated Fock space: an exact
 diagonalization oracle over the two parity blocks, degeneracy-aware quantum
 averaging, KAM-type contact transformations, isometric resonant
-transformations with spurious-eigenvalue bookkeeping, and closed-form
-effective spectra, plus a sweep CLI.
+transformations whose kernel slots (parity sign 0) hold their spurious zero
+eigenvalues, and closed-form effective spectra, plus a sweep CLI.
 """
 
 from .operators import (
@@ -12,7 +12,6 @@ from .operators import (
     TruncationConfig,
     build_boson_ops,
     build_rabi,
-    build_parity,
     default_guard,
     validated_level_count,
 )
@@ -31,15 +30,12 @@ from .averaging import (
 from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate_full
 from .transforms import (
     Isometry,
-    IsometryRecord,
-    SpuriousLevel,
     TransformedHamiltonian,
     rt_one_photon,
     rt_two_photon,
     generic_numeric_rt,
     strong_chain,
     rt_zero_field,
-    spurious_filter,
 )
 from .methods import METHOD_ORDER, MethodLevel, compute_levels
 from .closedform import (
@@ -63,7 +59,6 @@ __all__ = [
     "TruncationConfig",
     "build_boson_ops",
     "build_rabi",
-    "build_parity",
     "default_guard",
     "validated_level_count",
     "EigenDecomposition",
@@ -80,15 +75,12 @@ __all__ = [
     "kam_step",
     "kam_iterate_full",
     "Isometry",
-    "IsometryRecord",
-    "SpuriousLevel",
     "TransformedHamiltonian",
     "rt_one_photon",
     "rt_two_photon",
     "generic_numeric_rt",
     "strong_chain",
     "rt_zero_field",
-    "spurious_filter",
     "METHOD_ORDER",
     "MethodLevel",
     "compute_levels",

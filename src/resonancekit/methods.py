@@ -1,11 +1,12 @@
 """Registry of spectrum-computation methods used by sweeps and comparisons.
 
 Every method maps (params, trunc, n_levels) to the same shape of output: the
-lowest physical levels in ascending energy order, spurious kernel zeros
-already filtered, each level carrying a branch tag (closed forms only), a
-parity label, and its energy.  The exact oracle and the contact-iteration
-chains label a level by the parity block it was solved in; closed forms
-carry analytic labels.  No method emits guard-band levels.
+lowest physical levels in ascending energy order, without the spurious kernel
+zeros (a chain's sign-0 parity slots, a closed form's spurious slots), each
+level carrying a branch tag (closed forms only), a parity label, and its
+energy.  The exact oracle and the contact-iteration chains label a level by
+the parity block it was solved in; closed forms carry analytic labels.  No
+method emits guard-band levels.
 
 Every method answers a whole coupling grid as one array program
 (:func:`grid_sweep`): the closed forms and rt1 from one table evaluation,
@@ -143,9 +144,10 @@ def closed_form_sweep(
     """The lowest ``n_levels`` physical levels of a closed form at every
     coupling of ``grid``, from one array evaluation per block of couplings.
 
-    A coupling whose photon range holds too few levels records its
-    ValueError; an error that holds for the whole grid (off one-photon
-    resonance) is raised.
+    A coupling whose photon range holds too few levels, that the table
+    cannot represent (g / omega out of range), or whose levels are not all
+    finite records its error; an error that holds for the whole grid (off
+    one-photon resonance) is raised.
     """
     if method not in CLOSED_FORM_METHODS:
         raise ValueError(f"{method!r} is not a closed form")
@@ -160,36 +162,54 @@ def _table_sweep(
     (rt1 on the jc ladder) only photon numbers up to ``n_max - 1`` count and
     every branch is unassigned."""
     grid = np.asarray(grid, dtype=float)
+    closed_form_table(form, omega, omega0, grid[:0], 0)  # raises what fails the whole grid
     top = math.inf if n_max is None else n_max - 1
-    counts = [min(_closed_form_count(g, omega, n_levels), top) for g in grid.tolist()]
+    errors: list = [None] * grid.size
+    counts = {}
+    for i, g in enumerate(grid.tolist()):
+        try:
+            counts[i] = min(_closed_form_count(g, omega, n_levels), top)
+        except (OverflowError, ValueError) as exc:  # g / omega beyond float range, or NaN
+            errors[i] = exc
     # at most 2 * (count + 1) slots per coupling
-    slots = 2 * max(counts, default=0) + 2
+    slots = 2 * max(counts.values(), default=0) + 2
     rows = max(1, _CLOSED_FORM_BYTES // (_CLOSED_FORM_PEAK * 8 * slots))
+    live = list(counts)
+    pending = [live[lo:lo + rows] for lo in range(0, len(live), rows)][::-1]
     energies = np.full((grid.size, n_levels), np.inf)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     labels: dict[tuple[str, str], int] = {}
-    errors: list = []
     too_few = "are available" if n_max is None else (
         f"survive the guard band (loss_band=1, n_max={n_max})"
     )
-    for lo in range(0, grid.size, rows):
-        block = slice(lo, lo + rows)
-        table = closed_form_table(form, omega, omega0, grid[block], max(counts[block]))
-        usable = ~table.spurious & (table.n <= np.array(counts[block])[:, None])
+    while pending:
+        block = pending.pop()
+        try:
+            count = max(counts[i] for i in block)
+            table = closed_form_table(form, omega, omega0, grid[block], count)
+        except Exception as exc:  # a table too large to allocate: each coupling alone
+            if len(block) > 1:
+                pending.extend([i] for i in reversed(block))
+            else:
+                errors[block[0]] = exc
+            continue
+        usable = ~table.spurious & (table.n <= np.array([counts[i] for i in block])[:, None])
         values = np.where(usable, table.energies, np.inf)
         # (energy, n) order, ties kept in slot order
         order = np.lexsort((np.broadcast_to(table.n, values.shape), values), axis=-1)[:, :n_levels]
         branches = table.branch if n_max is None else (BRANCH_UNASSIGNED,) * len(table.branch)
         pairs = zip(branches, table.parity)
         slot_codes = np.array([labels.setdefault(pair, len(labels)) for pair in pairs])
-        energies[block, :order.shape[1]] = np.take_along_axis(values, order, axis=1)
+        picked = np.take_along_axis(values, order, axis=1)
+        energies[block, :order.shape[1]] = picked
         codes[block, :order.shape[1]] = slot_codes[order]
-        errors.extend(
-            None if available >= n_levels else ValueError(
-                f"requested {n_levels} levels but only {available} {too_few}"
-            )
-            for available in usable.sum(axis=1).tolist()
-        )
+        finite = np.isfinite(picked).all(axis=1).tolist()
+        for i, available, ok in zip(block, usable.sum(axis=1).tolist(), finite):
+            if available < n_levels:
+                errors[i] = ValueError(
+                    f"requested {n_levels} levels but only {available} {too_few}")
+            elif not ok:  # e.g. omega * omega underflowing to 0 in the table
+                errors[i] = ArithmeticError("closed form gives a non-finite energy")
     return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
 
 

@@ -7,10 +7,9 @@ number and s the atomic state ("+" or "-").  The flat basis index is
 
 so atomic 2x2 blocks sit inside each photon level and photon-shift operators
 are clean block-row shifts.  The Hamiltonian is held as its two real
-tridiagonal parity blocks (:func:`build_parity_blocks`); the dense matrices
-of :func:`build_rabi` and :func:`build_parity` are plain float64 arrays,
-exactly symmetric, scattered from those blocks and the parity sign vector,
-never assembled from Kronecker products.
+tridiagonal parity blocks (:func:`build_parity_blocks`); the dense matrix
+of :func:`build_rabi` is a plain float64 array, exactly symmetric, scattered
+from those blocks, never assembled from Kronecker products.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ import numpy as np
 __all__ = [
     "ATOM_PLUS",
     "ATOM_MINUS",
-    "SIGMA_X",
-    "SIGMA_Z",
     "ModelParams",
     "TruncationConfig",
     "basis_index",
     "basis_label",
     "build_boson_ops",
     "build_rabi",
-    "build_parity",
     "parity_signs",
     "ParityBlock",
     "build_parity_blocks",
@@ -44,8 +40,6 @@ __all__ = [
 ATOM_PLUS = 0
 ATOM_MINUS = 1
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -165,11 +159,6 @@ def parity_signs(trunc: TruncationConfig) -> np.ndarray:
     signs = np.repeat((-1.0) ** np.arange(trunc.n_max + 1), 2)
     signs[1::2] *= -1.0
     return signs
-
-
-def build_parity(trunc: TruncationConfig) -> np.ndarray:
-    """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
-    return np.diag(parity_signs(trunc))
 
 
 class ParityBlock(NamedTuple):

@@ -4,8 +4,9 @@ CSV schema: header ``g,method,level,branch,parity,energy,spurious``; UTF-8,
 LF line endings, ``.`` decimal separator, 17 significant digits (floats
 round-trip exactly).  Row order is (g, method, level) with methods in
 registry order, so identical configurations produce byte-identical files.
-Spurious kernel zeros are filtered before emission; the column is kept so
-the schema states the invariant explicitly.
+Spurious kernel zeros (a chain's sign-0 parity slots, a closed form's
+spurious slots) are never emitted; the column is kept so the schema states
+the invariant explicitly.
 
 Every method is evaluated over the whole g-grid on one thread, by one
 :func:`methods.grid_sweep` call that returns its levels as arrays (a

@@ -1,4 +1,4 @@
-"""Isometric/unitary transformation chains with spurious-eigenvalue bookkeeping.
+"""Isometric/unitary transformation chains with kernel bookkeeping.
 
 Every step of a chain is an :class:`Isometry` ``S = R B``: ``R`` is an index
 remap (a photon shift, a permutation, or the identity) and ``B`` a set of
@@ -9,19 +9,22 @@ dense ``S`` is ever formed.  Each photon shift invalidates the top 1-2 photon
 rows at truncation, so a chain accumulates a loss band that is added to the
 guard band of validity claims.  A non-unitary (isometric) transformation with
 ``S^H S = 1 - sum of kernel projectors`` adds one exact zero eigenvalue per
-kernel vector; those vectors are carried along the chain so the extra zeros
-can be matched and filtered by eigenvector overlap rather than by energy
-(physical zero eigenvalues exist too).
+kernel slot: the slot's row and column of ``S^H X S`` are exactly 0 (physical
+zero eigenvalues exist too, so the spurious ones are told apart by slot, not
+by energy).
 
 Every step leaves a renormalized reference that is diagonal in the current
 basis, so a chain carries only its diagonal: the real level vector whose
 entries are the chain's level estimates.  Every step also keeps the parity
 (-1)^N (x) sigma_z diagonal, so a chain carries it as a sign vector: the
-remap gathers it, and a block that would mix two parity classes raises.
+remap gathers it, with 0 on kernel columns, and a block that would mix two
+parity classes (a kernel slot is a class of its own) raises.  The sign-0
+slots are the chain's only record of its kernel; the step isometries it
+keeps in ``records`` name their own kernel and lost slots.
 
 A chain runs on one coupling or on a stack of them: the operator is then a
-(G, dim, dim) stack and the levels, parity and kernel vectors are (G, dim),
-one row per coupling.  Each step is one array program over the stack, and a
+(G, dim, dim) stack and the levels and parity are (G, dim), one row per
+coupling.  Each step is one array program over the stack, and a
 coupling that fails a check raises :class:`spectrum.CouplingErrors` for its
 row (a single coupling raises the error itself).
 """
@@ -29,7 +32,7 @@ row (a single coupling raises the error itself).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from .operators import (
     TruncationConfig,
     _mat,
     basis_index,
-    basis_label,
     build_boson_ops,
     displacement_band,
     parity_signs,
@@ -53,9 +55,7 @@ from .spectrum import check_rows
 _STRAY_PARITY_WEIGHT = 1e-24
 
 __all__ = [
-    "SpuriousLevel",
     "Isometry",
-    "IsometryRecord",
     "TransformedHamiltonian",
     "atom_rotation_t",
     "rt_one_photon",
@@ -63,16 +63,7 @@ __all__ = [
     "generic_numeric_rt",
     "strong_chain",
     "rt_zero_field",
-    "spurious_filter",
 ]
-
-
-@dataclass(frozen=True)
-class SpuriousLevel:
-    """Exact zero eigenvalue attached to a transformation-kernel vector."""
-
-    label: str
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,6 @@ class Isometry:
             y.swapaxes(-1, -2)[lines] = 0.0
         return y
 
-    def _gather(self, x: np.ndarray, axes: int) -> np.ndarray:
-        """:meth:`_take` in x's and the blocks' dtype."""
-        x = _mat(x)
-        dtype = np.result_type(x, *(q for _, q in self.blocks))
-        return self._take(x.astype(dtype, copy=False), axes)
-
     def rotate(self, y: np.ndarray) -> np.ndarray:
         """``B^H y B`` in place for a C-contiguous matrix y, or stack of them."""
         dim = y.shape[-1]
@@ -150,8 +135,10 @@ class Isometry:
         return y
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
-        """``S^H x S``."""
-        return self.rotate(self._gather(x, 2))
+        """``S^H x S``, in x's and the blocks' dtype."""
+        x = _mat(x)
+        dtype = np.result_type(x, *(q for _, q in self.blocks))
+        return self.rotate(self._take(x.astype(dtype, copy=False), 2))
 
     def conjugate_parity(self, p: np.ndarray) -> np.ndarray:
         """Diagonal of ``S^H diag(p) S`` for a parity sign vector p (+1, -1,
@@ -174,14 +161,6 @@ class Isometry:
                 f"block mixes parity classes (stray weight {worst[i]:.3e})"))
             flat[idx] = own
         return e
-
-    def pull(self, v: np.ndarray) -> np.ndarray:
-        """``S^H v`` for a vector v, or a stack of them."""
-        w = self._gather(v, 1)
-        flat = w.reshape(-1)
-        for idx, q in self.blocks:
-            flat[idx] = np.matmul(q.conj().transpose(0, 2, 1), flat[idx][..., None])[..., 0]
-        return w
 
 
 def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
@@ -222,17 +201,6 @@ def _stacked_blocks(idx: np.ndarray, q: np.ndarray, stack: tuple, dim: int):
 
 
 @dataclass(frozen=True)
-class IsometryRecord:
-    """One isometric reduction step: its remap (plus any fixed unitary block,
-    such as the two-photon reflection), kernel, dressing, truncation loss."""
-
-    isometry: Isometry
-    kernel_labels: tuple[str, ...]
-    photon_dressing: int
-    loss_rows: int
-
-
-@dataclass(frozen=True)
 class TransformedHamiltonian:
     """A Hamiltonian conjugated through a chain of transformations.
 
@@ -243,23 +211,23 @@ class TransformedHamiltonian:
     entries are the chain's level estimates.
     parity: the parity operator conjugated through the same chain, which
     keeps it diagonal, held as its real diagonal like the levels: +1 on even
-    slots, -1 on odd ones, 0 on kernel slots (None without parity
-    bookkeeping).
-    spurious: kernel levels accumulated so far, vectors in the current basis
-    shaped like the levels.
+    slots, -1 on odd ones, 0 on kernel slots, each of which holds one exact
+    spurious zero eigenvalue (None without parity bookkeeping).
     loss_band: top photon levels invalidated by index shifting / displacement.
     params: the model, or one ModelParams per coupling of a stack.
+    records: the photon-shift steps so far, each an Isometry holding its
+    remap (plus any fixed unitary block, such as the two-photon reflection):
+    it shifts ``len(kernel_slots)`` photons and loses ``len(lost_slots)`` rows.
     """
 
     operator: np.ndarray
     levels: np.ndarray
     parity: np.ndarray | None
-    spurious: tuple[SpuriousLevel, ...]
     provenance: tuple[str, ...]
     loss_band: int
     params: ModelParams | tuple[ModelParams, ...] | None = None
     trunc: TruncationConfig | None = None
-    records: tuple[IsometryRecord, ...] = ()
+    records: tuple[Isometry, ...] = ()
 
     def __post_init__(self):
         shape = self.operator.shape[:-1]
@@ -303,28 +271,11 @@ def _shift_remap(fock_dim: int, atom: int, photons: int, first: int = 0) -> np.n
 def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
     """Shared bookkeeping for conjugating a chain by successive isometries."""
     operator, parity = th.operator, th.parity
-    spurious = th.spurious
     for iso in isometries:
         operator = iso.conjugate(operator)
         if parity is not None:
             parity = iso.conjugate_parity(parity)
-        spurious = tuple(replace(sp, vector=iso.pull(sp.vector)) for sp in spurious)
-    return dict(
-        operator=operator,
-        parity=parity,
-        spurious=spurious,
-        provenance=th.provenance + (tag,),
-        loss_band=th.loss_band,
-        params=th.params,
-        trunc=th.trunc,
-        records=th.records,
-    )
-
-
-def _unit(dim: int, k: int) -> np.ndarray:
-    vec = np.zeros(dim)
-    vec[k] = 1.0
-    return vec
+    return dict(vars(th), operator=operator, parity=parity, provenance=th.provenance + (tag,))
 
 
 def _couplings(params) -> tuple[ModelParams, float | np.ndarray]:
@@ -354,8 +305,8 @@ def rt_one_photon(
 
     The result of applying it to the full Hamiltonian splits into the exactly
     diagonal dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z (the
-    reference) plus a two-photon-coupling remainder.  The kernel |0,+> turns
-    into an exact spurious zero level.  ``H`` may be a stack of Hamiltonians,
+    reference) plus a two-photon-coupling remainder.  The kernel slot |0,+>
+    holds an exact spurious zero level.  ``H`` may be a stack of Hamiltonians,
     one per ModelParams of the sequence ``params``.
     """
     first, g = _couplings(params)
@@ -371,7 +322,6 @@ def rt_one_photon(
         operator=h,
         levels=levels,
         parity=np.broadcast_to(parity_signs(trunc), levels.shape),
-        spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
@@ -380,18 +330,8 @@ def rt_one_photon(
     rotation = _stacked_blocks(*_doublets(1, fock_dim), np.shape(g), dim)
     fields = _conjugate(base, (Isometry(shift, (rotation,)),), "rt_one_photon")
     fields["levels"] = levels
-    fields["spurious"] = (
-        SpuriousLevel(label=basis_label(0), vector=np.broadcast_to(_unit(dim, 0), levels.shape)),
-    )
     fields["loss_band"] = 1
-    fields["records"] = (
-        IsometryRecord(
-            isometry=Isometry(shift),
-            kernel_labels=(basis_label(0),),
-            photon_dressing=-1,
-            loss_rows=1,
-        ),
-    )
+    fields["records"] = (Isometry(shift),)
     return TransformedHamiltonian(**fields)
 
 
@@ -457,21 +397,11 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
         "two-photon reduction failed to diagonalize the effective part "
         f"(off-diagonal {off[r]:.3e})"))
 
-    kernels = tuple(
-        SpuriousLevel(label=basis_label(k), vector=np.broadcast_to(_unit(dim, k), diag.shape))
-        for k in (basis_index(1, 0), basis_index(2, 0))
-    )
     fields = _conjugate(H1, (Isometry(shift, rotation.blocks),), "rt_two_photon")
     fields["levels"] = np.real(diag)
-    fields["spurious"] = fields["spurious"] + kernels
     fields["loss_band"] = H1.loss_band + 2
     fields["records"] = H1.records + (
-        IsometryRecord(
-            isometry=Isometry(shift, (_stacked_blocks(reflection_idx, reflection_q, stack, dim),)),
-            kernel_labels=tuple(k.label for k in kernels),
-            photon_dressing=-2,
-            loss_rows=2,
-        ),
+        Isometry(shift, (_stacked_blocks(reflection_idx, reflection_q, stack, dim),)),
     )
     return TransformedHamiltonian(**fields)
 
@@ -557,7 +487,6 @@ def strong_chain(
         operator=h,
         levels=levels,
         parity=None,
-        spurious=(),
         provenance=(),
         loss_band=0,
         params=params,
@@ -578,62 +507,17 @@ def strong_chain(
 def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
     """Photon-shift isometry on the "-" atomic block, treating the zero-field
     degeneracies of the displaced ladder.  The new reference is the bare
-    ladder omega*N (x) 1; |0,-> becomes an exact spurious zero."""
+    ladder omega*N (x) 1; the kernel slot |0,-> holds an exact spurious zero."""
     params = H2.params
     if params is None or H2.trunc is None:
         raise ValueError("rt_zero_field needs the params/trunc carried by the chain")
     fock_dim = H2.trunc.n_max + 1
     shift = Isometry(_shift_remap(fock_dim, 1, 1))
     ns = np.arange(fock_dim)
-    vac_minus = basis_index(0, 1)
 
     fields = _conjugate(H2, (shift,), "rt_zero_field")
     fields["levels"] = np.repeat(params.omega * ns.astype(float), 2)
-    fields["spurious"] = fields["spurious"] + (
-        SpuriousLevel(label=basis_label(vac_minus), vector=_unit(2 * fock_dim, vac_minus)),
-    )
     fields["loss_band"] = H2.loss_band + 1
-    fields["records"] = H2.records + (
-        IsometryRecord(
-            isometry=shift,
-            kernel_labels=(basis_label(vac_minus),),
-            photon_dressing=-1,
-            loss_rows=1,
-        ),
-    )
+    fields["records"] = H2.records + (shift,)
     return TransformedHamiltonian(**fields)
 
-
-def spurious_filter(
-    values: np.ndarray, spurious: tuple[SpuriousLevel, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remove exactly one zero level per kernel vector, from one set of
-    levels or from each row of a stack of them.
-
-    Each kernel vector is given in the basis of the levels, so its component
-    k is its overlap with level k.  Matching is by concentration on one level
-    (overlap >= 0.99, which at most one component of a unit vector reaches),
-    not by energy alone — physical zero eigenvalues exist.  A kernel without
-    a matching zero level indicates a transformation bug and raises.
-
-    Returns (cleaned values, kept indices, removed indices in kernel order),
-    with a leading stack axis on a stack.
-    """
-    values = np.asarray(values, dtype=float)
-    zero_tol = 1e-8 * np.maximum(1.0, np.abs(values).max(axis=-1))
-    removed = np.zeros(values.shape, dtype=bool)
-    matches = []
-    for sp in spurious:
-        norm = np.maximum(np.linalg.norm(sp.vector, axis=-1), np.finfo(float).tiny)
-        overlaps = np.abs(sp.vector / norm[..., None])
-        best = overlaps.argmax(axis=-1)[..., None]
-        peak = np.take_along_axis(overlaps, best, -1)[..., 0]
-        zero = np.abs(np.take_along_axis(values, best, -1)[..., 0]) <= zero_tol
-        free = ~np.take_along_axis(removed, best, -1)[..., 0]
-        check_rows(~((peak >= 0.99) & free & zero), lambda i: ValueError(
-            f"no zero level matches kernel {sp.label} (best overlap {peak[i]:.3f})"))
-        np.put_along_axis(removed, best, True, -1)
-        matches.append(best[..., 0])
-    kept = np.argsort(removed, axis=-1, kind="stable")[..., : values.shape[-1] - len(spurious)]
-    removed_idx = np.stack(matches, -1) if matches else np.zeros(values.shape[:-1] + (0,), int)
-    return np.take_along_axis(values, kept, -1), kept, removed_idx

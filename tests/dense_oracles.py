@@ -1,6 +1,8 @@
-"""Dense test oracles: Kronecker-product builders and the dense matrix S of
-every chain step, for checking the structured conjugations of
-``resonancekit.transforms`` against plain ``S^H X S`` products.
+"""Dense test oracles: Kronecker-product builders (with the Pauli matrices
+and the dense parity operator, the matrix side of the parity sign vector)
+and the dense matrix S of every chain step, for checking the structured
+conjugations of ``resonancekit.transforms`` against plain ``S^H X S``
+products.
 
 The runtime never forms these matrices; they exist only so the tests can
 compare the index-remap implementation with the textbook one.  The
@@ -28,11 +30,17 @@ from resonancekit.averaging import (
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
 from resonancekit.methods import BRANCH_UNASSIGNED, MethodLevel
-from resonancekit.operators import ModelParams, TruncationConfig, _mat, basis_index, build_rabi
+from resonancekit.operators import (
+    ModelParams,
+    TruncationConfig,
+    _mat,
+    basis_index,
+    build_rabi,
+    parity_signs,
+)
 from resonancekit.spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
-    PARITY_UNCLASSIFIED,
     EigenDecomposition,
     eigh,
     exact_spectra,
@@ -42,13 +50,15 @@ from resonancekit.transforms import (
     atom_rotation_t,
     generic_numeric_rt,
     rt_zero_field,
-    spurious_filter,
     strong_chain,
 )
 
 
 # Parity label of a level that has none: the chains without parity bookkeeping.
 PARITY_NA = "n/a"
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def exact_spectrum(
@@ -70,6 +80,11 @@ def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
     if field_op.ndim != 2 or field_op.shape[0] != field_op.shape[1]:
         raise ValueError(f"field factor must be square, got {field_op.shape}")
     return np.kron(field_op, atom_op)
+
+
+def build_parity(trunc: TruncationConfig) -> np.ndarray:
+    """Parity operator P = (-1)^N (x) sigma_z; P = P^H, P^2 = 1, [P, H] = 0."""
+    return np.diag(parity_signs(trunc))
 
 
 def build_jaynes_cummings(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
@@ -249,13 +264,12 @@ def build_effective(
 
 def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
     """Read levels off a chain: slot k is a level with energy ``levels[k]``,
-    photon number k // 2 and parity ``parity[k]``; a kernel vector's
-    component k is its overlap with slot k.  Drops kernel zeros by overlap
-    and levels in the top ``loss_band`` photon rows, sorts stably, ranks."""
+    photon number k // 2 and parity ``parity[k]``.  Drops the sign-0 slots,
+    which are the kernel slots and hold the spurious zeros, and the levels in
+    the top ``loss_band`` photon rows; sorts stably, ranks."""
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
     values = np.asarray(th.levels, dtype=float)
-    _, kept, _ = spurious_filter(values, th.spurious)
-    usable = np.asarray(kept, dtype=int)
+    usable = np.flatnonzero(th.parity != 0.0)
     usable = usable[usable // 2 <= n_max - th.loss_band]
     usable = usable[np.argsort(values[usable], kind="stable")]
     if len(usable) < n_levels:
@@ -263,12 +277,9 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodL
             f"requested {n_levels} levels but only {len(usable)} survive the "
             f"guard band (loss_band={th.loss_band}, n_max={n_max})"
         )
-    labels = np.full(values.size, PARITY_NA if th.parity is None else PARITY_UNCLASSIFIED, object)
-    if th.parity is not None:
-        labels[th.parity > 0] = PARITY_EVEN
-        labels[th.parity < 0] = PARITY_ODD
     return [
-        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, parity=labels[k], energy=float(values[k]))
+        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, energy=float(values[k]),
+                    parity=PARITY_EVEN if th.parity[k] > 0 else PARITY_ODD)
         for rank, k in enumerate(usable[:n_levels])
     ]
 

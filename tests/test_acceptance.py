@@ -34,7 +34,6 @@ from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
     basis_index,
-    build_parity,
     build_rabi,
 )
 from resonancekit.spectrum import eigh
@@ -49,6 +48,7 @@ from resonancekit.sweep import (
 from resonancekit.transforms import rt_zero_field, strong_chain
 
 from dense_oracles import (
+    build_parity,
     isometry_matrix,
     levels_from_chain,
     strong_avg_decomposition,
@@ -362,7 +362,7 @@ def test_criterion_7_isometry_parity_structure():
     parity_exact = np.array_equal(h @ p, p @ h)
 
     th1 = rabi_rt1_chain(params, trunc)
-    r1 = isometry_matrix(th1.records[0].isometry, dim)
+    r1 = isometry_matrix(th1.records[0], dim)
     rt1_exact = np.array_equal(
         r1 @ r1.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_PLUS))
     ) and np.array_equal(
@@ -370,7 +370,7 @@ def test_criterion_7_isometry_parity_structure():
     )
 
     th2 = rabi_rt2_chain(params, trunc)
-    r2 = isometry_matrix(th2.records[1].isometry, dim)
+    r2 = isometry_matrix(th2.records[1], dim)
     rt2_defect = max(
         np.abs(
             r2.conj().T @ r2
@@ -385,7 +385,7 @@ def test_criterion_7_isometry_parity_structure():
     )
 
     thz = rt_zero_field(strong_chain(build_rabi(params, trunc), params, trunc))
-    rz = isometry_matrix(thz.records[-1].isometry, dim)
+    rz = isometry_matrix(thz.records[-1], dim)
     rtz_exact = np.array_equal(
         rz @ rz.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_MINUS))
     ) and np.array_equal(
@@ -393,9 +393,9 @@ def test_criterion_7_isometry_parity_structure():
     )
 
     counts = (
-        len(th1.records[0].kernel_labels),
-        len(th2.records[1].kernel_labels),
-        len(thz.records[-1].kernel_labels),
+        th1.records[0].kernel_slots.size,
+        th2.records[1].kernel_slots.size,
+        thz.records[-1].kernel_slots.size,
     )
     elapsed = time.perf_counter() - start
     ok = (

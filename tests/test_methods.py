@@ -21,10 +21,11 @@ from resonancekit.methods import (
     rt2_iterated_chain,
 )
 from resonancekit.closedform import closed_form_table
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
 from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
+from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import levels_from_chain
+from dense_oracles import build_parity, levels_from_chain, strong_rt_chain
 
 # Methods built on the one-photon-resonance chains; they require omega0 = omega.
 WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
@@ -123,6 +124,48 @@ def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch)
         compute_levels("jc", _params(1.5), TruncationConfig(n_max=12), 8)
 
 
+# Couplings a closed-form table cannot represent, both failing before any
+# allocation: g = 1e150 asks for about 1e300 photon levels, and at omega =
+# 1e-300 g / omega overflows.  (omega, grid, index of the failing coupling)
+UNREPRESENTABLE = {
+    "huge_g": (1.0, [0.0, 0.5, 1e150, 1.0], 2),
+    "tiny_omega": (1e-300, [0.0, 0.5], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREPRESENTABLE))
+@pytest.mark.parametrize("method", sorted(CLOSED_FORM_METHODS) + ["rt1"])
+def test_a_coupling_the_closed_form_table_cannot_hold_fails_alone(method, case):
+    omega, grid, bad = UNREPRESENTABLE[case]
+    trunc = TruncationConfig(n_max=60)
+    swept = grid_sweep(method, omega, omega, grid, trunc, 4)
+    if method != "rt1" or case != "huge_g":  # rt1 caps its photon range at n_max - 1
+        assert isinstance(swept.point(bad), (ValueError, OverflowError))
+    others = [i for i in range(len(grid)) if i != bad]
+    clean = grid_sweep(method, omega, omega, [grid[i] for i in others], trunc, 4)
+    # strong_rt's g = 0 at omega = 1e-300 fails on its own, as the next test shows
+    assert clean.ok.all() or (method, case) == ("strong_rt", "tiny_omega")
+    assert [_point_text(swept.point(i)) for i in others] == [
+        _point_text(clean.point(k)) for k in range(len(others))
+    ]
+
+
+def test_a_non_finite_closed_form_energy_fails_its_coupling():
+    # At omega = 1e-300, strong_rt's omega * omega underflows to 0, so its
+    # g = 0 energies are 0 / 0.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        swept = grid_sweep("strong_rt", 1e-300, 1e-300, [0.0], TruncationConfig(n_max=60), 2)
+    assert _point_text(swept.point(0)) == (
+        "ArithmeticError: closed form gives a non-finite energy")
+    assert grid_sweep("strong_rt", 1.0, 1.0, [0.0], TruncationConfig(n_max=60), 2).ok.all()
+
+
+def test_off_resonance_still_fails_the_whole_closed_form_grid():
+    for method in ("jc", "rt2", "rt1"):
+        with pytest.raises(ValueError, match="require omega0 = omega"):
+            grid_sweep(method, 1.0, 0.5, [0.0, 1e150], TruncationConfig(n_max=60), 4)
+
+
 def test_closed_form_sweep_rejects_matrix_methods():
     with pytest.raises(ValueError, match="not a closed form"):
         closed_form_sweep("rt1", 1.0, 1.0, [0.1], 4)
@@ -146,7 +189,6 @@ def test_kam_truncation_adds_guard_rows():
 
 
 def test_exact_method_matches_oracle_head():
-    from resonancekit.operators import build_parity, build_rabi
     from resonancekit.spectrum import eigh
 
     params = _params(0.2)
@@ -354,21 +396,37 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
 EDGE_COUPLINGS = (0.0, 1e-300, 1e-8, 2.0 / (1.0 + np.sqrt(3.0)), 6.0)
 
 
+# The strong-coupling chains, one coupling at a time: the zero-field shift of
+# the displaced chain and its numeric transformation (the strong_rt matrices).
+STRONG_CHAINS = {
+    "rt_zero_field": lambda p, trunc: rt_zero_field(strong_chain(build_rabi(p, trunc), p, trunc)),
+    "strong_rt": strong_rt_chain,
+}
+
+
 @pytest.mark.parametrize("n_levels", [2, 12, 40])
-@pytest.mark.parametrize("method", CHAIN_METHODS)
+@pytest.mark.parametrize("method", CHAIN_METHODS + tuple(STRONG_CHAINS))
 def test_chain_operators_split_exactly_into_parity_blocks(method, n_levels):
     # What the chains' read-out rests on: every entry between an even and an
-    # odd slot, or on a sign-0 slot, is exactly 0, and the sign-0 slots are
-    # the kernel slots, as many at every coupling as the chain has kernels.
+    # odd slot is exactly 0; the sign-0 slots are the kernel slots, as many at
+    # every coupling as the chain's steps have kernel slots; and every row and
+    # column at a sign-0 slot is exactly 0, so e_k is an exact zero eigenvector.
     grid = np.concatenate([np.linspace(0.0, 3.0, 31), EDGE_COUPLINGS])
-    th = methods._CHAINS[method](tuple(_params(g) for g in grid), kam_truncation(n_levels))
-    same = th.parity[:, :, None] * th.parity[:, None, :] == 1.0
-    assert (th.operator[~same] == 0.0).all()
-    kernel = th.parity == 0.0
-    assert (kernel.sum(axis=1) == len(th.spurious)).all()
-    assert th.spurious
-    for sp in th.spurious:
-        assert (sp.vector[~kernel] == 0.0).all(), sp.label
+    trunc = kam_truncation(n_levels)
+    if method in STRONG_CHAINS:
+        chains = [STRONG_CHAINS[method](_params(g), trunc) for g in grid]
+        operator = np.stack([th.operator for th in chains])
+        parity = np.stack([th.parity for th in chains])
+        records = chains[0].records
+    else:
+        th = methods._CHAINS[method](tuple(_params(g) for g in grid), trunc)
+        operator, parity, records = th.operator, th.parity, th.records
+    same = parity[:, :, None] * parity[:, None, :] == 1.0
+    assert (operator[~same] == 0.0).all()
+    kernel = parity == 0.0
+    assert records
+    assert (kernel.sum(axis=1) == sum(iso.kernel_slots.size for iso in records)).all()
+    assert not operator[kernel].any() and not operator.swapaxes(-1, -2)[kernel].any()
 
 
 def _misplaced_entry(monkeypatch, method, couplings, kind):

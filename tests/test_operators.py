@@ -6,21 +6,25 @@ import pytest
 from resonancekit.operators import (
     ATOM_MINUS,
     ATOM_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
     ModelParams,
     TruncationConfig,
     basis_index,
     basis_label,
     build_boson_ops,
-    build_parity,
     build_parity_blocks,
     build_rabi,
     default_guard,
     validated_level_count,
 )
 
-from dense_oracles import atom_block, build_jaynes_cummings, tensor
+from dense_oracles import (
+    SIGMA_X,
+    SIGMA_Z,
+    atom_block,
+    build_jaynes_cummings,
+    build_parity,
+    tensor,
+)
 
 
 # ---------------------------------------------------------------- configs

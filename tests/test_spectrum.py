@@ -11,7 +11,6 @@ from resonancekit import spectrum
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
-    build_parity,
     build_parity_blocks,
     build_rabi,
 )
@@ -23,7 +22,7 @@ from resonancekit.spectrum import (
 )
 from resonancekit.sweep import SweepConfig, run_sweep
 
-from dense_oracles import eigh_block, exact_spectrum, validate_truncation
+from dense_oracles import build_parity, eigh_block, exact_spectrum, validate_truncation
 from row_reference import table_rows
 
 # Regression constants from an n_max=120 oracle run, cross-checked at

@@ -1,7 +1,5 @@
 """Resonant transformations: shift isometries, rotations, chains."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,29 +12,28 @@ from resonancekit.methods import (
 from resonancekit.operators import (
     ATOM_MINUS,
     ATOM_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
     ModelParams,
     TruncationConfig,
     basis_index,
+    basis_label,
     build_rabi,
     parity_signs,
 )
 from resonancekit.spectrum import eigh
 from resonancekit.transforms import (
     Isometry,
-    SpuriousLevel,
     TransformedHamiltonian,
     atom_rotation_t,
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
     rt_zero_field,
-    spurious_filter,
     strong_chain,
 )
 
 from dense_oracles import (
+    SIGMA_X,
+    SIGMA_Z,
     build_jaynes_cummings,
     build_r2,
     isometry_matrix,
@@ -58,8 +55,13 @@ def _bare(operator, levels):
     """A chain holding just an operator and its reference levels."""
     return TransformedHamiltonian(
         operator=np.asarray(operator, dtype=complex), levels=np.asarray(levels, dtype=float),
-        parity=None, spurious=(), provenance=(), loss_band=0,
+        parity=None, provenance=(), loss_band=0,
     )
+
+
+def _kernel_labels(th):
+    """Labels of the chain's sign-0 (kernel) slots."""
+    return [basis_label(k) for k in np.flatnonzero(th.parity == 0.0)]
 
 
 def _projector(dim, *indices):
@@ -158,11 +160,11 @@ def test_rt_one_photon_keeps_low_spectrum_of_full_model():
     trunc = TruncationConfig(n_max=30)
     h = build_rabi(params, trunc)
     th = rt_one_photon(h, params, trunc)
-    sym = 0.5 * (th.operator + th.operator.conj().T)
-    decomp = eigh(sym)
-    kernels = tuple(replace(sp, vector=decomp.vectors.conj().T @ sp.vector) for sp in th.spurious)
-    cleaned, kept, removed = spurious_filter(decomp.values, kernels)
-    assert len(removed) == 1
+    # The kernel slot's row and column are exactly 0: leaving out the one
+    # sign-0 slot leaves out exactly the spurious zero.
+    keep = np.flatnonzero(th.parity != 0.0)
+    assert keep.size == trunc.dim - 1
+    cleaned = eigh(th.operator[np.ix_(keep, keep)]).values
     exact = eigh(h)
     np.testing.assert_allclose(cleaned[:12], exact.values[:12], atol=1e-9)
 
@@ -195,22 +197,21 @@ def test_rt_one_photon_record_identities_exact():
     th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     assert len(th.records) == 1
     rec = th.records[0]
-    assert rec.kernel_labels == ("|0,+>",)
-    assert rec.photon_dressing == -1
-    assert rec.loss_rows == 1
+    # A one-photon shift: one kernel slot, one lost row.
+    assert [basis_label(k) for k in rec.kernel_slots] == ["|0,+>"]
     top_plus = basis_index(trunc.n_max, ATOM_PLUS)
     vac_plus = basis_index(0, ATOM_PLUS)
     # The remap sends each column to its own row, except the "+" shift by
     # one photon: |0,+> is the kernel and |n_max,+> is never reached.
-    remap = rec.isometry.remap
+    remap = rec.remap
     assert remap[vac_plus] == -1
     for n in range(1, trunc.n_max + 1):
         assert remap[basis_index(n, ATOM_PLUS)] == basis_index(n - 1, ATOM_PLUS)
         assert remap[basis_index(n, ATOM_MINUS)] == basis_index(n, ATOM_MINUS)
-    assert rec.isometry.kernel_slots.tolist() == [vac_plus]
-    assert rec.isometry.lost_slots.tolist() == [top_plus]
-    assert rec.isometry.blocks == ()
-    r = isometry_matrix(rec.isometry, dim)
+    assert rec.kernel_slots.tolist() == [vac_plus]
+    assert rec.lost_slots.tolist() == [top_plus]
+    assert rec.blocks == ()
+    r = isometry_matrix(rec, dim)
     np.testing.assert_array_equal(r, tensor(shift_down(trunc.n_max + 1), np.diag([1, 0]))
                                   + tensor(np.eye(trunc.n_max + 1), np.diag([0, 1])))
     np.testing.assert_array_equal(
@@ -227,9 +228,10 @@ def test_rt_one_photon_spurious_bookkeeping():
     th = rt_one_photon(build_rabi(params, trunc), params, trunc)
     assert th.loss_band == 1
     assert th.provenance == ("rt_one_photon",)
-    assert len(th.spurious) == 1
-    assert th.spurious[0].label == "|0,+>"
-    np.testing.assert_array_equal(th.spurious[0].vector, np.eye(trunc.dim)[0])
+    # The spurious zero sits on the one sign-0 slot, whose row and column
+    # are exactly 0: e_0 is an exact zero eigenvector.
+    assert _kernel_labels(th) == ["|0,+>"]
+    assert not th.operator[0].any() and not th.operator[:, 0].any()
 
 
 def test_rt_one_photon_parity_still_commutes():
@@ -269,7 +271,6 @@ def test_rt_two_photon_needs_chain_metadata():
         operator=np.eye(4, dtype=complex),
         levels=np.ones(4),
         parity=None,
-        spurious=(),
         provenance=(),
         loss_band=0,
     )
@@ -283,17 +284,18 @@ def test_rt_two_photon_bookkeeping():
     th2 = rabi_rt2_chain(params, trunc)
     assert th2.provenance == ("rt_one_photon", "rt_two_photon")
     assert th2.loss_band == 3
-    assert [sp.label for sp in th2.spurious] == ["|0,+>", "|1,+>", "|2,+>"]
+    assert _kernel_labels(th2) == ["|0,+>", "|1,+>", "|2,+>"]
     assert len(th2.records) == 2
-    assert th2.records[1].photon_dressing == -2
-    assert th2.records[1].loss_rows == 2
+    # A two-photon shift: two kernel slots, two lost rows.
+    assert len(th2.records[1].kernel_slots) == 2
+    assert len(th2.records[1].lost_slots) == 2
 
 
 def test_build_r2_partial_isometry_identities():
     fock = 12
     dim = 2 * fock
     th2 = rabi_rt2_chain(_params(0.4), TruncationConfig(n_max=fock - 1))
-    iso = th2.records[1].isometry
+    iso = th2.records[1]
     kernel = [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
     lost = [basis_index(fock - 2, ATOM_PLUS), basis_index(fock - 1, ATOM_PLUS)]
     assert iso.kernel_slots.tolist() == kernel
@@ -359,7 +361,7 @@ def test_generic_numeric_rt_identity_when_nothing_resonates(rng):
     assert np.array_equal(th.operator, np.diag(ref) + v)
     assert np.array_equal(th.levels, ref)
     assert th.provenance == ("generic_numeric_rt",)
-    assert th.spurious == ()
+    assert th.records == ()
     assert th.loss_band == 0
 
 
@@ -399,7 +401,6 @@ def test_chain_operators_are_float64():
     )
     for th in chains:
         assert th.operator.dtype == np.float64, th.provenance
-        assert all(sp.vector.dtype == np.float64 for sp in th.spurious), th.provenance
 
 
 def test_strong_chain_is_unitary():
@@ -456,7 +457,6 @@ def test_rt_zero_field_needs_chain_metadata():
         operator=np.eye(4, dtype=complex),
         levels=np.ones(4),
         parity=None,
-        spurious=(),
         provenance=(),
         loss_band=0,
     )
@@ -472,15 +472,14 @@ def test_rt_zero_field_reference_and_records():
     th = rt_zero_field(chain)
     ns = np.arange(trunc.n_max + 1, dtype=float)
     np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
-    assert th.spurious[-1].label == "|0,->"
+    assert _kernel_labels(th) == ["|0,->"]
     assert th.loss_band == chain.loss_band + 1
-    rec = th.records[-1]
-    assert rec.kernel_labels == ("|0,->",)
+    rec, = th.records
     top_minus = basis_index(trunc.n_max, ATOM_MINUS)
     vac_minus = basis_index(0, ATOM_MINUS)
-    assert rec.isometry.kernel_slots.tolist() == [vac_minus]
-    assert rec.isometry.lost_slots.tolist() == [top_minus]
-    r = isometry_matrix(rec.isometry, dim)
+    assert rec.kernel_slots.tolist() == [vac_minus]
+    assert rec.lost_slots.tolist() == [top_minus]
+    r = isometry_matrix(rec, dim)
     np.testing.assert_array_equal(
         r @ r.conj().T, np.eye(dim) - _projector(dim, top_minus)
     )
@@ -499,7 +498,7 @@ def _step_case(step, params, trunc):
     h = build_rabi(params, trunc)
     bare = TransformedHamiltonian(
         operator=h, levels=np.real(np.diag(h)), parity=parity_signs(trunc),
-        spurious=(), provenance=(), loss_band=0, params=params, trunc=trunc,
+        provenance=(), loss_band=0, params=params, trunc=trunc,
     )
     strong = strong_chain(h, params, trunc)
     zero_field = rt_zero_field(strong)
@@ -550,11 +549,10 @@ def test_structured_step_matches_dense_conjugation(step, n_max, g):
     parity = s.conj().T @ np.diag(th_in.parity) @ s
     np.testing.assert_allclose(th_out.parity, np.real(np.diag(parity)), rtol=0, atol=1e-13)
     assert np.abs(parity - np.diag(np.diag(parity))).max() <= 1e-13
-    expect = [s.conj().T @ sp.vector for sp in th_in.spurious]
-    expect += [np.eye(trunc.dim)[k] for k in new_kernels]
-    assert len(th_out.spurious) == len(expect)
-    for sp, vec in zip(th_out.spurious, expect):
-        np.testing.assert_allclose(sp.vector, vec, rtol=0, atol=1e-13)
+    # The step's kernel slots join the sign-0 slots the input carried.
+    kernel = np.flatnonzero(th_out.parity == 0.0)
+    assert set(new_kernels) <= set(kernel.tolist())
+    assert kernel.size == np.count_nonzero(th_in.parity == 0.0) + len(new_kernels)
 
 
 def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
@@ -572,10 +570,8 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     iso = Isometry(remap, ((idx2, unitaries(2, 2)), (idx3, unitaries(1, 3))))
     s = isometry_matrix(iso, dim)
     x = make_hermitian(rng, dim)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    for x, v in ((x, v), (x.real, v.real)):  # real input takes the blocks' dtype
+    for x in (x, x.real):  # real input takes the blocks' dtype
         np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
-        np.testing.assert_allclose(iso.pull(v), s.conj().T @ v, atol=1e-14)
     # A sign vector whose gathered classes are constant on every block stays
     # diagonal; kernel columns read 0.
     gathered = rng.choice([-1.0, 1.0], size=dim)
@@ -606,7 +602,7 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
 def test_transformed_hamiltonian_rejects_misshapen_levels(field, value):
     fields = dict(
         operator=np.eye(4, dtype=complex), levels=np.zeros(4), parity=None,
-        spurious=(), provenance=(), loss_band=0,
+        provenance=(), loss_band=0,
     )
     fields[field] = value
     with pytest.raises(ValueError, match=rf"{field} must .*\b4\b"):
@@ -637,39 +633,3 @@ def test_parity_map_rejects_a_block_mixing_parity_classes():
     # Inside one class the block is harmless.
     np.testing.assert_array_equal(mixing.conjugate_parity(np.array([-1.0, -1.0, 1.0])), [-1, -1, 1])
 
-
-# ---------------------------------------------------------------- filter
-
-
-def test_spurious_filter_removes_kernel_zero():
-    values = np.array([0.0, 1.0, 2.0])
-    vectors = np.eye(3, dtype=complex)
-    kernel = SpuriousLevel(label="|0,+>", vector=vectors[:, 0])
-    cleaned, kept, removed = spurious_filter(values, (kernel,))
-    np.testing.assert_array_equal(cleaned, [1.0, 2.0])
-    assert kept.tolist() == [1, 2]
-    assert removed.tolist() == [0]
-
-
-def test_spurious_filter_disambiguates_multiple_zeros():
-    values = np.array([0.0, 1e-13, 2.0])
-    vectors = np.eye(3, dtype=complex)
-    kernel = SpuriousLevel(label="|0,->", vector=vectors[:, 1])
-    cleaned, kept, removed = spurious_filter(values, (kernel,))
-    assert removed.tolist() == [1]
-    np.testing.assert_array_equal(cleaned, [0.0, 2.0])
-
-
-def test_spurious_filter_no_spurious_is_noop():
-    values = np.array([0.5, 1.5])
-    cleaned, kept, removed = spurious_filter(values, ())
-    np.testing.assert_array_equal(cleaned, values)
-    assert removed.tolist() == []
-
-
-def test_spurious_filter_rejects_unmatched_kernel():
-    values = np.array([0.0, 5.0, 6.0])
-    vectors = np.eye(3, dtype=complex)
-    kernel = SpuriousLevel(label="|2,->", vector=vectors[:, 2])
-    with pytest.raises(ValueError, match="no zero level matches kernel"):
-        spurious_filter(values, (kernel,))
