@@ -24,7 +24,6 @@ from .averaging import (
     DegeneracyClusters,
     project_average,
     solve_cohomological,
-    classify_resonances,
     combined_projector,
 )
 from .kam import KamChain, KamStepReport, unitary_exp, kam_step, kam_iterate_full
@@ -67,7 +66,6 @@ __all__ = [
     "DegeneracyClusters",
     "project_average",
     "solve_cohomological",
-    "classify_resonances",
     "combined_projector",
     "KamChain",
     "KamStepReport",

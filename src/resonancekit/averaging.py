@@ -1,4 +1,4 @@
-"""Degeneracy-aware averaging: projector, cohomological generator, resonance flags.
+"""Degeneracy-aware averaging: clustering, projector, cohomological generator.
 
 All spectral bookkeeping happens in the eigenbasis of the reference operator
 and is rotated back; within-cluster sub-blocks are kept verbatim (diagonalizing
@@ -7,7 +7,7 @@ the effective operator is the job of the resonant transformations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "cluster_levels",
     "project_average",
     "solve_cohomological",
-    "classify_resonances",
     "combined_projector",
 ]
 
@@ -34,15 +33,12 @@ class DegeneracyClusters:
     ids[..., i] is the cluster of level i, numbered upward from 0; tol_deg
     is the gap tolerance, a number or one per stack row.  For one set of
     levels, clusters[k] holds the level indices of cluster k and means[k]
-    its mean energy; active[k] (when classified) whether the perturbation
-    couples states inside the cluster.
+    its mean energy.
     """
 
     values: np.ndarray
     ids: np.ndarray
     tol_deg: float | np.ndarray
-    active: tuple[bool, ...] | None = None
-    tol_active: float | None = None
 
     @property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
@@ -121,37 +117,6 @@ def solve_cohomological(V, decomp: EigenDecomposition, clusters: DegeneracyClust
     np.negative(w_eig, out=w_eig)
     w_eig[mask] = 0.0
     return u @ w_eig @ _adjoint(u)
-
-
-def classify_resonances(
-    V,
-    decomp: EigenDecomposition,
-    clusters: DegeneracyClusters,
-    tol_active: float | None = None,
-) -> DegeneracyClusters:
-    """Flag each cluster active/passive by its in-cluster coupling strength.
-
-    A cluster is active iff the largest off-diagonal in-cluster element
-    |<nu j|V|nu j'>| (j != j') exceeds tol_active; singletons are passive.
-    Default tol_active is 1e-10*||V|| — parity-forbidden elements vanish
-    exactly, so the threshold only guards rounding.
-    """
-    v = _mat(V)
-    u = decomp.vectors
-    v_eig = u.conj().T @ v @ u
-    if tol_active is None:
-        tol_active = 1e-10 * max(np.linalg.norm(v, 2), np.finfo(float).tiny)
-    flags: list[bool] = []
-    report: list[float] = []
-    for cluster in clusters.clusters:
-        best = 0.0
-        for a in cluster:
-            for b in cluster:
-                if a != b:
-                    best = max(best, abs(v_eig[a, b]))
-        flags.append(best > tol_active)
-        report.append(best)
-    return replace(clusters, active=tuple(flags), tol_active=float(tol_active))
 
 
 def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray:

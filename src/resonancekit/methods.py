@@ -62,7 +62,6 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "MethodLevel",
-    "closed_form_sweep",
     "chain_sweep",
     "exact_sweep",
     "grid_sweep",
@@ -95,23 +94,20 @@ _EXACT_LABELS = ((BRANCH_UNASSIGNED, PARITY_EVEN), (BRANCH_UNASSIGNED, PARITY_OD
 # fraction of omega (avoided crossings swept through by the coupling grid).
 PHYSICAL_CLUSTER_FRACTION = 1e-3
 
-# Numeric transformations after the two-photon reduction in rt_full_kam.
-NUMERIC_RT_STEPS = 3
-
 # Traced peak of a closed-form block per (coupling, slot) entry, in float64
-# values (tracemalloc at 40 levels: 4.3 to 5.6, and 9.2 for strong_rt), and
-# the bytes a block may reach at it: 112 couplings at 40 levels and g <= 1.5,
-# so a sweep's memory no longer grows with its grid.
+# values (tracemalloc at 40 levels: 4.3 to 5.6, and 9.2 for strong_rt).
 _CLOSED_FORM_PEAK = 10
-_CLOSED_FORM_BYTES = 1 << 20
 
 # Traced peak of a stack of chain operators per coupling, in (dim, dim)
 # float64 matrices (tracemalloc: at most 3.5 at 12 and 40 levels, in the
-# chain build's pair rotation and the KAM step on a parity block), and the
-# bytes a stack may reach at it: 36 couplings at 12 levels (dim 30), keeping
-# a CLI run's peak RSS where stacks of 6 had it, and 4 at 40 levels (dim 86).
+# chain build's pair rotation and the KAM step on a parity block).
 _CHAIN_PEAK = 4
-_CHAIN_BYTES = 1 << 20
+
+# Bytes a stack of couplings may reach at its peak, so that a sweep's memory
+# does not grow with its grid: 36 chain couplings at 12 levels (dim 30),
+# keeping a CLI run's peak RSS where stacks of 6 had it, 4 at 40 levels
+# (dim 86), and 112 to 131 closed-form couplings at 40 levels and g <= 1.5.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,29 +134,55 @@ def _closed_form_count(g: float, omega: float, n_levels: int) -> int:
     return n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
 
 
-def closed_form_sweep(
-    method: str, omega: float, omega0: float, grid, n_levels: int
-) -> MethodSweep:
-    """The lowest ``n_levels`` physical levels of a closed form at every
-    coupling of ``grid``, from one array evaluation per block of couplings.
+def _run_stacks(cost: dict, solve, errors: list) -> None:
+    """Run ``solve`` on stacks of the couplings of ``cost``, in grid order,
+    recording each coupling's exception in ``errors``.
 
-    A coupling whose photon range holds too few levels, that the table
-    cannot represent (g / omega out of range), or whose levels are not all
-    finite records its error; an error that holds for the whole grid (off
-    one-photon resonance) is raised.
+    ``cost[i]`` is coupling i's peak bytes; a stack holds as many couplings
+    as fit ``_STACK_BYTES`` at its own largest cost.  ``solve(stack)``
+    returns the errors of its rows, or raises :class:`CouplingErrors`:
+    those rows leave the stack, and the rest of it runs again.  Any other
+    exception of a stack (a table too large to allocate, an invalid
+    coupling, one LAPACK call that fails for all of it) sends each of its
+    couplings through ``solve`` alone, so it is recorded only where raised.
     """
-    if method not in CLOSED_FORM_METHODS:
-        raise ValueError(f"{method!r} is not a closed form")
-    return _table_sweep(method, method, omega, omega0, grid, n_levels)
+    stacks, peak = [], 0
+    for i, size in cost.items():
+        peak = max(peak, size)
+        if not stacks or (len(stacks[-1]) + 1) * peak > _STACK_BYTES:
+            stacks.append([])
+            peak = size
+        stacks[-1].append(i)
+    pending = stacks[::-1]
+    while pending:
+        stack = pending.pop()
+        try:
+            failed = solve(stack)
+        except CouplingErrors as exc:
+            failed = exc.errors
+            if len(failed) < len(stack):
+                pending.append([i for row, i in enumerate(stack) if row not in failed])
+        except Exception as exc:
+            if len(stack) > 1:
+                pending.extend([i] for i in reversed(stack))
+                continue
+            failed = {0: exc}
+        for row, exc in failed.items():
+            errors[stack[row]] = exc
 
 
 def _table_sweep(
     method: str, form: str, omega: float, omega0: float, grid, n_levels: int,
     n_max: int | None = None,
 ) -> MethodSweep:
-    """``method``'s levels read off the closed form ``form``.  With ``n_max``
-    (rt1 on the jc ladder) only photon numbers up to ``n_max - 1`` count and
-    every branch is unassigned."""
+    """``method``'s levels read off the closed form ``form``, from one table
+    evaluation per stack of couplings.  With ``n_max`` (rt1 on the jc
+    ladder) only photon numbers up to ``n_max - 1`` count and every branch
+    is unassigned.  A coupling whose photon range holds too few levels, that
+    the table cannot represent (g / omega out of range), or whose levels are
+    not all finite records its error; an error of the whole grid (off
+    one-photon resonance) is raised.
+    """
     grid = np.asarray(grid, dtype=float)
     closed_form_table(form, omega, omega0, grid[:0], 0)  # raises what fails the whole grid
     top = math.inf if n_max is None else n_max - 1
@@ -171,28 +193,15 @@ def _table_sweep(
             counts[i] = min(_closed_form_count(g, omega, n_levels), top)
         except (OverflowError, ValueError) as exc:  # g / omega beyond float range, or NaN
             errors[i] = exc
-    # at most 2 * (count + 1) slots per coupling
-    slots = 2 * max(counts.values(), default=0) + 2
-    rows = max(1, _CLOSED_FORM_BYTES // (_CLOSED_FORM_PEAK * 8 * slots))
-    live = list(counts)
-    pending = [live[lo:lo + rows] for lo in range(0, len(live), rows)][::-1]
     energies = np.full((grid.size, n_levels), np.inf)
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     labels: dict[tuple[str, str], int] = {}
     too_few = "are available" if n_max is None else (
         f"survive the guard band (loss_band=1, n_max={n_max})"
     )
-    while pending:
-        block = pending.pop()
-        try:
-            count = max(counts[i] for i in block)
-            table = closed_form_table(form, omega, omega0, grid[block], count)
-        except Exception as exc:  # a table too large to allocate: each coupling alone
-            if len(block) > 1:
-                pending.extend([i] for i in reversed(block))
-            else:
-                errors[block[0]] = exc
-            continue
+
+    def solve(block):
+        table = closed_form_table(form, omega, omega0, grid[block], max(counts[i] for i in block))
         usable = ~table.spurious & (table.n <= np.array([counts[i] for i in block])[:, None])
         values = np.where(usable, table.energies, np.inf)
         # (energy, n) order, ties kept in slot order
@@ -203,13 +212,17 @@ def _table_sweep(
         picked = np.take_along_axis(values, order, axis=1)
         energies[block, :order.shape[1]] = picked
         codes[block, :order.shape[1]] = slot_codes[order]
-        finite = np.isfinite(picked).all(axis=1).tolist()
-        for i, available, ok in zip(block, usable.sum(axis=1).tolist(), finite):
-            if available < n_levels:
-                errors[i] = ValueError(
-                    f"requested {n_levels} levels but only {available} {too_few}")
-            elif not ok:  # e.g. omega * omega underflowing to 0 in the table
-                errors[i] = ArithmeticError("closed form gives a non-finite energy")
+        available, finite = usable.sum(axis=1), np.isfinite(picked).all(axis=1)
+        return {
+            row: ValueError(f"requested {n_levels} levels but only {available[row]} {too_few}")
+            if available[row] < n_levels  # else non-finite: omega * omega may underflow to 0
+            else ArithmeticError("closed form gives a non-finite energy")
+            for row in np.flatnonzero((available < n_levels) | ~finite).tolist()
+        }
+
+    # at most 2 * (count + 1) slots per coupling
+    cost = {i: _CLOSED_FORM_PEAK * 8 * (2 * count + 2) for i, count in counts.items()}
+    _run_stacks(cost, solve, errors)
     return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
 
 
@@ -230,13 +243,10 @@ def rabi_rt2_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
 
 
 def rt2_iterated_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
-    """One-photon + two-photon reductions followed by NUMERIC_RT_STEPS
-    numeric transformations of the residual near-degeneracies."""
-    th = rabi_rt2_chain(params, trunc)
+    """One-photon + two-photon reductions followed by one numeric
+    transformation of the residual near-degeneracies."""
     tol = PHYSICAL_CLUSTER_FRACTION * _couplings(params)[0].omega
-    for _ in range(NUMERIC_RT_STEPS):
-        th = generic_numeric_rt(th, tol_deg=tol)
-    return th
+    return generic_numeric_rt(rabi_rt2_chain(params, trunc), tol_deg=tol)
 
 
 def exact_sweep(
@@ -274,12 +284,11 @@ def grid_sweep(
     with the exception each coupling raises on its own recorded in its slot.
 
     The exact oracle is one stacked solve (:func:`exact_sweep`), the closed
-    forms and rt1 one table evaluation (:func:`closed_form_sweep`, rt1 from
-    the jc table), and the contact-iteration chains one stack of chain
-    operators per run of couplings that fits their byte budget
-    (:func:`chain_sweep`).  An error that
-    holds for the whole grid (an unknown method, ``n_levels < 1``, a closed
-    form off one-photon resonance) is raised.
+    forms and rt1 (from the jc table) one table evaluation per stack of
+    couplings that fits the byte budget, and the contact-iteration chains
+    one stack of chain operators per such stack (:func:`chain_sweep`).  An
+    error that holds for the whole grid (an unknown method,
+    ``n_levels < 1``, a closed form off one-photon resonance) is raised.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
@@ -288,7 +297,7 @@ def grid_sweep(
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
     if method in CLOSED_FORM_METHODS:
-        return closed_form_sweep(method, omega, omega0, grid, n_levels)
+        return _table_sweep(method, method, omega, omega0, grid, n_levels)
     if method == "rt1":
         return _table_sweep("rt1", "jc", omega, omega0, grid, n_levels, trunc.n_max)
     return chain_sweep(method, omega, omega0, grid, n_levels)
@@ -301,14 +310,9 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     """The lowest ``n_levels`` levels of a contact-iteration chain (rt1_kam
     or rt_full_kam) at every coupling of ``grid``.
 
-    Each run of as many couplings as ``_CHAIN_BYTES`` holds at
-    ``_CHAIN_PEAK`` matrices per coupling is one stack of chain operators,
-    reduced and refined by one array program.  A coupling that fails a check
-    records that exception and leaves the stack, and the rest of the run is
-    computed again; no coupling's values depend on the stack it is in.  Any
-    other exception of a stack (an invalid coupling, or one LAPACK call
-    that fails for all of it) sends each of its couplings through the chain
-    on its own, so that it is recorded only where it is raised.
+    Each stack of couplings (:func:`_run_stacks`, at ``_CHAIN_PEAK``
+    matrices per coupling) is one stack of chain operators, reduced and
+    refined by one array program; no coupling's values depend on its stack.
     """
     grid = np.asarray(grid, dtype=float)
     trunc = kam_truncation(n_levels)
@@ -316,25 +320,14 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     codes = np.zeros((grid.size, n_levels), dtype=np.intp)
     errors: list = [None] * grid.size
     build = _CHAINS[method]
-    step = max(1, _CHAIN_BYTES // (_CHAIN_PEAK * 8 * trunc.dim**2))
-    pending = [list(range(lo, min(lo + step, grid.size))) for lo in range(0, grid.size, step)]
-    while pending:
-        live = pending.pop()
-        try:
-            params = tuple(ModelParams(omega, omega0, g) for g in grid[live].tolist())
-            # no reference to the chain is kept here, so _kam_levels frees its operator
-            energies[live], codes[live], failed = _kam_levels(build(params, trunc), omega, n_levels)
-        except CouplingErrors as exc:
-            failed = exc.errors
-            if len(failed) < len(live):
-                pending.append([i for row, i in enumerate(live) if row not in failed])
-        except Exception as exc:
-            if len(live) > 1:
-                pending.extend([i] for i in live)
-                continue
-            failed = {0: exc}
-        for row, exc in failed.items():
-            errors[live[row]] = exc
+
+    def solve(stack):
+        params = tuple(ModelParams(omega, omega0, g) for g in grid[stack].tolist())
+        # no reference to the chain is kept here, so _kam_levels frees its operator
+        energies[stack], codes[stack], short = _kam_levels(build(params, trunc), omega, n_levels)
+        return short
+
+    _run_stacks(dict.fromkeys(range(grid.size), _CHAIN_PEAK * 8 * trunc.dim**2), solve, errors)
     return MethodSweep(method, energies, _EXACT_LABELS, codes, tuple(errors))
 
 

@@ -26,7 +26,6 @@ __all__ = [
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
-PARITY_UNCLASSIFIED = "unclassified"
 
 # Hermiticity bound of eigh's input, as a fraction of max(max|A|, 1).
 _HERM_RTOL = 1e-14

@@ -5,7 +5,6 @@ import pytest
 
 from resonancekit.averaging import (
     DegeneracyClusters,
-    classify_resonances,
     cluster_levels,
     combined_projector,
     project_average,
@@ -168,36 +167,6 @@ def test_solve_cohomological_rejects_inconsistent_clustering():
     v = np.ones((3, 3), dtype=complex)
     with pytest.raises(ValueError, match="clustering inconsistency"):
         solve_cohomological(v, decomp, bad)
-
-
-# ---------------------------------------------------------------- resonances
-
-
-def test_classify_resonances_flags_coupled_clusters():
-    decomp = _diag_decomp([0.0, 0.0, 1.0])
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
-    assert clusters.clusters == ((0, 1), (2,))
-    v = np.array(
-        [[0.0, 0.5, 0.1], [0.5, 0.0, 0.0], [0.1, 0.0, 0.3]], dtype=complex
-    )
-    flagged = classify_resonances(v, decomp, clusters)
-    assert flagged.active == (True, False)  # singletons are always passive
-    assert flagged.tol_active > 0.0
-
-
-def test_classify_resonances_zero_coupling_is_passive():
-    decomp = _diag_decomp([0.0, 0.0, 1.0, 1.0])
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
-    flagged = classify_resonances(np.zeros((4, 4)), decomp, clusters)
-    assert flagged.active == (False, False)
-
-
-def test_classify_resonances_honors_explicit_threshold():
-    decomp = _diag_decomp([0.0, 0.0])
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
-    v = np.array([[0.0, 1e-3], [1e-3, 0.0]], dtype=complex)
-    assert classify_resonances(v, decomp, clusters).active == (True,)
-    assert classify_resonances(v, decomp, clusters, tol_active=1e-2).active == (False,)
 
 
 # ---------------------------------------------------------------- effective

@@ -18,7 +18,7 @@ from resonancekit.closedform import (
     resonance_loci,
     second_order_locus,
 )
-from resonancekit.methods import closed_form_sweep, compute_levels
+from resonancekit.methods import compute_levels, grid_sweep
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import eigh
 
@@ -262,7 +262,7 @@ def test_closed_form_table_equals_scalar_formulas(method, omega0):
 @pytest.mark.parametrize("method,omega0", _CASES)
 def test_closed_form_sweep_equals_per_point_path(method, omega0):
     n_levels = 12
-    swept = closed_form_sweep(method, 1.0, omega0, _GRID, n_levels)
+    swept = grid_sweep(method, 1.0, omega0, _GRID, TruncationConfig(n_max=20), n_levels)
     assert len(swept.errors) == len(_GRID)
     for i, g in enumerate(_GRID):
         levels = swept.point(i)

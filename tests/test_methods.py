@@ -13,7 +13,6 @@ from resonancekit.kam import kam_iterate_full
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
-    closed_form_sweep,
     compute_levels,
     grid_sweep,
     kam_truncation,
@@ -103,9 +102,10 @@ def test_requesting_too_many_levels_fails_loudly():
 
 def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
     grid = np.linspace(0.0, 3.0, 31)
-    whole = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
-    monkeypatch.setattr(methods, "_CLOSED_FORM_BYTES", 16000)  # two couplings per block
-    blocked = closed_form_sweep("strong_rt", 1.0, 0.37, grid, 10)
+    trunc = TruncationConfig(n_max=60)
+    whole = grid_sweep("strong_rt", 1.0, 0.37, grid, trunc, 10)
+    monkeypatch.setattr(methods, "_STACK_BYTES", 16000)  # two to five couplings per block
+    blocked = grid_sweep("strong_rt", 1.0, 0.37, grid, trunc, 10)
     assert [blocked.point(i) for i in range(grid.size)] == [
         whole.point(i) for i in range(grid.size)
     ]
@@ -116,7 +116,7 @@ def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch)
     monkeypatch.setattr(
         methods, "_closed_form_count", lambda g, omega, n_levels: 2 if g > 1.0 else n_levels
     )
-    swept = closed_form_sweep("jc", 1.0, 1.0, [0.5, 1.5], 8)
+    swept = grid_sweep("jc", 1.0, 1.0, [0.5, 1.5], TruncationConfig(n_max=12), 8)
     assert len(swept.point(0)) == 8
     assert isinstance(swept.point(1), ValueError)
     assert str(swept.point(1)) == "requested 8 levels but only 5 are available"
@@ -150,6 +150,32 @@ def test_a_coupling_the_closed_form_table_cannot_hold_fails_alone(method, case):
     ]
 
 
+def test_a_huge_coupling_leaves_the_other_closed_form_blocks_as_they_are(monkeypatch):
+    # g = 1e150 asks for about 1e300 photon levels; sizing every block by it
+    # once made each block one coupling.
+    blocks = []
+    table = methods.closed_form_table
+
+    def recorded(form, omega, omega0, grid, count):
+        if len(grid):  # not the whole-grid check on an empty grid
+            blocks.append((np.asarray(grid).tolist(), count))
+        return table(form, omega, omega0, grid, count)
+
+    monkeypatch.setattr(methods, "closed_form_table", recorded)
+    finite = np.linspace(0.0, 1.5, 1001)
+    runs = []
+    for grid in (finite, np.append(finite, 1e150)):
+        blocks.clear()
+        swept = grid_sweep("jc", 1.0, 1.0, grid, TruncationConfig(n_max=60), 40)
+        runs.append((list(blocks), [i for i, exc in enumerate(swept.errors) if exc is not None]))
+    (clean, clean_failed), (huge, huge_failed) = runs
+    assert huge[:-1] == clean and huge[-1][0] == [1e150]
+    assert clean_failed == [] and huge_failed == [1001]
+    for grid, count in huge:
+        if len(grid) > 1:
+            assert len(grid) * methods._CLOSED_FORM_PEAK * 8 * (2 * count + 2) <= methods._STACK_BYTES
+
+
 def test_a_non_finite_closed_form_energy_fails_its_coupling():
     # At omega = 1e-300, strong_rt's omega * omega underflows to 0, so its
     # g = 0 energies are 0 / 0.
@@ -164,11 +190,6 @@ def test_off_resonance_still_fails_the_whole_closed_form_grid():
     for method in ("jc", "rt2", "rt1"):
         with pytest.raises(ValueError, match="require omega0 = omega"):
             grid_sweep(method, 1.0, 0.5, [0.0, 1e150], TruncationConfig(n_max=60), 4)
-
-
-def test_closed_form_sweep_rejects_matrix_methods():
-    with pytest.raises(ValueError, match="not a closed form"):
-        closed_form_sweep("rt1", 1.0, 1.0, [0.1], 4)
 
 
 @pytest.mark.parametrize("method", METHOD_ORDER)
@@ -481,7 +502,7 @@ def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
         return step(H0, V, *args, **kwargs)
 
     monkeypatch.setattr(methods, "kam_iterate_full", recorded)
-    monkeypatch.setattr(methods, "_CHAIN_BYTES", 1 << 40)  # one stack: one call per block
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)  # one stack: one call per block
     swept = grid_sweep("rt_full_kam", 1.0, 1.0, np.linspace(0.0, 1.5, 31), trunc, 12)
     assert swept.ok.all()
     assert sorted(sizes) == sorted(blocks) and max(blocks) < trunc.dim
@@ -526,7 +547,7 @@ def test_a_coupling_does_not_depend_on_its_stack(monkeypatch, method):
     trunc = TruncationConfig(n_max=120)
     blocked = grid_sweep(method, 1.0, 1.0, grid, trunc, 12)
     assert blocked.ok.all()
-    monkeypatch.setattr(methods, "_CHAIN_BYTES", 1 << 40)  # the whole grid in one stack
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)  # the whole grid in one stack
     whole = grid_sweep(method, 1.0, 1.0, grid, trunc, 12)
     assert [_point_text(whole.point(i)) for i in range(grid.size)] == [
         _point_text(blocked.point(i)) for i in range(grid.size)
@@ -539,7 +560,7 @@ def test_a_coupling_does_not_depend_on_its_stack(monkeypatch, method):
 def test_a_chain_stack_is_solved_per_stack_not_per_coupling(monkeypatch):
     # An rt_full_kam sweep of 80 couplings in one stack makes as many
     # eigensolver calls as one of 8: no step loops over the couplings.
-    monkeypatch.setattr(methods, "_CHAIN_BYTES", 1 << 40)
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)
     calls = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)
@@ -577,7 +598,7 @@ def test_a_chain_stack_peaks_within_the_stated_matrices_per_coupling(
 ):
     # One stack of the whole grid, g from 0 (dim 30 and dim 86): each coupling
     # adds less than _CHAIN_PEAK (dim, dim) float64 matrices to the traced peak.
-    monkeypatch.setattr(methods, "_CHAIN_BYTES", 1 << 40)
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)
     dim = kam_truncation(n_levels).dim
     small, large = (_traced_peak(method, np.linspace(0.0, 0.3, size), n_levels) for size in sizes)
     per_coupling = (large - small) / (sizes[1] - sizes[0]) / (8 * dim**2)
