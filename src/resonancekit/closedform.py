@@ -220,7 +220,7 @@ def _strong_rt_table(w, w0, g, n_levels) -> ClosedFormTable:
     the doubly degenerate ladder {n w, n w} (at resonance), exact because the
     zero-field resonance has been treated non-perturbatively.
     """
-    x = 4.0 * g * g / (w * w)
+    x = (2.0 * g / w) ** 2  # not 4g^2 / (w*w): w*w underflows for w below 1e-154
     damp = _libm(math.exp, -0.5 * x)
     lag = laguerre_table(n_levels, np.array([[0], [1]]), x)
     l0, l1 = lag[:, 0].T, lag[:, 1].T

@@ -9,10 +9,10 @@ the parity block it was solved in; closed forms carry analytic labels.  No
 method emits guard-band levels.
 
 Every method answers a whole coupling grid as one array program
-(:func:`grid_sweep`): the closed forms and rt1 from one table evaluation,
-the exact oracle from one stacked solve, and the contact-iteration chains
-from stacks of chain operators sized by a byte budget.  A coupling that
-fails records its own exception; the others go on.
+(:func:`grid_sweep`): the closed forms and rt1 from table evaluations, the
+exact oracle from boxes of its parity blocks, and the contact-iteration
+chains from stacks of chain operators, every stack sized by a byte budget.
+A coupling that fails records its own exception; the others go on.
 
 Truncation policy: no matrix chain runs at the caller's truncation.  The
 caller's ``n_max`` bounds the exact oracle's box and rt1's photon range:
@@ -46,6 +46,7 @@ from .spectrum import (
     PARITY_ODD,
     CouplingErrors,
     MethodSweep,
+    _boxes,
     check_rows,
     exact_spectra,
 )
@@ -102,6 +103,9 @@ _CLOSED_FORM_PEAK = 10
 # float64 matrices (tracemalloc: at most 3.5 at 12 and 40 levels, in the
 # chain build's pair rotation and the KAM step on a parity block).
 _CHAIN_PEAK = 4
+
+# Traced peak of the exact oracle per coupling, in its blocks' leading boxes (1.0 to 1.5).
+_EXACT_PEAK = 2
 
 # Bytes a stack of couplings may reach at its peak, so that a sweep's memory
 # does not grow with its grid: 36 chain couplings at 12 levels (dim 30),
@@ -252,11 +256,11 @@ def rt2_iterated_chain(params, trunc: TruncationConfig) -> TransformedHamiltonia
 def exact_sweep(
     omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
 ) -> MethodSweep:
-    """The lowest ``n_levels`` exact levels at every coupling of ``grid``,
-    from one stacked solve of the parity blocks (:func:`spectrum.exact_spectra`).
+    """The lowest ``n_levels`` exact levels at every coupling of ``grid``:
+    :func:`spectrum.exact_spectra` on each stack of :func:`_run_stacks`.
 
     A coupling records a ValueError where more levels are asked for than
-    the guard band validates there.
+    the guard band validates there, or its certificate's ArithmeticError.
     """
     grid = np.asarray(grid, dtype=float)
     errors = []
@@ -270,10 +274,14 @@ def exact_sweep(
         )
     energies = np.full((grid.size, n_levels), np.nan)
     odd = np.zeros((grid.size, n_levels), dtype=np.intp)
-    solved = np.array([exc is None for exc in errors], dtype=bool)
-    if solved.any():
-        values, is_odd = exact_spectra(omega, omega0, grid[solved], trunc.n_max)
-        energies[solved], odd[solved] = values[:, :n_levels], is_odd[:, :n_levels]
+    solved = [i for i, exc in enumerate(errors) if exc is None]
+    boxes, _ = _boxes(omega, omega0, grid[solved], trunc.n_max, n_levels)
+
+    def solve(stack):
+        energies[stack], odd[stack] = exact_spectra(omega, omega0, grid[stack], trunc.n_max, n_levels)
+        return {}
+
+    _run_stacks({i: _EXACT_PEAK * 16 * box * box for i, box in zip(solved, boxes)}, solve, errors)
     return MethodSweep("exact", energies, _EXACT_LABELS, odd, tuple(errors))
 
 
@@ -283,10 +291,10 @@ def grid_sweep(
     """Any registered method over the whole ``grid``, as one array program,
     with the exception each coupling raises on its own recorded in its slot.
 
-    The exact oracle is one stacked solve (:func:`exact_sweep`), the closed
-    forms and rt1 (from the jc table) one table evaluation per stack of
-    couplings that fits the byte budget, and the contact-iteration chains
-    one stack of chain operators per such stack (:func:`chain_sweep`).  An
+    Per stack of couplings that fits the byte budget, the exact oracle is
+    one call of :func:`spectrum.exact_spectra` (:func:`exact_sweep`), the
+    closed forms and rt1 (from the jc table) one table evaluation, and the
+    contact-iteration chains one stack of chain operators (:func:`chain_sweep`).  An
     error that holds for the whole grid (an unknown method,
     ``n_levels < 1``, a closed form off one-photon resonance) is raised.
     """

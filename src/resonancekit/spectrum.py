@@ -1,10 +1,10 @@
-"""Exact oracle from the two parity blocks of H, solved once per g grid as
-stacked eigenvalue problems and certified by a Sturm count; the checked
-dense Hermitian eigensolver the matrix chains use, on one matrix or a stack
-of them; the records of a coupling sweep.  A sweep is held as arrays, one
-:class:`MethodSweep` per method on the table's g grid, and its CSV is
-written from them.  Sweeps themselves, the exact oracle's included, run
-through ``sweep.run_sweep``, which enforces the guard band."""
+"""Exact oracle from boxes of the two parity blocks of H, solved as stacked
+eigenvalue problems and certified by a Sturm count on the whole blocks; the
+checked dense Hermitian eigensolver the matrix chains use, on one matrix or
+a stack of them; the records of a coupling sweep.  A sweep is held as
+arrays, one :class:`MethodSweep` per method on the table's g grid, and its
+CSV is written from them.  Sweeps themselves, the exact oracle's included,
+run through ``sweep.run_sweep``, which enforces the guard band."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelParams, TruncationConfig, _adjoint, _mat, build_parity_blocks
+from .operators import (
+    ModelParams, TruncationConfig, _adjoint, _mat, build_parity_blocks, displacement_band
+)
 
 __all__ = [
     "CouplingErrors",
@@ -34,9 +36,8 @@ _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-12
 # Width of a degenerate group, as a fraction of max(1, max|E|).
 _DEGENERACY_RTOL = 1e-8
-# Matrix entries per stacked parity-block solve; bounds the oracle's memory
-# on long g grids.
-_EXACT_BLOCK = 1 << 18
+# Accuracy the exact oracle's levels are certified to, per max(|E|, omega).
+_CERTIFY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,63 +209,69 @@ def _sturm_count(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarra
     return count
 
 
-def _certify(values: np.ndarray, diag: np.ndarray, off2: np.ndarray, grid) -> None:
-    """Raise ArithmeticError unless, in every block, the k-th eigenvalue lies
-    within delta = 1e-10*max|lambda| of ``values[..., k]``: the Sturm count
-    below values[k] - delta must be at most k and below values[k] + delta
-    above k."""
-    delta = _RESIDUAL_RTOL * np.abs(values).max(axis=-1, keepdims=True)
-    counts = _sturm_count(diag, off2, np.concatenate([values - delta, values + delta], -1))
-    rank = np.arange(values.shape[-1])
-    below, upto = np.split(counts, 2, axis=-1)
-    bad = (below > rank) | (upto <= rank)
-    if bad.any():
-        block, i, k = np.argwhere(bad)[0]
-        raise ArithmeticError(
-            f"Sturm count does not certify eigenvalue {k} of the "
-            f"{(PARITY_EVEN, PARITY_ODD)[block]} block at g = {float(grid[i])!r} "
-            f"to {delta[block, i, 0]:.3e}"
-        )
+def _boxes(omega: float, omega0: float, grid, n_max: int, n_levels: int) -> list[list[int]]:
+    """Rows of the leading and the trailing box each parity block of each
+    coupling is first solved on: n_levels + 1 + its displacement band, and
+    that band, at most n_max + 1."""
+    bands = [displacement_band(ModelParams(omega, omega0, g)) for g in grid.tolist()]
+    return [[min(n_max + 1, extra + band) for band in bands] for extra in (n_levels + 1, 0)]
 
 
 def exact_spectra(
-    omega: float, omega0: float, grid, n_max: int
+    omega: float, omega0: float, grid, n_max: int, n_levels: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenvalue of the truncated Hamiltonian at each coupling of
-    ``grid``, from the two parity blocks.
-
-    Returns ``(values, odd)``, both of shape (len(grid), 2*(n_max+1)): row i
-    holds coupling i's eigenvalues ascending and whether each one belongs
-    to the odd block.  The blocks of a run of couplings are solved as one
-    stack of eigenvalue problems, without eigenvectors, and certified by a
-    Sturm count.  Levels closer than 1e-8*max(1, max|E|) (per coupling) form
-    one degenerate group, inside which even labels come before odd ones
-    while the energies stay ascending.
+    """The lowest ``n_levels`` (default: all) eigenvalues of the truncated
+    Hamiltonian at each coupling of ``grid``, ascending, and whether each is
+    odd: two (len(grid), n_levels) arrays.  Each parity block is solved on
+    boxes of its leading and its trailing rows (:func:`_boxes`), one stack
+    per box size; a Sturm count on the whole blocks certifies the levels up
+    to rank ``n_levels`` and the top ones to 1e-12*max(|E|, omega).  A box
+    that fails doubles, up to the whole block, where it raises
+    ArithmeticError.  Levels closer than 1e-8*max(1, max|E|) form one
+    group, inside which even labels come before odd ones.
     """
     grid = np.asarray(grid, dtype=float)
-    even, odd = build_parity_blocks(ModelParams(omega, omega0, 1.0), TruncationConfig(n_max))
-    diag = np.stack([even.diag, odd.diag])[:, None, :]
-    root_n = even.off  # the off-diagonal at g = 1 is sqrt(n)
     size = n_max + 1
-    step = max(1, _EXACT_BLOCK // (2 * size * size))
-    idx = np.arange(size)
-    blocks = np.empty((2, grid.size, size))
-    for lo in range(0, grid.size, step):
-        g = grid[lo:lo + step]
-        off = g[:, None] * root_n
-        h = np.zeros((2, g.size, size, size))
-        h[..., idx, idx] = diag
-        h[..., idx[1:], idx[:-1]] = off
-        h[..., idx[:-1], idx[1:]] = off
-        values = np.linalg.eigvalsh(h)
-        off2 = np.concatenate([np.zeros((g.size, 1)), off * off], -1)
-        _certify(values, diag, off2, g)
-        blocks[:, lo:lo + step] = values
-    values = np.concatenate([blocks[0], blocks[1]], -1)
-    order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, -1)
-    is_odd = order >= size
-    tol = _DEGENERACY_RTOL * np.maximum(1.0, np.abs(values).max(axis=-1))
+    n_levels = 2 * size if n_levels is None else min(n_levels, 2 * size)
+    keep = min(size, n_levels + 1)  # each block's levels among the merged n_levels + 1
+    even, odd = build_parity_blocks(ModelParams(omega, omega0, 1.0), TruncationConfig(n_max))
+    diag, root_n = np.stack([even.diag, odd.diag]), even.off  # off-diagonal sqrt(n) at g = 1
+    off2 = np.concatenate([np.zeros((grid.size, 1)), (grid[:, None] * root_n) ** 2], -1)
+    boxes = _boxes(omega, omega0, grid, n_max, n_levels)
+    levels = np.empty((2, grid.size, keep + 1))  # each block's lowest levels, then its top
+    rank = np.append(np.arange(keep), size - 1)
+    pending = dict.fromkeys((part, i) for part in (0, 1) for i in range(grid.size))
+    while pending:
+        stacks: dict[tuple[int, int], list[int]] = {}
+        for part, i in pending:
+            stacks.setdefault((part, boxes[part][i]), []).append(i)
+        for (part, box), rows in stacks.items():
+            start, idx = part * (size - box), np.arange(box)
+            h = np.zeros((2, len(rows), box, box))
+            h[..., idx, idx] = diag[:, None, start:start + box]
+            h[..., idx[1:], idx[:-1]] = grid[rows, None] * root_n[start:start + box - 1]
+            values = np.linalg.eigvalsh(h)  # reads the lower triangle only
+            levels[:, rows, part * keep:keep + part] = values[..., -1:] if part else values[..., :keep]
+        cut = np.sort(np.concatenate(list(levels[..., :keep]), -1))[:, min(n_levels, 2 * keep - 1)]
+        delta = _CERTIFY_RTOL * np.maximum(np.abs(levels), omega)
+        counts = _sturm_count(diag[:, None], off2, np.concatenate([levels - delta, levels + delta], -1))
+        below, upto = np.split(counts, 2, axis=-1)
+        bad = ((below > rank) | (upto <= rank)) & ((levels <= cut[:, None]) | (rank == size - 1))
+        pending = {}
+        for block, i, k in np.argwhere(bad).tolist():
+            if boxes[k // keep][i] == size:
+                raise ArithmeticError(
+                    f"Sturm count does not certify eigenvalue {rank[k]} of the "
+                    f"{(PARITY_EVEN, PARITY_ODD)[block]} block at g = {float(grid[i])!r} "
+                    f"to {delta[block, i, k]:.3e}"
+                )
+            pending[k // keep, i] = None
+        for part, i in pending:
+            boxes[part][i] = min(size, 2 * boxes[part][i])
+    merged = np.concatenate(list(levels[..., :keep]), -1)
+    order = np.argsort(merged, axis=-1, kind="stable")
+    values, is_odd = np.take_along_axis(merged, order, -1), order >= keep
+    tol = _DEGENERACY_RTOL * np.maximum(1.0, np.abs(levels[..., [0, -1]]).max(axis=(0, 2)))
     groups = _gap_ids(values, tol[:, None])
     is_odd = np.take_along_axis(is_odd, np.lexsort((is_odd, groups), axis=-1), -1)
-    return values, is_odd
+    return values[:, :n_levels], is_odd[:, :n_levels]

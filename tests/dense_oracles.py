@@ -9,7 +9,9 @@ compare the index-remap implementation with the textbook one.  The
 commutator-series conjugation plays the same role for ``resonancekit.kam``,
 which conjugates by an exactly unitary exp(W).  The dense solve of one
 parity block is the eigenvector-carrying counterpart of the exact oracle,
-which solves the blocks for eigenvalues only.  The matrix paths behind
+which solves the blocks for eigenvalues only, and the dense solve of every
+whole block is the full-spectrum oracle the exact oracle's boxes are checked
+against.  The matrix paths behind
 strong_avg and strong_rt are the matrix side of the closed forms'
 acceptance check, and reading levels off a chain slot by slot is the matrix
 side of rt1 and of jc.  The rotating-wave Hamiltonian is the dense model the
@@ -35,6 +37,7 @@ from resonancekit.operators import (
     TruncationConfig,
     _mat,
     basis_index,
+    build_parity_blocks,
     build_rabi,
     parity_signs,
 )
@@ -69,6 +72,28 @@ def exact_spectrum(
     coupling ``params.g``."""
     values, odd = exact_spectra(params.omega, params.omega0, [params.g], trunc.n_max)
     return values[0], tuple(PARITY_ODD if o else PARITY_EVEN for o in odd[0].tolist())
+
+
+def dense_exact_spectra(
+    omega: float, omega0: float, grid, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of the truncated Hamiltonian at each coupling of
+    ``grid``, as :func:`resonancekit.spectrum.exact_spectra` returns them,
+    from a plain dense solve of each whole parity block: (values, odd), both
+    (len(grid), 2*(n_max+1)), values ascending and, inside each group of
+    levels closer than 1e-8*max(1, max|E|), even labels before odd ones."""
+    rows = []
+    for g in np.asarray(grid, dtype=float).tolist():
+        blocks = build_parity_blocks(ModelParams(omega, omega0, g), TruncationConfig(n_max))
+        values = np.concatenate([np.linalg.eigvalsh(
+            np.diag(b.diag) + np.diag(b.off, 1) + np.diag(b.off, -1)) for b in blocks])
+        odd = np.repeat([False, True], n_max + 1)
+        order = np.argsort(values, kind="stable")
+        values, odd = values[order], odd[order]
+        tol = 1e-8 * max(1.0, np.abs(values).max())
+        groups = np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
+        rows.append((values, odd[np.lexsort((odd, groups))]))
+    return np.array([v for v, _ in rows]), np.array([o for _, o in rows])
 
 
 def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:

@@ -60,6 +60,21 @@ def test_sweep_failed_points_exit_1(tmp_path, capsys):
     assert {r.method for r in table_rows(table)} == {"exact"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_strong_rt_computes_zero_coupling_at_a_tiny_omega(tmp_path, capsys):
+    # (2g/omega)^2 stays finite where omega*omega underflows to 0; every
+    # g > 0 of the default grid is out of the table's range at this omega.
+    out = tmp_path / "tiny.csv"
+    rc = main(["sweep", "--omega", "1e-300", "--omega0", "1e-300",
+               "--methods", "strong_rt", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "g=0 " not in captured.err and "RuntimeWarning" not in captured.err
+    rows = table_rows(csv_to_table(out.read_text(encoding="utf-8")))
+    assert [r.g for r in rows] == [0.0] * 12
+    assert rows[0].energy == 0.0 and rows[-1].energy == 6e-300
+
+
 def test_invalid_grid_exits_2(tmp_path, capsys):
     rc = main(["sweep", "--g-steps", "0", "--out", str(tmp_path / "x.csv")])
     captured = capsys.readouterr()

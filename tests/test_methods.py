@@ -177,13 +177,14 @@ def test_a_huge_coupling_leaves_the_other_closed_form_blocks_as_they_are(monkeyp
 
 
 def test_a_non_finite_closed_form_energy_fails_its_coupling():
-    # At omega = 1e-300, strong_rt's omega * omega underflows to 0, so its
-    # g = 0 energies are 0 / 0.
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        swept = grid_sweep("strong_rt", 1e-300, 1e-300, [0.0], TruncationConfig(n_max=60), 2)
+    # At omega = omega0 = g = 1e300, strong_rt's g * g overflows, so its
+    # energies are not finite.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        swept = grid_sweep("strong_rt", 1e300, 1e300, [1e300], TruncationConfig(n_max=60), 2)
     assert _point_text(swept.point(0)) == (
         "ArithmeticError: closed form gives a non-finite energy")
-    assert grid_sweep("strong_rt", 1.0, 1.0, [0.0], TruncationConfig(n_max=60), 2).ok.all()
+    for omega in (1.0, 1e-300):  # (2g / omega)^2 is 0 at g = 0 however small omega is
+        assert grid_sweep("strong_rt", omega, omega, [0.0], TruncationConfig(n_max=60), 2).ok.all()
 
 
 def test_off_resonance_still_fails_the_whole_closed_form_grid():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from resonancekit import spectrum
+from resonancekit.methods import grid_sweep
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
@@ -22,7 +23,13 @@ from resonancekit.spectrum import (
 )
 from resonancekit.sweep import SweepConfig, run_sweep
 
-from dense_oracles import build_parity, eigh_block, exact_spectrum, validate_truncation
+from dense_oracles import (
+    build_parity,
+    dense_exact_spectra,
+    eigh_block,
+    exact_spectrum,
+    validate_truncation,
+)
 from row_reference import table_rows
 
 # Regression constants from an n_max=120 oracle run, cross-checked at
@@ -235,6 +242,51 @@ def test_parity_block_trace_equals_eigenvalue_sum(omega, omega0, n_max, grid):
         assert abs(row.sum() - trace) <= 1e-12 * np.abs(row).sum()
 
 
+def _assert_lowest_levels(values, odd, dense, omega):
+    """``values`` and ``odd`` are the first columns of the dense oracle's
+    levels, to 1e-12*max(|E|, omega), and of its labels, exactly."""
+    ref, ref_odd = (a[:, :values.shape[1]] for a in dense)
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), omega))
+    np.testing.assert_array_equal(odd, ref_odd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_GRID_PARAMS, n_levels=st.integers(1, 90))
+def test_lowest_levels_are_the_first_of_the_dense_oracles(omega, omega0, n_max, grid, n_levels):
+    values, odd = exact_spectra(omega, omega0, grid, n_max, n_levels)
+    assert values.shape == odd.shape == (len(grid), min(n_levels, 2 * (n_max + 1)))
+    _assert_lowest_levels(values, odd, dense_exact_spectra(omega, omega0, grid, n_max), omega)
+
+
+_BASELINE_GRIDS = {"weak": np.linspace(0.0, 0.3, 31), "wide": np.linspace(0.0, 1.5, 151)}
+
+
+@pytest.mark.parametrize("n_max", [60, 120, 240])
+@pytest.mark.parametrize("grid", _BASELINE_GRIDS.values(), ids=_BASELINE_GRIDS)
+def test_boxes_give_the_dense_oracles_lowest_levels(grid, n_max):
+    values, odd = exact_spectra(1.0, 1.0, grid, n_max, 12)
+    _assert_lowest_levels(values, odd, dense_exact_spectra(1.0, 1.0, grid, n_max), 1.0)
+
+
+def test_boxes_too_small_to_certify_grow_to_the_same_levels(monkeypatch):
+    grid = np.linspace(0.0, 1.5, 31)
+    expected = exact_spectra(1.0, 0.37, grid, 60, 12)
+    solved = []
+    solve = np.linalg.eigvalsh
+
+    def recorded(h):
+        solved.append(h.shape[-1])
+        return solve(h)
+
+    # leading boxes of the 13 rows that hold the levels kept, trailing ones of 2
+    monkeypatch.setattr(spectrum, "_boxes", lambda *args: ([13] * grid.size, [2] * grid.size))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    values, odd = exact_spectra(1.0, 0.37, grid, 60, 12)
+    assert solved[:2] == [13, 2] and {26, 52, 4, 8, 16, 32} <= set(solved)  # doubled
+    assert np.all(np.abs(values - expected[0]) <= 1e-12 * np.maximum(np.abs(expected[0]), 1.0))
+    np.testing.assert_array_equal(odd, expected[1])
+
+
 # ---------------------------------------------------------------- certificate
 
 
@@ -249,6 +301,27 @@ def test_certificate_rejects_a_shifted_level(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
     with pytest.raises(ArithmeticError, match="eigenvalue 3 of the odd block at g = 0.5"):
         exact_spectra(1.0, 1.0, [0.0, 0.25, 0.5], 20)
+
+
+def test_a_certificate_failure_fails_only_its_coupling(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 11)
+    trunc = TruncationConfig(n_max=30)
+    clean = grid_sweep("exact", 1.0, 1.0, grid, trunc, 6)
+    solve = np.linalg.eigvalsh
+
+    def shifted(h):
+        values = solve(h)
+        values[h[..., 1, 0] == 0.5, 0] += 1e-6  # the leading boxes at g = 0.5
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    tampered = grid_sweep("exact", 1.0, 1.0, grid, trunc, 6)
+    assert isinstance(tampered.errors[5], ArithmeticError)
+    assert "eigenvalue 0 of the even block at g = 0.5" in str(tampered.errors[5])
+    others = np.arange(grid.size) != 5
+    assert tampered.ok.tolist() == others.tolist()
+    np.testing.assert_array_equal(tampered.energies[others], clean.energies[others])
+    np.testing.assert_array_equal(tampered.label_index[others], clean.label_index[others])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

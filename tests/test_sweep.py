@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from resonancekit import spectrum
+from resonancekit import methods
 from resonancekit.methods import METHOD_ORDER, compute_levels
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
@@ -215,16 +215,17 @@ def test_no_sweep_starts_a_thread(monkeypatch, methods):
 @pytest.mark.parametrize(
     "n_max, n_levels, g_max, g_steps, block",
     [
-        (20, 10, 1.0, 41, 3 * 2 * 21 * 21),  # three couplings per stacked solve
-        (60, 12, 3.0, 81, spectrum._EXACT_BLOCK),  # 35 couplings per solve
+        (20, 10, 1.0, 41, 3 * 2 * 21 * 21),  # three couplings per stack
+        (60, 12, 3.0, 81, 1 << 18),  # stacks of 50 and 14 couplings
     ],
 )
 def test_exact_sweep_matches_per_point_levels_and_failures(
     monkeypatch, omega0, n_max, n_levels, g_max, g_steps, block
 ):
     # Both grids cross the coupling beyond which the guard band validates
-    # fewer than n_levels levels, and span several stacked solves.
-    monkeypatch.setattr(spectrum, "_EXACT_BLOCK", block)
+    # fewer than n_levels levels, and span several stacks; ``block`` counts
+    # the entries of both parity blocks' leading boxes a stack may hold.
+    monkeypatch.setattr(methods, "_STACK_BYTES", block * 8 * methods._EXACT_PEAK)
     config = SweepConfig(omega0=omega0, g_max=g_max, g_steps=g_steps, n_max=n_max,
                          n_levels=n_levels, methods=("exact",), output_path="")
     table = run_sweep(config, out_path="")
