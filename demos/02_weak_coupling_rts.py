@@ -22,7 +22,7 @@ TRUNC = TruncationConfig(n_max=60)
 def describe_chain(th, name):
     print(f"\n{name}:")
     print(f"  provenance     : {' -> '.join(th.provenance)}")
-    print(f"  spurious zeros : {[basis_label(k) for k in np.flatnonzero(th.parity == 0)]}")
+    print(f"  spurious zeros : {[basis_label(k) for k in np.flatnonzero(th.parity[0] == 0)]}")
     print(f"  loss band      : top {th.loss_band} photon level(s) corrupted")
     for iso in th.records:
         kernel = tuple(basis_label(k) for k in iso.kernel_slots)
@@ -46,7 +46,7 @@ def accuracy_row(g, n_levels=10):
 
 
 def main():
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.2)
+    params = (ModelParams(omega=1.0, omega0=1.0, g=0.2),)  # one coupling: a stack of one
     describe_chain(rabi_rt1_chain(params, TRUNC), "one-photon chain")
     describe_chain(rabi_rt2_chain(params, TRUNC), "one- + two-photon chain")
 

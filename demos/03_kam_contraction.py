@@ -15,23 +15,25 @@ from resonancekit.operators import ModelParams
 
 
 def run_chain(g, max_steps=3):
+    # One coupling is a stack of one: row 0 of the chain and of the result.
     params = ModelParams(omega=1.0, omega0=1.0, g=g)
-    th = rabi_rt1_chain(params, kam_truncation(10))
-    h0 = np.diag(th.levels)
+    th = rabi_rt1_chain((params,), kam_truncation(10))
+    h0 = np.diag(th.levels[0])[None]
     chain = kam_iterate_full(
         h0, th.operator - h0, max_steps=max_steps,
         tol_deg=1e-3,
     )
-    print(f"\ng = {g}  (diverged: {chain.diverged})")
+    reports, diverged = chain.reports[0], bool(chain.diverged[0])
+    print(f"\ng = {g}  (diverged: {diverged})")
     print(f"  {'step':>4} {'residual before':>16} {'residual after':>16} "
           f"{'|W|':>10} {'flag':>6}")
-    for rep in chain.reports:
+    for rep in reports:
         flag = "DIV" if rep.diverged else "ok"
         print(f"  {rep.step:>4} {rep.residual_before:>16.3e} "
               f"{rep.residual_after:>16.3e} {rep.w_norm:>10.3e} {flag:>6}")
-    if chain.reports and not chain.diverged:
-        befores = [rep.residual_before for rep in chain.reports]
-        afters = [rep.residual_after for rep in chain.reports]
+    if reports and not diverged:
+        befores = [rep.residual_before for rep in reports]
+        afters = [rep.residual_after for rep in reports]
         ratios = [a / b**2 for a, b in zip(afters, befores)]
         print("  after/before^2 per step:",
               ", ".join(f"{r:.2f}" for r in ratios),

@@ -95,8 +95,8 @@ def spectrum_regression_constants():
     banner("exact-spectrum regression constants")
     params = ModelParams(omega=1.0, omega0=1.0, g=0.5)
     for n_max in (80, 160):
-        decomp = eigh(build_rabi(params, TruncationConfig(n_max=n_max)))
-        print(f"  E0(g=0.5, n_max={n_max}) = {decomp.values[0]:.16f}")
+        decomp = eigh(build_rabi(params, TruncationConfig(n_max=n_max))[None])
+        print(f"  E0(g=0.5, n_max={n_max}) = {decomp.values[0, 0]:.16f}")
 
     params = ModelParams(omega=1.0, omega0=1.0, g=0.2)
     for n_max in (60, 120):

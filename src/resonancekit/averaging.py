@@ -27,27 +27,16 @@ DEFAULT_TOL_DEG = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class DegeneracyClusters:
-    """Partition of ascending levels into near-degenerate groups, for one
-    set of levels or for each row of a stack of them.
+    """Partition of ascending levels into near-degenerate groups, for each
+    row of a stack of them.
 
     ids[..., i] is the cluster of level i, numbered upward from 0; tol_deg
-    is the gap tolerance, a number or one per stack row.  For one set of
-    levels, clusters[k] holds the level indices of cluster k and means[k]
-    its mean energy.
+    is the gap tolerance, a number or one per stack row.
     """
 
     values: np.ndarray
     ids: np.ndarray
     tol_deg: float | np.ndarray
-
-    @property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        bounds = np.flatnonzero(np.diff(self.ids, append=-1)) + 1
-        return tuple(tuple(range(lo, hi)) for lo, hi in zip([0, *bounds[:-1]], bounds))
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return tuple(np.mean(self.values[list(c)]) for c in self.clusters)
 
 
 def cluster_levels(values: np.ndarray, tol_deg) -> DegeneracyClusters:

@@ -231,9 +231,10 @@ def _table_sweep(
 
 
 def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
-    """The one-photon chain of one ModelParams, or the stack of chains of a
-    sequence of them sharing omega and omega0.  H(g) = H(0) + g*(H(1) - H(0))
-    equals :func:`build_rabi` bit for bit: g enters H only as g*sqrt(n)."""
+    """The stack of one-photon chains of a sequence of ModelParams sharing
+    omega and omega0 (one coupling is a sequence of one).  H(g) = H(0) +
+    g*(H(1) - H(0)) equals :func:`build_rabi` bit for bit: g enters H only
+    as g*sqrt(n)."""
     first, g = _couplings(params)
     free = build_rabi(replace(first, g=0.0), trunc)
     coupling = build_rabi(replace(first, g=1.0), trunc) - free
@@ -260,18 +261,22 @@ def exact_sweep(
     :func:`spectrum.exact_spectra` on each stack of :func:`_run_stacks`.
 
     A coupling records a ValueError where more levels are asked for than
-    the guard band validates there, or its certificate's ArithmeticError.
+    the guard band validates there, the OverflowError of a guard band beyond
+    float range, or its certificate's ArithmeticError.
     """
     grid = np.asarray(grid, dtype=float)
-    errors = []
-    for g in grid.tolist():
-        valid = validated_level_count(ModelParams(omega, omega0, g), trunc)
-        errors.append(
-            None if n_levels <= valid else ValueError(
+    errors: list = [None] * grid.size
+    for i, g in enumerate(grid.tolist()):
+        try:
+            valid = validated_level_count(ModelParams(omega, omega0, g), trunc)
+        except OverflowError as exc:
+            errors[i] = exc
+            continue
+        if n_levels > valid:
+            errors[i] = ValueError(
                 f"requested {n_levels} levels from dim {trunc.dim}, of which the "
                 f"guard band validates {valid}"
             )
-        )
     energies = np.full((grid.size, n_levels), np.nan)
     odd = np.zeros((grid.size, n_levels), dtype=np.intp)
     solved = [i for i, exc in enumerate(errors) if exc is None]

@@ -192,10 +192,12 @@ def displacement_band(params: ModelParams) -> int:
     """Top photon levels a truncated box loses to the coupling, uncapped.
 
     The strong-coupling displacement shifts photon occupation by
-    O((2g/omega)^2); ceil(8 g^2/omega^2) + 10 is calibrated by the
-    truncation-doubling test.
+    O((2g/omega)^2); ceil(8 (g/omega)^2) + 10 is calibrated by the
+    truncation-doubling test.  It squares g/omega, so a tiny omega does
+    not divide by an underflowed omega^2; a square beyond float range raises
+    OverflowError.
     """
-    return math.ceil(8.0 * params.g**2 / params.omega**2) + 10
+    return math.ceil(8.0 * (params.g / params.omega) ** 2) + 10
 
 
 def default_guard(params: ModelParams, trunc: TruncationConfig) -> int:

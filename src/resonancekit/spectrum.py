@@ -1,10 +1,11 @@
 """Exact oracle from boxes of the two parity blocks of H, solved as stacked
 eigenvalue problems and certified by a Sturm count on the whole blocks; the
-checked dense Hermitian eigensolver the matrix chains use, on one matrix or
-a stack of them; the records of a coupling sweep.  A sweep is held as
-arrays, one :class:`MethodSweep` per method on the table's g grid, and its
-CSV is written from them.  Sweeps themselves, the exact oracle's included,
-run through ``sweep.run_sweep``, which enforces the guard band."""
+checked dense Hermitian eigensolver the matrix chains use, on a (G, n, n)
+stack of matrices (one matrix is a stack of one); the records of a coupling
+sweep.  A sweep is held as arrays, one :class:`MethodSweep` per method on
+the table's g grid, and its CSV is written from them.  Sweeps themselves,
+the exact oracle's included, run through ``sweep.run_sweep``, which
+enforces the guard band."""
 
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ _CERTIFY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns, of one
-    matrix or of each of a stack."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of each
+    matrix of a stack: (G, n) and (G, n, n)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -63,13 +64,12 @@ class CouplingErrors(Exception):
 
 
 def check_rows(bad, error) -> None:
-    """Raise ``error(i)`` for each failing matrix i: ``bad`` flags each row of
-    a stack (raises :class:`CouplingErrors`) or, 0-d, one matrix (i = (),
-    raises the error itself)."""
+    """Raise :class:`CouplingErrors` holding ``error(i)`` for each row i of a
+    stack that ``bad``, one flag per row (shape (G,)), flags."""
     bad = np.asarray(bad)
-    if bad.ndim == 0 and bad:
-        raise error(())
-    if bad.ndim and bad.any():
+    if bad.ndim != 1:
+        raise ValueError(f"check_rows requires one flag per stack row, (G,), got {bad.shape}")
+    if bad.any():
         raise CouplingErrors({i: error(i) for i in np.flatnonzero(bad).tolist()})
 
 
@@ -158,19 +158,20 @@ def _gap_ids(values: np.ndarray, tol) -> np.ndarray:
 
 
 def eigh(op) -> EigenDecomposition:
-    """Full Hermitian eigendecomposition of a matrix, or of each of a (G, n, n)
-    stack, ascending eigenvalues.
+    """Full Hermitian eigendecomposition of each matrix of a (G, n, n) stack,
+    ascending eigenvalues; one matrix is a stack of one, ``op[None]``.
 
-    The one check of an operator before it is solved: raises ValueError on a
-    non-square input, and on one that differs from its conjugate transpose by
-    more than 1e-14*max(max|A|, 1).  Integer input is solved as float64 (see
-    ``operators._mat``).  Asserts the residual (against max|lambda|, the
-    spectral norm) and orthonormality bounds that every downstream consumer
-    relies on.  Each check holds per matrix (see :func:`check_rows`).
+    The one check of an operator before it is solved: raises ValueError on
+    any other shape, and on a matrix that differs from its conjugate
+    transpose by more than 1e-14*max(max|A|, 1).  Integer input is solved as
+    float64 (see ``operators._mat``).  Asserts the residual (against
+    max|lambda|, the spectral norm) and orthonormality bounds that every
+    downstream consumer relies on.  Each check holds per matrix (see
+    :func:`check_rows`).
     """
     h = _mat(op)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"eigh requires a square matrix, got shape {h.shape}")
+    if h.ndim != 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"eigh requires a (G, n, n) stack, got shape {h.shape}")
     scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
     asymmetry = np.abs(h - _adjoint(h)).max(axis=(-2, -1))
     check_rows(asymmetry > _HERM_RTOL * scale,

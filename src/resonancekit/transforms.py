@@ -22,11 +22,11 @@ parity classes (a kernel slot is a class of its own) raises.  The sign-0
 slots are the chain's only record of its kernel; the step isometries it
 keeps in ``records`` name their own kernel and lost slots.
 
-A chain runs on one coupling or on a stack of them: the operator is then a
-(G, dim, dim) stack and the levels and parity are (G, dim), one row per
-coupling.  Each step is one array program over the stack, and a
-coupling that fails a check raises :class:`spectrum.CouplingErrors` for its
-row (a single coupling raises the error itself).
+A chain runs on a stack of couplings: its ``params`` are one ModelParams
+per coupling, the operator is a (G, dim, dim) stack and the levels and
+parity are (G, dim), one row per coupling; one coupling is a stack of one.
+Each step is one array program over the stack, and a coupling that fails a
+check raises :class:`spectrum.CouplingErrors` for its row.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Isometry:
-    """Structured isometry ``S = R B`` on the flat basis, of one matrix or of
-    each matrix of a stack.
+    """Structured isometry ``S = R B`` on the flat basis, of each matrix of a
+    stack.
 
     remap: column j of ``R`` is the unit vector at row ``remap[..., j]``, or
     zero (a kernel column) where that is -1; of shape (dim,) for every matrix
@@ -100,8 +100,8 @@ class Isometry:
         return np.setdiff1d(np.arange(self.remap.size), self.remap[self.remap >= 0])
 
     def _take(self, x: np.ndarray, axes: int) -> np.ndarray:
-        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2) of a vector or matrix, or
-        of each of a stack, fresh."""
+        """``R^H x`` (axes=1) or ``R^H x R`` (axes=2) of each vector or matrix
+        of a stack, fresh."""
         if self.remap is None:
             return x.copy()
         kernel = self.remap < 0
@@ -119,7 +119,7 @@ class Isometry:
         return y
 
     def rotate(self, y: np.ndarray) -> np.ndarray:
-        """``B^H y B`` in place for a C-contiguous matrix y, or stack of them."""
+        """``B^H y B`` in place for each matrix of a C-contiguous stack y."""
         dim = y.shape[-1]
         stack = y.reshape(-1, dim, dim)
         span = np.arange(dim)
@@ -141,8 +141,8 @@ class Isometry:
         return self.rotate(self._take(x.astype(dtype, copy=False), 2))
 
     def conjugate_parity(self, p: np.ndarray) -> np.ndarray:
-        """Diagonal of ``S^H diag(p) S`` for a parity sign vector p (+1, -1,
-        and 0 on kernel slots), or a stack of them, that S keeps diagonal.
+        """Diagonal of ``S^H diag(p) S`` for each parity sign vector (+1, -1,
+        and 0 on kernel slots) of a (G, dim) stack p, that S keeps diagonal.
         The remap gathers p, with 0 on kernel columns; each block column
         q[:, l] then carries the one class its weight ``|q[:, l]|^2`` lies
         in.  A column drawing weight from two classes (kernel slots are a
@@ -192,8 +192,8 @@ def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
 
 def _stacked_blocks(idx: np.ndarray, q: np.ndarray, stack: tuple, dim: int):
     """One block group acting alike on every matrix of a stack of shape
-    ``stack`` (() for one matrix): idx (m, k) per matrix, q (m, k, k) shared
-    or (*stack, m, k, k), as flat indices and one block per (matrix, block)."""
+    ``stack`` (G,): idx (m, k) per matrix, q (m, k, k) shared or (G, m, k, k),
+    as flat indices and one block per (matrix, block)."""
     k = idx.shape[1]
     offsets = np.arange(math.prod(stack))[:, None, None] * dim
     q = np.broadcast_to(q, (*stack, *q.shape[-3:]))
@@ -204,17 +204,17 @@ def _stacked_blocks(idx: np.ndarray, q: np.ndarray, stack: tuple, dim: int):
 class TransformedHamiltonian:
     """A Hamiltonian conjugated through a chain of transformations.
 
-    operator: the conjugated full Hamiltonian in the current basis, or a
+    operator: the conjugated full Hamiltonian in the current basis, a
     (G, dim, dim) stack of them, one per coupling.
     levels: the renormalized reference, which is diagonal in the current
-    basis, held as its real diagonal of length dim (per coupling); its
+    basis, held as its real diagonal of length dim per coupling; its
     entries are the chain's level estimates.
     parity: the parity operator conjugated through the same chain, which
     keeps it diagonal, held as its real diagonal like the levels: +1 on even
     slots, -1 on odd ones, 0 on kernel slots, each of which holds one exact
     spurious zero eigenvalue (None without parity bookkeeping).
     loss_band: top photon levels invalidated by index shifting / displacement.
-    params: the model, or one ModelParams per coupling of a stack.
+    params: one ModelParams per coupling.
     records: the photon-shift steps so far, each an Isometry holding its
     remap (plus any fixed unitary block, such as the two-photon reflection):
     it shifts ``len(kernel_slots)`` photons and loses ``len(lost_slots)`` rows.
@@ -225,7 +225,7 @@ class TransformedHamiltonian:
     parity: np.ndarray | None
     provenance: tuple[str, ...]
     loss_band: int
-    params: ModelParams | tuple[ModelParams, ...] | None = None
+    params: tuple[ModelParams, ...] | None = None
     trunc: TruncationConfig | None = None
     records: tuple[Isometry, ...] = ()
 
@@ -278,11 +278,9 @@ def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
     return dict(vars(th), operator=operator, parity=parity, provenance=th.provenance + (tag,))
 
 
-def _couplings(params) -> tuple[ModelParams, float | np.ndarray]:
-    """One ModelParams and its coupling, or the first of a sequence of them
-    (one per stack row, sharing omega and omega0) and their couplings."""
-    if isinstance(params, ModelParams):
-        return params, params.g
+def _couplings(params) -> tuple[ModelParams, np.ndarray]:
+    """The first of a sequence of ModelParams (one per stack row, sharing
+    omega and omega0) and their couplings."""
     return params[0], np.array([p.g for p in params])
 
 
@@ -297,16 +295,14 @@ def _ladder(omega: float, g, fock_dim: int) -> np.ndarray:
     return diag
 
 
-def rt_one_photon(
-    H, params, trunc: TruncationConfig
-) -> TransformedHamiltonian:
+def rt_one_photon(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
     """One-photon resonant transformation: photon-shift isometry on the "+"
     atomic block followed by the atomic rotation on the n >= 1 subspace.
 
     The result of applying it to the full Hamiltonian splits into the exactly
     diagonal dressed ladder omega*N (x) 1 + g*sqrt(N) (x) sigma_z (the
     reference) plus a two-photon-coupling remainder.  The kernel slot |0,+>
-    holds an exact spurious zero level.  ``H`` may be a stack of Hamiltonians,
+    holds an exact spurious zero level.  ``H`` is a stack of Hamiltonians,
     one per ModelParams of the sequence ``params``.
     """
     first, g = _couplings(params)
@@ -455,9 +451,7 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     return TransformedHamiltonian(**fields)
 
 
-def strong_chain(
-    H, params: ModelParams, trunc: TruncationConfig
-) -> TransformedHamiltonian:
+def strong_chain(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
     """Atomic rotation, the opposite displacements of the two atomic blocks,
     and the atomic rotation again: the unbounded part of the Hamiltonian
     becomes the exactly diagonal displaced ladder
@@ -466,41 +460,38 @@ def strong_chain(
     on sigma_z.  This is the parity-adapted displaced basis of the
     generalized rotating-wave approximation (Irish, PRL 99, 173601 (2007)):
     the parity is diagonal in it.  Unitary for any g (the truncated a^H - a
-    is anti-Hermitian), but the displacement corrupts a g-dependent top band.
+    is anti-Hermitian), but the displacement corrupts a g-dependent top band
+    (the loss band is the stack's largest).  ``H`` is a stack of
+    Hamiltonians, one per ModelParams of the sequence ``params``.
     """
+    first, g = _couplings(params)
     h = _mat(H)
     fock_dim = trunc.n_max + 1
-    if h.shape[0] != 2 * fock_dim:
-        raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {2 * fock_dim}")
-    w, g = params.omega, params.g
+    dim = 2 * fock_dim
+    if h.shape != g.shape + (dim, dim):
+        raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {dim}")
+    w = first.omega
     a, a_dag, _ = build_boson_ops(trunc)
-    gen = (g / w) * (a_dag - a)
-    displacement = Isometry(
-        None,
-        ((np.arange(2 * fock_dim).reshape(-1, 2).T, np.stack([unitary_exp(-gen), unitary_exp(gen)])),),
-    )
+    gen = (g / w)[:, None, None] * (a_dag - a)
+    displacement = Isometry(None, (_stacked_blocks(
+        np.arange(dim).reshape(-1, 2).T, np.stack([unitary_exp(-gen), unitary_exp(gen)], 1),
+        g.shape, dim,
+    ),))
 
     ns = np.arange(fock_dim)
-    levels = np.repeat(w * (ns + 0.5) - g * g / w, 2)
+    levels = np.repeat(w * (ns + 0.5) - (g * g / w)[:, None], 2, axis=-1)
 
-    base = TransformedHamiltonian(
-        operator=h,
-        levels=levels,
-        parity=None,
-        provenance=(),
-        loss_band=0,
-        params=params,
-        trunc=trunc,
-    )
-    rotation = Isometry(None, (_doublets(0, fock_dim),))
+    base = TransformedHamiltonian(operator=h, levels=levels, parity=None, provenance=(),
+                                  loss_band=0, params=params, trunc=trunc)
+    rotation = Isometry(None, (_stacked_blocks(*_doublets(0, fock_dim), g.shape, dim),))
     fields = _conjugate(base, (rotation, displacement, rotation), "strong_chain")
     fields["levels"] = levels
     # After the first rotation the parity is the atomic flip, not diagonal,
     # so the sign vector is set rather than mapped: T^H sigma_z T = -sigma_x,
     # T^H sigma_x T = sigma_z and Pi D(a) Pi = D(-a), which holds in the
     # truncated box, give S^H P S = -P.
-    fields["parity"] = -parity_signs(trunc)
-    fields["loss_band"] = min(displacement_band(params), trunc.n_max)
+    fields["parity"] = np.broadcast_to(-parity_signs(trunc), levels.shape)
+    fields["loss_band"] = max(min(displacement_band(p), trunc.n_max) for p in params)
     return TransformedHamiltonian(**fields)
 
 
@@ -516,8 +507,8 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
     ns = np.arange(fock_dim)
 
     fields = _conjugate(H2, (shift,), "rt_zero_field")
-    fields["levels"] = np.repeat(params.omega * ns.astype(float), 2)
+    fields["levels"] = np.broadcast_to(np.repeat(params[0].omega * ns.astype(float), 2),
+                                       H2.levels.shape)
     fields["loss_band"] = H2.loss_band + 1
     fields["records"] = H2.records + (shift,)
     return TransformedHamiltonian(**fields)
-

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from resonancekit import methods, transforms
-from resonancekit.operators import ModelParams
 
 
 @pytest.fixture
@@ -49,7 +48,7 @@ def make_degenerate_reference():
 @pytest.fixture
 def fail_chain_at(monkeypatch):
     """Make a contact-iteration chain fail one of its checks at the given
-    couplings only, on a stack and on one coupling alike.
+    couplings only, on a stack of any size.
 
     rt_full_kam gets a reflection angle 0.3 off at those couplings, which
     the two-photon reduction's off-diagonal check rejects (ArithmeticError);
@@ -69,9 +68,8 @@ def fail_chain_at(monkeypatch):
         one_photon = methods.rt_one_photon
 
         def tilted(H, params, trunc):
-            g = [params.g] if isinstance(params, ModelParams) else [p.g for p in params]
             h = np.array(H)
-            h.reshape(-1, *h.shape[-2:])[:, 5, 1] += 0.1 * np.isin(g, bad)
+            h[:, 5, 1] += 0.1 * np.isin([p.g for p in params], bad)
             return one_photon(h, params, trunc)
 
         monkeypatch.setattr(methods, "rt_one_photon", tilted)

@@ -16,7 +16,10 @@ strong_avg and strong_rt are the matrix side of the closed forms'
 acceptance check, and reading levels off a chain slot by slot is the matrix
 side of rt1 and of jc.  The rotating-wave Hamiltonian is the dense model the
 averaging of the counter-rotating term reproduces, and the doubled-truncation
-comparison is the check the guard band is tested against.
+comparison is the check the guard band is tested against.  The library
+takes stacks only: these helpers pass one matrix or coupling as a stack of
+one and read back its row 0, and split one set of clustered levels into its
+clusters.
 """
 
 import math
@@ -44,6 +47,7 @@ from resonancekit.operators import (
 from resonancekit.spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
+    CouplingErrors,
     EigenDecomposition,
     eigh,
     exact_spectra,
@@ -94,6 +98,35 @@ def dense_exact_spectra(
         groups = np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
         rows.append((values, odd[np.lexsort((odd, groups))]))
     return np.array([v for v, _ in rows]), np.array([o for _, o in rows])
+
+
+def row_error(call, *args, **kwargs) -> Exception:
+    """The exception row 0 of a stack of one raises: ``call(*args,
+    **kwargs)`` must raise :class:`CouplingErrors` for that row alone."""
+    try:
+        call(*args, **kwargs)
+    except CouplingErrors as exc:
+        assert list(exc.errors) == [0], exc.errors
+        return exc.errors[0]
+    raise AssertionError(f"{call.__name__} raised no CouplingErrors")
+
+
+def eigh_one(op) -> EigenDecomposition:
+    """:func:`resonancekit.spectrum.eigh` of one matrix, as a stack of one."""
+    decomp = eigh(np.asarray(op)[None])
+    return EigenDecomposition(decomp.values[0], decomp.vectors[0])
+
+
+def cluster_members(ids) -> tuple[tuple[int, ...], ...]:
+    """The level indices of each cluster of one set of clustered levels,
+    from their cluster ids (``DegeneracyClusters.ids`` of one row)."""
+    bounds = np.flatnonzero(np.diff(ids, append=-1)) + 1
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip([0, *bounds[:-1]], bounds))
+
+
+def cluster_means(values, ids) -> tuple[float, ...]:
+    """The mean level of each cluster of one set of clustered levels."""
+    return tuple(np.mean(values[list(c)]) for c in cluster_members(ids))
 
 
 def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
@@ -201,9 +234,9 @@ def s_rt_one_photon(fock_dim: int) -> np.ndarray:
 
 
 def s_rt_two_photon(h1) -> np.ndarray:
-    """The reduction of the one-photon chain h1, with the per-photon rotation
-    read off the dense r2^H h1_eff r2 block by block."""
-    params = h1.params
+    """The reduction of the one-photon chain h1 (a stack of one), with the
+    per-photon rotation read off the dense r2^H h1_eff r2 block by block."""
+    params = h1.params[0]
     fock_dim = h1.trunc.n_max + 1
     w = params.omega
     ns = np.arange(fock_dim)
@@ -214,8 +247,8 @@ def s_rt_two_photon(h1) -> np.ndarray:
         diag[0::2] = w * ns + g_n * np.sqrt(ns)
         diag[1::2] = w * ns - g_n * np.sqrt(ns)
         family.append(diag)
-    reference = np.diag(h1.levels)
-    h1_eff = reference + combined_projector(h1.operator - reference, family, tol_deg=1e-8 * w)
+    reference = np.diag(h1.levels[0])
+    h1_eff = reference + combined_projector(h1.operator[0] - reference, family, tol_deg=1e-8 * w)
     r2 = build_r2(w, params.g, fock_dim)
     m = r2.conj().T @ h1_eff @ r2
     rot = np.eye(2 * fock_dim, dtype=complex)
@@ -237,20 +270,20 @@ def s_strong_chain(params, fock_dim: int) -> np.ndarray:
     a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1).astype(complex)
     gen = (params.g / params.omega) * (a.conj().T - a)
     zero = np.zeros_like(a)
-    u = atom_block(unitary_exp(-gen), zero, zero, unitary_exp(gen))
+    u = atom_block(unitary_exp(-gen[None])[0], zero, zero, unitary_exp(gen[None])[0])
     t = tensor(np.eye(fock_dim), atom_rotation_t())
     return t @ u @ t
 
 
 def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
     """Dense eigendecomposition of the reference times the in-cluster
-    rotations of the effective operator."""
-    ref = np.diag(th.levels).astype(complex)
-    decomp = eigh(ref)
+    rotations of the effective operator, of the chain th (a stack of one)."""
+    ref = np.diag(th.levels[0]).astype(complex)
+    decomp = eigh_one(ref)
     u = decomp.vectors
-    v_eig = u.conj().T @ (th.operator - ref) @ u
+    v_eig = u.conj().T @ (th.operator[0] - ref) @ u
     q = np.eye(th.dim, dtype=complex)
-    for cluster in cluster_levels(decomp.values, tol_deg).clusters:
+    for cluster in cluster_members(cluster_levels(decomp.values, tol_deg).ids):
         idx = list(cluster)
         block = np.diag(decomp.values[idx]) + v_eig[np.ix_(idx, idx)]
         _, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
@@ -276,7 +309,7 @@ def conjugate_by_series(H, W, m_max: int = 12) -> np.ndarray:
 def eigh_block(block) -> EigenDecomposition:
     """Checked dense eigendecomposition of one parity block, eigenvectors in
     the block's own basis (row j is the state at ``block.indices[j]``)."""
-    return eigh(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
+    return eigh_one(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
 
 
 def build_effective(
@@ -284,17 +317,18 @@ def build_effective(
 ) -> np.ndarray:
     """Effective operator H0 + (averaged V); Hermitian by construction."""
     h_eff = _mat(H0) + project_average(V, decomp, clusters)
-    return 0.5 * (h_eff + h_eff.conj().T)  # scrub rotation round-off
+    return 0.5 * (h_eff + h_eff.conj().swapaxes(-1, -2))  # scrub rotation round-off
 
 
 def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
-    """Read levels off a chain: slot k is a level with energy ``levels[k]``,
-    photon number k // 2 and parity ``parity[k]``.  Drops the sign-0 slots,
-    which are the kernel slots and hold the spurious zeros, and the levels in
-    the top ``loss_band`` photon rows; sorts stably, ranks."""
+    """Read levels off a chain, a stack of one: slot k is a level with energy
+    ``levels[0, k]``, photon number k // 2 and parity ``parity[0, k]``.
+    Drops the sign-0 slots, which are the kernel slots and hold the spurious
+    zeros, and the levels in the top ``loss_band`` photon rows; sorts
+    stably, ranks."""
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
-    values = np.asarray(th.levels, dtype=float)
-    usable = np.flatnonzero(th.parity != 0.0)
+    values, parity = np.asarray(th.levels[0], dtype=float), th.parity[0]
+    usable = np.flatnonzero(parity != 0.0)
     usable = usable[usable // 2 <= n_max - th.loss_band]
     usable = usable[np.argsort(values[usable], kind="stable")]
     if len(usable) < n_levels:
@@ -304,7 +338,7 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodL
         )
     return [
         MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, energy=float(values[k]),
-                    parity=PARITY_EVEN if th.parity[k] > 0 else PARITY_ODD)
+                    parity=PARITY_EVEN if parity[k] > 0 else PARITY_ODD)
         for rank, k in enumerate(usable[:n_levels])
     ]
 
@@ -312,9 +346,9 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodL
 def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     """Matrix path behind strong_avg: displaced chain, averaging over the
     doubly degenerate displaced ladder, diagonalization of the effective
-    operator.  Returns (decomposition, chain)."""
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
-    reference = np.diag(th.levels)
+    operator.  Returns (decomposition, chain), both stacks of one."""
+    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
+    reference = np.diag(th.levels[0])[None]
     decomp = eigh(reference)
     clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
     heff = build_effective(reference, th.operator - reference, decomp, clusters)
@@ -324,8 +358,8 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
 def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> TransformedHamiltonian:
     """Matrix path behind strong_rt: displaced chain, zero-field photon-shift
     reduction, numeric diagonalization of the doublet blocks of the averaged
-    operator."""
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
+    operator, as a stack of one."""
+    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
     th = rt_zero_field(th)
     return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
 

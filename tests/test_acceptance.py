@@ -84,18 +84,18 @@ def test_criterion_1_projector_cohomology_suite(
         dim = sum(sizes)
         assert dim <= 64
         h0, _ = make_degenerate_reference(rng, sizes, spacing=1.0)
-        decomp = eigh(h0)
+        decomp = eigh(h0[None])
         clusters = cluster_levels(decomp.values, tol_deg=1e-8)
         v = make_hermitian(rng, dim)
         v_norm = np.linalg.norm(v, 2)
-        pv = project_average(v, decomp, clusters)
-        ppv = project_average(pv, decomp, clusters)
+        pv = project_average(v[None], decomp, clusters)[0]
+        ppv = project_average(pv[None], decomp, clusters)[0]
         worst["idem"] = max(worst["idem"], np.abs(ppv - pv).max() / max(1.0, v_norm))
         comm = np.linalg.norm(h0 @ pv - pv @ h0, 2)
         worst["comm"] = max(
             worst["comm"], comm / (np.linalg.norm(h0, 2) * v_norm)
         )
-        w = solve_cohomological(v, decomp, clusters)
+        w = solve_cohomological(v[None], decomp, clusters)[0]
         worst["anti"] = max(worst["anti"], np.abs(w + w.conj().T).max())
         residual = np.linalg.norm(h0 @ w - w @ h0 + v - pv, 2)
         worst["resid"] = max(worst["resid"], residual / v_norm)
@@ -121,30 +121,30 @@ def test_criterion_2_kam_quadratic_contraction():
     start = time.perf_counter()
     params = ModelParams(omega=1.0, omega0=1.0, g=0.15)
     trunc = kam_truncation(10)
-    th = rabi_rt1_chain(params, trunc)
-    h0 = np.diag(th.levels)
+    th = rabi_rt1_chain((params,), trunc)
+    h0 = np.diag(th.levels[0])[None]
     v_unit = th.operator - h0
-    v_unit = v_unit / np.linalg.norm(v_unit, 2)
+    v_unit = v_unit / np.linalg.norm(v_unit[0], 2)
     decomp = eigh(h0)
     clusters = cluster_levels(decomp.values, tol_deg=1e-3)
     afters = {}
     for eps in (1e-1, 1e-2):
         *_, report = kam_step(h0, eps * v_unit, decomp, clusters)
-        afters[eps] = report.residual_after
+        afters[eps] = report.residual_after[0]
     ratio = afters[1e-1] / afters[1e-2]
     quadratic = 50.0 <= ratio <= 200.0
 
     strong = ModelParams(omega=1.0, omega0=1.0, g=0.3)
-    th_strong = rabi_rt1_chain(strong, trunc)
-    h0_strong = np.diag(th_strong.levels)
+    th_strong = rabi_rt1_chain((strong,), trunc)
+    h0_strong = np.diag(th_strong.levels[0])[None]
     chain = kam_iterate_full(
         h0_strong,
         th_strong.operator - h0_strong,
         max_steps=3,
         tol_deg=1e-3,
     )
-    flagged = chain.diverged and any(
-        r.w_norm > W_NORM_DIVERGENCE for r in chain.reports
+    flagged = chain.diverged[0] and any(
+        r.w_norm > W_NORM_DIVERGENCE for r in chain.reports[0]
     )
     elapsed = time.perf_counter() - start
     ok = quadratic and flagged and elapsed < 30.0
@@ -167,15 +167,15 @@ def test_criterion_3_closed_form_matrix_equivalence():
     for g in (0.1, 0.4, 1.0, 2.0):
         params = ModelParams(omega=1.0, omega0=1.0, g=g)
         matrix_levels = {
-            "jc": levels_from_chain(rabi_rt1_chain(params, trunc), n_levels),
-            "rt2": levels_from_chain(rabi_rt2_chain(params, trunc), n_levels),
+            "jc": levels_from_chain(rabi_rt1_chain((params,), trunc), n_levels),
+            "rt2": levels_from_chain(rabi_rt2_chain((params,), trunc), n_levels),
             "strong_avg": None,
             "strong_rt": levels_from_chain(strong_rt_chain(params, trunc), n_levels),
         }
         for method, levels in matrix_levels.items():
             closed = compute_levels(method, params, trunc, n_levels)
             if levels is None:
-                matrix = strong_avg_decomposition(params, trunc)[0].values[:n_levels]
+                matrix = strong_avg_decomposition(params, trunc)[0].values[0, :n_levels]
             else:
                 matrix = [lv.energy for lv in levels]
                 if [lv.parity for lv in levels] != [lv.parity for lv in closed]:
@@ -314,11 +314,12 @@ def test_criterion_6_resonance_loci():
         if locus.kind != "mute":
             continue
         params = ModelParams(omega=1.0, omega0=1.0, g=locus.g)
-        th = rabi_rt1_chain(params, trunc)
+        th = rabi_rt1_chain((params,), trunc)
+        levels = th.levels[0]
         i = basis_index(locus.n, ATOM_PLUS)
         j = basis_index(locus.n + 1, ATOM_MINUS)
-        degenerate = abs(th.levels[i] - th.levels[j]) <= 1e-12
-        coupling = abs((th.operator - np.diag(th.levels))[i, j])
+        degenerate = abs(levels[i] - levels[j]) <= 1e-12
+        coupling = abs((th.operator[0] - np.diag(levels))[i, j])
         mute_ok = mute_ok and degenerate and coupling < 1e-10
     elapsed = time.perf_counter() - start
     ok = (
@@ -361,7 +362,7 @@ def test_criterion_7_isometry_parity_structure():
     p = build_parity(trunc)
     parity_exact = np.array_equal(h @ p, p @ h)
 
-    th1 = rabi_rt1_chain(params, trunc)
+    th1 = rabi_rt1_chain((params,), trunc)
     r1 = isometry_matrix(th1.records[0], dim)
     rt1_exact = np.array_equal(
         r1 @ r1.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_PLUS))
@@ -369,7 +370,7 @@ def test_criterion_7_isometry_parity_structure():
         r1.conj().T @ r1, eye - projector(basis_index(0, ATOM_PLUS))
     )
 
-    th2 = rabi_rt2_chain(params, trunc)
+    th2 = rabi_rt2_chain((params,), trunc)
     r2 = isometry_matrix(th2.records[1], dim)
     rt2_defect = max(
         np.abs(
@@ -384,7 +385,7 @@ def test_criterion_7_isometry_parity_structure():
         ).max(),
     )
 
-    thz = rt_zero_field(strong_chain(build_rabi(params, trunc), params, trunc))
+    thz = rt_zero_field(strong_chain(h[None], (params,), trunc))
     rz = isometry_matrix(thz.records[-1], dim)
     rtz_exact = np.array_equal(
         rz @ rz.conj().T, eye - projector(basis_index(trunc.n_max, ATOM_MINUS))

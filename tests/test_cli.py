@@ -10,6 +10,8 @@ import pytest
 
 from resonancekit import sweep
 from resonancekit.cli import main
+from resonancekit.methods import grid_sweep
+from resonancekit.operators import TruncationConfig
 from resonancekit.sweep import (
     ERROR_CSV_HEADER,
     LOCUS_CSV_HEADER,
@@ -73,6 +75,22 @@ def test_strong_rt_computes_zero_coupling_at_a_tiny_omega(tmp_path, capsys):
     rows = table_rows(csv_to_table(out.read_text(encoding="utf-8")))
     assert [r.g for r in rows] == [0.0] * 12
     assert rows[0].energy == 0.0 and rows[-1].energy == 6e-300
+
+
+def test_exact_writes_the_couplings_whose_guard_band_is_representable(tmp_path, capsys):
+    # g = 5e199 and 1e200 square past float range in the guard band and fail
+    # alone; g = 0 is solved and written.
+    out = tmp_path / "huge.csv"
+    rc = main(["sweep", "--g-max", "1e200", "--g-steps", "3", "--methods", "exact",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == f"wrote {out}: 12 rows, 2 failed points\n"
+    assert "g=0 " not in captured.err and captured.err.count("OverflowError") == 2
+    rows = table_rows(csv_to_table(out.read_text(encoding="utf-8")))
+    expected = grid_sweep("exact", 1.0, 1.0, [0.0], TruncationConfig(n_max=60), 12)
+    assert [r.g for r in rows] == [0.0] * 12
+    assert [r.energy for r in rows] == expected.energies[0].tolist()
 
 
 def test_invalid_grid_exits_2(tmp_path, capsys):

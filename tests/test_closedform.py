@@ -170,8 +170,8 @@ def test_jc_spectrum_decoupled_ladder():
 def test_jc_spectrum_matches_exact_pair_diagonalization():
     params = _params(0.35)
     closed = _physical(_slots("jc", params, 12))[:10]
-    exact = eigh(build_jaynes_cummings(params, TruncationConfig(n_max=40)))
-    np.testing.assert_allclose(closed, exact.values[:10], atol=1e-12)
+    exact = eigh(build_jaynes_cummings(params, TruncationConfig(n_max=40))[None])
+    np.testing.assert_allclose(closed, exact.values[0, :10], atol=1e-12)
 
 
 def test_jc_spectrum_branch_values():

@@ -24,7 +24,7 @@ from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
 from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
 from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import build_parity, levels_from_chain, strong_rt_chain
+from dense_oracles import build_parity, eigh_one, levels_from_chain, row_error, strong_rt_chain
 
 # Methods built on the one-photon-resonance chains; they require omega0 = omega.
 WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
@@ -150,6 +150,24 @@ def test_a_coupling_the_closed_form_table_cannot_hold_fails_alone(method, case):
     ]
 
 
+def test_a_coupling_whose_guard_band_overflows_fails_alone_in_exact():
+    # The guard band squares g / omega, which is out of float range at
+    # g = 1e200: that coupling records the OverflowError, before any stack,
+    # and the others are what they are without it, bit for bit.
+    trunc = TruncationConfig(n_max=60)
+    swept = grid_sweep("exact", 1.0, 1.0, [0.0, 0.5, 1e200], trunc, 4)
+    clean = grid_sweep("exact", 1.0, 1.0, [0.0, 0.5], trunc, 4)
+    assert clean.ok.all()
+    assert [_point_text(swept.point(i)) for i in range(2)] == [
+        _point_text(clean.point(i)) for i in range(2)
+    ]
+    assert type(swept.point(2)) is OverflowError
+    # At omega = 1e-300 no coupling divides by an underflowed omega**2.
+    tiny = grid_sweep("exact", 1e-300, 1e-300, [0.0, 0.5], trunc, 4)
+    assert not any(isinstance(exc, ZeroDivisionError) for exc in tiny.errors)
+    assert type(tiny.point(1)) is OverflowError
+
+
 def test_a_huge_coupling_leaves_the_other_closed_form_blocks_as_they_are(monkeypatch):
     # g = 1e150 asks for about 1e300 photon levels; sizing every block by it
     # once made each block one coupling.
@@ -211,12 +229,10 @@ def test_kam_truncation_adds_guard_rows():
 
 
 def test_exact_method_matches_oracle_head():
-    from resonancekit.spectrum import eigh
-
     params = _params(0.2)
     trunc = TruncationConfig(n_max=40)
     levels = compute_levels("exact", params, trunc, 10)
-    direct = eigh(build_rabi(params, trunc))
+    direct = eigh_one(build_rabi(params, trunc))
     np.testing.assert_allclose([lv.energy for lv in levels], direct.values[:10], rtol=1e-12)
     p = build_parity(trunc)
     expect = np.real(np.einsum("ik,ij,jk->k", direct.vectors.conj(), p, direct.vectors))
@@ -232,7 +248,7 @@ def test_jc_method_equals_closed_form():
 
 
 def test_rt1_matrix_path_reproduces_dressed_ladder():
-    chain = levels_from_chain(rabi_rt1_chain(_params(0.25), TruncationConfig(n_max=60)), 10)
+    chain = levels_from_chain(rabi_rt1_chain((_params(0.25),), TruncationConfig(n_max=60)), 10)
     np.testing.assert_allclose(
         [lv.energy for lv in chain], _energies("jc", 0.25, 10), atol=1e-9
     )
@@ -273,7 +289,7 @@ def test_rt1_equals_its_one_photon_chain_bit_for_bit(n_max, g_max, g_steps, n_le
     swept = grid_sweep("rt1", 1.0, 1.0, grid, trunc, n_levels)
     for i, g in enumerate(grid.tolist()):
         chain = _levels_or_error(
-            lambda: levels_from_chain(rabi_rt1_chain(_params(g), trunc), n_levels)
+            lambda: levels_from_chain(rabi_rt1_chain((_params(g),), trunc), n_levels)
         )
         point = _levels_or_error(lambda: compute_levels("rt1", _params(g), trunc, n_levels))
         assert _point_text(point) == _point_text(chain), g
@@ -384,13 +400,13 @@ CHAIN_METHODS = ("rt1_kam", "rt_full_kam")
 
 
 def _one_coupling_error(method, g, n_levels):
-    """The exception the one-coupling (2-D) chain and the KAM step on each of
-    its parity blocks raise at g."""
-    th = methods._CHAINS[method](_params(g), kam_truncation(n_levels))
+    """Run the chain of g alone, a stack of one, and the KAM step on each of
+    its parity blocks; the exception row 0 raises is the coupling's own."""
+    th = methods._CHAINS[method]((_params(g),), kam_truncation(n_levels))
     for sign in (1.0, -1.0):
-        slots = np.flatnonzero(th.parity == sign)
-        reference = np.diag(th.levels[slots])
-        block = th.operator[np.ix_(slots, slots)]
+        slots = np.flatnonzero(th.parity[0] == sign)
+        reference = np.diag(th.levels[0, slots])[None]
+        block = th.operator[:, slots[:, None], slots]
         kam_iterate_full(reference, block - reference, max_steps=1, tol_deg=1e-3)
 
 
@@ -405,9 +421,9 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
     swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
     for i, g in enumerate(grid.tolist()):
         if g in bad:
-            with pytest.raises((ValueError, ArithmeticError)) as info:
-                _one_coupling_error(method, g, 8)
-            assert _point_text(swept.point(i)) == _point_text(info.value), g
+            error = row_error(_one_coupling_error, method, g, 8)
+            assert isinstance(error, (ValueError, ArithmeticError))
+            assert _point_text(swept.point(i)) == _point_text(error), g
         else:
             assert _point_text(swept.point(i)) == _point_text(clean.point(i)), g
     assert (~swept.ok).sum() == len(bad)
@@ -418,10 +434,13 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
 EDGE_COUPLINGS = (0.0, 1e-300, 1e-8, 2.0 / (1.0 + np.sqrt(3.0)), 6.0)
 
 
-# The strong-coupling chains, one coupling at a time: the zero-field shift of
-# the displaced chain and its numeric transformation (the strong_rt matrices).
+# The strong-coupling chains, one coupling at a time as a stack of one: the
+# zero-field shift of the displaced chain and its numeric transformation (the
+# strong_rt matrices).
 STRONG_CHAINS = {
-    "rt_zero_field": lambda p, trunc: rt_zero_field(strong_chain(build_rabi(p, trunc), p, trunc)),
+    "rt_zero_field": lambda p, trunc: rt_zero_field(
+        strong_chain(build_rabi(p, trunc)[None], (p,), trunc)
+    ),
     "strong_rt": strong_rt_chain,
 }
 
@@ -437,8 +456,8 @@ def test_chain_operators_split_exactly_into_parity_blocks(method, n_levels):
     trunc = kam_truncation(n_levels)
     if method in STRONG_CHAINS:
         chains = [STRONG_CHAINS[method](_params(g), trunc) for g in grid]
-        operator = np.stack([th.operator for th in chains])
-        parity = np.stack([th.parity for th in chains])
+        operator = np.concatenate([th.operator for th in chains])
+        parity = np.concatenate([th.parity for th in chains])
         records = chains[0].records
     else:
         th = methods._CHAINS[method](tuple(_params(g) for g in grid), trunc)
@@ -493,8 +512,8 @@ def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
     # Every operator handed to the KAM step is one parity block of the chain,
     # never the whole kam_truncation box.
     trunc = kam_truncation(12)
-    th = rt2_iterated_chain(_params(0.1), trunc)
-    blocks = [int((th.parity == sign).sum()) for sign in (1.0, -1.0)]
+    th = rt2_iterated_chain((_params(0.1),), trunc)
+    blocks = [int((th.parity[0] == sign).sum()) for sign in (1.0, -1.0)]
     sizes = []
     step = methods.kam_iterate_full
 

@@ -14,6 +14,7 @@ from resonancekit.operators import (
     build_parity_blocks,
     build_rabi,
     default_guard,
+    displacement_band,
     validated_level_count,
 )
 
@@ -300,6 +301,17 @@ def test_default_guard_grows_with_coupling():
     assert default_guard(ModelParams(1.0, 1.0, 2.0), trunc) == 42
     small = TruncationConfig(n_max=5)
     assert default_guard(ModelParams(1.0, 1.0, 10.0), small) == 4
+
+
+def test_displacement_band_squares_the_coupling_ratio():
+    # At omega = 1e-300, omega**2 underflows to 0; (g / omega)**2 does not,
+    # so g = 0 keeps its band and a ratio whose square is out of float range
+    # raises OverflowError, as g = 1e200 does at omega = 1.
+    assert displacement_band(ModelParams(1e-300, 1e-300, 0.0)) == 10
+    assert displacement_band(ModelParams(1e-300, 1e-300, 1e-300)) == 18
+    for omega, g in ((1e-300, 0.5), (1.0, 1e200)):
+        with pytest.raises(OverflowError):
+            displacement_band(ModelParams(omega, omega, g))
 
 
 def test_default_guard_respects_explicit_override():

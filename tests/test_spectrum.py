@@ -27,7 +27,9 @@ from dense_oracles import (
     build_parity,
     dense_exact_spectra,
     eigh_block,
+    eigh_one,
     exact_spectrum,
+    row_error,
     validate_truncation,
 )
 from row_reference import table_rows
@@ -59,7 +61,7 @@ E0_G05 = -0.1332942354616252
 
 def test_eigh_sorts_ascending():
     h = np.diag([3.0, 1.0, 2.0])
-    decomp = eigh(h)
+    decomp = eigh_one(h)
     np.testing.assert_array_equal(decomp.values, [1.0, 2.0, 3.0])
     # Columns are the matching permutation vectors.
     np.testing.assert_allclose(h @ decomp.vectors, decomp.vectors * decomp.values, atol=1e-14)
@@ -68,14 +70,14 @@ def test_eigh_sorts_ascending():
 def test_eigh_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="eigh requires a Hermitian operator"):
-        eigh(bad)
+        raise row_error(eigh, bad[None])
 
 
 def test_eigh_input_validation():
-    for shape in [(2, 3), (4,), (2, 2, 3), (2, 2, 2, 2)]:
-        with pytest.raises(ValueError, match=r"eigh requires a square matrix, got shape"):
+    for shape in [(2, 3), (4,), (2, 2, 3), (2, 2, 2, 2), (1, 2, 3)]:
+        with pytest.raises(ValueError, match=r"eigh requires a \(G, n, n\) stack, got shape"):
             eigh(np.zeros(shape))
-    decomp = eigh(np.array([[2, 1], [1, 2]]))
+    decomp = eigh_one(np.array([[2, 1], [1, 2]]))
     assert decomp.values.dtype == np.float64
     assert decomp.vectors.dtype == np.float64
     np.testing.assert_allclose(decomp.values, [1.0, 3.0], rtol=0, atol=1e-14)
@@ -93,16 +95,16 @@ def test_eigh_hermiticity_tolerance_boundary(dim):
     bound = 1e-14 * 3.0
     inside = base.copy()
     inside[dim - 1, dim - 2] = 0.9 * bound
-    assert eigh(inside).dim == dim
+    assert eigh(inside[None]).dim == dim
     outside = base.copy()
     outside[dim - 1, dim - 2] = 1.1j * bound
     with pytest.raises(ValueError, match="eigh requires a Hermitian operator"):
-        eigh(outside)
+        raise row_error(eigh, outside[None])
 
 
 def test_eigh_residual_and_orthonormality(rng, make_hermitian):
     h = make_hermitian(rng, 64, scale=3.0)
-    decomp = eigh(h)
+    decomp = eigh_one(h)
     assert np.all(np.diff(decomp.values) >= 0)
     residual = np.abs(h @ decomp.vectors - decomp.vectors * decomp.values).max()
     assert residual <= 1e-10 * np.linalg.norm(h, 2)
@@ -113,7 +115,7 @@ def test_eigh_residual_and_orthonormality(rng, make_hermitian):
 def test_decoupled_spectrum_is_doubled_ladder():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.0)
     trunc = TruncationConfig(n_max=6)
-    decomp = eigh(build_rabi(params, trunc))
+    decomp = eigh_one(build_rabi(params, trunc))
     expect = [0.0]
     for n in range(1, trunc.n_max + 1):
         expect.extend([float(n), float(n)])
@@ -123,20 +125,20 @@ def test_decoupled_spectrum_is_doubled_ladder():
 
 def test_lowest_twelve_regression_at_g02():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.2)
-    decomp = eigh(build_rabi(params, TruncationConfig(n_max=60)))
+    decomp = eigh_one(build_rabi(params, TruncationConfig(n_max=60)))
     np.testing.assert_allclose(decomp.values[:12], LOWEST_12_G02, atol=1e-10)
 
 
 def test_ground_state_regression_at_g05():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.5)
-    decomp = eigh(build_rabi(params, TruncationConfig(n_max=80)))
+    decomp = eigh_one(build_rabi(params, TruncationConfig(n_max=80)))
     assert abs(decomp.values[0] - E0_G05) < 1e-11
 
 
 def test_eigh_is_deterministic():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.37)
     op = build_rabi(params, TruncationConfig(n_max=30))
-    d1, d2 = eigh(op), eigh(op)
+    d1, d2 = eigh(op[None]), eigh(op[None])
     assert np.array_equal(d1.values, d2.values)
     assert np.array_equal(d1.vectors, d2.vectors)
 
@@ -147,7 +149,7 @@ def test_eigh_is_deterministic():
 def _dense_parity_labels(params, trunc, count):
     """Parity labels of the lowest ``count`` levels of the dense solve, read
     off <v|P|v>; valid where those levels are non-degenerate."""
-    vectors = eigh(build_rabi(params, trunc)).vectors[:, :count]
+    vectors = eigh_one(build_rabi(params, trunc)).vectors[:, :count]
     p = build_parity(trunc)
     expect = np.real(np.einsum("ik,ij,jk->k", vectors.conj(), p, vectors))
     assert np.abs(np.abs(expect) - 1.0).max() < 1e-10
@@ -178,7 +180,7 @@ def test_exact_spectrum_labels_half_the_levels_each_parity():
     assert counts[PARITY_ODD] == trunc.dim // 2
     assert np.all(np.diff(values) >= 0)
     np.testing.assert_allclose(
-        values, eigh(build_rabi(params, trunc)).values, rtol=1e-12, atol=1e-12
+        values, eigh_one(build_rabi(params, trunc)).values, rtol=1e-12, atol=1e-12
     )
 
 
@@ -367,7 +369,7 @@ def test_sweep_exact_single_point_matches_eigh():
     trunc = TruncationConfig(n_max=24)
     rows = table_rows(_exact_sweep(0.45, 0.45, 1, trunc.n_max, 8))
     assert len(rows) == 8
-    direct = eigh(build_rabi(params, trunc))
+    direct = eigh_one(build_rabi(params, trunc))
     np.testing.assert_allclose([r.energy for r in rows], direct.values[:8], rtol=1e-12)
     assert [r.parity for r in rows] == _dense_parity_labels(params, trunc, 8)
     assert all(r.method == "exact" for r in rows)

@@ -40,6 +40,7 @@ from dense_oracles import (
     levels_from_chain,
     op_A,
     op_A_perp0,
+    row_error,
     s_generic_numeric_rt,
     s_rt_one_photon,
     s_rt_two_photon,
@@ -52,16 +53,18 @@ from scalar_closed_forms import displacement_element
 
 
 def _bare(operator, levels):
-    """A chain holding just an operator and its reference levels."""
+    """A chain holding just an operator and its reference levels, as a stack
+    of one."""
     return TransformedHamiltonian(
-        operator=np.asarray(operator, dtype=complex), levels=np.asarray(levels, dtype=float),
+        operator=np.asarray(operator, dtype=complex)[None],
+        levels=np.asarray(levels, dtype=float)[None],
         parity=None, provenance=(), loss_band=0,
     )
 
 
 def _kernel_labels(th):
-    """Labels of the chain's sign-0 (kernel) slots."""
-    return [basis_label(k) for k in np.flatnonzero(th.parity == 0.0)]
+    """Labels of the sign-0 (kernel) slots of a chain, a stack of one."""
+    return [basis_label(k) for k in np.flatnonzero(th.parity[0] == 0.0)]
 
 
 def _projector(dim, *indices):
@@ -124,27 +127,33 @@ def _params(g):
     return ModelParams(omega=1.0, omega0=1.0, g=g)
 
 
+def _one(g):
+    """The coupling g as a stack of one."""
+    return (_params(g),)
+
+
 def test_rt_one_photon_diagonalizes_co_rotating_model():
     params = _params(0.35)
     trunc = TruncationConfig(n_max=20)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h, params, trunc)
-    scale = np.abs(th.operator).max()
-    off = th.operator - np.diag(np.diag(th.operator))
+    th = rt_one_photon(h[None], (params,), trunc)
+    operator, levels = th.operator[0], th.levels[0]
+    scale = np.abs(operator).max()
+    off = operator - np.diag(np.diag(operator))
     assert np.abs(off).max() <= 1e-12 * scale
-    np.testing.assert_allclose(th.operator, np.diag(th.levels), atol=1e-12 * scale)
+    np.testing.assert_allclose(operator, np.diag(levels), atol=1e-12 * scale)
     # Levels: omega*n +/- g*sqrt(n) interleaved by slot.
     ns = np.arange(trunc.n_max + 1)
-    assert np.array_equal(th.levels[0::2], ns + 0.35 * np.sqrt(ns))
-    assert np.array_equal(th.levels[1::2], ns - 0.35 * np.sqrt(ns))
+    assert np.array_equal(levels[0::2], ns + 0.35 * np.sqrt(ns))
+    assert np.array_equal(levels[1::2], ns - 0.35 * np.sqrt(ns))
 
 
 def test_rt_one_photon_trades_top_level_for_spurious_zero():
     params = _params(0.4)
     trunc = TruncationConfig(n_max=15)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h, params, trunc)
-    got = np.sort(np.linalg.eigvalsh(th.operator))
+    th = rt_one_photon(h[None], (params,), trunc)
+    got = np.sort(np.linalg.eigvalsh(th.operator[0]))
     exact = np.sort(np.linalg.eigvalsh(h))
     # The unpaired bare level omega*(n_max + 1) is lost to the shift; a
     # spurious zero appears in its stead.  (It is not the largest
@@ -159,42 +168,42 @@ def test_rt_one_photon_keeps_low_spectrum_of_full_model():
     params = _params(0.1)
     trunc = TruncationConfig(n_max=30)
     h = build_rabi(params, trunc)
-    th = rt_one_photon(h, params, trunc)
+    th = rt_one_photon(h[None], (params,), trunc)
     # The kernel slot's row and column are exactly 0: leaving out the one
     # sign-0 slot leaves out exactly the spurious zero.
-    keep = np.flatnonzero(th.parity != 0.0)
+    keep = np.flatnonzero(th.parity[0] != 0.0)
     assert keep.size == trunc.dim - 1
-    cleaned = eigh(th.operator[np.ix_(keep, keep)]).values
-    exact = eigh(h)
-    np.testing.assert_allclose(cleaned[:12], exact.values[:12], atol=1e-9)
+    cleaned = eigh(th.operator[:, keep[:, None], keep]).values[0]
+    exact = eigh(h[None]).values[0]
+    np.testing.assert_allclose(cleaned[:12], exact[:12], atol=1e-9)
 
 
 def test_rt_one_photon_decoupled_case_is_preserved():
     params = _params(0.0)
     trunc = TruncationConfig(n_max=10)
     h = build_jaynes_cummings(params, trunc)
-    th = rt_one_photon(h, params, trunc)
-    np.testing.assert_allclose(th.operator, np.diag(th.levels), atol=1e-12)
+    th = rt_one_photon(h[None], (params,), trunc)
+    np.testing.assert_allclose(th.operator[0], np.diag(th.levels[0]), atol=1e-12)
     ns = np.arange(trunc.n_max + 1, dtype=float)
-    np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
+    np.testing.assert_array_equal(th.levels[0], np.repeat(ns, 2))
 
 
 def test_rt_one_photon_validates_input():
     params = _params(0.2)
     trunc = TruncationConfig(n_max=10)
-    h = build_jaynes_cummings(params, trunc)
+    h = build_jaynes_cummings(params, trunc)[None]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        rt_one_photon(h[:-2, :-2], params, trunc)
+        rt_one_photon(h[:, :-2, :-2], (params,), trunc)
     detuned = ModelParams(omega=1.0, omega0=0.8, g=0.2)
     with pytest.raises(ValueError, match="require omega0 = omega"):
-        rt_one_photon(h, detuned, trunc)
+        rt_one_photon(h, (detuned,), trunc)
 
 
 def test_rt_one_photon_record_identities_exact():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=12)
     dim = trunc.dim
-    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc)[None], (params,), trunc)
     assert len(th.records) == 1
     rec = th.records[0]
     # A one-photon shift: one kernel slot, one lost row.
@@ -225,21 +234,22 @@ def test_rt_one_photon_record_identities_exact():
 def test_rt_one_photon_spurious_bookkeeping():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=12)
-    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
+    th = rt_one_photon(build_rabi(params, trunc)[None], (params,), trunc)
     assert th.loss_band == 1
     assert th.provenance == ("rt_one_photon",)
     # The spurious zero sits on the one sign-0 slot, whose row and column
     # are exactly 0: e_0 is an exact zero eigenvector.
     assert _kernel_labels(th) == ["|0,+>"]
-    assert not th.operator[0].any() and not th.operator[:, 0].any()
+    operator = th.operator[0]
+    assert not operator[0].any() and not operator[:, 0].any()
 
 
 def test_rt_one_photon_parity_still_commutes():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
-    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
-    p = th.parity
-    comm = p[:, None] * th.operator - th.operator * p[None, :]
+    th = rt_one_photon(build_rabi(params, trunc)[None], (params,), trunc)
+    p, operator = th.parity[0], th.operator[0]
+    comm = p[:, None] * operator - operator * p[None, :]
     assert np.abs(comm).max() == 0.0
     # The carried parity is S^H P S for an isometry S with a rank-one
     # kernel: a sign on every slot but the kernel slot |0,+>.
@@ -250,8 +260,8 @@ def test_rt_one_photon_parity_still_commutes():
 def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=14)
-    th = rt_one_photon(build_rabi(params, trunc), params, trunc)
-    v1 = th.operator - np.diag(th.levels)
+    th = rt_one_photon(build_rabi(params, trunc)[None], (params,), trunc)
+    v1 = th.operator[0] - np.diag(th.levels[0])
     scale = max(np.abs(v1).max(), 1e-300)
     support = set()
     fock = trunc.n_max + 1
@@ -279,9 +289,8 @@ def test_rt_two_photon_needs_chain_metadata():
 
 
 def test_rt_two_photon_bookkeeping():
-    params = _params(0.3)
     trunc = TruncationConfig(n_max=24)
-    th2 = rabi_rt2_chain(params, trunc)
+    th2 = rabi_rt2_chain(_one(0.3), trunc)
     assert th2.provenance == ("rt_one_photon", "rt_two_photon")
     assert th2.loss_band == 3
     assert _kernel_labels(th2) == ["|0,+>", "|1,+>", "|2,+>"]
@@ -294,7 +303,7 @@ def test_rt_two_photon_bookkeeping():
 def test_build_r2_partial_isometry_identities():
     fock = 12
     dim = 2 * fock
-    th2 = rabi_rt2_chain(_params(0.4), TruncationConfig(n_max=fock - 1))
+    th2 = rabi_rt2_chain(_one(0.4), TruncationConfig(n_max=fock - 1))
     iso = th2.records[1]
     kernel = [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
     lost = [basis_index(fock - 2, ATOM_PLUS), basis_index(fock - 1, ATOM_PLUS)]
@@ -326,9 +335,8 @@ def test_rt2_mixing_angle():
 
 
 def test_rt_two_photon_decoupled_levels_form_shifted_ladder():
-    params = _params(0.0)
     trunc = TruncationConfig(n_max=20)
-    th2 = rabi_rt2_chain(params, trunc)
+    th2 = rabi_rt2_chain(_one(0.0), trunc)
     levels = levels_from_chain(th2, 8)
     energies = [lv.energy for lv in levels]
     # The two-photon shift relabels the "+" slots but the physical ladder
@@ -340,7 +348,7 @@ def test_rt_two_photon_decoupled_levels_form_shifted_ladder():
 def test_rt_two_photon_matches_closed_form():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=40)
-    th2 = rabi_rt2_chain(params, trunc)
+    th2 = rabi_rt2_chain((params,), trunc)
     chain_levels = [lv.energy for lv in levels_from_chain(th2, 10)]
     table = closed_form_table("rt2", params.omega, params.omega0, [params.g], 14)
     closed = np.sort(table.energies[0][~table.spurious])[:10]
@@ -358,8 +366,8 @@ def test_generic_numeric_rt_identity_when_nothing_resonates(rng):
     th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
     # Ascending nondegenerate diagonal reference and no averaged coupling:
     # the transformation is the exact identity, bit for bit.
-    assert np.array_equal(th.operator, np.diag(ref) + v)
-    assert np.array_equal(th.levels, ref)
+    assert np.array_equal(th.operator[0], np.diag(ref) + v)
+    assert np.array_equal(th.levels[0], ref)
     assert th.provenance == ("generic_numeric_rt",)
     assert th.records == ()
     assert th.loss_band == 0
@@ -371,7 +379,7 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
     h_jc = build_jaynes_cummings(params, trunc)
     free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
     th = generic_numeric_rt(_bare(h_jc, np.real(np.diag(free))), tol_deg=1e-3)
-    got = np.sort(th.levels)
+    got = np.sort(th.levels[0])
     exact = np.linalg.eigvalsh(h_jc)
     np.testing.assert_allclose(got, exact, atol=1e-10)
 
@@ -382,20 +390,35 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
 def test_strong_chain_reference_is_displaced_doubled_ladder():
     params = _params(0.8)
     trunc = TruncationConfig(n_max=30)
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
+    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
     ns = np.arange(trunc.n_max + 1)
     expect = np.repeat(ns + 0.5 - 0.8**2, 2)
-    np.testing.assert_allclose(th.levels, expect, atol=1e-14)
+    np.testing.assert_allclose(th.levels[0], expect, atol=1e-14)
     assert th.loss_band == int(np.ceil(8 * 0.8**2)) + 10
+
+
+def test_strong_chain_runs_a_stack_as_each_coupling_alone():
+    # One array program over the stack: each row is its coupling's chain on
+    # its own, bit for bit, and the loss band is the stack's largest (g = 1.2
+    # loses the whole box but one row, then the zero-field shift one more).
+    trunc = TruncationConfig(n_max=20)
+    params = tuple(_params(g) for g in (0.0, 0.3, 1.2, 0.7))
+    h = np.stack([build_rabi(p, trunc) for p in params])
+    stack = rt_zero_field(strong_chain(h, params, trunc))
+    for row, p in enumerate(params):
+        alone = rt_zero_field(strong_chain(h[row:row + 1], (p,), trunc))
+        for field in ("operator", "levels", "parity"):
+            assert np.array_equal(getattr(stack, field)[row], getattr(alone, field)[0]), field
+    assert stack.loss_band == trunc.n_max + 1
 
 
 def test_chain_operators_are_float64():
     params = _params(0.4)
     trunc = TruncationConfig(n_max=20)
-    strong = strong_chain(build_rabi(params, trunc), params, trunc)
+    strong = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
     chains = (
-        rabi_rt1_chain(params, trunc),
-        rt2_iterated_chain(params, trunc),
+        rabi_rt1_chain((params,), trunc),
+        rt2_iterated_chain((params,), trunc),
         strong,
         rt_zero_field(strong),
     )
@@ -406,10 +429,10 @@ def test_chain_operators_are_float64():
 def test_strong_chain_is_unitary():
     params = _params(1.2)
     trunc = TruncationConfig(n_max=40)
-    h = build_rabi(params, trunc)
-    th = strong_chain(h, params, trunc)
+    h = build_rabi(params, trunc)[None]
+    th = strong_chain(h, (params,), trunc)
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(th.operator), eigh(h).values, atol=1e-10
+        np.linalg.eigvalsh(th.operator[0]), eigh(h).values[0], atol=1e-10
     )
 
 
@@ -418,21 +441,21 @@ def test_strong_chain_decoupled_keeps_splitting_on_z_axis():
     params = ModelParams(omega=1.0, omega0=0.9, g=0.0)
     trunc = TruncationConfig(n_max=8)
     h = build_rabi(params, trunc)
-    th = strong_chain(h, params, trunc)
+    th = strong_chain(h[None], (params,), trunc)
     fock = trunc.n_max + 1
     n_diag = np.diag(np.arange(fock, dtype=float))
     expect = tensor(n_diag + 0.5 * np.eye(fock), np.eye(2)) - 0.45 * tensor(
         np.eye(fock), SIGMA_Z
     )
-    np.testing.assert_allclose(th.operator, expect, atol=1e-13)
-    np.testing.assert_array_equal(th.parity, -parity_signs(trunc))
+    np.testing.assert_allclose(th.operator[0], expect, atol=1e-13)
+    np.testing.assert_array_equal(th.parity[0], -parity_signs(trunc))
 
 
 def test_strong_chain_remainder_is_displacement_kernel():
     params = _params(0.5)
     trunc = TruncationConfig(n_max=40)
-    th = strong_chain(build_rabi(params, trunc), params, trunc)
-    v1 = th.operator - np.diag(th.levels)
+    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
+    v1 = th.operator[0] - np.diag(th.levels[0])
     # V = -(omega0/2) (sigma_z (x) D_even + i sigma_y (x) D_odd), D_mn the
     # closed-form displaced overlap split by the parity of m + n, well below
     # the corrupted top band: (+,+) and (-,-) entries carry the even part,
@@ -468,10 +491,10 @@ def test_rt_zero_field_reference_and_records():
     params = _params(0.7)
     trunc = TruncationConfig(n_max=20)
     dim = trunc.dim
-    chain = strong_chain(build_rabi(params, trunc), params, trunc)
+    chain = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
     th = rt_zero_field(chain)
     ns = np.arange(trunc.n_max + 1, dtype=float)
-    np.testing.assert_array_equal(th.levels, np.repeat(ns, 2))
+    np.testing.assert_array_equal(th.levels[0], np.repeat(ns, 2))
     assert _kernel_labels(th) == ["|0,->"]
     assert th.loss_band == chain.loss_band + 1
     rec, = th.records
@@ -493,18 +516,19 @@ def test_rt_zero_field_reference_and_records():
 
 def _step_case(step, params, trunc):
     """(input chain, the step applied to it, dense S of that step, kernel
-    slots the step adds)."""
+    slots the step adds); the chains are stacks of one."""
     fock = trunc.n_max + 1
-    h = build_rabi(params, trunc)
+    h = build_rabi(params, trunc)[None]
+    one = (params,)
     bare = TransformedHamiltonian(
-        operator=h, levels=np.real(np.diag(h)), parity=parity_signs(trunc),
-        provenance=(), loss_band=0, params=params, trunc=trunc,
+        operator=h, levels=np.diagonal(h, axis1=-2, axis2=-1), parity=parity_signs(trunc)[None],
+        provenance=(), loss_band=0, params=one, trunc=trunc,
     )
-    strong = strong_chain(h, params, trunc)
+    strong = strong_chain(h, one, trunc)
     zero_field = rt_zero_field(strong)
-    rt1 = rt_one_photon(h, params, trunc)
+    rt1 = rt_one_photon(h, one, trunc)
     if step == "rt_one_photon":
-        return bare, lambda th: rt_one_photon(th.operator, params, trunc), \
+        return bare, lambda th: rt_one_photon(th.operator, one, trunc), \
             s_rt_one_photon(fock), [basis_index(0, ATOM_PLUS)]
     if step == "rt_two_photon":
         return rt1, rt_two_photon, s_rt_two_photon(rt1), \
@@ -512,7 +536,7 @@ def _step_case(step, params, trunc):
     if step == "rt_zero_field":
         return strong, rt_zero_field, s_rt_zero_field(fock), [basis_index(0, ATOM_MINUS)]
     if step == "strong_chain":
-        return bare, lambda th: strong_chain(th.operator, params, trunc), \
+        return bare, lambda th: strong_chain(th.operator, one, trunc), \
             s_strong_chain(params, fock), []
     if step == "generic_numeric_rt/zero_field":
         return zero_field, lambda th: generic_numeric_rt(th, tol_deg=1e-8), \
@@ -541,18 +565,19 @@ def test_structured_step_matches_dense_conjugation(step, n_max, g):
     trunc = TruncationConfig(n_max=n_max)
     th_in, apply, s, new_kernels = _step_case(step, _params(g), trunc)
     th_out = apply(th_in)
-    scale = max(np.abs(th_in.operator).max(), 1.0)
+    operator_in, parity_in = th_in.operator[0], th_in.parity[0]
+    scale = max(np.abs(operator_in).max(), 1.0)
     np.testing.assert_allclose(
-        th_out.operator, s.conj().T @ th_in.operator @ s, rtol=0, atol=1e-13 * scale
+        th_out.operator[0], s.conj().T @ operator_in @ s, rtol=0, atol=1e-13 * scale
     )
     # Every step keeps the parity diagonal, so the sign vector is all of it.
-    parity = s.conj().T @ np.diag(th_in.parity) @ s
-    np.testing.assert_allclose(th_out.parity, np.real(np.diag(parity)), rtol=0, atol=1e-13)
+    parity = s.conj().T @ np.diag(parity_in) @ s
+    np.testing.assert_allclose(th_out.parity[0], np.real(np.diag(parity)), rtol=0, atol=1e-13)
     assert np.abs(parity - np.diag(np.diag(parity))).max() <= 1e-13
     # The step's kernel slots join the sign-0 slots the input carried.
-    kernel = np.flatnonzero(th_out.parity == 0.0)
+    kernel = np.flatnonzero(th_out.parity[0] == 0.0)
     assert set(new_kernels) <= set(kernel.tolist())
-    assert kernel.size == np.count_nonzero(th_in.parity == 0.0) + len(new_kernels)
+    assert kernel.size == np.count_nonzero(parity_in == 0.0) + len(new_kernels)
 
 
 def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
@@ -571,7 +596,7 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     s = isometry_matrix(iso, dim)
     x = make_hermitian(rng, dim)
     for x in (x, x.real):  # real input takes the blocks' dtype
-        np.testing.assert_allclose(iso.conjugate(x), s.conj().T @ x @ s, atol=1e-14)
+        np.testing.assert_allclose(iso.conjugate(x[None])[0], s.conj().T @ x @ s, atol=1e-14)
     # A sign vector whose gathered classes are constant on every block stays
     # diagonal; kernel columns read 0.
     gathered = rng.choice([-1.0, 1.0], size=dim)
@@ -580,9 +605,10 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     p[remap[remap >= 0]] = gathered[remap >= 0]
     p[np.setdiff1d(np.arange(dim), remap)] = 1.0
     conjugated = s.conj().T @ np.diag(p) @ s
-    np.testing.assert_allclose(iso.conjugate_parity(p), np.real(np.diag(conjugated)), atol=1e-14)
+    mapped = iso.conjugate_parity(p[None])[0]
+    np.testing.assert_allclose(mapped, np.real(np.diag(conjugated)), atol=1e-14)
     np.testing.assert_allclose(conjugated, np.diag(np.diag(conjugated)), atol=1e-14)
-    assert iso.conjugate_parity(p)[[2, 7]].tolist() == [0.0, 0.0]
+    assert mapped[[2, 7]].tolist() == [0.0, 0.0]
     assert iso.kernel_slots.tolist() == [2, 7]
     assert iso.lost_slots.tolist() == sorted(set(range(dim)) - set(remap[remap >= 0]))
 
@@ -618,18 +644,20 @@ def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
     v[1, 3] = v[3, 1] = 0.5
     v[0, 0], v[2, 2] = 0.25, -0.125
     th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
-    np.testing.assert_allclose(th.levels, [0.5, 1.5, 1.875, 3.25])
-    np.testing.assert_allclose(th.operator, np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
+    np.testing.assert_allclose(th.levels[0], [0.5, 1.5, 1.875, 3.25])
+    np.testing.assert_allclose(th.operator[0], np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
 
 
 def test_parity_map_rejects_a_block_mixing_parity_classes():
     t = atom_rotation_t()[None]
     mixing = Isometry(None, ((np.array([[0, 1]]), t),))
     with pytest.raises(ArithmeticError, match="mixes parity classes"):
-        mixing.conjugate_parity(np.array([1.0, -1.0, 1.0]))
+        raise row_error(mixing.conjugate_parity, np.array([[1.0, -1.0, 1.0]]))
     # A kernel slot is a class of its own.
     with pytest.raises(ArithmeticError, match="mixes parity classes"):
-        mixing.conjugate_parity(np.array([1.0, 0.0, 1.0]))
+        raise row_error(mixing.conjugate_parity, np.array([[1.0, 0.0, 1.0]]))
     # Inside one class the block is harmless.
-    np.testing.assert_array_equal(mixing.conjugate_parity(np.array([-1.0, -1.0, 1.0])), [-1, -1, 1])
+    np.testing.assert_array_equal(
+        mixing.conjugate_parity(np.array([[-1.0, -1.0, 1.0]]))[0], [-1, -1, 1]
+    )
 
