@@ -12,7 +12,8 @@ Every method answers a whole coupling grid as one array program
 (:func:`grid_sweep`): the closed forms and rt1 from table evaluations, the
 exact oracle from boxes of its parity blocks, and the contact-iteration
 chains from stacks of chain operators, every stack sized by a byte budget.
-A coupling that fails records its own exception; the others go on.
+One runner admits each coupling and holds the arrays of every method.  A
+coupling that fails records its own exception; the others go on.
 
 Truncation policy: no matrix chain runs at the caller's truncation.  The
 caller's ``n_max`` bounds the exact oracle's box and rt1's photon range:
@@ -33,12 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import closed_form_table
+from .closedform import closed_form_table, require_one_photon_resonance
 from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
     TruncationConfig,
     build_rabi,
+    displacement_band,
     validated_level_count,
 )
 from .spectrum import (
@@ -46,7 +48,6 @@ from .spectrum import (
     PARITY_ODD,
     CouplingErrors,
     MethodSweep,
-    _boxes,
     check_rows,
     exact_spectra,
 )
@@ -85,6 +86,9 @@ METHOD_ORDER = (
 )
 
 CLOSED_FORM_METHODS = frozenset({"jc", "rt2", "strong_avg", "strong_rt"})
+
+# Methods built on the dressed ladder, which assumes omega0 = omega.
+_ONE_PHOTON_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
 
 BRANCH_UNASSIGNED = "unassigned"
 
@@ -138,18 +142,33 @@ def _closed_form_count(g: float, omega: float, n_levels: int) -> int:
     return n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
 
 
-def _run_stacks(cost: dict, solve, errors: list) -> None:
-    """Run ``solve`` on stacks of the couplings of ``cost``, in grid order,
-    recording each coupling's exception in ``errors``.
+def _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels=_EXACT_LABELS):
+    """``method``'s :class:`MethodSweep` over ``grid``, from ``solve`` on
+    stacks of its admitted couplings, in grid order.
 
-    ``cost[i]`` is coupling i's peak bytes; a stack holds as many couplings
-    as fit ``_STACK_BYTES`` at its own largest cost.  ``solve(stack)``
-    returns the errors of its rows, or raises :class:`CouplingErrors`:
-    those rows leave the stack, and the rest of it runs again.  Any other
-    exception of a stack (a table too large to allocate, an invalid
-    coupling, one LAPACK call that fails for all of it) sends each of its
-    couplings through ``solve`` alone, so it is recorded only where raised.
+    A negative or non-finite g records its ModelParams error, any other g
+    the ValueError or OverflowError of ``admit(g)``, which else returns the
+    coupling's peak bytes; a stack holds as many couplings as fit
+    ``_STACK_BYTES`` at its own largest cost.  ``solve(couplings)`` returns
+    its rows' energies, codes into ``labels`` (which it may fill) and errors
+    by row, or raises :class:`CouplingErrors`: those rows leave the stack,
+    and the rest of it runs again.  Any other exception of a stack (a table
+    too large to allocate, one LAPACK call that fails for all of it) sends
+    each of its couplings through ``solve`` alone.
     """
+    grid = np.asarray(grid, dtype=float)
+    energies = np.full((grid.size, n_levels), np.nan)
+    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
+    errors: list = [None] * grid.size
+    cost = {}
+    valid = (np.isfinite(grid) & (grid >= 0)).tolist()  # a ModelParams only where g fails
+    for i, (g, ok) in enumerate(zip(grid.tolist(), valid)):
+        try:
+            if not ok:
+                ModelParams(omega, omega0, g)
+            cost[i] = admit(g)
+        except (ValueError, OverflowError) as exc:
+            errors[i] = exc
     stacks, peak = [], 0
     for i, size in cost.items():
         peak = max(peak, size)
@@ -161,7 +180,9 @@ def _run_stacks(cost: dict, solve, errors: list) -> None:
     while pending:
         stack = pending.pop()
         try:
-            failed = solve(stack)
+            values, rows, failed = solve(grid[stack])
+            # a table may hold fewer than n_levels slots; its rows then fail
+            energies[stack, :values.shape[1]], codes[stack, :rows.shape[1]] = values, rows
         except CouplingErrors as exc:
             failed = exc.errors
             if len(failed) < len(stack):
@@ -173,6 +194,22 @@ def _run_stacks(cost: dict, solve, errors: list) -> None:
             failed = {0: exc}
         for row, exc in failed.items():
             errors[stack[row]] = exc
+    return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
+
+
+def _lowest(values, usable, n_levels: int, why: str, key=None):
+    """Each row's lowest ``n_levels`` usable ``values`` in (energy, ``key``)
+    order, ties in column order: their values and columns, and the
+    ValueError of each row (by row) where fewer are usable."""
+    values = np.where(usable, values, np.inf)
+    keys = (values,) if key is None else (np.broadcast_to(key, values.shape), values)
+    order = np.lexsort(keys, axis=-1)[:, :n_levels]
+    available = usable.sum(axis=-1)
+    short = {
+        row: ValueError(f"requested {n_levels} levels but only {available[row]} {why}")
+        for row in np.flatnonzero(available < n_levels).tolist()
+    }
+    return np.take_along_axis(values, order, -1), order, short
 
 
 def _table_sweep(
@@ -184,50 +221,32 @@ def _table_sweep(
     ladder) only photon numbers up to ``n_max - 1`` count and every branch
     is unassigned.  A coupling whose photon range holds too few levels, that
     the table cannot represent (g / omega out of range), or whose levels are
-    not all finite records its error; an error of the whole grid (off
-    one-photon resonance) is raised.
+    not all finite records its error.
     """
-    grid = np.asarray(grid, dtype=float)
-    closed_form_table(form, omega, omega0, grid[:0], 0)  # raises what fails the whole grid
     top = math.inf if n_max is None else n_max - 1
-    errors: list = [None] * grid.size
-    counts = {}
-    for i, g in enumerate(grid.tolist()):
-        try:
-            counts[i] = min(_closed_form_count(g, omega, n_levels), top)
-        except (OverflowError, ValueError) as exc:  # g / omega beyond float range, or NaN
-            errors[i] = exc
-    energies = np.full((grid.size, n_levels), np.inf)
-    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
-    labels: dict[tuple[str, str], int] = {}
+    counts, labels = {}, {}  # photon range by coupling; code by (branch, parity)
     too_few = "are available" if n_max is None else (
         f"survive the guard band (loss_band=1, n_max={n_max})"
     )
 
-    def solve(block):
-        table = closed_form_table(form, omega, omega0, grid[block], max(counts[i] for i in block))
-        usable = ~table.spurious & (table.n <= np.array([counts[i] for i in block])[:, None])
-        values = np.where(usable, table.energies, np.inf)
-        # (energy, n) order, ties kept in slot order
-        order = np.lexsort((np.broadcast_to(table.n, values.shape), values), axis=-1)[:, :n_levels]
+    def admit(g):
+        counts[g] = count = min(_closed_form_count(g, omega, n_levels), top)
+        return _CLOSED_FORM_PEAK * 8 * (2 * count + 2)  # at most 2 * (count + 1) slots
+
+    def solve(couplings):
+        count = [counts[g] for g in couplings.tolist()]
+        table = closed_form_table(form, omega, omega0, couplings, max(count))
+        usable = ~table.spurious & (table.n <= np.array(count)[:, None])
         branches = table.branch if n_max is None else (BRANCH_UNASSIGNED,) * len(table.branch)
         pairs = zip(branches, table.parity)
         slot_codes = np.array([labels.setdefault(pair, len(labels)) for pair in pairs])
-        picked = np.take_along_axis(values, order, axis=1)
-        energies[block, :order.shape[1]] = picked
-        codes[block, :order.shape[1]] = slot_codes[order]
-        available, finite = usable.sum(axis=1), np.isfinite(picked).all(axis=1)
-        return {
-            row: ValueError(f"requested {n_levels} levels but only {available[row]} {too_few}")
-            if available[row] < n_levels  # else non-finite: omega * omega may underflow to 0
-            else ArithmeticError("closed form gives a non-finite energy")
-            for row in np.flatnonzero((available < n_levels) | ~finite).tolist()
-        }
+        values, order, short = _lowest(table.energies, usable, n_levels, too_few, table.n)
+        # not finite where omega * omega underflows to 0
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+        failed = {row: ArithmeticError("closed form gives a non-finite energy") for row in bad}
+        return values, slot_codes[order], failed | short
 
-    # at most 2 * (count + 1) slots per coupling
-    cost = {i: _CLOSED_FORM_PEAK * 8 * (2 * count + 2) for i, count in counts.items()}
-    _run_stacks(cost, solve, errors)
-    return MethodSweep(method, energies, tuple(labels), codes, tuple(errors))
+    return _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels)
 
 
 def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
@@ -264,30 +283,22 @@ def exact_sweep(
     the guard band validates there, the OverflowError of a guard band beyond
     float range, or its certificate's ArithmeticError.
     """
-    grid = np.asarray(grid, dtype=float)
-    errors: list = [None] * grid.size
-    for i, g in enumerate(grid.tolist()):
-        try:
-            valid = validated_level_count(ModelParams(omega, omega0, g), trunc)
-        except OverflowError as exc:
-            errors[i] = exc
-            continue
+
+    def admit(g):
+        params = ModelParams(omega, omega0, g)
+        valid = validated_level_count(params, trunc)
         if n_levels > valid:
-            errors[i] = ValueError(
+            raise ValueError(
                 f"requested {n_levels} levels from dim {trunc.dim}, of which the "
                 f"guard band validates {valid}"
             )
-    energies = np.full((grid.size, n_levels), np.nan)
-    odd = np.zeros((grid.size, n_levels), dtype=np.intp)
-    solved = [i for i, exc in enumerate(errors) if exc is None]
-    boxes, _ = _boxes(omega, omega0, grid[solved], trunc.n_max, n_levels)
+        box = min(trunc.n_max + 1, n_levels + 1 + displacement_band(params))
+        return _EXACT_PEAK * 16 * box * box
 
-    def solve(stack):
-        energies[stack], odd[stack] = exact_spectra(omega, omega0, grid[stack], trunc.n_max, n_levels)
-        return {}
+    def solve(couplings):
+        return *exact_spectra(omega, omega0, couplings, trunc.n_max, n_levels), {}
 
-    _run_stacks({i: _EXACT_PEAK * 16 * box * box for i, box in zip(solved, boxes)}, solve, errors)
-    return MethodSweep("exact", energies, _EXACT_LABELS, odd, tuple(errors))
+    return _run_stacks("exact", omega, omega0, grid, n_levels, admit, solve)
 
 
 def grid_sweep(
@@ -299,14 +310,18 @@ def grid_sweep(
     Per stack of couplings that fits the byte budget, the exact oracle is
     one call of :func:`spectrum.exact_spectra` (:func:`exact_sweep`), the
     closed forms and rt1 (from the jc table) one table evaluation, and the
-    contact-iteration chains one stack of chain operators (:func:`chain_sweep`).  An
-    error that holds for the whole grid (an unknown method,
-    ``n_levels < 1``, a closed form off one-photon resonance) is raised.
+    contact-iteration chains one stack of chain operators (:func:`chain_sweep`).
+    An error that holds for the whole grid is raised, for every method: an
+    unknown method, ``n_levels < 1``, an invalid omega or omega0, or a
+    dressed-ladder method off one-photon resonance.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
+    params = ModelParams(omega, omega0, 0.0)  # raises what fails omega or omega0
+    if method in _ONE_PHOTON_METHODS:
+        require_one_photon_resonance(params)
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
     if method in CLOSED_FORM_METHODS:
@@ -327,21 +342,16 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     matrices per coupling) is one stack of chain operators, reduced and
     refined by one array program; no coupling's values depend on its stack.
     """
-    grid = np.asarray(grid, dtype=float)
     trunc = kam_truncation(n_levels)
-    energies = np.full((grid.size, n_levels), np.nan)
-    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
-    errors: list = [None] * grid.size
+    peak = _CHAIN_PEAK * 8 * trunc.dim**2
     build = _CHAINS[method]
 
-    def solve(stack):
-        params = tuple(ModelParams(omega, omega0, g) for g in grid[stack].tolist())
+    def solve(couplings):
+        params = tuple(ModelParams(omega, omega0, g) for g in couplings.tolist())
         # no reference to the chain is kept here, so _kam_levels frees its operator
-        energies[stack], codes[stack], short = _kam_levels(build(params, trunc), omega, n_levels)
-        return short
+        return _kam_levels(build(params, trunc), omega, n_levels)
 
-    _run_stacks(dict.fromkeys(range(grid.size), _CHAIN_PEAK * 8 * trunc.dim**2), solve, errors)
-    return MethodSweep(method, energies, _EXACT_LABELS, codes, tuple(errors))
+    return _run_stacks(method, omega, omega0, grid, n_levels, lambda g: peak, solve)
 
 
 def _kam_levels(
@@ -383,17 +393,11 @@ def _kam_levels(
         usable.append(photon <= n_max - loss_band)
         del chain
     odd = values[0].shape[1]  # the first odd slot of [even | odd]
-    values, usable = np.concatenate(values, 1), np.concatenate(usable, 1)
-    order = np.argsort(np.where(usable, values, np.inf), axis=-1, kind="stable")[:, :n_levels]
-    available = usable.sum(axis=-1)
-    short = {
-        row: ValueError(
-            f"requested {n_levels} levels but only {available[row]} survive the "
-            f"guard band (loss_band={loss_band}, n_max={n_max})"
-        )
-        for row in np.flatnonzero(available < n_levels).tolist()
-    }
-    return np.take_along_axis(values, order, -1), (order >= odd).astype(np.intp), short
+    values, order, short = _lowest(
+        np.concatenate(values, 1), np.concatenate(usable, 1), n_levels,
+        f"survive the guard band (loss_band={loss_band}, n_max={n_max})",
+    )
+    return values, (order >= odd).astype(np.intp), short
 
 
 def compute_levels(

@@ -79,21 +79,13 @@ class TruncationConfig:
     ----------
     n_max : int
         Maximum photon number retained; matrix dimension is 2*(n_max+1).
-    guard : int or None
-        Number of top photon levels excluded from validity claims.  None
-        means "resolve from the coupling via :func:`default_guard`".
     """
 
     n_max: int
-    guard: int | None = None
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.guard is not None and not 0 <= self.guard < self.n_max:
-            raise ValueError(
-                f"guard must satisfy 0 <= guard < n_max, got {self.guard}"
-            )
 
     @property
     def dim(self) -> int:
@@ -204,8 +196,6 @@ def default_guard(params: ModelParams, trunc: TruncationConfig) -> int:
     """Guard band: top photon levels excluded from validity claims, the
     :func:`displacement_band` capped at n_max - 1 so at least one photon
     level stays validated."""
-    if trunc.guard is not None:
-        return trunc.guard
     return min(displacement_band(params), trunc.n_max - 1)
 
 

@@ -225,11 +225,11 @@ def exact_spectra(
     Hamiltonian at each coupling of ``grid``, ascending, and whether each is
     odd: two (len(grid), n_levels) arrays.  Each parity block is solved on
     boxes of its leading and its trailing rows (:func:`_boxes`), one stack
-    per box size; a Sturm count on the whole blocks certifies the levels up
-    to rank ``n_levels`` and the top ones to 1e-12*max(|E|, omega).  A box
-    that fails doubles, up to the whole block, where it raises
-    ArithmeticError.  Levels closer than 1e-8*max(1, max|E|) form one
-    group, inside which even labels come before odd ones.
+    per box size; a Sturm count on the whole blocks, in units of omega,
+    certifies the levels up to rank ``n_levels`` and the top ones to
+    1e-12*max(|E|, omega).  A box that fails doubles, up to the whole block,
+    where it raises ArithmeticError.  Levels closer than 1e-8*max(1, max|E|)
+    form one group, inside which even labels come before odd ones.
     """
     grid = np.asarray(grid, dtype=float)
     size = n_max + 1
@@ -237,7 +237,8 @@ def exact_spectra(
     keep = min(size, n_levels + 1)  # each block's levels among the merged n_levels + 1
     even, odd = build_parity_blocks(ModelParams(omega, omega0, 1.0), TruncationConfig(n_max))
     diag, root_n = np.stack([even.diag, odd.diag]), even.off  # off-diagonal sqrt(n) at g = 1
-    off2 = np.concatenate([np.zeros((grid.size, 1)), (grid[:, None] * root_n) ** 2], -1)
+    scaled = diag[:, None] / omega  # certified in units of omega: no pivot falls below pivmin
+    off2 = np.concatenate([np.zeros((grid.size, 1)), ((grid / omega)[:, None] * root_n) ** 2], -1)
     boxes = _boxes(omega, omega0, grid, n_max, n_levels)
     levels = np.empty((2, grid.size, keep + 1))  # each block's lowest levels, then its top
     rank = np.append(np.arange(keep), size - 1)
@@ -255,7 +256,7 @@ def exact_spectra(
             levels[:, rows, part * keep:keep + part] = values[..., -1:] if part else values[..., :keep]
         cut = np.sort(np.concatenate(list(levels[..., :keep]), -1))[:, min(n_levels, 2 * keep - 1)]
         delta = _CERTIFY_RTOL * np.maximum(np.abs(levels), omega)
-        counts = _sturm_count(diag[:, None], off2, np.concatenate([levels - delta, levels + delta], -1))
+        counts = _sturm_count(scaled, off2, np.concatenate([levels - delta, levels + delta], -1) / omega)
         below, upto = np.split(counts, 2, axis=-1)
         bad = ((below > rank) | (upto <= rank)) & ((levels <= cut[:, None]) | (rank == size - 1))
         pending = {}

@@ -550,15 +550,32 @@ def test_an_exception_of_the_whole_stack_is_recorded_at_its_coupling(monkeypatch
     for i in range(grid.size):
         if i != 5:
             assert _point_text(swept.point(i)) == _point_text(clean.point(i)), i
-    # An invalid coupling in a stack is recorded the same way.
-    monkeypatch.undo()
-    mixed = grid_sweep(method, 1.0, 1.0, [grid[1], -0.1, grid[2], np.nan], trunc, 8)
-    assert [_point_text(mixed.point(i)) for i in range(4)] == [
-        _point_text(clean.point(1)),
+
+
+@pytest.mark.parametrize("method", METHOD_ORDER)
+def test_every_method_admits_a_bad_coupling_and_an_off_resonance_grid_alike(method):
+    # A negative or non-finite coupling records the error ModelParams raises
+    # for it; the other couplings are what a clean sweep gives.
+    trunc = TruncationConfig(n_max=20)
+    grid = [0.1, -0.1, np.nan, np.inf, 0.2]
+    clean = grid_sweep(method, 1.0, 1.0, [0.1, 0.2], trunc, 8)
+    assert clean.ok.all()
+    swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
+    assert [_point_text(swept.point(i)) for i in range(len(grid))] == [
+        _point_text(clean.point(0)),
         "ValueError: g must be >= 0, got -0.1",
-        _point_text(clean.point(2)),
         "ValueError: g must be finite, got nan",
+        "ValueError: g must be finite, got inf",
+        _point_text(clean.point(1)),
     ]
+    # Off one-photon resonance every dressed-ladder method fails the whole
+    # grid; the others run.
+    if method in WEAK_METHODS:
+        with pytest.raises(ValueError, match="require omega0 = omega"):
+            grid_sweep(method, 1.0, 0.8, grid, trunc, 8)
+    else:
+        off = grid_sweep(method, 1.0, 0.8, grid, trunc, 8)
+        assert off.ok.tolist() == [True, False, False, False, True]
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)

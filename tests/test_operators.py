@@ -53,12 +53,7 @@ def test_model_params_rejects_non_finite(field, bad):
 def test_truncation_config_validation():
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         TruncationConfig(n_max=0)
-    with pytest.raises(ValueError, match="guard must satisfy"):
-        TruncationConfig(n_max=5, guard=5)
-    with pytest.raises(ValueError, match="guard must satisfy"):
-        TruncationConfig(n_max=5, guard=-1)
     assert TruncationConfig(n_max=5).dim == 12
-    assert TruncationConfig(n_max=5, guard=2).guard == 2
 
 
 # ---------------------------------------------------------------- basis
@@ -312,11 +307,6 @@ def test_displacement_band_squares_the_coupling_ratio():
     for omega, g in ((1e-300, 0.5), (1.0, 1e200)):
         with pytest.raises(OverflowError):
             displacement_band(ModelParams(omega, omega, g))
-
-
-def test_default_guard_respects_explicit_override():
-    trunc = TruncationConfig(n_max=60, guard=7)
-    assert default_guard(ModelParams(1.0, 1.0, 2.0), trunc) == 7
 
 
 def test_validated_level_count():

@@ -350,6 +350,18 @@ def test_sturm_count_replaces_a_zero_pivot():
     assert spectrum._sturm_count(diag, off2, np.zeros(1)).tolist() == [1]
 
 
+def test_certificate_holds_at_a_tiny_omega():
+    # The certificate runs in units of omega: at omega = 1e-300 a shift of
+    # 1e-12 * omega is subnormal, and the pivots would fall below pivmin.
+    trunc = TruncationConfig(n_max=60)
+    tiny = grid_sweep("exact", 1e-300, 1e-300, [0.0], trunc, 4)
+    np.testing.assert_allclose(tiny.energies[0] / 1e-300, [0.0, 1.0, 1.0, 2.0], rtol=1e-15, atol=0)
+    scaled = grid_sweep("exact", 1e-200, 1e-200, [1e-201], trunc, 12)
+    unit = grid_sweep("exact", 1.0, 1.0, [0.1], trunc, 12)
+    assert scaled.ok.all() and unit.ok.all()
+    np.testing.assert_allclose(scaled.energies / 1e-200, unit.energies, rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------- sweeps
 
 
