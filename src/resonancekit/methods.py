@@ -40,7 +40,6 @@ from .operators import (
     ModelParams,
     TruncationConfig,
     build_rabi,
-    displacement_band,
     validated_level_count,
 )
 from .spectrum import (
@@ -48,6 +47,7 @@ from .spectrum import (
     PARITY_ODD,
     CouplingErrors,
     MethodSweep,
+    _leading_box,
     check_rows,
     exact_spectra,
 )
@@ -292,8 +292,7 @@ def exact_sweep(
                 f"requested {n_levels} levels from dim {trunc.dim}, of which the "
                 f"guard band validates {valid}"
             )
-        box = min(trunc.n_max + 1, n_levels + 1 + displacement_band(params))
-        return _EXACT_PEAK * 16 * box * box
+        return _EXACT_PEAK * 16 * _leading_box(params, trunc.n_max, n_levels) ** 2
 
     def solve(couplings):
         return *exact_spectra(omega, omega0, couplings, trunc.n_max, n_levels), {}

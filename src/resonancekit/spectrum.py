@@ -1,11 +1,11 @@
-"""Exact oracle from boxes of the two parity blocks of H, solved as stacked
-eigenvalue problems and certified by a Sturm count on the whole blocks; the
-checked dense Hermitian eigensolver the matrix chains use, on a (G, n, n)
-stack of matrices (one matrix is a stack of one); the records of a coupling
-sweep.  A sweep is held as arrays, one :class:`MethodSweep` per method on
-the table's g grid, and its CSV is written from them.  Sweeps themselves,
-the exact oracle's included, run through ``sweep.run_sweep``, which
-enforces the guard band."""
+"""Exact oracle from leading boxes of the two parity blocks of H, solved as
+stacked eigenvalue problems and certified by a Sturm count on the whole
+blocks; the checked dense Hermitian eigensolver the matrix chains use, on a
+(G, n, n) stack of matrices (one matrix is a stack of one); the records of a
+coupling sweep.  A sweep is held as arrays, one :class:`MethodSweep` per
+method on the table's g grid, and its CSV is written from them.  Sweeps
+themselves, the exact oracle's included, run through ``sweep.run_sweep``,
+which enforces the guard band."""
 
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ _HERM_RTOL = 1e-14
 # Eigenvalue accuracy every solve is checked to, as a fraction of max|lambda|.
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-12
-# Width of a degenerate group, as a fraction of max(1, max|E|).
+# Width of a degenerate group, as a fraction of max(omega, max|E|) over the
+# n_levels + 1 lowest levels.
 _DEGENERACY_RTOL = 1e-8
 # Accuracy the exact oracle's levels are certified to, per max(|E|, omega).
 _CERTIFY_RTOL = 1e-12
@@ -210,12 +211,10 @@ def _sturm_count(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarra
     return count
 
 
-def _boxes(omega: float, omega0: float, grid, n_max: int, n_levels: int) -> list[list[int]]:
-    """Rows of the leading and the trailing box each parity block of each
-    coupling is first solved on: n_levels + 1 + its displacement band, and
-    that band, at most n_max + 1."""
-    bands = [displacement_band(ModelParams(omega, omega0, g)) for g in grid.tolist()]
-    return [[min(n_max + 1, extra + band) for band in bands] for extra in (n_levels + 1, 0)]
+def _leading_box(params: ModelParams, n_max: int, n_levels: int) -> int:
+    """Rows of the leading box each parity block of the exact oracle is first
+    solved on: n_levels + 1 + the displacement band, at most n_max + 1."""
+    return min(n_max + 1, n_levels + 1 + displacement_band(params))
 
 
 def exact_spectra(
@@ -223,57 +222,54 @@ def exact_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lowest ``n_levels`` (default: all) eigenvalues of the truncated
     Hamiltonian at each coupling of ``grid``, ascending, and whether each is
-    odd: two (len(grid), n_levels) arrays.  Each parity block is solved on
-    boxes of its leading and its trailing rows (:func:`_boxes`), one stack
-    per box size; a Sturm count on the whole blocks, in units of omega,
-    certifies the levels up to rank ``n_levels`` and the top ones to
-    1e-12*max(|E|, omega).  A box that fails doubles, up to the whole block,
-    where it raises ArithmeticError.  Levels closer than 1e-8*max(1, max|E|)
-    form one group, inside which even labels come before odd ones.
+    odd: two (len(grid), n_levels) arrays.  Each parity block is solved on a
+    box of its leading rows (:func:`_leading_box`), one stack per box size;
+    a Sturm count on the whole blocks, in units of omega, certifies the
+    levels up to rank ``n_levels`` to 1e-12*max(|E|, omega).  A box that
+    fails doubles, up to the whole block, where it raises ArithmeticError.
+    Levels closer than 1e-8*max(omega, max|E|), over the n_levels + 1
+    lowest, form one group, inside which even labels come before odd ones.
     """
     grid = np.asarray(grid, dtype=float)
     size = n_max + 1
     n_levels = 2 * size if n_levels is None else min(n_levels, 2 * size)
     keep = min(size, n_levels + 1)  # each block's levels among the merged n_levels + 1
+    top = min(n_levels, 2 * keep - 1)  # merged rank of the highest of them
     even, odd = build_parity_blocks(ModelParams(omega, omega0, 1.0), TruncationConfig(n_max))
     diag, root_n = np.stack([even.diag, odd.diag]), even.off  # off-diagonal sqrt(n) at g = 1
     scaled = diag[:, None] / omega  # certified in units of omega: no pivot falls below pivmin
     off2 = np.concatenate([np.zeros((grid.size, 1)), ((grid / omega)[:, None] * root_n) ** 2], -1)
-    boxes = _boxes(omega, omega0, grid, n_max, n_levels)
-    levels = np.empty((2, grid.size, keep + 1))  # each block's lowest levels, then its top
-    rank = np.append(np.arange(keep), size - 1)
-    pending = dict.fromkeys((part, i) for part in (0, 1) for i in range(grid.size))
-    while pending:
-        stacks: dict[tuple[int, int], list[int]] = {}
-        for part, i in pending:
-            stacks.setdefault((part, boxes[part][i]), []).append(i)
-        for (part, box), rows in stacks.items():
-            start, idx = part * (size - box), np.arange(box)
-            h = np.zeros((2, len(rows), box, box))
-            h[..., idx, idx] = diag[:, None, start:start + box]
-            h[..., idx[1:], idx[:-1]] = grid[rows, None] * root_n[start:start + box - 1]
-            values = np.linalg.eigvalsh(h)  # reads the lower triangle only
-            levels[:, rows, part * keep:keep + part] = values[..., -1:] if part else values[..., :keep]
-        cut = np.sort(np.concatenate(list(levels[..., :keep]), -1))[:, min(n_levels, 2 * keep - 1)]
+    params = (ModelParams(omega, omega0, g) for g in grid.tolist())
+    boxes = np.array([_leading_box(p, n_max, n_levels) for p in params])
+    levels = np.empty((2, grid.size, keep))  # each block's lowest levels
+    rank = np.arange(keep)
+    pending = np.arange(grid.size)
+    while pending.size:
+        for box in sorted(set(boxes[pending].tolist())):  # np.unique would import numpy.ma
+            rows, idx = pending[boxes[pending] == box], np.arange(box)
+            h = np.zeros((2, rows.size, box, box))
+            h[..., idx, idx] = diag[:, None, :box]
+            h[..., idx[1:], idx[:-1]] = grid[rows, None] * root_n[:box - 1]
+            levels[:, rows] = np.linalg.eigvalsh(h)[..., :keep]  # reads the lower triangle only
+        cut = np.sort(np.concatenate(list(levels), -1))[:, top]
         delta = _CERTIFY_RTOL * np.maximum(np.abs(levels), omega)
         counts = _sturm_count(scaled, off2, np.concatenate([levels - delta, levels + delta], -1) / omega)
         below, upto = np.split(counts, 2, axis=-1)
-        bad = ((below > rank) | (upto <= rank)) & ((levels <= cut[:, None]) | (rank == size - 1))
-        pending = {}
-        for block, i, k in np.argwhere(bad).tolist():
-            if boxes[k // keep][i] == size:
-                raise ArithmeticError(
-                    f"Sturm count does not certify eigenvalue {rank[k]} of the "
-                    f"{(PARITY_EVEN, PARITY_ODD)[block]} block at g = {float(grid[i])!r} "
-                    f"to {delta[block, i, k]:.3e}"
-                )
-            pending[k // keep, i] = None
-        for part, i in pending:
-            boxes[part][i] = min(size, 2 * boxes[part][i])
-    merged = np.concatenate(list(levels[..., :keep]), -1)
+        bad = ((below > rank) | (upto <= rank)) & (levels <= cut[:, None])
+        failed = np.argwhere(bad & (boxes == size)[:, None]).tolist()
+        if failed:
+            block, i, k = failed[0]
+            raise ArithmeticError(
+                f"Sturm count does not certify eigenvalue {k} of the "
+                f"{(PARITY_EVEN, PARITY_ODD)[block]} block at g = {float(grid[i])!r} "
+                f"to {delta[block, i, k]:.3e}"
+            )
+        pending = np.flatnonzero(bad.any(axis=(0, 2)))
+        boxes[pending] = np.minimum(size, 2 * boxes[pending])
+    merged = np.concatenate(list(levels), -1)
     order = np.argsort(merged, axis=-1, kind="stable")
     values, is_odd = np.take_along_axis(merged, order, -1), order >= keep
-    tol = _DEGENERACY_RTOL * np.maximum(1.0, np.abs(levels[..., [0, -1]]).max(axis=(0, 2)))
-    groups = _gap_ids(values, tol[:, None])
+    scale = np.maximum(omega, np.abs(values[:, [0, top]]).max(axis=-1))
+    groups = _gap_ids(values, _DEGENERACY_RTOL * scale[:, None])
     is_odd = np.take_along_axis(is_odd, np.lexsort((is_odd, groups), axis=-1), -1)
     return values[:, :n_levels], is_odd[:, :n_levels]

@@ -302,7 +302,11 @@ def compare_methods(
         other = table.sweep(method)
         errors = [] if exact is None or other is None else _pair_errors(exact, other)
         if len(errors):
-            result[method] = (float(np.max(errors)), float(np.mean(errors)), len(errors))
+            with np.errstate(over="ignore"):
+                top, mean = float(np.max(errors)), float(np.mean(errors))
+            if math.isinf(mean) and math.isfinite(top):  # finite errors summed past the maximum
+                mean = float(np.mean(errors / top) * top)
+            result[method] = (top, mean, len(errors))
         else:
             result[method] = (float("nan"), float("nan"), 0)
     if out_path is None and config.output_path:

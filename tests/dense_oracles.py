@@ -79,13 +79,15 @@ def exact_spectrum(
 
 
 def dense_exact_spectra(
-    omega: float, omega0: float, grid, n_max: int
+    omega: float, omega0: float, grid, n_max: int, n_levels: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue of the truncated Hamiltonian at each coupling of
-    ``grid``, as :func:`resonancekit.spectrum.exact_spectra` returns them,
-    from a plain dense solve of each whole parity block: (values, odd), both
-    (len(grid), 2*(n_max+1)), values ascending and, inside each group of
-    levels closer than 1e-8*max(1, max|E|), even labels before odd ones."""
+    ``grid``, labelled as :func:`resonancekit.spectrum.exact_spectra` labels
+    its lowest ``n_levels`` (default: all), from a plain dense solve of each
+    whole parity block: (values, odd), both (len(grid), 2*(n_max+1)), values
+    ascending and, inside each group of levels closer than
+    1e-8*max(omega, max|E|) over the n_levels + 1 lowest, even labels before
+    odd ones."""
     rows = []
     for g in np.asarray(grid, dtype=float).tolist():
         blocks = build_parity_blocks(ModelParams(omega, omega0, g), TruncationConfig(n_max))
@@ -94,7 +96,8 @@ def dense_exact_spectra(
         odd = np.repeat([False, True], n_max + 1)
         order = np.argsort(values, kind="stable")
         values, odd = values[order], odd[order]
-        tol = 1e-8 * max(1.0, np.abs(values).max())
+        lowest = values if n_levels is None else values[:n_levels + 1]
+        tol = 1e-8 * max(omega, np.abs(lowest).max())
         groups = np.concatenate([[0], np.cumsum(np.diff(values) > tol)])
         rows.append((values, odd[np.lexsort((odd, groups))]))
     return np.array([v for v, _ in rows]), np.array([o for _, o in rows])

@@ -93,10 +93,15 @@ def rows_compare(rows, methods) -> dict[str, tuple[float, float, int]]:
             exact_rows, method_rows = by_point.get((g, "exact")), by_point.get((g, method))
             if exact_rows and method_rows:
                 errors.extend(abs(m.energy - e.energy) for e, m in _rank_pairs(exact_rows, method_rows))
-        result[method] = (
-            (float(max(errors)), float(np.mean(errors)), len(errors)) if errors
-            else (float("nan"), float("nan"), 0)
-        )
+        if not errors:
+            result[method] = (float("nan"), float("nan"), 0)
+            continue
+        top = float(max(errors))
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(errors))
+        if mean == float("inf") and top < float("inf"):  # rescaled, as the array path does
+            mean = float(np.mean([e / top for e in errors]) * top)
+        result[method] = (top, mean, len(errors))
     return result
 
 

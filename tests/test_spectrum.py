@@ -257,7 +257,8 @@ def _assert_lowest_levels(values, odd, dense, omega):
 def test_lowest_levels_are_the_first_of_the_dense_oracles(omega, omega0, n_max, grid, n_levels):
     values, odd = exact_spectra(omega, omega0, grid, n_max, n_levels)
     assert values.shape == odd.shape == (len(grid), min(n_levels, 2 * (n_max + 1)))
-    _assert_lowest_levels(values, odd, dense_exact_spectra(omega, omega0, grid, n_max), omega)
+    dense = dense_exact_spectra(omega, omega0, grid, n_max, n_levels)
+    _assert_lowest_levels(values, odd, dense, omega)
 
 
 _BASELINE_GRIDS = {"weak": np.linspace(0.0, 0.3, 31), "wide": np.linspace(0.0, 1.5, 151)}
@@ -267,12 +268,12 @@ _BASELINE_GRIDS = {"weak": np.linspace(0.0, 0.3, 31), "wide": np.linspace(0.0, 1
 @pytest.mark.parametrize("grid", _BASELINE_GRIDS.values(), ids=_BASELINE_GRIDS)
 def test_boxes_give_the_dense_oracles_lowest_levels(grid, n_max):
     values, odd = exact_spectra(1.0, 1.0, grid, n_max, 12)
-    _assert_lowest_levels(values, odd, dense_exact_spectra(1.0, 1.0, grid, n_max), 1.0)
+    _assert_lowest_levels(values, odd, dense_exact_spectra(1.0, 1.0, grid, n_max, 12), 1.0)
 
 
 def test_boxes_too_small_to_certify_grow_to_the_same_levels(monkeypatch):
     grid = np.linspace(0.0, 1.5, 31)
-    expected = exact_spectra(1.0, 0.37, grid, 60, 12)
+    expected = exact_spectra(1.0, 0.37, grid, 40, 12)
     solved = []
     solve = np.linalg.eigvalsh
 
@@ -280,13 +281,31 @@ def test_boxes_too_small_to_certify_grow_to_the_same_levels(monkeypatch):
         solved.append(h.shape[-1])
         return solve(h)
 
-    # leading boxes of the 13 rows that hold the levels kept, trailing ones of 2
-    monkeypatch.setattr(spectrum, "_boxes", lambda *args: ([13] * grid.size, [2] * grid.size))
+    # boxes of the 13 rows that hold the levels kept, without the band
+    monkeypatch.setattr(spectrum, "_leading_box", lambda *args: 13)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    values, odd = exact_spectra(1.0, 0.37, grid, 60, 12)
-    assert solved[:2] == [13, 2] and {26, 52, 4, 8, 16, 32} <= set(solved)  # doubled
+    values, odd = exact_spectra(1.0, 0.37, grid, 40, 12)
+    assert solved == [13, 26, 41]  # doubled, up to the whole block of 41 rows
     assert np.all(np.abs(values - expected[0]) <= 1e-12 * np.maximum(np.abs(expected[0]), 1.0))
     np.testing.assert_array_equal(odd, expected[1])
+
+
+def test_labels_do_not_depend_on_the_truncation():
+    # Strong-field doublets from g = 2.5 on are split by less than 1e-8 of
+    # a truncated block's top level, which grows with n_max; the tie width
+    # is taken over the levels asked for, so the labels do not move.
+    grid = np.linspace(0.0, 3.0, 301)
+    at_120 = exact_spectra(1.0, 1.0, grid, 120, 12)
+    at_240 = exact_spectra(1.0, 1.0, grid, 240, 12)
+    np.testing.assert_array_equal(at_120[1], at_240[1])
+
+
+def test_labels_at_a_tiny_omega_read_as_at_omega_1():
+    # g / omega is 0.1 in both; the tie width scales with omega.
+    tiny = grid_sweep("exact", 1e-200, 1e-200, [1e-201], TruncationConfig(60), 12)
+    unit = grid_sweep("exact", 1.0, 1.0, [0.1], TruncationConfig(60), 12)
+    assert tiny.parities(0).tolist() == unit.parities(0).tolist()
+    assert unit.parities(0).tolist() == [PARITY_ODD, PARITY_EVEN, PARITY_EVEN, PARITY_ODD] * 3
 
 
 # ---------------------------------------------------------------- certificate

@@ -178,9 +178,9 @@ def test_csv_round_trip_of_random_tables_is_exact(table):
     assert table_to_csv(back) == text
 
 
-# The energies span the whole float range, so |dE| and its mean can overflow
-# to inf, in the array path and the row reference alike: the two must agree,
-# inf included, and numpy's overflow warning is expected here.
+# The energies span the whole float range, so |dE| can overflow to inf, in
+# the array path and the row reference alike: the two must agree, inf
+# included, and numpy's overflow warning is expected here.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(_tables(increasing=True, with_exact=True))
@@ -188,6 +188,18 @@ def test_rank_pair_masks_equal_the_per_row_pairing(table):
     config = SweepConfig(methods=tuple(s.method for s in table.sweeps), output_path="")
     stats = compare_methods(config, table, out_path="")
     assert repr(stats) == repr(rows_compare(table_rows(table), config.methods))
+
+
+def test_mean_error_is_finite_where_finite_errors_sum_past_the_float_maximum():
+    labels, codes = ((BRANCH_UNASSIGNED, PARITY_EVEN),), np.zeros((2, 1), dtype=np.intp)
+    table = SpectrumTable(np.array([0.0, 0.1]), (
+        MethodSweep("exact", np.zeros((2, 1)), labels, codes, (None, None)),
+        MethodSweep("jc", np.full((2, 1), 1.5e308), labels, codes, (None, None)),
+    ))
+    config = SweepConfig(methods=("exact", "jc"), output_path="")
+    expected = {"exact": (0.0, 0.0, 2), "jc": (1.5e308, 1.5e308, 2)}
+    assert compare_methods(config, table, out_path="") == expected
+    assert rows_compare(table_rows(table), config.methods) == expected
 
 
 @pytest.mark.parametrize("method", ["exact", "jc", "rt1", "rt1_kam", "rt_full_kam"])
