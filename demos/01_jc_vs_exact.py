@@ -6,33 +6,29 @@ This script prints those energies next to the exact truncated-Fock
 diagonalization and shows where the approximation starts to drift.
 """
 
-import numpy as np
-
-from resonancekit.methods import compute_levels
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.methods import grid_sweep
+from resonancekit.operators import TruncationConfig
 
 TRUNC = TruncationConfig(n_max=60)
+COUPLINGS = (0.0, 0.05, 0.2, 0.5)
 
 
-def spectrum_table(g, n_levels=8):
-    params = ModelParams(omega=1.0, omega0=1.0, g=g)
-    exact = compute_levels("exact", params, TRUNC, n_levels)
-    rwa = compute_levels("jc", params, TRUNC, n_levels)
+def spectrum_table(g, exact, rwa):
     print(f"\ng = {g}")
     print(f"  {'level':>5} {'parity':>6} {'branch':>8} {'exact':>12} "
           f"{'rwa':>12} {'diff':>10}")
-    for ex, jc in zip(exact, rwa):
-        print(f"  {ex.level:>5} {ex.parity:>6} {jc.branch:>8} "
-              f"{ex.energy:>12.6f} {jc.energy:>12.6f} "
-              f"{jc.energy - ex.energy:>10.2e}")
+    for level, ((_, parity, ex), (branch, _, jc)) in enumerate(zip(exact, rwa)):
+        print(f"  {level:>5} {parity:>6} {branch:>8} "
+              f"{ex:>12.6f} {jc:>12.6f} {jc - ex:>10.2e}")
 
 
 def main():
     print("Exact vs rotating-wave (dressed-pair) spectrum, omega = omega0 = 1")
     print("At g = 0 the ladder is doubly degenerate from level 1 up;")
     print("the coupling splits each pair by 2*g*sqrt(n).")
-    for g in (0.0, 0.05, 0.2, 0.5):
-        spectrum_table(g)
+    exact, rwa = (grid_sweep(m, 1.0, 1.0, COUPLINGS, TRUNC, 8) for m in ("exact", "jc"))
+    for i, g in enumerate(COUPLINGS):
+        spectrum_table(g, exact.point(i), rwa.point(i))
     print("\nThe rotating-wave energies are exact to O(g^2/omega); by g = 0.5")
     print("the counter-rotating (Bloch-Siegert type) shifts are visible in")
     print("every level.")

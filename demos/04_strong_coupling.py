@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from resonancekit.closedform import laguerre_table
-from resonancekit.methods import compute_levels
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.methods import grid_sweep
+from resonancekit.operators import TruncationConfig
 
 ORACLE_TRUNC = TruncationConfig(n_max=120)
 
@@ -22,18 +22,13 @@ ORACLE_TRUNC = TruncationConfig(n_max=120)
 def error_table(n_levels=8):
     print("max |E - E_exact| over the lowest 8 levels:")
     print(f"  {'g':>5} {'strong_avg':>12} {'strong_rt':>12}")
-    for g in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-        params = ModelParams(omega=1.0, omega0=1.0, g=g)
-        exact = np.array(
-            [lv.energy for lv in compute_levels("exact", params, ORACLE_TRUNC, n_levels)]
-        )
-        errs = []
-        for method in ("strong_avg", "strong_rt"):
-            approx = np.array(
-                [lv.energy for lv in compute_levels(method, params, ORACLE_TRUNC, n_levels)]
-            )
-            errs.append(np.abs(approx - exact).max())
-        print(f"  {g:>5} {errs[0]:>12.3e} {errs[1]:>12.3e}")
+    couplings = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    exact, avg, rt = (
+        grid_sweep(method, 1.0, 1.0, couplings, ORACLE_TRUNC, n_levels).energies
+        for method in ("exact", "strong_avg", "strong_rt")
+    )
+    for g, e_avg, e_rt in zip(couplings, *(np.abs(e - exact).max(axis=1) for e in (avg, rt))):
+        print(f"  {g:>5} {e_avg:>12.3e} {e_rt:>12.3e}")
 
 
 def splitting_collapse():

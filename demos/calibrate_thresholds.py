@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from resonancekit.closedform import resonance_loci, second_order_locus
-from resonancekit.methods import compute_levels
+from resonancekit.methods import grid_sweep
 from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
 from resonancekit.spectrum import eigh
 from resonancekit.sweep import SweepConfig, compare_methods, resonance_report, run_sweep
@@ -98,10 +98,9 @@ def spectrum_regression_constants():
         decomp = eigh(build_rabi(params, TruncationConfig(n_max=n_max))[None])
         print(f"  E0(g=0.5, n_max={n_max}) = {decomp.values[0, 0]:.16f}")
 
-    params = ModelParams(omega=1.0, omega0=1.0, g=0.2)
     for n_max in (60, 120):
-        levels = compute_levels("exact", params, TruncationConfig(n_max=n_max), 12)
-        energies = [lv.energy for lv in levels]
+        sweep = grid_sweep("exact", 1.0, 1.0, [0.2], TruncationConfig(n_max=n_max), 12)
+        energies = sweep.energies[0]
         print(f"  lowest 12 at g=0.2, n_max={n_max}:")
         print("   ", ", ".join(f"{e:.15f}" for e in energies[:6]))
         print("   ", ", ".join(f"{e:.15f}" for e in energies[6:]))

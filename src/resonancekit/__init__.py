@@ -36,7 +36,7 @@ from .transforms import (
     strong_chain,
     rt_zero_field,
 )
-from .methods import METHOD_ORDER, MethodLevel, compute_levels
+from .methods import METHOD_ORDER
 from .closedform import (
     closed_form_table,
     resonance_loci,
@@ -80,8 +80,6 @@ __all__ = [
     "strong_chain",
     "rt_zero_field",
     "METHOD_ORDER",
-    "MethodLevel",
-    "compute_levels",
     "closed_form_table",
     "resonance_loci",
     "second_order_locus",

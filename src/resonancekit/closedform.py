@@ -36,7 +36,6 @@ __all__ = [
     "require_one_photon_resonance",
 ]
 
-from .operators import ModelParams
 from .spectrum import PARITY_EVEN, PARITY_ODD
 
 
@@ -91,17 +90,13 @@ def laguerre_table(n: int, alpha, x) -> np.ndarray:
     return out
 
 
-def _require_resonance(omega: float, omega0: float) -> None:
+def require_one_photon_resonance(omega: float, omega0: float) -> None:
+    """The dressed-ladder constructions assume omega0 = omega exactly."""
     if not abs(omega - omega0) <= 1e-12 * omega:
         raise ValueError(
             "one-photon-resonance methods require omega0 = omega; "
             f"got omega={omega}, omega0={omega0}"
         )
-
-
-def require_one_photon_resonance(params: ModelParams) -> None:
-    """The dressed-ladder constructions assume omega0 = omega exactly."""
-    _require_resonance(params.omega, params.omega0)
 
 
 def _ladder_parity(n: int) -> str:
@@ -148,7 +143,7 @@ def _jc_table(w, w0, g, n_levels) -> ClosedFormTable:
     The n = 0 "+" slot is the spurious zero introduced by the photon-shift
     isometry; the physical n = 0 level sits in the "-" slot.
     """
-    _require_resonance(w, w0)
+    require_one_photon_resonance(w, w0)
     n = np.arange(1, n_levels + 1)
     root = g[:, None] * np.sqrt(n)
     head = ((0, "+", _ladder_parity(0), True), (0, "-", _ladder_parity(0), False))
@@ -164,7 +159,7 @@ def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
     E = w(n-1) + (g/2)(sqrt(n-2) - sqrt(n))
         +/- (1/2)sqrt((-2w + g(sqrt(n-2)+sqrt(n)))^2 + g^2 (n-1)).
     """
-    _require_resonance(w, w0)
+    require_one_photon_resonance(w, w0)
     half_split = 0.5 * np.sqrt(_libm(_square, 2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
     center = w - g / math.sqrt(2.0)
     head = (

@@ -1,14 +1,15 @@
 """Registry of spectrum-computation methods used by sweeps and comparisons.
 
-Every method maps (params, trunc, n_levels) to the same shape of output: the
-lowest physical levels in ascending energy order, without the spurious kernel
-zeros (a chain's sign-0 parity slots, a closed form's spurious slots), each
-level carrying a branch tag (closed forms only), a parity label, and its
-energy.  The exact oracle and the contact-iteration chains label a level by
-the parity block it was solved in; closed forms carry analytic labels.  No
+Every method maps (omega, omega0, grid, trunc, n_levels) to a
+:class:`MethodSweep`: at each coupling, the lowest ``n_levels`` physical
+levels in ascending energy order (``.energies[i]``, or ``.point(i)`` as
+(branch, parity, energy)), without the spurious kernel zeros (a chain's
+sign-0 parity slots, a closed form's spurious slots).  The exact oracle and
+the contact-iteration chains label a level by the parity block it was solved
+in, and leave its branch unassigned; closed forms carry analytic labels.  No
 method emits guard-band levels.
 
-Every method answers a whole coupling grid as one array program
+Every method answers its whole grid as one array program
 (:func:`grid_sweep`): the closed forms and rt1 from table evaluations, the
 exact oracle from boxes of its parity blocks, and the contact-iteration
 chains from stacks of chain operators, every stack sized by a byte budget.
@@ -30,7 +31,7 @@ the levels of interest do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,11 +64,9 @@ __all__ = [
     "METHOD_ORDER",
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
-    "MethodLevel",
     "chain_sweep",
     "exact_sweep",
     "grid_sweep",
-    "compute_levels",
     "kam_truncation",
     "rabi_rt1_chain",
     "rabi_rt2_chain",
@@ -116,17 +115,6 @@ _EXACT_PEAK = 2
 # keeping a CLI run's peak RSS where stacks of 6 had it, 4 at 40 levels
 # (dim 86), and 112 to 131 closed-form couplings at 40 levels and g <= 1.5.
 _STACK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class MethodLevel:
-    """One physical level of one method at one coupling value."""
-
-    level: int
-    branch: str
-    parity: str
-    energy: float
-    spurious: bool = False
 
 
 def kam_truncation(n_levels: int) -> TruncationConfig:
@@ -318,9 +306,9 @@ def grid_sweep(
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    params = ModelParams(omega, omega0, 0.0)  # raises what fails omega or omega0
+    ModelParams(omega, omega0, 0.0)  # raises what fails omega or omega0
     if method in _ONE_PHOTON_METHODS:
-        require_one_photon_resonance(params)
+        require_one_photon_resonance(omega, omega0)
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
     if method in CLOSED_FORM_METHODS:
@@ -397,17 +385,3 @@ def _kam_levels(
         f"survive the guard band (loss_band={loss_band}, n_max={n_max})",
     )
     return values, (order >= odd).astype(np.intp), short
-
-
-def compute_levels(
-    method: str,
-    params: ModelParams,
-    trunc: TruncationConfig,
-    n_levels: int,
-) -> list[MethodLevel]:
-    """Compute the lowest ``n_levels`` physical levels by the named method:
-    a one-point :func:`grid_sweep`, whose recorded error is raised."""
-    levels = grid_sweep(method, params.omega, params.omega0, [params.g], trunc, n_levels).point(0)
-    if isinstance(levels, Exception):
-        raise levels
-    return [MethodLevel(i, *level) for i, level in enumerate(levels)]

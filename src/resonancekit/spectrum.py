@@ -3,9 +3,9 @@ stacked eigenvalue problems and certified by a Sturm count on the whole
 blocks; the checked dense Hermitian eigensolver the matrix chains use, on a
 (G, n, n) stack of matrices (one matrix is a stack of one); the records of a
 coupling sweep.  A sweep is held as arrays, one :class:`MethodSweep` per
-method on the table's g grid, and its CSV is written from them.  Sweeps
-themselves, the exact oracle's included, run through ``sweep.run_sweep``,
-which enforces the guard band."""
+method on the table's g grid, and its CSV is written from them.  The guard
+band is enforced where ``methods.exact_sweep`` admits each coupling
+(``operators.validated_level_count``)."""
 
 from __future__ import annotations
 

@@ -42,7 +42,9 @@ from .kam import unitary_exp
 from .operators import (
     ModelParams,
     TruncationConfig,
+    _adjoint,
     _mat,
+    _symmetrized,
     basis_index,
     build_boson_ops,
     displacement_band,
@@ -131,7 +133,7 @@ class Isometry:
             cols = (mat[:, None, :], span[:, None], slot[:, None, :])
             stack[cols] = np.matmul(stack[cols], q)
             rows = (mat[:, :, None], slot[:, :, None], span)
-            stack[rows] = np.matmul(q.conj().transpose(0, 2, 1), stack[rows])
+            stack[rows] = np.matmul(_adjoint(q), stack[rows])
         return y
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
@@ -306,7 +308,7 @@ def rt_one_photon(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
     one per ModelParams of the sequence ``params``.
     """
     first, g = _couplings(params)
-    require_one_photon_resonance(first)
+    require_one_photon_resonance(first.omega, first.omega0)
     h = _mat(H)
     fock_dim = trunc.n_max + 1
     dim = 2 * fock_dim
@@ -377,8 +379,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     block = np.stack(
         [np.stack([m[..., i, i], m[..., i, j]], -1), np.stack([m[..., j, i], m[..., j, j]], -1)], -2
     )
-    block = 0.5 * (block + block.conj().swapaxes(-1, -2))
-    _, q = np.linalg.eigh(block)
+    _, q = np.linalg.eigh(_symmetrized(block))
     rotation = Isometry(None, (_stacked_blocks(
         np.concatenate([reflection_idx, pairs]), np.concatenate([reflection_q, q], -3), stack, dim
     ),))
@@ -442,8 +443,7 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
         own = np.zeros((at.size, k, k))
         own[:, span, span] = flat_values[mat[:, None] * dim + rows]
         block = ref + (operator[mat[:, None, None], rows[:, :, None], rows[:, None, :]] - own)
-        block = 0.5 * (block + block.conj().swapaxes(-1, -2))
-        vals, vecs = np.linalg.eigh(block)
+        vals, vecs = np.linalg.eigh(_symmetrized(block))
         flat_e[idx] = vals
         blocks.append((idx, vecs))
     fields = _conjugate(th, (Isometry(order, tuple(blocks)),), "generic_numeric_rt")

@@ -34,7 +34,7 @@ from resonancekit.averaging import (
 )
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
-from resonancekit.methods import BRANCH_UNASSIGNED, MethodLevel
+from resonancekit.methods import BRANCH_UNASSIGNED
 from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
@@ -323,12 +323,13 @@ def build_effective(
     return 0.5 * (h_eff + h_eff.conj().swapaxes(-1, -2))  # scrub rotation round-off
 
 
-def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodLevel]:
-    """Read levels off a chain, a stack of one: slot k is a level with energy
+def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[tuple[str, str, float]]:
+    """Read levels off a chain, a stack of one, as ``MethodSweep.point``
+    gives them, (branch, parity, energy): slot k is a level with energy
     ``levels[0, k]``, photon number k // 2 and parity ``parity[0, k]``.
     Drops the sign-0 slots, which are the kernel slots and hold the spurious
     zeros, and the levels in the top ``loss_band`` photon rows; sorts
-    stably, ranks."""
+    stably."""
     n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
     values, parity = np.asarray(th.levels[0], dtype=float), th.parity[0]
     usable = np.flatnonzero(parity != 0.0)
@@ -340,9 +341,8 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[MethodL
             f"guard band (loss_band={th.loss_band}, n_max={n_max})"
         )
     return [
-        MethodLevel(level=rank, branch=BRANCH_UNASSIGNED, energy=float(values[k]),
-                    parity=PARITY_EVEN if parity[k] > 0 else PARITY_ODD)
-        for rank, k in enumerate(usable[:n_levels])
+        (BRANCH_UNASSIGNED, PARITY_EVEN if parity[k] > 0 else PARITY_ODD, float(values[k]))
+        for k in usable[:n_levels]
     ]
 
 

@@ -23,7 +23,7 @@ from resonancekit.cli import main as cli_main
 from resonancekit.closedform import resonance_loci, second_order_locus
 from resonancekit.kam import W_NORM_DIVERGENCE, kam_iterate_full, kam_step
 from resonancekit.methods import (
-    compute_levels,
+    grid_sweep,
     kam_truncation,
     rabi_rt1_chain,
     rabi_rt2_chain,
@@ -164,7 +164,12 @@ def test_criterion_3_closed_form_matrix_equivalence():
     n_levels = 12
     worst: dict[str, float] = {}
     label_mismatches = []
-    for g in (0.1, 0.4, 1.0, 2.0):
+    couplings = (0.1, 0.4, 1.0, 2.0)
+    closed_forms = {
+        method: grid_sweep(method, 1.0, 1.0, couplings, trunc, n_levels)
+        for method in ("jc", "rt2", "strong_avg", "strong_rt")
+    }
+    for i, g in enumerate(couplings):
         params = ModelParams(omega=1.0, omega0=1.0, g=g)
         matrix_levels = {
             "jc": levels_from_chain(rabi_rt1_chain((params,), trunc), n_levels),
@@ -173,14 +178,14 @@ def test_criterion_3_closed_form_matrix_equivalence():
             "strong_rt": levels_from_chain(strong_rt_chain(params, trunc), n_levels),
         }
         for method, levels in matrix_levels.items():
-            closed = compute_levels(method, params, trunc, n_levels)
+            closed = closed_forms[method]
             if levels is None:
                 matrix = strong_avg_decomposition(params, trunc)[0].values[0, :n_levels]
             else:
-                matrix = [lv.energy for lv in levels]
-                if [lv.parity for lv in levels] != [lv.parity for lv in closed]:
+                matrix = [energy for _, _, energy in levels]
+                if [parity for _, parity, _ in levels] != closed.parities(i).tolist():
                     label_mismatches.append((method, g))
-            diff = float(np.abs(np.asarray([lv.energy for lv in closed]) - matrix).max())
+            diff = float(np.abs(closed.energies[i] - matrix).max())
             worst[method] = max(worst.get(method, 0.0), diff)
     elapsed = time.perf_counter() - start
     ok = all(d <= 1e-8 for d in worst.values()) and not label_mismatches and elapsed < 60.0

@@ -2,7 +2,6 @@
 
 import math
 from collections import namedtuple
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from resonancekit.closedform import (
     resonance_loci,
     second_order_locus,
 )
-from resonancekit.methods import compute_levels, grid_sweep
+from resonancekit.methods import grid_sweep
 from resonancekit.operators import ModelParams, TruncationConfig
 from resonancekit.spectrum import eigh
 
@@ -147,13 +146,12 @@ def test_displacement_element_against_matrix_exponential(g):
 
 
 def test_require_one_photon_resonance():
-    require_one_photon_resonance(_params(0.3))  # no raise at resonance
+    require_one_photon_resonance(1.0, 1.0)  # no raise at resonance
     with pytest.raises(ValueError, match="require omega0 = omega"):
-        require_one_photon_resonance(ModelParams(omega=1.0, omega0=1.1, g=0.3))
+        require_one_photon_resonance(1.0, 1.1)
     # A NaN splitting compares false with everything; it must not pass.
-    nan_params = SimpleNamespace(omega=1.0, omega0=math.nan, g=0.3)
     with pytest.raises(ValueError, match="require omega0 = omega"):
-        require_one_photon_resonance(nan_params)
+        require_one_photon_resonance(1.0, math.nan)
 
 
 # ---------------------------------------------------------------- ladders
@@ -267,10 +265,8 @@ def test_closed_form_sweep_equals_per_point_path(method, omega0):
     for i, g in enumerate(_GRID):
         levels = swept.point(i)
         assert levels == scalar_closed_forms.selected_levels(method, 1.0, omega0, g, n_levels)
-        point = compute_levels(
-            method, ModelParams(1.0, omega0, g), TruncationConfig(n_max=20), n_levels
-        )
-        assert [(lv.branch, lv.parity, lv.energy) for lv in point] == levels
+        alone = grid_sweep(method, 1.0, omega0, [g], TruncationConfig(n_max=20), n_levels)
+        assert alone.point(0) == levels
 
 
 @pytest.mark.parametrize("method", ["strong_avg", "strong_rt"])
@@ -278,12 +274,11 @@ def test_closed_form_sweep_equals_per_point_path(method, omega0):
 def test_strong_forms_at_zero_splitting_are_the_displaced_oscillator(method, omega):
     # omega0 = 0: every level is doubly degenerate at omega (k + 1/2) - g^2/omega.
     n_levels = 12
-    for g in (0.0, 0.5, 1.7, 3.0):
-        levels = compute_levels(
-            method, ModelParams(omega, 0.0, g), TruncationConfig(n_max=20), n_levels
-        )
-        expect = [omega * (k // 2 + 0.5) - g * g / omega for k in range(n_levels)]
-        np.testing.assert_allclose([lv.energy for lv in levels], expect, rtol=1e-12, atol=0)
+    grid = np.array([0.0, 0.5, 1.7, 3.0])
+    swept = grid_sweep(method, omega, 0.0, grid, TruncationConfig(n_max=20), n_levels)
+    assert swept.ok.all()
+    expect = omega * (np.arange(n_levels) // 2 + 0.5) - (grid * grid / omega)[:, None]
+    np.testing.assert_allclose(swept.energies, expect, rtol=1e-12, atol=0)
 
 
 def test_closed_form_table_rejects_unknown_form():

@@ -15,8 +15,8 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-# What demo 02 prints of its chains' bookkeeping, before the accuracy table.
-DEMO_02_BOOKKEEPING = """
+# Demo 02's whole output: its chains' bookkeeping and the accuracy table.
+DEMO_02_STDOUT = """
 one-photon chain:
   provenance     : rt_one_photon
   spurious zeros : ['|0,+>']
@@ -33,6 +33,15 @@ R R^dag = 1 minus slots ['|60,+>']
   record: dressing -2 photon(s), kernel ('|1,+>', '|2,+>'): R^dag R = 1 minus slots \
 ['|1,+>', '|2,+>'], R R^dag = 1 minus slots ['|59,+>', '|60,+>']
 
+max |E_method - E_exact| over the lowest 10 levels:
+  g = 0.05  jc: 1.38e-03  rt1_kam: 1.76e-04  rt2: 2.47e-03
+  g = 0.15  jc: 1.55e-02  rt1_kam: 5.21e-03  rt2: 2.26e-02
+  g = 0.3   jc: 9.70e-02  rt1_kam: 7.59e-02  rt2: 1.02e-01
+  g = 0.5   jc: 4.18e-01  rt1_kam: 4.00e-01  rt2: 2.62e-01
+
+A single averaging correction (rt1_kam) already beats the plain
+dressed-pair energies; the two-photon step extends the usable
+coupling range toward the first field-induced resonances.
 """
 
 
@@ -226,6 +235,59 @@ column marks as a minimum at the search-window edge.
 """
 
 
+# What calibrate_thresholds.py prints before its timing line: the measured
+# values behind the frozen test ceilings.
+CALIBRATE_STDOUT = """\
+
+=== weak-coupling accuracy (lowest 10, exact oracle at n_max=60)\x20
+g in [0, 0.25], 26 points:
+  jc       max|dE| = 5.6593e-02   (frozen ceiling 8.0e-02)
+  rt1_kam  max|dE| = 3.1481e-02   (frozen ceiling 4.0e-02)
+g in [0, 0.6], 61 points:
+  jc       max|dE| = 4.6792e-01   (frozen ceiling 5.5e-01)
+  rt2      max|dE| = 3.9570e-01   (frozen ceiling 4.5e-01)
+
+=== strong-coupling accuracy (lowest 8, exact oracle at n_max=120)\x20
+g in [1.5, 3], 16 points:
+  strong_avg max|dE| = 5.3441e-02   (frozen ceiling 7.0e-02)
+g in [0, 3], 31 points:
+  strong_rt  max|dE| = 1.0082e-01   (frozen ceiling 1.3e-01)
+per-point max|dE| for 0 < g < 0.5:
+  g=0.10: strong_rt 5.0365e-03 < strong_avg 1.2653e-01  [ok]
+  g=0.20: strong_rt 1.8644e-02 < strong_avg 1.4833e-01  [ok]
+  g=0.30: strong_rt 3.8400e-02 < strong_avg 1.7083e-01  [ok]
+  g=0.40: strong_rt 6.0253e-02 < strong_avg 1.7971e-01  [ok]
+
+=== avoided-crossing minima vs analytic loci (fine local scans) =
+  n=1: measured min-gap at g=0.6661, gap 6.0399e-01; first-order locus g=0.7321 (shift \
+-0.0660), second-order locus g=0.6568 (shift +0.0093, within 0.05)
+  n=2: measured min-gap at g=0.5318, gap 6.0306e-01; first-order locus g=0.5858 (shift \
+-0.0540), second-order locus g=0.5300 (shift +0.0018, within 0.05)
+  n=3: measured min-gap at g=0.4580, gap 6.0264e-01; first-order locus g=0.5040 (shift \
+-0.0460), second-order locus g=0.4572 (shift +0.0008, within 0.05)
+
+=== exact-spectrum regression constants =========================
+  E0(g=0.5, n_max=80) = -0.1332942354616257
+  E0(g=0.5, n_max=160) = -0.1332942354616244
+  lowest 12 at g=0.2, n_max=60:
+    -0.020201999386276, 0.780666270558556, 1.178491610235721, 1.699383293621969, \
+2.258855696463078, 2.638067461433701
+    3.319162364055750, 3.587379540282642, 4.368740488705058, 4.543719003328240, \
+5.411179503553042, 5.505261267917167
+  lowest 12 at g=0.2, n_max=120:
+    -0.020201999386276, 0.780666270558556, 1.178491610235721, 1.699383293621969, \
+2.258855696463078, 2.638067461433701
+    3.319162364055750, 3.587379540282642, 4.368740488705058, 4.543719003328240, \
+5.411179503553042, 5.505261267917167
+
+=== two-photon chain envelope on the default grid ===============
+  rt2 over g in [0, 1.5] (151 points, lowest 12): max|dE| = 1.3720e+00, mean = 3.1195e-01
+  (frozen honest envelope: max <= 1.5; the weak-coupling bound 0.45 comes from the g in [0, \
+0.6] run above)
+
+"""
+
+
 def _run(demo: Path, cwd: Path) -> str:
     """The demo's stdout; it must exit 0."""
     env = dict(os.environ)
@@ -246,8 +308,7 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_demo_02_prints_the_chain_bookkeeping(tmp_path):
-    stdout = _run(ROOT / "demos" / "02_weak_coupling_rts.py", tmp_path)
-    assert stdout.partition("max |E_method")[0] == DEMO_02_BOOKKEEPING
+    assert _run(ROOT / "demos" / "02_weak_coupling_rts.py", tmp_path) == DEMO_02_STDOUT
 
 
 def test_demo_03_prints_the_contraction_table(tmp_path):
@@ -261,3 +322,9 @@ def test_demo_03_prints_the_contraction_table(tmp_path):
 ])
 def test_demo_prints_its_recorded_output(demo, stdout, tmp_path):
     assert _run(ROOT / "demos" / demo, tmp_path) == stdout
+
+
+def test_calibrate_thresholds_prints_its_recorded_values(tmp_path):
+    stdout = _run(ROOT / "demos" / "calibrate_thresholds.py", tmp_path)
+    measured, timing, _ = stdout.rpartition("\ntotal ")
+    assert timing and measured + "\n" == CALIBRATE_STDOUT

@@ -13,7 +13,6 @@ from resonancekit.kam import kam_iterate_full
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
     METHOD_ORDER,
-    compute_levels,
     grid_sweep,
     kam_truncation,
     rabi_rt1_chain,
@@ -34,15 +33,19 @@ def _params(g, omega0=None):
     return ModelParams(omega=1.0, omega0=1.0 if omega0 is None else omega0, g=g)
 
 
-def _energies(method, g, n_levels, n_max=60):
-    levels = compute_levels(method, _params(g), TruncationConfig(n_max=n_max), n_levels)
-    return np.array([lv.energy for lv in levels])
+def _energies(method, grid, n_levels, n_max=60):
+    """The (G, n_levels) energies of ``method`` over ``grid``; every coupling
+    must succeed."""
+    swept = grid_sweep(method, 1.0, 1.0, grid, TruncationConfig(n_max=n_max), n_levels)
+    assert swept.ok.all(), swept.errors
+    return swept.energies
 
 
-def _max_err(method, g, n_levels, n_max=60, oracle_n_max=60):
-    got = _energies(method, g, n_levels, n_max)
-    ref = _energies("exact", g, n_levels, oracle_n_max)
-    return np.abs(got - ref).max()
+def _max_err(method, grid, n_levels, n_max=60, oracle_n_max=60):
+    """The largest |E - E_exact| of ``method`` at each coupling of ``grid``."""
+    got = _energies(method, grid, n_levels, n_max)
+    ref = _energies("exact", grid, n_levels, oracle_n_max)
+    return np.abs(got - ref).max(axis=1)
 
 
 # ---------------------------------------------------------------- facade
@@ -65,39 +68,38 @@ def test_method_order_is_stable():
 
 def test_unknown_method_is_rejected():
     with pytest.raises(ValueError, match="unknown method"):
-        compute_levels("bogus", _params(0.1), TruncationConfig(n_max=10), 4)
+        grid_sweep("bogus", 1.0, 1.0, [0.1], TruncationConfig(n_max=10), 4)
 
 
 def test_weak_methods_require_resonance():
-    detuned = _params(0.1, omega0=0.8)
     trunc = TruncationConfig(n_max=20)
     for method in sorted(WEAK_METHODS):
         with pytest.raises(ValueError, match="require omega0 = omega"):
-            compute_levels(method, detuned, trunc, 4)
+            grid_sweep(method, 1.0, 0.8, [0.1], trunc, 4)
     # The strong-coupling and exact paths accept detuning.
     for method in ("exact", "strong_avg", "strong_rt"):
-        levels = compute_levels(method, detuned, trunc, 4)
-        assert len(levels) == 4
+        assert len(grid_sweep(method, 1.0, 0.8, [0.1], trunc, 4).point(0)) == 4
 
 
 def test_levels_are_ascending_physical_and_labeled():
     for method in METHOD_ORDER:
-        levels = compute_levels(method, _params(0.2), TruncationConfig(n_max=60), 8)
+        levels = grid_sweep(method, 1.0, 1.0, [0.2], TruncationConfig(n_max=60), 8).point(0)
         assert len(levels) == 8
-        energies = [lv.energy for lv in levels]
+        energies = [energy for _, _, energy in levels]
         assert energies == sorted(energies)
-        assert [lv.level for lv in levels] == list(range(8))
-        assert not any(lv.spurious for lv in levels)
+        assert {parity for _, parity, _ in levels} <= {"even", "odd"}
 
 
 def test_requesting_too_many_levels_fails_loudly():
-    with pytest.raises(ValueError, match="requested 40 levels"):
-        compute_levels("rt1", _params(0.2), TruncationConfig(n_max=12), 40)
-    with pytest.raises(ValueError, match="requested 10 levels from dim 6"):
-        compute_levels("exact", _params(0.2), TruncationConfig(n_max=2), 10)
-    # dim 42, but the guard band at g = 2 validates only the lowest 4.
-    with pytest.raises(ValueError, match="guard band validates 4"):
-        compute_levels("exact", ModelParams(1, 1, 2), TruncationConfig(n_max=20), 40)
+    for method, g, n_max, n_levels, text in (
+        ("rt1", 0.2, 12, 40, "requested 40 levels"),
+        ("exact", 0.2, 2, 10, "requested 10 levels from dim 6"),
+        # dim 42, but the guard band at g = 2 validates only the lowest 4.
+        ("exact", 2.0, 20, 40, "guard band validates 4"),
+    ):
+        trunc = TruncationConfig(n_max=n_max)
+        error = grid_sweep(method, 1.0, 1.0, [g], trunc, n_levels).errors[0]
+        assert isinstance(error, ValueError) and text in str(error), (method, error)
 
 
 def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
@@ -120,8 +122,8 @@ def test_closed_form_sweep_reports_short_photon_ranges_per_coupling(monkeypatch)
     assert len(swept.point(0)) == 8
     assert isinstance(swept.point(1), ValueError)
     assert str(swept.point(1)) == "requested 8 levels but only 5 are available"
-    with pytest.raises(ValueError, match="only 5 are available"):
-        compute_levels("jc", _params(1.5), TruncationConfig(n_max=12), 8)
+    alone = grid_sweep("jc", 1.0, 1.0, [1.5], TruncationConfig(n_max=12), 8).errors[0]
+    assert type(alone) is ValueError and str(alone) == str(swept.point(1))
 
 
 # Couplings a closed-form table cannot represent, both failing before any
@@ -216,8 +218,6 @@ def test_n_levels_below_one_fails_the_same_way_for_every_method(method):
     for n_levels in (0, -1):
         with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
             grid_sweep(method, 1.0, 1.0, [0.1, 0.2], TruncationConfig(n_max=10), n_levels)
-        with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
-            compute_levels(method, _params(0.1), TruncationConfig(n_max=10), n_levels)
 
 
 def test_kam_truncation_adds_guard_rows():
@@ -231,26 +231,26 @@ def test_kam_truncation_adds_guard_rows():
 def test_exact_method_matches_oracle_head():
     params = _params(0.2)
     trunc = TruncationConfig(n_max=40)
-    levels = compute_levels("exact", params, trunc, 10)
+    levels = grid_sweep("exact", 1.0, 1.0, [params.g], trunc, 10).point(0)
     direct = eigh_one(build_rabi(params, trunc))
-    np.testing.assert_allclose([lv.energy for lv in levels], direct.values[:10], rtol=1e-12)
+    np.testing.assert_allclose([e for _, _, e in levels], direct.values[:10], rtol=1e-12)
     p = build_parity(trunc)
     expect = np.real(np.einsum("ik,ij,jk->k", direct.vectors.conj(), p, direct.vectors))
     dense_labels = ["even" if e > 0.99 else "odd" if e < -0.99 else "?" for e in expect]
-    assert [lv.parity for lv in levels] == dense_labels[:10]
+    assert [parity for _, parity, _ in levels] == dense_labels[:10]
 
 
 def test_jc_method_equals_closed_form():
-    got = _energies("jc", 0.3, 10)
+    got = _energies("jc", [0.3], 10)
     table = closed_form_table("jc", 1.0, 1.0, [0.3], 14)
     closed = np.sort(table.energies[0][~table.spurious])
-    np.testing.assert_allclose(got, closed[:10], atol=1e-12)
+    np.testing.assert_allclose(got[0], closed[:10], atol=1e-12)
 
 
 def test_rt1_matrix_path_reproduces_dressed_ladder():
     chain = levels_from_chain(rabi_rt1_chain((_params(0.25),), TruncationConfig(n_max=60)), 10)
     np.testing.assert_allclose(
-        [lv.energy for lv in chain], _energies("jc", 0.25, 10), atol=1e-9
+        [energy for _, _, energy in chain], _energies("jc", [0.25], 10)[0], atol=1e-9
     )
 
 
@@ -263,11 +263,9 @@ def _point_text(point):
 
 def _levels_or_error(compute):
     try:
-        levels = compute()
+        return compute()
     except ValueError as exc:
         return exc
-    assert [lv.level for lv in levels] == list(range(len(levels)))
-    return [(lv.branch, lv.parity, lv.energy) for lv in levels]
 
 
 @pytest.mark.parametrize(
@@ -291,7 +289,7 @@ def test_rt1_equals_its_one_photon_chain_bit_for_bit(n_max, g_max, g_steps, n_le
         chain = _levels_or_error(
             lambda: levels_from_chain(rabi_rt1_chain((_params(g),), trunc), n_levels)
         )
-        point = _levels_or_error(lambda: compute_levels("rt1", _params(g), trunc, n_levels))
+        point = grid_sweep("rt1", 1.0, 1.0, [g], trunc, n_levels).point(0)
         assert _point_text(point) == _point_text(chain), g
         assert _point_text(swept.point(i)) == _point_text(chain), g
 
@@ -314,36 +312,36 @@ def test_rt1_sweep_builds_no_matrix(monkeypatch):
 
 
 def test_jc_parity_sequence_matches_exact():
-    exact = compute_levels("exact", _params(0.1), TruncationConfig(n_max=60), 8)
-    jc = compute_levels("jc", _params(0.1), TruncationConfig(n_max=60), 8)
-    assert [lv.parity for lv in jc] == [lv.parity for lv in exact]
+    exact, jc = (
+        grid_sweep(method, 1.0, 1.0, [0.1], TruncationConfig(n_max=60), 8).parities(0).tolist()
+        for method in ("exact", "jc")
+    )
+    assert jc == exact
 
 
 def test_one_step_correction_beats_pair_model_at_weak_coupling():
-    err_kam = _max_err("rt1_kam", 0.15, 10)
-    err_jc = _max_err("jc", 0.15, 10)
-    assert err_kam < err_jc
+    assert _max_err("rt1_kam", [0.15], 10) < _max_err("jc", [0.15], 10)
 
 
 def test_full_kam_refinement_is_accurate_at_moderate_coupling():
-    assert _max_err("rt_full_kam", 0.2, 10) < 5e-3
+    assert _max_err("rt_full_kam", [0.2], 10) < 5e-3
 
 
 def test_zero_field_treatment_beats_plain_average_at_small_g():
-    for g in (0.1, 0.3):
-        assert _max_err("strong_rt", g, 8) < _max_err("strong_avg", g, 8)
+    grid = [0.1, 0.3]
+    assert (_max_err("strong_rt", grid, 8) < _max_err("strong_avg", grid, 8)).all()
 
 
 def test_strong_methods_hold_at_large_coupling():
     for method in ("strong_avg", "strong_rt"):
-        assert _max_err(method, 2.0, 8, n_max=80, oracle_n_max=80) < 5e-2
+        assert _max_err(method, [2.0], 8, n_max=80, oracle_n_max=80) < 5e-2
 
 
 def test_iterated_two_photon_chain_is_deterministic():
-    a = _energies("rt_full_kam", 0.4, 8)
-    b = _energies("rt_full_kam", 0.4, 8)
+    a = _energies("rt_full_kam", [0.4], 8)
+    b = _energies("rt_full_kam", [0.4], 8)
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (8,)
+    assert a.shape == (1, 8)
 
 
 # ---------------------------------------------------------------- golden
@@ -370,10 +368,10 @@ def test_chain_methods_match_recorded_values(index):
     points = _golden_points()
     g = sorted(points)[index]
     for method in ("rt1", "rt1_kam", "rt_full_kam"):
-        levels = compute_levels(method, _params(g), TruncationConfig(n_max=120), 12)
+        levels = grid_sweep(method, 1.0, 1.0, [g], TruncationConfig(n_max=120), 12).point(0)
         recorded = points[g][method]
-        assert [lv.parity for lv in levels] == [p for p, _ in recorded], (g, method)
-        got = np.array([lv.energy for lv in levels])
+        assert [parity for _, parity, _ in levels] == [p for p, _ in recorded], (g, method)
+        got = np.array([energy for _, _, energy in levels])
         want = np.array([e for _, e in recorded])
         err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert err.max() <= 1e-12, (g, method, err.max())

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from resonancekit import methods
-from resonancekit.methods import METHOD_ORDER, compute_levels
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.methods import METHOD_ORDER, grid_sweep
+from resonancekit.operators import TruncationConfig
 from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
 from resonancekit.sweep import (
     CSV_HEADER,
@@ -167,13 +167,11 @@ def test_run_sweep_row_grid(small_table):
 def test_run_sweep_matches_direct_method_calls(small_table):
     config, table = small_table
     g = config.g_grid()[2]
-    params = ModelParams(omega=config.omega, omega0=config.omega0, g=float(g))
     trunc = TruncationConfig(n_max=config.n_max)
     for method in config.methods:
-        direct = compute_levels(method, params, trunc, config.n_levels)
+        direct = grid_sweep(method, config.omega, config.omega0, [g], trunc, config.n_levels)
         swept = [r for r in table_rows(table) if r.method == method and r.g == g]
-        assert [r.energy for r in swept] == [lv.energy for lv in direct]
-        assert [r.branch for r in swept] == [lv.branch for lv in direct]
+        assert [(r.branch, r.parity, r.energy) for r in swept] == direct.point(0)
 
 
 def test_run_sweep_interleaves_closed_forms_with_matrix_points():
@@ -182,12 +180,12 @@ def test_run_sweep_interleaves_closed_forms_with_matrix_points():
     table = run_sweep(config, out_path="")
     trunc = TruncationConfig(n_max=config.n_max)
     expected = [
-        SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
+        SpectrumRow(g, method, k, *level, False)
         for g in config.g_grid().tolist()
         for method in config.methods
-        for lv in compute_levels(
-            method, ModelParams(config.omega, config.omega0, g), trunc, config.n_levels
-        )
+        for k, level in enumerate(grid_sweep(
+            method, config.omega, config.omega0, [g], trunc, config.n_levels
+        ).point(0))
     ]
     assert list(table_rows(table)) == expected
 
@@ -232,15 +230,11 @@ def test_exact_sweep_matches_per_point_levels_and_failures(
     trunc = TruncationConfig(n_max=n_max)
     rows, failures = [], []
     for g in config.g_grid().tolist():
-        try:
-            levels = compute_levels("exact", ModelParams(1.0, omega0, g), trunc, n_levels)
-        except ValueError as exc:
-            failures.append((g, "exact", f"ValueError: {exc}"))
+        levels = grid_sweep("exact", 1.0, omega0, [g], trunc, n_levels).point(0)
+        if isinstance(levels, ValueError):
+            failures.append((g, "exact", f"ValueError: {levels}"))
             continue
-        rows.extend(
-            SpectrumRow(g, "exact", lv.level, lv.branch, lv.parity, lv.energy, False)
-            for lv in levels
-        )
+        rows.extend(SpectrumRow(g, "exact", k, *level, False) for k, level in enumerate(levels))
     assert rows and failures
     assert list(table_rows(table)) == rows
     assert list(table.failures) == failures
@@ -301,16 +295,18 @@ def test_run_sweep_records_failures_and_continues():
         trunc = TruncationConfig(n_max=config.n_max)
         rows, failures = [], []
         for g in config.g_grid().tolist():
-            params = ModelParams(config.omega, config.omega0, g)
             for method in methods:
-                try:
-                    levels = compute_levels(method, params, trunc, config.n_levels)
+                try:  # off resonance, a dressed-ladder method fails the whole grid
+                    levels = grid_sweep(
+                        method, config.omega, config.omega0, [g], trunc, config.n_levels
+                    ).point(0)
                 except ValueError as exc:
-                    failures.append((g, method, f"ValueError: {exc}"))
+                    levels = exc
+                if isinstance(levels, ValueError):
+                    failures.append((g, method, f"ValueError: {levels}"))
                     continue
                 rows.extend(
-                    SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
-                    for lv in levels
+                    SpectrumRow(g, method, k, *level, False) for k, level in enumerate(levels)
                 )
         assert list(table_rows(table)) == rows
         assert list(table.failures) == failures

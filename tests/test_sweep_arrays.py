@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonancekit import methods, sweep
-from resonancekit.methods import BRANCH_UNASSIGNED, METHOD_ORDER, compute_levels
-from resonancekit.operators import ModelParams, TruncationConfig
+from resonancekit.methods import BRANCH_UNASSIGNED, METHOD_ORDER, grid_sweep
+from resonancekit.operators import TruncationConfig
 from resonancekit.spectrum import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -203,7 +203,7 @@ def test_mean_error_is_finite_where_finite_errors_sum_past_the_float_maximum():
 
 
 @pytest.mark.parametrize("method", ["exact", "jc", "rt1", "rt1_kam", "rt_full_kam"])
-def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, fail_chain_at, method):
+def test_rows_equal_a_per_point_grid_sweep_loop(monkeypatch, fail_chain_at, method):
     # Failed couplings interleave with good ones: the guard band for exact,
     # a short photon range for jc and for rt1, which reads the jc table, and
     # a failed check at chosen couplings for the contact-iteration chains.
@@ -219,15 +219,11 @@ def test_rows_equal_a_per_point_compute_levels_loop(monkeypatch, fail_chain_at, 
     trunc = TruncationConfig(n_max=config.n_max)
     rows, failures = [], []
     for g in grid:
-        try:
-            levels = compute_levels(method, ModelParams(1.0, 1.0, g), trunc, config.n_levels)
-        except (ValueError, ArithmeticError) as exc:
-            failures.append((g, method, f"{type(exc).__name__}: {exc}"))
+        levels = grid_sweep(method, 1.0, 1.0, [g], trunc, config.n_levels).point(0)
+        if isinstance(levels, Exception):
+            failures.append((g, method, f"{type(levels).__name__}: {levels}"))
             continue
-        rows.extend(
-            SpectrumRow(g, method, lv.level, lv.branch, lv.parity, lv.energy, False)
-            for lv in levels
-        )
+        rows.extend(SpectrumRow(g, method, k, *level, False) for k, level in enumerate(levels))
     assert rows and failures
     assert table_rows(table) == tuple(rows)
     assert [(r.energy, r.parity) for r in table_rows(table)] == [(r.energy, r.parity) for r in rows]

@@ -337,19 +337,17 @@ def test_rt2_mixing_angle():
 def test_rt_two_photon_decoupled_levels_form_shifted_ladder():
     trunc = TruncationConfig(n_max=20)
     th2 = rabi_rt2_chain(_one(0.0), trunc)
-    levels = levels_from_chain(th2, 8)
-    energies = [lv.energy for lv in levels]
+    energies = [energy for _, _, energy in levels_from_chain(th2, 8)]
     # The two-photon shift relabels the "+" slots but the physical ladder
-    # is unchanged: 0 once, every positive rung twice.
+    # is unchanged: 0 once (no spurious zero), every positive rung twice.
     np.testing.assert_allclose(energies, [0, 1, 1, 2, 2, 3, 3, 4], atol=1e-10)
-    assert not any(lv.spurious for lv in levels)
 
 
 def test_rt_two_photon_matches_closed_form():
     params = _params(0.3)
     trunc = TruncationConfig(n_max=40)
     th2 = rabi_rt2_chain((params,), trunc)
-    chain_levels = [lv.energy for lv in levels_from_chain(th2, 10)]
+    chain_levels = [energy for _, _, energy in levels_from_chain(th2, 10)]
     table = closed_form_table("rt2", params.omega, params.omega0, [params.g], 14)
     closed = np.sort(table.energies[0][~table.spurious])[:10]
     np.testing.assert_allclose(chain_levels, closed, atol=1e-8)
