@@ -169,6 +169,9 @@ def test_criterion_3_closed_form_matrix_equivalence():
         method: grid_sweep(method, 1.0, 1.0, couplings, trunc, n_levels)
         for method in ("jc", "rt2", "strong_avg", "strong_rt")
     }
+    assert all(s.ok.all() for s in closed_forms.values()), {
+        m: s.errors for m, s in closed_forms.items()
+    }
     for i, g in enumerate(couplings):
         params = ModelParams(omega=1.0, omega0=1.0, g=g)
         matrix_levels = {

@@ -33,12 +33,16 @@ def _params(g, omega0=None):
     return ModelParams(omega=1.0, omega0=1.0 if omega0 is None else omega0, g=g)
 
 
-def _energies(method, grid, n_levels, n_max=60):
-    """The (G, n_levels) energies of ``method`` over ``grid``; every coupling
-    must succeed."""
+def _sweep(method, grid, n_levels, n_max=60):
+    """``method``'s sweep over ``grid``; every coupling must succeed."""
     swept = grid_sweep(method, 1.0, 1.0, grid, TruncationConfig(n_max=n_max), n_levels)
     assert swept.ok.all(), swept.errors
-    return swept.energies
+    return swept
+
+
+def _energies(method, grid, n_levels, n_max=60):
+    """The (G, n_levels) energies of ``method`` over ``grid``."""
+    return _sweep(method, grid, n_levels, n_max).energies
 
 
 def _max_err(method, grid, n_levels, n_max=60, oracle_n_max=60):
@@ -312,10 +316,7 @@ def test_rt1_sweep_builds_no_matrix(monkeypatch):
 
 
 def test_jc_parity_sequence_matches_exact():
-    exact, jc = (
-        grid_sweep(method, 1.0, 1.0, [0.1], TruncationConfig(n_max=60), 8).parities(0).tolist()
-        for method in ("exact", "jc")
-    )
+    exact, jc = (_sweep(method, [0.1], 8).parities(0).tolist() for method in ("exact", "jc"))
     assert jc == exact
 
 
