@@ -23,17 +23,17 @@ def run_chain(g, max_steps=3):
         h0, th.operator - h0, max_steps=max_steps,
         tol_deg=1e-3,
     )
-    reports, diverged = chain.reports[0], bool(chain.diverged[0])
+    reports, diverged = chain.reports, bool(chain.diverged[0])
     print(f"\ng = {g}  (diverged: {diverged})")
     print(f"  {'step':>4} {'residual before':>16} {'residual after':>16} "
           f"{'|W|':>10} {'flag':>6}")
-    for rep in reports:
-        flag = "DIV" if rep.diverged else "ok"
-        print(f"  {rep.step:>4} {rep.residual_before:>16.3e} "
-              f"{rep.residual_after:>16.3e} {rep.w_norm:>10.3e} {flag:>6}")
+    for step, rep in enumerate(reports, start=1):
+        flag = "DIV" if rep.diverged[0] else "ok"
+        print(f"  {step:>4} {rep.residual_before[0]:>16.3e} "
+              f"{rep.residual_after[0]:>16.3e} {rep.w_norm[0]:>10.3e} {flag:>6}")
     if reports and not diverged:
-        befores = [rep.residual_before for rep in reports]
-        afters = [rep.residual_after for rep in reports]
+        befores = [rep.residual_before[0] for rep in reports]
+        afters = [rep.residual_after[0] for rep in reports]
         ratios = [a / b**2 for a, b in zip(afters, befores)]
         print("  after/before^2 per step:",
               ", ".join(f"{r:.2f}" for r in ratios),

@@ -21,7 +21,6 @@ from .spectrum import (
     eigh,
 )
 from .averaging import (
-    DegeneracyClusters,
     project_average,
     solve_cohomological,
     combined_projector,
@@ -63,7 +62,6 @@ __all__ = [
     "EigenDecomposition",
     "SpectrumTable",
     "eigh",
-    "DegeneracyClusters",
     "project_average",
     "solve_cohomological",
     "combined_projector",

@@ -1,13 +1,13 @@
 """Degeneracy-aware averaging: clustering, projector, cohomological generator.
 
-All spectral bookkeeping happens in the eigenbasis of the reference operator
-and is rotated back; within-cluster sub-blocks are kept verbatim (diagonalizing
-the effective operator is the job of the resonant transformations).
+Near-degenerate levels are grouped by cluster ids, a plain int array the
+shape of the levels.  All spectral bookkeeping happens in the eigenbasis of
+the reference operator and is rotated back; within-cluster sub-blocks are
+kept verbatim (diagonalizing the effective operator is the job of the
+resonant transformations).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,51 +15,34 @@ from .operators import _adjoint, _mat
 from .spectrum import EigenDecomposition, _gap_ids, check_rows
 
 __all__ = [
-    "DegeneracyClusters",
     "cluster_levels",
     "project_average",
     "solve_cohomological",
     "combined_projector",
 ]
 
-DEFAULT_TOL_DEG = 1e-8
 
+def cluster_levels(values: np.ndarray, tol_deg) -> np.ndarray:
+    """Cluster ids of ascending values along the last axis, the shape of
+    ``values``: ids[..., i] is the cluster of level i, numbered upward from 0.
 
-@dataclass(frozen=True, eq=False)
-class DegeneracyClusters:
-    """Partition of ascending levels into near-degenerate groups, for each
-    row of a stack of them.
-
-    ids[..., i] is the cluster of level i, numbered upward from 0; tol_deg
-    is the gap tolerance, a number or one per stack row.
-    """
-
-    values: np.ndarray
-    ids: np.ndarray
-    tol_deg: float | np.ndarray
-
-
-def cluster_levels(values: np.ndarray, tol_deg) -> DegeneracyClusters:
-    """Greedy gap-based clustering of ascending values along the last axis.
-
-    A new cluster starts whenever the gap to the previous value exceeds
-    tol_deg (a number, or one per stack row), so in-cluster pairwise spreads
-    can reach a few tol_deg while adjacent-cluster boundary gaps always
-    exceed it.
+    Greedy gap rule: a new cluster starts whenever the gap to the previous
+    value exceeds tol_deg (a number, or one per stack row), so in-cluster
+    pairwise spreads can reach a few tol_deg while adjacent-cluster boundary
+    gaps always exceed it.
     """
     if np.any(np.asarray(tol_deg) <= 0):
         raise ValueError(f"tol_deg must be > 0, got {tol_deg}")
-    values = np.asarray(values, dtype=float)
-    return DegeneracyClusters(values, _gap_ids(values, np.asarray(tol_deg)[..., None]), tol_deg)
+    return _gap_ids(np.asarray(values, dtype=float), np.asarray(tol_deg)[..., None])
 
 
-def _in_cluster_mask(clusters: DegeneracyClusters) -> np.ndarray:
-    return clusters.ids[..., :, None] == clusters.ids[..., None, :]
+def _in_cluster_mask(ids: np.ndarray) -> np.ndarray:
+    return ids[..., :, None] == ids[..., None, :]
 
 
-def project_average(V, decomp: EigenDecomposition, clusters: DegeneracyClusters) -> np.ndarray:
+def project_average(V, decomp: EigenDecomposition, ids: np.ndarray) -> np.ndarray:
     """Averaging projector: keep exactly the in-cluster blocks of V (of each
-    matrix of a stack, with its own clusters).
+    matrix of a stack, with its own cluster ids).
 
     Computed in the reference eigenbasis and rotated back to the original
     basis.  Idempotent; preserves Hermiticity; commutes with the reference up
@@ -70,26 +53,29 @@ def project_average(V, decomp: EigenDecomposition, clusters: DegeneracyClusters)
         raise ValueError(f"dimension mismatch: V is {v.shape}, decomp dim {decomp.dim}")
     u = decomp.vectors
     d_eig = _adjoint(u) @ v @ u
-    d_eig[~_in_cluster_mask(clusters)] = 0.0
+    d_eig[~_in_cluster_mask(ids)] = 0.0
     return u @ d_eig @ _adjoint(u)
 
 
-def solve_cohomological(V, decomp: EigenDecomposition, clusters: DegeneracyClusters) -> np.ndarray:
+def solve_cohomological(
+    V, decomp: EigenDecomposition, ids: np.ndarray, tol_deg
+) -> np.ndarray:
     """Generator W with [H0, W] + V = D: W_ij = -V_ij/(E_i - E_j) off-cluster
-    (of each matrix of a stack, with its own clusters).
+    (of each matrix of a stack, with its own cluster ids).
 
     W is anti-Hermitian with zero blocks inside clusters.  An inter-cluster
-    pair closer than tol_deg means the clustering is inconsistent with the
-    decomposition and is a hard error (the denominator would be resonant).
+    pair closer than tol_deg (a number, or one per stack row) means the
+    clustering is inconsistent with the decomposition and is a hard error
+    (the denominator would be resonant).
     """
     v = _mat(V)
     if v.shape[-1] != decomp.dim:
         raise ValueError(f"dimension mismatch: V is {v.shape}, decomp dim {decomp.dim}")
     u = decomp.vectors
     energies = decomp.values
-    mask = _in_cluster_mask(clusters)
+    mask = _in_cluster_mask(ids)
     diff = energies[..., :, None] - energies[..., None, :]
-    tol = np.broadcast_to(clusters.tol_deg, energies.shape[:-1])
+    tol = np.broadcast_to(tol_deg, energies.shape[:-1])
     tight = (np.abs(diff) <= tol[..., None, None]) & ~mask
 
     def inconsistency(r):
@@ -108,14 +94,15 @@ def solve_cohomological(V, decomp: EigenDecomposition, clusters: DegeneracyClust
     return u @ w_eig @ _adjoint(u)
 
 
-def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray:
+def combined_projector(V, H0_family, tol_deg) -> np.ndarray:
     """Union-of-supports averaging over a family of reference operators.
 
     A union of block supports is only basis-independent when every member is
     diagonal in one common basis, so each member is given in the working
     basis as its real diagonal: a 1-D array of length dim (the family may
-    be one (members, dim) array).  Keeps every matrix position that is
-    in-cluster for at least one member, each retained entry taken directly
+    be one (members, dim) array), clustered by the gap rule with tolerance
+    tol_deg.  Keeps every matrix position that is in-cluster for at least
+    one member, each retained entry taken directly
     from V (duplicate positions kept once); a stack of matrices V shares
     the one mask.
     """
@@ -127,8 +114,6 @@ def combined_projector(V, H0_family, tol_deg: float | None = None) -> np.ndarray
         if diag.shape != v.shape[-1:]:
             raise ValueError(f"dimension mismatch: member {diag.shape}, V {v.shape}")
     diags = np.array(diags)
-    if tol_deg is None:
-        tol_deg = DEFAULT_TOL_DEG * np.maximum(np.abs(diags).max(axis=-1), 1.0)
     # cluster ids over basis indices, per member: the gap rule on its sorted diagonal
     order = np.argsort(diags, axis=-1, kind="stable")
     sorted_ids = _gap_ids(np.take_along_axis(diags, order, -1), np.asarray(tol_deg)[..., None])

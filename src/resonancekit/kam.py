@@ -1,18 +1,16 @@
-"""Contact-transformation steps: conjugate by exp(W), monitor contraction."""
+"""Contact-transformation steps: conjugate by exp(W), monitor contraction.
+
+Every step runs on a (G, n, n) stack of matrices, and its bookkeeping is one
+:class:`KamStepReport` of (G,) arrays, one value per matrix.
+"""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import (
-    DEFAULT_TOL_DEG,
-    DegeneracyClusters,
-    cluster_levels,
-    project_average,
-    solve_cohomological,
-)
+from .averaging import cluster_levels, project_average, solve_cohomological
 from .operators import _adjoint, _mat, _symmetrized
 from .spectrum import CouplingErrors, EigenDecomposition, check_rows, eigh
 
@@ -27,13 +25,11 @@ __all__ = [
 W_NORM_DIVERGENCE = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KamStepReport:
-    """Contraction bookkeeping for a single contact-transformation step: from
-    kam_step, one value per matrix of its stack in each field but ``step``;
-    in :class:`KamChain`, one matrix's plain numbers."""
+    """Contraction bookkeeping for a single contact-transformation step: each
+    field a (G,) array, one value per matrix of the stack."""
 
-    step: int
     residual_before: np.ndarray
     residual_after: np.ndarray
     contraction_ratio: np.ndarray
@@ -50,15 +46,19 @@ class KamChain:
     estimate: diagonal of the conjugated operator in the eigenbasis of the
     final renormalized reference, ordered by ascending reference energy.
     vectors: those eigenbasis columns expressed in the starting basis.
-    reports, diverged: per matrix, the tuple of steps it took and whether
-    one diverged.
+    reports: one KamStepReport per step that any matrix took, in step order;
+    a matrix that had already stopped reads NaN there, and False in
+    ``diverged``.
+    diverged, steps: per matrix, whether a step diverged and how many steps
+    it took.
     """
 
     estimate: np.ndarray
-    reports: tuple
+    reports: tuple[KamStepReport, ...]
     operator: np.ndarray
     vectors: np.ndarray
     diverged: np.ndarray
+    steps: np.ndarray
 
 
 def unitary_exp(W) -> np.ndarray:
@@ -86,54 +86,51 @@ def _spectral_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
 
 
-def _offblock_residual(V, decomp, clusters) -> np.ndarray:
+def _offblock_residual(V, decomp, ids) -> np.ndarray:
     v = _mat(V)
-    return _spectral_norm(v - project_average(v, decomp, clusters))
+    return _spectral_norm(v - project_average(v, decomp, ids))
 
 
 def kam_step(
-    H0,
-    V,
-    decomp: EigenDecomposition,
-    clusters: DegeneracyClusters,
-    residual=None,
+    H0, V, decomp: EigenDecomposition, ids: np.ndarray, tol_deg, residual=None
 ) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-    EigenDecomposition, DegeneracyClusters, KamStepReport,
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, EigenDecomposition, np.ndarray, KamStepReport
 ]:
     """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W), of each
     matrix of a (G, n, n) stack.
 
-    Returns (H_new, D, V_new, U, decomp_new, clusters_new, report) with D the
-    averaged part of V, V_new = H_new - H0 - D the new perturbation, of
-    quadratic order away from resonances, U = exp(W) the unitary of the step,
-    and decomp_new, clusters_new the decomposition and clusters of the new
-    reference H0 + D that the report's residual_after is measured in.
-    ``residual`` is V's off-block residual in ``decomp`` and ``clusters``
-    when the caller already holds it (computed here otherwise).
+    ``ids`` are the cluster ids of ``decomp``'s levels under the gap
+    tolerance tol_deg (a number, or one per matrix), as cluster_levels
+    gives them.  Returns (H_new, D, V_new, U, decomp_new, ids_new, report)
+    with D the averaged part of V, V_new = H_new - H0 - D the new
+    perturbation, of quadratic order away from resonances, U = exp(W) the
+    unitary of the step, and decomp_new, ids_new the decomposition and
+    cluster ids of the new reference H0 + D that the report's
+    residual_after is measured in.  ``residual`` is V's off-block residual
+    in ``decomp`` and ``ids`` when the caller already holds it (computed
+    here otherwise).
     Conjugation is a numerically exact triple product with the spectrally
     built unitary, not a truncated series.  Divergence (residual growth, or
     ||W|| beyond the blow-up threshold) is reported, not raised.
     """
     h0, v = _mat(H0), _mat(V)
-    w = solve_cohomological(v, decomp, clusters)
+    w = solve_cohomological(v, decomp, ids, tol_deg)
     w_norm = _spectral_norm(1j * w)
     u = unitary_exp(w)
     h_new = _symmetrized(_adjoint(u) @ (h0 + v) @ u)
-    d = project_average(v, decomp, clusters)
+    d = project_average(v, decomp, ids)
     v_new = h_new - h0 - d
-    before = _offblock_residual(v, decomp, clusters) if residual is None else residual
+    before = _offblock_residual(v, decomp, ids) if residual is None else residual
 
     decomp_new = eigh(_symmetrized(h0 + d))
-    clusters_new = cluster_levels(decomp_new.values, clusters.tol_deg)
-    after = _offblock_residual(v_new, decomp_new, clusters_new)
+    ids_new = cluster_levels(decomp_new.values, tol_deg)
+    after = _offblock_residual(v_new, decomp_new, ids_new)
 
     # H0 is Hermitian, so its spectral norm is its largest |eigenvalue|
     h0_scale = np.maximum(np.abs(decomp.values).max(axis=-1), np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(before > 0, after / before, 0.0)
     report = KamStepReport(
-        step=0,
         residual_before=before,
         residual_after=after,
         contraction_ratio=ratio,
@@ -141,42 +138,35 @@ def kam_step(
         epsilon=before / h0_scale,
         w_norm=w_norm,
     )
-    return h_new, d, v_new, u, decomp_new, clusters_new, report
+    return h_new, d, v_new, u, decomp_new, ids_new, report
 
 
-def kam_iterate_full(
-    H0,
-    V,
-    max_steps: int,
-    stop_tol: float = 1e-12,
-    tol_deg: float | None = None,
-) -> KamChain:
-    """Iterate kam_step, re-clustering on the updated reference each time,
-    on each matrix of a (G, n, n) stack; one matrix is a stack of one.
+def kam_iterate_full(H0, V, max_steps: int, tol_deg, stop_tol: float = 1e-12) -> KamChain:
+    """Iterate kam_step, re-clustering on the updated reference each time
+    (gap tolerance tol_deg, a number or one per matrix), on each matrix of a
+    (G, n, n) stack; one matrix is a stack of one.
 
     A matrix stops when its off-block residual drops to stop_tol*||H0||
     (possibly before the first step) or when a step diverges; the others go
     on.  The reported estimate is the diagonal of the conjugated operator in
     the final reference eigenbasis — essentially second-order perturbation
-    theory after one step.  tol_deg defaults to DEFAULT_TOL_DEG*max(max|H0|, 1)
-    per matrix.
+    theory after one step.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     h0, v = _mat(H0), _mat(V)
     count = h0.shape[0]
-    if tol_deg is None:
-        tol_deg = DEFAULT_TOL_DEG * np.maximum(np.abs(h0).max(axis=(-2, -1)), 1.0)
     tol_deg = np.broadcast_to(np.asarray(tol_deg, dtype=float), (count,))
     u_total = np.broadcast_to(np.eye(h0.shape[-1], dtype=np.result_type(h0, v)), h0.shape)
-    reports: list[list[KamStepReport]] = [[] for _ in range(count)]
+    reports = []
+    steps = np.zeros(count, dtype=int)
     diverged = np.zeros(count, dtype=bool)
     decomp = eigh(h0)
-    clusters = cluster_levels(decomp.values, tol_deg)
-    residual = _offblock_residual(v, decomp, clusters)
-    values, vectors, ids = decomp.values, decomp.vectors, clusters.ids
-    del decomp, clusters
-    for step in range(1, max_steps + 1):
+    ids = cluster_levels(decomp.values, tol_deg)
+    residual = _offblock_residual(v, decomp, ids)
+    values, vectors = decomp.values, decomp.vectors
+    del decomp
+    for step in range(max_steps):
         # values, vectors and ids decompose and cluster the current h0
         h0_norm = np.maximum(np.abs(values).max(axis=-1), np.finfo(float).tiny)
         rows = np.flatnonzero(~diverged & ~(residual <= stop_tol * h0_norm))
@@ -185,26 +175,38 @@ def kam_iterate_full(
         # a view, not a copy, when the rows that step are one run
         live = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < rows.size else rows
         try:
-            d, v_new, u, decomp_new, clusters_new, report = kam_step(
+            d, v_new, u, decomp_new, ids_new, report = kam_step(
                 h0[live], v[live], EigenDecomposition(values[live], vectors[live]),
-                DegeneracyClusters(values[live], ids[live], tol_deg[live]), residual[rows],
+                ids[live], tol_deg[live], residual[rows],
             )[1:]
         except CouplingErrors as exc:
             raise CouplingErrors({int(rows[i]): e for i, e in exc.errors.items()}) from None
-        fields = [f.tolist() for f in astuple(report)[1:]]
-        for j, row in enumerate(rows.tolist()):
-            reports[row].append(KamStepReport(step, *(f[j] for f in fields)))
+        reports.append(_spread(report, rows, count))
+        steps[rows] += 1
         v = _assign(v, rows, v_new)
         # u_total is the identity before the first step
-        u_total = _assign(u_total, rows, u if step == 1 else u_total[live] @ u)
+        u_total = _assign(u_total, rows, u if step == 0 else u_total[live] @ u)
         h0 = _assign(h0, rows, _symmetrized(h0[live] + d))
         vectors = _assign(vectors, rows, decomp_new.vectors)
-        values[rows], ids[rows] = decomp_new.values, clusters_new.ids
+        values[rows], ids[rows] = decomp_new.values, ids_new
         residual[rows] = report.residual_after
         diverged[rows] |= report.diverged
     operator = h0 + v
     estimate = np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1).real.copy()
-    return KamChain(estimate, tuple(map(tuple, reports)), operator, u_total @ vectors, diverged)
+    return KamChain(estimate, tuple(reports), operator, u_total @ vectors, diverged, steps)
+
+
+def _spread(report: KamStepReport, rows: np.ndarray, count: int) -> KamStepReport:
+    """The report of a step taken by the matrices ``rows`` of a stack of
+    ``count``, spread over the whole stack: NaN, or False in ``diverged``,
+    at the other matrices."""
+
+    def spread(value: np.ndarray) -> np.ndarray:
+        full = np.full(count, False if value.dtype == bool else np.nan, value.dtype)
+        full[rows] = value
+        return full
+
+    return KamStepReport(**{name: spread(value) for name, value in vars(report).items()})
 
 
 def _assign(target: np.ndarray, rows, value: np.ndarray) -> np.ndarray:

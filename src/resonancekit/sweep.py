@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -57,6 +58,13 @@ _CSV_BLOCK_ROWS = 1 << 13
 
 _FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max")
 _INT_KEYS = ("g_steps", "n_max", "n_levels")
+# The type of each SweepConfig key's value (methods: of str entries).
+_KEY_TYPES = {
+    **dict.fromkeys(_FLOAT_KEYS, numbers.Real),
+    **dict.fromkeys(_INT_KEYS, numbers.Integral),
+    "methods": (tuple, list),
+    "output_path": str,
+}
 
 
 def _fmt(x: float | None) -> str:
@@ -151,8 +159,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     """Build a SweepConfig from an optional flat key=value file plus overrides.
 
     Overrides (typically CLI flags) win over file values, which win over
-    defaults.  Unknown keys, unparsable values, and violated invariants all
-    raise ValueError naming the offending key.
+    defaults.  Unknown keys, unparsable or wrongly typed values, and violated
+    invariants all raise ValueError naming the offending key.
     """
     values = _read_config_file(path) if path is not None else {}
     if overrides:
@@ -162,11 +170,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             if key == "methods" and isinstance(value, str):
                 value = _parse_value(key, value)
             values[key] = value
-    try:
-        return SweepConfig(**values)
-    except TypeError:
-        unknown = [k for k in values if k not in SweepConfig.__dataclass_fields__]
-        raise ValueError(f"unknown key {unknown[0]!r}") from None
+    for key, value in values.items():
+        if key not in _KEY_TYPES:
+            raise ValueError(f"unknown key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]) or (
+            key == "methods" and not all(isinstance(m, str) for m in value)
+        ):
+            raise ValueError(f"unparsable value for {key}: {value!r}")
+    return SweepConfig(**values)
 
 
 # Kept only for perfbench/run.py, which records it with the environment.

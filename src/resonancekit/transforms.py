@@ -217,6 +217,7 @@ class TransformedHamiltonian:
     spurious zero eigenvalue (None without parity bookkeeping).
     loss_band: top photon levels invalidated by index shifting / displacement.
     params: one ModelParams per coupling.
+    trunc: the truncation of the box the chain was built in.
     records: the photon-shift steps so far, each an Isometry holding its
     remap (plus any fixed unitary block, such as the two-photon reflection):
     it shifts ``len(kernel_slots)`` photons and loses ``len(lost_slots)`` rows.
@@ -227,8 +228,8 @@ class TransformedHamiltonian:
     parity: np.ndarray | None
     provenance: tuple[str, ...]
     loss_band: int
-    params: tuple[ModelParams, ...] | None = None
-    trunc: TruncationConfig | None = None
+    params: tuple[ModelParams, ...]
+    trunc: TruncationConfig
     records: tuple[Isometry, ...] = ()
 
     def __post_init__(self):
@@ -349,10 +350,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     the per-photon 2x2 rotation on the commuting blocks.  Adds two spurious
     zeros at the kernel slots |1,+> and |2,+>.
     """
-    params = H1.params
-    if params is None or H1.trunc is None:
-        raise ValueError("rt_two_photon needs the params/trunc carried by rt_one_photon")
-    first, g = _couplings(params)
+    first, g = _couplings(H1.params)
     w = first.omega
     fock_dim = H1.trunc.n_max + 1
     dim = 2 * fock_dim
@@ -425,7 +423,7 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     new_e = energies + np.take_along_axis(np.real(diagonal - values), order, -1)
 
     # Clusters over the stack: flat start index r*dim + i and size.
-    ids = cluster_levels(energies, tol_deg).ids.reshape(-1, dim)
+    ids = cluster_levels(energies, tol_deg).reshape(-1, dim)
     starts = np.flatnonzero(np.diff(ids, axis=-1, prepend=-1))
     sizes = np.diff(np.append(starts, ids.size))
     operator = th.operator.reshape(-1, dim, dim)
@@ -499,15 +497,12 @@ def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
     """Photon-shift isometry on the "-" atomic block, treating the zero-field
     degeneracies of the displaced ladder.  The new reference is the bare
     ladder omega*N (x) 1; the kernel slot |0,-> holds an exact spurious zero."""
-    params = H2.params
-    if params is None or H2.trunc is None:
-        raise ValueError("rt_zero_field needs the params/trunc carried by the chain")
     fock_dim = H2.trunc.n_max + 1
     shift = Isometry(_shift_remap(fock_dim, 1, 1))
     ns = np.arange(fock_dim)
 
     fields = _conjugate(H2, (shift,), "rt_zero_field")
-    fields["levels"] = np.broadcast_to(np.repeat(params[0].omega * ns.astype(float), 2),
+    fields["levels"] = np.broadcast_to(np.repeat(H2.params[0].omega * ns.astype(float), 2),
                                        H2.levels.shape)
     fields["loss_band"] = H2.loss_band + 1
     fields["records"] = H2.records + (shift,)

@@ -26,12 +26,7 @@ import math
 
 import numpy as np
 
-from resonancekit.averaging import (
-    DegeneracyClusters,
-    cluster_levels,
-    combined_projector,
-    project_average,
-)
+from resonancekit.averaging import cluster_levels, combined_projector, project_average
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
 from resonancekit.methods import BRANCH_UNASSIGNED
@@ -122,7 +117,7 @@ def eigh_one(op) -> EigenDecomposition:
 
 def cluster_members(ids) -> tuple[tuple[int, ...], ...]:
     """The level indices of each cluster of one set of clustered levels,
-    from their cluster ids (``DegeneracyClusters.ids`` of one row)."""
+    from their cluster ids (one row of what ``cluster_levels`` returns)."""
     bounds = np.flatnonzero(np.diff(ids, append=-1)) + 1
     return tuple(tuple(range(lo, hi)) for lo, hi in zip([0, *bounds[:-1]], bounds))
 
@@ -286,7 +281,7 @@ def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
     u = decomp.vectors
     v_eig = u.conj().T @ (th.operator[0] - ref) @ u
     q = np.eye(th.dim, dtype=complex)
-    for cluster in cluster_members(cluster_levels(decomp.values, tol_deg).ids):
+    for cluster in cluster_members(cluster_levels(decomp.values, tol_deg)):
         idx = list(cluster)
         block = np.diag(decomp.values[idx]) + v_eig[np.ix_(idx, idx)]
         _, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
@@ -315,11 +310,10 @@ def eigh_block(block) -> EigenDecomposition:
     return eigh_one(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
 
 
-def build_effective(
-    H0, V, decomp: EigenDecomposition, clusters: DegeneracyClusters
-) -> np.ndarray:
-    """Effective operator H0 + (averaged V); Hermitian by construction."""
-    h_eff = _mat(H0) + project_average(V, decomp, clusters)
+def build_effective(H0, V, decomp: EigenDecomposition, ids: np.ndarray) -> np.ndarray:
+    """Effective operator H0 + (averaged V) over the clusters ``ids`` of
+    ``decomp``; Hermitian by construction."""
+    h_eff = _mat(H0) + project_average(V, decomp, ids)
     return 0.5 * (h_eff + h_eff.conj().swapaxes(-1, -2))  # scrub rotation round-off
 
 
@@ -330,7 +324,7 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[tuple[s
     Drops the sign-0 slots, which are the kernel slots and hold the spurious
     zeros, and the levels in the top ``loss_band`` photon rows; sorts
     stably."""
-    n_max = th.trunc.n_max if th.trunc is not None else th.dim // 2 - 1
+    n_max = th.trunc.n_max
     values, parity = np.asarray(th.levels[0], dtype=float), th.parity[0]
     usable = np.flatnonzero(parity != 0.0)
     usable = usable[usable // 2 <= n_max - th.loss_band]
@@ -353,8 +347,8 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
     reference = np.diag(th.levels[0])[None]
     decomp = eigh(reference)
-    clusters = cluster_levels(decomp.values, 1e-8 * params.omega)
-    heff = build_effective(reference, th.operator - reference, decomp, clusters)
+    ids = cluster_levels(decomp.values, 1e-8 * params.omega)
+    heff = build_effective(reference, th.operator - reference, decomp, ids)
     return eigh(heff), th
 
 

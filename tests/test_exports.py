@@ -11,7 +11,8 @@ import pytest
 
 import resonancekit
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 MODULES = ["resonancekit"] + [
     f"resonancekit.{info.name}" for info in pkgutil.iter_modules(resonancekit.__path__)
@@ -80,3 +81,22 @@ def test_every_name_the_benchmark_imports_exists():
             if importlib.util.find_spec(f"{module_name}.{name}") is None:
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_the_package_imports_neither_scipy_nor_mpmath():
+    # Either would add its import time to every CLI start-up; scipy is a
+    # test-only dependency.  The modules are parsed, so a guarded or
+    # function-level import counts too.
+    paths = sorted((ROOT / "src" / "resonancekit").glob("*.py"))
+    assert "kam.py" in {path.name for path in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] in ("scipy", "mpmath")]
+    assert found == []

@@ -1,12 +1,12 @@
 """Contact-transformation steps: exp(W) conjugation and contraction control."""
 
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from resonancekit.averaging import DEFAULT_TOL_DEG, cluster_levels, solve_cohomological
+from resonancekit.averaging import cluster_levels, solve_cohomological
 from resonancekit.kam import (
     W_NORM_DIVERGENCE,
     KamChain,
@@ -20,7 +20,7 @@ from resonancekit.methods import kam_truncation, rabi_rt1_chain
 from resonancekit.operators import ModelParams
 from resonancekit.spectrum import EigenDecomposition, check_rows, eigh
 
-from dense_oracles import cluster_means, cluster_members, conjugate_by_series, row_error
+from dense_oracles import conjugate_by_series, row_error
 
 
 def _diag_decomp(values):
@@ -53,7 +53,7 @@ ONE_MATRIX_CALLS = {
     "eigh": (lambda: eigh(np.eye(2)), r"\(G, n, n\) stack"),
     "unitary_exp": (lambda: unitary_exp(np.zeros((2, 2))), r"\(G, n, n\) stack"),
     "kam_iterate_full": (
-        lambda: kam_iterate_full(np.eye(2), np.zeros((2, 2)), 1), r"\(G, n, n\) stack"
+        lambda: kam_iterate_full(np.eye(2), np.zeros((2, 2)), 1, 1e-8), r"\(G, n, n\) stack"
     ),
 }
 
@@ -99,8 +99,8 @@ def test_unitary_exp_of_real_generator_is_real_orthogonal(rng):
 def test_kam_step_zero_perturbation_is_identity():
     h0 = np.diag([0.0, 1.0, 2.5])
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
-    h_new, d, v_new, *_, report = kam_step(h0[None], np.zeros((1, 3, 3)), decomp, clusters)
+    ids = cluster_levels(decomp.values, tol_deg=1e-9)
+    h_new, d, v_new, *_, report = kam_step(h0[None], np.zeros((1, 3, 3)), decomp, ids, 1e-9)
     np.testing.assert_allclose(h_new[0], h0, atol=1e-14)
     np.testing.assert_array_equal(d[0], np.zeros((3, 3)))
     np.testing.assert_allclose(v_new[0], np.zeros((3, 3)), atol=1e-14)
@@ -114,9 +114,9 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     h0 = np.diag(np.arange(12.0))
     v = make_hermitian(rng, 12, scale=0.05)
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
-    h_new, d, v_new, _, decomp_new, clusters_new, report = kam_step(
-        h0[None], v[None], decomp, clusters
+    ids = cluster_levels(decomp.values, tol_deg=1e-9)
+    h_new, d, v_new, _, decomp_new, ids_new, report = kam_step(
+        h0[None], v[None], decomp, ids, 1e-9
     )
     h_new, d = h_new[0], d[0]
     assert np.abs(h_new - h_new.conj().T).max() <= 1e-13
@@ -125,17 +125,10 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     )
     # Decomposition H_new = H0 + D + V_new holds by construction.
     np.testing.assert_allclose(h_new, h0 + d + v_new[0], atol=1e-13)
-    # The returned decomposition and clusters are those of the new reference.
+    # The returned decomposition and cluster ids are those of the new reference.
     np.testing.assert_allclose(decomp_new.values[0], np.linalg.eigvalsh(h0 + d), atol=1e-13)
-    expected = cluster_levels(decomp_new.values, 1e-9)
-    assert cluster_members(clusters_new.ids[0]) == cluster_members(expected.ids[0])
-    assert cluster_means(clusters_new.values[0], clusters_new.ids[0]) == cluster_means(
-        expected.values[0], expected.ids[0]
-    )
-    assert clusters_new.tol_deg == 1e-9
-    np.testing.assert_array_equal(clusters_new.ids, expected.ids)
-    np.testing.assert_array_equal(clusters_new.values, expected.values)
-    assert report.residual_after[0] == _offblock_residual(v_new, decomp_new, clusters_new)[0]
+    np.testing.assert_array_equal(ids_new, cluster_levels(decomp_new.values, 1e-9))
+    assert report.residual_after[0] == _offblock_residual(v_new, decomp_new, ids_new)[0]
     assert not report.diverged[0]
     assert report.residual_after[0] < report.residual_before[0]
 
@@ -144,10 +137,10 @@ def test_kam_step_residual_scales_quadratically(rng, make_hermitian):
     h0 = np.diag(np.arange(8.0))
     v0 = make_hermitian(rng, 8)
     decomp = _diag_decomp(np.diag(h0))
-    clusters = cluster_levels(decomp.values, tol_deg=1e-9)
+    ids = cluster_levels(decomp.values, tol_deg=1e-9)
     afters = {}
     for eps in (1e-1, 1e-2):
-        *_, report = kam_step(h0[None], eps * v0[None], decomp, clusters)
+        *_, report = kam_step(h0[None], eps * v0[None], decomp, ids, 1e-9)
         afters[eps] = report.residual_after[0]
     ratio = afters[1e-1] / afters[1e-2]
     assert 50.0 <= ratio <= 200.0  # quadratic contraction: ratio ~ (10)^2
@@ -158,8 +151,8 @@ def test_kam_step_generator_norm_tracks_inverse_gap():
     for delta in (1.0, 1e-1, 1e-2, 1e-3):
         h0 = np.diag([0.0, delta])
         decomp = _diag_decomp([0.0, delta])
-        clusters = cluster_levels(decomp.values, tol_deg=1e-12)
-        *_, report = kam_step(h0[None], v[None], decomp, clusters)
+        ids = cluster_levels(decomp.values, tol_deg=1e-12)
+        *_, report = kam_step(h0[None], v[None], decomp, ids, 1e-12)
         assert report.w_norm[0] * delta == pytest.approx(1.0, rel=1e-12)
         assert report.diverged[0] == (
             report.residual_after[0] > report.residual_before[0]
@@ -175,23 +168,27 @@ def test_kam_step_generator_norm_tracks_inverse_gap():
 def test_kam_iterate_full_stops_before_first_step_on_block_diagonal():
     h0 = np.diag([0.0, 1.0, 2.0])
     v = np.diag([0.1, 0.2, 0.3])
-    chain = kam_iterate_full(h0[None], v[None], max_steps=4)
-    assert chain.reports == ((),)
+    chain = kam_iterate_full(h0[None], v[None], max_steps=4, tol_deg=1e-8)
+    assert chain.reports == ()
+    assert chain.steps[0] == 0
     assert not chain.diverged[0]
     np.testing.assert_allclose(chain.estimate[0], [0.1, 1.2, 2.3], atol=1e-14)
 
 
 def test_kam_iterate_full_validates_max_steps():
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
-        kam_iterate_full(np.eye(2)[None], np.zeros((1, 2, 2)), max_steps=0)
+        kam_iterate_full(np.eye(2)[None], np.zeros((1, 2, 2)), max_steps=0, tol_deg=1e-8)
 
 
-def test_kam_iterate_steps_are_numbered_from_one(rng, make_hermitian):
+def test_kam_iterate_reports_one_stack_wide_report_per_step(rng, make_hermitian):
     h0 = np.diag(np.arange(10.0))
     v = make_hermitian(rng, 10, scale=0.03)
-    reports, = kam_iterate_full(h0[None], v[None], max_steps=3, stop_tol=1e-15).reports
-    assert [r.step for r in reports] == list(range(1, len(reports) + 1))
-    assert all(r.epsilon > 0 for r in reports)
+    chain = kam_iterate_full(h0[None], v[None], max_steps=3, tol_deg=1e-8, stop_tol=1e-15)
+    assert len(chain.reports) == chain.steps[0] >= 1
+    for report in chain.reports:
+        assert all(getattr(report, f.name).shape == (1,) for f in fields(report))
+        assert report.diverged.dtype == bool
+        assert report.epsilon[0] > 0
 
 
 # ------------------------------------------------------- model iteration
@@ -199,34 +196,32 @@ def test_kam_iterate_steps_are_numbered_from_one(rng, make_hermitian):
 
 def test_weak_coupling_chain_contracts():
     chain = kam_iterate_full(*_rt1_residue(0.15, 10), max_steps=3, tol_deg=1e-3)
-    reports, = chain.reports
     assert not chain.diverged[0]
-    assert len(reports) == 3
-    for report in reports:
-        assert report.residual_after < report.residual_before
-    afters = [r.residual_after for r in reports]
+    assert len(chain.reports) == chain.steps[0] == 3
+    for report in chain.reports:
+        assert report.residual_after[0] < report.residual_before[0]
+    afters = [r.residual_after[0] for r in chain.reports]
     assert afters[1] < afters[0] and afters[2] < afters[1]
     assert afters[2] <= 1e-2 * afters[0]
 
 
 def test_strong_coupling_chain_flags_divergence():
     chain = kam_iterate_full(*_rt1_residue(0.3, 10), max_steps=3, tol_deg=1e-3)
-    reports, = chain.reports
     assert chain.diverged[0]
-    assert reports[-1].diverged
-    assert any(r.w_norm > W_NORM_DIVERGENCE for r in reports)
+    assert chain.reports[-1].diverged[0]
+    assert any(r.w_norm[0] > W_NORM_DIVERGENCE for r in chain.reports)
 
 
 def test_report_divergence_flag_is_consistent(rng, make_hermitian):
     chain = kam_iterate_full(*_rt1_residue(0.3, 8), max_steps=3, tol_deg=1e-3)
-    for report in chain.reports[0]:
-        assert report.diverged == (
-            report.residual_after > report.residual_before
-            or report.w_norm > W_NORM_DIVERGENCE
-        )
+    for report in chain.reports:
+        np.testing.assert_array_equal(report.diverged, (
+            (report.residual_after > report.residual_before)
+            | (report.w_norm > W_NORM_DIVERGENCE)
+        ))
 
 
-def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None):
+def _kam_iterate_full_recomputing(H0, V, max_steps, tol_deg, stop_tol=1e-12):
     """kam_iterate_full on a stack of one without reusing what kam_step
     computed: every step solves for the generator and exponentiates it a
     second time, recomputes the off-block residual, and the final reference
@@ -236,18 +231,16 @@ def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None
     u_total = np.eye(h0.shape[-1], dtype=np.result_type(h0, v))[None]
     reports = []
     diverged = False
-    if tol_deg is None:
-        tol_deg = DEFAULT_TOL_DEG * max(np.abs(h0).max(), 1.0)
-    for step in range(1, max_steps + 1):
+    for _ in range(max_steps):
         decomp = eigh(h0)
-        clusters = cluster_levels(decomp.values, tol_deg)
-        residual = _offblock_residual(v, decomp, clusters)[0]
+        ids = cluster_levels(decomp.values, tol_deg)
+        residual = _offblock_residual(v, decomp, ids)[0]
         if residual <= stop_tol * max(float(np.linalg.norm(h0[0], 2)), np.finfo(float).tiny):
             break
-        w = solve_cohomological(v, decomp, clusters)
+        w = solve_cohomological(v, decomp, ids, tol_deg)
         u = unitary_exp(w)
-        _, d, v_new, *_, report = kam_step(h0, v, decomp, clusters)
-        reports.append(KamStepReport(step, *(f.item() for f in astuple(report)[1:])))
+        _, d, v_new, *_, report = kam_step(h0, v, decomp, ids, tol_deg)
+        reports.append(report)
         u_total = u_total @ u
         h0 = h0 + d
         h0 = 0.5 * (h0 + h0.conj().swapaxes(-1, -2))
@@ -259,7 +252,26 @@ def _kam_iterate_full_recomputing(H0, V, max_steps, stop_tol=1e-12, tol_deg=None
     basis = ref_decomp.vectors
     operator = h0 + v
     estimate = np.real(np.diagonal(basis.conj().swapaxes(-1, -2) @ operator @ basis, 0, -2, -1))
-    return KamChain(estimate, (tuple(reports),), operator, u_total @ basis, np.array([diverged]))
+    return KamChain(estimate, tuple(reports), operator, u_total @ basis, np.array([diverged]),
+                    np.array([len(reports)]))
+
+
+def _assert_chains_equal(got, want, rows=slice(None)):
+    """Rows ``rows`` of the chain ``got`` equal the chain ``want`` bit for
+    bit: every array, and every report field where ``want`` took the step
+    (``got`` holds NaN, and False in ``diverged``, after that)."""
+    for name in ("estimate", "operator", "vectors", "diverged", "steps"):
+        assert np.array_equal(getattr(got, name)[rows], getattr(want, name)), name
+    assert len(got.reports) >= len(want.reports)
+    for step, report in enumerate(got.reports):
+        for f in fields(KamStepReport):
+            value = getattr(report, f.name)[rows]
+            if step < len(want.reports):
+                expect = getattr(want.reports[step], f.name)
+            else:
+                expect = np.full_like(value, False if value.dtype == bool else np.nan)
+            assert value.dtype == expect.dtype, (step, f.name)
+            assert np.array_equal(value, expect, equal_nan=True), (step, f.name)
 
 
 @pytest.mark.parametrize("g", [0.0, 0.15, 0.3])
@@ -269,11 +281,27 @@ def test_kam_iterate_full_reuses_step_unitary_bit_for_bit(g):
         h0, v = reference.astype(dtype), remainder.astype(dtype)
         got = kam_iterate_full(h0, v, max_steps=3, tol_deg=1e-3)
         want = _kam_iterate_full_recomputing(h0, v, max_steps=3, tol_deg=1e-3)
-        for name in ("estimate", "operator", "vectors"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (dtype, name)
         assert got.vectors.dtype == got.operator.dtype == dtype
-        assert got.reports == want.reports
-        assert np.array_equal(got.diverged, want.diverged)
+        assert len(got.reports) == len(want.reports)
+        _assert_chains_equal(got, want)
+
+
+def test_a_stack_whose_matrices_stop_at_different_steps_equals_each_run_alone():
+    # Row 0 converges within the steps, row 1 is block-diagonal already (no
+    # step) and row 2 diverges at its first step, so the first step runs on
+    # two rows apart and the others on one: each row of the stacked run is
+    # the matrix run alone, bit for bit, reports included.
+    weak, strong = _rt1_residue(0.15, 10), _rt1_residue(0.3, 10)
+    reference = np.concatenate([weak[0], weak[0], strong[0]])
+    remainder = np.concatenate([weak[1], np.zeros_like(weak[1]), strong[1]])
+    stacked = kam_iterate_full(reference, remainder, max_steps=3, tol_deg=1e-3)
+    np.testing.assert_array_equal(stacked.steps, [3, 0, 1])
+    np.testing.assert_array_equal(stacked.diverged, [False, False, True])
+    assert len(stacked.reports) == 3
+    for row in range(3):
+        alone = kam_iterate_full(reference[row:row + 1], remainder[row:row + 1],
+                                 max_steps=3, tol_deg=1e-3)
+        _assert_chains_equal(stacked, alone, slice(row, row + 1))
 
 
 # ---------------------------------------------------------------- series

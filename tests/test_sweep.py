@@ -146,6 +146,23 @@ def test_parse_config_rejects_unknown_override():
         parse_config(overrides={"bogus": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega", "1.0"), ("g_max", [0.3]), ("g_steps", 2.5), ("n_max", "60"),
+    ("n_levels", True), ("methods", 5), ("methods", ("exact", 1)), ("output_path", 3),
+])
+def test_parse_config_rejects_a_wrongly_typed_override(key, value):
+    with pytest.raises(ValueError, match=f"unparsable value for {key}: "):
+        parse_config(None, {key: value})
+
+
+def test_parse_config_takes_typed_overrides_and_a_methods_string():
+    # The benchmark's set-up probe passes JSON numbers and the methods joined
+    # by commas; an int is a valid float.
+    config = parse_config(None, {"omega": 1, "g_max": 0.3, "g_steps": np.int64(81),
+                                 "methods": "rt1,rt1_kam", "output_path": "x.csv"})
+    assert (config.omega, config.g_steps, config.methods) == (1, 81, ("rt1", "rt1_kam"))
+
+
 def test_run_sweep_row_grid(small_table):
     config, table = small_table
     grid = config.g_grid()

@@ -54,11 +54,14 @@ from scalar_closed_forms import displacement_element
 
 def _bare(operator, levels):
     """A chain holding just an operator and its reference levels, as a stack
-    of one."""
+    of one; its params and truncation are those of the operator's box at
+    g = 0."""
+    operator = np.asarray(operator, dtype=complex)[None]
     return TransformedHamiltonian(
-        operator=np.asarray(operator, dtype=complex)[None],
+        operator=operator,
         levels=np.asarray(levels, dtype=float)[None],
         parity=None, provenance=(), loss_band=0,
+        params=(_params(0.0),), trunc=TruncationConfig(n_max=operator.shape[-1] // 2 - 1),
     )
 
 
@@ -276,18 +279,6 @@ def test_rt_one_photon_remainder_couples_two_photon_blocks_only():
 # ---------------------------------------------------------------- rt2
 
 
-def test_rt_two_photon_needs_chain_metadata():
-    bare = TransformedHamiltonian(
-        operator=np.eye(4, dtype=complex),
-        levels=np.ones(4),
-        parity=None,
-        provenance=(),
-        loss_band=0,
-    )
-    with pytest.raises(ValueError, match="params/trunc carried by rt_one_photon"):
-        rt_two_photon(bare)
-
-
 def test_rt_two_photon_bookkeeping():
     trunc = TruncationConfig(n_max=24)
     th2 = rabi_rt2_chain(_one(0.3), trunc)
@@ -473,18 +464,6 @@ def test_strong_chain_remainder_is_displacement_kernel():
 # ---------------------------------------------------------------- zero-field
 
 
-def test_rt_zero_field_needs_chain_metadata():
-    bare = TransformedHamiltonian(
-        operator=np.eye(4, dtype=complex),
-        levels=np.ones(4),
-        parity=None,
-        provenance=(),
-        loss_band=0,
-    )
-    with pytest.raises(ValueError, match="params/trunc carried by the chain"):
-        rt_zero_field(bare)
-
-
 def test_rt_zero_field_reference_and_records():
     params = _params(0.7)
     trunc = TruncationConfig(n_max=20)
@@ -626,7 +605,7 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
 def test_transformed_hamiltonian_rejects_misshapen_levels(field, value):
     fields = dict(
         operator=np.eye(4, dtype=complex), levels=np.zeros(4), parity=None,
-        provenance=(), loss_band=0,
+        provenance=(), loss_band=0, params=(_params(0.0),), trunc=TruncationConfig(n_max=1),
     )
     fields[field] = value
     with pytest.raises(ValueError, match=rf"{field} must .*\b4\b"):
