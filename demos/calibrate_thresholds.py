@@ -96,7 +96,7 @@ def spectrum_regression_constants():
     params = ModelParams(omega=1.0, omega0=1.0, g=0.5)
     for n_max in (80, 160):
         decomp = eigh(build_rabi(params, TruncationConfig(n_max=n_max))[None])
-        print(f"  E0(g=0.5, n_max={n_max}) = {decomp.values[0, 0]:.16f}")
+        print(f"  E0(g=0.5, n_max={n_max}) = {decomp.values[0, 0]:.12f}")
 
     for n_max in (60, 120):
         sweep = grid_sweep("exact", 1.0, 1.0, [0.2], TruncationConfig(n_max=n_max), 12)

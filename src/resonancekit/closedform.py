@@ -10,12 +10,10 @@ has parity (-1)^(n+1).
 
 Each closed form is written once, as an array program over a grid of
 couplings (``closed_form_table``); a single coupling is a one-element grid.
-Sums, products, quotients and square roots are correctly rounded in numpy as
-in Python, so the arrays agree bit for bit with a scalar evaluation in the
-same operation order.  ``exp``, ``hypot`` and ``** 2`` are not: numpy's
-versions differ from libm's ``math.exp``, ``math.hypot`` and Python's float
-power by one ulp on some arguments, so those three are applied element by
-element through the Python functions.
+Every operation is a numpy one (``np.exp``, ``np.hypot`` and ``np.square``
+included), and numpy gives a scalar the bits it gives an array element, so
+the arrays agree bit for bit with a scalar evaluation by the same numpy
+functions in the same operation order.
 """
 
 from __future__ import annotations
@@ -104,17 +102,6 @@ def _ladder_parity(n: int) -> str:
     return PARITY_EVEN if n % 2 == 1 else PARITY_ODD
 
 
-def _libm(fn, *arrays) -> np.ndarray:
-    """``fn`` of Python floats applied element by element (see module docstring)."""
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    args = (np.broadcast_to(a, shape).ravel().tolist() for a in arrays)
-    return np.array(list(map(fn, *args)), dtype=float).reshape(shape)
-
-
-def _square(v: float) -> float:
-    return v ** 2
-
-
 def _table(head, head_energies, ladder_n, upper, lower, lower_parity) -> ClosedFormTable:
     """Slots ``head`` (n, branch, parity, spurious), then a (n,+), (n,-) pair
     for each n of ``ladder_n``; the energy columns follow the same order."""
@@ -160,7 +147,7 @@ def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
         +/- (1/2)sqrt((-2w + g(sqrt(n-2)+sqrt(n)))^2 + g^2 (n-1)).
     """
     require_one_photon_resonance(w, w0)
-    half_split = 0.5 * np.sqrt(_libm(_square, 2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
+    half_split = 0.5 * np.sqrt(np.square(2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
     center = w - g / math.sqrt(2.0)
     head = (
         (0, "+", _ladder_parity(0), True),
@@ -175,7 +162,7 @@ def _rt2_table(w, w0, g, n_levels) -> ClosedFormTable:
     gc = g[:, None]
     mid = w * (n - 1) + 0.5 * gc * (np.sqrt(n - 2) - np.sqrt(n))
     half = 0.5 * np.sqrt(
-        _libm(_square, -2.0 * w + gc * (np.sqrt(n - 2) + np.sqrt(n))) + gc * gc * (n - 1)
+        np.square(-2.0 * w + gc * (np.sqrt(n - 2) + np.sqrt(n))) + gc * gc * (n - 1)
     )
     return _table(head, head_energies, n.tolist(), mid + half, mid - half, _ladder_parity)
 
@@ -187,7 +174,7 @@ def _strong_avg_table(w, w0, g, n_levels) -> ClosedFormTable:
     the "+" slot carries (-1)^(n+1), the "-" slot (-1)^n.
     """
     r = 2.0 * g / w
-    damp = _libm(math.exp, -0.5 * r * r)[:, None]
+    damp = np.exp(-0.5 * r * r)[:, None]
     f = damp * laguerre_table(n_levels, 0, r * r).T
     n = np.arange(n_levels + 1)
     gc = g[:, None]
@@ -216,7 +203,7 @@ def _strong_rt_table(w, w0, g, n_levels) -> ClosedFormTable:
     zero-field resonance has been treated non-perturbatively.
     """
     x = (2.0 * g / w) ** 2  # not 4g^2 / (w*w): w*w underflows for w below 1e-154
-    damp = _libm(math.exp, -0.5 * x)
+    damp = np.exp(-0.5 * x)
     lag = laguerre_table(n_levels, np.array([[0], [1]]), x)
     l0, l1 = lag[:, 0].T, lag[:, 1].T
     head = ((0, "-", _ladder_parity(0), True), (0, "+", _ladder_parity(0), False))
@@ -227,7 +214,7 @@ def _strong_rt_table(w, w0, g, n_levels) -> ClosedFormTable:
     mid = n * w - gc * gc / w - 0.25 * w0 * damp * (l_n - l_nm1)
     h = w - 0.5 * w0 * damp * (l_n + l_nm1)
     c = (w0 / w) * (2.0 * gc / np.sqrt(n)) * damp * l1_nm1
-    half = 0.5 * _libm(math.hypot, h, c)
+    half = 0.5 * np.hypot(h, c)
     return _table(head, head_energies, n.tolist(), mid + half, mid - half, _ladder_parity)
 
 

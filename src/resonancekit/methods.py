@@ -99,8 +99,9 @@ _EXACT_LABELS = ((BRANCH_UNASSIGNED, PARITY_EVEN), (BRANCH_UNASSIGNED, PARITY_OD
 PHYSICAL_CLUSTER_FRACTION = 1e-3
 
 # Traced peak of a closed-form block per (coupling, slot) entry, in float64
-# values (tracemalloc at 40 levels: 4.3 to 5.6, and 9.2 for strong_rt).
-_CLOSED_FORM_PEAK = 10
+# values (tracemalloc of one-stack sweeps at 2 to 40 levels: 3.7 to 5.1, and
+# 5.4 to 6.1 for strong_rt).
+_CLOSED_FORM_PEAK = 7
 
 # Traced peak of a stack of chain operators per coupling, in (dim, dim)
 # float64 matrices (tracemalloc: at most 3.5 at 12 and 40 levels, in the
@@ -113,7 +114,7 @@ _EXACT_PEAK = 2
 # Bytes a stack of couplings may reach at its peak, so that a sweep's memory
 # does not grow with its grid: 36 chain couplings at 12 levels (dim 30),
 # keeping a CLI run's peak RSS where stacks of 6 had it, 4 at 40 levels
-# (dim 86), and 112 to 131 closed-form couplings at 40 levels and g <= 1.5.
+# (dim 86), and 167 to 183 closed-form couplings at 40 levels and g <= 1.5.
 _STACK_BYTES = 1 << 20
 
 

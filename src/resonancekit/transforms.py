@@ -282,9 +282,16 @@ def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
 
 
 def _couplings(params) -> tuple[ModelParams, np.ndarray]:
-    """The first of a sequence of ModelParams (one per stack row, sharing
-    omega and omega0) and their couplings."""
-    return params[0], np.array([p.g for p in params])
+    """The first of a sequence of ModelParams (one per stack row) and their
+    couplings; a ValueError if the rows do not share omega and omega0."""
+    first = params[0]
+    for p in params:
+        if (p.omega, p.omega0) != (first.omega, first.omega0):
+            raise ValueError(
+                "the rows of a stack must share omega and omega0; got (omega, omega0) = "
+                f"({first.omega}, {first.omega0}) and ({p.omega}, {p.omega0})"
+            )
+    return first, np.array([p.g for p in params])
 
 
 def _ladder(omega: float, g, fock_dim: int) -> np.ndarray:

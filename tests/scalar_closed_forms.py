@@ -4,10 +4,16 @@ Laguerre recurrence, and the matrix elements of the displacement operator.
 
 ``resonancekit.closedform`` evaluates the same formulas as array programs
 over a coupling grid; these transcriptions fix the operation order whose
-results the arrays must reproduce bit for bit.
+results the arrays must reproduce bit for bit.  Exponentials, squares and
+hypotenuses go through numpy's ``exp``, ``square`` and ``hypot``, as in the
+arrays: numpy gives a scalar the bits it gives an array element, while
+libm's ``math.exp`` and ``math.hypot`` and Python's float ``**`` differ from
+them by one ulp on some arguments.
 """
 
 import math
+
+import numpy as np
 
 from resonancekit.operators import ModelParams
 from resonancekit.spectrum import PARITY_EVEN, PARITY_ODD
@@ -32,7 +38,7 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 def f_laguerre(n: int, params: ModelParams) -> float:
     """Diagonal displacement element f_n = exp(-2g^2/w^2) L_n(4g^2/w^2)."""
     r = 2.0 * params.g / params.omega
-    return math.exp(-0.5 * r * r) * laguerre(n, 0, r * r)
+    return np.exp(-0.5 * r * r) * laguerre(n, 0, r * r)
 
 
 def _ladder_parity(n):
@@ -49,7 +55,7 @@ def jc(w, w0, g, top):
 
 
 def rt2(w, w0, g, top):
-    half_split = 0.5 * math.sqrt((2.0 * w - g * math.sqrt(2.0)) ** 2 + 2.0 * g * g)
+    half_split = 0.5 * math.sqrt(np.square(2.0 * w - g * math.sqrt(2.0)) + 2.0 * g * g)
     center = w - g / math.sqrt(2.0)
     out = [
         (0, "+", 0.0, _ladder_parity(0), True),
@@ -62,7 +68,7 @@ def rt2(w, w0, g, top):
     for n in range(3, top + 1):
         mid = w * (n - 1) + 0.5 * g * (math.sqrt(n - 2) - math.sqrt(n))
         half = 0.5 * math.sqrt(
-            (-2.0 * w + g * (math.sqrt(n - 2) + math.sqrt(n))) ** 2 + g * g * (n - 1)
+            np.square(-2.0 * w + g * (math.sqrt(n - 2) + math.sqrt(n))) + g * g * (n - 1)
         )
         out.append((n, "+", mid + half, _ladder_parity(n), False))
         out.append((n, "-", mid - half, _ladder_parity(n), False))
@@ -82,7 +88,7 @@ def strong_avg(w, w0, g, top):
 
 def strong_rt(w, w0, g, top):
     x = 4.0 * g * g / (w * w)
-    damp = math.exp(-0.5 * x)
+    damp = np.exp(-0.5 * x)
     out = [
         (0, "-", 0.0, _ladder_parity(0), True),
         (0, "+", 0.5 * w - g * g / w - 0.5 * w0 * damp, _ladder_parity(0), False),
@@ -94,7 +100,7 @@ def strong_rt(w, w0, g, top):
         mid = n * w - g * g / w - 0.25 * w0 * damp * (l_n - l_nm1)
         h = w - 0.5 * w0 * damp * (l_n + l_nm1)
         c = (w0 / w) * (2.0 * g / math.sqrt(n)) * damp * l1_nm1
-        half = 0.5 * math.hypot(h, c)
+        half = 0.5 * np.hypot(h, c)
         out.append((n, "+", mid + half, _ladder_parity(n), False))
         out.append((n, "-", mid - half, _ladder_parity(n), False))
     return out

@@ -267,8 +267,8 @@ per-point max|dE| for 0 < g < 0.5:
 -0.0460), second-order locus g=0.4572 (shift +0.0008, within 0.05)
 
 === exact-spectrum regression constants =========================
-  E0(g=0.5, n_max=80) = -0.1332942354616257
-  E0(g=0.5, n_max=160) = -0.1332942354616244
+  E0(g=0.5, n_max=80) = -0.133294235462
+  E0(g=0.5, n_max=160) = -0.133294235462
   lowest 12 at g=0.2, n_max=60:
     -0.020201999386276, 0.780666270558556, 1.178491610235721, 1.699383293621969, \
 2.258855696463078, 2.638067461433701

@@ -110,7 +110,7 @@ def test_closed_form_sweep_blocks_give_the_same_levels(monkeypatch):
     grid = np.linspace(0.0, 3.0, 31)
     trunc = TruncationConfig(n_max=60)
     whole = grid_sweep("strong_rt", 1.0, 0.37, grid, trunc, 10)
-    monkeypatch.setattr(methods, "_STACK_BYTES", 16000)  # two to five couplings per block
+    monkeypatch.setattr(methods, "_STACK_BYTES", 16000)  # three to six couplings per block
     blocked = grid_sweep("strong_rt", 1.0, 0.37, grid, trunc, 10)
     assert [blocked.point(i) for i in range(grid.size)] == [
         whole.point(i) for i in range(grid.size)
@@ -198,6 +198,28 @@ def test_a_huge_coupling_leaves_the_other_closed_form_blocks_as_they_are(monkeyp
     for grid, count in huge:
         if len(grid) > 1:
             assert len(grid) * methods._CLOSED_FORM_PEAK * 8 * (2 * count + 2) <= methods._STACK_BYTES
+
+
+@pytest.mark.parametrize("method", sorted(CLOSED_FORM_METHODS))
+def test_a_closed_form_stack_peaks_within_the_stated_values_per_entry(monkeypatch, method):
+    # One stack of the whole grid at 40 levels: each coupling adds less than
+    # _CLOSED_FORM_PEAK float64 values per (coupling, slot) entry to the
+    # traced peak (about 4.8, and 6.0 for strong_rt).
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)
+    trunc = TruncationConfig(n_max=60)
+    peaks = []
+    for size in (100, 400):
+        grid = np.linspace(0.0, 0.3, size)
+        grid_sweep(method, 1.0, 1.0, grid, trunc, 40)  # imports and caches first
+        tracemalloc.start()
+        try:
+            grid_sweep(method, 1.0, 1.0, grid, trunc, 40)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slots = 2 * methods._closed_form_count(0.3, 1.0, 40) + 2
+    per_entry = (peaks[1] - peaks[0]) / 300 / (8 * slots)
+    assert 0 < per_entry < methods._CLOSED_FORM_PEAK
 
 
 def test_a_non_finite_closed_form_energy_fails_its_coupling():

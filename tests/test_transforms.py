@@ -401,6 +401,20 @@ def test_strong_chain_runs_a_stack_as_each_coupling_alone():
     assert stack.loss_band == trunc.n_max + 1
 
 
+@pytest.mark.parametrize("second", [ModelParams(2.0, 2.0, 0.1), ModelParams(1.0, 0.5, 0.1)])
+def test_a_stack_with_mixed_frequencies_is_rejected(second):
+    # Every row of a stack is built with the first row's omega and omega0,
+    # so rows that disagree on either would be silently wrong.
+    trunc = TruncationConfig(n_max=8)
+    params = (ModelParams(1.0, 1.0, 0.1), second)
+    named = rf"\(1\.0, 1\.0\) and \({second.omega}, {second.omega0}\)"
+    with pytest.raises(ValueError, match=named):
+        rabi_rt1_chain(params, trunc)
+    h = np.stack([build_rabi(p, trunc) for p in params])
+    with pytest.raises(ValueError, match=named):
+        strong_chain(h, params, trunc)
+
+
 def test_chain_operators_are_float64():
     params = _params(0.4)
     trunc = TruncationConfig(n_max=20)
