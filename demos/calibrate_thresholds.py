@@ -24,17 +24,15 @@ def banner(title):
 def weak_coupling_ceilings():
     banner("weak-coupling accuracy (lowest 10, exact oracle at n_max=60)")
     config = SweepConfig(g_min=0.0, g_max=0.25, g_steps=26, n_max=60,
-                         n_levels=10, methods=("exact", "jc", "rt1_kam"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""), out_path="")
+                         n_levels=10, methods=("exact", "jc", "rt1_kam"))
+    stats = compare_methods(run_sweep(config))
     print(f"g in [0, 0.25], 26 points:")
     print(f"  jc       max|dE| = {stats['jc'][0]:.4e}   (frozen ceiling 8.0e-02)")
     print(f"  rt1_kam  max|dE| = {stats['rt1_kam'][0]:.4e}   (frozen ceiling 4.0e-02)")
 
     config = SweepConfig(g_min=0.0, g_max=0.6, g_steps=61, n_max=60,
-                         n_levels=10, methods=("exact", "jc", "rt2"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""), out_path="")
+                         n_levels=10, methods=("exact", "jc", "rt2"))
+    stats = compare_methods(run_sweep(config))
     print(f"g in [0, 0.6], 61 points:")
     print(f"  jc       max|dE| = {stats['jc'][0]:.4e}   (frozen ceiling 5.5e-01)")
     print(f"  rt2      max|dE| = {stats['rt2'][0]:.4e}   (frozen ceiling 4.5e-01)")
@@ -43,17 +41,15 @@ def weak_coupling_ceilings():
 def strong_coupling_ceilings():
     banner("strong-coupling accuracy (lowest 8, exact oracle at n_max=120)")
     config = SweepConfig(g_min=1.5, g_max=3.0, g_steps=16, n_max=120,
-                         n_levels=8, methods=("exact", "strong_avg"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""), out_path="")
+                         n_levels=8, methods=("exact", "strong_avg"))
+    stats = compare_methods(run_sweep(config))
     print(f"g in [1.5, 3], 16 points:")
     print(f"  strong_avg max|dE| = {stats['strong_avg'][0]:.4e}   (frozen ceiling 7.0e-02)")
 
     config = SweepConfig(g_min=0.0, g_max=3.0, g_steps=31, n_max=120,
-                         n_levels=8, methods=("exact", "strong_avg", "strong_rt"),
-                         output_path="")
-    table = run_sweep(config, out_path="")
-    stats = compare_methods(config, table=table, out_path="")
+                         n_levels=8, methods=("exact", "strong_avg", "strong_rt"))
+    table = run_sweep(config)
+    stats = compare_methods(table)
     print(f"g in [0, 3], 31 points:")
     print(f"  strong_rt  max|dE| = {stats['strong_rt'][0]:.4e}   (frozen ceiling 1.3e-01)")
 
@@ -77,7 +73,7 @@ def crossing_displacements():
     for n, g_locus in sorted(loci.items()):
         config = SweepConfig(
             g_min=g_locus - 0.15, g_max=g_locus + 0.15, g_steps=151,
-            n_max=60, n_levels=14, output_path="",
+            n_max=60, n_levels=14,
         )
         _, reports = resonance_report(config)
         rep = next(r for r in reports if r.kind == "active" and r.n == n)
@@ -108,8 +104,8 @@ def spectrum_regression_constants():
 
 def default_grid_envelopes():
     banner("two-photon chain envelope on the default grid")
-    config = SweepConfig(n_levels=12, methods=("exact", "rt2"), output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""), out_path="")
+    config = SweepConfig(n_levels=12, methods=("exact", "rt2"))
+    stats = compare_methods(run_sweep(config))
     print(f"  rt2 over g in [0, 1.5] (151 points, lowest 12): "
           f"max|dE| = {stats['rt2'][0]:.4e}, mean = {stats['rt2'][1]:.4e}")
     print( "  (frozen honest envelope: max <= 1.5; the weak-coupling bound"

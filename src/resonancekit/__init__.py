@@ -47,6 +47,7 @@ from .sweep import (
     run_sweep,
     table_to_csv,
     compare_methods,
+    errors_to_csv,
     resonance_report,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "run_sweep",
     "table_to_csv",
     "compare_methods",
+    "errors_to_csv",
     "resonance_report",
     "__version__",
 ]

@@ -1,6 +1,8 @@
 """Command-line entry point: coupling sweeps, method comparisons, resonance
 reports.
 
+Only this module writes output files; :mod:`sweep` computes and formats them.
+
 Exit status: 0 on success, 1 if any (g, method) point failed (the sweep
 still writes every successful row), 2 on configuration errors, an output
 file that cannot be opened included, found before any method runs.
@@ -9,22 +11,14 @@ file that cannot be opened included, found before any method runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
 
-from .sweep import SweepConfig, compare_methods, parse_config, resonance_report, run_sweep
-from .sweep import _errors_path, _read_config_file
+from .sweep import SweepConfig, compare_methods, errors_to_csv, parse_config, resonance_report
+from .sweep import _read_config_file, run_sweep, table_to_csv
 
-_FLAG_TO_KEY = {
-    "omega": "omega",
-    "omega0": "omega0",
-    "g_min": "g_min",
-    "g_max": "g_max",
-    "g_steps": "g_steps",
-    "n_max": "n_max",
-    "levels": "n_levels",
-    "methods": "methods",
-    "out": "output_path",
-}
+_CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -35,9 +29,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g-max", dest="g_max", type=float, help="highest coupling")
     parser.add_argument("--g-steps", dest="g_steps", type=int, help="grid point count")
     parser.add_argument("--n-max", dest="n_max", type=int, help="photon truncation")
-    parser.add_argument("--levels", type=int, help="levels per (g, method)")
+    parser.add_argument("--levels", dest="n_levels", metavar="LEVELS", type=int,
+                        help="levels per (g, method)")
     parser.add_argument("--methods", help="comma-separated method list")
-    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--out", dest="output_path", metavar="OUT", help="output CSV path")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,11 +57,21 @@ def _config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, bool]:
     file or a flag names an output path."""
     values = _read_config_file(args.config) if args.config is not None else {}
     values.update(
-        (key, getattr(args, attr))
-        for attr, key in _FLAG_TO_KEY.items()
-        if getattr(args, attr) is not None
+        (key, value) for key, value in vars(args).items()
+        if key in _CONFIG_KEYS and value is not None
     )
     return parse_config(None, values), "output_path" in values
+
+
+def _errors_path(output_path: str) -> str:
+    """The error table's path next to the sweep CSV ``output_path``: its file
+    extension replaced by ``_errors.csv``."""
+    return os.path.splitext(output_path)[0] + "_errors.csv"
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _report_failures(table) -> None:
@@ -90,30 +95,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "sweep":
-        table = run_sweep(config)
-        _report_failures(table)
-        written = f"wrote {config.output_path}" if config.output_path else "wrote no file"
-        print(f"{written}: {table.row_count} rows, {len(table.failures)} failed points")
-        return 1 if table.failures else 0
-
-    if args.command == "compare":
-        table = run_sweep(config)
-        stats = compare_methods(config, table)
-        _report_failures(table)
-        for method, (mx, mean, pairs) in stats.items():
-            print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")
-        return 1 if table.failures else 0
-
     if args.command == "resonances":
         text, _ = resonance_report(config)
         if output_named and config.output_path:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            _write(config.output_path, text)
         print(text, end="")
         return 0
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    table = run_sweep(config)
+    if config.output_path:
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            table_to_csv(table, fh)
+    if args.command == "sweep":
+        _report_failures(table)
+        written = f"wrote {config.output_path}" if config.output_path else "wrote no file"
+        print(f"{written}: {table.row_count} rows, {len(table.failures)} failed points")
+    else:
+        stats = compare_methods(table)
+        if config.output_path:
+            _write(_errors_path(config.output_path), errors_to_csv(stats))
+        _report_failures(table)
+        for method, (mx, mean, pairs) in stats.items():
+            print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")
+    return 1 if table.failures else 0
 
 
 if __name__ == "__main__":

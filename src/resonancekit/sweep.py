@@ -1,4 +1,4 @@
-"""Coupling sweeps over the method registry, CSV emission, error tables.
+"""Coupling sweeps over the method registry, CSV formatting, error tables.
 
 CSV schema: header ``g,method,level,branch,parity,energy,spurious``; UTF-8,
 LF line endings, ``.`` decimal separator, 17 significant digits (floats
@@ -14,9 +14,10 @@ Every method is evaluated over the whole g-grid on one thread, by one
 fill them from array programs, the contact-iteration chains from stacks of
 chain operators.  A failing point is recorded in its slot and skipped, the
 run continues.  The CSV, the error table and the resonance report are
-computed from those arrays; no per-level record is built on the way.  The
-CSV is formatted and written one block of couplings at a time, so beyond the
-arrays (16 bytes a row) a sweep's memory does not grow with its output.
+computed from those arrays; no per-level record is built on the way, and
+no file is written here (:mod:`cli` writes them).  The CSV is formatted one
+block of couplings at a time, so beyond the arrays (16 bytes a row) a
+sweep's memory does not grow with its output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import io
 import math
 import numbers
-import os
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -42,6 +42,7 @@ __all__ = [
     "run_sweep",
     "table_to_csv",
     "compare_methods",
+    "errors_to_csv",
     "LocusReport",
     "resonance_report",
 ]
@@ -186,9 +187,9 @@ def worker_count() -> int:
     return 1
 
 
-def _sweep_table(config: SweepConfig) -> SpectrumTable:
+def run_sweep(config: SweepConfig) -> SpectrumTable:
     """Every configured method over the g-grid, from one :func:`grid_sweep`
-    per method."""
+    per method; a failed point is recorded on the table, the run goes on."""
     grid = config.g_grid()
     trunc = TruncationConfig(n_max=config.n_max)
     sweeps = []
@@ -200,20 +201,6 @@ def _sweep_table(config: SweepConfig) -> SpectrumTable:
         except Exception as exc:  # e.g. off resonance: every point fails alike
             sweeps.append(MethodSweep.from_points(method, [exc] * grid.size, 0))
     return SpectrumTable(grid, tuple(sweeps))
-
-
-def run_sweep(config: SweepConfig, out_path: str | None = None) -> SpectrumTable:
-    """Evaluate every configured method over the g-grid and write the CSV.
-
-    Returns the in-memory table; per-point failures are recorded on it
-    rather than aborting the run.
-    """
-    table = _sweep_table(config)
-    path = config.output_path if out_path is None else out_path
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            table_to_csv(table, fh)
-    return table
 
 
 def table_to_csv(table: SpectrumTable, out: TextIO | None = None) -> str | None:
@@ -283,52 +270,38 @@ def _pair_errors(exact: MethodSweep, other: MethodSweep) -> np.ndarray:
     return np.concatenate(errors)[np.argsort(np.concatenate(rows), kind="stable")]
 
 
-def _errors_path(output_path: str) -> str:
-    """The error table's path next to the sweep CSV ``output_path``: its file
-    extension replaced by ``_errors.csv``."""
-    return os.path.splitext(output_path)[0] + "_errors.csv"
-
-
-def compare_methods(
-    config: SweepConfig,
-    table: SpectrumTable | None = None,
-    out_path: str | None = None,
-) -> dict[str, tuple[float, float, int]]:
+def compare_methods(table: SpectrumTable) -> dict[str, tuple[float, float, int]]:
     """Per-method max/mean absolute deviation from the exact baseline.
 
-    Runs the sweep if no table is supplied.  Returns
-    {method: (max_abs_error, mean_abs_error, pairs)}.  Writes the error CSV
-    next to the sweep output (suffix ``_errors.csv``) unless out_path says
-    otherwise; as in :func:`run_sweep`, an empty path writes nothing.  The
-    baseline itself appears in the output with all-zero errors, which
-    doubles as a self-check of the pairing.
+    Returns {method: (max_abs_error, mean_abs_error, pairs)} in
+    ``table.sweeps`` order; a method with no pair reads (nan, nan, 0).  The
+    baseline itself appears with all-zero errors, which doubles as a
+    self-check of the pairing.
     """
-    if "exact" not in config.methods:
-        raise ValueError("compare_methods needs the exact baseline in methods")
-    if table is None:
-        table = run_sweep(config)
-    result: dict[str, tuple[float, float, int]] = {}
     exact = table.sweep("exact")
-    for method in config.methods:
-        other = table.sweep(method)
-        errors = [] if exact is None or other is None else _pair_errors(exact, other)
+    if exact is None:
+        raise ValueError("compare_methods needs the exact baseline in the table")
+    result: dict[str, tuple[float, float, int]] = {}
+    for other in table.sweeps:
+        errors = _pair_errors(exact, other)
         if len(errors):
             with np.errstate(over="ignore"):
                 top, mean = float(np.max(errors)), float(np.mean(errors))
             if math.isinf(mean) and math.isfinite(top):  # finite errors summed past the maximum
                 mean = float(np.mean(errors / top) * top)
-            result[method] = (top, mean, len(errors))
+            result[other.method] = (top, mean, len(errors))
         else:
-            result[method] = (float("nan"), float("nan"), 0)
-    if out_path is None and config.output_path:
-        out_path = _errors_path(config.output_path)
-    if out_path:
-        lines = [ERROR_CSV_HEADER]
-        for method, (mx, mean, count) in result.items():
-            lines.append(f"{method},{_fmt(mx)},{_fmt(mean)},{count}")
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            result[other.method] = (float("nan"), float("nan"), 0)
     return result
+
+
+def errors_to_csv(stats: dict[str, tuple[float, float, int]]) -> str:
+    """The error table of :func:`compare_methods`' ``stats``, one row per
+    method."""
+    lines = [ERROR_CSV_HEADER]
+    for method, (mx, mean, count) in stats.items():
+        lines.append(f"{method},{_fmt(mx)},{_fmt(mean)},{count}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -360,25 +333,20 @@ def _crossing_gap(energies: np.ndarray, e_up: float, e_down: float) -> float | N
     return abs(float(arr[first]) - second)
 
 
-def resonance_report(
-    config: SweepConfig, table: SpectrumTable | None = None
-) -> tuple[str, list[LocusReport]]:
+def resonance_report(config: SweepConfig) -> tuple[str, list[LocusReport]]:
     """Analytic resonance loci with the measured avoided-crossing minima.
 
     Active loci couple same-parity dressed levels, so the exact spectrum
     shows an avoided crossing whose minimal gap sits near the locus; the
     report measures that minimum on the sweep grid.  Mute loci involve a
     vanishing coupling and are listed without a gap measurement.  Loci
-    outside the g-grid are kept as rows with an explanatory note.
+    outside the g-grid are kept as rows with an explanatory note.  The
+    levels come from an exact-only sweep of ``config``'s grid.
     """
     grid = config.g_grid()
-    exact = None if table is None else table.sweep("exact")
-    if exact is None or not exact.ok.any():
-        exact_config = replace(config, methods=("exact",), output_path="")
-        table = run_sweep(exact_config, out_path="")
-        exact = table.sweep("exact")
+    exact = run_sweep(replace(config, methods=("exact",))).sweep("exact")
     ok = exact.ok
-    exact_g, energies, parities = table.grid[ok].tolist(), exact.energies[ok], exact.parities(ok)
+    exact_g, energies, parities = grid[ok].tolist(), exact.energies[ok], exact.parities(ok)
     top_energy = float(energies.max()) if energies.size else 0.0
     loci = resonance_loci(range(0, config.n_max), config.omega)
     reports: list[LocusReport] = []

@@ -87,7 +87,7 @@ def strong_avg(w, w0, g, top):
 
 
 def strong_rt(w, w0, g, top):
-    x = 4.0 * g * g / (w * w)
+    x = np.square(2.0 * g / w)
     damp = np.exp(-0.5 * x)
     out = [
         (0, "-", 0.0, _ladder_parity(0), True),

@@ -207,17 +207,13 @@ def test_criterion_3_closed_form_matrix_equivalence():
 def test_criterion_4_weak_coupling_accuracy_ordering():
     start = time.perf_counter()
     config = SweepConfig(g_min=0.0, g_max=0.25, g_steps=26, n_max=60,
-                         n_levels=10, methods=("exact", "jc", "rt1_kam"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""),
-                            out_path="")
+                         n_levels=10, methods=("exact", "jc", "rt1_kam"))
+    stats = compare_methods(run_sweep(config))
     jc_weak, rt1_kam = stats["jc"][0], stats["rt1_kam"][0]
 
     config = SweepConfig(g_min=0.0, g_max=0.6, g_steps=61, n_max=60,
-                         n_levels=10, methods=("exact", "jc", "rt2"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""),
-                            out_path="")
+                         n_levels=10, methods=("exact", "jc", "rt2"))
+    stats = compare_methods(run_sweep(config))
     jc_06, rt2 = stats["jc"][0], stats["rt2"][0]
     elapsed = time.perf_counter() - start
     ok = (
@@ -243,17 +239,14 @@ def test_criterion_4_weak_coupling_accuracy_ordering():
 def test_criterion_5_strong_coupling_accuracy():
     start = time.perf_counter()
     config = SweepConfig(g_min=1.5, g_max=3.0, g_steps=16, n_max=120,
-                         n_levels=8, methods=("exact", "strong_avg"),
-                         output_path="")
-    stats = compare_methods(config, table=run_sweep(config, out_path=""),
-                            out_path="")
+                         n_levels=8, methods=("exact", "strong_avg"))
+    stats = compare_methods(run_sweep(config))
     avg_high = stats["strong_avg"][0]
 
     config = SweepConfig(g_min=0.0, g_max=3.0, g_steps=31, n_max=120,
-                         n_levels=8, methods=("exact", "strong_avg", "strong_rt"),
-                         output_path="")
-    table = run_sweep(config, out_path="")
-    stats = compare_methods(config, table=table, out_path="")
+                         n_levels=8, methods=("exact", "strong_avg", "strong_rt"))
+    table = run_sweep(config)
+    stats = compare_methods(table)
     rt_full = stats["strong_rt"][0]
 
     # per-point strict ordering below g = 0.5 (both methods are exact at
@@ -299,7 +292,7 @@ def test_criterion_6_resonance_loci():
             continue
         config = SweepConfig(
             g_min=locus.g - 0.15, g_max=locus.g + 0.15, g_steps=151,
-            n_max=60, n_levels=14, output_path="",
+            n_max=60, n_levels=14,
         )
         _, reports = resonance_report(config)
         rep = next(

@@ -13,10 +13,13 @@ from resonancekit.cli import main
 from resonancekit.methods import grid_sweep
 from resonancekit.operators import TruncationConfig
 from resonancekit.sweep import (
+    CSV_HEADER,
     ERROR_CSV_HEADER,
     LOCUS_CSV_HEADER,
     SweepConfig,
     compare_methods,
+    run_sweep,
+    table_to_csv,
 )
 
 from row_reference import csv_to_table, table_rows
@@ -34,6 +37,18 @@ def test_sweep_writes_csv_and_reports_row_count(tmp_path, capsys):
     table = csv_to_table(out.read_text(encoding="utf-8"))
     assert len(table_rows(table)) == 24
     assert {r.method for r in table_rows(table)} == {"exact", "jc"}
+
+
+def test_sweep_file_is_the_csv_of_run_sweep(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", *_SMALL, "--methods", "exact", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    config = SweepConfig(g_max=0.2, g_steps=3, n_max=12, n_levels=4, methods=("exact",))
+    text = out.read_text(encoding="utf-8")
+    assert text == table_to_csv(run_sweep(config))
+    assert text.splitlines()[0] == CSV_HEADER
+    assert len(text.splitlines()) == 1 + 3 * 4
 
 
 def test_sweep_with_empty_output_path_says_no_file_was_written(tmp_path, capsys, monkeypatch):
@@ -216,8 +231,8 @@ def test_compare_writes_errors_next_to_the_output(tmp_path, capsys, monkeypatch,
 
 def test_compare_with_empty_output_path_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = SweepConfig(g_max=0.2, g_steps=3, n_max=12, n_levels=4, output_path="")
-    assert compare_methods(config)["exact"] == (0.0, 0.0, 3 * 4)
+    config = SweepConfig(g_max=0.2, g_steps=3, n_max=12, n_levels=4)
+    assert compare_methods(run_sweep(config))["exact"] == (0.0, 0.0, 3 * 4)
     rc = main(["compare", *_SMALL, "--out", ""])
     captured = capsys.readouterr()
     assert rc == 0

@@ -244,32 +244,38 @@ def test_strong_variants_coincide_at_large_coupling():
 # by one ulp, so it tells the two libraries apart.
 _GRID = sorted({0.0, 1e-9, 0.1, 0.43301, 0.5, 0.61, 1.0, 1.5, 2.2, 3.0}
                | set(np.linspace(0.0, 3.0, 151).tolist()))
-_CASES = [("jc", 1.0), ("rt2", 1.0)] + [
-    (method, w0) for method in ("strong_avg", "strong_rt") for w0 in (0.0, 0.37, 1.0, 2.5)
-]
+# (method, omega, omega0).  At omega != 1, g/omega is inexact, so the cases
+# tell apart transcriptions that order the same operations differently.
+_CASES = [("jc", 1.0, 1.0), ("rt2", 1.0, 1.0)] + [
+    (method, 1.0, w0) for method in ("strong_avg", "strong_rt") for w0 in (0.0, 0.37, 1.0, 2.5)
+] + [
+    (method, w, w) for w in (1.3, 0.37) for method in ("jc", "rt2", "strong_avg", "strong_rt")
+] + [(method, 1.3, 1.17) for method in ("strong_avg", "strong_rt")]
+# Ids "method-omega0" at omega = 1, "method-omega-omega0" elsewhere.
+_IDS = [f"{m}-{w0}" if w == 1.0 else f"{m}-{w}-{w0}" for m, w, w0 in _CASES]
 
 
-@pytest.mark.parametrize("method,omega0", _CASES)
-def test_closed_form_table_equals_scalar_formulas(method, omega0):
-    table = closed_form_table(method, 1.0, omega0, _GRID, 20)
+@pytest.mark.parametrize("method,omega,omega0", _CASES, ids=_IDS)
+def test_closed_form_table_equals_scalar_formulas(method, omega, omega0):
+    table = closed_form_table(method, omega, omega0, _GRID, 20)
     for i, g in enumerate(_GRID):
         slots = list(zip(
             table.n.tolist(), table.branch, table.energies[i].tolist(),
             table.parity, table.spurious.tolist(),
         ))
-        assert slots == scalar_closed_forms.SPECTRA[method](1.0, omega0, g, 20)
+        assert slots == scalar_closed_forms.SPECTRA[method](omega, omega0, g, 20)
 
 
-@pytest.mark.parametrize("method,omega0", _CASES)
-def test_closed_form_sweep_equals_per_point_path(method, omega0):
+@pytest.mark.parametrize("method,omega,omega0", _CASES, ids=_IDS)
+def test_closed_form_sweep_equals_per_point_path(method, omega, omega0):
     n_levels = 12
-    swept = grid_sweep(method, 1.0, omega0, _GRID, TruncationConfig(n_max=20), n_levels)
+    trunc = TruncationConfig(n_max=20)
+    swept = grid_sweep(method, omega, omega0, _GRID, trunc, n_levels)
     assert len(swept.errors) == len(_GRID)
     for i, g in enumerate(_GRID):
         levels = swept.point(i)
-        assert levels == scalar_closed_forms.selected_levels(method, 1.0, omega0, g, n_levels)
-        alone = grid_sweep(method, 1.0, omega0, [g], TruncationConfig(n_max=20), n_levels)
-        assert alone.point(0) == levels
+        assert levels == scalar_closed_forms.selected_levels(method, omega, omega0, g, n_levels)
+        assert grid_sweep(method, omega, omega0, [g], trunc, n_levels).point(0) == levels
 
 
 @pytest.mark.parametrize("method", ["strong_avg", "strong_rt"])

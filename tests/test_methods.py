@@ -322,8 +322,8 @@ def test_rt1_equals_its_one_photon_chain_bit_for_bit(n_max, g_max, g_steps, n_le
 
 def test_rt1_sweep_builds_no_matrix(monkeypatch):
     config = SweepConfig(g_max=3.0, g_steps=13, n_max=8, n_levels=10,
-                         methods=("rt1",), output_path="")
-    expected = table_to_csv(run_sweep(config, out_path=""))
+                         methods=("rt1",))
+    expected = table_to_csv(run_sweep(config))
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("rt1 built a matrix")
@@ -331,7 +331,7 @@ def test_rt1_sweep_builds_no_matrix(monkeypatch):
     for module, name in ((methods, "rabi_rt1_chain"), (methods, "build_rabi"),
                          (operators, "build_rabi"), (methods, "rt_one_photon")):
         monkeypatch.setattr(module, name, no_matrix)
-    table = run_sweep(config, out_path="")
+    table = run_sweep(config)
     assert table.failures == ()
     assert table.row_count == 13 * 10
     assert table_to_csv(table) == expected

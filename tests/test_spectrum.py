@@ -388,7 +388,7 @@ def _exact_sweep(g_min, g_max, g_steps, n_max, n_levels):
     """Exact rows of a sweep over linspace(g_min, g_max, g_steps)."""
     config = SweepConfig(
         g_min=g_min, g_max=g_max, g_steps=g_steps, n_max=n_max,
-        n_levels=n_levels, methods=("exact",), output_path="",
+        n_levels=n_levels, methods=("exact",),
     )
     table = run_sweep(config)
     assert not table.failures

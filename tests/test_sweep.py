@@ -16,6 +16,7 @@ from resonancekit.sweep import (
     LOCUS_CSV_HEADER,
     SweepConfig,
     compare_methods,
+    errors_to_csv,
     parse_config,
     resonance_report,
     run_sweep,
@@ -31,9 +32,9 @@ def small_table():
     """One in-memory sweep shared by the structural tests."""
     config = SweepConfig(
         g_min=0.0, g_max=0.3, g_steps=4, n_max=24, n_levels=6,
-        methods=("jc", "exact"), output_path="",
+        methods=("jc", "exact"),
     )
-    return config, run_sweep(config, out_path="")
+    return config, run_sweep(config)
 
 
 def test_config_defaults_and_grid():
@@ -193,8 +194,8 @@ def test_run_sweep_matches_direct_method_calls(small_table):
 
 def test_run_sweep_interleaves_closed_forms_with_matrix_points():
     config = SweepConfig(g_max=0.6, g_steps=7, n_max=30, n_levels=6,
-                         methods=("exact", "jc", "rt1", "strong_rt"), output_path="")
-    table = run_sweep(config, out_path="")
+                         methods=("exact", "jc", "rt1", "strong_rt"))
+    table = run_sweep(config)
     trunc = TruncationConfig(n_max=config.n_max)
     expected = [
         SpectrumRow(g, method, k, *level, False)
@@ -219,8 +220,8 @@ def test_no_sweep_starts_a_thread(monkeypatch, methods):
     monkeypatch.setenv("RESONANCEKIT_THREADS", "4")
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     config = SweepConfig(g_max=1.0, g_steps=5, n_max=20, n_levels=4,
-                         methods=methods, output_path="")
-    table = run_sweep(config, out_path="")
+                         methods=methods)
+    table = run_sweep(config)
     assert not table.failures
     assert len(table_rows(table)) == 5 * len(methods) * 4
     assert worker_count() == 1
@@ -242,8 +243,8 @@ def test_exact_sweep_matches_per_point_levels_and_failures(
     # the entries of both parity blocks' leading boxes a stack may hold.
     monkeypatch.setattr(methods, "_STACK_BYTES", block * 8 * methods._EXACT_PEAK)
     config = SweepConfig(omega0=omega0, g_max=g_max, g_steps=g_steps, n_max=n_max,
-                         n_levels=n_levels, methods=("exact",), output_path="")
-    table = run_sweep(config, out_path="")
+                         n_levels=n_levels, methods=("exact",))
+    table = run_sweep(config)
     trunc = TruncationConfig(n_max=n_max)
     rows, failures = [], []
     for g in config.g_grid().tolist():
@@ -262,34 +263,10 @@ def test_spectrum_rows_have_slots():
     assert not hasattr(row, "__dict__")
 
 
-def test_run_sweep_writes_csv(tmp_path):
-    config = SweepConfig(g_max=0.2, g_steps=3, n_max=12, n_levels=4,
-                         methods=("exact",), output_path="")
-    out = tmp_path / "out.csv"
-    table = run_sweep(config, out_path=str(out))
-    text = out.read_text(encoding="utf-8")
-    assert text == table_to_csv(table)
-    assert text.splitlines()[0] == CSV_HEADER
-    assert len(text.splitlines()) == 1 + len(table_rows(table))
-
-
-def test_run_sweep_output_path_selection(tmp_path):
-    target = tmp_path / "from_config.csv"
-    config = SweepConfig(g_max=0.1, g_steps=2, n_max=10, n_levels=3,
-                         methods=("exact",), output_path=str(target))
-    run_sweep(config)  # out_path=None falls back to config.output_path
-    assert target.exists()
-
-    target.unlink()
-    run_sweep(config, out_path="")  # empty path suppresses the write
-    assert not target.exists()
-    assert not list(tmp_path.glob("*.csv"))
-
-
 def test_run_sweep_records_failures_and_continues():
     config = SweepConfig(omega0=0.5, g_max=0.2, g_steps=3, n_max=16,
-                         n_levels=4, methods=("exact", "jc"), output_path="")
-    table = run_sweep(config, out_path="")
+                         n_levels=4, methods=("exact", "jc"))
+    table = run_sweep(config)
     # jc needs the resonant atom; exact does not, so its rows survive
     assert sorted({r.method for r in table_rows(table)}) == ["exact"]
     assert len(table_rows(table)) == 3 * config.n_levels
@@ -306,9 +283,9 @@ def test_run_sweep_records_failures_and_continues():
         # the contact-iteration refinements rebuild their chain in their own box
         ({"n_max": 4, "n_levels": 40}, {"exact", "rt1"}),
     ):
-        config = SweepConfig(g_max=0.2, g_steps=3, methods=methods, output_path="",
+        config = SweepConfig(g_max=0.2, g_steps=3, methods=methods,
                              **overrides)
-        table = run_sweep(config, out_path="")
+        table = run_sweep(config)
         trunc = TruncationConfig(n_max=config.n_max)
         rows, failures = [], []
         for g in config.g_grid().tolist():
@@ -353,17 +330,17 @@ def test_csv_to_table_rejects_malformed_input():
 
 def test_sweep_output_is_deterministic():
     config = SweepConfig(g_max=0.25, g_steps=6, n_max=24, n_levels=6,
-                         methods=("exact", "jc"), output_path="")
-    first = table_to_csv(run_sweep(config, out_path=""))
-    second = table_to_csv(run_sweep(config, out_path=""))
+                         methods=("exact", "jc"))
+    first = table_to_csv(run_sweep(config))
+    second = table_to_csv(run_sweep(config))
     assert first == second
 
 
 def test_compare_methods_baseline_and_errors():
     config = SweepConfig(g_max=0.25, g_steps=6, n_max=24, n_levels=6,
-                         methods=("exact", "jc"), output_path="")
-    table = run_sweep(config, out_path="")
-    result = compare_methods(config, table=table, out_path="")
+                         methods=("exact", "jc"))
+    table = run_sweep(config)
+    result = compare_methods(table)
     assert set(result) == {"exact", "jc"}
     pairs = config.g_steps * config.n_levels
     # the baseline pairs with itself: exact zeros double as a pairing check
@@ -374,28 +351,35 @@ def test_compare_methods_baseline_and_errors():
 
 
 def test_compare_methods_requires_exact_baseline():
-    config = SweepConfig(methods=("jc", "strong_rt"), output_path="")
+    config = SweepConfig(g_max=0.2, g_steps=3, n_levels=4, methods=("jc", "strong_rt"))
     with pytest.raises(ValueError, match="needs the exact baseline"):
-        compare_methods(config)
+        compare_methods(run_sweep(config))
 
 
-def test_compare_methods_writes_error_csv(tmp_path):
+def test_compare_methods_writes_error_csv():
     config = SweepConfig(g_max=0.2, g_steps=3, n_max=16, n_levels=4,
-                         methods=("exact", "jc"),
-                         output_path=str(tmp_path / "run.csv"))
-    table = run_sweep(config, out_path="")
-    result = compare_methods(config, table=table)
-    derived = tmp_path / "run_errors.csv"
-    lines = derived.read_text(encoding="utf-8").splitlines()
+                         methods=("exact", "jc"))
+    result = compare_methods(run_sweep(config))
+    lines = errors_to_csv(result).splitlines()
     assert lines[0] == ERROR_CSV_HEADER
     assert len(lines) == 1 + len(result)
-    for line in lines[1:]:
-        method, max_err, mean_err, count = line.split(",")
-        assert result[method] == (float(max_err), float(mean_err), int(count))
+    for line, (method, stats) in zip(lines[1:], result.items()):
+        name, max_err, mean_err, count = line.split(",")
+        assert (name, float(max_err), float(mean_err), int(count)) == (method, *stats)
+
+
+def test_sweep_compare_and_report_write_no_file(tmp_path, monkeypatch):
+    # Only the CLI writes files, even where the config names an output path.
+    monkeypatch.chdir(tmp_path)
+    config = SweepConfig(g_max=0.4, g_steps=21, n_max=20, n_levels=6,
+                         methods=("exact", "jc"), output_path="sweep.csv")
+    assert compare_methods(run_sweep(config))["exact"][2] == 21 * 6
+    assert resonance_report(config)[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resonance_report_measures_active_loci():
-    config = SweepConfig(n_max=40, n_levels=14, output_path="")
+    config = SweepConfig(n_max=40, n_levels=14)
     csv_text, reports = resonance_report(config)
     lines = csv_text.splitlines()
     assert lines[0] == LOCUS_CSV_HEADER
@@ -421,8 +405,7 @@ def test_resonance_report_measures_active_loci():
 
 
 def test_resonance_report_notes_unmeasurable_loci():
-    config = SweepConfig(g_max=0.4, g_steps=21, n_max=20, n_levels=6,
-                         output_path="")
+    config = SweepConfig(g_max=0.4, g_steps=21, n_max=20, n_levels=6)
     _, reports = resonance_report(config)
     notes = {(r.kind, r.n): r.note for r in reports}
     # loci beyond the grid stay in the report with an explanation
@@ -435,17 +418,8 @@ def test_resonance_report_notes_unmeasurable_loci():
     assert all(r.min_gap is None for r in reports)
 
 
-def test_resonance_report_reuses_supplied_table():
-    config = SweepConfig(g_max=0.4, g_steps=21, n_max=20, n_levels=6,
-                         output_path="")
-    table = run_sweep(config, out_path="")
-    csv_a, _ = resonance_report(config, table=table)
-    csv_b, _ = resonance_report(config)
-    assert csv_a == csv_b
-
-
 def test_resonance_report_flags_minimum_at_window_edge():
-    config = SweepConfig(output_path="")
+    config = SweepConfig()
     csv_text, reports = resonance_report(config)
     assert csv_text.splitlines()[0] == LOCUS_CSV_HEADER
     by_key = {(r.kind, r.n): r for r in reports}

@@ -1,7 +1,6 @@
 """Sweep results as arrays: the block CSV writer against the per-row
 reference writer and its memory bound, a table's rows against per-point
-method calls, and the comparison and resonance report on array-backed and
-CSV-read tables."""
+method calls, and the comparison on array-backed and CSV-read tables."""
 
 import io
 import tracemalloc
@@ -24,7 +23,7 @@ from resonancekit.sweep import (
     CSV_HEADER,
     SweepConfig,
     compare_methods,
-    resonance_report,
+    errors_to_csv,
     run_sweep,
     table_to_csv,
 )
@@ -93,6 +92,13 @@ def test_array_writer_is_byte_identical_to_the_row_writer(table, block_rows):
     assert out.getvalue() == text == rows_to_csv(table_rows(table))
 
 
+def _write_csv(table, path):
+    """The sweep CSV of ``table`` written to the file ``path``, as the CLI
+    writes it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        table_to_csv(table, fh)
+
+
 @pytest.mark.parametrize("block_rows", [1, 54, 1 << 13])
 @pytest.mark.parametrize("case", ["blocks", "zero_levels"])
 def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, case, block_rows):
@@ -103,7 +109,7 @@ def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, 
     # last block.  "zero_levels": the one method fails everywhere.
     methods_ = ("exact", "jc", "strong_avg", "strong_rt") if case == "blocks" else ("jc",)
     config = SweepConfig(omega0=0.5, g_max=1.2, g_steps=13, n_max=40, n_levels=6,
-                         methods=methods_, output_path=str(tmp_path / "sweep.csv"))
+                         methods=methods_)
     grid = config.g_grid().tolist()
     short = [grid[2], grid[3], grid[12]]
     monkeypatch.setattr(
@@ -111,6 +117,7 @@ def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, 
     )
     monkeypatch.setattr(sweep, "_CSV_BLOCK_ROWS", block_rows)
     table = run_sweep(config)
+    _write_csv(table, tmp_path / "sweep.csv")
     text = (tmp_path / "sweep.csv").read_bytes().decode("utf-8")
     assert text == table_to_csv(table) == rows_to_csv(table_rows(table))
     jc = table.sweep("jc")
@@ -128,11 +135,11 @@ def test_sweep_csv_memory_does_not_grow_with_the_output(tmp_path):
     # about 42 bytes a row at 501 couplings, 253 when the whole CSV was built
     # in memory before it was written.  The table's own arrays take 16.
     config = SweepConfig(g_max=1.5, g_steps=501, n_levels=40,
-                         methods=("jc", "rt2", "strong_avg", "strong_rt"),
-                         output_path=str(tmp_path / "sweep.csv"))
+                         methods=("jc", "rt2", "strong_avg", "strong_rt"))
     tracemalloc.start()
     try:
         table = run_sweep(config)
+        _write_csv(table, tmp_path / "sweep.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,8 +192,8 @@ def test_csv_round_trip_of_random_tables_is_exact(table):
 @settings(max_examples=80, deadline=None)
 @given(_tables(increasing=True, with_exact=True))
 def test_rank_pair_masks_equal_the_per_row_pairing(table):
-    config = SweepConfig(methods=tuple(s.method for s in table.sweeps), output_path="")
-    stats = compare_methods(config, table, out_path="")
+    config = SweepConfig(methods=tuple(s.method for s in table.sweeps))
+    stats = compare_methods(table)
     assert repr(stats) == repr(rows_compare(table_rows(table), config.methods))
 
 
@@ -196,9 +203,9 @@ def test_mean_error_is_finite_where_finite_errors_sum_past_the_float_maximum():
         MethodSweep("exact", np.zeros((2, 1)), labels, codes, (None, None)),
         MethodSweep("jc", np.full((2, 1), 1.5e308), labels, codes, (None, None)),
     ))
-    config = SweepConfig(methods=("exact", "jc"), output_path="")
+    config = SweepConfig(methods=("exact", "jc"))
     expected = {"exact": (0.0, 0.0, 2), "jc": (1.5e308, 1.5e308, 2)}
-    assert compare_methods(config, table, out_path="") == expected
+    assert compare_methods(table) == expected
     assert rows_compare(table_rows(table), config.methods) == expected
 
 
@@ -208,14 +215,14 @@ def test_rows_equal_a_per_point_grid_sweep_loop(monkeypatch, fail_chain_at, meth
     # a short photon range for jc and for rt1, which reads the jc table, and
     # a failed check at chosen couplings for the contact-iteration chains.
     config = SweepConfig(g_max=3.0, g_steps=13, n_max=20, n_levels=10,
-                         methods=(method,), output_path="")
+                         methods=(method,))
     grid = config.g_grid().tolist()
     monkeypatch.setattr(
         methods, "_closed_form_count",
         lambda g, omega, n_levels: 3 if g in grid[3::4] else n_levels + 20,
     )
     fail_chain_at(method, grid[3::4])
-    table = run_sweep(config, out_path="")
+    table = run_sweep(config)
     trunc = TruncationConfig(n_max=config.n_max)
     rows, failures = [], []
     for g in grid:
@@ -236,9 +243,8 @@ def mixed_table():
     """A sweep whose exact baseline fails above g = 0.8 and whose methods
     carry every label kind: ladder branches, unassigned, n/a."""
     config = SweepConfig(g_max=3.0, g_steps=31, n_max=20, n_levels=10,
-                         methods=("exact", "jc", "rt1", "rt1_kam", "strong_avg"),
-                         output_path="")
-    return config, run_sweep(config, out_path="")
+                         methods=("exact", "jc", "rt1", "rt1_kam", "strong_avg"))
+    return config, run_sweep(config)
 
 
 def test_csv_round_trip_keeps_rows_and_marks_failed_points(mixed_table):
@@ -253,21 +259,13 @@ def test_csv_round_trip_keeps_rows_and_marks_failed_points(mixed_table):
     assert {message for _, _, message in back.failures} == {"LookupError: no rows in the CSV"}
 
 
-def test_compare_and_report_agree_on_array_and_csv_tables(mixed_table, tmp_path):
+def test_compare_and_report_agree_on_array_and_csv_tables(mixed_table):
     config, table = mixed_table
     back = csv_to_table(table_to_csv(table))
-    paths = [tmp_path / "arrays_errors.csv", tmp_path / "csv_errors.csv"]
-    stats = [compare_methods(config, t, out_path=str(p)) for t, p in zip((table, back), paths)]
+    stats = [compare_methods(t) for t in (table, back)]
     assert repr(stats[0]) == repr(stats[1]) == repr(rows_compare(table_rows(table), config.methods))
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert errors_to_csv(stats[0]) == errors_to_csv(stats[1])
     assert stats[0]["exact"] == (0.0, 0.0, 9 * 10)
-
-    config = SweepConfig(g_steps=76, n_levels=12, methods=("exact", "jc"), output_path="")
-    table = run_sweep(config, out_path="")
-    back = csv_to_table(table_to_csv(table))
-    text, reports = resonance_report(config, table)
-    assert resonance_report(config, back) == (text, reports)
-    assert any(rep.min_gap is not None for rep in reports)
 
 
 def test_csv_to_table_rejects_rows_it_cannot_hold():
