@@ -17,11 +17,15 @@ run continues.  The CSV, the error table and the resonance report are
 computed from those arrays; no per-level record is built on the way, and
 no file is written here (:mod:`cli` writes them).  The CSV is formatted one
 block of couplings at a time, so beyond the arrays (16 bytes a row) a
-sweep's memory does not grow with its output.
+sweep's memory does not grow with its output.  A block is an array program:
+the numbers' "%.17g" text is computed exactly with array arithmetic
+(:func:`_float_chars`), and only zeros and values outside [1e-4, 1e14) go
+through Python's own formatting, one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import numbers
@@ -54,8 +58,8 @@ LOCUS_CSV_HEADER = "kind,n,g_locus,nearest_grid_g,min_gap_g,min_gap,note"
 DEFAULT_METHODS = ("exact", "jc", "strong_rt")
 
 # Rows per block of the CSV writer.  A block's text and temporaries take
-# about 250 bytes a row (tracemalloc), so about 2 MB at 8,192 rows.
-_CSV_BLOCK_ROWS = 1 << 13
+# about 300 bytes a row (tracemalloc), so about 0.6 MB at 2,048 rows.
+_CSV_BLOCK_ROWS = 1 << 11
 
 _FLOAT_KEYS = ("omega", "omega0", "g_min", "g_max")
 _INT_KEYS = ("g_steps", "n_max", "n_levels")
@@ -203,44 +207,173 @@ def run_sweep(config: SweepConfig) -> SpectrumTable:
     return SpectrumTable(grid, tuple(sweeps))
 
 
+# The longest "%.17g" text of a float64, "-2.2250738585072014e-308".
+_TEXT_WIDTH = 24
+# Where _float_chars computes the text itself.  Every value there has its
+# decimal exponent k in [-4, 13], so "%.17g" writes it positionally,
+# 10**(16 - k) is exact in float64 (up to 10**22 the powers are), and the
+# product of the two neither overflows nor underflows.
+_FAST_MIN, _FAST_MAX = 1e-4, 1e14
+_POW10 = np.array([float(f"1e{j}") for j in range(-4, 23)])  # _POW10[j + 4] == 10**j
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = hi + lo exactly, each with at most 26 significant bits (Veltkamp)."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of :func:`_float_chars`, built on first use.
+
+    ``digits[v]`` is the four ASCII digits of v < 10,000 as one uint32 and
+    ``zeros[v]`` the count of their trailing zeros.  Row ``17 * (k + 4) + t``
+    of ``left``, ``right`` and ``point`` serves decimal exponent k and t
+    trailing zeros of N: the byte masks of the digits left of the point and
+    right of it, and the point, each a 24-byte text row as three words."""
+    chars = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        shape = [10 if axis == place else 1 for axis in range(4)]
+        chars[..., place] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(shape)
+    zeros = np.zeros(10_000, np.uint8)
+    for stride in (10, 100, 1000, 10_000):
+        zeros[::stride] += 1
+    cols = np.arange(_TEXT_WIDTH)
+    k = np.arange(-4, 14)[:, None, None]
+    dropped = np.minimum(np.arange(17)[None, :, None], 16 - k)  # of the fraction's 16 - k
+    end = _TEXT_WIDTH - dropped - (dropped == 16 - k)  # no point without a fraction
+    kept = (cols >= np.minimum(6, k + 6)) & (cols < end)
+    masks = (kept & (cols <= k + 6), kept & (cols >= k + 8), kept & (cols == k + 7))
+    left, right, point = (
+        (mask * np.uint8(fill)).reshape(-1, _TEXT_WIDTH).view("<u8")
+        for mask, fill in zip(masks, (0xFF, 0xFF, ord(".")))
+    )
+    return chars.view(np.uint32).ravel(), zeros, left, right, point
+
+
+def _nul_padded(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as the rows of a uint8 matrix, NUL-padded on the right."""
+    width = max(1, max(map(len, texts), default=0))
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a·10**(16 - k) rounded half to even, exactly, as int64.
+
+    Dekker's two-product gives the float product and its exact error; where
+    the product reaches 2**53 it is an even integer, so adding the error
+    rounded half to even rounds the exact value half to even."""
+    c = _POW10[20 - k]
+    product = a * c
+    a_hi, a_lo = _split(a)
+    c_hi, c_lo = _split(c)
+    error = ((a_hi * c_hi - product) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo
+    return product.astype(np.int64) + np.rint(error).astype(np.int64)
+
+
+def _float_chars(values: np.ndarray) -> np.ndarray:
+    """The ``"%.17g"`` text of every value, as the rows of an
+    ``(n, _TEXT_WIDTH)`` uint8 matrix whose bytes read as the text once its
+    NULs are dropped.
+
+    Values with _FAST_MIN <= |x| < _FAST_MAX are converted exactly: the
+    17-digit significand N is |x|·10**(16 - k) rounded half to even, with
+    the decimal exponent k = floor(log10 |x|) found from the binary one.  A
+    row holds four zeros and N's digits from a four-digit table; the digits
+    left of the point move one column left to make room for it, and masks
+    keep "0." and the zeros ahead of N when k < 0 and drop the fraction's
+    trailing zeros.  Every other value (0, -0.0, tiny, huge, non-finite)
+    goes through Python's "%.17g"."""
+    digits, zeros, left, right, point = _text_tables()
+    values = np.asarray(values, dtype=float)
+    a = np.abs(values)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 1.0  # a placeholder; these rows are overwritten below
+    # k = floor(log10 a): a lies in [2**(e - 1), 2**e), so (e - 1)·log10(2),
+    # with 78913 / 2**18 for log10(2), is k or k - 1, and comparing a with
+    # 10**(k + 1) settles it (1e-3, 1e-2 and 1e-1 are floats just above the
+    # powers, the others are exact).  Then N lies in [10**16, 10**17): every
+    # float below 10**(k + 1) is more than 8e-17 of it below, so rounding to
+    # 17 digits never carries into the next decade.
+    k = (np.frexp(a)[1].astype(np.int64) - 1) * 78913 // 2**18
+    k += a >= _POW10[k + 5]
+    n = _significand(a, k)
+    # N = lead·10**16 + g0·10**12 + g1·10**8 + g2·10**4 + g3
+    upper, g3 = np.divmod(n, 10**8)
+    lead, upper = np.divmod(upper, 10**8)
+    g0, g1 = np.divmod(upper, 10**4)
+    g2, g3 = np.divmod(g3, 10**4)
+    trailing = zeros[g3] + (g3 == 0) * (
+        zeros[g2] + (g2 == 0) * (zeros[g1] + (g1 == 0) * zeros[g0])
+    )
+    # Columns 3..23: four zeros, then N's 17 digits.
+    row = np.empty((values.size, _TEXT_WIDTH // 4), np.uint32)
+    row[:, 0] = digits[0]
+    for col, group in enumerate((lead, g0, g1, g2, g3), start=1):
+        row[:, col] = digits[group]
+    words = row.view("<u8")
+    # Every byte one column left; a row's last column takes the next row's
+    # first, which no mask keeps.
+    shifted = words >> np.uint64(8)
+    shifted.ravel()[:-1] |= words.ravel()[1:] << np.uint64(56)
+    mask = 17 * (k + 4) + trailing
+    text = shifted & left.take(mask, axis=0)
+    text |= words & right.take(mask, axis=0)
+    text |= point.take(mask, axis=0)
+    text[:, 0] |= (values < 0).astype(np.uint64) * np.uint64(ord("-"))
+    out = text.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = 0
+        padded = _nul_padded([b"%.17g" % v for v in values[slow].tolist()])
+        out[slow, :padded.shape[1]] = padded
+    return out
+
+
 def table_to_csv(table: SpectrumTable, out: TextIO | None = None) -> str | None:
     """The sweep CSV of ``table``: written to the text file ``out``, or
     returned as a string without one.
 
-    The rows are formatted from the table's arrays one block of couplings
+    The rows are built from the table's arrays one block of couplings
     (``_CSV_BLOCK_ROWS`` rows or fewer) at a time, so the writer's memory
-    does not grow with the grid.  Each row's text up to the energy is
-    precomputed per (g, method) and per (level, label), and every energy
-    goes through one "%.17g" format."""
+    does not grow with the grid.  A block is one array program: its rows are
+    the ok cells of the (couplings, methods' levels) layout in row-major
+    order, and a row's bytes are its coupling's text, its (method, level,
+    label) text, its energy's text (both numbers from :func:`_float_chars`)
+    and ``,False``, each NUL-padded to a fixed width; one pass drops the
+    NULs of the whole block before it is written."""
     fh = io.StringIO() if out is None else out
     fh.write(f"{CSV_HEADER}\n")
-    columns = []  # per method: the sweep, its successful couplings, its row tails
-    for sweep in table.sweeps:
-        n_levels = sweep.energies.shape[1]
-        level_tails = np.array(
-            [[f"{level},{b},{p}," for b, p in sweep.labels] for level in range(n_levels)], object
-        ).reshape(n_levels, len(sweep.labels))
-        columns.append((sweep, sweep.ok, level_tails))
-    width = max(1, sum(level_tails.shape[0] for _, _, level_tails in columns))
-    step = max(1, _CSV_BLOCK_ROWS // width)
-    for lo in range(0, table.grid.size, step):
-        g_text = ["%.17g" % g for g in table.grid[lo:lo + step].tolist()]
-        parts = [([], [], [], [])]  # per method: coupling, head, tail and energy of each row
-        for sweep, ok, level_tails in columns:
-            rows = np.flatnonzero(ok[lo:lo + step])
-            n_levels = level_tails.shape[0]
-            heads = np.array([f"{g_text[i]},{sweep.method}," for i in rows.tolist()], object)
-            parts.append((
-                np.repeat(rows, n_levels),
-                np.repeat(heads, n_levels),
-                level_tails[np.arange(n_levels), sweep.label_index[rows + lo]].ravel(),
-                sweep.energies[rows + lo].ravel(),
-            ))
-        index, heads, tails, energies = (np.concatenate(column) for column in zip(*parts))
-        order = np.argsort(index, kind="stable")  # (g, method, level) order
-        items = np.empty((order.size, 3), dtype=object)
-        items[:, 0], items[:, 1], items[:, 2] = heads[order], tails[order], energies[order]
-        fh.write(("%s%s%.17g,False\n" * order.size) % tuple(items.ravel().tolist()))
+    # Per method: its ok mask over (couplings, levels), and the number of its
+    # first (level, label) text; label j at level l is that number + l·labels + j.
+    columns, tails = [], []
+    for s in table.sweeps:
+        n_levels = s.energies.shape[1]
+        columns.append((np.repeat(s.ok[:, None], n_levels, axis=1),
+                        len(tails) + len(s.labels) * np.arange(n_levels)))
+        tails.extend(f",{s.method},{level},{b},{p},".encode()
+                     for level in range(n_levels) for b, p in s.labels)
+    tail_chars = _nul_padded(tails)
+    g_chars = _float_chars(table.grid)
+    suffix = np.frombuffer(b",False\n", np.uint8)
+    fields = np.cumsum([0, _TEXT_WIDTH, tail_chars.shape[1], _TEXT_WIDTH, suffix.size])
+    width = sum(s.energies.shape[1] for s in table.sweeps)  # rows per coupling at most
+    step = max(1, _CSV_BLOCK_ROWS // max(1, width))
+    for lo in range(0, table.grid.size if columns else 0, step):
+        block = slice(lo, lo + step)
+        keep = np.concatenate([ok[block] for ok, _ in columns], axis=1)
+        codes = np.concatenate(
+            [s.label_index[block] + first for s, (_, first) in zip(table.sweeps, columns)], axis=1
+        )[keep]
+        energies = np.concatenate([s.energies[block] for s in table.sweeps], axis=1)[keep]
+        rows = np.empty((energies.size, fields[-1]), np.uint8)
+        rows[:, :fields[1]] = g_chars[lo + np.repeat(np.arange(keep.shape[0]), keep.sum(axis=1))]
+        rows[:, fields[1]:fields[2]] = tail_chars[codes]
+        rows[:, fields[2]:fields[3]] = _float_chars(energies)
+        rows[:, fields[3]:] = suffix
+        fh.write(rows.tobytes().translate(None, b"\0").decode())
     return fh.getvalue() if out is None else None
 
 
@@ -354,7 +487,7 @@ def resonance_report(config: SweepConfig) -> tuple[str, list[LocusReport]]:
         crossing_energy = config.omega * locus.n + locus.g * np.sqrt(locus.n)
         if crossing_energy > top_energy + config.omega and locus.kind == "active":
             continue  # far above every level the sweep retains
-        if locus.g < config.g_min or locus.g > config.g_max:
+        if locus.g < grid[0] or locus.g > grid[-1]:
             if config.omega * locus.n <= top_energy:
                 reports.append(
                     LocusReport(kind=locus.kind, n=locus.n, g_locus=locus.g,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, stdout contract."""
 
 import importlib
+import os
 import shutil
 import subprocess
 import sys
@@ -398,3 +399,25 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+_LAZY_MODULES = (
+    "import sys\n"
+    "import resonancekit.cli\n"
+    "imported = [m for m in ('numpy.strings', 'numpy.ma') if m in sys.modules]\n"
+    "resonancekit.cli.main(sys.argv[1:])\n"
+    "print(imported, 'numpy.ma' in sys.modules)\n"
+)
+
+
+def test_import_and_closed_form_sweep_leave_numpy_submodules_unloaded(tmp_path):
+    # numpy.ma alone takes about 12 ms to import, a share of every CLI run's
+    # start-up: neither the import nor a closed-form sweep may load it.
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_MODULES, "sweep", *_SMALL,
+         "--methods", "jc,rt2,strong_avg,strong_rt", "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] False"

@@ -434,3 +434,16 @@ def test_resonance_report_flags_minimum_at_window_edge():
         assert rep.min_gap is not None
         assert rep.note == ""
         assert abs(rep.min_gap_g - rep.g_locus) < 0.1 * config.omega
+
+
+def test_resonance_report_bounds_loci_by_the_swept_grid():
+    # One step sweeps only g_min: every locus above it lies outside the grid,
+    # although it lies below g_max.
+    config = SweepConfig(g_steps=1, n_max=20, n_levels=6)
+    assert config.g_grid().tolist() == [0.0]
+    _, reports = resonance_report(config)
+    assert reports
+    for rep in reports:
+        assert 0.0 < rep.g_locus <= config.g_max
+        assert rep.note == "outside g-grid, skipped"
+        assert rep.nearest_grid_g is None and rep.min_gap is None

@@ -132,7 +132,7 @@ def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, 
 
 def test_sweep_csv_memory_does_not_grow_with_the_output(tmp_path):
     # tracemalloc peak of a 4-closed-form, 40-level sweep written to a file:
-    # about 42 bytes a row at 501 couplings, 253 when the whole CSV was built
+    # about 28 bytes a row at 501 couplings, 253 when the whole CSV was built
     # in memory before it was written.  The table's own arrays take 16.
     config = SweepConfig(g_max=1.5, g_steps=501, n_levels=40,
                          methods=("jc", "rt2", "strong_avg", "strong_rt"))
