@@ -18,11 +18,11 @@ def run_chain(g, max_steps=3):
     # One coupling is a stack of one: row 0 of the chain and of the result.
     params = ModelParams(omega=1.0, omega0=1.0, g=g)
     th = rabi_rt1_chain((params,), kam_truncation(10))
-    h0 = np.diag(th.levels[0])[None]
-    chain = kam_iterate_full(
-        h0, th.operator - h0, max_steps=max_steps,
-        tol_deg=1e-3,
-    )
+    # V is the chain operator without its levels, which are its reference
+    span = np.arange(th.dim)
+    v = th.operator.copy()
+    v[:, span, span] -= th.levels
+    chain = kam_iterate_full(th.levels, v, max_steps=max_steps, tol_deg=1e-3)
     reports, diverged = chain.reports, bool(chain.diverged[0])
     print(f"\ng = {g}  (diverged: {diverged})")
     print(f"  {'step':>4} {'residual before':>16} {'residual after':>16} "

@@ -1,6 +1,7 @@
 """Contact-transformation steps: conjugate by exp(W), monitor contraction.
 
-Every step runs on a (G, n, n) stack of matrices, and its bookkeeping is one
+Every step runs on a (G, n) stack of reference levels and a (G, n, n) stack
+of perturbations in the reference eigenbasis, and its bookkeeping is one
 :class:`KamStepReport` of (G,) arrays, one value per matrix.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .averaging import cluster_levels, project_average, solve_cohomological
 from .operators import _adjoint, _mat, _symmetrized
-from .spectrum import CouplingErrors, EigenDecomposition, check_rows, eigh
+from .spectrum import CouplingErrors, check_rows, eigh
 
 __all__ = [
     "KamStepReport",
@@ -43,9 +44,10 @@ class KamChain:
     """Full output of an iterated KAM run on each matrix of a stack (leading
     axis).
 
-    estimate: diagonal of the conjugated operator in the eigenbasis of the
-    final renormalized reference, ordered by ascending reference energy.
-    vectors: those eigenbasis columns expressed in the starting basis.
+    estimate: the final renormalized reference levels plus the diagonal of
+    the final perturbation, ordered by ascending reference level.
+    vectors: the final reference eigenbasis columns expressed in the
+    starting basis, rows in the caller's order of the starting levels.
     reports: one KamStepReport per step that any matrix took, in step order;
     a matrix that had already stopped reads NaN there, and False in
     ``diverged``.
@@ -55,7 +57,6 @@ class KamChain:
 
     estimate: np.ndarray
     reports: tuple[KamStepReport, ...]
-    operator: np.ndarray
     vectors: np.ndarray
     diverged: np.ndarray
     steps: np.ndarray
@@ -86,48 +87,55 @@ def _spectral_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
 
 
-def _offblock_residual(V, decomp, ids) -> np.ndarray:
-    v = _mat(V)
-    return _spectral_norm(v - project_average(v, decomp, ids))
+def _offblock_residual(v: np.ndarray, ids) -> np.ndarray:
+    return _spectral_norm(v - project_average(v, ids))
+
+
+def _add_levels(m: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Add diag(levels) to each matrix of the stack m, in place; returns m."""
+    span = np.arange(levels.shape[-1])
+    m[..., span, span] += levels
+    return m
 
 
 def kam_step(
-    H0, V, decomp: EigenDecomposition, ids: np.ndarray, tol_deg, residual=None
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, EigenDecomposition, np.ndarray, KamStepReport
-]:
-    """One contact transformation: (H0 + V) -> exp(-W)(H0 + V)exp(W), of each
-    matrix of a (G, n, n) stack.
+    levels, V, ids: np.ndarray, tol_deg, residual=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, KamStepReport]:
+    """One contact transformation: (H0 + V) -> U^H (H0 + V) U, of each matrix
+    of a (G, n, n) stack, with H0 = diag(levels) for ascending ``levels``
+    (G, n) and V given in that eigenbasis.
 
-    ``ids`` are the cluster ids of ``decomp``'s levels under the gap
-    tolerance tol_deg (a number, or one per matrix), as cluster_levels
-    gives them.  Returns (H_new, D, V_new, U, decomp_new, ids_new, report)
-    with D the averaged part of V, V_new = H_new - H0 - D the new
-    perturbation, of quadratic order away from resonances, U = exp(W) the
-    unitary of the step, and decomp_new, ids_new the decomposition and
-    cluster ids of the new reference H0 + D that the report's
-    residual_after is measured in.  ``residual`` is V's off-block residual
-    in ``decomp`` and ``ids`` when the caller already holds it (computed
-    here otherwise).
+    ``ids`` are the cluster ids of the levels under the gap tolerance
+    tol_deg (a number, or one per matrix), as cluster_levels gives them.
+    Returns (levels_new, V_new, U, ids_new, report): U = exp(W) Q, with W
+    the generator of the cohomological equation and Q the eigenvectors of
+    the new reference diag(levels) + D (D the averaged part of V), whose
+    ascending eigenvalues are levels_new and cluster ids ids_new; V_new =
+    U^H (H0 + V) U - diag(levels_new) is the new perturbation in that
+    eigenbasis, of quadratic order away from resonances, and the report's
+    residual_after is measured in it.  ``residual`` is V's off-block
+    residual under ``ids`` when the caller already holds it (computed here
+    otherwise).
     Conjugation is a numerically exact triple product with the spectrally
     built unitary, not a truncated series.  Divergence (residual growth, or
     ||W|| beyond the blow-up threshold) is reported, not raised.
     """
-    h0, v = _mat(H0), _mat(V)
-    w = solve_cohomological(v, decomp, ids, tol_deg)
+    levels, v = np.asarray(levels, dtype=float), _mat(V)
+    w = solve_cohomological(v, levels, ids, tol_deg)
     w_norm = _spectral_norm(1j * w)
-    u = unitary_exp(w)
-    h_new = _symmetrized(_adjoint(u) @ (h0 + v) @ u)
-    d = project_average(v, decomp, ids)
-    v_new = h_new - h0 - d
-    before = _offblock_residual(v, decomp, ids) if residual is None else residual
+    e = unitary_exp(w)
+    d = project_average(v, ids)
+    before = _offblock_residual(v, ids) if residual is None else residual
 
-    decomp_new = eigh(_symmetrized(h0 + d))
-    ids_new = cluster_levels(decomp_new.values, tol_deg)
-    after = _offblock_residual(v_new, decomp_new, ids_new)
+    reference = eigh(_add_levels(_symmetrized(d), levels))
+    levels_new = reference.values
+    u = e @ reference.vectors
+    v_new = _add_levels(_symmetrized(_adjoint(u) @ _add_levels(v.copy(), levels) @ u), -levels_new)
+    ids_new = cluster_levels(levels_new, tol_deg)
+    after = _offblock_residual(v_new, ids_new)
 
     # H0 is Hermitian, so its spectral norm is its largest |eigenvalue|
-    h0_scale = np.maximum(np.abs(decomp.values).max(axis=-1), np.finfo(float).tiny)
+    h0_scale = np.maximum(np.abs(levels).max(axis=-1), np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(before > 0, after / before, 0.0)
     report = KamStepReport(
@@ -138,47 +146,49 @@ def kam_step(
         epsilon=before / h0_scale,
         w_norm=w_norm,
     )
-    return h_new, d, v_new, u, decomp_new, ids_new, report
+    return levels_new, v_new, u, ids_new, report
 
 
-def kam_iterate_full(H0, V, max_steps: int, tol_deg, stop_tol: float = 1e-12) -> KamChain:
+def kam_iterate_full(levels, V, max_steps: int, tol_deg, stop_tol: float = 1e-12) -> KamChain:
     """Iterate kam_step, re-clustering on the updated reference each time
     (gap tolerance tol_deg, a number or one per matrix), on each matrix of a
-    (G, n, n) stack; one matrix is a stack of one.
+    (G, n, n) stack V given in the eigenbasis of the reference diag(levels),
+    ``levels`` (G, n) in any order; one matrix is a stack of one.
 
-    A matrix stops when its off-block residual drops to stop_tol*||H0||
-    (possibly before the first step) or when a step diverges; the others go
-    on.  The reported estimate is the diagonal of the conjugated operator in
-    the final reference eigenbasis — essentially second-order perturbation
-    theory after one step.
+    The levels are sorted once, stably, and V with them.  A matrix stops
+    when its off-block residual drops to stop_tol*||H0|| (possibly before
+    the first step) or when a step diverges; the others go on.  The reported
+    estimate is the final levels plus the diagonal of the final perturbation
+    — essentially second-order perturbation theory after one step.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    h0, v = _mat(H0), _mat(V)
-    count = h0.shape[0]
+    levels, v = np.asarray(levels, dtype=float), _mat(V)
+    if levels.ndim != 2 or v.shape != levels.shape + levels.shape[-1:]:
+        raise ValueError("kam_iterate_full requires (G, n) levels and a (G, n, n) stack "
+                         f"to match, got shapes {levels.shape} and {v.shape}")
+    count = levels.shape[0]
     tol_deg = np.broadcast_to(np.asarray(tol_deg, dtype=float), (count,))
-    u_total = np.broadcast_to(np.eye(h0.shape[-1], dtype=np.result_type(h0, v)), h0.shape)
+    each = np.arange(count)[:, None]
+    order = np.argsort(levels, axis=-1, kind="stable")
+    levels, v = levels[each, order], v[each[:, :, None], order[:, :, None], order[:, None, :]]
+    u_total = np.broadcast_to(np.eye(v.shape[-1], dtype=np.result_type(levels, v)), v.shape)
     reports = []
     steps = np.zeros(count, dtype=int)
     diverged = np.zeros(count, dtype=bool)
-    decomp = eigh(h0)
-    ids = cluster_levels(decomp.values, tol_deg)
-    residual = _offblock_residual(v, decomp, ids)
-    values, vectors = decomp.values, decomp.vectors
-    del decomp
+    ids = cluster_levels(levels, tol_deg)
+    residual = _offblock_residual(v, ids)
     for step in range(max_steps):
-        # values, vectors and ids decompose and cluster the current h0
-        h0_norm = np.maximum(np.abs(values).max(axis=-1), np.finfo(float).tiny)
+        h0_norm = np.maximum(np.abs(levels).max(axis=-1), np.finfo(float).tiny)
         rows = np.flatnonzero(~diverged & ~(residual <= stop_tol * h0_norm))
         if rows.size == 0:
             break
         # a view, not a copy, when the rows that step are one run
         live = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < rows.size else rows
         try:
-            d, v_new, u, decomp_new, ids_new, report = kam_step(
-                h0[live], v[live], EigenDecomposition(values[live], vectors[live]),
-                ids[live], tol_deg[live], residual[rows],
-            )[1:]
+            levels_new, v_new, u, ids_new, report = kam_step(
+                levels[live], v[live], ids[live], tol_deg[live], residual[rows]
+            )
         except CouplingErrors as exc:
             raise CouplingErrors({int(rows[i]): e for i, e in exc.errors.items()}) from None
         reports.append(_spread(report, rows, count))
@@ -186,14 +196,13 @@ def kam_iterate_full(H0, V, max_steps: int, tol_deg, stop_tol: float = 1e-12) ->
         v = _assign(v, rows, v_new)
         # u_total is the identity before the first step
         u_total = _assign(u_total, rows, u if step == 0 else u_total[live] @ u)
-        h0 = _assign(h0, rows, _symmetrized(h0[live] + d))
-        vectors = _assign(vectors, rows, decomp_new.vectors)
-        values[rows], ids[rows] = decomp_new.values, ids_new
+        levels[rows], ids[rows] = levels_new, ids_new
         residual[rows] = report.residual_after
         diverged[rows] |= report.diverged
-    operator = h0 + v
-    estimate = np.diagonal(_adjoint(vectors) @ operator @ vectors, axis1=-2, axis2=-1).real.copy()
-    return KamChain(estimate, tuple(reports), operator, u_total @ vectors, diverged, steps)
+    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1).real
+    vectors = np.empty(u_total.shape, u_total.dtype)
+    vectors[each, order] = u_total  # rows back in the caller's order
+    return KamChain(estimate, tuple(reports), vectors, diverged, steps)
 
 
 def _spread(report: KamStepReport, rows: np.ndarray, count: int) -> KamStepReport:

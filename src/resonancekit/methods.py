@@ -371,10 +371,8 @@ def _kam_levels(
     for s in slots:
         block = blocks.pop(0)  # freed once refined; the perturbation, in place
         span = np.arange(s.shape[1])
-        reference = np.zeros_like(block)
-        reference[:, span, span] = levels[each, s]
         block[:, span, span] -= levels[each, s]
-        chain = kam_iterate_full(reference, block, max_steps=1,
+        chain = kam_iterate_full(levels[each, s], block, max_steps=1,
                                  tol_deg=PHYSICAL_CLUSTER_FRACTION * omega)
         photon = s[each, np.argmax(np.abs(chain.vectors), axis=1)] // 2
         values.append(chain.estimate)

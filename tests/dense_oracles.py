@@ -7,7 +7,10 @@ products.
 The runtime never forms these matrices; they exist only so the tests can
 compare the index-remap implementation with the textbook one.  The
 commutator-series conjugation plays the same role for ``resonancekit.kam``,
-which conjugates by an exactly unitary exp(W).  The dense solve of one
+which conjugates by an exactly unitary exp(W), and the eigenbasis round
+trip of a reference that is not diagonal (``averaged_in_basis``) plays it
+for ``resonancekit.averaging``, which takes V in the eigenbasis of a
+diagonal reference held as its levels.  The dense solve of one
 parity block is the eigenvector-carrying counterpart of the exact oracle,
 which solves the blocks for eigenvalues only, and the dense solve of every
 whole block is the full-spectrum oracle the exact oracle's boxes are checked
@@ -26,7 +29,9 @@ import math
 
 import numpy as np
 
-from resonancekit.averaging import cluster_levels, combined_projector, project_average
+from resonancekit.averaging import (
+    cluster_levels, combined_projector, project_average, solve_cohomological
+)
 from resonancekit.closedform import rt2_mixing_angle
 from resonancekit.kam import unitary_exp
 from resonancekit.methods import BRANCH_UNASSIGNED
@@ -245,8 +250,8 @@ def s_rt_two_photon(h1) -> np.ndarray:
         diag[0::2] = w * ns + g_n * np.sqrt(ns)
         diag[1::2] = w * ns - g_n * np.sqrt(ns)
         family.append(diag)
-    reference = np.diag(h1.levels[0])
-    h1_eff = reference + combined_projector(h1.operator[0] - reference, family, tol_deg=1e-8 * w)
+    # the diagonal is in-cluster for every member, so the levels stay in place
+    h1_eff = combined_projector(h1.operator[0], family, tol_deg=1e-8 * w)
     r2 = build_r2(w, params.g, fock_dim)
     m = r2.conj().T @ h1_eff @ r2
     rot = np.eye(2 * fock_dim, dtype=complex)
@@ -274,19 +279,30 @@ def s_strong_chain(params, fock_dim: int) -> np.ndarray:
 
 
 def s_generic_numeric_rt(th, tol_deg: float) -> np.ndarray:
-    """Dense eigendecomposition of the reference times the in-cluster
-    rotations of the effective operator, of the chain th (a stack of one)."""
-    ref = np.diag(th.levels[0]).astype(complex)
-    decomp = eigh_one(ref)
-    u = decomp.vectors
-    v_eig = u.conj().T @ (th.operator[0] - ref) @ u
+    """Dense permutation sorting the reference levels (the reference
+    eigenbasis) times the in-cluster rotations of the effective operator, of
+    the chain th (a stack of one)."""
+    order = np.argsort(th.levels[0], kind="stable")
+    u = np.eye(th.dim, dtype=complex)[:, order]
+    h_eig = u.conj().T @ th.operator[0] @ u
     q = np.eye(th.dim, dtype=complex)
-    for cluster in cluster_members(cluster_levels(decomp.values, tol_deg)):
+    for cluster in cluster_members(cluster_levels(th.levels[0, order], tol_deg)):
         idx = list(cluster)
-        block = np.diag(decomp.values[idx]) + v_eig[np.ix_(idx, idx)]
+        block = h_eig[np.ix_(idx, idx)]
         _, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
         q[np.ix_(idx, idx)] = vecs
     return u @ q
+
+
+def chain_residue(th: TransformedHamiltonian, slots=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The reference levels of the chain th at ``slots`` and its operator
+    there without them on the diagonal: the (G, n) levels and the (G, n, n)
+    perturbation, in the reference eigenbasis, that the contact step takes."""
+    levels = th.levels[:, slots]
+    v = th.operator[:, slots][:, :, slots].copy()
+    span = np.arange(levels.shape[-1])
+    v[:, span, span] -= levels
+    return levels, v
 
 
 def conjugate_by_series(H, W, m_max: int = 12) -> np.ndarray:
@@ -310,11 +326,19 @@ def eigh_block(block) -> EigenDecomposition:
     return eigh_one(np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1))
 
 
-def build_effective(H0, V, decomp: EigenDecomposition, ids: np.ndarray) -> np.ndarray:
-    """Effective operator H0 + (averaged V) over the clusters ``ids`` of
-    ``decomp``; Hermitian by construction."""
-    h_eff = _mat(H0) + project_average(V, decomp, ids)
-    return 0.5 * (h_eff + h_eff.conj().swapaxes(-1, -2))  # scrub rotation round-off
+def averaged_in_basis(h0, v, tol_deg) -> tuple[np.ndarray, np.ndarray]:
+    """The averaged part of v and the generator W of the cohomological
+    equation [h0, W] + v = averaged part, for a Hermitian reference h0 that
+    need not be diagonal, one matrix each, in the basis h0 and v are given
+    in: h0 is diagonalized, v averaged and solved in its eigenbasis (gap
+    tolerance tol_deg) and both rotated back."""
+    decomp = eigh(np.asarray(h0)[None])
+    u = decomp.vectors[0]
+    ids = cluster_levels(decomp.values, tol_deg)
+    v_eig = (u.conj().T @ v @ u)[None]
+    d = project_average(v_eig, ids)[0]
+    w = solve_cohomological(v_eig, decomp.values, ids, tol_deg)[0]
+    return u @ d @ u.conj().T, u @ w @ u.conj().T
 
 
 def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[tuple[str, str, float]]:
@@ -345,10 +369,9 @@ def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     doubly degenerate displaced ladder, diagonalization of the effective
     operator.  Returns (decomposition, chain), both stacks of one."""
     th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    reference = np.diag(th.levels[0])[None]
-    decomp = eigh(reference)
-    ids = cluster_levels(decomp.values, 1e-8 * params.omega)
-    heff = build_effective(reference, th.operator - reference, decomp, ids)
+    # the reference is the chain's levels, so averaging over it keeps the
+    # chain operator's entries between slots of one cluster of the levels
+    heff = combined_projector(th.operator, [th.levels[0]], 1e-8 * params.omega)
     return eigh(heff), th
 
 

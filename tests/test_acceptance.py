@@ -14,14 +14,9 @@ import time
 
 import numpy as np
 
-from resonancekit.averaging import (
-    cluster_levels,
-    project_average,
-    solve_cohomological,
-)
 from resonancekit.cli import main as cli_main
 from resonancekit.closedform import resonance_loci, second_order_locus
-from resonancekit.kam import W_NORM_DIVERGENCE, kam_iterate_full, kam_step
+from resonancekit.kam import W_NORM_DIVERGENCE, kam_iterate_full
 from resonancekit.methods import (
     grid_sweep,
     kam_truncation,
@@ -36,7 +31,6 @@ from resonancekit.operators import (
     basis_index,
     build_rabi,
 )
-from resonancekit.spectrum import eigh
 from resonancekit.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -48,7 +42,9 @@ from resonancekit.sweep import (
 from resonancekit.transforms import rt_zero_field, strong_chain
 
 from dense_oracles import (
+    averaged_in_basis,
     build_parity,
+    chain_residue,
     isometry_matrix,
     levels_from_chain,
     strong_avg_decomposition,
@@ -84,18 +80,16 @@ def test_criterion_1_projector_cohomology_suite(
         dim = sum(sizes)
         assert dim <= 64
         h0, _ = make_degenerate_reference(rng, sizes, spacing=1.0)
-        decomp = eigh(h0[None])
-        ids = cluster_levels(decomp.values, tol_deg=1e-8)
         v = make_hermitian(rng, dim)
         v_norm = np.linalg.norm(v, 2)
-        pv = project_average(v[None], decomp, ids)[0]
-        ppv = project_average(pv[None], decomp, ids)[0]
+        # h0 is rotated: average and solve in its eigenbasis, check here
+        pv, w = averaged_in_basis(h0, v, 1e-8)
+        ppv = averaged_in_basis(h0, pv, 1e-8)[0]
         worst["idem"] = max(worst["idem"], np.abs(ppv - pv).max() / max(1.0, v_norm))
         comm = np.linalg.norm(h0 @ pv - pv @ h0, 2)
         worst["comm"] = max(
             worst["comm"], comm / (np.linalg.norm(h0, 2) * v_norm)
         )
-        w = solve_cohomological(v[None], decomp, ids, 1e-8)[0]
         worst["anti"] = max(worst["anti"], np.abs(w + w.conj().T).max())
         residual = np.linalg.norm(h0 @ w - w @ h0 + v - pv, 2)
         worst["resid"] = max(worst["resid"], residual / v_norm)
@@ -121,28 +115,18 @@ def test_criterion_2_kam_quadratic_contraction():
     start = time.perf_counter()
     params = ModelParams(omega=1.0, omega0=1.0, g=0.15)
     trunc = kam_truncation(10)
-    th = rabi_rt1_chain((params,), trunc)
-    h0 = np.diag(th.levels[0])[None]
-    v_unit = th.operator - h0
+    levels, v_unit = chain_residue(rabi_rt1_chain((params,), trunc))
     v_unit = v_unit / np.linalg.norm(v_unit[0], 2)
-    decomp = eigh(h0)
-    ids = cluster_levels(decomp.values, tol_deg=1e-3)
     afters = {}
     for eps in (1e-1, 1e-2):
-        *_, report = kam_step(h0, eps * v_unit, decomp, ids, 1e-3)
-        afters[eps] = report.residual_after[0]
+        step = kam_iterate_full(levels, eps * v_unit, max_steps=1, tol_deg=1e-3)
+        afters[eps] = step.reports[0].residual_after[0]
     ratio = afters[1e-1] / afters[1e-2]
     quadratic = 50.0 <= ratio <= 200.0
 
     strong = ModelParams(omega=1.0, omega0=1.0, g=0.3)
-    th_strong = rabi_rt1_chain((strong,), trunc)
-    h0_strong = np.diag(th_strong.levels[0])[None]
-    chain = kam_iterate_full(
-        h0_strong,
-        th_strong.operator - h0_strong,
-        max_steps=3,
-        tol_deg=1e-3,
-    )
+    chain = kam_iterate_full(*chain_residue(rabi_rt1_chain((strong,), trunc)),
+                             max_steps=3, tol_deg=1e-3)
     flagged = chain.diverged[0] and any(
         r.w_norm[0] > W_NORM_DIVERGENCE for r in chain.reports
     )

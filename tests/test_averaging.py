@@ -14,21 +14,15 @@ from resonancekit.operators import (
     TruncationConfig,
     build_rabi,
 )
-from resonancekit.spectrum import EigenDecomposition, eigh
+from resonancekit.spectrum import eigh
 
 from dense_oracles import (
-    build_effective,
+    averaged_in_basis,
     build_jaynes_cummings,
     cluster_means,
     cluster_members,
     row_error,
 )
-
-
-def _diag_decomp(values):
-    """The decomposition of diag(values), as a stack of one."""
-    values = np.asarray(values, dtype=float)[None]
-    return EigenDecomposition(values=values, vectors=np.eye(values.size, dtype=complex)[None])
 
 
 # ---------------------------------------------------------------- clustering
@@ -50,8 +44,11 @@ def test_cluster_degeneracies_chains_through_small_gaps():
 
 
 def test_cluster_degeneracies_requires_positive_tol():
-    with pytest.raises(ValueError, match="tol_deg must be > 0"):
-        cluster_levels(np.array([0.0, 1.0]), tol_deg=0.0)
+    # A NaN gap test is False everywhere, so under a NaN tolerance every
+    # level would join one cluster.
+    for tol_deg in (0.0, -1.0, np.nan, np.inf, [1e-9, np.nan]):
+        with pytest.raises(ValueError, match="tol_deg must be > 0 and finite"):
+            cluster_levels(np.array([[0.0, 1.0], [0.0, 2.0]]), tol_deg=tol_deg)
 
 
 def test_co_rotating_level_crossing_forms_cluster():
@@ -74,32 +71,30 @@ def test_co_rotating_level_crossing_forms_cluster():
 
 
 def test_project_average_nondegenerate_keeps_diagonal(rng, make_hermitian):
-    values = np.arange(6.0)
-    decomp = _diag_decomp(values)
-    ids = cluster_levels(decomp.values, tol_deg=1e-9)
+    ids = cluster_levels(np.arange(6.0)[None], tol_deg=1e-9)
     v = make_hermitian(rng, 6)
-    pv = project_average(v[None], decomp, ids)[0]
-    np.testing.assert_allclose(pv, np.diag(np.diag(v)), atol=1e-12)
+    pv = project_average(v[None], ids)[0]
+    np.testing.assert_array_equal(pv, np.diag(np.diag(v)))
 
 
 def test_project_average_single_cluster_returns_v(rng, make_hermitian):
-    decomp = _diag_decomp(np.zeros(5))
-    ids = cluster_levels(decomp.values, tol_deg=1.0)
+    ids = cluster_levels(np.zeros((1, 5)), tol_deg=1.0)
     assert cluster_members(ids[0]) == ((0, 1, 2, 3, 4),)
     v = make_hermitian(rng, 5)
-    np.testing.assert_allclose(project_average(v[None], decomp, ids)[0], v, atol=1e-13)
+    np.testing.assert_array_equal(project_average(v[None], ids)[0], v)
 
 
 def test_project_average_idempotent_hermitian_commutant(
     rng, make_hermitian, make_degenerate_reference
 ):
+    # A rotated reference is diagonalized, V averaged in its eigenbasis and
+    # rotated back: the identities hold in the original basis.
     h0, _ = make_degenerate_reference(rng, (3, 2, 1, 4), spacing=1.0)
-    decomp = eigh(h0[None])
-    ids = cluster_levels(decomp.values, tol_deg=1e-8)
+    ids = cluster_levels(eigh(h0[None]).values, tol_deg=1e-8)
     assert tuple(len(c) for c in cluster_members(ids[0])) == (3, 2, 1, 4)
     v = make_hermitian(rng, 10)
-    pv = project_average(v[None], decomp, ids)[0]
-    ppv = project_average(pv[None], decomp, ids)[0]
+    pv = averaged_in_basis(h0, v, 1e-8)[0]
+    ppv = averaged_in_basis(h0, pv, 1e-8)[0]
     assert np.abs(ppv - pv).max() <= 1e-12
     assert np.abs(pv - pv.conj().T).max() <= 1e-12
     comm = h0 @ pv - pv @ h0
@@ -107,71 +102,69 @@ def test_project_average_idempotent_hermitian_commutant(
     assert np.abs(comm).max() <= bound
 
 
-def test_project_average_invariant_under_degenerate_remixing(
-    rng, make_hermitian, make_degenerate_reference
-):
+def test_project_average_invariant_under_degenerate_remixing(rng, make_hermitian):
     # The projector depends only on the degenerate subspaces, not on the
-    # arbitrary eigenvector basis the solver picked inside them.
-    h0, _ = make_degenerate_reference(rng, (3, 2, 2), spacing=1.0)
-    decomp = eigh(h0[None])
-    ids = cluster_levels(decomp.values, tol_deg=1e-8)
+    # arbitrary eigenvector basis picked inside them: the mask commutes with
+    # every rotation inside the clusters.
+    ids = cluster_levels(np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0]]), tol_deg=1e-8)
     v = make_hermitian(rng, 7)
-    pv = project_average(v[None], decomp, ids)[0]
-
-    mixed = decomp.vectors.copy()
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    mixed[0, :, :3] = mixed[0, :, :3] @ q
-    remixed = EigenDecomposition(values=decomp.values, vectors=mixed)
-    pv2 = project_average(v[None], remixed, ids)[0]
-    assert np.abs(pv - pv2).max() <= 1e-12
+    q = np.eye(7, dtype=complex)
+    for cluster in cluster_members(ids[0]):
+        idx = np.ix_(cluster, cluster)
+        m = rng.standard_normal((len(cluster),) * 2) + 1j * rng.standard_normal((len(cluster),) * 2)
+        q[idx] = np.linalg.qr(m)[0]
+    remixed = project_average((q.conj().T @ v @ q)[None], ids)[0]
+    pv = project_average(v[None], ids)[0]
+    assert np.abs(remixed - q.conj().T @ pv @ q).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- cohomology
 
 
 def test_solve_cohomological_two_level():
-    decomp = _diag_decomp([0.0, 1.0])
-    ids = cluster_levels(decomp.values, tol_deg=1e-9)
+    levels = np.array([[0.0, 1.0]])
+    ids = cluster_levels(levels, tol_deg=1e-9)
     v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    w = solve_cohomological(v[None], decomp, ids, 1e-9)[0]
+    w = solve_cohomological(v[None], levels, ids, 1e-9)[0]
     np.testing.assert_allclose(w, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
-    h0 = np.diag(decomp.values[0])
-    d = project_average(v[None], decomp, ids)[0]
+    h0 = np.diag(levels[0])
+    d = project_average(v[None], ids)[0]
     np.testing.assert_allclose(h0 @ w - w @ h0 + v, d, atol=1e-14)
 
 
 def test_solve_cohomological_fully_degenerate_gives_zero(rng, make_hermitian):
-    decomp = _diag_decomp(np.zeros(4))
-    ids = cluster_levels(decomp.values, tol_deg=1.0)
+    levels = np.zeros((1, 4))
+    ids = cluster_levels(levels, tol_deg=1.0)
     v = make_hermitian(rng, 4)
-    w = solve_cohomological(v[None], decomp, ids, 1.0)[0]
+    w = solve_cohomological(v[None], levels, ids, 1.0)[0]
     np.testing.assert_array_equal(w, np.zeros((4, 4)))
-    np.testing.assert_allclose(project_average(v[None], decomp, ids)[0], v, atol=1e-13)
+    np.testing.assert_array_equal(project_average(v[None], ids)[0], v)
 
 
 def test_solve_cohomological_random_residual(rng, make_hermitian, make_degenerate_reference):
+    # A rotated reference is diagonalized and W rotated back: the
+    # cohomological equation holds in the original basis.
     h0, _ = make_degenerate_reference(rng, (4, 4, 4, 4), spacing=0.7)
     decomp = eigh(h0[None])
     ids = cluster_levels(decomp.values, tol_deg=1e-8)
     v = make_hermitian(rng, 16, scale=0.3)
-    w = solve_cohomological(v[None], decomp, ids, 1e-8)[0]
+    d, w = averaged_in_basis(h0, v, 1e-8)
     assert np.abs(w + w.conj().T).max() <= 1e-12
     # In-cluster blocks of W vanish.
     w_eig = decomp.vectors[0].conj().T @ w @ decomp.vectors[0]
     for cluster in cluster_members(ids[0]):
         block = w_eig[np.ix_(cluster, cluster)]
         assert np.abs(block).max() <= 1e-12
-    d = project_average(v[None], decomp, ids)[0]
     residual = h0 @ w - w @ h0 + v - d
     assert np.linalg.norm(residual, 2) <= 1e-10 * np.linalg.norm(v, 2)
 
 
 def test_solve_cohomological_rejects_inconsistent_clustering():
-    decomp = _diag_decomp([0.0, 1e-12, 1.0])
+    levels = np.array([[0.0, 1e-12, 1.0]])
     bad = np.array([[0, 1, 2]])
     v = np.ones((1, 3, 3), dtype=complex)
     with pytest.raises(ValueError, match="clustering inconsistency"):
-        raise row_error(solve_cohomological, v, decomp, bad, 1e-9)
+        raise row_error(solve_cohomological, v, levels, bad, 1e-9)
 
 
 # ---------------------------------------------------------------- effective
@@ -180,13 +173,12 @@ def test_solve_cohomological_rejects_inconsistent_clustering():
 def test_build_effective_reproduces_co_rotating_model():
     # Averaging the full coupling over the decoupled reference keeps exactly
     # the co-rotating half: the effective operator IS the pair-block model.
+    # The decoupled Hamiltonian is diagonal in the basis of H, so averaging
+    # keeps the entries of H between basis states of one cluster of it.
     params = ModelParams(omega=1.0, omega0=1.0, g=0.3)
     trunc = TruncationConfig(n_max=12)
-    h_free = build_rabi(ModelParams(1.0, 1.0, 0.0), trunc)
-    v = build_rabi(params, trunc) - h_free
-    decomp = eigh(h_free[None])
-    ids = cluster_levels(decomp.values, tol_deg=1e-8)
-    h_eff = build_effective(h_free[None], v[None], decomp, ids)[0]
+    levels = np.diag(build_rabi(ModelParams(1.0, 1.0, 0.0), trunc))
+    h_eff = combined_projector(build_rabi(params, trunc), [levels], tol_deg=1e-8)
     h_jc = build_jaynes_cummings(params, trunc)
     assert np.array_equal(h_eff, h_eff.conj().T)
     np.testing.assert_allclose(h_eff, h_jc, atol=1e-12)
@@ -218,6 +210,11 @@ def test_combined_projector_validates_family(rng, make_hermitian):
     # Members are diagonals; a matrix member is rejected, diagonal or not.
     with pytest.raises(ValueError, match="dimension mismatch"):
         combined_projector(v, [np.arange(4.0), np.diag(np.arange(4.0))], tol_deg=1e-9)
+    # Members are clustered by cluster_levels: a negative tolerance would drop
+    # the coupling of equal levels, a NaN one keep every entry.
+    for tol_deg in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol_deg must be > 0 and finite"):
+            combined_projector(v, [np.array([0.0, 0.0, 1.0, 2.0])], tol_deg=tol_deg)
 
 
 def test_combined_projector_keeps_positions_of_equal_member_levels(rng, make_hermitian):

@@ -100,3 +100,20 @@ def test_the_package_imports_neither_scipy_nor_mpmath():
                 continue
             found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] in ("scipy", "mpmath")]
     assert found == []
+
+
+def test_only_spectrum_and_averaging_use_the_gap_rule():
+    # One clustering helper: every other module clusters through
+    # averaging.cluster_levels, which refuses a tolerance that is not finite
+    # and > 0.  Names, attributes and imports count; strings do not.
+    paths = sorted(ROOT.glob("src/resonancekit/*.py")) + sorted(ROOT.glob("demos/*.py")) \
+        + sorted(ROOT.glob("tests/*.py")) + sorted(PERFBENCH.glob("*.py"))
+    users = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "_gap_ids":
+                users.add(path.relative_to(ROOT).as_posix())
+    assert users == {"src/resonancekit/spectrum.py", "src/resonancekit/averaging.py"}

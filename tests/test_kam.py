@@ -1,12 +1,13 @@
 """Contact-transformation steps: exp(W) conjugation and contraction control."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from resonancekit.averaging import cluster_levels, solve_cohomological
+from resonancekit import methods
+from resonancekit.averaging import cluster_levels, project_average, solve_cohomological
 from resonancekit.kam import (
     W_NORM_DIVERGENCE,
     KamChain,
@@ -18,23 +19,15 @@ from resonancekit.kam import (
 )
 from resonancekit.methods import kam_truncation, rabi_rt1_chain
 from resonancekit.operators import ModelParams
-from resonancekit.spectrum import EigenDecomposition, check_rows, eigh
+from resonancekit.spectrum import check_rows, eigh
 
-from dense_oracles import conjugate_by_series, row_error
-
-
-def _diag_decomp(values):
-    """The decomposition of diag(values), as a stack of one."""
-    values = np.asarray(values, dtype=float)[None]
-    return EigenDecomposition(values=values, vectors=np.eye(values.size, dtype=complex)[None])
+from dense_oracles import chain_residue, conjugate_by_series, row_error
 
 
 def _rt1_residue(g, n_levels):
-    """The one-photon chain's reference and remainder at coupling g, on the
-    contact-iteration box of ``n_levels``, as stacks of one."""
-    th = rabi_rt1_chain((ModelParams(omega=1.0, omega0=1.0, g=g),), kam_truncation(n_levels))
-    h0 = np.diag(th.levels[0])[None]
-    return h0, th.operator - h0
+    """The one-photon chain's reference levels and remainder at coupling g,
+    on the contact-iteration box of ``n_levels``, as stacks of one."""
+    return chain_residue(rabi_rt1_chain((ModelParams(1.0, 1.0, g),), kam_truncation(n_levels)))
 
 
 def _anti_hermitian(rng, dim, scale):
@@ -53,7 +46,14 @@ ONE_MATRIX_CALLS = {
     "eigh": (lambda: eigh(np.eye(2)), r"\(G, n, n\) stack"),
     "unitary_exp": (lambda: unitary_exp(np.zeros((2, 2))), r"\(G, n, n\) stack"),
     "kam_iterate_full": (
-        lambda: kam_iterate_full(np.eye(2), np.zeros((2, 2)), 1, 1e-8), r"\(G, n, n\) stack"
+        lambda: kam_iterate_full(np.zeros((1, 2)), np.zeros((2, 2)), 1, 1e-8), r"\(G, n, n\) stack"
+    ),
+    "kam_iterate_full_levels": (
+        lambda: kam_iterate_full(np.zeros(2), np.zeros((1, 2, 2)), 1, 1e-8), r"\(G, n\) levels"
+    ),
+    "kam_iterate_full_mismatch": (
+        lambda: kam_iterate_full(np.zeros((1, 3)), np.zeros((1, 2, 2)), 1, 1e-8),
+        r"\(G, n, n\) stack"
     ),
 }
 
@@ -97,13 +97,13 @@ def test_unitary_exp_of_real_generator_is_real_orthogonal(rng):
 
 
 def test_kam_step_zero_perturbation_is_identity():
-    h0 = np.diag([0.0, 1.0, 2.5])
-    decomp = _diag_decomp(np.diag(h0))
-    ids = cluster_levels(decomp.values, tol_deg=1e-9)
-    h_new, d, v_new, *_, report = kam_step(h0[None], np.zeros((1, 3, 3)), decomp, ids, 1e-9)
-    np.testing.assert_allclose(h_new[0], h0, atol=1e-14)
-    np.testing.assert_array_equal(d[0], np.zeros((3, 3)))
+    levels = np.array([[0.0, 1.0, 2.5]])
+    ids = cluster_levels(levels, tol_deg=1e-9)
+    levels_new, v_new, u, ids_new, report = kam_step(levels, np.zeros((1, 3, 3)), ids, 1e-9)
+    np.testing.assert_allclose(levels_new, levels, atol=1e-14)
     np.testing.assert_allclose(v_new[0], np.zeros((3, 3)), atol=1e-14)
+    np.testing.assert_allclose(u[0], np.eye(3), atol=1e-14)
+    np.testing.assert_array_equal(ids_new, ids)
     assert report.w_norm[0] == 0.0
     assert report.residual_before[0] == 0.0
     assert report.residual_after[0] == 0.0
@@ -111,36 +111,37 @@ def test_kam_step_zero_perturbation_is_identity():
 
 
 def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
-    h0 = np.diag(np.arange(12.0))
+    levels = np.arange(12.0)[None]
+    h0 = np.diag(levels[0])
     v = make_hermitian(rng, 12, scale=0.05)
-    decomp = _diag_decomp(np.diag(h0))
-    ids = cluster_levels(decomp.values, tol_deg=1e-9)
-    h_new, d, v_new, _, decomp_new, ids_new, report = kam_step(
-        h0[None], v[None], decomp, ids, 1e-9
-    )
-    h_new, d = h_new[0], d[0]
+    ids = cluster_levels(levels, tol_deg=1e-9)
+    levels_new, v_new, u, ids_new, report = kam_step(levels, v[None], ids, 1e-9)
+    h_new = np.diag(levels_new[0]) + v_new[0]
     assert np.abs(h_new - h_new.conj().T).max() <= 1e-13
     np.testing.assert_allclose(
         np.linalg.eigvalsh(h_new), np.linalg.eigvalsh(h0 + v), atol=1e-10
     )
-    # Decomposition H_new = H0 + D + V_new holds by construction.
-    np.testing.assert_allclose(h_new, h0 + d + v_new[0], atol=1e-13)
-    # The returned decomposition and cluster ids are those of the new reference.
-    np.testing.assert_allclose(decomp_new.values[0], np.linalg.eigvalsh(h0 + d), atol=1e-13)
-    np.testing.assert_array_equal(ids_new, cluster_levels(decomp_new.values, 1e-9))
-    assert report.residual_after[0] == _offblock_residual(v_new, decomp_new, ids_new)[0]
+    # U is unitary and carries H0 + V to the new reference plus V_new.
+    u = u[0]
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(12), atol=1e-13)
+    np.testing.assert_allclose(u.conj().T @ (h0 + v) @ u, h_new, atol=1e-13)
+    # The new levels and cluster ids are those of the new reference H0 + D.
+    d = project_average(v[None], ids)[0]
+    np.testing.assert_allclose(levels_new[0], np.linalg.eigvalsh(h0 + d), atol=1e-13)
+    assert np.all(np.diff(levels_new) >= 0)
+    np.testing.assert_array_equal(ids_new, cluster_levels(levels_new, 1e-9))
+    assert report.residual_after[0] == _offblock_residual(v_new, ids_new)[0]
     assert not report.diverged[0]
     assert report.residual_after[0] < report.residual_before[0]
 
 
 def test_kam_step_residual_scales_quadratically(rng, make_hermitian):
-    h0 = np.diag(np.arange(8.0))
+    levels = np.arange(8.0)[None]
     v0 = make_hermitian(rng, 8)
-    decomp = _diag_decomp(np.diag(h0))
-    ids = cluster_levels(decomp.values, tol_deg=1e-9)
+    ids = cluster_levels(levels, tol_deg=1e-9)
     afters = {}
     for eps in (1e-1, 1e-2):
-        *_, report = kam_step(h0[None], eps * v0[None], decomp, ids, 1e-9)
+        *_, report = kam_step(levels, eps * v0[None], ids, 1e-9)
         afters[eps] = report.residual_after[0]
     ratio = afters[1e-1] / afters[1e-2]
     assert 50.0 <= ratio <= 200.0  # quadratic contraction: ratio ~ (10)^2
@@ -149,10 +150,9 @@ def test_kam_step_residual_scales_quadratically(rng, make_hermitian):
 def test_kam_step_generator_norm_tracks_inverse_gap():
     v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     for delta in (1.0, 1e-1, 1e-2, 1e-3):
-        h0 = np.diag([0.0, delta])
-        decomp = _diag_decomp([0.0, delta])
-        ids = cluster_levels(decomp.values, tol_deg=1e-12)
-        *_, report = kam_step(h0[None], v[None], decomp, ids, 1e-12)
+        levels = np.array([[0.0, delta]])
+        ids = cluster_levels(levels, tol_deg=1e-12)
+        *_, report = kam_step(levels, v[None], ids, 1e-12)
         assert report.w_norm[0] * delta == pytest.approx(1.0, rel=1e-12)
         assert report.diverged[0] == (
             report.residual_after[0] > report.residual_before[0]
@@ -166,9 +166,8 @@ def test_kam_step_generator_norm_tracks_inverse_gap():
 
 
 def test_kam_iterate_full_stops_before_first_step_on_block_diagonal():
-    h0 = np.diag([0.0, 1.0, 2.0])
     v = np.diag([0.1, 0.2, 0.3])
-    chain = kam_iterate_full(h0[None], v[None], max_steps=4, tol_deg=1e-8)
+    chain = kam_iterate_full(np.array([[0.0, 1.0, 2.0]]), v[None], max_steps=4, tol_deg=1e-8)
     assert chain.reports == ()
     assert chain.steps[0] == 0
     assert not chain.diverged[0]
@@ -177,13 +176,20 @@ def test_kam_iterate_full_stops_before_first_step_on_block_diagonal():
 
 def test_kam_iterate_full_validates_max_steps():
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
-        kam_iterate_full(np.eye(2)[None], np.zeros((1, 2, 2)), max_steps=0, tol_deg=1e-8)
+        kam_iterate_full(np.zeros((1, 2)), np.zeros((1, 2, 2)), max_steps=0, tol_deg=1e-8)
+
+
+def test_kam_iterate_full_refuses_a_nan_tolerance():
+    # Under a NaN tolerance every level would join one cluster: no step, and
+    # the bare diagonal returned as the estimate.
+    with pytest.raises(ValueError, match="tol_deg must be > 0 and finite"):
+        kam_iterate_full(np.array([[0.0, 1.0, 2.0]]), np.full((1, 3, 3), 0.1), 1, np.nan)
 
 
 def test_kam_iterate_reports_one_stack_wide_report_per_step(rng, make_hermitian):
-    h0 = np.diag(np.arange(10.0))
     v = make_hermitian(rng, 10, scale=0.03)
-    chain = kam_iterate_full(h0[None], v[None], max_steps=3, tol_deg=1e-8, stop_tol=1e-15)
+    chain = kam_iterate_full(np.arange(10.0)[None], v[None], max_steps=3, tol_deg=1e-8,
+                             stop_tol=1e-15)
     assert len(chain.reports) == chain.steps[0] >= 1
     for report in chain.reports:
         assert all(getattr(report, f.name).shape == (1,) for f in fields(report))
@@ -221,38 +227,34 @@ def test_report_divergence_flag_is_consistent(rng, make_hermitian):
         ))
 
 
-def _kam_iterate_full_recomputing(H0, V, max_steps, tol_deg, stop_tol=1e-12):
+def _kam_iterate_full_recomputing(levels, V, max_steps, tol_deg, stop_tol=1e-12):
     """kam_iterate_full on a stack of one without reusing what kam_step
-    computed: every step solves for the generator and exponentiates it a
-    second time, recomputes the off-block residual, and the final reference
-    is decomposed again."""
-    h0 = np.array(H0)
-    v = np.array(V)
-    u_total = np.eye(h0.shape[-1], dtype=np.result_type(h0, v))[None]
+    computed: every step clusters the levels, recomputes the off-block
+    residual, and solves for the generator, exponentiates it and decomposes
+    the new reference a second time for the step's unitary."""
+    order = np.argsort(levels[0], kind="stable")
+    levels, v = levels[:, order], V[:, order[:, None], order]
+    u_total = np.eye(levels.shape[-1], dtype=np.result_type(levels, v))[None]
     reports = []
     diverged = False
     for _ in range(max_steps):
-        decomp = eigh(h0)
-        ids = cluster_levels(decomp.values, tol_deg)
-        residual = _offblock_residual(v, decomp, ids)[0]
-        if residual <= stop_tol * max(float(np.linalg.norm(h0[0], 2)), np.finfo(float).tiny):
+        ids = cluster_levels(levels, tol_deg)
+        residual = _offblock_residual(v, ids)[0]
+        if residual <= stop_tol * max(np.abs(levels).max(), np.finfo(float).tiny):
             break
-        w = solve_cohomological(v, decomp, ids, tol_deg)
-        u = unitary_exp(w)
-        _, d, v_new, *_, report = kam_step(h0, v, decomp, ids, tol_deg)
+        d = project_average(v, ids)
+        q = eigh(np.diag(levels[0]) + 0.5 * (d + d.conj().swapaxes(-1, -2))).vectors
+        u = unitary_exp(solve_cohomological(v, levels, ids, tol_deg)) @ q
+        levels, v, _, _, report = kam_step(levels, v, ids, tol_deg)
         reports.append(report)
         u_total = u_total @ u
-        h0 = h0 + d
-        h0 = 0.5 * (h0 + h0.conj().swapaxes(-1, -2))
-        v = v_new
         if report.diverged[0]:
             diverged = True
             break
-    ref_decomp = eigh(h0)
-    basis = ref_decomp.vectors
-    operator = h0 + v
-    estimate = np.real(np.diagonal(basis.conj().swapaxes(-1, -2) @ operator @ basis, 0, -2, -1))
-    return KamChain(estimate, tuple(reports), operator, u_total @ basis, np.array([diverged]),
+    vectors = np.empty_like(u_total)
+    vectors[0, order] = u_total[0]
+    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1).real
+    return KamChain(estimate, tuple(reports), vectors, np.array([diverged]),
                     np.array([len(reports)]))
 
 
@@ -260,7 +262,7 @@ def _assert_chains_equal(got, want, rows=slice(None)):
     """Rows ``rows`` of the chain ``got`` equal the chain ``want`` bit for
     bit: every array, and every report field where ``want`` took the step
     (``got`` holds NaN, and False in ``diverged``, after that)."""
-    for name in ("estimate", "operator", "vectors", "diverged", "steps"):
+    for name in ("estimate", "vectors", "diverged", "steps"):
         assert np.array_equal(getattr(got, name)[rows], getattr(want, name)), name
     assert len(got.reports) >= len(want.reports)
     for step, report in enumerate(got.reports):
@@ -276,12 +278,12 @@ def _assert_chains_equal(got, want, rows=slice(None)):
 
 @pytest.mark.parametrize("g", [0.0, 0.15, 0.3])
 def test_kam_iterate_full_reuses_step_unitary_bit_for_bit(g):
-    reference, remainder = _rt1_residue(g, 10)
+    levels, remainder = _rt1_residue(g, 10)
     for dtype in (float, complex):
-        h0, v = reference.astype(dtype), remainder.astype(dtype)
-        got = kam_iterate_full(h0, v, max_steps=3, tol_deg=1e-3)
-        want = _kam_iterate_full_recomputing(h0, v, max_steps=3, tol_deg=1e-3)
-        assert got.vectors.dtype == got.operator.dtype == dtype
+        v = remainder.astype(dtype)
+        got = kam_iterate_full(levels, v, max_steps=3, tol_deg=1e-3)
+        want = _kam_iterate_full_recomputing(levels, v, max_steps=3, tol_deg=1e-3)
+        assert got.vectors.dtype == dtype
         assert len(got.reports) == len(want.reports)
         _assert_chains_equal(got, want)
 
@@ -302,6 +304,23 @@ def test_a_stack_whose_matrices_stop_at_different_steps_equals_each_run_alone():
         alone = kam_iterate_full(reference[row:row + 1], remainder[row:row + 1],
                                  max_steps=3, tol_deg=1e-3)
         _assert_chains_equal(stacked, alone, slice(row, row + 1))
+
+
+@pytest.mark.parametrize("g", [0.15, 0.6])
+def test_a_block_in_another_slot_order_permutes_only_the_rows_of_vectors(rng, g):
+    # _kam_levels reads a level's photon number off the largest row of its
+    # column of vectors, in the slot order of its chain block: the block in
+    # another slot order gives the same estimate, steps and reports, and the
+    # rows of vectors permuted alike.
+    th = methods._CHAINS["rt_full_kam"]((ModelParams(1.0, 1.0, g),), kam_truncation(10))
+    levels, v = chain_residue(th, np.flatnonzero(th.parity[0] == 1.0))
+    assert np.unique(levels).size == levels.size  # no tie whose order the sort keeps
+    perm = rng.permutation(levels.shape[-1])
+    chain = kam_iterate_full(levels, v, max_steps=3, tol_deg=1e-3)
+    permuted = kam_iterate_full(levels[:, perm], v[:, perm[:, None], perm],
+                                max_steps=3, tol_deg=1e-3)
+    assert chain.steps[0] >= 1
+    _assert_chains_equal(permuted, replace(chain, vectors=chain.vectors[:, perm]))
 
 
 # ---------------------------------------------------------------- series

@@ -23,7 +23,9 @@ from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
 from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
 from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import build_parity, eigh_one, levels_from_chain, row_error, strong_rt_chain
+from dense_oracles import (
+    build_parity, chain_residue, eigh_one, levels_from_chain, row_error, strong_rt_chain
+)
 
 # Methods built on the one-photon-resonance chains; they require omega0 = omega.
 WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
@@ -425,10 +427,8 @@ def _one_coupling_error(method, g, n_levels):
     its parity blocks; the exception row 0 raises is the coupling's own."""
     th = methods._CHAINS[method]((_params(g),), kam_truncation(n_levels))
     for sign in (1.0, -1.0):
-        slots = np.flatnonzero(th.parity[0] == sign)
-        reference = np.diag(th.levels[0, slots])[None]
-        block = th.operator[:, slots[:, None], slots]
-        kam_iterate_full(reference, block - reference, max_steps=1, tol_deg=1e-3)
+        levels, v = chain_residue(th, np.flatnonzero(th.parity[0] == sign))
+        kam_iterate_full(levels, v, max_steps=1, tol_deg=1e-3)
 
 
 @pytest.mark.parametrize("method", CHAIN_METHODS)
@@ -538,9 +538,9 @@ def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
     sizes = []
     step = methods.kam_iterate_full
 
-    def recorded(H0, V, *args, **kwargs):
-        sizes.extend({np.shape(H0)[-1], np.shape(V)[-1]})
-        return step(H0, V, *args, **kwargs)
+    def recorded(levels, V, *args, **kwargs):
+        sizes.extend({np.shape(levels)[-1], np.shape(V)[-1]})
+        return step(levels, V, *args, **kwargs)
 
     monkeypatch.setattr(methods, "kam_iterate_full", recorded)
     monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)  # one stack: one call per block
