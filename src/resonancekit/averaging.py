@@ -30,12 +30,22 @@ def cluster_levels(values: np.ndarray, tol_deg) -> np.ndarray:
     Greedy gap rule: a new cluster starts whenever the gap to the previous
     value exceeds tol_deg (a finite number > 0, or one per stack row), so
     in-cluster pairwise spreads can reach a few tol_deg while adjacent-cluster
-    boundary gaps always exceed it.
+    boundary gaps always exceed it.  Values that descend anywhere are refused
+    (ValueError): a negative gap never starts a cluster.
     """
     tol = np.asarray(tol_deg, dtype=float)
     if not np.all(np.isfinite(tol) & (tol > 0)):
         raise ValueError(f"tol_deg must be > 0 and finite, got {tol_deg}")
-    return _gap_ids(np.asarray(values, dtype=float), tol[..., None])
+    return _gap_ids(_ascending(values), tol[..., None])
+
+
+def _ascending(values) -> np.ndarray:
+    """``values`` as floats; raises ValueError where they descend along the
+    last axis."""
+    values = np.asarray(values, dtype=float)
+    if np.any(np.diff(values, axis=-1) < 0):
+        raise ValueError("levels must be ascending along the last axis")
+    return values
 
 
 def _in_cluster_mask(ids: np.ndarray) -> np.ndarray:

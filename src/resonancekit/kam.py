@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import cluster_levels, project_average, solve_cohomological
+from .averaging import _ascending, cluster_levels, project_average, solve_cohomological
 from .operators import _adjoint, _mat, _symmetrized
 from .spectrum import CouplingErrors, check_rows, eigh
 
@@ -115,12 +115,12 @@ def kam_step(
     eigenbasis, of quadratic order away from resonances, and the report's
     residual_after is measured in it.  ``residual`` is V's off-block
     residual under ``ids`` when the caller already holds it (computed here
-    otherwise).
+    otherwise).  Levels that descend anywhere raise ValueError.
     Conjugation is a numerically exact triple product with the spectrally
     built unitary, not a truncated series.  Divergence (residual growth, or
     ||W|| beyond the blow-up threshold) is reported, not raised.
     """
-    levels, v = np.asarray(levels, dtype=float), _mat(V)
+    levels, v = _ascending(levels), _mat(V)
     w = solve_cohomological(v, levels, ids, tol_deg)
     w_norm = _spectral_norm(1j * w)
     e = unitary_exp(w)

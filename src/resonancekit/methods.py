@@ -26,17 +26,21 @@ level count — the small-denominator correction is only contractive while
 every retained pair of reference levels keeps a gap well above its
 coupling, and the dense top of a large Fock box violates that long before
 the levels of interest do.
+
+The chain layer (``transforms``, ``kam``, ``averaging``) is imported where
+a chain is built, so a run of the oracle and the closed forms never loads
+it; its functions are read off their modules at call time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .closedform import closed_form_table, require_one_photon_resonance
-from .kam import kam_iterate_full
 from .operators import (
     ModelParams,
     TruncationConfig,
@@ -52,13 +56,9 @@ from .spectrum import (
     check_rows,
     exact_spectra,
 )
-from .transforms import (
-    TransformedHamiltonian,
-    _couplings,
-    generic_numeric_rt,
-    rt_one_photon,
-    rt_two_photon,
-)
+
+if TYPE_CHECKING:
+    from .transforms import TransformedHamiltonian
 
 __all__ = [
     "METHOD_ORDER",
@@ -243,23 +243,29 @@ def rabi_rt1_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     omega and omega0 (one coupling is a sequence of one).  H(g) = H(0) +
     g*(H(1) - H(0)) equals :func:`build_rabi` bit for bit: g enters H only
     as g*sqrt(n)."""
-    first, g = _couplings(params)
+    from . import transforms  # the chain layer, loaded by the first chain
+
+    first, g = transforms._couplings(params)
     free = build_rabi(replace(first, g=0.0), trunc)
     coupling = build_rabi(replace(first, g=1.0), trunc) - free
     h = np.multiply.outer(g, coupling)
     h += free  # built in place: the same bits as free + g*coupling
-    return rt_one_photon(h, params, trunc)
+    return transforms.rt_one_photon(h, params, trunc)
 
 
 def rabi_rt2_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
-    return rt_two_photon(rabi_rt1_chain(params, trunc))
+    from . import transforms
+
+    return transforms.rt_two_photon(rabi_rt1_chain(params, trunc))
 
 
 def rt2_iterated_chain(params, trunc: TruncationConfig) -> TransformedHamiltonian:
     """One-photon + two-photon reductions followed by one numeric
     transformation of the residual near-degeneracies."""
-    tol = PHYSICAL_CLUSTER_FRACTION * _couplings(params)[0].omega
-    return generic_numeric_rt(rabi_rt2_chain(params, trunc), tol_deg=tol)
+    from . import transforms
+
+    tol = PHYSICAL_CLUSTER_FRACTION * transforms._couplings(params)[0].omega
+    return transforms.generic_numeric_rt(rabi_rt2_chain(params, trunc), tol_deg=tol)
 
 
 def exact_sweep(
@@ -330,6 +336,8 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     matrices per coupling) is one stack of chain operators, reduced and
     refined by one array program; no coupling's values depend on its stack.
     """
+    from . import kam, transforms  # noqa: F401  (the chain layer, before any stack)
+
     trunc = kam_truncation(n_levels)
     peak = _CHAIN_PEAK * 8 * trunc.dim**2
     build = _CHAINS[method]
@@ -358,6 +366,8 @@ def _kam_levels(
     ``_EXACT_LABELS`` per coupling (even before odd on exact ties), and the
     ValueError of each coupling (by stack row) where fewer levels survive.
     """
+    from . import kam
+
     same = th.parity[:, :, None] * th.parity[:, None, :] == 1.0
     dropped = np.abs(np.where(same, 0.0, th.operator)).max(axis=(-2, -1))
     check_rows(dropped != 0.0, lambda r: ArithmeticError(
@@ -372,8 +382,8 @@ def _kam_levels(
         block = blocks.pop(0)  # freed once refined; the perturbation, in place
         span = np.arange(s.shape[1])
         block[:, span, span] -= levels[each, s]
-        chain = kam_iterate_full(levels[each, s], block, max_steps=1,
-                                 tol_deg=PHYSICAL_CLUSTER_FRACTION * omega)
+        chain = kam.kam_iterate_full(levels[each, s], block, max_steps=1,
+                                     tol_deg=PHYSICAL_CLUSTER_FRACTION * omega)
         photon = s[each, np.argmax(np.abs(chain.vectors), axis=1)] // 2
         values.append(chain.estimate)
         usable.append(photon <= n_max - loss_band)

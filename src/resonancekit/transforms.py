@@ -443,11 +443,9 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
         mat = at // dim
         rows = flat_order[idx]
         span = np.arange(k)
-        ref = np.zeros((at.size, k, k))
-        ref[:, span, span] = flat_energies[idx]
-        own = np.zeros((at.size, k, k))
-        own[:, span, span] = flat_values[mat[:, None] * dim + rows]
-        block = ref + (operator[mat[:, None, None], rows[:, :, None], rows[:, None, :]] - own)
+        block = operator[mat[:, None, None], rows[:, :, None], rows[:, None, :]]
+        own = flat_values[mat[:, None] * dim + rows]
+        block[:, span, span] = flat_energies[idx] + (block[:, span, span] - own)
         vals, vecs = np.linalg.eigh(_symmetrized(block))
         flat_e[idx] = vals
         blocks.append((idx, vecs))

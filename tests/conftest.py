@@ -4,7 +4,7 @@ injected into the contact-iteration chains at chosen couplings."""
 import numpy as np
 import pytest
 
-from resonancekit import methods, transforms
+from resonancekit import transforms
 
 
 @pytest.fixture
@@ -65,13 +65,13 @@ def fail_chain_at(monkeypatch):
                 transforms, "rt2_mixing_angle", lambda w, g: angle(w, g) + 0.3 * np.isin(g, bad)
             )
             return
-        one_photon = methods.rt_one_photon
+        one_photon = transforms.rt_one_photon
 
         def tilted(H, params, trunc):
             h = np.array(H)
             h[:, 5, 1] += 0.1 * np.isin([p.g for p in params], bad)
             return one_photon(h, params, trunc)
 
-        monkeypatch.setattr(methods, "rt_one_photon", tilted)
+        monkeypatch.setattr(transforms, "rt_one_photon", tilted)
 
     return inject

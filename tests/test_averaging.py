@@ -51,6 +51,14 @@ def test_cluster_degeneracies_requires_positive_tol():
             cluster_levels(np.array([[0.0, 1.0], [0.0, 2.0]]), tol_deg=tol_deg)
 
 
+def test_cluster_levels_refuses_descending_values():
+    # A negative gap never starts a cluster: 1.0 and 0.5 would share one.
+    for values in ([[0.0, 1.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="ascending"):
+            cluster_levels(np.array(values), tol_deg=1e-3)
+    np.testing.assert_array_equal(cluster_levels([[0.0, 0.0, 0.5]], 1e-3), [[0, 0, 1]])
+
+
 def test_co_rotating_level_crossing_forms_cluster():
     # At g = 2/(1 + sqrt(3)) the dressed levels 1 + g and 3 - g*sqrt(3)
     # coincide, so the exact decomposition acquires a two-member cluster.

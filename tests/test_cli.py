@@ -410,14 +410,66 @@ _LAZY_MODULES = (
 )
 
 
+def _run_src(tmp_path, *args):
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_import_and_closed_form_sweep_leave_numpy_submodules_unloaded(tmp_path):
     # numpy.ma alone takes about 12 ms to import, a share of every CLI run's
     # start-up: neither the import nor a closed-form sweep may load it.
-    src = str(Path(sweep.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_MODULES, "sweep", *_SMALL,
-         "--methods", "jc,rt2,strong_avg,strong_rt", "--out", str(tmp_path / "sweep.csv")],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_src(tmp_path, "-c", _LAZY_MODULES, "sweep", *_SMALL,
+                    "--methods", "jc,rt2,strong_avg,strong_rt", "--out", "sweep.csv")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] False"
+
+
+_CHAIN_LAYER = ("resonancekit.averaging", "resonancekit.kam", "resonancekit.transforms")
+
+_LOADED_LAYERS = (
+    "import sys\n"
+    "import resonancekit.cli\n"
+    "status = resonancekit.cli.main(sys.argv[1:])\n"
+    f"print(status, [m for m in {_CHAIN_LAYER!r} if m in sys.modules])\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["compare", *_SMALL], []),
+    (["resonances", *_SMALL], []),
+    (["sweep", *_SMALL, "--methods", "exact,jc,rt1,rt2,strong_avg,strong_rt"], []),
+    (["sweep", *_SMALL, "--methods", "rt1_kam"], list(_CHAIN_LAYER)),
+], ids=["compare", "resonances", "sweep-no-chain", "sweep-rt1_kam"])
+def test_start_up_loads_the_chain_layer_only_for_a_chain_method(tmp_path, argv, loaded):
+    # The chain layer (averaging, kam, transforms) loads the first time a
+    # contact-iteration chain runs, not with the package or the CLI.
+    proc = _run_src(tmp_path, "-c", _LOADED_LAYERS, *argv, "--out", "run.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_the_package_binds_every_public_name_on_demand(tmp_path):
+    # Importing the package loads no submodule; a star import binds every
+    # name of __all__, and dir() lists them all before and after.
+    proc = _run_src(tmp_path, "-c", (
+        "import sys\n"
+        "import resonancekit\n"
+        "print([m for m in sys.modules if m.startswith('resonancekit.')])\n"
+        "print(set(resonancekit.__all__) <= set(dir(resonancekit)))\n"
+        "from resonancekit import *\n"
+        "print([name for name in resonancekit.__all__ if name not in globals()])\n"
+        "print(set(resonancekit.__all__) <= set(dir(resonancekit)))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "[]", "True"]
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    import resonancekit
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        resonancekit.no_such_name
+    assert not hasattr(resonancekit, "kam_truncation")

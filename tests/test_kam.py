@@ -110,6 +110,17 @@ def test_kam_step_zero_perturbation_is_identity():
     assert not report.diverged[0]
 
 
+def test_kam_step_refuses_descending_levels():
+    # With levels [0, 1, 0.5] the gap of 1.0 and 0.5 exceeds tol_deg, so their
+    # coupling is to be rotated away; ids that put them in one cluster would
+    # average it instead.  Descending levels are refused whatever the ids.
+    v = np.full((1, 3, 3), 0.01)
+    with pytest.raises(ValueError, match="ascending"):
+        kam_step(np.array([[0.0, 1.0, 0.5]]), v, np.array([[0, 1, 1]]), 1e-3)
+    with pytest.raises(ValueError, match="ascending"):
+        kam_step(np.array([[0.0, 1.0, 0.5]]), v, np.array([[0, 1, 2]]), 1e-3)
+
+
 def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     levels = np.arange(12.0)[None]
     h0 = np.diag(levels[0])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonancekit import methods, operators, transforms
+from resonancekit import kam, methods, operators, transforms
 from resonancekit.kam import kam_iterate_full
 from resonancekit.methods import (
     CLOSED_FORM_METHODS,
@@ -331,7 +331,7 @@ def test_rt1_sweep_builds_no_matrix(monkeypatch):
         raise AssertionError("rt1 built a matrix")
 
     for module, name in ((methods, "rabi_rt1_chain"), (methods, "build_rabi"),
-                         (operators, "build_rabi"), (methods, "rt_one_photon")):
+                         (operators, "build_rabi"), (transforms, "rt_one_photon")):
         monkeypatch.setattr(module, name, no_matrix)
     table = run_sweep(config)
     assert table.failures == ()
@@ -536,13 +536,13 @@ def test_the_contact_step_runs_on_parity_blocks_only(monkeypatch):
     th = rt2_iterated_chain((_params(0.1),), trunc)
     blocks = [int((th.parity[0] == sign).sum()) for sign in (1.0, -1.0)]
     sizes = []
-    step = methods.kam_iterate_full
+    step = kam.kam_iterate_full
 
     def recorded(levels, V, *args, **kwargs):
         sizes.extend({np.shape(levels)[-1], np.shape(V)[-1]})
         return step(levels, V, *args, **kwargs)
 
-    monkeypatch.setattr(methods, "kam_iterate_full", recorded)
+    monkeypatch.setattr(kam, "kam_iterate_full", recorded)
     monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 40)  # one stack: one call per block
     swept = grid_sweep("rt_full_kam", 1.0, 1.0, np.linspace(0.0, 1.5, 31), trunc, 12)
     assert swept.ok.all()
@@ -556,14 +556,14 @@ def test_an_exception_of_the_whole_stack_is_recorded_at_its_coupling(monkeypatch
     grid = np.linspace(0.0, 0.3, 25)
     trunc = TruncationConfig(n_max=20)
     clean = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
-    one_photon = methods.rt_one_photon
+    one_photon = transforms.rt_one_photon
 
     def failing(H, params, trunc):
         if np.any(transforms._couplings(params)[1] == grid[5]):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return one_photon(H, params, trunc)
 
-    monkeypatch.setattr(methods, "rt_one_photon", failing)
+    monkeypatch.setattr(transforms, "rt_one_photon", failing)
     swept = grid_sweep(method, 1.0, 1.0, grid, trunc, 8)
     failed = swept.point(5)
     assert type(failed) is np.linalg.LinAlgError

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from resonancekit.averaging import cluster_levels
 from resonancekit.closedform import closed_form_table, rt2_mixing_angle
 from resonancekit.methods import (
+    kam_truncation,
     rabi_rt1_chain,
     rabi_rt2_chain,
     rt2_iterated_chain,
@@ -15,6 +17,7 @@ from resonancekit.operators import (
     ModelParams,
     TruncationConfig,
     basis_index,
+    _symmetrized,
     basis_label,
     build_rabi,
     parity_signs,
@@ -36,6 +39,7 @@ from dense_oracles import (
     SIGMA_Z,
     build_jaynes_cummings,
     build_r2,
+    cluster_members,
     isometry_matrix,
     levels_from_chain,
     op_A,
@@ -637,6 +641,31 @@ def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
     th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
     np.testing.assert_allclose(th.levels[0], [0.5, 1.5, 1.875, 3.25])
     np.testing.assert_allclose(th.operator[0], np.diag([0.5, 1.5, 1.875, 3.25]), atol=1e-15)
+
+
+def test_generic_numeric_rt_levels_are_the_dense_cluster_blocks_bit_for_bit():
+    # On the rt2 chains of the rt_full_kam sweep (0 <= g <= 0.3 at 12
+    # levels), a cluster's new levels are the eigenvalues of diag(sorted
+    # levels) + (block - diag(own levels)), the operator's block at the
+    # cluster's sorted slots, and a singleton shifts by Re V_ii: the same
+    # bits as when both diagonals were dense matrices.
+    tol = 1e-3
+    chain = rabi_rt2_chain(tuple(_params(g) for g in np.linspace(0.0, 0.3, 81)),
+                           kam_truncation(12))
+    levels = generic_numeric_rt(chain, tol_deg=tol).levels
+    clustered = 0
+    for r, (own, op) in enumerate(zip(chain.levels, chain.operator)):
+        order = np.argsort(own, kind="stable")
+        energies = own[order]
+        expected = energies + np.real(np.diagonal(op) - own)[order]
+        for idx in map(list, cluster_members(cluster_levels(energies, tol))):
+            if len(idx) > 1:
+                rows = order[idx]
+                block = np.diag(energies[idx]) + (op[np.ix_(rows, rows)] - np.diag(own[rows]))
+                expected[idx] = np.linalg.eigh(_symmetrized(block)[None])[0][0]
+                clustered += 1
+        np.testing.assert_array_equal(levels[r], expected)
+    assert clustered > 0
 
 
 def test_parity_map_rejects_a_block_mixing_parity_classes():
