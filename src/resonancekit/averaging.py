@@ -57,7 +57,7 @@ def project_average(V, ids: np.ndarray) -> np.ndarray:
     in the reference eigenbasis (of each matrix of a stack, with its own
     cluster ids).
 
-    Idempotent; preserves Hermiticity; commutes with the reference up to the
+    Idempotent; preserves symmetry; commutes with the reference up to the
     cluster tolerance.
     """
     return np.where(_in_cluster_mask(ids), _mat(V), 0.0)
@@ -68,7 +68,7 @@ def solve_cohomological(V, levels: np.ndarray, ids: np.ndarray, tol_deg) -> np.n
     eigenbasis: W_ij = -V_ij/(E_i - E_j) off-cluster (of each matrix of a
     stack, with its own ascending levels and cluster ids).
 
-    W is anti-Hermitian with zero blocks inside clusters.  An inter-cluster
+    W is antisymmetric with zero blocks inside clusters.  An inter-cluster
     pair closer than tol_deg (a number, or one per stack row) means the
     clustering is inconsistent with the levels and is a hard error (the
     denominator would be resonant).

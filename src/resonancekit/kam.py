@@ -63,32 +63,31 @@ class KamChain:
 
 
 def unitary_exp(W) -> np.ndarray:
-    """exp(W) for each anti-Hermitian matrix W of a (G, n, n) stack, exactly
-    unitary via eigenphases of iW; real orthogonal for a real
-    (antisymmetric) W."""
-    w = _mat(W)
+    """exp(W) for each real antisymmetric matrix W of a (G, n, n) stack, exactly
+    orthogonal: built from the eigenphases of iW.  Complex W raises TypeError."""
+    return _exp_and_norm(_mat(W))[0]
+
+
+def _exp_and_norm(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(w) and the spectral norm ||w||, its largest |eigenphase|, of each
+    real antisymmetric matrix of a (G, n, n) stack."""
     if w.ndim != 3 or w.shape[-1] != w.shape[-2]:
         raise ValueError(f"unitary_exp requires a (G, n, n) stack, got shape {w.shape}")
     scale = np.maximum(np.abs(w).max(axis=(-2, -1)), 1.0)
     check_rows(np.abs(w + _adjoint(w)).max(axis=(-2, -1)) > 1e-10 * scale,
                lambda i: ValueError("unitary_exp requires an anti-Hermitian generator"))
-    phases, vecs = np.linalg.eigh(_symmetrized(1j * w))
+    iw = 1j * w  # Hermitian: symmetrized with its conjugate transpose
+    phases, vecs = np.linalg.eigh(0.5 * (iw + iw.conj().swapaxes(-1, -2)))
     rotated = vecs * np.exp(-1j * phases)[..., None, :]
-    u = rotated @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
-    u = u if np.iscomplexobj(w) else u.real.copy()
+    u = (rotated @ np.conj(vecs, out=vecs).swapaxes(-1, -2)).real.copy()
     defect = np.abs(_adjoint(u) @ u - np.eye(w.shape[-1])).max(axis=(-2, -1))
     check_rows(defect > 1e-12, lambda i: ArithmeticError(f"unitary defect {defect[i]:.3e}"))
-    return u
-
-
-def _spectral_norm(h: np.ndarray) -> np.ndarray:
-    """Spectral norm of each Hermitian matrix of a stack, its largest
-    |eigenvalue|."""
-    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    return u, np.abs(phases).max(axis=-1)
 
 
 def _offblock_residual(v: np.ndarray, ids) -> np.ndarray:
-    return _spectral_norm(v - project_average(v, ids))
+    """Spectral norm (largest |eigenvalue|) of the off-block part of each v."""
+    return np.abs(np.linalg.eigvalsh(v - project_average(v, ids))).max(axis=-1)
 
 
 def _add_levels(m: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -121,9 +120,7 @@ def kam_step(
     ||W|| beyond the blow-up threshold) is reported, not raised.
     """
     levels, v = _ascending(levels), _mat(V)
-    w = solve_cohomological(v, levels, ids, tol_deg)
-    w_norm = _spectral_norm(1j * w)
-    e = unitary_exp(w)
+    e, w_norm = _exp_and_norm(solve_cohomological(v, levels, ids, tol_deg))
     d = project_average(v, ids)
     before = _offblock_residual(v, ids) if residual is None else residual
 
@@ -134,7 +131,7 @@ def kam_step(
     ids_new = cluster_levels(levels_new, tol_deg)
     after = _offblock_residual(v_new, ids_new)
 
-    # H0 is Hermitian, so its spectral norm is its largest |eigenvalue|
+    # H0 is diagonal, so its spectral norm is its largest |level|
     h0_scale = np.maximum(np.abs(levels).max(axis=-1), np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(before > 0, after / before, 0.0)
@@ -172,7 +169,7 @@ def kam_iterate_full(levels, V, max_steps: int, tol_deg, stop_tol: float = 1e-12
     each = np.arange(count)[:, None]
     order = np.argsort(levels, axis=-1, kind="stable")
     levels, v = levels[each, order], v[each[:, :, None], order[:, :, None], order[:, None, :]]
-    u_total = np.broadcast_to(np.eye(v.shape[-1], dtype=np.result_type(levels, v)), v.shape)
+    u_total = np.broadcast_to(np.eye(v.shape[-1]), v.shape)
     reports = []
     steps = np.zeros(count, dtype=int)
     diverged = np.zeros(count, dtype=bool)
@@ -199,8 +196,8 @@ def kam_iterate_full(levels, V, max_steps: int, tol_deg, stop_tol: float = 1e-12
         levels[rows], ids[rows] = levels_new, ids_new
         residual[rows] = report.residual_after
         diverged[rows] |= report.diverged
-    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1).real
-    vectors = np.empty(u_total.shape, u_total.dtype)
+    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1)
+    vectors = np.empty(u_total.shape)
     vectors[each, order] = u_total  # rows back in the caller's order
     return KamChain(estimate, tuple(reports), vectors, diverged, steps)
 
@@ -219,12 +216,10 @@ def _spread(report: KamStepReport, rows: np.ndarray, count: int) -> KamStepRepor
 
 
 def _assign(target: np.ndarray, rows, value: np.ndarray) -> np.ndarray:
-    """``target`` with ``target[rows] = value``, complex when the value is (a
-    real reference meeting a complex perturbation): ``value`` itself when it
+    """``target`` with ``target[rows] = value``: ``value`` itself when it
     replaces every row, a copy of ``target`` otherwise."""
-    dtype = np.result_type(target, value)
-    if value.shape == target.shape and value.dtype == dtype:
+    if value.shape == target.shape:
         return value
-    target = target.astype(dtype)
+    target = target.copy()
     target[rows] = value
     return target

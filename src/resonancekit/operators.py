@@ -119,15 +119,17 @@ def build_boson_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _mat(op) -> np.ndarray:
-    """Any array-like as an array in its own dtype: real stays real, complex
-    stays complex, integer input becomes float64."""
+    """Any real array-like as a float64 array; the model is real, so complex
+    input raises TypeError rather than losing its imaginary part."""
     x = np.asarray(op)
-    return x.astype(np.result_type(x.dtype, float), copy=False)
+    if np.iscomplexobj(x):
+        raise TypeError(f"operators are real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return x.conj().swapaxes(-1, -2)
+    """Transpose of a real matrix, or of each matrix of a stack."""
+    return x.swapaxes(-1, -2)
 
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:

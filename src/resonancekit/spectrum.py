@@ -1,6 +1,6 @@
 """Exact oracle from leading boxes of the two parity blocks of H, solved as
 stacked eigenvalue problems and certified by a Sturm count on the whole
-blocks; the checked dense Hermitian eigensolver the matrix chains use, on a
+blocks; the checked dense symmetric eigensolver the matrix chains use, on a
 (G, n, n) stack of matrices (one matrix is a stack of one); the records of a
 coupling sweep.  A sweep is held as arrays, one :class:`MethodSweep` per
 method on the table's g grid, and its CSV is written from them.  The guard
@@ -159,16 +159,15 @@ def _gap_ids(values: np.ndarray, tol) -> np.ndarray:
 
 
 def eigh(op) -> EigenDecomposition:
-    """Full Hermitian eigendecomposition of each matrix of a (G, n, n) stack,
-    ascending eigenvalues; one matrix is a stack of one, ``op[None]``.
+    """Full symmetric eigendecomposition of each real matrix of a (G, n, n)
+    stack, ascending eigenvalues; one matrix is a stack of one, ``op[None]``.
 
     The one check of an operator before it is solved: raises ValueError on
-    any other shape, and on a matrix that differs from its conjugate
-    transpose by more than 1e-14*max(max|A|, 1).  Integer input is solved as
-    float64 (see ``operators._mat``).  Asserts the residual (against
-    max|lambda|, the spectral norm) and orthonormality bounds that every
-    downstream consumer relies on.  Each check holds per matrix (see
-    :func:`check_rows`).
+    any other shape, and on a matrix that differs from its transpose by more
+    than 1e-14*max(max|A|, 1); complex input raises TypeError (see
+    ``operators._mat``).  Asserts the residual (against max|lambda|, the
+    spectral norm) and orthonormality bounds that every downstream consumer
+    relies on.  Each check holds per matrix (see :func:`check_rows`).
     """
     h = _mat(op)
     if h.ndim != 3 or h.shape[-1] != h.shape[-2]:

@@ -91,6 +91,12 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind) or (
+                key == "methods" and not all(isinstance(m, str) for m in value)
+            ):
+                raise ValueError(f"unparsable value for {key}: {value!r}")
         for key in _FLOAT_KEYS:
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
@@ -175,13 +181,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             if key == "methods" and isinstance(value, str):
                 value = _parse_value(key, value)
             values[key] = value
-    for key, value in values.items():
+    for key in values:
         if key not in _KEY_TYPES:
             raise ValueError(f"unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]) or (
-            key == "methods" and not all(isinstance(m, str) for m in value)
-        ):
-            raise ValueError(f"unparsable value for {key}: {value!r}")
     return SweepConfig(**values)
 
 

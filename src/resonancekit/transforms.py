@@ -76,12 +76,13 @@ class Isometry:
     remap: column j of ``R`` is the unit vector at row ``remap[..., j]``, or
     zero (a kernel column) where that is -1; of shape (dim,) for every matrix
     alike or (G, dim) for each of a stack of G.  None means ``R = 1``.
-    blocks: groups of equal-size unitary blocks, each ``(idx, q)`` with idx of
-    shape (m, k) and q of shape (m, k, k): ``B`` restricted to the indices
-    ``idx[b]`` is ``q[b]``.  On a stack, index ``r*dim + i`` is slot i of
-    matrix r, so one group holds blocks of any of its matrices.  The blocks
-    of one matrix act on disjoint indices; ``B`` is the identity elsewhere.
-    The groups are applied in order.
+    blocks: groups of equal-size real orthogonal blocks, each ``(idx, q)``
+    with idx of shape (m, k) and q of shape (m, k, k): ``B`` restricted to
+    the indices ``idx[b]`` is ``q[b]``.  On a stack, index ``r*dim + i`` is
+    slot i of matrix r, so one group holds blocks of any of its matrices.
+    The blocks of one matrix act on disjoint indices; ``B`` is the identity
+    elsewhere.  The groups are applied in order.  The model is real, so a
+    complex block raises TypeError when it is applied.
     """
 
     remap: np.ndarray | None = None
@@ -126,6 +127,7 @@ class Isometry:
         stack = y.reshape(-1, dim, dim)
         span = np.arange(dim)
         for idx, q in self.blocks:
+            q = _mat(q)
             if idx.shape[1] == 2:
                 _rotate_pairs(stack, idx, q)
                 continue
@@ -137,10 +139,9 @@ class Isometry:
         return y
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
-        """``S^H x S``, in x's and the blocks' dtype."""
-        x = _mat(x)
-        dtype = np.result_type(x, *(q for _, q in self.blocks))
-        return self.rotate(self._take(x.astype(dtype, copy=False), 2))
+        """``S^T x S`` of each matrix of a real stack x; a complex x or block
+        raises TypeError."""
+        return self.rotate(self._take(_mat(x), 2))
 
     def conjugate_parity(self, p: np.ndarray) -> np.ndarray:
         """Diagonal of ``S^H diag(p) S`` for each parity sign vector (+1, -1,
@@ -173,8 +174,8 @@ def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
     rows and columns with a single temporary."""
     count, dim = stack.shape[0], stack.shape[-1]
     partner = np.arange(count * dim)
-    diag = np.ones(count * dim, dtype=q.dtype)
-    off = np.zeros(count * dim, dtype=q.dtype)
+    diag = np.ones(count * dim)
+    off = np.zeros(count * dim)
     for l in (0, 1):
         partner[idx[:, l]] = idx[:, 1 - l]
         diag[idx[:, l]] = q[:, l, l]
@@ -187,8 +188,8 @@ def _rotate_pairs(stack: np.ndarray, idx: np.ndarray, q: np.ndarray) -> None:
     stack += tmp
     del tmp  # before the row gather, which takes its place
     tmp = stack[each, partner[:, :, None], span]
-    tmp *= off.conj()[:, :, None]
-    stack *= diag.conj()[:, :, None]
+    tmp *= off[:, :, None]
+    stack *= diag[:, :, None]
     stack += tmp
 
 
@@ -214,7 +215,7 @@ class TransformedHamiltonian:
     parity: the parity operator conjugated through the same chain, which
     keeps it diagonal, held as its real diagonal like the levels: +1 on even
     slots, -1 on odd ones, 0 on kernel slots, each of which holds one exact
-    spurious zero eigenvalue (None without parity bookkeeping).
+    spurious zero eigenvalue.
     loss_band: top photon levels invalidated by index shifting / displacement.
     params: one ModelParams per coupling.
     trunc: the truncation of the box the chain was built in.
@@ -225,7 +226,7 @@ class TransformedHamiltonian:
 
     operator: np.ndarray
     levels: np.ndarray
-    parity: np.ndarray | None
+    parity: np.ndarray
     provenance: tuple[str, ...]
     loss_band: int
     params: tuple[ModelParams, ...]
@@ -236,11 +237,10 @@ class TransformedHamiltonian:
         shape = self.operator.shape[:-1]
         if np.shape(self.levels) != shape:
             raise ValueError(f"levels must have shape {shape}, got {np.shape(self.levels)}")
-        if self.parity is not None and (
-            np.shape(self.parity) != shape
-            or not ((self.parity == 0.0) | (np.abs(self.parity) == 1.0)).all()
-        ):
-            raise ValueError(f"parity must be None or a sign vector of shape {shape}")
+        if np.shape(self.parity) != shape or not (
+            (self.parity == 0.0) | (np.abs(self.parity) == 1.0)
+        ).all():
+            raise ValueError(f"parity must be a sign vector of shape {shape}")
 
     @property
     def dim(self) -> int:
@@ -276,8 +276,7 @@ def _conjugate(th: TransformedHamiltonian, isometries, tag: str) -> dict:
     operator, parity = th.operator, th.parity
     for iso in isometries:
         operator = iso.conjugate(operator)
-        if parity is not None:
-            parity = iso.conjugate_parity(parity)
+        parity = iso.conjugate_parity(parity)
     return dict(vars(th), operator=operator, parity=parity, provenance=th.provenance + (tag,))
 
 
@@ -392,7 +391,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     reduced = rotation.rotate(m)
     diag = np.diagonal(reduced, axis1=-2, axis2=-1).copy()
     reduced.reshape(*stack, dim * dim)[..., :: dim + 1] = 0.0  # only diag outlives the check
-    off = np.abs(reduced, out=reduced).real.max(axis=(-2, -1))
+    off = np.abs(reduced, out=reduced).max(axis=(-2, -1))
     del m, reduced
     scale = np.maximum(np.maximum(off, np.abs(diag).max(axis=-1)), 1.0)
     check_rows(off > 1e-10 * scale, lambda r: ArithmeticError(
@@ -400,7 +399,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
         f"(off-diagonal {off[r]:.3e})"))
 
     fields = _conjugate(H1, (Isometry(shift, rotation.blocks),), "rt_two_photon")
-    fields["levels"] = np.real(diag)
+    fields["levels"] = diag
     fields["loss_band"] = H1.loss_band + 2
     fields["records"] = H1.records + (
         Isometry(shift, (_stacked_blocks(reflection_idx, reflection_q, stack, dim),)),
@@ -425,9 +424,9 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
     dim = th.dim
     order = np.argsort(values, axis=-1, kind="stable")
     energies = np.take_along_axis(values, order, -1)
-    # Singletons: E + Re V_ii; V = operator - reference in the sorted basis.
-    diagonal = np.diagonal(th.operator, axis1=-2, axis2=-1)
-    new_e = energies + np.take_along_axis(np.real(diagonal - values), order, -1)
+    # Singletons: E + V_ii; V = operator - reference in the sorted basis.
+    diagonal = np.diagonal(th.operator, axis1=-2, axis2=-1) - values
+    new_e = energies + np.take_along_axis(diagonal, order, -1)
 
     # Clusters over the stack: flat start index r*dim + i and size.
     ids = cluster_levels(energies, tol_deg).reshape(-1, dim)
@@ -484,18 +483,18 @@ def strong_chain(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
     ns = np.arange(fock_dim)
     levels = np.repeat(w * (ns + 0.5) - (g * g / w)[:, None], 2, axis=-1)
 
-    base = TransformedHamiltonian(operator=h, levels=levels, parity=None, provenance=(),
-                                  loss_band=0, params=params, trunc=trunc)
     rotation = Isometry(None, (_stacked_blocks(*_doublets(0, fock_dim), g.shape, dim),))
-    fields = _conjugate(base, (rotation, displacement, rotation), "strong_chain")
-    fields["levels"] = levels
+    for iso in (rotation, displacement, rotation):
+        h = iso.conjugate(h)
     # After the first rotation the parity is the atomic flip, not diagonal,
-    # so the sign vector is set rather than mapped: T^H sigma_z T = -sigma_x,
-    # T^H sigma_x T = sigma_z and Pi D(a) Pi = D(-a), which holds in the
-    # truncated box, give S^H P S = -P.
-    fields["parity"] = np.broadcast_to(-parity_signs(trunc), levels.shape)
-    fields["loss_band"] = max(min(displacement_band(p), trunc.n_max) for p in params)
-    return TransformedHamiltonian(**fields)
+    # so the sign vector is set rather than mapped: T^T sigma_z T = -sigma_x,
+    # T^T sigma_x T = sigma_z and Pi D(a) Pi = D(-a), which holds in the
+    # truncated box, give S^T P S = -P.
+    return TransformedHamiltonian(
+        operator=h, levels=levels, parity=np.broadcast_to(-parity_signs(trunc), levels.shape),
+        provenance=("strong_chain",), params=params, trunc=trunc,
+        loss_band=max(min(displacement_band(p), trunc.n_max) for p in params),
+    )
 
 
 def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:

@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded RNG, random Hermitian factories, and a failure
+"""Shared fixtures: seeded RNG, random real symmetric factories, and a failure
 injected into the contact-iteration chains at chosen couplings."""
 
 import numpy as np
@@ -14,21 +14,21 @@ def rng():
 
 @pytest.fixture
 def make_hermitian():
-    """Dense random Hermitian matrix factory."""
+    """Dense random real symmetric matrix factory."""
 
     def build(rng, dim, scale=1.0):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return scale * 0.5 * (m + m.conj().T)
+        m = rng.standard_normal((dim, dim))
+        return scale * 0.5 * (m + m.T)
 
     return build
 
 
 @pytest.fixture
 def make_degenerate_reference():
-    """Hermitian reference with seeded exactly-degenerate clusters.
+    """Real symmetric reference with seeded exactly-degenerate clusters.
 
     Returns (matrix, eigenvalues): cluster k holds ``cluster_sizes[k]`` copies
-    of the eigenvalue k*spacing, rotated by a random unitary.
+    of the eigenvalue k*spacing, rotated by a random orthogonal matrix.
     """
 
     def build(rng, cluster_sizes, spacing=1.0):
@@ -37,10 +37,9 @@ def make_degenerate_reference():
             values.extend([k * spacing] * size)
         values = np.array(values, dtype=float)
         dim = values.size
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, _ = np.linalg.qr(m)
-        h0 = q @ np.diag(values).astype(complex) @ q.conj().T
-        return 0.5 * (h0 + h0.conj().T), values
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        h0 = q @ np.diag(values) @ q.T
+        return 0.5 * (h0 + h0.T), values
 
     return build
 

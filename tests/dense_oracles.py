@@ -270,8 +270,8 @@ def s_rt_zero_field(fock_dim: int) -> np.ndarray:
 
 
 def s_strong_chain(params, fock_dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1).astype(complex)
-    gen = (params.g / params.omega) * (a.conj().T - a)
+    a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1)
+    gen = (params.g / params.omega) * (a.T - a)
     zero = np.zeros_like(a)
     u = atom_block(unitary_exp(-gen[None])[0], zero, zero, unitary_exp(gen[None])[0])
     t = tensor(np.eye(fock_dim), atom_rotation_t())

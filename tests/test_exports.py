@@ -117,3 +117,37 @@ def test_only_spectrum_and_averaging_use_the_gap_rule():
             if name == "_gap_ids":
                 users.add(path.relative_to(ROOT).as_posix())
     assert users == {"src/resonancekit/spectrum.py", "src/resonancekit/averaging.py"}
+
+
+def _complex_uses(tree, function=None):
+    """(function, token) of each complex literal in ``tree``, and of each name
+    or attribute ``conj``, ``np.conjugate`` or containing ``complex``;
+    function is the innermost enclosing def (None at module level)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield function, "1j"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name and (name == "conj" or "complex" in name or (
+            name == "conjugate" and getattr(node.value, "id", None) in ("np", "numpy")
+        )):
+            yield function, name
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        yield from _complex_uses(node, inner)
+
+
+def test_only_the_exponential_and_the_refusal_touch_complex_numbers():
+    # The model is real: iW, inside exp(W), is the package's only complex
+    # arithmetic, and operators._mat the only place that looks for a complex
+    # dtype, to refuse it.  Names, attributes, imports and complex literals
+    # count; strings do not.
+    found = set()
+    for path in sorted((ROOT / "src" / "resonancekit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, *use) for use in _complex_uses(tree)}
+    assert found == {
+        ("kam.py", "_exp_and_norm", "1j"),
+        ("kam.py", "_exp_and_norm", "conj"),
+        ("operators.py", "_mat", "iscomplexobj"),
+    }

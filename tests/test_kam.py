@@ -30,9 +30,9 @@ def _rt1_residue(g, n_levels):
     return chain_residue(rabi_rt1_chain((ModelParams(1.0, 1.0, g),), kam_truncation(n_levels)))
 
 
-def _anti_hermitian(rng, dim, scale):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (m - m.conj().T)
+def _antisymmetric(rng, dim, scale):
+    m = rng.standard_normal((dim, dim))
+    return scale * 0.5 * (m - m.T)
 
 
 # ---------------------------------------------------------------- stacks only
@@ -78,10 +78,10 @@ def test_unitary_exp_rejects_non_anti_hermitian():
 
 
 def test_unitary_exp_matches_expm_and_is_unitary(rng):
-    w = _anti_hermitian(rng, 64, scale=0.7)
+    w = _antisymmetric(rng, 64, scale=0.7)
     u = unitary_exp(w[None])[0]
     np.testing.assert_allclose(u, scipy.linalg.expm(w), atol=1e-12)
-    assert np.abs(u.conj().T @ u - np.eye(64)).max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(64)).max() <= 1e-12
 
 
 def test_unitary_exp_of_real_generator_is_real_orthogonal(rng):
@@ -128,14 +128,14 @@ def test_kam_step_preserves_spectrum_and_hermiticity(rng, make_hermitian):
     ids = cluster_levels(levels, tol_deg=1e-9)
     levels_new, v_new, u, ids_new, report = kam_step(levels, v[None], ids, 1e-9)
     h_new = np.diag(levels_new[0]) + v_new[0]
-    assert np.abs(h_new - h_new.conj().T).max() <= 1e-13
+    assert np.abs(h_new - h_new.T).max() <= 1e-13
     np.testing.assert_allclose(
         np.linalg.eigvalsh(h_new), np.linalg.eigvalsh(h0 + v), atol=1e-10
     )
     # U is unitary and carries H0 + V to the new reference plus V_new.
     u = u[0]
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(12), atol=1e-13)
-    np.testing.assert_allclose(u.conj().T @ (h0 + v) @ u, h_new, atol=1e-13)
+    np.testing.assert_allclose(u.T @ u, np.eye(12), atol=1e-13)
+    np.testing.assert_allclose(u.T @ (h0 + v) @ u, h_new, atol=1e-13)
     # The new levels and cluster ids are those of the new reference H0 + D.
     d = project_average(v[None], ids)[0]
     np.testing.assert_allclose(levels_new[0], np.linalg.eigvalsh(h0 + d), atol=1e-13)
@@ -159,7 +159,7 @@ def test_kam_step_residual_scales_quadratically(rng, make_hermitian):
 
 
 def test_kam_step_generator_norm_tracks_inverse_gap():
-    v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])
     for delta in (1.0, 1e-1, 1e-2, 1e-3):
         levels = np.array([[0.0, delta]])
         ids = cluster_levels(levels, tol_deg=1e-12)
@@ -171,6 +171,38 @@ def test_kam_step_generator_norm_tracks_inverse_gap():
         )
     # A gap far smaller than the coupling blows the generator up.
     assert 1.0 / 1e-3 > W_NORM_DIVERGENCE
+
+
+def _assert_w_norm_is_the_spectral_norm_of_w(levels, v, tol_deg):
+    # The step reads ||W|| off the eigenphases of exp(W); here W is solved
+    # for again and its largest singular value taken.
+    ids = cluster_levels(levels, tol_deg)
+    *_, report = kam_step(levels, v, ids, tol_deg)
+    w = solve_cohomological(v, levels, ids, tol_deg)
+    expect = np.linalg.norm(w, 2, axis=(-2, -1))
+    assert expect.max() > 0
+    np.testing.assert_allclose(report.w_norm, expect, rtol=1e-12, atol=0)
+
+
+def test_kam_step_w_norm_is_the_spectral_norm_of_w_on_random_stacks(rng, make_hermitian):
+    levels = np.sort(rng.uniform(0.0, 10.0, (6, 12)), axis=-1)
+    v = np.stack([make_hermitian(rng, 12, scale=0.05) for _ in range(6)])
+    _assert_w_norm_is_the_spectral_norm_of_w(levels, v, 1e-3)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("method", sorted(methods._CHAINS))
+def test_kam_step_w_norm_is_the_spectral_norm_of_w_on_the_gate_blocks(method, sign):
+    # The parity blocks the chains_gate workload refines: 81 g in [0, 0.3]
+    # at 12 levels, each sorted to ascending levels.
+    params = tuple(ModelParams(1.0, 1.0, g) for g in np.linspace(0.0, 0.3, 81))
+    th = methods._CHAINS[method](params, kam_truncation(12))
+    levels, v = chain_residue(th, np.flatnonzero(th.parity[0] == sign))
+    order = np.argsort(levels, axis=-1, kind="stable")
+    v = np.take_along_axis(np.take_along_axis(v, order[:, :, None], 1), order[:, None, :], 2)
+    _assert_w_norm_is_the_spectral_norm_of_w(
+        np.take_along_axis(levels, order, -1), v, methods.PHYSICAL_CLUSTER_FRACTION
+    )
 
 
 # ---------------------------------------------------------------- iteration
@@ -245,7 +277,7 @@ def _kam_iterate_full_recomputing(levels, V, max_steps, tol_deg, stop_tol=1e-12)
     the new reference a second time for the step's unitary."""
     order = np.argsort(levels[0], kind="stable")
     levels, v = levels[:, order], V[:, order[:, None], order]
-    u_total = np.eye(levels.shape[-1], dtype=np.result_type(levels, v))[None]
+    u_total = np.eye(levels.shape[-1])[None]
     reports = []
     diverged = False
     for _ in range(max_steps):
@@ -254,7 +286,7 @@ def _kam_iterate_full_recomputing(levels, V, max_steps, tol_deg, stop_tol=1e-12)
         if residual <= stop_tol * max(np.abs(levels).max(), np.finfo(float).tiny):
             break
         d = project_average(v, ids)
-        q = eigh(np.diag(levels[0]) + 0.5 * (d + d.conj().swapaxes(-1, -2))).vectors
+        q = eigh(np.diag(levels[0]) + 0.5 * (d + d.swapaxes(-1, -2))).vectors
         u = unitary_exp(solve_cohomological(v, levels, ids, tol_deg)) @ q
         levels, v, _, _, report = kam_step(levels, v, ids, tol_deg)
         reports.append(report)
@@ -264,7 +296,7 @@ def _kam_iterate_full_recomputing(levels, V, max_steps, tol_deg, stop_tol=1e-12)
             break
     vectors = np.empty_like(u_total)
     vectors[0, order] = u_total[0]
-    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1).real
+    estimate = levels + np.diagonal(v, axis1=-2, axis2=-1)
     return KamChain(estimate, tuple(reports), vectors, np.array([diverged]),
                     np.array([len(reports)]))
 
@@ -289,14 +321,12 @@ def _assert_chains_equal(got, want, rows=slice(None)):
 
 @pytest.mark.parametrize("g", [0.0, 0.15, 0.3])
 def test_kam_iterate_full_reuses_step_unitary_bit_for_bit(g):
-    levels, remainder = _rt1_residue(g, 10)
-    for dtype in (float, complex):
-        v = remainder.astype(dtype)
-        got = kam_iterate_full(levels, v, max_steps=3, tol_deg=1e-3)
-        want = _kam_iterate_full_recomputing(levels, v, max_steps=3, tol_deg=1e-3)
-        assert got.vectors.dtype == dtype
-        assert len(got.reports) == len(want.reports)
-        _assert_chains_equal(got, want)
+    levels, v = _rt1_residue(g, 10)
+    got = kam_iterate_full(levels, v, max_steps=3, tol_deg=1e-3)
+    want = _kam_iterate_full_recomputing(levels, v, max_steps=3, tol_deg=1e-3)
+    assert got.vectors.dtype == np.float64
+    assert len(got.reports) == len(want.reports)
+    _assert_chains_equal(got, want)
 
 
 def test_a_stack_whose_matrices_stop_at_different_steps_equals_each_run_alone():
@@ -339,18 +369,18 @@ def test_a_block_in_another_slot_order_permutes_only_the_rows_of_vectors(rng, g)
 
 def test_conjugate_by_series_matches_exact_conjugation(rng, make_hermitian):
     h = make_hermitian(rng, 16)
-    w = _anti_hermitian(rng, 16, scale=0.01)
+    w = _antisymmetric(rng, 16, scale=0.01)
     u = unitary_exp(w[None])[0]
-    exact = u.conj().T @ h @ u
+    exact = u.T @ h @ u
     series = conjugate_by_series(h, w)
     np.testing.assert_allclose(series, exact, atol=1e-12 * np.abs(h).max())
 
 
 def test_conjugate_by_series_truncation_order_controls_error(rng, make_hermitian):
     h = make_hermitian(rng, 8)
-    w = _anti_hermitian(rng, 8, scale=0.05)
+    w = _antisymmetric(rng, 8, scale=0.05)
     u = unitary_exp(w[None])[0]
-    exact = u.conj().T @ h @ u
+    exact = u.T @ h @ u
     err1 = np.abs(conjugate_by_series(h, w, m_max=1) - exact).max()
     err4 = np.abs(conjugate_by_series(h, w, m_max=4) - exact).max()
     assert err4 < err1 * 1e-2

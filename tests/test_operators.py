@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from resonancekit.averaging import combined_projector, project_average, solve_cohomological
+from resonancekit.kam import kam_iterate_full, kam_step, unitary_exp
 from resonancekit.operators import (
     ATOM_MINUS,
     ATOM_PLUS,
@@ -17,6 +19,8 @@ from resonancekit.operators import (
     displacement_band,
     validated_level_count,
 )
+from resonancekit.spectrum import eigh
+from resonancekit.transforms import Isometry, atom_rotation_t, rt_one_photon, strong_chain
 
 from dense_oracles import (
     SIGMA_X,
@@ -314,3 +318,36 @@ def test_validated_level_count():
     trunc = TruncationConfig(n_max=60)
     # 2*(n_max + 1 - guard) levels survive the guard band.
     assert validated_level_count(params, trunc) == 2 * (61 - 18)
+
+
+# ---------------------------------------------------------------- real only
+
+_LEVELS, _IDS = np.array([[0.0, 1.0]]), np.array([[0, 1]])
+_COMPLEX = np.array([[[0.0, 1j], [-1j, 0.0]]])
+_ROTATION = Isometry(None, ((np.array([[0, 1]]), atom_rotation_t()[None]),))
+_PARAMS, _TRUNC = (ModelParams(1.0, 1.0, 0.3),), TruncationConfig(n_max=2)
+_COMPLEX_H = build_rabi(_PARAMS[0], _TRUNC)[None] + 0j
+
+# Every public entry that takes an operator, called with a complex one.
+COMPLEX_CALLS = {
+    "eigh": lambda: eigh(_COMPLEX),
+    "unitary_exp": lambda: unitary_exp(1j * _COMPLEX),
+    "kam_step": lambda: kam_step(_LEVELS, _COMPLEX, _IDS, 1e-8),
+    "kam_iterate_full": lambda: kam_iterate_full(_LEVELS, _COMPLEX, 1, 1e-8),
+    "project_average": lambda: project_average(_COMPLEX, _IDS),
+    "solve_cohomological": lambda: solve_cohomological(_COMPLEX, _LEVELS, _IDS, 1e-8),
+    "combined_projector": lambda: combined_projector(_COMPLEX, [_LEVELS[0]], 1e-8),
+    "Isometry.conjugate": lambda: _ROTATION.conjugate(_COMPLEX),
+    "Isometry.conjugate_blocks": lambda: Isometry(
+        None, ((np.array([[0, 1]]), 1j * atom_rotation_t()[None]),)
+    ).conjugate(np.eye(2)[None]),
+    "rt_one_photon": lambda: rt_one_photon(_COMPLEX_H, _PARAMS, _TRUNC),
+    "strong_chain": lambda: strong_chain(_COMPLEX_H, _PARAMS, _TRUNC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CALLS))
+def test_a_complex_operator_is_refused(name):
+    # The model is real: a complex operator or block is refused, never cast.
+    with pytest.raises(TypeError, match="operators are real, got dtype complex128"):
+        COMPLEX_CALLS[name]()

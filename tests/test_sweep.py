@@ -77,6 +77,17 @@ def test_config_validation_messages(kwargs, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega", True), ("n_levels", 3.0), ("methods", "exact"), ("g_steps", 2.5),
+])
+def test_config_checks_its_own_field_types(key, value):
+    # Built directly, not through parse_config: a bool is not a number, a
+    # float not a count, and a string is not a tuple of method names.
+    with pytest.raises(ValueError) as err:
+        SweepConfig(**{key: value})
+    assert str(err.value) == f"unparsable value for {key}: {value!r}"
+
+
 def test_config_canonicalizes_method_order():
     config = SweepConfig(methods=("strong_rt", "exact", "jc"))
     assert config.methods == ("exact", "jc", "strong_rt")

@@ -59,12 +59,13 @@ from scalar_closed_forms import displacement_element
 def _bare(operator, levels):
     """A chain holding just an operator and its reference levels, as a stack
     of one; its params and truncation are those of the operator's box at
-    g = 0."""
-    operator = np.asarray(operator, dtype=complex)[None]
+    g = 0, and its parity is one class (+1 on every slot), which every
+    rotation keeps."""
+    operator = np.asarray(operator, dtype=float)[None]
     return TransformedHamiltonian(
         operator=operator,
         levels=np.asarray(levels, dtype=float)[None],
-        parity=None, provenance=(), loss_band=0,
+        parity=np.ones(operator.shape[:-1]), provenance=(), loss_band=0,
         params=(_params(0.0),), trunc=TruncationConfig(n_max=operator.shape[-1] // 2 - 1),
     )
 
@@ -576,22 +577,20 @@ def test_structured_step_matches_dense_conjugation(step, n_max, g):
 
 
 def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
-    # Remap with two kernel columns, complex 2x2 and 3x3 unitary blocks.
+    # Remap with two kernel columns, real 2x2 and 3x3 orthogonal blocks.
     dim = 11
     remap = rng.permutation(dim)
     remap[[2, 7]] = -1
     idx2 = np.array([[0, 5], [3, 9]])
     idx3 = np.array([[1, 4, 10]])
 
-    def unitaries(m, k):
-        z = rng.standard_normal((m, k, k)) + 1j * rng.standard_normal((m, k, k))
-        return np.linalg.qr(z)[0]
+    def orthogonals(m, k):
+        return np.linalg.qr(rng.standard_normal((m, k, k)))[0]
 
-    iso = Isometry(remap, ((idx2, unitaries(2, 2)), (idx3, unitaries(1, 3))))
+    iso = Isometry(remap, ((idx2, orthogonals(2, 2)), (idx3, orthogonals(1, 3))))
     s = isometry_matrix(iso, dim)
     x = make_hermitian(rng, dim)
-    for x in (x, x.real):  # real input takes the blocks' dtype
-        np.testing.assert_allclose(iso.conjugate(x[None])[0], s.conj().T @ x @ s, atol=1e-14)
+    np.testing.assert_allclose(iso.conjugate(x[None])[0], s.T @ x @ s, atol=1e-14)
     # A sign vector whose gathered classes are constant on every block stays
     # diagonal; kernel columns read 0.
     gathered = rng.choice([-1.0, 1.0], size=dim)
@@ -599,9 +598,9 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
     p = np.empty(dim)
     p[remap[remap >= 0]] = gathered[remap >= 0]
     p[np.setdiff1d(np.arange(dim), remap)] = 1.0
-    conjugated = s.conj().T @ np.diag(p) @ s
+    conjugated = s.T @ np.diag(p) @ s
     mapped = iso.conjugate_parity(p[None])[0]
-    np.testing.assert_allclose(mapped, np.real(np.diag(conjugated)), atol=1e-14)
+    np.testing.assert_allclose(mapped, np.diag(conjugated), atol=1e-14)
     np.testing.assert_allclose(conjugated, np.diag(np.diag(conjugated)), atol=1e-14)
     assert mapped[[2, 7]].tolist() == [0.0, 0.0]
     assert iso.kernel_slots.tolist() == [2, 7]
@@ -622,7 +621,7 @@ def test_isometry_matches_its_dense_matrix(rng, make_hermitian):
 )
 def test_transformed_hamiltonian_rejects_misshapen_levels(field, value):
     fields = dict(
-        operator=np.eye(4, dtype=complex), levels=np.zeros(4), parity=None,
+        operator=np.eye(4), levels=np.zeros(4), parity=np.ones(4),
         provenance=(), loss_band=0, params=(_params(0.0),), trunc=TruncationConfig(n_max=1),
     )
     fields[field] = value
@@ -635,7 +634,7 @@ def test_generic_numeric_rt_reads_eigenbasis_off_the_diagonal():
     # is the permutation, the pair is rotated by the eigenvectors of its
     # effective block, singletons just shift by the diagonal of V.
     ref = np.array([3.0, 1.0, 2.0, 1.0])
-    v = np.zeros((4, 4), dtype=complex)
+    v = np.zeros((4, 4))
     v[1, 3] = v[3, 1] = 0.5
     v[0, 0], v[2, 2] = 0.25, -0.125
     th = generic_numeric_rt(_bare(np.diag(ref) + v, ref), tol_deg=1e-6)
