@@ -16,7 +16,7 @@ from resonancekit.sweep import SweepConfig, resonance_report
 
 def main():
     config = SweepConfig(n_max=40, n_levels=14)
-    csv_text, reports = resonance_report(config)
+    csv_text, reports, _ = resonance_report(config)
     print("locus report over the default grid (g in [0, 1.5], 151 points):\n")
     print(csv_text)
 

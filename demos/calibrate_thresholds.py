@@ -75,7 +75,7 @@ def crossing_displacements():
             g_min=g_locus - 0.15, g_max=g_locus + 0.15, g_steps=151,
             n_max=60, n_levels=14,
         )
-        _, reports = resonance_report(config)
+        _, reports, _ = resonance_report(config)
         rep = next(r for r in reports if r.kind == "active" and r.n == n)
         g_second = second_order_locus(n, 1.0)
         first = rep.min_gap_g - g_locus

@@ -16,15 +16,14 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _SUBMODULES = {
-    **dict.fromkeys(("ModelParams", "TruncationConfig", "build_boson_ops", "build_rabi",
-                     "default_guard", "validated_level_count"), "operators"),
+    **dict.fromkeys(("ModelParams", "TruncationConfig", "build_rabi", "default_guard",
+                     "validated_level_count"), "operators"),
     **dict.fromkeys(("EigenDecomposition", "SpectrumTable", "eigh"), "spectrum"),
     **dict.fromkeys(("project_average", "solve_cohomological", "combined_projector"),
                     "averaging"),
-    **dict.fromkeys(("KamChain", "KamStepReport", "unitary_exp", "kam_step",
-                     "kam_iterate_full"), "kam"),
+    **dict.fromkeys(("KamChain", "KamStepReport", "kam_step", "kam_iterate_full"), "kam"),
     **dict.fromkeys(("Isometry", "TransformedHamiltonian", "rt_one_photon", "rt_two_photon",
-                     "generic_numeric_rt", "strong_chain", "rt_zero_field"), "transforms"),
+                     "generic_numeric_rt"), "transforms"),
     "METHOD_ORDER": "methods",
     **dict.fromkeys(("closed_form_table", "resonance_loci", "second_order_locus"),
                     "closedform"),

@@ -74,8 +74,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _report_failures(table) -> None:
-    for g, method, message in table.failures:
+def _report_failures(failures) -> None:
+    for g, method, message in failures:
         print(f"failed: g={g:.6g} method={method}: {message}", file=sys.stderr)
 
 
@@ -96,25 +96,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "resonances":
-        text, _ = resonance_report(config)
+        text, _, failures = resonance_report(config)
         if output_named and config.output_path:
             _write(config.output_path, text)
+        _report_failures(failures)
         print(text, end="")
-        return 0
+        return 1 if failures else 0
 
     table = run_sweep(config)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             table_to_csv(table, fh)
     if args.command == "sweep":
-        _report_failures(table)
+        _report_failures(table.failures)
         written = f"wrote {config.output_path}" if config.output_path else "wrote no file"
         print(f"{written}: {table.row_count} rows, {len(table.failures)} failed points")
     else:
         stats = compare_methods(table)
         if config.output_path:
             _write(_errors_path(config.output_path), errors_to_csv(stats))
-        _report_failures(table)
+        _report_failures(table.failures)
         for method, (mx, mean, pairs) in stats.items():
             print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")
     return 1 if table.failures else 0

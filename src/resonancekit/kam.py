@@ -18,7 +18,6 @@ from .spectrum import CouplingErrors, check_rows, eigh
 __all__ = [
     "KamStepReport",
     "KamChain",
-    "unitary_exp",
     "kam_step",
     "kam_iterate_full",
 ]
@@ -62,20 +61,15 @@ class KamChain:
     steps: np.ndarray
 
 
-def unitary_exp(W) -> np.ndarray:
-    """exp(W) for each real antisymmetric matrix W of a (G, n, n) stack, exactly
-    orthogonal: built from the eigenphases of iW.  Complex W raises TypeError."""
-    return _exp_and_norm(_mat(W))[0]
-
-
 def _exp_and_norm(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(w) and the spectral norm ||w||, its largest |eigenphase|, of each
-    real antisymmetric matrix of a (G, n, n) stack."""
+    real antisymmetric matrix of a (G, n, n) stack; exp(w) is exactly
+    orthogonal, built from the eigenphases of iw."""
     if w.ndim != 3 or w.shape[-1] != w.shape[-2]:
-        raise ValueError(f"unitary_exp requires a (G, n, n) stack, got shape {w.shape}")
+        raise ValueError(f"exp(W) requires a (G, n, n) stack, got shape {w.shape}")
     scale = np.maximum(np.abs(w).max(axis=(-2, -1)), 1.0)
     check_rows(np.abs(w + _adjoint(w)).max(axis=(-2, -1)) > 1e-10 * scale,
-               lambda i: ValueError("unitary_exp requires an anti-Hermitian generator"))
+               lambda i: ValueError("exp(W) requires an anti-Hermitian generator"))
     iw = 1j * w  # Hermitian: symmetrized with its conjugate transpose
     phases, vecs = np.linalg.eigh(0.5 * (iw + iw.conj().swapaxes(-1, -2)))
     rotated = vecs * np.exp(-1j * phases)[..., None, :]

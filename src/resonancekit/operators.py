@@ -27,7 +27,6 @@ __all__ = [
     "TruncationConfig",
     "basis_index",
     "basis_label",
-    "build_boson_ops",
     "build_rabi",
     "parity_signs",
     "ParityBlock",
@@ -101,21 +100,6 @@ def basis_label(k: int) -> str:
     """Human-readable label of basis index k, e.g. ``|0,+>``."""
     n, s = divmod(k, 2)
     return f"|{n},{'+' if s == ATOM_PLUS else '-'}>"
-
-
-def build_boson_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Annihilation, creation and number operators on the field factor.
-
-    Returns
-    -------
-    (a, a_dag, N) : tuple of (n_max+1) x (n_max+1) real arrays
-        a[n, n+1] = sqrt(n+1); a_dag = a^T; N = diag(0..n_max).
-    """
-    if trunc.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {trunc.n_max}")
-    d = trunc.n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    return a, a.T.copy(), np.diag(np.arange(d, dtype=float))
 
 
 def _mat(op) -> np.ndarray:

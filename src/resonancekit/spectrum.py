@@ -50,10 +50,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
 
 class CouplingErrors(Exception):
     """The exceptions of some matrices of a stack, by stack row, each the one

@@ -468,7 +468,9 @@ def _crossing_gap(energies: np.ndarray, e_up: float, e_down: float) -> float | N
     return abs(float(arr[first]) - second)
 
 
-def resonance_report(config: SweepConfig) -> tuple[str, list[LocusReport]]:
+def resonance_report(
+    config: SweepConfig,
+) -> tuple[str, list[LocusReport], tuple[tuple[float, str, str], ...]]:
     """Analytic resonance loci with the measured avoided-crossing minima.
 
     Active loci couple same-parity dressed levels, so the exact spectrum
@@ -476,10 +478,13 @@ def resonance_report(config: SweepConfig) -> tuple[str, list[LocusReport]]:
     report measures that minimum on the sweep grid.  Mute loci involve a
     vanishing coupling and are listed without a gap measurement.  Loci
     outside the g-grid are kept as rows with an explanatory note.  The
-    levels come from an exact-only sweep of ``config``'s grid.
+    levels come from an exact-only sweep of ``config``'s grid, whose failed
+    points are returned as ``SpectrumTable.failures`` lists them: the
+    measurements use only the couplings that succeeded.
     """
     grid = config.g_grid()
-    exact = run_sweep(replace(config, methods=("exact",))).sweep("exact")
+    table = run_sweep(replace(config, methods=("exact",)))
+    exact = table.sweep("exact")
     ok = exact.ok
     exact_g, energies, parities = grid[ok].tolist(), exact.energies[ok], exact.parities(ok)
     top_energy = float(energies.max()) if energies.size else 0.0
@@ -535,4 +540,4 @@ def resonance_report(config: SweepConfig) -> tuple[str, list[LocusReport]]:
     for rep in sorted(reports, key=lambda r: (-r.g_locus, r.kind)):
         values = (rep.g_locus, rep.nearest_grid_g, rep.min_gap_g, rep.min_gap)
         lines.append(",".join([rep.kind, str(rep.n), *map(_fmt, values), rep.note]))
-    return "\n".join(lines) + "\n", reports
+    return "\n".join(lines) + "\n", reports, table.failures

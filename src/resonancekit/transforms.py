@@ -3,7 +3,7 @@
 Every step of a chain is an :class:`Isometry` ``S = R B``: ``R`` is an index
 remap (a photon shift, a permutation, or the identity) and ``B`` a set of
 small unitary blocks on disjoint index groups (atomic rotations, the
-two-photon reflection, in-cluster rotations, displacements).  Conjugation
+two-photon reflection, in-cluster rotations).  Conjugation
 ``S^H X S`` is a fancy-indexed gather followed by batched block updates; no
 dense ``S`` is ever formed.  Each photon shift invalidates the top 1-2 photon
 rows at truncation, so a chain accumulates a loss band that is added to the
@@ -38,7 +38,6 @@ import numpy as np
 
 from .averaging import cluster_levels, combined_projector
 from .closedform import require_one_photon_resonance, rt2_mixing_angle
-from .kam import unitary_exp
 from .operators import (
     ModelParams,
     TruncationConfig,
@@ -46,8 +45,6 @@ from .operators import (
     _mat,
     _symmetrized,
     basis_index,
-    build_boson_ops,
-    displacement_band,
     parity_signs,
 )
 from .spectrum import check_rows
@@ -63,8 +60,6 @@ __all__ = [
     "rt_one_photon",
     "rt_two_photon",
     "generic_numeric_rt",
-    "strong_chain",
-    "rt_zero_field",
 ]
 
 
@@ -216,7 +211,7 @@ class TransformedHamiltonian:
     keeps it diagonal, held as its real diagonal like the levels: +1 on even
     slots, -1 on odd ones, 0 on kernel slots, each of which holds one exact
     spurious zero eigenvalue.
-    loss_band: top photon levels invalidated by index shifting / displacement.
+    loss_band: top photon levels invalidated by index shifting.
     params: one ModelParams per coupling.
     trunc: the truncation of the box the chain was built in.
     records: the photon-shift steps so far, each an Isometry holding its
@@ -252,20 +247,20 @@ def atom_rotation_t() -> np.ndarray:
     return np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 
 
-def _doublets(first: int, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _doublets(fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The block group applying T on the atomic doublets of photon levels
-    first..fock_dim-1."""
-    idx = np.arange(2 * first, 2 * fock_dim).reshape(-1, 2)
+    1..fock_dim-1."""
+    idx = np.arange(2, 2 * fock_dim).reshape(-1, 2)
     return idx, np.broadcast_to(atom_rotation_t(), (idx.shape[0], 2, 2))
 
 
-def _shift_remap(fock_dim: int, atom: int, photons: int, first: int = 0) -> np.ndarray:
-    """Remap lowering the photon number by ``photons`` on one atomic block,
-    from photon level ``first`` up: column (n, atom) takes row
-    (n - photons, atom) for n >= first + photons, the columns in between are
+def _shift_remap(fock_dim: int, photons: int, first: int = 0) -> np.ndarray:
+    """Remap lowering the photon number by ``photons`` on the "+" atomic
+    block, from photon level ``first`` up: column (n, +) takes row
+    (n - photons, +) for n >= first + photons, the columns in between are
     the kernel, and every other column keeps its own row."""
     remap = np.arange(2 * fock_dim)
-    cols = remap[atom::2]
+    cols = remap[0::2]
     cols[first + photons:] = cols[first:-photons].copy()
     cols[first:first + photons] = -1
     return remap
@@ -321,7 +316,7 @@ def rt_one_photon(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
     dim = 2 * fock_dim
     if h.shape != np.shape(g) + (dim, dim):
         raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {dim}")
-    shift = _shift_remap(fock_dim, 0, 1)
+    shift = _shift_remap(fock_dim, 1)
     levels = _ladder(first.omega, g, fock_dim)
     base = TransformedHamiltonian(
         operator=h,
@@ -332,7 +327,7 @@ def rt_one_photon(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
         params=params,
         trunc=trunc,
     )
-    rotation = _stacked_blocks(*_doublets(1, fock_dim), np.shape(g), dim)
+    rotation = _stacked_blocks(*_doublets(fock_dim), np.shape(g), dim)
     fields = _conjugate(base, (Isometry(shift, (rotation,)),), "rt_one_photon")
     fields["levels"] = levels
     fields["loss_band"] = 1
@@ -369,7 +364,7 @@ def rt_two_photon(H1: TransformedHamiltonian) -> TransformedHamiltonian:
     # Two-photon shift on the "+" block away from the vacuum, identity on
     # (0,+) and on the "-" block, then the reflection by the mixing angle on
     # the (0,-)/(2,-) pair.
-    shift = _shift_remap(fock_dim, 0, 2, first=1)
+    shift = _shift_remap(fock_dim, 2, first=1)
     theta = rt2_mixing_angle(w, g)
     c, s = np.cos(theta), np.sin(theta)
     reflection_idx = np.array([[basis_index(0, 1), basis_index(2, 1)]])
@@ -450,64 +445,4 @@ def generic_numeric_rt(th: TransformedHamiltonian, tol_deg: float) -> Transforme
         blocks.append((idx, vecs))
     fields = _conjugate(th, (Isometry(order, tuple(blocks)),), "generic_numeric_rt")
     fields["levels"] = new_e
-    return TransformedHamiltonian(**fields)
-
-
-def strong_chain(H, params, trunc: TruncationConfig) -> TransformedHamiltonian:
-    """Atomic rotation, the opposite displacements of the two atomic blocks,
-    and the atomic rotation again: the unbounded part of the Hamiltonian
-    becomes the exactly diagonal displaced ladder
-    (omega*(N+1/2) - g^2/omega) (x) 1 (the reference); the bounded remainder
-    carries the displacement matrix elements, with the decoupled splitting
-    on sigma_z.  This is the parity-adapted displaced basis of the
-    generalized rotating-wave approximation (Irish, PRL 99, 173601 (2007)):
-    the parity is diagonal in it.  Unitary for any g (the truncated a^H - a
-    is anti-Hermitian), but the displacement corrupts a g-dependent top band
-    (the loss band is the stack's largest).  ``H`` is a stack of
-    Hamiltonians, one per ModelParams of the sequence ``params``.
-    """
-    first, g = _couplings(params)
-    h = _mat(H)
-    fock_dim = trunc.n_max + 1
-    dim = 2 * fock_dim
-    if h.shape != g.shape + (dim, dim):
-        raise ValueError(f"dimension mismatch: H is {h.shape}, trunc dim {dim}")
-    w = first.omega
-    a, a_dag, _ = build_boson_ops(trunc)
-    gen = (g / w)[:, None, None] * (a_dag - a)
-    displacement = Isometry(None, (_stacked_blocks(
-        np.arange(dim).reshape(-1, 2).T, np.stack([unitary_exp(-gen), unitary_exp(gen)], 1),
-        g.shape, dim,
-    ),))
-
-    ns = np.arange(fock_dim)
-    levels = np.repeat(w * (ns + 0.5) - (g * g / w)[:, None], 2, axis=-1)
-
-    rotation = Isometry(None, (_stacked_blocks(*_doublets(0, fock_dim), g.shape, dim),))
-    for iso in (rotation, displacement, rotation):
-        h = iso.conjugate(h)
-    # After the first rotation the parity is the atomic flip, not diagonal,
-    # so the sign vector is set rather than mapped: T^T sigma_z T = -sigma_x,
-    # T^T sigma_x T = sigma_z and Pi D(a) Pi = D(-a), which holds in the
-    # truncated box, give S^T P S = -P.
-    return TransformedHamiltonian(
-        operator=h, levels=levels, parity=np.broadcast_to(-parity_signs(trunc), levels.shape),
-        provenance=("strong_chain",), params=params, trunc=trunc,
-        loss_band=max(min(displacement_band(p), trunc.n_max) for p in params),
-    )
-
-
-def rt_zero_field(H2: TransformedHamiltonian) -> TransformedHamiltonian:
-    """Photon-shift isometry on the "-" atomic block, treating the zero-field
-    degeneracies of the displaced ladder.  The new reference is the bare
-    ladder omega*N (x) 1; the kernel slot |0,-> holds an exact spurious zero."""
-    fock_dim = H2.trunc.n_max + 1
-    shift = Isometry(_shift_remap(fock_dim, 1, 1))
-    ns = np.arange(fock_dim)
-
-    fields = _conjugate(H2, (shift,), "rt_zero_field")
-    fields["levels"] = np.broadcast_to(np.repeat(H2.params[0].omega * ns.astype(float), 2),
-                                       H2.levels.shape)
-    fields["loss_band"] = H2.loss_band + 1
-    fields["records"] = H2.records + (shift,)
     return TransformedHamiltonian(**fields)

@@ -53,7 +53,7 @@ def fail_chain_at(monkeypatch):
     the two-photon reduction's off-diagonal check rejects (ArithmeticError);
     rt1_kam gets a Hamiltonian with one entry off symmetric there, between
     two odd slots so that it stays inside a parity block, which makes the
-    KAM generator fail unitary_exp's anti-Hermitian check (ValueError).
+    KAM generator fail the exponential's anti-Hermitian check (ValueError).
     """
 
     def inject(method, couplings):

@@ -14,12 +14,13 @@ diagonal reference held as its levels.  The dense solve of one
 parity block is the eigenvector-carrying counterpart of the exact oracle,
 which solves the blocks for eigenvalues only, and the dense solve of every
 whole block is the full-spectrum oracle the exact oracle's boxes are checked
-against.  The matrix paths behind
-strong_avg and strong_rt are the matrix side of the closed forms'
-acceptance check, and reading levels off a chain slot by slot is the matrix
-side of rt1 and of jc.  The rotating-wave Hamiltonian is the dense model the
-averaging of the counter-rotating term reproduces, and the doubled-truncation
-comparison is the check the guard band is tested against.  The library
+against.  The matrix paths behind strong_avg and strong_rt, the displaced
+chain and its zero-field shift, exist only here, as dense products: they
+are the matrix side of the closed forms' acceptance check, and reading
+levels off a chain slot by slot is the matrix side of rt1 and of jc.  The
+rotating-wave Hamiltonian is the dense model the averaging of the
+counter-rotating term reproduces, and the doubled-truncation comparison is
+the check the guard band is tested against.  The library
 takes stacks only: these helpers pass one matrix or coupling as a stack of
 one and read back its row 0, and split one set of clustered levels into its
 clusters.
@@ -28,12 +29,12 @@ clusters.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from resonancekit.averaging import (
     cluster_levels, combined_projector, project_average, solve_cohomological
 )
 from resonancekit.closedform import rt2_mixing_angle
-from resonancekit.kam import unitary_exp
 from resonancekit.methods import BRANCH_UNASSIGNED
 from resonancekit.operators import (
     ModelParams,
@@ -42,6 +43,7 @@ from resonancekit.operators import (
     basis_index,
     build_parity_blocks,
     build_rabi,
+    displacement_band,
     parity_signs,
 )
 from resonancekit.spectrum import (
@@ -52,13 +54,7 @@ from resonancekit.spectrum import (
     eigh,
     exact_spectra,
 )
-from resonancekit.transforms import (
-    TransformedHamiltonian,
-    atom_rotation_t,
-    generic_numeric_rt,
-    rt_zero_field,
-    strong_chain,
-)
+from resonancekit.transforms import TransformedHamiltonian, atom_rotation_t, generic_numeric_rt
 
 
 # Parity label of a level that has none: the chains without parity bookkeeping.
@@ -130,6 +126,13 @@ def cluster_members(ids) -> tuple[tuple[int, ...], ...]:
 def cluster_means(values, ids) -> tuple[float, ...]:
     """The mean level of each cluster of one set of clustered levels."""
     return tuple(np.mean(values[list(c)]) for c in cluster_members(ids))
+
+
+def ladder_ops(trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annihilation, creation and number operators on the field factor:
+    a[n, n+1] = sqrt(n+1), a_dag = a^T, N = diag(0..n_max)."""
+    a = np.diag(np.sqrt(np.arange(1.0, trunc.n_max + 1)), k=1)
+    return a, a.T.copy(), np.diag(np.arange(trunc.n_max + 1.0))
 
 
 def tensor(field_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
@@ -269,12 +272,16 @@ def s_rt_zero_field(fock_dim: int) -> np.ndarray:
     return atom_block(eye_f, zero, zero, shift_down(fock_dim))
 
 
-def s_strong_chain(params, fock_dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1)
-    gen = (params.g / params.omega) * (a.T - a)
+def s_strong_chain(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
+    """Atomic rotation, the opposite displacements exp(-/+G) of the two
+    atomic blocks, G = (g/omega)(a^H - a), and the atomic rotation again: the
+    parity-adapted displaced basis of the generalized rotating-wave
+    approximation (Irish, PRL 99, 173601 (2007))."""
+    a, a_dag, _ = ladder_ops(trunc)
+    gen = (params.g / params.omega) * (a_dag - a)
     zero = np.zeros_like(a)
-    u = atom_block(unitary_exp(-gen[None])[0], zero, zero, unitary_exp(gen[None])[0])
-    t = tensor(np.eye(fock_dim), atom_rotation_t())
+    u = atom_block(scipy.linalg.expm(-gen), zero, zero, scipy.linalg.expm(gen))
+    t = tensor(np.eye(trunc.n_max + 1), atom_rotation_t())
     return t @ u @ t
 
 
@@ -364,11 +371,40 @@ def levels_from_chain(th: TransformedHamiltonian, n_levels: int) -> list[tuple[s
     ]
 
 
+def strong_chain(params: ModelParams, trunc: TruncationConfig, zero_field: bool = False):
+    """The Hamiltonian conjugated by the dense S of :func:`s_strong_chain`,
+    then by that of :func:`s_rt_zero_field` if ``zero_field``, as a stack of
+    one.  The reference is the displaced ladder omega*(n+1/2) - g^2/omega
+    on both atomic slots, or the bare ladder omega*n after the zero-field
+    shift; S^T P S = -P (T^T sigma_z T = -sigma_x, T^T sigma_x T = sigma_z
+    and Pi D(a) Pi = D(-a), which holds in the truncated box), and the
+    zero-field shift gathers that sign vector with 0 on its kernel slot
+    |0,->.  Entries between two parity classes are 0 in exact arithmetic and
+    rounding in the dense product; they are set to 0, so that a degenerate
+    cluster of the chain's levels never mixes the classes."""
+    fock_dim = trunc.n_max + 1
+    s = s_strong_chain(params, trunc)
+    w, ns = params.omega, np.arange(fock_dim)
+    levels = np.repeat(w * (ns + 0.5) - params.g * params.g / w, 2)
+    parity = -parity_signs(trunc)
+    loss_band = min(displacement_band(params), trunc.n_max)
+    if zero_field:
+        s = s @ s_rt_zero_field(fock_dim)
+        levels, loss_band = np.repeat(w * ns.astype(float), 2), loss_band + 1
+        parity[1::2] = np.append(0.0, parity[1:-1:2])
+    operator = np.real(s.conj().T @ build_rabi(params, trunc) @ s)
+    operator[parity[:, None] != parity[None, :]] = 0.0
+    return TransformedHamiltonian(
+        operator=operator[None], levels=levels[None], parity=parity[None],
+        provenance=("strong_chain",), loss_band=loss_band, params=(params,), trunc=trunc,
+    )
+
+
 def strong_avg_decomposition(params: ModelParams, trunc: TruncationConfig):
     """Matrix path behind strong_avg: displaced chain, averaging over the
     doubly degenerate displaced ladder, diagonalization of the effective
     operator.  Returns (decomposition, chain), both stacks of one."""
-    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
+    th = strong_chain(params, trunc)
     # the reference is the chain's levels, so averaging over it keeps the
     # chain operator's entries between slots of one cluster of the levels
     heff = combined_projector(th.operator, [th.levels[0]], 1e-8 * params.omega)
@@ -379,9 +415,8 @@ def strong_rt_chain(params: ModelParams, trunc: TruncationConfig) -> Transformed
     """Matrix path behind strong_rt: displaced chain, zero-field photon-shift
     reduction, numeric diagonalization of the doublet blocks of the averaged
     operator, as a stack of one."""
-    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    th = rt_zero_field(th)
-    return generic_numeric_rt(th, tol_deg=1e-8 * params.omega)
+    return generic_numeric_rt(strong_chain(params, trunc, zero_field=True),
+                              tol_deg=1e-8 * params.omega)
 
 
 def validate_truncation(params: ModelParams, trunc: TruncationConfig) -> int:

@@ -290,6 +290,23 @@ def test_resonances_default_is_stdout_only(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # nothing written without --out
 
 
+@pytest.mark.parametrize("argv, failed", [
+    (["--n-max", "20", "--g-max", "3.0", "--g-steps", "61"], 45),
+    (["--n-max", "10", "--levels", "30", "--g-steps", "11", "--g-max", "1.0"], 11),
+])
+def test_resonances_reports_failed_exact_couplings_and_exits_1(capsys, argv, failed):
+    # The guard band validates fewer levels than requested at these
+    # couplings; the loci are still measured on the others.
+    rc = main(["resonances", *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == failed
+    assert all(line.startswith("failed: g=") and " method=exact: ValueError: " in line
+               for line in lines)
+    assert captured.out.splitlines()[0] == LOCUS_CSV_HEADER
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("g_max=0.6\ng_steps=4\nn_max=16\nn_levels=4\nmethods=exact\n")

@@ -4,6 +4,7 @@ benchmark imports, is defined."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -24,6 +25,37 @@ def test_all_names_are_defined(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _reads(tree, enclosing=()):
+    """(name, enclosing definitions) of each name or attribute read in
+    ``tree``; the enclosing definitions are the names of the functions and
+    classes the read sits in."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield getattr(node, "id", None) or node.attr, enclosing
+        inner = (*enclosing, node.name) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+            else enclosing
+        yield from _reads(node, inner)
+
+
+def test_every_public_function_and_class_runs_outside_the_tests():
+    # A public function or class that no command or demo reads is code kept
+    # only for the tests.  Its own body does not count; tests/ does not
+    # count either.
+    read = set()
+    for path in sorted(ROOT.glob("src/resonancekit/*.py")) + sorted(ROOT.glob("demos/*.py")):
+        for name, enclosing in _reads(ast.parse(path.read_text(encoding="utf-8"))):
+            if name not in enclosing:
+                read.add(name)
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            value = getattr(module, attr)
+            if (inspect.isfunction(value) or inspect.isclass(value)) and attr not in read:
+                unread.append(f"{name}.{attr}")
+    assert unread == []
 
 
 def test_test_oracles_stay_out_of_the_package():

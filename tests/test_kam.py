@@ -12,10 +12,10 @@ from resonancekit.kam import (
     W_NORM_DIVERGENCE,
     KamChain,
     KamStepReport,
+    _exp_and_norm,
     _offblock_residual,
     kam_iterate_full,
     kam_step,
-    unitary_exp,
 )
 from resonancekit.methods import kam_truncation, rabi_rt1_chain
 from resonancekit.operators import ModelParams
@@ -44,7 +44,7 @@ ONE_MATRIX_CALLS = {
     "check_rows_flagged": (lambda: check_rows(np.array(True), ArithmeticError), r"\(G,\)"),
     "check_rows_clean": (lambda: check_rows(np.array(False), ArithmeticError), r"\(G,\)"),
     "eigh": (lambda: eigh(np.eye(2)), r"\(G, n, n\) stack"),
-    "unitary_exp": (lambda: unitary_exp(np.zeros((2, 2))), r"\(G, n, n\) stack"),
+    "unitary_exp": (lambda: _exp_and_norm(np.zeros((2, 2))), r"\(G, n, n\) stack"),
     "kam_iterate_full": (
         lambda: kam_iterate_full(np.zeros((1, 2)), np.zeros((2, 2)), 1, 1e-8), r"\(G, n, n\) stack"
     ),
@@ -65,21 +65,21 @@ def test_a_one_matrix_argument_fails_loudly(name):
         call()
 
 
-# ---------------------------------------------------------------- unitary_exp
+# ---------------------------------------------------------------- unitary exp(W)
 
 
 def test_unitary_exp_identity_at_zero():
-    np.testing.assert_allclose(unitary_exp(np.zeros((1, 4, 4)))[0], np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(_exp_and_norm(np.zeros((1, 4, 4)))[0][0], np.eye(4), atol=1e-15)
 
 
 def test_unitary_exp_rejects_non_anti_hermitian():
     with pytest.raises(ValueError, match="anti-Hermitian generator"):
-        raise row_error(unitary_exp, np.eye(3)[None])
+        raise row_error(_exp_and_norm, np.eye(3)[None])
 
 
 def test_unitary_exp_matches_expm_and_is_unitary(rng):
     w = _antisymmetric(rng, 64, scale=0.7)
-    u = unitary_exp(w[None])[0]
+    u = _exp_and_norm(w[None])[0][0]
     np.testing.assert_allclose(u, scipy.linalg.expm(w), atol=1e-12)
     assert np.abs(u.T @ u - np.eye(64)).max() <= 1e-12
 
@@ -87,7 +87,7 @@ def test_unitary_exp_matches_expm_and_is_unitary(rng):
 def test_unitary_exp_of_real_generator_is_real_orthogonal(rng):
     m = rng.standard_normal((32, 32))
     w = 0.35 * (m - m.T)
-    u = unitary_exp(w[None])[0]
+    u = _exp_and_norm(w[None])[0][0]
     assert u.dtype == np.float64
     np.testing.assert_allclose(u, scipy.linalg.expm(w), atol=1e-12)
     assert np.abs(u.T @ u - np.eye(32)).max() <= 1e-12
@@ -287,7 +287,7 @@ def _kam_iterate_full_recomputing(levels, V, max_steps, tol_deg, stop_tol=1e-12)
             break
         d = project_average(v, ids)
         q = eigh(np.diag(levels[0]) + 0.5 * (d + d.swapaxes(-1, -2))).vectors
-        u = unitary_exp(solve_cohomological(v, levels, ids, tol_deg)) @ q
+        u = _exp_and_norm(solve_cohomological(v, levels, ids, tol_deg))[0] @ q
         levels, v, _, _, report = kam_step(levels, v, ids, tol_deg)
         reports.append(report)
         u_total = u_total @ u
@@ -370,7 +370,7 @@ def test_a_block_in_another_slot_order_permutes_only_the_rows_of_vectors(rng, g)
 def test_conjugate_by_series_matches_exact_conjugation(rng, make_hermitian):
     h = make_hermitian(rng, 16)
     w = _antisymmetric(rng, 16, scale=0.01)
-    u = unitary_exp(w[None])[0]
+    u = _exp_and_norm(w[None])[0][0]
     exact = u.T @ h @ u
     series = conjugate_by_series(h, w)
     np.testing.assert_allclose(series, exact, atol=1e-12 * np.abs(h).max())
@@ -379,7 +379,7 @@ def test_conjugate_by_series_matches_exact_conjugation(rng, make_hermitian):
 def test_conjugate_by_series_truncation_order_controls_error(rng, make_hermitian):
     h = make_hermitian(rng, 8)
     w = _antisymmetric(rng, 8, scale=0.05)
-    u = unitary_exp(w[None])[0]
+    u = _exp_and_norm(w[None])[0][0]
     exact = u.T @ h @ u
     err1 = np.abs(conjugate_by_series(h, w, m_max=1) - exact).max()
     err4 = np.abs(conjugate_by_series(h, w, m_max=4) - exact).max()

@@ -21,11 +21,8 @@ from resonancekit.methods import (
 from resonancekit.closedform import closed_form_table
 from resonancekit.operators import ModelParams, TruncationConfig, build_rabi
 from resonancekit.sweep import SweepConfig, run_sweep, table_to_csv
-from resonancekit.transforms import rt_zero_field, strong_chain
 
-from dense_oracles import (
-    build_parity, chain_residue, eigh_one, levels_from_chain, row_error, strong_rt_chain
-)
+from dense_oracles import build_parity, chain_residue, eigh_one, levels_from_chain, row_error
 
 # Methods built on the one-photon-resonance chains; they require omega0 = omega.
 WEAK_METHODS = frozenset({"jc", "rt1", "rt1_kam", "rt2", "rt_full_kam"})
@@ -455,34 +452,16 @@ def test_a_failed_coupling_leaves_the_others_bit_for_bit(fail_chain_at, method):
 EDGE_COUPLINGS = (0.0, 1e-300, 1e-8, 2.0 / (1.0 + np.sqrt(3.0)), 6.0)
 
 
-# The strong-coupling chains, one coupling at a time as a stack of one: the
-# zero-field shift of the displaced chain and its numeric transformation (the
-# strong_rt matrices).
-STRONG_CHAINS = {
-    "rt_zero_field": lambda p, trunc: rt_zero_field(
-        strong_chain(build_rabi(p, trunc)[None], (p,), trunc)
-    ),
-    "strong_rt": strong_rt_chain,
-}
-
-
 @pytest.mark.parametrize("n_levels", [2, 12, 40])
-@pytest.mark.parametrize("method", CHAIN_METHODS + tuple(STRONG_CHAINS))
+@pytest.mark.parametrize("method", CHAIN_METHODS)
 def test_chain_operators_split_exactly_into_parity_blocks(method, n_levels):
     # What the chains' read-out rests on: every entry between an even and an
     # odd slot is exactly 0; the sign-0 slots are the kernel slots, as many at
     # every coupling as the chain's steps have kernel slots; and every row and
     # column at a sign-0 slot is exactly 0, so e_k is an exact zero eigenvector.
     grid = np.concatenate([np.linspace(0.0, 3.0, 31), EDGE_COUPLINGS])
-    trunc = kam_truncation(n_levels)
-    if method in STRONG_CHAINS:
-        chains = [STRONG_CHAINS[method](_params(g), trunc) for g in grid]
-        operator = np.concatenate([th.operator for th in chains])
-        parity = np.concatenate([th.parity for th in chains])
-        records = chains[0].records
-    else:
-        th = methods._CHAINS[method](tuple(_params(g) for g in grid), trunc)
-        operator, parity, records = th.operator, th.parity, th.records
+    th = methods._CHAINS[method](tuple(_params(g) for g in grid), kam_truncation(n_levels))
+    operator, parity, records = th.operator, th.parity, th.records
     same = parity[:, :, None] * parity[:, None, :] == 1.0
     assert (operator[~same] == 0.0).all()
     kernel = parity == 0.0

@@ -1,10 +1,10 @@
-"""Truncated Fock-space operators: bosonic ladders, tensor products, models."""
+"""Truncated Fock-space operators: tensor products, models, guard bands."""
 
 import numpy as np
 import pytest
 
 from resonancekit.averaging import combined_projector, project_average, solve_cohomological
-from resonancekit.kam import kam_iterate_full, kam_step, unitary_exp
+from resonancekit.kam import kam_iterate_full, kam_step
 from resonancekit.operators import (
     ATOM_MINUS,
     ATOM_PLUS,
@@ -12,7 +12,6 @@ from resonancekit.operators import (
     TruncationConfig,
     basis_index,
     basis_label,
-    build_boson_ops,
     build_parity_blocks,
     build_rabi,
     default_guard,
@@ -20,7 +19,7 @@ from resonancekit.operators import (
     validated_level_count,
 )
 from resonancekit.spectrum import eigh
-from resonancekit.transforms import Isometry, atom_rotation_t, rt_one_photon, strong_chain
+from resonancekit.transforms import Isometry, atom_rotation_t, rt_one_photon
 
 from dense_oracles import (
     SIGMA_X,
@@ -28,6 +27,7 @@ from dense_oracles import (
     atom_block,
     build_jaynes_cummings,
     build_parity,
+    ladder_ops,
     tensor,
 )
 
@@ -77,37 +77,12 @@ def test_basis_label_format():
     assert basis_label(7) == "|3,->"
 
 
-# ---------------------------------------------------------------- bosons
-
-
-def test_boson_ops_entries():
-    a, a_dag, n_op = build_boson_ops(TruncationConfig(n_max=2))
-    assert a[0, 1] == 1.0
-    assert a[1, 2] == np.sqrt(2.0)
-    np.testing.assert_array_equal(np.diag(n_op), [0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(a_dag, a.conj().T)
-    assert np.count_nonzero(a) == 2
-
-
-def test_boson_commutator_exact_except_truncation_corner():
-    a, a_dag, _ = build_boson_ops(TruncationConfig(n_max=5))
-    comm = a @ a_dag - a_dag @ a
-    expect = np.eye(6)
-    expect[5, 5] = -5.0
-    np.testing.assert_allclose(comm, expect, atol=1e-12)
-
-
-def test_number_operator_consistent_with_ladders():
-    a, a_dag, n_op = build_boson_ops(TruncationConfig(n_max=8))
-    np.testing.assert_allclose(a_dag @ a, n_op, atol=1e-12)
-
-
 # ---------------------------------------------------------------- tensor
 
 
 def test_tensor_conventions():
     trunc = TruncationConfig(n_max=1)
-    a, _, n_op = build_boson_ops(trunc)
+    a, _, n_op = ladder_ops(trunc)
     eye_f = np.eye(trunc.n_max + 1)
     np.testing.assert_array_equal(
         np.diag(tensor(eye_f, SIGMA_Z)).real, [1.0, -1.0, 1.0, -1.0]
@@ -197,7 +172,7 @@ def test_dense_builders_are_float64_and_exactly_symmetric(omega0, g):
 def test_dense_builders_match_kronecker_products(omega0, g):
     params = ModelParams(omega=1.3, omega0=omega0, g=g)
     trunc = TruncationConfig(n_max=9)
-    a, a_dag, n_op = build_boson_ops(trunc)
+    a, a_dag, n_op = ladder_ops(trunc)
     eye_f = np.eye(trunc.n_max + 1)
     sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]])
     free = params.omega * tensor(n_op + 0.5 * eye_f, np.eye(2)) + 0.5 * params.omega0 * tensor(
@@ -331,7 +306,6 @@ _COMPLEX_H = build_rabi(_PARAMS[0], _TRUNC)[None] + 0j
 # Every public entry that takes an operator, called with a complex one.
 COMPLEX_CALLS = {
     "eigh": lambda: eigh(_COMPLEX),
-    "unitary_exp": lambda: unitary_exp(1j * _COMPLEX),
     "kam_step": lambda: kam_step(_LEVELS, _COMPLEX, _IDS, 1e-8),
     "kam_iterate_full": lambda: kam_iterate_full(_LEVELS, _COMPLEX, 1, 1e-8),
     "project_average": lambda: project_average(_COMPLEX, _IDS),
@@ -342,7 +316,6 @@ COMPLEX_CALLS = {
         None, ((np.array([[0, 1]]), 1j * atom_rotation_t()[None]),)
     ).conjugate(np.eye(2)[None]),
     "rt_one_photon": lambda: rt_one_photon(_COMPLEX_H, _PARAMS, _TRUNC),
-    "strong_chain": lambda: strong_chain(_COMPLEX_H, _PARAMS, _TRUNC),
 }
 
 

@@ -95,7 +95,7 @@ def test_eigh_hermiticity_tolerance_boundary(dim):
     bound = 1e-14 * 3.0
     inside = base.copy()
     inside[dim - 1, dim - 2] = 0.9 * bound
-    assert eigh(inside[None]).dim == dim
+    assert eigh(inside[None]).values.shape == (1, dim)
     outside = base.copy()
     outside[dim - 1, dim - 2] = 1.1 * bound
     with pytest.raises(ValueError, match="eigh requires a Hermitian operator"):
@@ -194,7 +194,7 @@ def test_parity_block_eigenvectors_are_eigenvectors_of_h_and_p(g):
     p = build_parity(trunc)
     for sign, block in zip((1.0, -1.0), build_parity_blocks(params, trunc)):
         decomp = eigh_block(block)
-        embedded = np.zeros((trunc.dim, decomp.dim), dtype=complex)
+        embedded = np.zeros((trunc.dim, decomp.values.size), dtype=complex)
         embedded[block.indices] = decomp.vectors
         np.testing.assert_allclose(p @ embedded, sign * embedded, atol=1e-8)
         np.testing.assert_allclose(h @ embedded, embedded * decomp.values, atol=1e-10)

@@ -391,7 +391,7 @@ def test_sweep_compare_and_report_write_no_file(tmp_path, monkeypatch):
 
 def test_resonance_report_measures_active_loci():
     config = SweepConfig(n_max=40, n_levels=14)
-    csv_text, reports = resonance_report(config)
+    csv_text, reports, _ = resonance_report(config)
     lines = csv_text.splitlines()
     assert lines[0] == LOCUS_CSV_HEADER
     assert len(lines) == 1 + len(reports)
@@ -417,7 +417,7 @@ def test_resonance_report_measures_active_loci():
 
 def test_resonance_report_notes_unmeasurable_loci():
     config = SweepConfig(g_max=0.4, g_steps=21, n_max=20, n_levels=6)
-    _, reports = resonance_report(config)
+    _, reports, _ = resonance_report(config)
     notes = {(r.kind, r.n): r.note for r in reports}
     # loci beyond the grid stay in the report with an explanation
     assert notes[("active", 1)] == "outside g-grid, skipped"
@@ -431,7 +431,7 @@ def test_resonance_report_notes_unmeasurable_loci():
 
 def test_resonance_report_flags_minimum_at_window_edge():
     config = SweepConfig()
-    csv_text, reports = resonance_report(config)
+    csv_text, reports, _ = resonance_report(config)
     assert csv_text.splitlines()[0] == LOCUS_CSV_HEADER
     by_key = {(r.kind, r.n): r for r in reports}
     # The n = 0 pair's window [g_0 - 0.1, g_0 + 0.1] runs past g_max = 1.5:
@@ -452,7 +452,7 @@ def test_resonance_report_bounds_loci_by_the_swept_grid():
     # although it lies below g_max.
     config = SweepConfig(g_steps=1, n_max=20, n_levels=6)
     assert config.g_grid().tolist() == [0.0]
-    _, reports = resonance_report(config)
+    _, reports, _ = resonance_report(config)
     assert reports
     for rep in reports:
         assert 0.0 < rep.g_locus <= config.g_max

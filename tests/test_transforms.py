@@ -30,8 +30,6 @@ from resonancekit.transforms import (
     generic_numeric_rt,
     rt_one_photon,
     rt_two_photon,
-    rt_zero_field,
-    strong_chain,
 )
 
 from dense_oracles import (
@@ -48,12 +46,10 @@ from dense_oracles import (
     s_generic_numeric_rt,
     s_rt_one_photon,
     s_rt_two_photon,
-    s_rt_zero_field,
-    s_strong_chain,
     shift_down,
+    strong_chain,
     tensor,
 )
-from scalar_closed_forms import displacement_element
 
 
 def _bare(operator, levels):
@@ -378,32 +374,7 @@ def test_generic_numeric_rt_dresses_degenerate_pairs():
     np.testing.assert_allclose(got, exact, atol=1e-10)
 
 
-# ---------------------------------------------------------------- strong
-
-
-def test_strong_chain_reference_is_displaced_doubled_ladder():
-    params = _params(0.8)
-    trunc = TruncationConfig(n_max=30)
-    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    ns = np.arange(trunc.n_max + 1)
-    expect = np.repeat(ns + 0.5 - 0.8**2, 2)
-    np.testing.assert_allclose(th.levels[0], expect, atol=1e-14)
-    assert th.loss_band == int(np.ceil(8 * 0.8**2)) + 10
-
-
-def test_strong_chain_runs_a_stack_as_each_coupling_alone():
-    # One array program over the stack: each row is its coupling's chain on
-    # its own, bit for bit, and the loss band is the stack's largest (g = 1.2
-    # loses the whole box but one row, then the zero-field shift one more).
-    trunc = TruncationConfig(n_max=20)
-    params = tuple(_params(g) for g in (0.0, 0.3, 1.2, 0.7))
-    h = np.stack([build_rabi(p, trunc) for p in params])
-    stack = rt_zero_field(strong_chain(h, params, trunc))
-    for row, p in enumerate(params):
-        alone = rt_zero_field(strong_chain(h[row:row + 1], (p,), trunc))
-        for field in ("operator", "levels", "parity"):
-            assert np.array_equal(getattr(stack, field)[row], getattr(alone, field)[0]), field
-    assert stack.loss_band == trunc.n_max + 1
+# ---------------------------------------------------------------- stacks
 
 
 @pytest.mark.parametrize("second", [ModelParams(2.0, 2.0, 0.1), ModelParams(1.0, 0.5, 0.1)])
@@ -415,96 +386,13 @@ def test_a_stack_with_mixed_frequencies_is_rejected(second):
     named = rf"\(1\.0, 1\.0\) and \({second.omega}, {second.omega0}\)"
     with pytest.raises(ValueError, match=named):
         rabi_rt1_chain(params, trunc)
-    h = np.stack([build_rabi(p, trunc) for p in params])
-    with pytest.raises(ValueError, match=named):
-        strong_chain(h, params, trunc)
 
 
 def test_chain_operators_are_float64():
     params = _params(0.4)
     trunc = TruncationConfig(n_max=20)
-    strong = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    chains = (
-        rabi_rt1_chain((params,), trunc),
-        rt2_iterated_chain((params,), trunc),
-        strong,
-        rt_zero_field(strong),
-    )
-    for th in chains:
+    for th in (rabi_rt1_chain((params,), trunc), rt2_iterated_chain((params,), trunc)):
         assert th.operator.dtype == np.float64, th.provenance
-
-
-def test_strong_chain_is_unitary():
-    params = _params(1.2)
-    trunc = TruncationConfig(n_max=40)
-    h = build_rabi(params, trunc)[None]
-    th = strong_chain(h, (params,), trunc)
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(th.operator[0]), eigh(h).values[0], atol=1e-10
-    )
-
-
-def test_strong_chain_decoupled_keeps_splitting_on_z_axis():
-    # T, then the identity displacement, then T: sigma_z -> -sigma_x -> -sigma_z.
-    params = ModelParams(omega=1.0, omega0=0.9, g=0.0)
-    trunc = TruncationConfig(n_max=8)
-    h = build_rabi(params, trunc)
-    th = strong_chain(h[None], (params,), trunc)
-    fock = trunc.n_max + 1
-    n_diag = np.diag(np.arange(fock, dtype=float))
-    expect = tensor(n_diag + 0.5 * np.eye(fock), np.eye(2)) - 0.45 * tensor(
-        np.eye(fock), SIGMA_Z
-    )
-    np.testing.assert_allclose(th.operator[0], expect, atol=1e-13)
-    np.testing.assert_array_equal(th.parity[0], -parity_signs(trunc))
-
-
-def test_strong_chain_remainder_is_displacement_kernel():
-    params = _params(0.5)
-    trunc = TruncationConfig(n_max=40)
-    th = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    v1 = th.operator[0] - np.diag(th.levels[0])
-    # V = -(omega0/2) (sigma_z (x) D_even + i sigma_y (x) D_odd), D_mn the
-    # closed-form displaced overlap split by the parity of m + n, well below
-    # the corrupted top band: (+,+) and (-,-) entries carry the even part,
-    # (+,-) and (-,+) the odd part.
-    for m in range(20):
-        for n in range(20):
-            want = -0.5 * params.omega0 * displacement_element(m, n, params, sign=+1)
-            same = (m + n) % 2 == 0
-            for s, s2, sign in ((ATOM_PLUS, ATOM_PLUS, 1), (ATOM_MINUS, ATOM_MINUS, -1),
-                                (ATOM_PLUS, ATOM_MINUS, 1), (ATOM_MINUS, ATOM_PLUS, -1)):
-                got = v1[basis_index(m, s), basis_index(n, s2)]
-                expect = sign * want if same == (s == s2) else 0.0
-                assert got.real == pytest.approx(expect, abs=1e-10)
-                assert abs(got.imag) < 1e-12
-
-
-# ---------------------------------------------------------------- zero-field
-
-
-def test_rt_zero_field_reference_and_records():
-    params = _params(0.7)
-    trunc = TruncationConfig(n_max=20)
-    dim = trunc.dim
-    chain = strong_chain(build_rabi(params, trunc)[None], (params,), trunc)
-    th = rt_zero_field(chain)
-    ns = np.arange(trunc.n_max + 1, dtype=float)
-    np.testing.assert_array_equal(th.levels[0], np.repeat(ns, 2))
-    assert _kernel_labels(th) == ["|0,->"]
-    assert th.loss_band == chain.loss_band + 1
-    rec, = th.records
-    top_minus = basis_index(trunc.n_max, ATOM_MINUS)
-    vac_minus = basis_index(0, ATOM_MINUS)
-    assert rec.kernel_slots.tolist() == [vac_minus]
-    assert rec.lost_slots.tolist() == [top_minus]
-    r = isometry_matrix(rec, dim)
-    np.testing.assert_array_equal(
-        r @ r.conj().T, np.eye(dim) - _projector(dim, top_minus)
-    )
-    np.testing.assert_array_equal(
-        r.conj().T @ r, np.eye(dim) - _projector(dim, vac_minus)
-    )
 
 
 # ------------------------------------------- structured vs dense products
@@ -520,8 +408,7 @@ def _step_case(step, params, trunc):
         operator=h, levels=np.diagonal(h, axis1=-2, axis2=-1), parity=parity_signs(trunc)[None],
         provenance=(), loss_band=0, params=one, trunc=trunc,
     )
-    strong = strong_chain(h, one, trunc)
-    zero_field = rt_zero_field(strong)
+    zero_field = strong_chain(params, trunc, zero_field=True)
     rt1 = rt_one_photon(h, one, trunc)
     if step == "rt_one_photon":
         return bare, lambda th: rt_one_photon(th.operator, one, trunc), \
@@ -529,11 +416,6 @@ def _step_case(step, params, trunc):
     if step == "rt_two_photon":
         return rt1, rt_two_photon, s_rt_two_photon(rt1), \
             [basis_index(1, ATOM_PLUS), basis_index(2, ATOM_PLUS)]
-    if step == "rt_zero_field":
-        return strong, rt_zero_field, s_rt_zero_field(fock), [basis_index(0, ATOM_MINUS)]
-    if step == "strong_chain":
-        return bare, lambda th: strong_chain(th.operator, one, trunc), \
-            s_strong_chain(params, fock), []
     if step == "generic_numeric_rt/zero_field":
         return zero_field, lambda th: generic_numeric_rt(th, tol_deg=1e-8), \
             s_generic_numeric_rt(zero_field, 1e-8), []
@@ -551,8 +433,6 @@ def _step_case(step, params, trunc):
     [
         "rt_one_photon",
         "rt_two_photon",
-        "rt_zero_field",
-        "strong_chain",
         "generic_numeric_rt/zero_field",
         "generic_numeric_rt/rt2",
     ],
