@@ -2,6 +2,9 @@
 reports.
 
 Only this module writes output files; :mod:`sweep` computes and formats them.
+``sweep`` computes, writes and reports one block of couplings at a time
+(:func:`sweep.sweep_blocks`), so its memory does not grow with its grid;
+``compare`` and ``resonances`` read every coupling and hold one whole table.
 
 Exit status: 0 on success, 1 if any (g, method) point failed (the sweep
 still writes every successful row), 2 on configuration errors, an output
@@ -11,12 +14,13 @@ file that cannot be opened included, found before any method runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
 
 from .sweep import SweepConfig, compare_methods, errors_to_csv, parse_config, resonance_report
-from .sweep import _read_config_file, run_sweep, table_to_csv
+from .sweep import _read_config_file, run_sweep, sweep_blocks, table_to_csv
 
 _CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
 
@@ -79,6 +83,23 @@ def _report_failures(failures) -> None:
         print(f"failed: g={g:.6g} method={method}: {message}", file=sys.stderr)
 
 
+def _sweep(config: SweepConfig) -> int:
+    """The sweep command: each block's CSV rows written and its failed
+    points reported before the next block is computed."""
+    rows = failed = 0
+    path = config.output_path
+    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext() as fh:
+        for i, table in enumerate(sweep_blocks(config)):
+            if fh is not None:
+                table_to_csv(table, fh, header=i == 0)
+            _report_failures(table.failures)
+            rows += table.row_count
+            failed += len(table.failures)
+    written = f"wrote {path}" if path else "wrote no file"
+    print(f"{written}: {rows} rows, {failed} failed points")
+    return 1 if failed else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -103,21 +124,19 @@ def main(argv: list[str] | None = None) -> int:
         print(text, end="")
         return 1 if failures else 0
 
+    if args.command == "sweep":
+        return _sweep(config)
+
     table = run_sweep(config)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             table_to_csv(table, fh)
-    if args.command == "sweep":
-        _report_failures(table.failures)
-        written = f"wrote {config.output_path}" if config.output_path else "wrote no file"
-        print(f"{written}: {table.row_count} rows, {len(table.failures)} failed points")
-    else:
-        stats = compare_methods(table)
-        if config.output_path:
-            _write(_errors_path(config.output_path), errors_to_csv(stats))
-        _report_failures(table.failures)
-        for method, (mx, mean, pairs) in stats.items():
-            print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")
+    stats = compare_methods(table)
+    if config.output_path:
+        _write(_errors_path(config.output_path), errors_to_csv(stats))
+    _report_failures(table.failures)
+    for method, (mx, mean, pairs) in stats.items():
+        print(f"{method}: max |dE| = {mx:.6g}, mean |dE| = {mean:.6g} over {pairs} pairs")
     return 1 if table.failures else 0
 
 

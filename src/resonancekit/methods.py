@@ -115,6 +115,9 @@ _EXACT_PEAK = 2
 # does not grow with its grid: 36 chain couplings at 12 levels (dim 30),
 # keeping a CLI run's peak RSS where stacks of 6 had it, 4 at 40 levels
 # (dim 86), and 167 to 183 closed-form couplings at 40 levels and g <= 1.5.
+# It also bounds the result arrays of one block of the sweep command
+# (sweep.sweep_blocks), 9 bytes a level summed over the configured methods:
+# 728 couplings at 40 levels and 4 methods.
 _STACK_BYTES = 1 << 20
 
 
@@ -143,11 +146,12 @@ def _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels=_EXA
     by row, or raises :class:`CouplingErrors`: those rows leave the stack,
     and the rest of it runs again.  Any other exception of a stack (a table
     too large to allocate, one LAPACK call that fails for all of it) sends
-    each of its couplings through ``solve`` alone.
+    each of its couplings through ``solve`` alone.  The codes are kept as
+    one byte each, so a method has at most 256 labels.
     """
     grid = np.asarray(grid, dtype=float)
     energies = np.full((grid.size, n_levels), np.nan)
-    codes = np.zeros((grid.size, n_levels), dtype=np.intp)
+    codes = np.zeros((grid.size, n_levels), dtype=np.uint8)
     errors: list = [None] * grid.size
     cost = {}
     valid = (np.isfinite(grid) & (grid >= 0)).tolist()  # a ModelParams only where g fails
@@ -362,8 +366,8 @@ def _kam_levels(
     ``loss_band`` photon rows is dropped.  A coupling whose operator has a
     nonzero entry outside the two blocks raises ArithmeticError.
 
-    Returns the lowest ``n_levels`` energies and their label codes into
-    ``_EXACT_LABELS`` per coupling (even before odd on exact ties), and the
+    Returns the lowest ``n_levels`` energies and their one-byte label codes
+    into ``_EXACT_LABELS`` per coupling (even before odd on exact ties), and the
     ValueError of each coupling (by stack row) where fewer levels survive.
     """
     from . import kam
@@ -393,4 +397,4 @@ def _kam_levels(
         np.concatenate(values, 1), np.concatenate(usable, 1), n_levels,
         f"survive the guard band (loss_band={loss_band}, n_max={n_max})",
     )
-    return values, (order >= odd).astype(np.intp), short
+    return values, (order >= odd).astype(np.uint8), short

@@ -74,10 +74,11 @@ def check_rows(bad, error) -> None:
 class MethodSweep:
     """One method's levels over a coupling grid, as arrays.
 
-    At coupling i, level k has the energy ``energies[i, k]`` and the
-    (branch, parity) label ``labels[label_index[i, k]]``; energies ascend
-    along k.  ``errors[i]`` is the exception coupling i raised on its own, or
-    None; where it is set, row i of the arrays is not read.
+    At coupling i, level k has the energy ``energies[i, k]`` (float64) and
+    the (branch, parity) label ``labels[label_index[i, k]]``, a one-byte
+    code (uint8), so a method has at most 256 labels; energies ascend along
+    k.  ``errors[i]`` is the exception coupling i raised on its own, or None;
+    where it is set, row i of the arrays is not read.  A level takes 9 bytes.
     """
 
     method: str
@@ -85,6 +86,12 @@ class MethodSweep:
     labels: tuple[tuple[str, str], ...]
     label_index: np.ndarray
     errors: tuple[Exception | None, ...]
+
+    def __post_init__(self):
+        if len(self.labels) > 256:
+            raise ValueError(
+                f"{self.method} has {len(self.labels)} level labels; one-byte codes hold 256"
+            )
 
     @classmethod
     def from_points(cls, method: str, points, n_levels: int) -> MethodSweep:
@@ -98,7 +105,8 @@ class MethodSweep:
                 energies[i] = [energy for _, _, energy in levels]
                 codes[i] = [labels.setdefault((b, p), len(labels)) for b, p, _ in levels]
         errors = tuple(exc if isinstance(exc, Exception) else None for exc in points)
-        return cls(method, energies, tuple(labels), codes, errors)
+        # a code wraps only past 256 labels, which the constructor refuses
+        return cls(method, energies, tuple(labels), codes.astype(np.uint8), errors)
 
     @property
     def ok(self) -> np.ndarray:

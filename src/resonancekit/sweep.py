@@ -8,17 +8,24 @@ Spurious kernel zeros (a chain's sign-0 parity slots, a closed form's
 spurious slots) are never emitted; the column is kept so the schema states
 the invariant explicitly.
 
-Every method is evaluated over the whole g-grid on one thread, by one
-:func:`methods.grid_sweep` call that returns its levels as arrays (a
-:class:`spectrum.MethodSweep`): the exact oracle, the closed forms and rt1
-fill them from array programs, the contact-iteration chains from stacks of
-chain operators.  A failing point is recorded in its slot and skipped, the
-run continues.  The CSV, the error table and the resonance report are
-computed from those arrays; no per-level record is built on the way, and
-no file is written here (:mod:`cli` writes them).  The CSV is formatted one
-block of couplings at a time, so beyond the arrays (16 bytes a row) a
-sweep's memory does not grow with its output.  A block is an array program:
-the numbers' "%.17g" text is computed exactly with array arithmetic
+Every method is evaluated over a run of consecutive couplings of the g-grid
+on one thread, by one :func:`methods.grid_sweep` call that returns its
+levels as arrays (a :class:`spectrum.MethodSweep`, 9 bytes a level): the
+exact oracle, the closed forms and rt1 fill them from array programs, the
+contact-iteration chains from stacks of chain operators.  A failing point
+is recorded in its slot and skipped, the run continues.  The CSV, the error
+table and the resonance report are computed from those arrays; no
+per-level record is built on the way, and no file is written here
+(:mod:`cli` writes them).
+
+The sweep command computes, writes and drops one block of couplings at a
+time (:func:`sweep_blocks`), each block's arrays within the stack budget
+``methods._STACK_BYTES``, so its memory does not grow with its grid.
+:func:`compare_methods` pairs levels by rank over every coupling and
+:func:`resonance_report` searches windows of couplings around each locus,
+so they read one whole table (:func:`run_sweep`).  The CSV writer formats a
+table a few thousand rows at a time, each an array program: the numbers'
+"%.17g" text is computed exactly with array arithmetic
 (:func:`_float_chars`), and only zeros and values outside [1e-4, 1e14) go
 through Python's own formatting, one at a time.
 """
@@ -30,10 +37,11 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
+from . import methods
 from .closedform import resonance_loci
 from .methods import METHOD_ORDER, grid_sweep
 from .operators import TruncationConfig
@@ -44,6 +52,7 @@ __all__ = [
     "DEFAULT_METHODS",
     "parse_config",
     "run_sweep",
+    "sweep_blocks",
     "table_to_csv",
     "compare_methods",
     "errors_to_csv",
@@ -193,10 +202,13 @@ def worker_count() -> int:
     return 1
 
 
-def run_sweep(config: SweepConfig) -> SpectrumTable:
-    """Every configured method over the g-grid, from one :func:`grid_sweep`
-    per method; a failed point is recorded on the table, the run goes on."""
-    grid = config.g_grid()
+def run_sweep(config: SweepConfig, grid: np.ndarray | None = None) -> SpectrumTable:
+    """Every configured method over ``grid``, consecutive couplings of
+    ``config.g_grid()`` (default: all of them), as one table held whole,
+    from one :func:`grid_sweep` per method; a failed point is recorded on
+    the table, the run goes on.  No coupling's values depend on the other
+    couplings of ``grid``."""
+    grid = config.g_grid() if grid is None else grid
     trunc = TruncationConfig(n_max=config.n_max)
     sweeps = []
     for method in config.methods:
@@ -207,6 +219,19 @@ def run_sweep(config: SweepConfig) -> SpectrumTable:
         except Exception as exc:  # e.g. off resonance: every point fails alike
             sweeps.append(MethodSweep.from_points(method, [exc] * grid.size, 0))
     return SpectrumTable(grid, tuple(sweeps))
+
+
+def sweep_blocks(config: SweepConfig) -> Iterator[SpectrumTable]:
+    """:func:`run_sweep` of ``config`` as the tables of consecutive blocks of
+    its g-grid, in grid order: their CSV rows, failures and row counts,
+    joined, are the whole table's.  A block holds as many couplings as keep
+    its arrays, 9 bytes a level summed over the methods, within
+    ``methods._STACK_BYTES`` (at least one), so a consumer that drops each
+    block before the next holds memory that does not grow with the grid."""
+    grid = config.g_grid()
+    size = max(1, methods._STACK_BYTES // (9 * config.n_levels * len(config.methods)))
+    for lo in range(0, grid.size, size):
+        yield run_sweep(config, grid[lo:lo + size])
 
 
 # The longest "%.17g" text of a float64, "-2.2250738585072014e-308".
@@ -334,9 +359,12 @@ def _float_chars(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def table_to_csv(table: SpectrumTable, out: TextIO | None = None) -> str | None:
+def table_to_csv(
+    table: SpectrumTable, out: TextIO | None = None, header: bool = True
+) -> str | None:
     """The sweep CSV of ``table``: written to the text file ``out``, or
-    returned as a string without one.
+    returned as a string without one; without ``header`` its rows alone (a
+    block of :func:`sweep_blocks` after the first).
 
     The rows are built from the table's arrays one block of couplings
     (``_CSV_BLOCK_ROWS`` rows or fewer) at a time, so the writer's memory
@@ -347,7 +375,8 @@ def table_to_csv(table: SpectrumTable, out: TextIO | None = None) -> str | None:
     and ``,False``, each NUL-padded to a fixed width; one pass drops the
     NULs of the whole block before it is written."""
     fh = io.StringIO() if out is None else out
-    fh.write(f"{CSV_HEADER}\n")
+    if header:
+        fh.write(f"{CSV_HEADER}\n")
     # Per method: its ok mask over (couplings, levels), and the number of its
     # first (level, label) text; label j at level l is that number + l·labels + j.
     columns, tails = [], []
@@ -411,7 +440,8 @@ def compare_methods(table: SpectrumTable) -> dict[str, tuple[float, float, int]]
     Returns {method: (max_abs_error, mean_abs_error, pairs)} in
     ``table.sweeps`` order; a method with no pair reads (nan, nan, 0).  The
     baseline itself appears with all-zero errors, which doubles as a
-    self-check of the pairing.
+    self-check of the pairing.  The pairs span every coupling, so the compare
+    command holds its whole table (:func:`run_sweep`), not blocks of it.
     """
     exact = table.sweep("exact")
     if exact is None:
@@ -478,9 +508,11 @@ def resonance_report(
     report measures that minimum on the sweep grid.  Mute loci involve a
     vanishing coupling and are listed without a gap measurement.  Loci
     outside the g-grid are kept as rows with an explanatory note.  The
-    levels come from an exact-only sweep of ``config``'s grid, whose failed
-    points are returned as ``SpectrumTable.failures`` lists them: the
-    measurements use only the couplings that succeeded.
+    levels come from an exact-only sweep of ``config``'s whole grid, held as
+    one table because a locus's search window may span any of its couplings;
+    its failed points are returned as ``SpectrumTable.failures`` lists them.
+    The measurements use only the couplings that succeeded, and a locus
+    whose window holds none says so.
     """
     grid = config.g_grid()
     table = run_sweep(replace(config, methods=("exact",)))
@@ -527,7 +559,9 @@ def resonance_report(
             searched.append(g)
             if best_gap is None or gap < best_gap:
                 best_gap, best_g = gap, g
-        if best_gap is None:
+        if best_gap is None and not ok[np.abs(grid - locus.g) <= half_width].any():
+            note = "no successful exact coupling in search window"
+        elif best_gap is None:
             note = "crossing levels above n_levels window"
         elif best_g in (searched[0], searched[-1]):
             # the gap may keep falling beyond the window or the grid

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from resonancekit import sweep
+from resonancekit import methods, sweep
 from resonancekit.cli import main
 from resonancekit.methods import grid_sweep
 from resonancekit.operators import TruncationConfig
@@ -76,6 +76,41 @@ def test_sweep_failed_points_exit_1(tmp_path, capsys):
     # successful rows are still written
     table = csv_to_table(out.read_text(encoding="utf-8"))
     assert {r.method for r in table_rows(table)} == {"exact"}
+
+
+@pytest.mark.parametrize("omega0", [1.0, 0.8], ids=["failed-couplings", "failed-grid"])
+def test_streamed_sweep_writes_what_the_whole_table_writes(tmp_path, capsys, monkeypatch, omega0):
+    # exact fails the guard band from g = 0.97 up; off resonance jc and
+    # rt1_kam fail at every coupling.  A budget of 30 couplings a block (9
+    # bytes a level, 8 levels, 3 methods) gives blocks of 30, 30, 30 and 1
+    # couplings, in which exact and rt1_kam run stacks of 1 coupling and jc
+    # stacks of 2 or 3.
+    monkeypatch.setattr(methods, "_STACK_BYTES", 9 * 8 * 3 * 30)
+    whole_table, blocks = sweep.run_sweep, []
+
+    def block_table(config, grid):
+        blocks.append(grid.size)
+        return whole_table(config, grid)
+
+    monkeypatch.setattr(sweep, "run_sweep", block_table)
+    out = tmp_path / "sweep.csv"
+    config = SweepConfig(omega0=omega0, g_max=3.0, g_steps=91, n_max=20, n_levels=8,
+                         methods=("exact", "jc", "rt1_kam"), output_path=str(out))
+    rc = main(["sweep", "--omega0", str(omega0), "--g-max", "3", "--g-steps", "91",
+               "--n-max", "20", "--levels", "8", "--methods", "exact,jc,rt1_kam",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert blocks == [30, 30, 30, 1]
+    table = whole_table(config)
+    assert table.failures and table.row_count
+    assert out.read_bytes() == table_to_csv(table).encode()
+    assert captured.err == "".join(
+        f"failed: g={g:.6g} method={m}: {message}\n" for g, m, message in table.failures
+    )
+    assert captured.out == (
+        f"wrote {out}: {table.row_count} rows, {len(table.failures)} failed points\n"
+    )
+    assert rc == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -307,6 +342,20 @@ def test_resonances_reports_failed_exact_couplings_and_exits_1(capsys, argv, fai
     assert captured.out.splitlines()[0] == LOCUS_CSV_HEADER
 
 
+def test_resonances_names_a_search_window_without_successful_couplings(capsys):
+    # Every exact coupling from g = 0.8 up fails the guard band, so the
+    # n = 0 locus at g = sqrt(2) has no successful coupling to measure; the
+    # n = 5 and 6 windows hold successful couplings whose retained levels
+    # stop below the crossing pair.
+    rc = main(["resonances", "--n-max", "20", "--g-max", "3.0", "--g-steps", "61"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[1] == ("active,0,1.4142135623730949,1.4000000000000001,,,"
+                        "no successful exact coupling in search window")
+    assert [line.split(",")[1] for line in lines
+            if line.endswith(",crossing levels above n_levels window")] == ["5", "6"]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("g_max=0.6\ng_steps=4\nn_max=16\nn_levels=4\nmethods=exact\n")
@@ -418,10 +467,15 @@ def test_module_invocation(tmp_path):
     assert out.exists()
 
 
+# A budget of one byte makes every stack and every block of the sweep
+# command one coupling, so a run of _SMALL writes 3 blocks.
+_ONE_COUPLING_BLOCKS = "resonancekit.methods._STACK_BYTES = 1\n"
+
 _LAZY_MODULES = (
     "import sys\n"
     "import resonancekit.cli\n"
     "imported = [m for m in ('numpy.strings', 'numpy.ma') if m in sys.modules]\n"
+    + _ONE_COUPLING_BLOCKS +
     "resonancekit.cli.main(sys.argv[1:])\n"
     "print(imported, 'numpy.ma' in sys.modules)\n"
 )
@@ -437,7 +491,8 @@ def _run_src(tmp_path, *args):
 
 def test_import_and_closed_form_sweep_leave_numpy_submodules_unloaded(tmp_path):
     # numpy.ma alone takes about 12 ms to import, a share of every CLI run's
-    # start-up: neither the import nor a closed-form sweep may load it.
+    # start-up: neither the import nor a closed-form sweep, block by block,
+    # may load it.
     proc = _run_src(tmp_path, "-c", _LAZY_MODULES, "sweep", *_SMALL,
                     "--methods", "jc,rt2,strong_avg,strong_rt", "--out", "sweep.csv")
     assert proc.returncode == 0, proc.stderr
@@ -449,6 +504,7 @@ _CHAIN_LAYER = ("resonancekit.averaging", "resonancekit.kam", "resonancekit.tran
 _LOADED_LAYERS = (
     "import sys\n"
     "import resonancekit.cli\n"
+    + _ONE_COUPLING_BLOCKS +
     "status = resonancekit.cli.main(sys.argv[1:])\n"
     f"print(status, [m for m in {_CHAIN_LAYER!r} if m in sys.modules])\n"
 )

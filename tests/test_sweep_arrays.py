@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonancekit import methods, sweep
+from resonancekit.cli import main
 from resonancekit.methods import BRANCH_UNASSIGNED, METHOD_ORDER, grid_sweep
 from resonancekit.operators import TruncationConfig
 from resonancekit.spectrum import (
@@ -133,7 +134,7 @@ def test_run_sweep_writes_the_csv_of_its_table_in_blocks(monkeypatch, tmp_path, 
 def test_sweep_csv_memory_does_not_grow_with_the_output(tmp_path):
     # tracemalloc peak of a 4-closed-form, 40-level sweep written to a file:
     # about 28 bytes a row at 501 couplings, 253 when the whole CSV was built
-    # in memory before it was written.  The table's own arrays take 16.
+    # in memory before it was written.  The table's own arrays take 9.
     config = SweepConfig(g_max=1.5, g_steps=501, n_levels=40,
                          methods=("jc", "rt2", "strong_avg", "strong_rt"))
     tracemalloc.start()
@@ -145,6 +146,41 @@ def test_sweep_csv_memory_does_not_grow_with_the_output(tmp_path):
         tracemalloc.stop()
     assert table.row_count == 501 * 4 * 40
     assert peak / table.row_count < 100
+
+
+def test_sweep_command_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch, capsys):
+    # tracemalloc peak of a 4-closed-form, 40-level sweep command at 100 and
+    # 400 couplings, with a budget of 45 couplings a block: 3 to 40 KB apart
+    # (the full grid's own array, and what other tests leave allocated).  Holding every coupling's arrays until the
+    # CSV is written, they were 0.8 MB apart.
+    monkeypatch.setattr(methods, "_STACK_BYTES", 1 << 16)
+    argv = ["sweep", "--g-max", "1.5", "--levels", "40", "--methods",
+            "jc,rt2,strong_avg,strong_rt", "--out", str(tmp_path / "sweep.csv")]
+    for steps in ("100", "400"):  # first-use tables and imports
+        main([*argv, "--g-steps", steps])
+    peaks = []
+    for steps in ("100", "400"):
+        tracemalloc.start()
+        try:
+            main([*argv, "--g-steps", steps])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": 64000 rows, 0 failed points")
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
+    # A level's label code takes one byte in every method.
+    for method in METHOD_ORDER:
+        result = grid_sweep(method, 1.0, 1.0, [0.0, 0.1], TruncationConfig(n_max=20), 4)
+        assert result.label_index.dtype == np.uint8, method
+
+
+def test_one_byte_label_codes_refuse_a_257th_label():
+    levels = [(str(k), PARITY_EVEN, float(k)) for k in range(257)]
+    full = MethodSweep.from_points("jc", [levels[:256]], 256)
+    assert full.label_index.dtype == np.uint8
+    assert full.point(0) == levels[:256]
+    with pytest.raises(ValueError, match="jc has 257 level labels"):
+        MethodSweep.from_points("jc", [levels], 257)
 
 
 def test_array_writer_covers_zero_couplings_and_every_label():
