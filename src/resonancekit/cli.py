@@ -1,10 +1,12 @@
 """Command-line entry point: coupling sweeps, method comparisons, resonance
 reports.
 
-Only this module writes output files; :mod:`sweep` computes and formats them.
-``sweep`` computes, writes and reports one block of couplings at a time
-(:func:`sweep.sweep_blocks`), so its memory does not grow with its grid;
-``compare`` and ``resonances`` read every coupling and hold one whole table.
+Only this module writes output files; :mod:`sweep` computes and formats them,
+and the sweep CSV goes to a binary file as the writer's bytes.  ``sweep``
+computes, writes and reports one block of couplings at a time, each block
+one runner stack (:func:`sweep.sweep_blocks`), so its memory does not grow
+with its grid; ``compare`` and ``resonances`` read every coupling and hold
+one whole table.
 
 Exit status: 0 on success, 1 if any (g, method) point failed (the sweep
 still writes every successful row), 2 on configuration errors, an output
@@ -88,7 +90,7 @@ def _sweep(config: SweepConfig) -> int:
     points reported before the next block is computed."""
     rows = failed = 0
     path = config.output_path
-    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext() as fh:
+    with open(path, "wb") if path else contextlib.nullcontext() as fh:
         for i, table in enumerate(sweep_blocks(config)):
             if fh is not None:
                 table_to_csv(table, fh, header=i == 0)
@@ -129,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
 
     table = run_sweep(config)
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(config.output_path, "wb") as fh:
             table_to_csv(table, fh)
     stats = compare_methods(table)
     if config.output_path:

@@ -34,9 +34,10 @@ it; its functions are read off their modules at call time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -65,12 +66,14 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "BRANCH_UNASSIGNED",
     "chain_sweep",
+    "cut_stacks",
     "exact_sweep",
     "grid_sweep",
     "kam_truncation",
     "rabi_rt1_chain",
     "rabi_rt2_chain",
     "rt2_iterated_chain",
+    "stack_cost",
 ]
 
 METHOD_ORDER = (
@@ -114,10 +117,9 @@ _EXACT_PEAK = 2
 # Bytes a stack of couplings may reach at its peak, so that a sweep's memory
 # does not grow with its grid: 36 chain couplings at 12 levels (dim 30),
 # keeping a CLI run's peak RSS where stacks of 6 had it, 4 at 40 levels
-# (dim 86), and 167 to 183 closed-form couplings at 40 levels and g <= 1.5.
-# It also bounds the result arrays of one block of the sweep command
-# (sweep.sweep_blocks), 9 bytes a level summed over the configured methods:
-# 728 couplings at 40 levels and 4 methods.
+# (dim 86), and 161 to 187 closed-form couplings at 40 levels and g <= 1.5.
+# A block of the sweep command (sweep.sweep_blocks) is one such stack, cut
+# at the largest cost of the configured methods, so each solves it at once.
 _STACK_BYTES = 1 << 20
 
 
@@ -134,24 +136,13 @@ def _closed_form_count(g: float, omega: float, n_levels: int) -> int:
     return n_levels + math.ceil(ratio * ratio + 4.0 * ratio) + 8
 
 
-def _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels=_EXACT_LABELS):
-    """``method``'s :class:`MethodSweep` over ``grid``, from ``solve`` on
-    stacks of its admitted couplings, in grid order.
+def _admitted(omega, omega0, grid, admit) -> tuple[dict[int, int], list]:
+    """The peak bytes, by grid index, of each coupling of ``grid`` that
+    ``admit`` admits, and every coupling's admission error or None.
 
     A negative or non-finite g records its ModelParams error, any other g
     the ValueError or OverflowError of ``admit(g)``, which else returns the
-    coupling's peak bytes; a stack holds as many couplings as fit
-    ``_STACK_BYTES`` at its own largest cost.  ``solve(couplings)`` returns
-    its rows' energies, codes into ``labels`` (which it may fill) and errors
-    by row, or raises :class:`CouplingErrors`: those rows leave the stack,
-    and the rest of it runs again.  Any other exception of a stack (a table
-    too large to allocate, one LAPACK call that fails for all of it) sends
-    each of its couplings through ``solve`` alone.  The codes are kept as
-    one byte each, so a method has at most 256 labels.
-    """
-    grid = np.asarray(grid, dtype=float)
-    energies = np.full((grid.size, n_levels), np.nan)
-    codes = np.zeros((grid.size, n_levels), dtype=np.uint8)
+    coupling's peak bytes in a stack."""
     errors: list = [None] * grid.size
     cost = {}
     valid = (np.isfinite(grid) & (grid >= 0)).tolist()  # a ModelParams only where g fails
@@ -162,14 +153,43 @@ def _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels=_EXA
             cost[i] = admit(g)
         except (ValueError, OverflowError) as exc:
             errors[i] = exc
-    stacks, peak = [], 0
-    for i, size in cost.items():
+    return cost, errors
+
+
+def cut_stacks(costs) -> Iterator[list[int]]:
+    """The stacks of the couplings of ``costs``, (index, peak bytes) pairs in
+    grid order, each yielded once it is complete: a stack holds, in order,
+    as many couplings as fit ``_STACK_BYTES`` at its own largest cost, and
+    at least one."""
+    stack, peak = [], 0
+    for i, size in costs:
         peak = max(peak, size)
-        if not stacks or (len(stacks[-1]) + 1) * peak > _STACK_BYTES:
-            stacks.append([])
-            peak = size
-        stacks[-1].append(i)
-    pending = stacks[::-1]
+        if stack and (len(stack) + 1) * peak > _STACK_BYTES:
+            yield stack
+            stack, peak = [], size
+        stack.append(i)
+    if stack:
+        yield stack
+
+
+def _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels=_EXACT_LABELS):
+    """``method``'s :class:`MethodSweep` over ``grid``, from ``solve`` on
+    the stacks (:func:`cut_stacks`) of the couplings ``admit`` admits
+    (:func:`_admitted`), in grid order.
+
+    ``solve(couplings)`` returns its rows' energies, codes into ``labels``
+    (which it may fill) and errors by row, or raises
+    :class:`CouplingErrors`: those rows leave the stack, and the rest of it
+    runs again.  Any other exception of a stack (a table too large to
+    allocate, one LAPACK call that fails for all of it) sends each of its
+    couplings through ``solve`` alone.  The codes are kept as one byte
+    each, so a method has at most 256 labels.
+    """
+    grid = np.asarray(grid, dtype=float)
+    energies = np.full((grid.size, n_levels), np.nan)
+    codes = np.zeros((grid.size, n_levels), dtype=np.uint8)
+    cost, errors = _admitted(omega, omega0, grid, admit)
+    pending = list(cut_stacks(cost.items()))[::-1]
     while pending:
         stack = pending.pop()
         try:
@@ -205,32 +225,67 @@ def _lowest(values, usable, n_levels: int, why: str, key=None):
     return np.take_along_axis(values, order, -1), order, short
 
 
-def _table_sweep(
-    method: str, form: str, omega: float, omega0: float, grid, n_levels: int,
-    n_max: int | None = None,
-) -> MethodSweep:
-    """``method``'s levels read off the closed form ``form``, from one table
-    evaluation per stack of couplings.  With ``n_max`` (rt1 on the jc
-    ladder) only photon numbers up to ``n_max - 1`` count and every branch
-    is unassigned.  A coupling whose photon range holds too few levels, that
-    the table cannot represent (g / omega out of range), or whose levels are
-    not all finite records its error.
-    """
-    top = math.inf if n_max is None else n_max - 1
-    counts, labels = {}, {}  # photon range by coupling; code by (branch, parity)
-    too_few = "are available" if n_max is None else (
-        f"survive the guard band (loss_band=1, n_max={n_max})"
-    )
+def _table_bytes(count: int) -> int:
+    """Peak bytes of a closed-form table's coupling with a photon range of
+    ``count``: at most 2 * (count + 1) slots."""
+    return _CLOSED_FORM_PEAK * 8 * (2 * count + 2)
 
-    def admit(g):
-        counts[g] = count = min(_closed_form_count(g, omega, n_levels), top)
-        return _CLOSED_FORM_PEAK * 8 * (2 * count + 2)  # at most 2 * (count + 1) slots
+
+@functools.lru_cache(maxsize=8)
+def _table_admit(omega: float, n_levels: int, top: float):
+    """A closed-form table's admission of one coupling g (:func:`_admit`), its
+    photon range capped at ``top``: one function for every closed form."""
+    return lambda g: _table_bytes(min(_closed_form_count(g, omega, n_levels), top))
+
+
+def _admit(method: str, omega: float, omega0: float, trunc: TruncationConfig, n_levels: int):
+    """``method``'s admission of one coupling g (:func:`_admitted`): g's peak
+    bytes in a stack of its runner, or the error g raises on its own.
+
+    The exact oracle raises a ValueError where more levels are asked for than
+    the guard band validates, and the OverflowError of a guard band beyond
+    float range; a closed form the OverflowError of a photon range beyond it.
+    """
+    if method == "exact":
+        def admit(g):
+            params = ModelParams(omega, omega0, g)
+            valid = validated_level_count(params, trunc)
+            if n_levels > valid:
+                raise ValueError(
+                    f"requested {n_levels} levels from dim {trunc.dim}, of which the "
+                    f"guard band validates {valid}"
+                )
+            return _EXACT_PEAK * 16 * _leading_box(params, trunc.n_max, n_levels) ** 2
+
+        return admit
+    if method in _CHAINS:
+        peak = _CHAIN_PEAK * 8 * kam_truncation(n_levels).dim ** 2
+        return lambda g: peak
+    return _table_admit(omega, n_levels, trunc.n_max - 1 if method == "rt1" else math.inf)
+
+
+def _table_sweep(
+    method: str, omega: float, omega0: float, grid, trunc: TruncationConfig, n_levels: int
+) -> MethodSweep:
+    """``method``'s levels read off its closed form, from one table
+    evaluation per stack of couplings; rt1's from the jc table, where only
+    photon numbers up to ``n_max - 1`` count and every branch is unassigned.
+    A coupling whose photon range holds too few levels, that the table
+    cannot represent (g / omega out of range), or whose levels are not all
+    finite records its error.
+    """
+    form, ladder = ("jc", True) if method == "rt1" else (method, False)
+    top = trunc.n_max - 1 if ladder else math.inf
+    counts, labels = {}, {}  # photon range by coupling; code by (branch, parity)
+    too_few = (
+        f"survive the guard band (loss_band=1, n_max={trunc.n_max})" if ladder else "are available"
+    )
 
     def solve(couplings):
         count = [counts[g] for g in couplings.tolist()]
         table = closed_form_table(form, omega, omega0, couplings, max(count))
         usable = ~table.spurious & (table.n <= np.array(count)[:, None])
-        branches = table.branch if n_max is None else (BRANCH_UNASSIGNED,) * len(table.branch)
+        branches = (BRANCH_UNASSIGNED,) * len(table.branch) if ladder else table.branch
         pairs = zip(branches, table.parity)
         slot_codes = np.array([labels.setdefault(pair, len(labels)) for pair in pairs])
         values, order, short = _lowest(table.energies, usable, n_levels, too_few, table.n)
@@ -238,6 +293,10 @@ def _table_sweep(
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
         failed = {row: ArithmeticError("closed form gives a non-finite energy") for row in bad}
         return values, slot_codes[order], failed | short
+
+    def admit(g):
+        counts[g] = min(_closed_form_count(g, omega, n_levels), top)
+        return _table_bytes(counts[g])
 
     return _run_stacks(method, omega, omega0, grid, n_levels, admit, solve, labels)
 
@@ -278,25 +337,28 @@ def exact_sweep(
     """The lowest ``n_levels`` exact levels at every coupling of ``grid``:
     :func:`spectrum.exact_spectra` on each stack of :func:`_run_stacks`.
 
-    A coupling records a ValueError where more levels are asked for than
-    the guard band validates there, the OverflowError of a guard band beyond
-    float range, or its certificate's ArithmeticError.
+    A coupling records the error of its admission (:func:`_admit`), or its
+    certificate's ArithmeticError.
     """
-
-    def admit(g):
-        params = ModelParams(omega, omega0, g)
-        valid = validated_level_count(params, trunc)
-        if n_levels > valid:
-            raise ValueError(
-                f"requested {n_levels} levels from dim {trunc.dim}, of which the "
-                f"guard band validates {valid}"
-            )
-        return _EXACT_PEAK * 16 * _leading_box(params, trunc.n_max, n_levels) ** 2
 
     def solve(couplings):
         return *exact_spectra(omega, omega0, couplings, trunc.n_max, n_levels), {}
 
+    admit = _admit("exact", omega, omega0, trunc, n_levels)
     return _run_stacks("exact", omega, omega0, grid, n_levels, admit, solve)
+
+
+def _require_runnable(method: str, omega: float, omega0: float, n_levels: int) -> None:
+    """Raise each error that holds for ``method``'s whole grid: an unknown
+    method, ``n_levels < 1``, an invalid omega or omega0, or a dressed-ladder
+    method off one-photon resonance."""
+    if method not in METHOD_ORDER:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    ModelParams(omega, omega0, 0.0)  # raises what fails omega or omega0
+    if method in _ONE_PHOTON_METHODS:
+        require_one_photon_resonance(omega, omega0)
 
 
 def grid_sweep(
@@ -309,24 +371,24 @@ def grid_sweep(
     one call of :func:`spectrum.exact_spectra` (:func:`exact_sweep`), the
     closed forms and rt1 (from the jc table) one table evaluation, and the
     contact-iteration chains one stack of chain operators (:func:`chain_sweep`).
-    An error that holds for the whole grid is raised, for every method: an
-    unknown method, ``n_levels < 1``, an invalid omega or omega0, or a
-    dressed-ladder method off one-photon resonance.
+    An error that holds for the whole grid is raised, for every method
+    (:func:`_require_runnable`).
     """
-    if method not in METHOD_ORDER:
-        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_ORDER)}")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    ModelParams(omega, omega0, 0.0)  # raises what fails omega or omega0
-    if method in _ONE_PHOTON_METHODS:
-        require_one_photon_resonance(omega, omega0)
+    _require_runnable(method, omega, omega0, n_levels)
     if method == "exact":
         return exact_sweep(omega, omega0, grid, trunc, n_levels)
-    if method in CLOSED_FORM_METHODS:
-        return _table_sweep(method, method, omega, omega0, grid, n_levels)
-    if method == "rt1":
-        return _table_sweep("rt1", "jc", omega, omega0, grid, n_levels, trunc.n_max)
-    return chain_sweep(method, omega, omega0, grid, n_levels)
+    if method in _CHAINS:
+        return chain_sweep(method, omega, omega0, grid, n_levels)
+    return _table_sweep(method, omega, omega0, grid, trunc, n_levels)
+
+
+def stack_cost(method: str, omega: float, omega0: float, trunc: TruncationConfig, n_levels: int):
+    """The peak bytes a coupling g adds to a stack of ``method``'s runner in
+    :func:`grid_sweep`, as a function of g that raises the ValueError or
+    OverflowError g raises there on its own (:func:`_admit`); raises what
+    grid_sweep raises for the whole grid."""
+    _require_runnable(method, omega, omega0, n_levels)
+    return _admit(method, omega, omega0, trunc, n_levels)
 
 
 _CHAINS = {"rt1_kam": rabi_rt1_chain, "rt_full_kam": rt2_iterated_chain}
@@ -343,7 +405,6 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
     from . import kam, transforms  # noqa: F401  (the chain layer, before any stack)
 
     trunc = kam_truncation(n_levels)
-    peak = _CHAIN_PEAK * 8 * trunc.dim**2
     build = _CHAINS[method]
 
     def solve(couplings):
@@ -351,7 +412,8 @@ def chain_sweep(method: str, omega: float, omega0: float, grid, n_levels: int) -
         # no reference to the chain is kept here, so _kam_levels frees its operator
         return _kam_levels(build(params, trunc), omega, n_levels)
 
-    return _run_stacks(method, omega, omega0, grid, n_levels, lambda g: peak, solve)
+    admit = _admit(method, omega, omega0, trunc, n_levels)
+    return _run_stacks(method, omega, omega0, grid, n_levels, admit, solve)
 
 
 def _kam_levels(

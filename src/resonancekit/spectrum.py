@@ -255,10 +255,14 @@ def exact_spectra(
             h[..., idx[1:], idx[:-1]] = grid[rows, None] * root_n[:box - 1]
             levels[:, rows] = np.linalg.eigvalsh(h)[..., :keep]  # reads the lower triangle only
         cut = np.sort(np.concatenate(list(levels), -1))[:, top]
-        delta = _CERTIFY_RTOL * np.maximum(np.abs(levels), omega)
-        counts = _sturm_count(scaled, off2, np.concatenate([levels - delta, levels + delta], -1) / omega)
+        checked = levels <= cut[:, None]  # a leading run of each block's ascending levels
+        shifts = levels[..., :checked.sum(axis=-1).max()]  # the levels any block checks
+        delta = _CERTIFY_RTOL * np.maximum(np.abs(shifts), omega)
+        bounds = np.concatenate([shifts - delta, shifts + delta], -1) / omega
+        counts = _sturm_count(scaled, off2, bounds)
         below, upto = np.split(counts, 2, axis=-1)
-        bad = ((below > rank) | (upto <= rank)) & (levels <= cut[:, None])
+        span = rank[:shifts.shape[-1]]
+        bad = ((below > span) | (upto <= span)) & checked[..., :span.size]
         failed = np.argwhere(bad & (boxes == size)[:, None]).tolist()
         if failed:
             block, i, k = failed[0]

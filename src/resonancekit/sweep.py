@@ -19,12 +19,14 @@ per-level record is built on the way, and no file is written here
 (:mod:`cli` writes them).
 
 The sweep command computes, writes and drops one block of couplings at a
-time (:func:`sweep_blocks`), each block's arrays within the stack budget
-``methods._STACK_BYTES``, so its memory does not grow with its grid.
-:func:`compare_methods` pairs levels by rank over every coupling and
-:func:`resonance_report` searches windows of couplings around each locus,
-so they read one whole table (:func:`run_sweep`).  The CSV writer formats a
-table a few thousand rows at a time, each an array program: the numbers'
+time (:func:`sweep_blocks`), and a block is one runner stack: the couplings
+that fit the stack budget ``methods._STACK_BYTES`` at the largest cost of
+the configured methods, so every method solves a block at once and the
+command's memory does not grow with its grid.  :func:`compare_methods`
+pairs levels by rank over every coupling and :func:`resonance_report`
+searches windows of couplings around each locus, so they read one whole
+table (:func:`run_sweep`).  The CSV writer formats a table a few thousand
+rows at a time, each an array program that writes bytes: the numbers'
 "%.17g" text is computed exactly with array arithmetic
 (:func:`_float_chars`), and only zeros and values outside [1e-4, 1e14) go
 through Python's own formatting, one at a time.
@@ -32,12 +34,13 @@ through Python's own formatting, one at a time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -224,14 +227,45 @@ def run_sweep(config: SweepConfig, grid: np.ndarray | None = None) -> SpectrumTa
 def sweep_blocks(config: SweepConfig) -> Iterator[SpectrumTable]:
     """:func:`run_sweep` of ``config`` as the tables of consecutive blocks of
     its g-grid, in grid order: their CSV rows, failures and row counts,
-    joined, are the whole table's.  A block holds as many couplings as keep
-    its arrays, 9 bytes a level summed over the methods, within
-    ``methods._STACK_BYTES`` (at least one), so a consumer that drops each
-    block before the next holds memory that does not grow with the grid."""
+    joined, are the whole table's.
+
+    A block is one runner stack (:func:`methods.cut_stacks`) at each
+    coupling's largest cost over the configured methods
+    (:func:`methods.stack_cost`), so every method solves a block in one
+    stack, and a consumer that drops each block before the next holds memory
+    that does not grow with the grid.  A method that fails a coupling adds
+    no cost there, and a coupling no method admits costs what the admitted
+    coupling before it does, so one unrepresentable coupling shrinks only
+    its own block.  The blocks are cut as the grid is read, one coupling at
+    a time."""
+    # glibc's malloc raises its mmap and trim thresholds to the size of a freed
+    # mmapped block: one block of the stack budget, freed untouched, keeps the
+    # stacks' temporaries in the heap instead of returning them to the system
+    # and faulting them in again every block (about 58,000 minor faults become
+    # 5,000 in a sweep of 10,001 closed-form couplings).  Other allocators
+    # just free it.
+    np.empty(methods._STACK_BYTES, np.uint8)
     grid = config.g_grid()
-    size = max(1, methods._STACK_BYTES // (9 * config.n_levels * len(config.methods)))
-    for lo in range(0, grid.size, size):
-        yield run_sweep(config, grid[lo:lo + size])
+    params = (config.omega, config.omega0, TruncationConfig(n_max=config.n_max), config.n_levels)
+    costs = set()  # methods that admit alike share one function: every closed form
+    for method in config.methods:
+        with contextlib.suppress(ValueError):  # else the whole grid fails this method
+            costs.add(methods.stack_cost(method, *params))
+
+    def admitted():
+        size = 0
+        for i, g in enumerate(map(float, grid)):
+            top = 0
+            for cost in costs:
+                try:
+                    top = max(top, cost(g))
+                except (ValueError, OverflowError):
+                    pass
+            size = top or size
+            yield i, size
+
+    for stack in methods.cut_stacks(admitted()):
+        yield run_sweep(config, grid[stack[0]:stack[-1] + 1])
 
 
 # The longest "%.17g" text of a float64, "-2.2250738585072014e-308".
@@ -359,53 +393,67 @@ def _float_chars(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _tail_items(layout: tuple) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The ``,method,level,branch,parity,`` text of every (method, level,
+    label) of a table whose sweeps have the (method, level count, labels) of
+    ``layout``, NUL-padded to one width and held as one void item each; and
+    per method the number of its first (level, label) text: label j at level
+    l is that number + l·labels + j.  Cached, so the blocks of a sweep build
+    them once."""
+    tails, firsts = [], []
+    for method, n_levels, labels in layout:
+        firsts.append(len(tails) + len(labels) * np.arange(n_levels))
+        tails.extend(f",{method},{level},{b},{p},".encode()
+                     for level in range(n_levels) for b, p in labels)
+    chars = _nul_padded(tails)
+    chars = chars.view(f"V{chars.shape[1]}")[:, 0]
+    for shared in (chars, *firsts):  # one object for every caller: read-only
+        shared.flags.writeable = False
+    return chars, tuple(firsts)
+
+
 def table_to_csv(
-    table: SpectrumTable, out: TextIO | None = None, header: bool = True
+    table: SpectrumTable, out: BinaryIO | None = None, header: bool = True
 ) -> str | None:
-    """The sweep CSV of ``table``: written to the text file ``out``, or
-    returned as a string without one; without ``header`` its rows alone (a
-    block of :func:`sweep_blocks` after the first).
+    """The sweep CSV of ``table``: its UTF-8 bytes written to the binary file
+    ``out``, or returned as a string without one; without ``header`` its
+    rows alone (a block of :func:`sweep_blocks` after the first).
 
     The rows are built from the table's arrays one block of couplings
     (``_CSV_BLOCK_ROWS`` rows or fewer) at a time, so the writer's memory
     does not grow with the grid.  A block is one array program: its rows are
     the ok cells of the (couplings, methods' levels) layout in row-major
-    order, and a row's bytes are its coupling's text, its (method, level,
-    label) text, its energy's text (both numbers from :func:`_float_chars`)
-    and ``,False``, each NUL-padded to a fixed width; one pass drops the
-    NULs of the whole block before it is written."""
-    fh = io.StringIO() if out is None else out
+    order, and a row is a record of four fixed-width fields, each copied as
+    one item: its coupling's text, its (method, level, label) text
+    (:func:`_tail_items`), its energy's text (both numbers from
+    :func:`_float_chars`) and ``,False``, each NUL-padded; one pass drops the
+    NULs of the whole block, and its bytes are written as they are."""
+    fh = io.BytesIO() if out is None else out
     if header:
-        fh.write(f"{CSV_HEADER}\n")
-    # Per method: its ok mask over (couplings, levels), and the number of its
-    # first (level, label) text; label j at level l is that number + l·labels + j.
-    columns, tails = [], []
-    for s in table.sweeps:
-        n_levels = s.energies.shape[1]
-        columns.append((np.repeat(s.ok[:, None], n_levels, axis=1),
-                        len(tails) + len(s.labels) * np.arange(n_levels)))
-        tails.extend(f",{s.method},{level},{b},{p},".encode()
-                     for level in range(n_levels) for b, p in s.labels)
-    tail_chars = _nul_padded(tails)
-    g_chars = _float_chars(table.grid)
-    suffix = np.frombuffer(b",False\n", np.uint8)
-    fields = np.cumsum([0, _TEXT_WIDTH, tail_chars.shape[1], _TEXT_WIDTH, suffix.size])
+        fh.write(f"{CSV_HEADER}\n".encode())
+    layout = tuple((s.method, s.energies.shape[1], s.labels) for s in table.sweeps)
+    tails, firsts = _tail_items(layout)
+    oks = [np.repeat(s.ok[:, None], s.energies.shape[1], axis=1) for s in table.sweeps]
+    text = np.dtype(f"V{_TEXT_WIDTH}")
+    g_items = _float_chars(table.grid).view(text)[:, 0]
+    record = np.dtype([("g", text), ("tail", tails.dtype), ("energy", text), ("end", "V7")])
     width = sum(s.energies.shape[1] for s in table.sweeps)  # rows per coupling at most
     step = max(1, _CSV_BLOCK_ROWS // max(1, width))
-    for lo in range(0, table.grid.size if columns else 0, step):
+    for lo in range(0, table.grid.size if oks else 0, step):
         block = slice(lo, lo + step)
-        keep = np.concatenate([ok[block] for ok, _ in columns], axis=1)
+        keep = np.concatenate([ok[block] for ok in oks], axis=1)
         codes = np.concatenate(
-            [s.label_index[block] + first for s, (_, first) in zip(table.sweeps, columns)], axis=1
+            [s.label_index[block] + first for s, first in zip(table.sweeps, firsts)], axis=1
         )[keep]
         energies = np.concatenate([s.energies[block] for s in table.sweeps], axis=1)[keep]
-        rows = np.empty((energies.size, fields[-1]), np.uint8)
-        rows[:, :fields[1]] = g_chars[lo + np.repeat(np.arange(keep.shape[0]), keep.sum(axis=1))]
-        rows[:, fields[1]:fields[2]] = tail_chars[codes]
-        rows[:, fields[2]:fields[3]] = _float_chars(energies)
-        rows[:, fields[3]:] = suffix
-        fh.write(rows.tobytes().translate(None, b"\0").decode())
-    return fh.getvalue() if out is None else None
+        rows = np.empty(energies.size, record)
+        rows["g"] = np.repeat(g_items[block], keep.sum(axis=1))
+        rows["tail"] = tails[codes]
+        rows["energy"] = _float_chars(energies).view(text)[:, 0]
+        rows["end"] = np.void(b",False\n")
+        fh.write(rows.tobytes().translate(None, b"\0"))
+    return fh.getvalue().decode() if out is None else None
 
 
 def _pair_errors(exact: MethodSweep, other: MethodSweep) -> np.ndarray:

@@ -78,14 +78,36 @@ def test_sweep_failed_points_exit_1(tmp_path, capsys):
     assert {r.method for r in table_rows(table)} == {"exact"}
 
 
-@pytest.mark.parametrize("omega0", [1.0, 0.8], ids=["failed-couplings", "failed-grid"])
-def test_streamed_sweep_writes_what_the_whole_table_writes(tmp_path, capsys, monkeypatch, omega0):
-    # exact fails the guard band from g = 0.97 up; off resonance jc and
-    # rt1_kam fail at every coupling.  A budget of 30 couplings a block (9
-    # bytes a level, 8 levels, 3 methods) gives blocks of 30, 30, 30 and 1
-    # couplings, in which exact and rt1_kam run stacks of 1 coupling and jc
-    # stacks of 2 or 3.
-    monkeypatch.setattr(methods, "_STACK_BYTES", 9 * 8 * 3 * 30)
+# exact fails the guard band from g = 0.97 up; off resonance (omega0 0.8)
+# jc and rt1_kam fail at every coupling.  With a budget of 64 KiB, rt1_kam's
+# stacks of 4 set the blocks on resonance, exact's stacks of 4 and 5 off it,
+# and its failed couplings take the cost of the last one it admits.  At the
+# 1 MiB budget, exact (failing from g = 1.77 up) sets the blocks of the
+# "failed-stacks" grid until it fails, then rt2 and strong_avg do.
+_STREAMED = {
+    "failed-couplings": (
+        dict(omega0=1.0, g_max=3.0, g_steps=91, n_max=20, n_levels=8,
+             methods=("exact", "jc", "rt1_kam")),
+        1 << 16, [4] * 22 + [3],
+    ),
+    "failed-grid": (
+        dict(omega0=0.8, g_max=3.0, g_steps=91, n_max=20, n_levels=8,
+             methods=("exact", "jc", "rt1_kam")),
+        1 << 16, [5, 5] + [4] * 20 + [1],
+    ),
+    "failed-stacks": (
+        dict(omega0=1.0, g_max=3.0, g_steps=301, n_max=40, n_levels=12,
+             methods=("exact", "rt2", "strong_avg")),
+        None, [51, 36, 28, 22, 19, 19, 19, 107],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAMED))
+def test_streamed_sweep_writes_what_the_whole_table_writes(tmp_path, capsys, monkeypatch, case):
+    values, stack_bytes, expected_blocks = _STREAMED[case]
+    if stack_bytes is not None:
+        monkeypatch.setattr(methods, "_STACK_BYTES", stack_bytes)
     whole_table, blocks = sweep.run_sweep, []
 
     def block_table(config, grid):
@@ -94,13 +116,13 @@ def test_streamed_sweep_writes_what_the_whole_table_writes(tmp_path, capsys, mon
 
     monkeypatch.setattr(sweep, "run_sweep", block_table)
     out = tmp_path / "sweep.csv"
-    config = SweepConfig(omega0=omega0, g_max=3.0, g_steps=91, n_max=20, n_levels=8,
-                         methods=("exact", "jc", "rt1_kam"), output_path=str(out))
-    rc = main(["sweep", "--omega0", str(omega0), "--g-max", "3", "--g-steps", "91",
-               "--n-max", "20", "--levels", "8", "--methods", "exact,jc,rt1_kam",
+    config = SweepConfig(**values, output_path=str(out))
+    rc = main(["sweep", "--omega0", str(config.omega0), "--g-max", str(config.g_max),
+               "--g-steps", str(config.g_steps), "--n-max", str(config.n_max),
+               "--levels", str(config.n_levels), "--methods", ",".join(config.methods),
                "--out", str(out)])
     captured = capsys.readouterr()
-    assert blocks == [30, 30, 30, 1]
+    assert blocks == expected_blocks
     table = whole_table(config)
     assert table.failures and table.row_count
     assert out.read_bytes() == table_to_csv(table).encode()

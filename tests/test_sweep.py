@@ -20,6 +20,7 @@ from resonancekit.sweep import (
     parse_config,
     resonance_report,
     run_sweep,
+    sweep_blocks,
     table_to_csv,
     worker_count,
 )
@@ -267,6 +268,42 @@ def test_exact_sweep_matches_per_point_levels_and_failures(
     assert rows and failures
     assert list(table_rows(table)) == rows
     assert list(table.failures) == failures
+
+
+@pytest.mark.parametrize("values", [
+    dict(methods=("exact", "jc", "rt1_kam")),
+    dict(g_steps=1001, n_levels=40, methods=("jc", "rt2", "strong_avg", "strong_rt")),
+], ids=["matrices", "closed-forms"])
+def test_a_sweep_block_is_one_stack_of_every_method(monkeypatch, values):
+    # No block of sweep_blocks holds more couplings than the stack any
+    # configured method cuts from the block's first coupling on, and every
+    # method solves each block in one call; no coupling fails here.  Blocks
+    # sized by their result arrays held 728 closed-form couplings (4 to 5
+    # stacks) and all 151 of the matrix grid (5 rt1_kam stacks).
+    config = SweepConfig(**values)
+    grid, trunc = config.g_grid(), TruncationConfig(n_max=config.n_max)
+    runner, solves = methods._run_stacks, []
+
+    def counted(method, omega, omega0, grid, n_levels, admit, solve, *labels):
+        def counting(couplings):
+            solves.append((method, couplings.size))
+            return solve(couplings)
+
+        return runner(method, omega, omega0, grid, n_levels, admit, counting, *labels)
+
+    monkeypatch.setattr(methods, "_run_stacks", counted)
+    lo = 0
+    for block in sweep_blocks(config):
+        size = block.grid.size
+        assert not block.failures
+        assert solves == [(method, size) for method in config.methods]
+        for method in config.methods:
+            solves.clear()
+            grid_sweep(method, config.omega, config.omega0, grid[lo:], trunc, config.n_levels)
+            assert size <= solves[0][1], (method, lo)
+        solves.clear()
+        lo += size
+    assert lo == grid.size
 
 
 def test_spectrum_rows_have_slots():

@@ -85,18 +85,18 @@ def _tables(draw, increasing: bool = False, with_exact: bool = False) -> Spectru
 @given(_tables(), st.integers(1, 12) | st.just(sweep._CSV_BLOCK_ROWS))
 def test_array_writer_is_byte_identical_to_the_row_writer(table, block_rows):
     # Blocks of one coupling up to the whole grid, into a file and as text.
-    out = io.StringIO()
+    out = io.BytesIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_CSV_BLOCK_ROWS", block_rows)
         table_to_csv(table, out)
         text = table_to_csv(table)
-    assert out.getvalue() == text == rows_to_csv(table_rows(table))
+    assert out.getvalue().decode() == text == rows_to_csv(table_rows(table))
 
 
 def _write_csv(table, path):
     """The sweep CSV of ``table`` written to the file ``path``, as the CLI
     writes it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         table_to_csv(table, fh)
 
 
